@@ -22,7 +22,6 @@ from .aut import (
     Partition,
     Permutation,
     automorphism_group,
-    brute_force_orbits,
     equitable_refinement,
     is_edge_transitive,
     is_vertex_transitive,

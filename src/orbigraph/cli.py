@@ -33,7 +33,7 @@ from .graph_core import (
 )
 from .orbital import entropy_of, orbit_divisor_matrix, orbit_profile, orbitally_homothetic, orbitally_similar
 from .sequences import SequenceSpec, SequenceSpecError, generate as generate_sequence, preservation_report
-from .spectral import spectral_radius_adjacency, spectral_radius_divisor
+from .spectral import ConvergenceError, spectral_radius_adjacency, spectral_radius_divisor
 from . import constructions as cons
 
 EXIT_OK = 0
@@ -324,6 +324,9 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except ConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import hypothesis.strategies as st
 
+from orbigraph.aut import Partition
 from orbigraph.graph_core import Graph, is_connected
 
 
@@ -29,17 +30,55 @@ def all_connected_graphs(n: int):
     return (g for g in all_graphs(n) if is_connected(g))
 
 
-def brute_force_group_order(graph: Graph) -> int:
-    """Count edge-preserving permutations directly (test oracle, n <= 7)."""
+def _brute_force_automorphisms(graph: Graph):
+    """Every edge-preserving permutation, by enumerating all n! of them."""
     from itertools import permutations
 
-    assert graph.n <= 7
-    count = 0
     edges = graph.edges
     for img in permutations(range(graph.n)):
         if all(((img[u], img[v]) if img[u] < img[v] else (img[v], img[u])) in edges for u, v in edges):
-            count += 1
-    return count
+            yield img
+
+
+def brute_force_group_order(graph: Graph) -> int:
+    """Count edge-preserving permutations directly (test oracle, n <= 8)."""
+    assert graph.n <= 8
+    return sum(1 for _ in _brute_force_automorphisms(graph))
+
+
+def brute_force_orbits(graph: Graph) -> Partition:
+    """Orbit partition from every automorphism (test oracle, n <= 8), canonical order."""
+    assert 1 <= graph.n <= 8
+    orbit = list(range(graph.n))
+    for img in _brute_force_automorphisms(graph):
+        for v in range(graph.n):
+            orbit[v] = min(orbit[v], img[v])
+    return partition_by(orbit)
+
+
+def naive_equitable_refinement(graph: Graph, seed: Partition) -> Partition:
+    """Coarsest equitable refinement by whole-partition rounds (test oracle).
+
+    Each round recolours every vertex by its colour and the multiset of its
+    neighbours' colours, until the number of colours stops growing.
+    """
+    adj = graph.adjacency()
+    colour = seed.cell_index()
+    while True:
+        keys = [(colour[v], tuple(sorted(colour[w] for w in adj[v]))) for v in range(graph.n)]
+        ids = {key: i for i, key in enumerate(sorted(set(keys)))}
+        if len(ids) == len(set(colour)):
+            break
+        colour = [ids[key] for key in keys]
+    return partition_by(colour)
+
+
+def partition_by(colour) -> Partition:
+    """Partition of 0..n-1 grouping vertices of equal colour[v], canonical order."""
+    cells: dict = {}
+    for v, c in enumerate(colour):
+        cells.setdefault(c, []).append(v)
+    return Partition.from_cells(cells.values()).canonical()
 
 
 @st.composite
