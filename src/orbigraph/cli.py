@@ -1,9 +1,10 @@
 """Command-line front end: analyze, compare, generate, sequence, demo.
 
 Exit codes: 0 success (or similar, for compare); 1 dissimilar; 2 parse or
-parameter error; 3 disconnected input; 4 resource cap exceeded; 5 sequence
-verification failure.  JSON output carries no timestamps unless --meta is
-given, so identical inputs produce byte-identical output.
+parameter error; 3 disconnected input; 4 resource cap exceeded or spectral
+certificate failure; 5 sequence verification failure.  JSON output carries
+no timestamps unless --meta is given, so identical inputs produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .graph_core import (
 )
 from .orbital import entropy_of, orbit_divisor_matrix, orbit_profile, orbitally_homothetic, orbitally_similar
 from .sequences import SequenceSpec, SequenceSpecError, generate as generate_sequence, preservation_report
-from .spectral import ConvergenceError, spectral_radius_adjacency, spectral_radius_divisor
+from .spectral import CertificateError, spectral_radius_adjacency
 from . import constructions as cons
 
 EXIT_OK = 0
@@ -112,7 +113,7 @@ def _analysis_payload(graph: Graph) -> dict:
         "omega": [_frac(w) for w in profile.omega],
         "entropy": profile.entropy,
         "rho_adjacency": perron.rho,
-        "rho_divisor": spectral_radius_divisor(dm),
+        "rho_divisor": perron.rho_divisor,
         "principal_ratio": perron.gamma,
         "min_degree": stats.min_degree,
         "max_degree": stats.max_degree,
@@ -324,7 +325,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except ConvergenceError as exc:
+    except CertificateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except ValueError as exc:

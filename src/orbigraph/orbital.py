@@ -10,7 +10,6 @@ in this module is the entropy value.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -88,11 +87,6 @@ class SimilarityVerdict:
 
 def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
-
-
-def dumps(obj: DivisorMatrix | OrbitProfile | SimilarityVerdict) -> str:
-    """Stable JSON encoding of the module's report types."""
-    return json.dumps(obj.as_dict(), separators=(", ", ": "))
 
 
 def divisor_matrix(graph: Graph, partition: Partition) -> DivisorMatrix:

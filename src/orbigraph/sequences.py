@@ -29,7 +29,7 @@ from .orbital import (
     orbit_profile,
     orbitally_similar,
 )
-from .spectral import spectral_radius_adjacency, spectral_radius_divisor
+from .spectral import spectral_radius_adjacency
 
 FLOAT_TOL = 1e-9
 
@@ -418,7 +418,7 @@ def analyze_term(graph: Graph) -> TermRecord:
         omega=profile.omega,
         entropy=profile.entropy,
         rho_adjacency=perron.rho,
-        rho_divisor=spectral_radius_divisor(dm),
+        rho_divisor=perron.rho_divisor,
         min_degree=stats.min_degree,
         max_degree=stats.max_degree,
         average_degree=stats.average_degree,

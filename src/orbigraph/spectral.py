@@ -1,17 +1,36 @@
 """Spectral radius and principal eigenvector, by adjacency and by divisor matrix.
 
-Power iteration is used throughout, always on the matrix shifted by the
-identity: connected graphs can be bipartite and divisor matrices periodic,
-and the shift makes the iteration matrix primitive in both cases while
-moving the Perron root by exactly one.  The divisor route uses the
-Collatz-Wielandt quotient bounds as its stopping rule because the matrix
-need not be symmetric.
+One direct solve gives both spectral routes.  The divisor matrix B of an
+equitable partition with cell sizes S satisfies s_i B_ij = s_j B_ji, so
+S^(1/2) B S^(-1/2) is symmetric, and one np.linalg.eigh of it gives the
+largest eigenvalue rho(B) and its eigenvector u.  By the equitable-partition
+lemma (Godsil & Royle, Algebraic Graph Theory, 9.3) alpha = S^(-1/2) u,
+repeated on every vertex of its cell, is an eigenvector of the adjacency
+matrix A for the same eigenvalue, so rho(A) = rho(B) and the principal
+eigenvector is constant on orbits.
+
+eigh resolves u only to about 1e-16 of its largest entry, and a Perron
+vector can fall over hundreds of orders of magnitude (a clique with a long
+pendant path).  So u only picks the cell r of its largest entry; with u_r
+fixed to 1 the other entries come from one linear solve with rho(B).  Its
+matrix, rho I minus S^(1/2) B S^(-1/2) without row and column r, is a
+nonsingular M-matrix, and the solution keeps even the smallest entries to
+a few units of rounding on such graphs, where u loses them entirely.
+
+The lift x is certified on A in O(m) from the edge list, never a dense A:
+for a positive x the Collatz-Wielandt quotients bracket the Perron root,
+min_i (Ax)_i / x_i <= rho(A) <= max_i (Ax)_i / x_i (Collatz 1942; Wielandt
+1950).  The bracket must be narrower than CERTIFICATE_TOL * max(1, rho)
+and hold both reported radii, widened by that much, or CertificateError is
+raised.  The adjacency radius is the Rayleigh quotient of x on A.
+
+check_orbit_constancy is the independent route: it takes the principal
+eigenvector from a dense eigh of A, which knows nothing of the orbits, so
+its constancy on orbit cells is a genuine check of the lemma.
 """
 
 from __future__ import annotations
 
-import json
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,38 +39,30 @@ from .aut import Partition, orbit_partition
 from .graph_core import Graph, is_connected
 from .orbital import DivisorMatrix, divisor_matrix
 
-DEFAULT_TOL = 1e-12
-MAX_ITERATIONS = 10**6
+CERTIFICATE_TOL = 1e-10
 
 
-class ConvergenceError(RuntimeError):
-    """Power iteration failed to converge within the iteration cap."""
+class CertificateError(RuntimeError):
+    """The Collatz-Wielandt bracket on A did not certify the computed Perron pair."""
 
 
 @dataclass(frozen=True)
 class PerronData:
     """Spectral radius with the normalized positive eigenvector.
 
-    vector sums to 1 and is constant on every orbit; orbit_values collects
-    the per-orbit constants (cell means) and gamma is the largest over the
-    smallest component.
+    rho is the Rayleigh quotient of vector on A and rho_divisor the largest
+    eigenvalue of the divisor matrix; bracket is the Collatz-Wielandt
+    interval (lo, hi) on A that certified both.  vector sums to 1 and is
+    constant on every orbit; orbit_values holds the per-orbit constants and
+    gamma is the largest over the smallest component.
     """
 
     rho: float
+    rho_divisor: float
     vector: tuple[float, ...]
     gamma: float
     orbit_values: tuple[float, ...]
-
-    def as_dict(self) -> dict:
-        return {
-            "rho": self.rho,
-            "vector": list(self.vector),
-            "gamma": self.gamma,
-            "orbit_values": list(self.orbit_values),
-        }
-
-    def dumps(self) -> str:
-        return json.dumps(self.as_dict(), separators=(", ", ": "))
+    bracket: tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -64,25 +75,30 @@ class OrbitConstancyReport:
     ok: bool
 
 
-def _adjacency_array(graph: Graph) -> np.ndarray:
-    a = np.zeros((graph.n, graph.n))
-    for u, v in graph.edges:
-        a[u, v] = 1.0
-        a[v, u] = 1.0
-    return a
+def _edge_array(graph: Graph) -> np.ndarray:
+    return np.array(list(graph.edges), dtype=np.intp).reshape(-1, 2)
 
 
-def spectral_radius_adjacency(
-    graph: Graph, tol: float = DEFAULT_TOL, partition: Partition | None = None
-) -> PerronData:
-    """Perron data of a connected graph via shifted power iteration.
+def _top_eigenpair(m: np.ndarray) -> tuple[float, np.ndarray]:
+    """Largest eigenvalue of the symmetric m with its eigenvector, signed so
+    that its entries sum to a positive value.
 
-    Converged when successive eigenvalue estimates differ by less than tol,
-    the residual ||A x - rho x||_inf drops below tol, and the per-component
-    Collatz-Wielandt quotients of the shifted matrix agree within tol; the
-    last condition bounds the relative error of every component, which the
-    principal ratio needs because its denominator is the smallest one.  The
-    orbit partition is computed when not supplied.
+    m is S^(1/2) B S^(-1/2) = S^(-1/2) t S^(-1/2) for the divisor matrix
+    B = S^(-1) t, where t[i, j] counts the edges from cell i to cell j.
+    """
+    values, vectors = np.linalg.eigh(m)
+    u = vectors[:, -1]
+    return float(values[-1]), u if u.sum() > 0 else -u
+
+
+def spectral_radius_adjacency(graph: Graph, partition: Partition | None = None) -> PerronData:
+    """Certified Perron data of a connected graph from one divisor solve.
+
+    partition should be equitable (the orbit partition is computed when not
+    supplied): the divisor matrix is built from the edge list, solved, and
+    its eigenvector lifted to the vertices and certified on A (see the
+    module docstring), so a partition whose lift is no eigenvector of A
+    raises CertificateError.
     """
     if not is_connected(graph):
         raise ValueError("spectral radius defined here for connected graphs only")
@@ -90,98 +106,101 @@ def spectral_radius_adjacency(
         raise ValueError("empty graph")
     if partition is None:
         partition = orbit_partition(graph)
-    if graph.n == 1:
-        return PerronData(rho=0.0, vector=(1.0,), gamma=1.0, orbit_values=(1.0,))
-    a = _adjacency_array(graph)
-    x = np.full(graph.n, 1.0 / graph.n)
-    prev = np.inf
-    converged = False
-    for _ in range(MAX_ITERATIONS):
-        y = a @ x
-        z = y + x
-        quotients = z / x
-        rho = float(x @ y / (x @ x))
-        residual = float(np.max(np.abs(y - rho * x)))
-        spread = float(quotients.max() - quotients.min())
-        converged = abs(rho - prev) < tol and residual < tol and spread < tol
-        prev = rho
-        x = z / z.sum()
-        if converged:
-            break
-    if not converged:
-        raise ConvergenceError(f"no convergence within {MAX_ITERATIONS} iterations")
-    y = a @ x
+    ell = len(partition.cells)
+    cell_of = np.array(partition.cell_index(), dtype=np.intp)
+    root = np.sqrt(np.bincount(cell_of, minlength=ell))
+    edges = _edge_array(graph)
+    src, dst = np.concatenate((edges, edges[:, ::-1])).T
+    keys = cell_of[src] * ell + cell_of[dst]
+    m = np.bincount(keys, minlength=ell * ell).reshape(ell, ell).astype(float)
+    m /= root[:, None]
+    m /= root
+    rho_divisor, u = _top_eigenpair(m)
+    # u only picks r (see the module docstring); with w_r = 1 the other
+    # entries solve (rho I - m') w' = m[:, r], m' being m without row and
+    # column r.
+    r = int(np.argmax(u))
+    keep = np.flatnonzero(np.arange(ell) != r)
+    system = m[np.ix_(keep, keep)]
+    system *= -1.0
+    system.flat[::ell] += rho_divisor
+    w = np.ones(ell)
+    w[keep] = np.linalg.solve(system, m[keep, r])
+    alpha = w / root
+    alpha /= alpha @ root**2
+    x = alpha[cell_of]
+    y = np.bincount(src, weights=x[dst], minlength=graph.n)
     rho = float(x @ y / (x @ x))
-    x = x / x.sum()
-    vector = tuple(float(t) for t in x)
-    alpha = tuple(float(np.mean([x[v] for v in cell])) for cell in partition.cells)
-    gamma = float(max(vector) / min(vector))
-    return PerronData(rho=rho, vector=vector, gamma=gamma, orbit_values=alpha)
+    if not (x > 0).all():
+        raise CertificateError("lifted eigenvector is not positive")
+    quotients = y / x
+    lo, hi = float(quotients.min()), float(quotients.max())
+    tol = CERTIFICATE_TOL * max(1.0, rho)
+    if hi - lo > tol or min(rho, rho_divisor) < lo - tol or max(rho, rho_divisor) > hi + tol:
+        raise CertificateError(
+            f"Collatz-Wielandt bracket [{lo!r}, {hi!r}] does not certify rho = {rho_divisor!r}"
+        )
+    return PerronData(
+        rho=rho,
+        rho_divisor=rho_divisor,
+        vector=tuple(x.tolist()),
+        gamma=float(x.max() / x.min()),
+        orbit_values=tuple(alpha.tolist()),
+        bracket=(lo, hi),
+    )
 
 
-def _is_irreducible(entries: tuple[tuple[int, ...], ...]) -> bool:
-    ell = len(entries)
-    for transpose in (False, True):
-        seen = [False] * ell
-        seen[0] = True
-        queue = deque([0])
-        count = 1
-        while queue:
-            u = queue.popleft()
-            for v in range(ell):
-                value = entries[v][u] if transpose else entries[u][v]
-                if v != u and value > 0 and not seen[v]:
-                    seen[v] = True
-                    count += 1
-                    queue.append(v)
-        if count != ell:
-            return False
-    return True
-
-
-def spectral_radius_divisor(dm: DivisorMatrix, tol: float = DEFAULT_TOL) -> float:
+def spectral_radius_divisor(dm: DivisorMatrix) -> float:
     """Largest eigenvalue of an irreducible nonnegative divisor matrix.
 
-    Power iteration on the identity-shifted matrix; the Collatz-Wielandt
-    bounds min(y/x) <= rho <= max(y/x) bracket the answer, so iteration
-    stops once the bracket is narrower than tol.
+    The matrix must be symmetrizable, s_i B_ij = s_j B_ji, as the divisor
+    matrix of every equitable partition is; ValueError otherwise.
     """
-    if not _is_irreducible(dm.entries):
+    b = np.array(dm.entries, dtype=np.int64).reshape(dm.ell, dm.ell)
+    sizes = np.array(dm.sizes, dtype=np.int64)
+    if (b < 0).any() or (sizes <= 0).any():
+        raise ValueError("divisor matrix needs nonnegative entries and positive cell sizes")
+    # Breadth-first search for the cells that reach cell 0 along the support
+    # of B; for a symmetrizable B the support is symmetric, so this one
+    # search decides irreducibility.
+    seen = frontier = np.arange(dm.ell) == 0
+    while frontier.any():
+        frontier = b[:, frontier].any(axis=1) & ~seen
+        seen = seen | frontier
+    if not seen.all():
         raise ValueError("divisor matrix is reducible; spectral radius not computed")
-    if dm.ell == 1:
-        return float(dm.entries[0][0])
-    b = np.array(dm.entries, dtype=float) + np.eye(dm.ell)
-    x = np.full(dm.ell, 1.0 / dm.ell)
-    for _ in range(MAX_ITERATIONS):
-        y = b @ x
-        quotients = y / x
-        lo = float(quotients.min())
-        hi = float(quotients.max())
-        x = y / y.sum()
-        if hi - lo < tol:
-            return (lo + hi) / 2.0 - 1.0
-    raise ConvergenceError(f"no convergence within {MAX_ITERATIONS} iterations")
+    t = sizes[:, None] * b
+    if (t != t.T).any():
+        raise ValueError("divisor matrix is not symmetrizable: s_i B_ij != s_j B_ji for some i, j")
+    root = np.sqrt(sizes)
+    return _top_eigenpair(t / root[:, None] / root)[0]
 
 
-def principal_ratio(graph: Graph, tol: float = DEFAULT_TOL) -> float:
+def principal_ratio(graph: Graph) -> float:
     """Largest over smallest component of the principal eigenvector (>= 1)."""
-    return spectral_radius_adjacency(graph, tol).gamma
+    return spectral_radius_adjacency(graph).gamma
 
 
 def check_orbit_constancy(
     graph: Graph, partition: Partition | None = None, tol: float = 1e-9
 ) -> OrbitConstancyReport:
     """Verify the principal eigenvector is constant on each orbit cell and
-    that the per-cell constants form an eigenvector of the divisor matrix."""
+    that the per-cell constants form an eigenvector of the divisor matrix.
+
+    The eigenvector comes from a dense eigh of A, independent of the orbit
+    partition and of the divisor solve in spectral_radius_adjacency.
+    """
     if partition is None:
         partition = orbit_partition(graph)
-    data = spectral_radius_adjacency(graph, partition=partition)
-    x = data.vector
-    spreads = tuple(max(x[v] for v in cell) - min(x[v] for v in cell) for cell in partition.cells)
     dm = divisor_matrix(graph, partition)
-    s = np.array(dm.entries, dtype=float)
-    alpha = np.array(data.orbit_values)
-    residual = float(np.max(np.abs(s @ alpha - data.rho * alpha)))
+    a = np.zeros((graph.n, graph.n))
+    edges = _edge_array(graph)
+    a[edges[:, 0], edges[:, 1]] = a[edges[:, 1], edges[:, 0]] = 1.0
+    values, vectors = np.linalg.eigh(a)
+    x = vectors[:, -1] / vectors[:, -1].sum()
+    spreads = tuple(float(np.ptp(x[list(cell)])) for cell in partition.cells)
+    alpha = np.array([x[list(cell)].mean() for cell in partition.cells])
+    residual = float(np.max(np.abs(np.array(dm.entries, dtype=float) @ alpha - values[-1] * alpha)))
     max_spread = max(spreads)
     return OrbitConstancyReport(
         cell_spreads=spreads,

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 
 from helpers import connected_graphs, tied_star
 from orbigraph.aut import orbit_partition, unit_partition
-from orbigraph.constructions import complete, cycle, cycle_with_cliques, path, star
+from orbigraph.constructions import cartesian_product, complete, cycle, cycle_with_cliques, path, star
 from orbigraph.graph_core import Graph, degree_stats
 from orbigraph.orbital import DivisorMatrix, orbit_divisor_matrix
 from orbigraph.spectral import (
@@ -23,6 +23,19 @@ def rho_dense_oracle(graph: Graph) -> float:
     for u, v in graph.edges:
         a[u, v] = a[v, u] = 1.0
     return float(np.linalg.eigvalsh(a)[-1])
+
+
+def path_closed_form(n: int) -> tuple[float, float]:
+    """rho(P_n) = 2cos(pi/(n+1)); the Perron vector is sin(k pi/(n+1)), k = 1..n."""
+    theta = math.pi / (n + 1)
+    return 2 * math.cos(theta), math.sin(math.ceil(n / 2) * theta) / math.sin(theta)
+
+
+def assert_certified(data) -> None:
+    lo, hi = data.bracket
+    tol = 1e-10 * max(1.0, data.rho)
+    assert hi - lo <= tol
+    assert lo - tol <= data.rho <= hi + tol and lo - tol <= data.rho_divisor <= hi + tol
 
 
 def rho_charpoly_oracle(entries) -> float:
@@ -85,8 +98,60 @@ class TestAdjacencyRadius:
         with pytest.raises(ValueError):
             spectral_radius_adjacency(Graph.from_edges(4, [(0, 1), (2, 3)]))
 
+    @pytest.mark.parametrize("n", [2, 3, 50, 400, 2000])
+    def test_path_closed_forms(self, n):
+        rho, gamma = path_closed_form(n)
+        data = spectral_radius_adjacency(path(n))
+        assert data.rho == pytest.approx(rho, rel=1e-9)
+        assert data.rho_divisor == pytest.approx(rho, rel=1e-9)
+        assert data.gamma == pytest.approx(gamma, rel=1e-9)
+        assert_certified(data)
+
+    def test_cartesian_product_adds_rho_and_multiplies_gamma(self):
+        (rho5, gamma5), (rho80, gamma80) = path_closed_form(5), path_closed_form(80)
+        data = spectral_radius_adjacency(cartesian_product(path(5), path(80)))
+        assert data.rho == pytest.approx(rho5 + rho80, rel=1e-9)
+        assert data.gamma == pytest.approx(gamma5 * gamma80, rel=1e-9)
+        assert_certified(data)
+
+    @pytest.mark.parametrize("q", [2, 5, 17])
+    def test_star_bipartite(self, q):
+        data = spectral_radius_adjacency(star(q))
+        assert data.rho == pytest.approx(math.sqrt(q), rel=1e-12)
+        assert data.gamma == pytest.approx(math.sqrt(q), rel=1e-12)
+        assert_certified(data)
+
+    def test_complete_bipartite_3_4(self):
+        g = Graph.from_edges(7, [(a, b) for a in range(3) for b in range(3, 7)])
+        data = spectral_radius_adjacency(g)
+        assert data.rho == pytest.approx(math.sqrt(12), rel=1e-12)
+        assert data.gamma == pytest.approx(2 / math.sqrt(3), rel=1e-12)
+        assert_certified(data)
+
+    def test_clique_with_long_pendant_path(self):
+        # K_10 with a 40-edge path hung on vertex 9: the Perron vector falls
+        # by about 1e-38 along the path.  Walking back from its end, the
+        # ratios x_(k-1) / x_k are c_1 = rho and c_k = rho - 1 / c_(k-1).
+        k, length = 10, 40
+        edges = [(i, j) for i in range(k) for j in range(i)]
+        edges += [(k - 1 + i, k + i) for i in range(length)]
+        g = Graph.from_edges(k + length, edges)
+        data = spectral_radius_adjacency(g)
+        assert data.rho == pytest.approx(rho_dense_oracle(g), rel=1e-12)
+        c, ratio = data.rho, data.rho
+        for _ in range(length - 1):
+            c = data.rho - 1 / c
+            ratio *= c
+        assert data.vector[k - 1] / data.vector[-1] == pytest.approx(ratio, rel=1e-9)
+        assert data.gamma > 1e37
+        assert_certified(data)
+
 
 class TestDivisorRadius:
+    def test_complete_bipartite_periodic(self):
+        dm = DivisorMatrix(2, ((0, 4), (3, 0)), (3, 4))
+        assert spectral_radius_divisor(dm) == pytest.approx(math.sqrt(12), rel=1e-12)
+
     def test_scalar(self):
         assert spectral_radius_divisor(DivisorMatrix(1, ((2,),), (5,))) == 2.0
 
@@ -106,6 +171,18 @@ class TestDivisorRadius:
             spectral_radius_divisor(DivisorMatrix(2, ((1, 0), (0, 2)), (1, 1)))
         with pytest.raises(ValueError, match="reducible"):
             spectral_radius_divisor(DivisorMatrix(2, ((0, 1), (0, 1)), (1, 1)))
+
+    @pytest.mark.parametrize(
+        "dm",
+        [
+            DivisorMatrix(2, ((0, 2), (1, 0)), (1, 1)),
+            DivisorMatrix(2, ((0, 1), (1, 0)), (1, 2)),
+            DivisorMatrix(3, ((0, 1, 0), (0, 0, 1), (1, 0, 0)), (1, 1, 1)),
+        ],
+    )
+    def test_not_symmetrizable_rejected(self, dm):
+        with pytest.raises(ValueError, match="not symmetrizable"):
+            spectral_radius_divisor(dm)
 
 
 class TestPrincipalRatio:
