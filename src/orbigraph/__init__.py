@@ -19,11 +19,13 @@ from .graph_core import (
 )
 from .aut import (
     AutGroup,
+    ColouredDigraph,
     Partition,
     Permutation,
     automorphism_group,
     equitable_refinement,
     is_edge_transitive,
+    isomorphism,
     is_vertex_transitive,
     orbit_partition,
     unit_partition,

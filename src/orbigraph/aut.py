@@ -1,33 +1,41 @@
-"""Equitable refinement, automorphism groups, orbits, and transitivity tests.
+"""Equitable refinement, automorphism groups, orbits, isomorphism and transitivity.
 
-One individualization-refinement (IR) engine serves both the equitable
-refinement and the automorphism search.
+One individualization-refinement (IR) engine serves the equitable
+refinement, the automorphism search and isomorphism.  The search works on
+a vertex-coloured digraph with arc weights (ColouredDigraph): a graph is
+one colour with both arcs of every edge, and orbital similarity hands it
+the cell digraphs of two divisor matrices.
 
 Refinement is splitter-queue colour refinement over an ordered partition
-kept as cell segments of one vertex array.  A splitter cell is popped, its
-members' neighbours are counted, and only the cells it touches are split,
-fragments in ascending count order.  Every split is recorded as a trace
-event (splitter position, cell position, (count, size) pairs); events name
-positions and counts, never vertex labels, so isomorphic search nodes
-produce equal traces.
+kept as cell segments of one vertex array.  A splitter cell is popped, the
+arcs out of its members are counted at their heads, and only the cells it
+touches are split, fragments in ascending count order.  Every split is
+recorded as a trace event (splitter position, cell position, (count, size)
+pairs); events name positions and counts, never vertex labels, so
+isomorphic search nodes produce equal traces.
 
-The search first quotients out twins: maximal classes of open twins
-(N(u) = N(v)) and closed twins (N[u] = N[v]).  It then runs on the graph
-induced by the class representatives, coloured by (kind, class size).  A
-search node copies its parent's equitable partition, individualizes one
-vertex of the first smallest non-singleton cell, and refines with that
-singleton as the only splitter.  Off the first path, a node is abandoned at
-the first trace event that differs from the first path at its level.  The
-search is post-order, so while the candidates of first-path level L are
-tried, every generator found so far fixes the first L base vertices; one
-union-find over all generators therefore holds the orbits of that
-stabiliser, and prunes every candidate already in the base vertex's orbit.
-Each leaf's permutation is lifted member-by-member to the twin classes and
-kept only if it maps the edge set onto itself.
+The search first quotients out twins: maximal classes of one colour with
+equal arc lists (open twins), or equal once each vertex is added to its
+own list (closed twins).  It then runs on the class representatives,
+coloured by (colour, kind, class size).  A search node copies its parent's
+equitable partition, individualizes one vertex of the first smallest
+non-singleton cell, and refines with that singleton as the only splitter.
+Off the first path, a node is abandoned at the first trace event that
+differs from the first path at its level.  The search is post-order, so
+while the candidates of first-path level L are tried, every generator
+found so far fixes the first L base vertices; one union-find over all
+generators therefore holds the orbits of that stabiliser, and prunes every
+candidate already in the base vertex's orbit.  Each leaf's permutation is
+lifted member-by-member to the twin classes and kept only if it maps every
+arc onto an arc of the same weight.
 
 The group order is the product over levels of the base vertex's orbit size
 when its level finishes, times (class size)! for every twin class.  Orbits
 are the unions of the twin classes in a representative's orbit.
+
+Isomorphism runs the same search on the disjoint union of two connected
+digraphs (McKay & Piperno, Practical graph isomorphism II, 2014): they are
+isomorphic iff some generator of the union's group swaps the two sides.
 
 Scale, measured on one core of an Intel Xeon with Python 3.11: the search
 takes 0.2 s on torus(40, 50) (2000 vertices), 1.4 to 1.7 s on
@@ -41,7 +49,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .graph_core import Graph
 
@@ -339,28 +347,52 @@ def equitable_refinement(graph: Graph, seed: Partition | None = None) -> Partiti
     return Partition.from_cells(cells.cells()).canonical()
 
 
-def _twin_classes(adj: Sequence[Sequence[int]]) -> list[tuple[int, list[int]]]:
+class ColouredDigraph(NamedTuple):
+    """Input of the IR engine: a vertex-coloured digraph with arc weights.
+
+    colour[v] is any sortable value; vertices of one colour may be swapped,
+    and cells start in ascending colour order.  adj[v] lists the heads of
+    v's arcs, sorted, each as often as the arc's weight; arcs maps each arc
+    (u, v) to that weight.  The weight of (v, u) must follow from that of
+    (u, v) and the colours of u and v, with no arc back iff none forth: true
+    for a graph, and for a divisor matrix whose colours carry the relative
+    cell sizes, because s_i B_ij = s_j B_ji.
+    """
+
+    colour: Sequence
+    adj: Sequence[Sequence[int]]
+    arcs: Mapping[tuple[int, int], int]
+
+    @classmethod
+    def from_graph(cls, graph: Graph) -> "ColouredDigraph":
+        """The graph with a single colour and both arcs of every edge."""
+        arcs = dict.fromkeys(graph.edges, 1)
+        arcs.update(dict.fromkeys(((v, u) for u, v in graph.edges), 1))
+        return cls((0,) * graph.n, graph.adjacency(), arcs)
+
+
+def _twin_classes(colour: Sequence, adj: Sequence[Sequence[int]]) -> list[tuple[int, list[int]]]:
     """Maximal twin classes as (kind, sorted members), by smallest member.
 
-    Kind 0 is a lone vertex, 1 a class of open twins (equal neighbourhoods)
-    and 2 a class of closed twins (equal closed neighbourhoods).  A vertex
-    cannot have both an open and a closed twin, so the classes partition
-    the vertex set.
+    Kind 0 is a lone vertex, 1 a class of open twins (one colour, equal arc
+    lists) and 2 a class of closed twins (one colour, equal arc lists once
+    each vertex is added to its own).  A vertex cannot have both an open and
+    a closed twin, so the classes partition the vertex set.
     """
-    by_open: dict[tuple[int, ...], list[int]] = {}
-    by_closed: dict[tuple[int, ...], list[int]] = {}
+    by_open: dict[tuple, list[int]] = {}
+    by_closed: dict[tuple, list[int]] = {}
     for v, nbrs in enumerate(adj):
-        by_open.setdefault(tuple(nbrs), []).append(v)
-        by_closed.setdefault(tuple(sorted([*nbrs, v])), []).append(v)
+        by_open.setdefault((colour[v], tuple(nbrs)), []).append(v)
+        by_closed.setdefault((colour[v], tuple(sorted([*nbrs, v]))), []).append(v)
     classes = []
     placed = [False] * len(adj)
     for v, nbrs in enumerate(adj):
         if placed[v]:
             continue
-        members = by_open[tuple(nbrs)]
+        members = by_open[colour[v], tuple(nbrs)]
         kind = 1
         if len(members) == 1:
-            members = by_closed[tuple(sorted([*nbrs, v]))]
+            members = by_closed[colour[v], tuple(sorted([*nbrs, v]))]
             kind = 2 if len(members) > 1 else 0
         for w in members:
             placed[w] = True
@@ -369,23 +401,28 @@ def _twin_classes(adj: Sequence[Sequence[int]]) -> list[tuple[int, list[int]]]:
 
 
 class _AutSearch:
-    """IR search for Aut(graph) on its twin quotient."""
+    """IR search for the automorphisms of a coloured digraph, on its twin quotient."""
 
-    def __init__(self, graph: Graph) -> None:
-        self.n = graph.n
-        self.edges = graph.edges
-        adj = graph.adjacency()
-        classes = _twin_classes(adj)
+    def __init__(self, colour: Sequence, adj: Sequence[Sequence[int]], arcs: Mapping[tuple[int, int], int]) -> None:
+        self.n = len(adj)
+        self.arcs = arcs
+        # An arc back follows from its arc forth and the colours, which every
+        # leaf preserves, so a leaf need only be checked on the arcs forth.
+        self.arcs_forth = [(u, v, w) for (u, v), w in arcs.items() if u < v]
+        classes = _twin_classes(colour, adj)
         self.members = [members for _, members in classes]
-        class_of = [0] * graph.n
+        class_of = [0] * self.n
         for q, members in enumerate(self.members):
             for v in members:
                 class_of[v] = q
-        self.adj = [sorted({class_of[w] for w in adj[members[0]]} - {q}) for q, members in enumerate(self.members)]
-        colours: dict[tuple[int, int], list[int]] = {}
+        # A representative has equal weights to every member of another
+        # class, so its arcs to the representatives carry the quotient.
+        rep = [members[0] for members in self.members]
+        self.adj = [[class_of[w] for w in adj[r] if w == rep[class_of[w]] and w != r] for r in rep]
+        colours: dict[tuple, list[int]] = {}
         self.twin_order = 1
         for q, (kind, members) in enumerate(classes):
-            colours.setdefault((kind, len(members)), []).append(q)
+            colours.setdefault((colour[members[0]], kind, len(members)), []).append(q)
             self.twin_order *= factorial(len(members))
         self.colour_cells = [colours[key] for key in sorted(colours)]
         self.orbits = _UnionFind(range(len(classes)))
@@ -452,10 +489,9 @@ class _AutSearch:
         return True
 
     def _is_automorphism(self, image: list[int]) -> bool:
-        edges = self.edges
-        for u, v in edges:
-            a, b = image[u], image[v]
-            if ((a, b) if a < b else (b, a)) not in edges:
+        arcs = self.arcs
+        for u, v, w in self.arcs_forth:
+            if arcs.get((image[u], image[v])) != w:
                 return False
         return True
 
@@ -476,13 +512,35 @@ def automorphism_group(graph: Graph) -> AutGroup:
     """
     if graph.n == 0:
         raise ValueError("automorphism group undefined for the empty graph")
-    search = _AutSearch(graph)
+    search = _AutSearch(*ColouredDigraph.from_graph(graph))
     search.run()
     return AutGroup(
         generators=tuple(Permutation(g) for g in search.generators),
         order=search.order * search.twin_order,
         orbits=Partition.from_cells(search.orbit_cells()).canonical(),
     )
+
+
+def isomorphism(a: ColouredDigraph, b: ColouredDigraph) -> tuple[int, ...] | None:
+    """An isomorphism from a onto b as the image of each vertex of a, or None.
+
+    The search runs once on the disjoint union of a and b, with b's vertices
+    shifted past a's.  a and b must be connected: then an automorphism of
+    the union that moves one vertex of a into b moves all of them, and the
+    union's generators include such a one iff a and b are isomorphic.  The
+    answer is the restriction to a of the first generator that maps a onto b.
+    """
+    na = len(a.adj)
+    if na != len(b.adj) or len(a.arcs) != len(b.arcs) or sorted(a.colour) != sorted(b.colour):
+        return None
+    adj = [*a.adj, *([w + na for w in nbrs] for nbrs in b.adj)]
+    arcs = {**a.arcs, **{(u + na, v + na): w for (u, v), w in b.arcs.items()}}
+    search = _AutSearch([*a.colour, *b.colour], adj, arcs)
+    search.run()
+    for g in search.generators:
+        if all(g[v] >= na for v in range(na)):
+            return tuple(g[v] - na for v in range(na))
+    return None
 
 
 def orbit_partition(graph: Graph) -> Partition:

@@ -25,6 +25,7 @@ from .graph_core import (
     degree_stats,
     density,
     edge_vertex_ratio,
+    frac_str,
     is_connected,
     parse_edge_list,
     parse_graph6,
@@ -61,10 +62,6 @@ class CliError(Exception):
     def __init__(self, message: str, code: int) -> None:
         super().__init__(message)
         self.code = code
-
-
-def _frac(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
 
 
 def _load_graph(path: str, fmt: str) -> Graph:
@@ -110,17 +107,17 @@ def _analysis_payload(graph: Graph) -> dict:
         "orbits": [list(cell) for cell in partition.cells],
         "group_order": group.order,
         "divisor": dm.as_dict(),
-        "omega": [_frac(w) for w in profile.omega],
+        "omega": [frac_str(w) for w in profile.omega],
         "entropy": profile.entropy,
         "rho_adjacency": perron.rho,
         "rho_divisor": perron.rho_divisor,
         "principal_ratio": perron.gamma,
         "min_degree": stats.min_degree,
         "max_degree": stats.max_degree,
-        "average_degree": _frac(stats.average_degree),
-        "degree_variance": _frac(stats.degree_variance),
-        "edge_vertex_ratio": _frac(edge_vertex_ratio(graph)),
-        "density": _frac(density(graph)) if graph.n >= 2 else None,
+        "average_degree": frac_str(stats.average_degree),
+        "degree_variance": frac_str(stats.degree_variance),
+        "edge_vertex_ratio": frac_str(edge_vertex_ratio(graph)),
+        "density": frac_str(density(graph)) if graph.n >= 2 else None,
         "cyclomatic_number": cyclomatic_number(graph),
     }
 
@@ -228,7 +225,7 @@ def _print_sequence_table(report) -> None:
     header = f"{'k':>2}  {'|G|':>5}  {'size':>5}  {'omega':<24} {'Ent':>8}  {'rho':>8}  {'gamma':>8}  {'c':>4}"
     print(header)
     for k, t in enumerate(report.terms, start=1):
-        omega = ",".join(_frac(w) for w in t.omega)
+        omega = ",".join(frac_str(w) for w in t.omega)
         print(
             f"{k:>2}  {t.order:>5}  {t.size:>5}  {omega:<24} "
             f"{t.entropy:>8.4f}  {t.rho_adjacency:>8.4f}  {t.principal_ratio:>8.4f}  {t.cyclomatic_number:>4}"
@@ -245,7 +242,7 @@ def cmd_sequence(args: argparse.Namespace) -> int:
         graphs = generate_sequence(spec, args.count)
     except (OSError, json.JSONDecodeError, SequenceSpecError) as exc:
         raise CliError(f"{args.specfile}: {exc}", EXIT_PARSE) from exc
-    report = preservation_report(graphs, jobs=args.jobs)
+    report = preservation_report(graphs)
     if args.json:
         print(json.dumps(_with_meta(report.as_dict(), args.meta), indent=2))
     else:
@@ -266,7 +263,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     print(f"{'row':>3}  {'omega':<22} {'computed':>9}  {'reference':>9}")
     for i, (omega, expected) in enumerate(TABLE1_ROWS, start=1):
         value = entropy_of(omega)
-        vec = ",".join(_frac(w) for w in omega)
+        vec = ",".join(frac_str(w) for w in omega)
         print(f"{i:>3}  {vec:<22} {value:>9.4f}  {expected:>9.4f}")
     return EXIT_OK
 
@@ -307,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("specfile")
     p.add_argument("--count", type=int, default=4)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--meta", action="store_true")
     p.set_defaults(func=cmd_sequence)
 

@@ -95,6 +95,11 @@ class DegreeStats:
     moments: dict[int, Fraction]
 
 
+def frac_str(x: Fraction) -> str:
+    """Exact text "p/q" of a fraction, as every report prints one (1 is "1/1")."""
+    return f"{x.numerator}/{x.denominator}"
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the canonical edge-list format.
 

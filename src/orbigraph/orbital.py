@@ -2,8 +2,10 @@
 
 Two connected graphs count as orbitally similar when their orbit divisor
 matrices can be made entrywise equal by relabeling the cells of one of
-them; the search over cell relabelings is exhaustive with invariant
-pruning, which is instant for the small cell counts this library targets.
+them.  That is an isomorphism of the cell digraphs: cell i is a vertex
+coloured by its relative size and B_ii, with an arc of weight B_ij to each
+other cell j where B_ij > 0.  The one IR engine of aut decides it exactly,
+for any number of cells.
 All matrix comparisons are exact integer equality; the only float anywhere
 in this module is the entropy value.
 """
@@ -16,10 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .aut import Partition, orbit_partition
-from .graph_core import Graph, is_connected
-
-_MAX_CELLS = 12
+from .aut import ColouredDigraph, Partition, isomorphism, orbit_partition
+from .graph_core import Graph, frac_str, is_connected
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ class OrbitProfile:
     entropy: float
 
     def as_dict(self) -> dict:
-        return {"omega": [_frac_str(w) for w in self.omega], "entropy": self.entropy}
+        return {"omega": [frac_str(w) for w in self.omega], "entropy": self.entropy}
 
 
 @dataclass(frozen=True)
@@ -83,10 +83,6 @@ class SimilarityVerdict:
             "witness": list(self.witness) if self.witness is not None else None,
             "common_matrix": self.common_matrix.as_dict() if self.common_matrix else None,
         }
-
-
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
 
 
 def divisor_matrix(graph: Graph, partition: Partition) -> DivisorMatrix:
@@ -148,55 +144,15 @@ def orbit_profile(graph: Graph) -> OrbitProfile:
     return OrbitProfile(omega, entropy_of(omega))
 
 
-def _relative_sizes(sizes: Sequence[int]) -> list[Fraction]:
-    total = sum(sizes)
-    return [Fraction(s, total) for s in sizes]
-
-
-def _cell_keys(dm: DivisorMatrix) -> list[tuple]:
-    """Per-cell invariants preserved by any valid cell pairing."""
-    omega = _relative_sizes(dm.sizes)
-    cols = list(zip(*dm.entries))
-    return [
-        (omega[i], sum(dm.entries[i]), tuple(sorted(dm.entries[i])), tuple(sorted(cols[i])))
-        for i in range(dm.ell)
-    ]
-
-
-def _find_witness(sg: DivisorMatrix, sh: DivisorMatrix) -> tuple[int, ...] | None:
-    """Permutation pi with sg.entries[pi[i]][pi[j]] == sh.entries[i][j], or None."""
-    ell = sg.ell
-    keys_g = _cell_keys(sg)
-    keys_h = _cell_keys(sh)
-    if sorted(keys_g) != sorted(keys_h):
-        return None
-    candidates = [sorted(a for a in range(ell) if keys_g[a] == keys_h[i]) for i in range(ell)]
-    assignment: list[int] = []
-    used = [False] * ell
-
-    def extend(i: int) -> bool:
-        if i == ell:
-            return True
-        for a in candidates[i]:
-            if used[a]:
-                continue
-            ok = all(
-                sg.entries[assignment[j]][a] == sh.entries[j][i]
-                and sg.entries[a][assignment[j]] == sh.entries[i][j]
-                for j in range(i)
-            )
-            if ok and sg.entries[a][a] == sh.entries[i][i]:
-                assignment.append(a)
-                used[a] = True
-                if extend(i + 1):
-                    return True
-                assignment.pop()
-                used[a] = False
-        return False
-
-    if extend(0):
-        return tuple(assignment)
-    return None
+def _cell_digraph(dm: DivisorMatrix) -> ColouredDigraph:
+    """Cells as vertices coloured (omega_i, B_ii), with an arc of weight B_ij from i to each j != i."""
+    n = sum(dm.sizes)
+    colour = [(Fraction(s, n), dm.entries[i][i]) for i, s in enumerate(dm.sizes)]
+    arcs = {(i, j): x for i, row in enumerate(dm.entries) for j, x in enumerate(row) if x and i != j}
+    adj: list[list[int]] = [[] for _ in range(dm.ell)]
+    for (i, j), x in arcs.items():
+        adj[i] += [j] * x
+    return ColouredDigraph(colour, adj, arcs)
 
 
 def orbitally_similar(g: Graph, h: Graph) -> SimilarityVerdict:
@@ -207,11 +163,7 @@ def orbitally_similar(g: Graph, h: Graph) -> SimilarityVerdict:
             raise ValueError("orbital similarity defined for connected graphs only")
     sg = orbit_divisor_matrix(g)
     sh = orbit_divisor_matrix(h)
-    if sg.ell != sh.ell:
-        return SimilarityVerdict(similar=False)
-    if sg.ell > _MAX_CELLS:
-        raise ValueError(f"cell count {sg.ell} exceeds the similarity search cap {_MAX_CELLS}")
-    witness = _find_witness(sg, sh)
+    witness = isomorphism(_cell_digraph(sh), _cell_digraph(sg))
     if witness is None:
         return SimilarityVerdict(similar=False)
     common = DivisorMatrix(sh.ell, sh.entries, tuple(sg.sizes[witness[i]] for i in range(sh.ell)))

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 
 import hypothesis.strategies as st
 
 from orbigraph.aut import Partition
 from orbigraph.graph_core import Graph, is_connected
+from orbigraph.orbital import DivisorMatrix
 
 
 def tied_star() -> Graph:
@@ -79,6 +81,63 @@ def partition_by(colour) -> Partition:
     for v, c in enumerate(colour):
         cells.setdefault(c, []).append(v)
     return Partition.from_cells(cells.values()).canonical()
+
+
+def _cell_keys(dm: DivisorMatrix) -> list[tuple]:
+    """Per-cell invariants preserved by any valid cell pairing."""
+    total = sum(dm.sizes)
+    cols = list(zip(*dm.entries))
+    return [
+        (Fraction(dm.sizes[i], total), sum(dm.entries[i]), tuple(sorted(dm.entries[i])), tuple(sorted(cols[i])))
+        for i in range(dm.ell)
+    ]
+
+
+def _find_witness(sg: DivisorMatrix, sh: DivisorMatrix) -> tuple[int, ...] | None:
+    """Permutation pi with sg.entries[pi[i]][pi[j]] == sh.entries[i][j] and
+    equal relative sizes, or None (test oracle: backtracking over cell
+    pairings with invariant pruning, exponential in the cell count)."""
+    ell = sg.ell
+    keys_g = _cell_keys(sg)
+    keys_h = _cell_keys(sh)
+    if sorted(keys_g) != sorted(keys_h):
+        return None
+    candidates = [sorted(a for a in range(ell) if keys_g[a] == keys_h[i]) for i in range(ell)]
+    assignment: list[int] = []
+    used = [False] * ell
+
+    def extend(i: int) -> bool:
+        if i == ell:
+            return True
+        for a in candidates[i]:
+            if used[a]:
+                continue
+            ok = all(
+                sg.entries[assignment[j]][a] == sh.entries[j][i]
+                and sg.entries[a][assignment[j]] == sh.entries[i][j]
+                for j in range(i)
+            )
+            if ok and sg.entries[a][a] == sh.entries[i][i]:
+                assignment.append(a)
+                used[a] = True
+                if extend(i + 1):
+                    return True
+                assignment.pop()
+                used[a] = False
+        return False
+
+    return tuple(assignment) if extend(0) else None
+
+
+def equalizes(witness, sg: DivisorMatrix, sh: DivisorMatrix) -> bool:
+    """True iff witness relabels sh's cells onto sg's with equal entries and relative sizes."""
+    ng, nh = sum(sg.sizes), sum(sh.sizes)
+    return sorted(witness) == list(range(sh.ell)) == list(range(sg.ell)) and all(
+        sg.entries[witness[i]][witness[j]] == sh.entries[i][j]
+        and Fraction(sg.sizes[witness[i]], ng) == Fraction(sh.sizes[i], nh)
+        for i in range(sh.ell)
+        for j in range(sh.ell)
+    )
 
 
 @st.composite

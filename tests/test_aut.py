@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -15,16 +16,19 @@ from helpers import (
     vertex_permutations,
 )
 from orbigraph.aut import (
+    ColouredDigraph,
     Partition,
     Permutation,
     automorphism_group,
     equitable_refinement,
     is_edge_transitive,
     is_vertex_transitive,
+    isomorphism,
     orbit_partition,
     unit_partition,
 )
 from orbigraph.constructions import (
+    cartesian_product,
     circular_ladder,
     complete,
     corona,
@@ -270,3 +274,45 @@ def test_group_properties(g):
     deg = g.degrees()
     for cell in group.orbits.cells:
         assert len({deg[v] for v in cell}) == 1
+
+
+def _isomorphism(g: Graph, h: Graph):
+    return isomorphism(ColouredDigraph.from_graph(g), ColouredDigraph.from_graph(h))
+
+
+def test_isomorphism_exhaustive_n4():
+    graphs = [g for n in range(1, 5) for g in all_connected_graphs(n)]
+    for g in graphs:
+        for h in graphs:
+            phi = _isomorphism(g, h)
+            relabellings = [] if g.n != h.n else itertools.permutations(range(g.n))
+            assert (phi is not None) == any(g.relabel(p) == h for p in relabellings)
+            if phi is not None:
+                assert g.relabel(phi) == h
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs(max_n=9), vertex_permutations(9))
+def test_isomorphism_finds_a_relabelling(g, perm):
+    h = g.relabel([p for p in perm if p < g.n])
+    phi = _isomorphism(g, h)
+    assert phi is not None and g.relabel(phi) == h
+
+
+def test_isomorphism_of_regular_graphs_refinement_cannot_separate():
+    # Each pair is regular with equal order, so colour refinement leaves one
+    # cell and only the search decides: the triangular prism and K3,3, and
+    # the Shrikhande graph and the 4x4 rook's graph, both srg(16, 6, 2, 2).
+    prism = circular_ladder(3)
+    k33 = Graph.from_edges(6, [(u, v) for u in range(3) for v in range(3, 6)])
+    steps = [(1, 0), (0, 1), (1, 1)]
+    shrikhande = Graph.from_edges(
+        16, [(4 * x + y, 4 * ((x + dx) % 4) + (y + dy) % 4) for x in range(4) for y in range(4) for dx, dy in steps]
+    )
+    rook = cartesian_product(complete(4), complete(4))
+    assert _isomorphism(prism, k33) is None
+    assert _isomorphism(shrikhande, rook) is None
+    for g in (prism, k33, shrikhande, rook):
+        h = g.relabel([(5 * v + 1) % g.n for v in range(g.n)])
+        phi = _isomorphism(g, h)
+        assert phi is not None and g.relabel(phi) == h

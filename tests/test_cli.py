@@ -1,6 +1,17 @@
+import json
+
+from helpers import tied_star
 from orbigraph import spectral
-from orbigraph.cli import EXIT_RESOURCE, main
-from orbigraph.constructions import path
+from orbigraph.cli import (
+    EXIT_DISCONNECTED,
+    EXIT_DISSIMILAR,
+    EXIT_OK,
+    EXIT_PARSE,
+    EXIT_RESOURCE,
+    EXIT_VERIFY,
+    main,
+)
+from orbigraph.constructions import cycle, path
 from orbigraph.graph_core import serialize_edge_list
 
 
@@ -18,3 +29,44 @@ def test_certificate_failure_exits_with_resource_code(tmp_path, monkeypatch, cap
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: Collatz-Wielandt bracket")
+
+
+def _write(tmp_path, name, graph):
+    path = tmp_path / name
+    path.write_text(serialize_edge_list(graph), encoding="ascii")
+    return str(path)
+
+
+def test_compare_exit_codes(tmp_path, capsys):
+    c4, c8 = _write(tmp_path, "c4", cycle(4)), _write(tmp_path, "c8", cycle(8))
+    p5, star = _write(tmp_path, "p5", path(5)), _write(tmp_path, "star", tied_star())
+    split = tmp_path / "split"
+    split.write_text("4 2\n0 1\n2 3\n", encoding="ascii")
+    assert main(["compare", c4, c8]) == EXIT_OK
+    assert main(["compare", p5, star]) == EXIT_DISSIMILAR
+    assert main(["compare", c4, str(split)]) == EXIT_DISCONNECTED
+    assert main(["compare", c4, str(tmp_path / "missing")]) == EXIT_PARSE
+    assert "cannot read" in capsys.readouterr().err
+
+
+def _spec(tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec), encoding="ascii")
+    return str(path)
+
+
+def test_sequence_with_thirteen_orbits_verifies(tmp_path, capsys):
+    spec = {"family": "loaded-multi-torus", "q": 1, "m": 12, "r": 1, "schedule": [3, 4, 5, 6, 7]}
+    assert main(["sequence", "--json", "--count", "5", _spec(tmp_path, spec)]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] and [t["divisor"]["ell"] for t in report["terms"]] == [13] * 5
+
+
+def test_sequence_of_complete_graphs_fails_verification(tmp_path, capsys):
+    assert main(["sequence", _spec(tmp_path, {"family": "complete-graphs"})]) == EXIT_VERIFY
+    assert "terms 0 and 1 not orbitally similar" in capsys.readouterr().err
+
+
+def test_sequence_unknown_family_is_a_parse_error(tmp_path, capsys):
+    assert main(["sequence", _spec(tmp_path, {"family": "no-such-family"})]) == EXIT_PARSE
+    assert "unknown family" in capsys.readouterr().err

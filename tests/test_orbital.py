@@ -3,12 +3,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from helpers import connected_graphs, tied_star, vertex_permutations
-from orbigraph.aut import Partition, orbit_partition, unit_partition
+from helpers import _find_witness, all_connected_graphs, connected_graphs, equalizes, tied_star, vertex_permutations
+from orbigraph.aut import Partition, isomorphism, orbit_partition, unit_partition
 from orbigraph.constructions import complete, cycle, generalized_sun, path, star, strong_prism
 from orbigraph.graph_core import Graph
 from orbigraph.orbital import (
     DivisorMatrix,
+    _cell_digraph,
     divisor_matrix,
     entropy_of,
     omega_from_divisor,
@@ -136,9 +137,46 @@ class TestSimilarity:
             path(5), tied_star()
         ).similar
 
-    def test_cell_count_cap(self):
-        with pytest.raises(ValueError, match="cap"):
-            orbitally_similar(path(25), path(25))
+    def test_thirteen_cells_identity_witness(self):
+        verdict = orbitally_similar(path(25), path(25))
+        assert verdict.similar
+        assert verdict.witness == tuple(range(13))
+
+    def test_rigid_graph_against_its_relabelling(self):
+        # A spider with legs of 1, 2, 3, 4 and 5 edges: 16 vertices, no
+        # automorphism but the identity, so its orbits are its 16 vertices
+        # in order and the only witness is the inverse relabelling.
+        edges, v = [], 1
+        for length in range(1, 6):
+            edges.append((0, v))
+            edges.extend((w, w + 1) for w in range(v, v + length - 1))
+            v += length
+        g = Graph.from_edges(16, edges)
+        image = [(7 * u + 3) % 16 for u in range(16)]
+        verdict = orbitally_similar(g, g.relabel(image))
+        inverse = [0] * 16
+        for u, w in enumerate(image):
+            inverse[w] = u
+        assert verdict.similar
+        assert verdict.witness == tuple(inverse)
+
+    def test_agrees_with_backtracking_oracle(self):
+        # One connected graph per distinct orbit divisor matrix on n <= 5
+        # (67 matrices); every ordered pair with equal cell counts.
+        reps: dict[DivisorMatrix, Graph] = {}
+        for n in range(1, 6):
+            for g in all_connected_graphs(n):
+                reps.setdefault(orbit_divisor_matrix(g), g)
+        similar = 0
+        for sg, g in reps.items():
+            for sh, h in reps.items():
+                if sg.ell == sh.ell:
+                    verdict = orbitally_similar(g, h)
+                    assert verdict.similar == (_find_witness(sg, sh) is not None)
+                    if verdict.similar:
+                        similar += 1
+                        assert equalizes(verdict.witness, sg, sh)
+        assert similar > len(reps)
 
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError):
@@ -217,6 +255,21 @@ def test_isomorphic_graphs_similar_same_order(g, perm):
     assert g.n == h.n
     assert orbitally_homothetic(g, h)
     assert orbit_profile(g).entropy == orbit_profile(h).entropy
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs(max_n=7), vertex_permutations(7))
+def test_cell_relabelling_found(g, perm):
+    sg = orbit_divisor_matrix(g)
+    image = [p for p in perm if p < sg.ell]
+    inverse = [image.index(i) for i in range(sg.ell)]
+    sh = DivisorMatrix(
+        sg.ell,
+        tuple(tuple(sg.entries[inverse[i]][inverse[j]] for j in range(sg.ell)) for i in range(sg.ell)),
+        tuple(sg.sizes[inverse[i]] for i in range(sg.ell)),
+    )
+    witness = isomorphism(_cell_digraph(sh), _cell_digraph(sg))
+    assert witness is not None and equalizes(witness, sg, sh)
 
 
 def test_similarity_implies_homothety_implies_entropy():
