@@ -59,7 +59,6 @@ from .sequences import (
     analyze_term,
     generate,
     preservation_report,
-    swap_isomorphic_members,
     verify_self_similar,
 )
 

@@ -17,14 +17,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .aut import automorphism_group, orbit_partition
 from .graph_core import (
     Graph,
     GraphFormatError,
-    cyclomatic_number,
-    degree_stats,
-    density,
-    edge_vertex_ratio,
     frac_str,
     is_connected,
     parse_edge_list,
@@ -33,9 +28,11 @@ from .graph_core import (
     to_dot,
     to_graph6,
 )
-from .orbital import entropy_of, orbit_divisor_matrix, orbit_profile, orbitally_homothetic, orbitally_similar
-from .sequences import SequenceSpec, SequenceSpecError, generate as generate_sequence, preservation_report
-from .spectral import CertificateError, spectral_radius_adjacency
+from .orbital import entropy_of, orbit_profile, orbitally_homothetic, orbitally_similar
+from .sequences import (
+    SequenceSpec, SequenceSpecError, analyze_term, generate as generate_sequence, preservation_report,
+)
+from .spectral import CertificateError
 from . import constructions as cons
 
 EXIT_OK = 0
@@ -94,34 +91,6 @@ def _with_meta(payload: dict, meta: bool) -> dict:
     return payload
 
 
-def _analysis_payload(graph: Graph) -> dict:
-    partition = orbit_partition(graph)
-    group = automorphism_group(graph)
-    dm = orbit_divisor_matrix(graph)
-    profile = orbit_profile(graph)
-    perron = spectral_radius_adjacency(graph, partition=partition)
-    stats = degree_stats(graph)
-    return {
-        "order": graph.n,
-        "size": graph.m,
-        "orbits": [list(cell) for cell in partition.cells],
-        "group_order": group.order,
-        "divisor": dm.as_dict(),
-        "omega": [frac_str(w) for w in profile.omega],
-        "entropy": profile.entropy,
-        "rho_adjacency": perron.rho,
-        "rho_divisor": perron.rho_divisor,
-        "principal_ratio": perron.gamma,
-        "min_degree": stats.min_degree,
-        "max_degree": stats.max_degree,
-        "average_degree": frac_str(stats.average_degree),
-        "degree_variance": frac_str(stats.degree_variance),
-        "edge_vertex_ratio": frac_str(edge_vertex_ratio(graph)),
-        "density": frac_str(density(graph)) if graph.n >= 2 else None,
-        "cyclomatic_number": cyclomatic_number(graph),
-    }
-
-
 def _print_analysis_table(payload: dict) -> None:
     rows = [
         ("order", payload["order"]),
@@ -154,9 +123,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     graph = _load_graph(args.path, args.format)
     _require_connected(graph, args.path)
     _require_desk_scale(graph)
-    payload = _analysis_payload(graph)
+    record = analyze_term(graph)
     if args.dot:
-        Path(args.dot).write_text(to_dot(graph, orbit_partition(graph).cells), encoding="ascii")
+        Path(args.dot).write_text(to_dot(graph, record.orbits), encoding="ascii")
+    payload = record.as_dict()
     if args.json:
         print(json.dumps(_with_meta(payload, args.meta), indent=2))
     else:
@@ -174,14 +144,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     homothetic = orbitally_homothetic(a, b)
     ent_a = orbit_profile(a).entropy
     ent_b = orbit_profile(b).entropy
-    payload = {
-        "similar": verdict.similar,
-        "witness": list(verdict.witness) if verdict.witness is not None else None,
-        "common_matrix": verdict.common_matrix.as_dict() if verdict.common_matrix else None,
-        "homothetic": homothetic,
-        "entropy_a": ent_a,
-        "entropy_b": ent_b,
-    }
+    payload = {**verdict.as_dict(), "homothetic": homothetic, "entropy_a": ent_a, "entropy_b": ent_b}
     if args.json:
         print(json.dumps(_with_meta(payload, args.meta), indent=2))
     else:

@@ -5,9 +5,8 @@ byte-stable across runs:
 
   * cartesian/strong product of G and F: (u, a) -> u * |F| + a;
   * corona G (.) F: G keeps 0..n-1, copy i of F occupies the next |F| slots;
-  * vertex/edge loading: the support keeps its labels, fresh load vertices
-    are appended block by block in support order (edges sorted for edge
-    loading).
+  * vertex loading: the support keeps its labels, fresh load vertices are
+    appended block by block in support order.
 """
 
 from __future__ import annotations
@@ -28,19 +27,6 @@ class RootedGraph:
     def __post_init__(self) -> None:
         if not 0 <= self.root < self.graph.n:
             raise ValueError(f"root {self.root} out of range")
-
-
-@dataclass(frozen=True)
-class EdgeRootedGraph:
-    """Graph with a distinguished edge (for edge loading)."""
-
-    graph: Graph
-    root_edge: tuple[int, int]
-
-    def __post_init__(self) -> None:
-        u, v = self.root_edge
-        if (min(u, v), max(u, v)) not in self.graph.edges:
-            raise ValueError(f"root edge {self.root_edge} not present")
 
 
 def cycle(n: int) -> Graph:
@@ -143,26 +129,6 @@ def starlike_load(q: int, m: int) -> RootedGraph:
     return RootedGraph(Graph.from_edges(1 + q * m, edges), root=0)
 
 
-def book_load(q: int, m: int) -> EdgeRootedGraph:
-    """q cycles of length m sharing one common edge (the spine), rooted at it.
-
-    2 + q*(m-2) vertices; spine is (0, 1); page j's interior path occupies
-    2 + j*(m-2) .. 2 + (j+1)*(m-2) - 1 walking from spine end 0 to end 1.
-    """
-    if m < 3:
-        raise ValueError(f"book needs m >= 3, got {m}")
-    if q < 1:
-        raise ValueError(f"book needs q >= 1, got {q}")
-    edges = [(0, 1)]
-    for j in range(q):
-        first = 2 + j * (m - 2)
-        inner = list(range(first, first + m - 2))
-        edges.append((0, inner[0]))
-        edges.extend((inner[t], inner[t + 1]) for t in range(len(inner) - 1))
-        edges.append((inner[-1], 1))
-    return EdgeRootedGraph(Graph.from_edges(2 + q * (m - 2), edges), root_edge=(0, 1))
-
-
 def vertex_load(g: Graph, load: RootedGraph) -> Graph:
     """Glue a private copy of the load at each support vertex, root on vertex.
 
@@ -182,30 +148,6 @@ def vertex_load(g: Graph, load: RootedGraph) -> Graph:
             mapping[w] = base + k
         edges.extend((mapping[a], mapping[b]) for a, b in lg.edges)
     return Graph.from_edges(g.n + g.n * block, edges)
-
-
-def edge_load(g: Graph, load: EdgeRootedGraph) -> Graph:
-    """Glue a private copy of the load onto each support edge, spine on edge.
-
-    The spine edge is identified with the support edge (smaller spine end to
-    the smaller support end), not duplicated.  Support edges are processed
-    in sorted order; the copy for the k-th edge occupies the block
-    n + k*(|B|-2) .., non-spine vertices taken ascending.
-    """
-    if g.m == 0:
-        raise ValueError("edge loading needs a support with at least one edge")
-    lg = load.graph
-    s0, s1 = sorted(load.root_edge)
-    others = [w for w in range(lg.n) if w not in (s0, s1)]
-    block = len(others)
-    edges = list(g.edges)
-    for k, (u, v) in enumerate(sorted(g.edges)):
-        base = g.n + k * block
-        mapping = {s0: u, s1: v}
-        for t, w in enumerate(others):
-            mapping[w] = base + t
-        edges.extend((mapping[a], mapping[b]) for a, b in lg.edges)
-    return Graph.from_edges(g.n + g.m * block, edges)
 
 
 def circular_ladder(n: int) -> Graph:
@@ -309,19 +251,19 @@ def loaded_torus(dims: Sequence[int], q: int, m: int) -> Graph:
 
 
 _FAMILIES: dict[str, Callable[..., Graph]] = {
-    "cycle": lambda n: cycle(n),
-    "path": lambda n: path(n),
-    "complete": lambda n: complete(n),
-    "star": lambda q: star(q),
-    "circular-ladder": lambda n: circular_ladder(n),
-    "moebius-ladder": lambda n: moebius_ladder(n),
-    "crossed-prism": lambda n: crossed_prism(n),
-    "antiprism": lambda n: antiprism(n),
-    "torus": lambda dims: torus(dims),
-    "sun": lambda n: sun(n),
-    "generalized-sun": lambda n, q: generalized_sun(n, q),
-    "cycle-with-cliques": lambda n, p, q: cycle_with_cliques(n, p, q),
-    "loaded-torus": lambda dims, q, m: loaded_torus(dims, q, m),
+    "cycle": cycle,
+    "path": path,
+    "complete": complete,
+    "star": star,
+    "circular-ladder": circular_ladder,
+    "moebius-ladder": moebius_ladder,
+    "crossed-prism": crossed_prism,
+    "antiprism": antiprism,
+    "torus": torus,
+    "sun": sun,
+    "generalized-sun": generalized_sun,
+    "cycle-with-cliques": cycle_with_cliques,
+    "loaded-torus": loaded_torus,
 }
 
 

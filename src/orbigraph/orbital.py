@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .aut import ColouredDigraph, Partition, isomorphism, orbit_partition
-from .graph_core import Graph, frac_str, is_connected
+from .graph_core import Graph, is_connected
 
 
 @dataclass(frozen=True)
@@ -58,9 +58,6 @@ class OrbitProfile:
 
     omega: tuple[Fraction, ...]
     entropy: float
-
-    def as_dict(self) -> dict:
-        return {"omega": [frac_str(w) for w in self.omega], "entropy": self.entropy}
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,10 @@ supposed to carry along a sequence: entropy, spectral radius by both
 computation routes, degree extremes and moments, principal ratio,
 edge-vertex ratio, the strict decay of the density index, and the
 cyclomatic trichotomy.
+
+analyze_term is the one per-graph analysis: every sequence term carries
+its record, and the CLI's analyze command reports the same record for one
+graph.
 """
 
 from __future__ import annotations
@@ -19,14 +23,9 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from . import constructions as cons
-from .aut import ColouredDigraph, isomorphism, orbit_partition
+from .aut import ColouredDigraph, automorphism_group, isomorphism
 from .graph_core import Graph, cyclomatic_number, degree_stats, density, edge_vertex_ratio, frac_str, is_connected
-from .orbital import (
-    DivisorMatrix,
-    orbit_divisor_matrix,
-    orbit_profile,
-    orbitally_similar,
-)
+from .orbital import DivisorMatrix, orbit_profile, orbitally_similar
 from .spectral import spectral_radius_adjacency, spectral_radius_divisor
 
 FLOAT_TOL = 1e-9
@@ -208,7 +207,9 @@ _FAMILY_GENERATORS: dict[str, _Family] = {
     "moebius-ladders": _Family(lambda s: _validate_start(s, 3), _indexed(3, cons.moebius_ladder)),
     "crossed-prisms": _Family(_crossed_prisms_validate, _indexed(4, cons.crossed_prism, step=2)),
     "antiprisms": _Family(lambda s: _validate_start(s, 3), _indexed(3, cons.antiprism)),
-    "complete-graphs": _Family(lambda s: _validate_start(s, 1), _indexed(3, cons.complete)),
+    # Never self-similar: the divisor matrix of K_n is [n - 1], which differs
+    # from term to term; kept as a sequence that must fail verification.
+    "complete-graphs": _Family(lambda s: _validate_start(s, 3), _indexed(3, cons.complete)),
     "torus-fixed": _Family(
         _torus_fixed_validate,
         lambda s, count: [
@@ -328,66 +329,84 @@ def verify_self_similar(graphs: Sequence[Graph], seed: Graph | None = None) -> S
 
 @dataclass(frozen=True)
 class TermRecord:
-    """All per-graph quantities reported for one sequence term."""
+    """All per-graph quantities of one connected graph.
+
+    density is None below two vertices, where it is undefined.
+    """
 
     order: int
     size: int
+    orbits: tuple[tuple[int, ...], ...]
+    group_order: int
     divisor: DivisorMatrix
     omega: tuple[Fraction, ...]
     entropy: float
     rho_adjacency: float
     rho_divisor: float
+    principal_ratio: float
     min_degree: int
     max_degree: int
     average_degree: Fraction
     degree_variance: Fraction
-    principal_ratio: float
     edge_vertex_ratio: Fraction
-    density: Fraction
+    density: Fraction | None
     cyclomatic_number: int
 
     def as_dict(self) -> dict:
+        """The analyze report: every field, fractions as "p/q"."""
         return {
             "order": self.order,
             "size": self.size,
+            "orbits": [list(cell) for cell in self.orbits],
+            "group_order": self.group_order,
             "divisor": self.divisor.as_dict(),
             "omega": [frac_str(w) for w in self.omega],
             "entropy": self.entropy,
             "rho_adjacency": self.rho_adjacency,
             "rho_divisor": self.rho_divisor,
+            "principal_ratio": self.principal_ratio,
             "min_degree": self.min_degree,
             "max_degree": self.max_degree,
             "average_degree": frac_str(self.average_degree),
             "degree_variance": frac_str(self.degree_variance),
-            "principal_ratio": self.principal_ratio,
             "edge_vertex_ratio": frac_str(self.edge_vertex_ratio),
-            "density": frac_str(self.density),
+            "density": frac_str(self.density) if self.density is not None else None,
             "cyclomatic_number": self.cyclomatic_number,
         }
 
 
+# The keys of TermRecord.as_dict that a sequence report gives each term, in
+# its published order.
+_SEQUENCE_TERM_KEYS = (
+    "order", "size", "divisor", "omega", "entropy", "rho_adjacency", "rho_divisor", "min_degree",
+    "max_degree", "average_degree", "degree_variance", "principal_ratio", "edge_vertex_ratio",
+    "density", "cyclomatic_number",
+)
+
+
 def analyze_term(graph: Graph) -> TermRecord:
-    """Compute the full per-graph record used in sequence reports."""
-    partition = orbit_partition(graph)
-    dm = orbit_divisor_matrix(graph)
+    """Compute the full per-graph record of a connected graph."""
+    group = automorphism_group(graph)
     profile = orbit_profile(graph)
-    perron = spectral_radius_adjacency(graph, partition=partition)
+    perron = spectral_radius_adjacency(graph, partition=group.orbits)
     stats = degree_stats(graph)
     return TermRecord(
         order=graph.n,
         size=graph.m,
-        divisor=dm,
+        orbits=group.orbits.cells,
+        group_order=group.order,
+        divisor=perron.divisor,
         omega=profile.omega,
         entropy=profile.entropy,
         rho_adjacency=perron.rho,
         rho_divisor=perron.rho_divisor,
+        principal_ratio=perron.gamma,
         min_degree=stats.min_degree,
         max_degree=stats.max_degree,
         average_degree=stats.average_degree,
         degree_variance=stats.degree_variance,
-        principal_ratio=perron.gamma,
         edge_vertex_ratio=edge_vertex_ratio(graph),
-        density=density(graph) if graph.n >= 2 else Fraction(0),
+        density=density(graph) if graph.n >= 2 else None,
         cyclomatic_number=cyclomatic_number(graph),
     )
 
@@ -417,7 +436,9 @@ class SequenceReport:
 
     def as_dict(self) -> dict:
         return {
-            "terms": [t.as_dict() for t in self.terms],
+            "terms": [
+                {key: term[key] for key in _SEQUENCE_TERM_KEYS} for term in map(TermRecord.as_dict, self.terms)
+            ],
             "verdict": self.verdict.as_dict(),
             "preservation": [c.as_dict() for c in self.preservation],
             "ok": self.ok,
@@ -458,6 +479,20 @@ def _cyclomatic_check(terms: Sequence[TermRecord]) -> PreservationCheck:
     return PreservationCheck("cyclomatic", True, "cyclomatic numbers grow per the exact scaling law")
 
 
+def _density_check(terms: Sequence[TermRecord]) -> PreservationCheck:
+    for k, t in enumerate(terms):
+        if t.density is None:
+            return PreservationCheck(
+                "density_decreasing", False, f"term {k} has no density (fewer than two vertices)"
+            )
+    densities = [t.density for t in terms]
+    if all(a > b for a, b in zip(densities, densities[1:])):
+        return PreservationCheck("density_decreasing", True)
+    return PreservationCheck(
+        "density_decreasing", False, f"densities {[str(d) for d in densities]} not strictly decreasing"
+    )
+
+
 def _rho_paths_check(terms: Sequence[TermRecord]) -> PreservationCheck:
     """Each term's reported divisor matrix, solved on its own, must give the
     certified adjacency radius to within FLOAT_TOL * max(1, rho)."""
@@ -484,30 +519,7 @@ def preservation_report(graphs: Sequence[Graph], seed: Graph | None = None) -> S
         _constant_check("degree_variance", [t.degree_variance for t in terms], exact=True),
         _constant_check("principal_ratio", [t.principal_ratio for t in terms], exact=False),
         _constant_check("edge_vertex_ratio", [t.edge_vertex_ratio for t in terms], exact=True),
+        _density_check(terms),
+        _cyclomatic_check(terms),
     ]
-    densities = [t.density for t in terms]
-    decreasing = all(a > b for a, b in zip(densities, densities[1:]))
-    checks.append(
-        PreservationCheck(
-            "density_decreasing",
-            decreasing,
-            "" if decreasing else f"densities {[str(d) for d in densities]} not strictly decreasing",
-        )
-    )
-    checks.append(_cyclomatic_check(terms))
     return SequenceReport(terms=terms, verdict=verdict, preservation=tuple(checks))
-
-
-def swap_isomorphic_members(graphs: Sequence[Graph], k: int, replacement: Graph) -> list[Graph]:
-    """Replace term k by an orbitally similar connected graph of equal order."""
-    if not 0 <= k < len(graphs):
-        raise ValueError(f"index {k} out of range")
-    if not is_connected(replacement):
-        raise ValueError("replacement graph is disconnected")
-    if replacement.n != graphs[k].n:
-        raise ValueError(f"order mismatch: replacement has {replacement.n} vertices, term has {graphs[k].n}")
-    if not orbitally_similar(replacement, graphs[k]).similar:
-        raise ValueError("replacement is not orbitally similar to the replaced term")
-    out = list(graphs)
-    out[k] = replacement
-    return out

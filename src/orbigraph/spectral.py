@@ -1,13 +1,13 @@
 """Spectral radius and principal eigenvector, by adjacency and by divisor matrix.
 
 One direct solve gives both spectral routes.  The divisor matrix B of an
-equitable partition with cell sizes S satisfies s_i B_ij = s_j B_ji, so
-S^(1/2) B S^(-1/2) is symmetric, and one np.linalg.eigh of it gives the
-largest eigenvalue rho(B) and its eigenvector u.  By the equitable-partition
-lemma (Godsil & Royle, Algebraic Graph Theory, 9.3) alpha = S^(-1/2) u,
-repeated on every vertex of its cell, is an eigenvector of the adjacency
-matrix A for the same eigenvalue, so rho(A) = rho(B) and the principal
-eigenvector is constant on orbits.
+equitable partition, built by orbital.divisor_matrix, has cell sizes S with
+s_i B_ij = s_j B_ji, so S^(1/2) B S^(-1/2) is symmetric, and one
+np.linalg.eigh of it gives the largest eigenvalue rho(B) and its
+eigenvector u.  By the equitable-partition lemma (Godsil & Royle, Algebraic
+Graph Theory, 9.3) alpha = S^(-1/2) u, repeated on every vertex of its cell,
+is an eigenvector of the adjacency matrix A for the same eigenvalue, so
+rho(A) = rho(B) and the principal eigenvector is constant on orbits.
 
 eigh resolves u only to about 1e-16 of its largest entry, and a Perron
 vector can fall over hundreds of orders of magnitude (a clique with a long
@@ -51,10 +51,10 @@ class PerronData:
     """Spectral radius with the normalized positive eigenvector.
 
     rho is the Rayleigh quotient of vector on A and rho_divisor the largest
-    eigenvalue of the divisor matrix; bracket is the Collatz-Wielandt
-    interval (lo, hi) on A that certified both.  vector sums to 1 and is
-    constant on every orbit; orbit_values holds the per-orbit constants and
-    gamma is the largest over the smallest component.
+    eigenvalue of divisor, the divisor matrix that was solved; bracket is
+    the Collatz-Wielandt interval (lo, hi) on A that certified both.  vector
+    sums to 1 and is constant on every cell; orbit_values holds the per-cell
+    constants and gamma is the largest over the smallest component.
     """
 
     rho: float
@@ -63,6 +63,7 @@ class PerronData:
     gamma: float
     orbit_values: tuple[float, ...]
     bracket: tuple[float, float]
+    divisor: DivisorMatrix
 
 
 @dataclass(frozen=True)
@@ -79,13 +80,27 @@ def _edge_array(graph: Graph) -> np.ndarray:
     return np.array(list(graph.edges), dtype=np.intp).reshape(-1, 2)
 
 
+def _symmetrized(dm: DivisorMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """S^(1/2) B S^(-1/2) for the divisor matrix B with cell sizes S, and sqrt(S).
+
+    It is computed in place as S^(-1/2) t S^(-1/2) from t = S B, which counts
+    the edges from cell i to cell j (integers, exact in float64); ValueError
+    unless t is symmetric.
+    """
+    sizes = np.array(dm.sizes, dtype=float)
+    m = np.array(dm.entries, dtype=float).reshape(dm.ell, dm.ell)
+    m *= sizes[:, None]
+    if (m != m.T).any():
+        raise ValueError("divisor matrix is not symmetrizable: s_i B_ij != s_j B_ji for some i, j")
+    root = np.sqrt(sizes)
+    m /= root[:, None]
+    m /= root
+    return m, root
+
+
 def _top_eigenpair(m: np.ndarray) -> tuple[float, np.ndarray]:
     """Largest eigenvalue of the symmetric m with its eigenvector, signed so
-    that its entries sum to a positive value.
-
-    m is S^(1/2) B S^(-1/2) = S^(-1/2) t S^(-1/2) for the divisor matrix
-    B = S^(-1) t, where t[i, j] counts the edges from cell i to cell j.
-    """
+    that its entries sum to a positive value."""
     values, vectors = np.linalg.eigh(m)
     u = vectors[:, -1]
     return float(values[-1]), u if u.sum() > 0 else -u
@@ -94,11 +109,11 @@ def _top_eigenpair(m: np.ndarray) -> tuple[float, np.ndarray]:
 def spectral_radius_adjacency(graph: Graph, partition: Partition | None = None) -> PerronData:
     """Certified Perron data of a connected graph from one divisor solve.
 
-    partition should be equitable (the orbit partition is computed when not
-    supplied): the divisor matrix is built from the edge list, solved, and
-    its eigenvector lifted to the vertices and certified on A (see the
-    module docstring), so a partition whose lift is no eigenvector of A
-    raises CertificateError.
+    The divisor matrix of partition (the orbit partition when not supplied)
+    comes from orbital.divisor_matrix, which raises ValueError before any
+    solve when the partition is not equitable.  It is solved, and its
+    eigenvector lifted to the vertices and certified on A (see the module
+    docstring); the matrix is returned as PerronData.divisor.
     """
     if not is_connected(graph):
         raise ValueError("spectral radius defined here for connected graphs only")
@@ -106,15 +121,9 @@ def spectral_radius_adjacency(graph: Graph, partition: Partition | None = None) 
         raise ValueError("empty graph")
     if partition is None:
         partition = orbit_partition(graph)
-    ell = len(partition.cells)
-    cell_of = np.array(partition.cell_index(), dtype=np.intp)
-    root = np.sqrt(np.bincount(cell_of, minlength=ell))
-    edges = _edge_array(graph)
-    src, dst = np.concatenate((edges, edges[:, ::-1])).T
-    keys = cell_of[src] * ell + cell_of[dst]
-    m = np.bincount(keys, minlength=ell * ell).reshape(ell, ell).astype(float)
-    m /= root[:, None]
-    m /= root
+    dm = divisor_matrix(graph, partition)
+    ell = dm.ell
+    m, root = _symmetrized(dm)
     rho_divisor, u = _top_eigenpair(m)
     # u only picks r (see the module docstring); with w_r = 1 the other
     # entries solve (rho I - m') w' = m[:, r], m' being m without row and
@@ -128,7 +137,9 @@ def spectral_radius_adjacency(graph: Graph, partition: Partition | None = None) 
     w[keep] = np.linalg.solve(system, m[keep, r])
     alpha = w / root
     alpha /= alpha @ root**2
-    x = alpha[cell_of]
+    x = alpha[np.array(partition.cell_index(), dtype=np.intp)]
+    edges = _edge_array(graph)
+    src, dst = np.concatenate((edges, edges[:, ::-1])).T
     y = np.bincount(src, weights=x[dst], minlength=graph.n)
     rho = float(x @ y / (x @ x))
     if not (x > 0).all():
@@ -147,6 +158,7 @@ def spectral_radius_adjacency(graph: Graph, partition: Partition | None = None) 
         gamma=float(x.max() / x.min()),
         orbit_values=tuple(alpha.tolist()),
         bracket=(lo, hi),
+        divisor=dm,
     )
 
 
@@ -157,8 +169,7 @@ def spectral_radius_divisor(dm: DivisorMatrix) -> float:
     matrix of every equitable partition is; ValueError otherwise.
     """
     b = np.array(dm.entries, dtype=np.int64).reshape(dm.ell, dm.ell)
-    sizes = np.array(dm.sizes, dtype=np.int64)
-    if (b < 0).any() or (sizes <= 0).any():
+    if (b < 0).any() or min(dm.sizes) <= 0:
         raise ValueError("divisor matrix needs nonnegative entries and positive cell sizes")
     # Breadth-first search for the cells that reach cell 0 along the support
     # of B; for a symmetrizable B the support is symmetric, so this one
@@ -169,11 +180,7 @@ def spectral_radius_divisor(dm: DivisorMatrix) -> float:
         seen = seen | frontier
     if not seen.all():
         raise ValueError("divisor matrix is reducible; spectral radius not computed")
-    t = sizes[:, None] * b
-    if (t != t.T).any():
-        raise ValueError("divisor matrix is not symmetrizable: s_i B_ij != s_j B_ji for some i, j")
-    root = np.sqrt(sizes)
-    return _top_eigenpair(t / root[:, None] / root)[0]
+    return _top_eigenpair(_symmetrized(dm)[0])[0]
 
 
 def principal_ratio(graph: Graph) -> float:

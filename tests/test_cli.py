@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from helpers import tied_star
 from orbigraph import spectral
 from orbigraph.cli import (
@@ -11,8 +13,8 @@ from orbigraph.cli import (
     EXIT_VERIFY,
     main,
 )
-from orbigraph.constructions import cycle, path
-from orbigraph.graph_core import serialize_edge_list
+from orbigraph.constructions import cycle, path, torus
+from orbigraph.graph_core import serialize_edge_list, to_graph6
 
 
 def test_certificate_failure_exits_with_resource_code(tmp_path, monkeypatch, capsys):
@@ -70,3 +72,68 @@ def test_sequence_of_complete_graphs_fails_verification(tmp_path, capsys):
 def test_sequence_unknown_family_is_a_parse_error(tmp_path, capsys):
     assert main(["sequence", _spec(tmp_path, {"family": "no-such-family"})]) == EXIT_PARSE
     assert "unknown family" in capsys.readouterr().err
+
+
+def test_generate_to_stdout_file_and_graph6(tmp_path, capsys):
+    assert main(["generate", "cycle", "--n", "5"]) == EXIT_OK
+    assert capsys.readouterr().out == serialize_edge_list(cycle(5))
+    out = tmp_path / "c5.edges"
+    assert main(["generate", "cycle", "--n", "5", "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == f"wrote cycle: order 5, size 5 -> {out}\n"
+    assert out.read_text(encoding="ascii") == serialize_edge_list(cycle(5))
+    assert main(["generate", "torus", "--dims", "3,4", "--format", "graph6"]) == EXIT_OK
+    assert capsys.readouterr().out == to_graph6(torus((3, 4))) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["cycle", "--n", "2"], "cycle needs n >= 3"),
+        (["cycle"], "cycle() missing 1 required positional argument: 'n'"),
+        (["torus", "--dims", "3,x"], "bad --dims '3,x'"),
+    ],
+)
+def test_generate_parameter_errors(argv, message, capsys):
+    assert main(["generate", *argv]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
+def test_demo_table1_matches_its_references(capsys):
+    assert main(["demo", "table1"]) == EXIT_OK
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 8
+    for row in rows:
+        computed, reference = row.split()[-2:]
+        assert computed == reference
+
+
+def test_unknown_demo_is_a_parse_error(capsys):
+    assert main(["demo", "nope"]) == EXIT_PARSE
+    assert "unknown demo 'nope'" in capsys.readouterr().err
+
+
+def test_analyze_error_exits(tmp_path, capsys):
+    malformed = tmp_path / "bad.edges"
+    malformed.write_text("3 2\n0 1\n", encoding="ascii")
+    split = tmp_path / "split.edges"
+    split.write_text("4 2\n0 1\n2 3\n", encoding="ascii")
+    assert main(["analyze", str(malformed)]) == EXIT_PARSE
+    assert main(["analyze", str(split)]) == EXIT_DISCONNECTED
+    assert main(["analyze", _write(tmp_path, "p2001", path(2001))]) == EXIT_RESOURCE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "disconnected" in captured.err and "above the supported cap 2000" in captured.err
+
+
+def test_sequence_parse_errors(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{family: cycles", encoding="ascii")
+    assert main(["sequence", str(bad)]) == EXIT_PARSE
+    assert main(["sequence", "--count", "1", _spec(tmp_path, {"family": "cycles"})]) == EXIT_PARSE
+    assert "count must be >= 2" in capsys.readouterr().err
+
+
+def test_complete_graphs_start_below_three_is_a_parse_error(tmp_path, capsys):
+    assert main(["sequence", _spec(tmp_path, {"family": "complete-graphs", "start": 1})]) == EXIT_PARSE
+    assert "start must be an integer >= 3" in capsys.readouterr().err

@@ -1,0 +1,55 @@
+"""Byte-exact CLI output on small inputs, pinned in tests/golden/.
+
+A failure here means a report changed shape or value; if the change is
+intended, rewrite the expected file from the new output and review the diff.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from helpers import tied_star
+from orbigraph.cli import EXIT_DISSIMILAR, EXIT_OK, main
+from orbigraph.constructions import complete, cycle, path
+from orbigraph.graph_core import serialize_edge_list
+
+GOLDEN = Path(__file__).parent / "golden"
+
+GRAPHS = {"p5": path(5), "k1": complete(1), "c4": cycle(4), "c8": cycle(8), "tied_star": tied_star()}
+
+# expected file -> (argv with graph names for input files, exit code)
+CASES = {
+    "analyze_p5.json": (["analyze", "--json", "p5"], EXIT_OK),
+    "analyze_k1.json": (["analyze", "--json", "k1"], EXIT_OK),
+    "analyze_p5.txt": (["analyze", "p5"], EXIT_OK),
+    "compare_c4_c8.json": (["compare", "--json", "c4", "c8"], EXIT_OK),
+    "compare_p5_tied_star.json": (["compare", "--json", "p5", "tied_star"], EXIT_DISSIMILAR),
+    "sequence_cycles_3.json": (["sequence", "--json", "--count", "3", "cycles.json"], EXIT_OK),
+}
+
+
+def _inputs(tmp_path: Path) -> dict[str, str]:
+    files = {}
+    for name, graph in GRAPHS.items():
+        files[name] = str(tmp_path / f"{name}.edges")
+        Path(files[name]).write_text(serialize_edge_list(graph), encoding="ascii")
+    files["cycles.json"] = str(tmp_path / "cycles.json")
+    Path(files["cycles.json"]).write_text(json.dumps({"family": "cycles"}), encoding="ascii")
+    return files
+
+
+@pytest.mark.parametrize("expected", sorted(CASES))
+def test_stdout_matches_golden(expected, tmp_path, capsys):
+    argv, code = CASES[expected]
+    files = _inputs(tmp_path)
+    assert main([files.get(a, a) for a in argv]) == code
+    assert capsys.readouterr().out == (GOLDEN / expected).read_text(encoding="ascii")
+
+
+def test_dot_file_matches_golden(tmp_path, capsys):
+    files = _inputs(tmp_path)
+    dot = tmp_path / "p5.dot"
+    assert main(["analyze", "--dot", str(dot), files["p5"]]) == EXIT_OK
+    assert capsys.readouterr().out == (GOLDEN / "analyze_p5.txt").read_text(encoding="ascii")
+    assert dot.read_text(encoding="ascii") == (GOLDEN / "analyze_p5.dot").read_text(encoding="ascii")

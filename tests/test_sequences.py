@@ -1,7 +1,7 @@
 import dataclasses
 
 from orbigraph import sequences
-from orbigraph.constructions import cycle, path
+from orbigraph.constructions import complete, cycle, path
 from orbigraph.orbital import DivisorMatrix
 from orbigraph.sequences import SequenceSpec, generate, preservation_report, verify_self_similar
 
@@ -49,3 +49,11 @@ def test_seed_is_checked_by_isomorphism():
     assert verify_self_similar(big, seed=big[0].relabel([(5 * v) % 12 for v in range(12)])).seed_status == "verified"
     failed = verify_self_similar(big, seed=path(12))
     assert not failed.self_similar and failed.seed_status == "failed"
+
+
+def test_density_is_null_below_two_vertices():
+    report = preservation_report([complete(1), complete(2), complete(3)])
+    assert report.as_dict()["terms"][0]["density"] is None
+    check = _check(report, "density_decreasing")
+    assert not check.passed
+    assert check.detail == "term 0 has no density (fewer than two vertices)"

@@ -98,6 +98,17 @@ class TestAdjacencyRadius:
         with pytest.raises(ValueError):
             spectral_radius_adjacency(Graph.from_edges(4, [(0, 1), (2, 3)]))
 
+    def test_solves_the_divisor_matrix_it_returns(self):
+        g = tied_star()
+        assert spectral_radius_adjacency(g).divisor == orbit_divisor_matrix(g)
+        equitable = spectral_radius_adjacency(cycle(6), unit_partition(6))
+        assert equitable.divisor == DivisorMatrix(1, ((2,),), (6,))
+        assert equitable.rho == pytest.approx(2.0, abs=1e-12)
+
+    def test_non_equitable_partition_rejected_before_the_solve(self):
+        with pytest.raises(ValueError, match="not equitable"):
+            spectral_radius_adjacency(path(5), unit_partition(5))
+
     @pytest.mark.parametrize("n", [2, 3, 50, 400, 2000])
     def test_path_closed_forms(self, n):
         rho, gamma = path_closed_form(n)
