@@ -16,30 +16,44 @@ isomorphic search nodes produce equal traces.
 
 The search first quotients out twins: maximal classes of one colour with
 equal arc lists (open twins), or equal once each vertex is added to its
-own list (closed twins).  It then runs on the class representatives,
-coloured by (colour, kind, class size).  A search node copies its parent's
-equitable partition, individualizes one vertex of the first smallest
-non-singleton cell, and refines with that singleton as the only splitter.
-Off the first path, a node is abandoned at the first trace event that
-differs from the first path at its level.  The search is post-order, so
-while the candidates of first-path level L are tried, every generator
-found so far fixes the first L base vertices; one union-find over all
-generators therefore holds the orbits of that stabiliser, and prunes every
-candidate already in the base vertex's orbit.  Each leaf's permutation is
-lifted member-by-member to the twin classes and kept only if it maps every
-arc onto an arc of the same weight.
+own list (closed twins).  Each class becomes one vertex coloured by
+(colour, kind, class size), and the quotient is taken again until no
+class has two members: in cycle_with_cliques the two triangles at a cycle
+vertex become open twins only once each triangle is one vertex.  Every
+quotient vertex stands for a block of input vertices, so a permutation of
+the last quotient lifts member by member, and so do the transposition and
+the cycle that each twin class of each round contributes.
+
+The search runs on the last quotient, with no recursion.  The first path
+is a loop from the root: a node copies its parent's equitable partition,
+individualizes the smallest vertex of the first smallest non-singleton
+cell, and refines with that singleton as the only splitter.  The levels are
+then tried deepest first, so while the candidates of level L are tried,
+every generator found so far fixes the first L base vertices; one
+union-find over all generators therefore holds the orbits of that
+stabiliser, and prunes every candidate already in the base vertex's orbit.
+A candidate is searched depth first on an explicit stack, and a node is
+abandoned at the first trace event that differs from the first path at its
+level.  Sparse automorphisms are found without descending to a leaf
+(Darga, Sakallah & Markov, Faster symmetry discovery using sparsity of
+symmetries, DAC 2008): when every non-singleton cell of a node holds the
+same vertices as on the first path, the map between the two nodes'
+singletons, fixing everything else, is tested at once.  It is kept if it
+maps every arc out of a moved vertex onto an arc of the same weight; if it
+fails, no leaf below the node is an automorphism, and the node is dropped.
 
 The group order is the product over levels of the base vertex's orbit size
-when its level finishes, times (class size)! for every twin class.  Orbits
-are the unions of the twin classes in a representative's orbit.
+when its level finishes, times (class size)! for every twin class of every
+round.  Orbits are the unions of the blocks in a quotient vertex's orbit.
 
 Isomorphism runs the same search on the disjoint union of two connected
 digraphs (McKay & Piperno, Practical graph isomorphism II, 2014): they are
 isomorphic iff some generator of the union's group swaps the two sides.
 
-Scale, measured on one core of an Intel Xeon with Python 3.11: the search
-takes 0.2 s on torus(40, 50) (2000 vertices), 1.4 to 1.7 s on
-cycle_with_cliques(200, 3, 2) (1000 vertices, a 200-level base) and 0.3 s
+Scale, measured on one core of an Intel Xeon with Python 3.11, at the
+2000-vertex cap: the search takes 0.11 s on torus(40, 50), 0.25 s on
+cycle_with_cliques(400, 3, 2), 0.7 s on loaded_torus((20, 20), 2, 2)
+(a 400-level base), 0.8 s on crossed_prism(1000) (500 levels), and 0.2 s
 on a rigid random cubic graph with 1000 vertices.
 """
 
@@ -406,108 +420,167 @@ class _AutSearch:
     def __init__(self, colour: Sequence, adj: Sequence[Sequence[int]], arcs: Mapping[tuple[int, int], int]) -> None:
         self.n = len(adj)
         self.arcs = arcs
-        # An arc back follows from its arc forth and the colours, which every
-        # leaf preserves, so a leaf need only be checked on the arcs forth.
-        self.arcs_forth = [(u, v, w) for (u, v), w in arcs.items() if u < v]
-        classes = _twin_classes(colour, adj)
-        self.members = [members for _, members in classes]
-        class_of = [0] * self.n
-        for q, members in enumerate(self.members):
-            for v in members:
-                class_of[v] = q
-        # A representative has equal weights to every member of another
-        # class, so its arcs to the representatives carry the quotient.
-        rep = [members[0] for members in self.members]
-        self.adj = [[class_of[w] for w in adj[r] if w == rep[class_of[w]] and w != r] for r in rep]
-        colours: dict[tuple, list[int]] = {}
-        self.twin_order = 1
-        for q, (kind, members) in enumerate(classes):
-            colours.setdefault((colour[members[0]], kind, len(members)), []).append(q)
-            self.twin_order *= factorial(len(members))
-        self.colour_cells = [colours[key] for key in sorted(colours)]
-        self.orbits = _UnionFind(range(len(classes)))
+        self.heads = adj
         self.generators: list[tuple[int, ...]] = []
-        self.first_leaf: list[int] | None = None
+        self.twin_order = 1
+        # blocks[q] lists the input vertices that quotient vertex q stands for,
+        # in the order in which a permutation of the quotient lifts.
+        blocks = [[v] for v in range(self.n)]
+        twin_blocks: list[list[list[int]]] = []
+        while True:
+            classes = _twin_classes(colour, adj)
+            if len(classes) == len(adj):
+                break
+            class_of = [0] * len(adj)
+            for q, (_, members) in enumerate(classes):
+                for v in members:
+                    class_of[v] = q
+                if len(members) > 1:
+                    self.twin_order *= factorial(len(members))
+                    twin_blocks.append([blocks[v] for v in members])
+            # A representative has equal weights to every member of another
+            # class, so its arcs to the representatives carry the quotient.
+            rep = [members[0] for _, members in classes]
+            adj = [[class_of[w] for w in adj[r] if w == rep[class_of[w]] and w != r] for r in rep]
+            colour = [(colour[members[0]], kind, len(members)) for kind, members in classes]
+            blocks = [[v for w in members for v in blocks[w]] for _, members in classes]
+        self.adj = adj
+        self.blocks = blocks
+        self.twin_blocks = twin_blocks
+        colours: dict = {}
+        for q, c in enumerate(colour):
+            colours.setdefault(c, []).append(q)
+        self.colour_cells = [colours[key] for key in sorted(colours)]
+        self.orbits = _UnionFind(range(len(adj)))
         self.first_traces: list[list] = []
+        self.first_labs: list[list[int]] = []
+        self.targets: list[int] = []
         self.order = 1
 
     def run(self) -> None:
-        root = _Cells.from_cells(len(self.members), self.colour_cells)
-        self.first_traces.append(root.refine(self.adj, root.starts()))
-        self._first_path(root, 0)
-        for members in self.members:
-            if len(members) > 1:
-                self._add_twin_generator(members[:2])
-                if len(members) > 2:
-                    self._add_twin_generator(members)
+        node = _Cells.from_cells(len(self.adj), self.colour_cells)
+        self.first_traces.append(node.refine(self.adj, node.starts()))
+        self.first_labs.append(node.lab)
+        self.targets.append(node.target())
+        path: list[_Cells] = []
+        while (c := self.targets[-1]) >= 0:
+            path.append(node)
+            node = node.copy()
+            self.first_traces.append(node.refine(self.adj, [node.individualize(min(node.lab[c : c + node.clen[c]]))]))
+            self.first_labs.append(node.lab)
+            self.targets.append(node.target())
+        # Deepest level first: every generator found so far fixes the base
+        # vertices above the level being tried.
+        while path:
+            level = len(path) - 1
+            node = path.pop()
+            c = self.targets[level]
+            members = sorted(node.lab[c : c + node.clen[c]])
+            b = members[0]
+            for v in members[1:]:
+                if self.orbits.find(v) != self.orbits.find(b):
+                    self._try(node, v, level + 1)
+            self.order *= self.orbits.class_size(b)
+        for blocks in self.twin_blocks:
+            self._add_block_cycle(blocks[:2])
+            if len(blocks) > 2:
+                self._add_block_cycle(blocks)
 
-    def _add_twin_generator(self, cycle: list[int]) -> None:
+    def _add_block_cycle(self, cycle: list[list[int]]) -> None:
         image = list(range(self.n))
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-            image[a] = b
+            for u, v in zip(a, b):
+                image[u] = v
         self.generators.append(tuple(image))
 
-    def _first_path(self, node: _Cells, level: int) -> None:
-        c = node.target()
-        if c < 0:
-            self.first_leaf = node.lab
-            return
-        members = sorted(node.lab[c : c + node.clen[c]])
-        b = members[0]
-        child = node.copy()
-        self.first_traces.append(child.refine(self.adj, [child.individualize(b)]))
-        self._first_path(child, level + 1)
-        del child
-        for v in members[1:]:
-            if self.orbits.find(v) != self.orbits.find(b):
-                self._try(node, v, level + 1)
-        self.order *= self.orbits.class_size(b)
+    def _try(self, parent: _Cells, v: int, level: int) -> None:
+        """Depth-first search of the subtree of parent + v, whose root is at
+        `level`, for an automorphism; stops at the first one found."""
+        stack = [(parent, level, [v])]
+        while stack:
+            parent, level, todo = stack[-1]
+            if not todo:
+                stack.pop()
+                continue
+            node = parent.copy()
+            if node.refine(self.adj, [node.individualize(todo.pop())], self.first_traces[level]) is None:
+                continue
+            image = self._singleton_map(node, level)
+            if image is None:
+                # Equal traces give the first path's cells, so its target too.
+                c = self.targets[level]
+                stack.append((node, level + 1, sorted(node.lab[c : c + node.clen[c]], reverse=True)))
+            elif self._accept(image):
+                return
 
-    def _try(self, parent: _Cells, v: int, level: int) -> bool:
-        """Search the subtree of parent + v for a leaf equivalent to the first leaf."""
-        node = parent.copy()
-        if node.refine(self.adj, [node.individualize(v)], self.first_traces[level]) is None:
-            return False
-        c = node.target()
-        if c < 0:
-            return self._leaf(node.lab)
-        return any(self._try(node, w, level + 1) for w in sorted(node.lab[c : c + node.clen[c]]))
+    def _singleton_map(self, node: _Cells, level: int) -> list[int] | None:
+        """The candidate that node's singletons give, or None if there is none.
 
-    def _leaf(self, leaf: list[int]) -> bool:
-        image = [0] * len(leaf)
-        for a, b in zip(self.first_leaf, leaf):
-            image[a] = b
-        lifted = [0] * self.n
-        for q, members in enumerate(self.members):
-            for a, b in zip(members, self.members[image[q]]):
+        node has passed the trace check, so its cells have the starts and
+        lengths of the first-path node F at its level.  When every
+        non-singleton cell also holds the same vertices as in F, the candidate
+        maps F's vertex at each singleton position to node's vertex there and
+        fixes everything else; a leaf is the case of no non-singleton cell.
+
+        If the candidate is not an automorphism, no leaf below node gives
+        one: such an automorphism would map F onto node, so agree with the
+        candidate on the singletons and map every non-singleton cell onto
+        itself; and a singleton has arcs of one weight to all of a cell of an
+        equitable partition, or none, so the candidate would keep every arc
+        too.  The caller therefore abandons node when the candidate fails.
+        """
+        cell_of, clen = node.cell_of, node.clen
+        image = list(range(len(cell_of)))
+        for a, b in zip(self.first_labs[level], node.lab):
+            if a != b:
+                c = cell_of[b]
+                if clen[c] == 1:
+                    image[a] = b
+                elif cell_of[a] != c:
+                    return None
+        return image
+
+    def _accept(self, image: list[int]) -> bool:
+        """Lift a permutation of the quotient; keep it if it is an automorphism."""
+        moved = [q for q, r in enumerate(image) if q != r]
+        lifted = list(range(self.n))
+        for q in moved:
+            for a, b in zip(self.blocks[q], self.blocks[image[q]]):
                 lifted[a] = b
-        if not self._is_automorphism(lifted):
+        if not self._is_automorphism(lifted, [a for q in moved for a in self.blocks[q]]):
             return False
         self.generators.append(tuple(lifted))
-        for q, r in enumerate(image):
-            self.orbits.union(q, r)
+        for q in moved:
+            self.orbits.union(q, image[q])
         return True
 
-    def _is_automorphism(self, image: list[int]) -> bool:
+    def _is_automorphism(self, image: list[int], moved: list[int]) -> bool:
+        # An arc between fixed vertices maps to itself, and an arc back
+        # follows from its arc forth and the colours, which every candidate
+        # preserves; so only the arcs out of moved vertices are checked, each
+        # once.
         arcs = self.arcs
-        for u, v, w in self.arcs_forth:
-            if arcs.get((image[u], image[v])) != w:
-                return False
+        for u in moved:
+            iu = image[u]
+            for v in self.heads[u]:
+                if (v > u or image[v] == v) and arcs.get((iu, image[v])) != arcs[u, v]:
+                    return False
         return True
 
     def orbit_cells(self) -> list[list[int]]:
-        return [[v for q in group for v in self.members[q]] for group in self.orbits.groups()]
+        return [[v for q in group for v in self.blocks[q]] for group in self.orbits.groups()]
 
 
 @lru_cache(maxsize=256)
 def automorphism_group(graph: Graph) -> AutGroup:
     """Generators, order, and vertex orbits of Aut(graph).
 
-    The search runs on the twin quotient (see the module docstring).  Every
-    generator from a search leaf has passed an edge-set check on `graph`;
-    each twin class of size k >= 2 adds a transposition and, for k >= 3, a
-    k-cycle of its members.  The order is exact: the product over search
-    levels of the base vertex's orbit size, times k! for every twin class.
+    The search runs on the iterated twin quotient (see the module
+    docstring).  Every generator from the search has passed an edge check
+    on `graph`; each twin class of size k >= 2 adds a transposition and, for
+    k >= 3, a k-cycle of its members' blocks.  The order is exact: the
+    product over search levels of the base vertex's orbit size, times k!
+    for every twin class.
     Orbits come in canonical order.
     """
     if graph.n == 0:
