@@ -132,19 +132,11 @@ class Permutation:
     def __len__(self) -> int:
         return len(self.image)
 
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: v -> self(other(v))."""
-        return Permutation(tuple(self.image[other.image[v]] for v in range(len(self.image))))
-
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.image)
         for v, w in enumerate(self.image):
             inv[w] = v
         return Permutation(tuple(inv))
-
-    def preserves_edges(self, graph: Graph) -> bool:
-        img = self.image
-        return all((min(img[u], img[v]), max(img[u], img[v])) in graph.edges for u, v in graph.edges)
 
 
 @dataclass(frozen=True)

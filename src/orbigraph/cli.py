@@ -28,7 +28,7 @@ from .graph_core import (
     to_dot,
     to_graph6,
 )
-from .orbital import entropy_of, orbit_profile, orbitally_homothetic, orbitally_similar
+from .orbital import entropy_of, orbit_profile, orbitally_similar
 from .sequences import (
     SequenceSpec, SequenceSpecError, analyze_term, generate as generate_sequence, preservation_report,
 )
@@ -141,9 +141,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
         _require_connected(graph, path)
         _require_desk_scale(graph)
     verdict = orbitally_similar(a, b)
-    homothetic = orbitally_homothetic(a, b)
-    ent_a = orbit_profile(a).entropy
-    ent_b = orbit_profile(b).entropy
+    profile_a, profile_b = orbit_profile(a), orbit_profile(b)
+    homothetic = profile_a.omega == profile_b.omega
+    ent_a, ent_b = profile_a.entropy, profile_b.entropy
     payload = {**verdict.as_dict(), "homothetic": homothetic, "entropy_a": ent_a, "entropy_b": ent_b}
     if args.json:
         print(json.dumps(_with_meta(payload, args.meta), indent=2))
@@ -205,6 +205,8 @@ def cmd_sequence(args: argparse.Namespace) -> int:
         graphs = generate_sequence(spec, args.count)
     except (OSError, json.JSONDecodeError, SequenceSpecError) as exc:
         raise CliError(f"{args.specfile}: {exc}", EXIT_PARSE) from exc
+    except RecursionError as exc:
+        raise CliError(f"{args.specfile}: spec nested too deeply", EXIT_PARSE) from exc
     report = preservation_report(graphs)
     if args.json:
         print(json.dumps(_with_meta(report.as_dict(), args.meta), indent=2))

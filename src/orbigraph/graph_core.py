@@ -52,9 +52,6 @@ class Graph:
         """Number of edges."""
         return len(self.edges)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
-
     def adjacency(self) -> list[list[int]]:
         """Neighbor lists, each sorted ascending."""
         adj: list[list[int]] = [[] for _ in range(self.n)]
@@ -84,15 +81,13 @@ class DegreeStats:
     """Exact degree statistics of a graph.
 
     degree_variance is the population variance of the degree sequence and
-    vanishes exactly when the graph is regular.  moments maps each requested
-    order r to the uncentered r-th moment of the degree sequence.
+    vanishes exactly when the graph is regular.
     """
 
     min_degree: int
     max_degree: int
     average_degree: Fraction
     degree_variance: Fraction
-    moments: dict[int, Fraction]
 
 
 def frac_str(x: Fraction) -> str:
@@ -281,13 +276,12 @@ def is_connected(graph: Graph) -> bool:
     return count == graph.n
 
 
-def degree_stats(graph: Graph, moment_orders: Sequence[int] = (1, 2)) -> DegreeStats:
-    """Exact min/max/average degree, degree variance, and requested moments."""
+def degree_stats(graph: Graph) -> DegreeStats:
+    """Exact min/max/average degree and degree variance."""
     if graph.n == 0:
         raise ValueError("degree statistics undefined for the empty graph")
     deg = graph.degrees()
     n = graph.n
-    moments = {r: Fraction(sum(d**r for d in deg), n) for r in moment_orders}
     m1 = Fraction(sum(deg), n)
     m2 = Fraction(sum(d * d for d in deg), n)
     return DegreeStats(
@@ -295,7 +289,6 @@ def degree_stats(graph: Graph, moment_orders: Sequence[int] = (1, 2)) -> DegreeS
         max_degree=max(deg),
         average_degree=m1,
         degree_variance=m2 - m1 * m1,
-        moments=moments,
     )
 
 

@@ -6,7 +6,7 @@ pairwise orbitally similar.  Orbital similarity is an equivalence relation,
 so comparing every term with the first decides every pair.  The
 preservation report checks every invariant that orbital similarity is
 supposed to carry along a sequence: entropy, spectral radius by both
-computation routes, degree extremes and moments, principal ratio,
+computation routes, degree extremes, average and variance, principal ratio,
 edge-vertex ratio, the strict decay of the density index, and the
 cyclomatic trichotomy.
 
@@ -66,12 +66,6 @@ class SequenceSpec:
     @classmethod
     def loads(cls, text: str) -> "SequenceSpec":
         return cls.from_dict(json.loads(text))
-
-    def as_dict(self) -> dict:
-        data: dict = {"family": self.family, **self.params}
-        if self.base is not None:
-            data["base"] = self.base.as_dict()
-        return data
 
 
 @dataclass(frozen=True)

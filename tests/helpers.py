@@ -7,7 +7,7 @@ from itertools import combinations
 
 import hypothesis.strategies as st
 
-from orbigraph.aut import Partition
+from orbigraph.aut import Partition, Permutation
 from orbigraph.graph_core import Graph, is_connected
 from orbigraph.orbital import DivisorMatrix
 
@@ -30,6 +30,17 @@ def all_graphs(n: int):
 
 def all_connected_graphs(n: int):
     return (g for g in all_graphs(n) if is_connected(g))
+
+
+def compose(p: Permutation, q: Permutation) -> Permutation:
+    """p after q: v -> p(q(v))."""
+    return Permutation(tuple(p.image[q.image[v]] for v in range(len(p))))
+
+
+def preserves_edges(p: Permutation, graph: Graph) -> bool:
+    """True iff p maps every edge of graph onto an edge."""
+    img = p.image
+    return all((min(img[u], img[v]), max(img[u], img[v])) in graph.edges for u, v in graph.edges)
 
 
 def _brute_force_automorphisms(graph: Graph):

@@ -126,12 +126,32 @@ def test_analyze_error_exits(tmp_path, capsys):
     assert "disconnected" in captured.err and "above the supported cap 2000" in captured.err
 
 
+def test_compare_above_the_cap_is_a_resource_error(tmp_path, capsys):
+    small, large = _write(tmp_path, "p5", path(5)), _write(tmp_path, "p2001", path(2001))
+    for a, b in ((large, small), (small, large)):
+        assert main(["compare", a, b]) == EXIT_RESOURCE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "graph has 2001 vertices, above the supported cap 2000" in captured.err
+
+
 def test_sequence_parse_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{family: cycles", encoding="ascii")
     assert main(["sequence", str(bad)]) == EXIT_PARSE
     assert main(["sequence", "--count", "1", _spec(tmp_path, {"family": "cycles"})]) == EXIT_PARSE
     assert "count must be >= 2" in capsys.readouterr().err
+
+
+def test_over_nested_sequence_spec_is_a_parse_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    level = '{"family": "corona-family", "p": 3, "q": 2, "base": '
+    deep.write_text(level * 1200 + '{"family": "cycles"}' + "}" * 1200, encoding="ascii")
+    brackets = tmp_path / "brackets.json"
+    brackets.write_text("[" * 100000, encoding="ascii")
+    for spec in (deep, brackets):
+        assert main(["sequence", str(spec)]) == EXIT_PARSE
+        assert "spec nested too deeply" in capsys.readouterr().err
 
 
 def test_complete_graphs_start_below_three_is_a_parse_error(tmp_path, capsys):

@@ -104,12 +104,8 @@ class TestDegreeStats:
         assert s.min_degree == 1 and s.max_degree == 2
         assert s.average_degree == Fraction(8, 5)
         assert s.degree_variance == Fraction(6, 25)
-        assert s.moments[1] == Fraction(8, 5)
-        assert s.moments[2] == Fraction(14, 5)
-
-    def test_requested_moments(self):
-        s = degree_stats(path(3), moment_orders=(1, 2, 3))
-        assert s.moments[3] == Fraction(1 + 8 + 1, 3)
+        # mean square degree (1 + 4 + 4 + 4 + 1)/5 = 14/5
+        assert s.degree_variance + s.average_degree**2 == Fraction(14, 5)
 
     def test_complete(self):
         s = degree_stats(complete(4))
@@ -118,7 +114,8 @@ class TestDegreeStats:
 
     def test_variance_identity(self):
         s = degree_stats(star(3))
-        assert s.degree_variance == s.moments[2] - s.moments[1] ** 2
+        deg = star(3).degrees()
+        assert s.degree_variance == Fraction(sum(d * d for d in deg), 4) - Fraction(sum(deg), 4) ** 2
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
