@@ -51,9 +51,9 @@ digraphs (McKay & Piperno, Practical graph isomorphism II, 2014): they are
 isomorphic iff some generator of the union's group swaps the two sides.
 
 Scale, measured on one core of an Intel Xeon with Python 3.11, at the
-2000-vertex cap: the search takes 0.11 s on torus(40, 50), 0.25 s on
-cycle_with_cliques(400, 3, 2), 0.7 s on loaded_torus((20, 20), 2, 2)
-(a 400-level base), 0.8 s on crossed_prism(1000) (500 levels), and 0.2 s
+2000-vertex cap: the search takes 0.12 s on torus(40, 50), 0.19 s on
+cycle_with_cliques(400, 3, 2), 0.5 s on loaded_torus((20, 20), 2, 2)
+(a 400-level base), 0.6 s on crossed_prism(1000) (500 levels), and 0.15 s
 on a rigid random cubic graph with 1000 vertices.
 """
 
@@ -411,14 +411,15 @@ class _AutSearch:
 
     def __init__(self, colour: Sequence, adj: Sequence[Sequence[int]], arcs: Mapping[tuple[int, int], int]) -> None:
         self.n = len(adj)
+        # Generators copy this list, so they share its int objects.
+        self.identity = list(range(self.n))
         self.arcs = arcs
-        self.heads = adj
+        self.heads = adj  # of the input, for the arc check
         self.generators: list[tuple[int, ...]] = []
         self.twin_order = 1
         # blocks[q] lists the input vertices that quotient vertex q stands for,
         # in the order in which a permutation of the quotient lifts.
         blocks = [[v] for v in range(self.n)]
-        twin_blocks: list[list[list[int]]] = []
         while True:
             classes = _twin_classes(colour, adj)
             if len(classes) == len(adj):
@@ -429,7 +430,9 @@ class _AutSearch:
                     class_of[v] = q
                 if len(members) > 1:
                     self.twin_order *= factorial(len(members))
-                    twin_blocks.append([blocks[v] for v in members])
+                    self._add_block_cycle([blocks[v] for v in members[:2]])
+                    if len(members) > 2:
+                        self._add_block_cycle([blocks[v] for v in members])
             # A representative has equal weights to every member of another
             # class, so its arcs to the representatives carry the quotient.
             rep = [members[0] for _, members in classes]
@@ -438,29 +441,27 @@ class _AutSearch:
             blocks = [[v for w in members for v in blocks[w]] for _, members in classes]
         self.adj = adj
         self.blocks = blocks
-        self.twin_blocks = twin_blocks
         colours: dict = {}
         for q, c in enumerate(colour):
             colours.setdefault(c, []).append(q)
         self.colour_cells = [colours[key] for key in sorted(colours)]
         self.orbits = _UnionFind(range(len(adj)))
         self.first_traces: list[list] = []
-        self.first_labs: list[list[int]] = []
+        self.first_leaf: list[int] = []
         self.targets: list[int] = []
         self.order = 1
 
     def run(self) -> None:
         node = _Cells.from_cells(len(self.adj), self.colour_cells)
         self.first_traces.append(node.refine(self.adj, node.starts()))
-        self.first_labs.append(node.lab)
         self.targets.append(node.target())
         path: list[_Cells] = []
         while (c := self.targets[-1]) >= 0:
             path.append(node)
             node = node.copy()
             self.first_traces.append(node.refine(self.adj, [node.individualize(min(node.lab[c : c + node.clen[c]]))]))
-            self.first_labs.append(node.lab)
             self.targets.append(node.target())
+        self.first_leaf = node.lab
         # Deepest level first: every generator found so far fixes the base
         # vertices above the level being tried.
         while path:
@@ -473,13 +474,9 @@ class _AutSearch:
                 if self.orbits.find(v) != self.orbits.find(b):
                     self._try(node, v, level + 1)
             self.order *= self.orbits.class_size(b)
-        for blocks in self.twin_blocks:
-            self._add_block_cycle(blocks[:2])
-            if len(blocks) > 2:
-                self._add_block_cycle(blocks)
 
     def _add_block_cycle(self, cycle: list[list[int]]) -> None:
-        image = list(range(self.n))
+        image = self.identity[:]
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
             for u, v in zip(a, b):
                 image[u] = v
@@ -497,7 +494,7 @@ class _AutSearch:
             node = parent.copy()
             if node.refine(self.adj, [node.individualize(todo.pop())], self.first_traces[level]) is None:
                 continue
-            image = self._singleton_map(node, level)
+            image = self._singleton_map(node)
             if image is None:
                 # Equal traces give the first path's cells, so its target too.
                 c = self.targets[level]
@@ -505,7 +502,7 @@ class _AutSearch:
             elif self._accept(image):
                 return
 
-    def _singleton_map(self, node: _Cells, level: int) -> list[int] | None:
+    def _singleton_map(self, node: _Cells) -> list[int] | None:
         """The candidate that node's singletons give, or None if there is none.
 
         node has passed the trace check, so its cells have the starts and
@@ -513,6 +510,8 @@ class _AutSearch:
         non-singleton cell also holds the same vertices as in F, the candidate
         maps F's vertex at each singleton position to node's vertex there and
         fixes everything else; a leaf is the case of no non-singleton cell.
+        Refinement only reorders a cell within its segment of positions, so
+        the first leaf holds F's singletons, and F's cell at each segment.
 
         If the candidate is not an automorphism, no leaf below node gives
         one: such an automorphism would map F onto node, so agree with the
@@ -522,8 +521,8 @@ class _AutSearch:
         too.  The caller therefore abandons node when the candidate fails.
         """
         cell_of, clen = node.cell_of, node.clen
-        image = list(range(len(cell_of)))
-        for a, b in zip(self.first_labs[level], node.lab):
+        image = self.identity[: len(cell_of)]
+        for a, b in zip(self.first_leaf, node.lab):
             if a != b:
                 c = cell_of[b]
                 if clen[c] == 1:
@@ -535,7 +534,7 @@ class _AutSearch:
     def _accept(self, image: list[int]) -> bool:
         """Lift a permutation of the quotient; keep it if it is an automorphism."""
         moved = [q for q, r in enumerate(image) if q != r]
-        lifted = list(range(self.n))
+        lifted = self.identity[:]
         for q in moved:
             for a, b in zip(self.blocks[q], self.blocks[image[q]]):
                 lifted[a] = b
@@ -547,10 +546,10 @@ class _AutSearch:
         return True
 
     def _is_automorphism(self, image: list[int], moved: list[int]) -> bool:
-        # An arc between fixed vertices maps to itself, and an arc back
-        # follows from its arc forth and the colours, which every candidate
-        # preserves; so only the arcs out of moved vertices are checked, each
-        # once.
+        # An arc between fixed vertices maps to itself, and an arc's weight
+        # follows from its reverse's and the colours, which every candidate
+        # keeps; so each arc with a moved end is checked once, out of that
+        # end, or out of the smaller end if both move.
         arcs = self.arcs
         for u in moved:
             iu = image[u]
