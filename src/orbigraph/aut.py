@@ -46,15 +46,21 @@ The group order is the product over levels of the base vertex's orbit size
 when its level finishes, times (class size)! for every twin class of every
 round.  Orbits are the unions of the blocks in a quotient vertex's orbit.
 
-Isomorphism runs the same search on the disjoint union of two connected
-digraphs (McKay & Piperno, Practical graph isomorphism II, 2014): they are
-isomorphic iff some generator of the union's group swaps the two sides.
+Isomorphism of two connected digraphs is the classical IR test on their
+disjoint union (McKay & Piperno, Practical graph isomorphism II, 2014):
+they are isomorphic iff an automorphism of the union swaps the two sides,
+and then one lies below the root's candidates on the other side.  So only
+the first path is searched, then the root's candidates in the second
+digraph, and the search stops at the first automorphism.
 
 Scale, measured on one core of an Intel Xeon with Python 3.11, at the
 2000-vertex cap: the search takes 0.12 s on torus(40, 50), 0.19 s on
 cycle_with_cliques(400, 3, 2), 0.5 s on loaded_torus((20, 20), 2, 2)
 (a 400-level base), 0.6 s on crossed_prism(1000) (500 levels), and 0.15 s
-on a rigid random cubic graph with 1000 vertices.
+on a rigid random cubic graph with 1000 vertices.  On a rigid random cubic
+graph with 2000 vertices and a relabelling of it, isomorphism takes 0.8 s,
+and the whole `orbigraph compare`, which decides it on the 2000-cell
+digraphs of the two divisor matrices, about 3 s.
 """
 
 from __future__ import annotations
@@ -451,7 +457,8 @@ class _AutSearch:
         self.targets: list[int] = []
         self.order = 1
 
-    def run(self) -> None:
+    def first_path(self) -> list[_Cells]:
+        """Search the first path; return its nodes above the leaf, root first."""
         node = _Cells.from_cells(len(self.adj), self.colour_cells)
         self.first_traces.append(node.refine(self.adj, node.starts()))
         self.targets.append(node.target())
@@ -462,6 +469,10 @@ class _AutSearch:
             self.first_traces.append(node.refine(self.adj, [node.individualize(min(node.lab[c : c + node.clen[c]]))]))
             self.targets.append(node.target())
         self.first_leaf = node.lab
+        return path
+
+    def run(self) -> None:
+        path = self.first_path()
         # Deepest level first: every generator found so far fixes the base
         # vertices above the level being tried.
         while path:
@@ -482,9 +493,10 @@ class _AutSearch:
                 image[u] = v
         self.generators.append(tuple(image))
 
-    def _try(self, parent: _Cells, v: int, level: int) -> None:
+    def _try(self, parent: _Cells, v: int, level: int) -> bool:
         """Depth-first search of the subtree of parent + v, whose root is at
-        `level`, for an automorphism; stops at the first one found."""
+        `level`, for an automorphism; stops at the first one found, kept as
+        the last generator, and says whether there was one."""
         stack = [(parent, level, [v])]
         while stack:
             parent, level, todo = stack[-1]
@@ -500,7 +512,8 @@ class _AutSearch:
                 c = self.targets[level]
                 stack.append((node, level + 1, sorted(node.lab[c : c + node.clen[c]], reverse=True)))
             elif self._accept(image):
-                return
+                return True
+        return False
 
     def _singleton_map(self, node: _Cells) -> list[int] | None:
         """The candidate that node's singletons give, or None if there is none.
@@ -588,11 +601,17 @@ def automorphism_group(graph: Graph) -> AutGroup:
 def isomorphism(a: ColouredDigraph, b: ColouredDigraph) -> tuple[int, ...] | None:
     """An isomorphism from a onto b as the image of each vertex of a, or None.
 
-    The search runs once on the disjoint union of a and b, with b's vertices
-    shifted past a's.  a and b must be connected: then an automorphism of
-    the union that moves one vertex of a into b moves all of them, and the
-    union's generators include such a one iff a and b are isomorphic.  The
-    answer is the restriction to a of the first generator that maps a onto b.
+    a and b must be connected.  The search is set up on the disjoint union
+    of a and b, with b's vertices shifted past a's, and looks for a swap: an
+    automorphism of the union that moves vertex 0 into b, so moves all of a
+    onto b.  A twin generator is one when each side collapses to a single
+    quotient vertex.  Otherwise only the first path is searched, and then
+    the root's candidates in b, in ascending order; the first automorphism
+    found below one of them is the answer, restricted to a.  That is
+    complete: a swap keeps every cell of the root, so maps the root's first
+    base vertex to a candidate in b, below which lies a leaf equivalent to
+    the first leaf.  Levels below the root are not searched, since they
+    only find automorphisms of a that fix the base, and automorphisms of b.
     """
     na = len(a.adj)
     if na != len(b.adj) or len(a.arcs) != len(b.arcs) or sorted(a.colour) != sorted(b.colour):
@@ -600,10 +619,15 @@ def isomorphism(a: ColouredDigraph, b: ColouredDigraph) -> tuple[int, ...] | Non
     adj = [*a.adj, *([w + na for w in nbrs] for nbrs in b.adj)]
     arcs = {**a.arcs, **{(u + na, v + na): w for (u, v), w in b.arcs.items()}}
     search = _AutSearch([*a.colour, *b.colour], adj, arcs)
-    search.run()
     for g in search.generators:
-        if all(g[v] >= na for v in range(na)):
-            return tuple(g[v] - na for v in range(na))
+        if g[0] >= na:
+            return tuple(w - na for w in g[:na])
+    path = search.first_path()
+    if path:
+        root, c = path[0], search.targets[0]
+        for v in sorted(root.lab[c : c + root.clen[c]])[1:]:
+            if search.blocks[v][0] >= na and search._try(root, v, 1) and (g := search.generators[-1])[0] >= na:
+                return tuple(w - na for w in g[:na])
     return None
 
 

@@ -61,11 +61,25 @@ class CliError(Exception):
         self.code = code
 
 
-def _load_graph(path: str, fmt: str) -> Graph:
+def _read_ascii(path: str) -> str:
     try:
-        text = Path(path).read_text(encoding="ascii")
+        return Path(path).read_text(encoding="ascii")
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_PARSE) from exc
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise CliError(f"{path}: not ASCII text (byte {byte:#04x} at offset {exc.start})", EXIT_PARSE) from exc
+
+
+def _write_ascii(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="ascii")
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}", EXIT_PARSE) from exc
+
+
+def _load_graph(path: str, fmt: str) -> Graph:
+    text = _read_ascii(path)
     try:
         return parse_edge_list(text) if fmt == "edgelist" else parse_graph6(text)
     except GraphFormatError as exc:
@@ -89,6 +103,35 @@ def _with_meta(payload: dict, meta: bool) -> dict:
             "generated_at": datetime.now(timezone.utc).isoformat(),
         }
     return payload
+
+
+def _dumps(obj, indent: str = "\n") -> str:
+    """Exactly `json.dumps(obj, indent=2)` for the reports printed here.
+
+    obj may hold str-keyed dicts, lists, tuples and JSON scalars; other
+    key types are not supported.  json.dumps with an indent runs the
+    pure-Python encoder, one call per item, which is most of the time of
+    a large analyze, whose divisor entries are ell**2 ints.  Here a
+    non-empty list of exact ints (bools excluded) is one C-encoder call
+    with its commas turned into the indented separator.  Every other
+    value recurses, and keys and scalars go through json.dumps itself.
+    """
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        items = (json.dumps(key) + ": " + _dumps(value, inner) for key, value in obj.items())
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        if set(map(type, obj)) == {int}:
+            body = json.dumps(obj, separators=(",", ":"))[1:-1].replace(",", "," + inner)
+        else:
+            body = ("," + inner).join(_dumps(x, inner) for x in obj)
+        return "[" + inner + body + indent + "]"
+    return json.dumps(obj)
 
 
 def _print_analysis_table(payload: dict) -> None:
@@ -125,10 +168,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     _require_desk_scale(graph)
     record = analyze_term(graph)
     if args.dot:
-        Path(args.dot).write_text(to_dot(graph, record.orbits), encoding="ascii")
+        _write_ascii(args.dot, to_dot(graph, record.orbits))
     payload = record.as_dict()
     if args.json:
-        print(json.dumps(_with_meta(payload, args.meta), indent=2))
+        print(_dumps(_with_meta(payload, args.meta)))
     else:
         _print_analysis_table(payload)
     return EXIT_OK
@@ -146,7 +189,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     ent_a, ent_b = profile_a.entropy, profile_b.entropy
     payload = {**verdict.as_dict(), "homothetic": homothetic, "entropy_a": ent_a, "entropy_b": ent_b}
     if args.json:
-        print(json.dumps(_with_meta(payload, args.meta), indent=2))
+        print(_dumps(_with_meta(payload, args.meta)))
     else:
         print(f"orbitally similar   {verdict.similar}")
         print(f"orbitally homothetic {homothetic}")
@@ -177,7 +220,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         raise CliError(str(exc), EXIT_PARSE) from exc
     text = serialize_edge_list(graph) if args.format == "edgelist" else to_graph6(graph) + "\n"
     if args.out:
-        Path(args.out).write_text(text, encoding="ascii")
+        _write_ascii(args.out, text)
         print(f"wrote {args.family}: order {graph.n}, size {graph.m} -> {args.out}")
     else:
         sys.stdout.write(text)
@@ -200,16 +243,17 @@ def _print_sequence_table(report) -> None:
 
 
 def cmd_sequence(args: argparse.Namespace) -> int:
+    text = _read_ascii(args.specfile)
     try:
-        spec = SequenceSpec.loads(Path(args.specfile).read_text(encoding="ascii"))
+        spec = SequenceSpec.loads(text)
         graphs = generate_sequence(spec, args.count)
-    except (OSError, json.JSONDecodeError, SequenceSpecError) as exc:
+    except (json.JSONDecodeError, SequenceSpecError) as exc:
         raise CliError(f"{args.specfile}: {exc}", EXIT_PARSE) from exc
     except RecursionError as exc:
         raise CliError(f"{args.specfile}: spec nested too deeply", EXIT_PARSE) from exc
     report = preservation_report(graphs)
     if args.json:
-        print(json.dumps(_with_meta(report.as_dict(), args.meta), indent=2))
+        print(_dumps(_with_meta(report.as_dict(), args.meta)))
     else:
         _print_sequence_table(report)
     if not report.verdict.self_similar:

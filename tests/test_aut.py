@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -368,3 +369,38 @@ def test_isomorphism_of_regular_graphs_refinement_cannot_separate():
         h = g.relabel([(5 * v + 1) % g.n for v in range(g.n)])
         phi = _isomorphism(g, h)
         assert phi is not None and g.relabel(phi) == h
+
+
+def test_isomorphism_agrees_with_networkx_on_the_graph_atlas():
+    nx = pytest.importorskip("networkx")
+    groups: dict[tuple, list] = {}
+    for g in nx.graph_atlas_g():
+        if g.number_of_nodes() and nx.is_connected(g):
+            groups.setdefault(tuple(sorted(d for _, d in g.degree())), []).append(g)
+    rng = random.Random(2501)
+    pairs = 0
+    for group in groups.values():
+        graphs = [Graph.from_edges(g.number_of_nodes(), g.edges()) for g in group]
+        for i, j in itertools.combinations(range(len(group)), 2):
+            phi = _isomorphism(graphs[i], graphs[j])
+            assert (phi is not None) == nx.is_isomorphic(group[i], group[j])
+            assert phi is None or graphs[i].relabel(phi) == graphs[j]
+            pairs += 1
+        for g in graphs:
+            image = rng.sample(range(g.n), g.n)
+            phi = _isomorphism(g, g.relabel(image))
+            assert phi is not None and g.relabel(phi) == g.relabel(image)
+    assert sum(map(len, groups.values())) == 996 and pairs == 3125
+
+
+def test_isomorphism_of_single_vertices_is_a_twin_swap():
+    assert _isomorphism(complete(1), complete(1)) == (0,)
+
+
+def test_isomorphism_when_the_root_cell_holds_no_vertex_of_b():
+    # P4 and the star K1,3: one colour, three edges each.  The star's leaves
+    # are twins, and the root's target cell holds the two ends of the path,
+    # so in the first order it has no vertex of b, and in the second only
+    # vertices of b.
+    assert _isomorphism(path(4), star(3)) is None
+    assert _isomorphism(star(3), path(4)) is None

@@ -1,6 +1,9 @@
 import json
+import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import tied_star
 from orbigraph import spectral
@@ -11,6 +14,7 @@ from orbigraph.cli import (
     EXIT_PARSE,
     EXIT_RESOURCE,
     EXIT_VERIFY,
+    _dumps,
     main,
 )
 from orbigraph.constructions import cycle, path, torus
@@ -157,3 +161,57 @@ def test_over_nested_sequence_spec_is_a_parse_error(tmp_path, capsys):
 def test_complete_graphs_start_below_three_is_a_parse_error(tmp_path, capsys):
     assert main(["sequence", _spec(tmp_path, {"family": "complete-graphs", "start": 1})]) == EXIT_PARSE
     assert "start must be an integer >= 3" in capsys.readouterr().err
+
+
+def test_unwritable_output_path_is_a_parse_error(tmp_path, capsys):
+    p5 = _write(tmp_path, "p5", path(5))
+    missing = tmp_path / "no" / "such" / "x.out"
+    for argv, target in (
+        (["analyze", "--dot", str(missing), p5], missing),
+        (["analyze", "--dot", str(tmp_path), p5], tmp_path),
+        (["generate", "path", "--n", "4", "--out", str(missing)], missing),
+    ):
+        assert main(argv) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: cannot write {target}: ")
+
+
+def test_non_ascii_input_names_its_file(tmp_path, capsys):
+    edges, graph6, spec = tmp_path / "bad.edges", tmp_path / "bad.g6", tmp_path / "spec.json"
+    edges.write_bytes(b"2\xff1\n0 1\n")
+    graph6.write_bytes(b"D\xff{\n")
+    spec.write_bytes(b'{\xff"family": "cycles"}')
+    good = _write(tmp_path, "p2", path(2))
+    for argv, bad in (
+        (["analyze", str(edges)], edges),
+        (["analyze", "--format", "graph6", str(graph6)], graph6),
+        (["compare", good, str(edges)], edges),
+        (["sequence", str(spec)], spec),
+    ):
+        assert main(argv) == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: {bad}: not ASCII text (byte 0xff at offset 1)\n"
+
+
+_KEYS = st.text() | st.sampled_from(['"', "\\", "\n\t", "\x00", "\u00e9t\u00e9", "\u2028", "\U0001f600"])
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**80)
+    | st.floats()
+    | st.sampled_from([-0.0, 1e300, math.nan, math.inf, -math.inf])
+    | _KEYS
+)
+_INTS = st.lists(st.integers(), min_size=1, max_size=6) | st.lists(st.integers() | st.booleans(), max_size=6)
+_JSON = st.recursive(
+    _SCALARS | _INTS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(_JSON)
+def test_dumps_is_json_dumps_with_indent_two(value):
+    assert _dumps(value) == json.dumps(value, indent=2)
