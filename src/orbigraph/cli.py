@@ -91,9 +91,10 @@ def _require_connected(graph: Graph, path: str) -> None:
         raise CliError(f"{path}: graph is disconnected", EXIT_DISCONNECTED)
 
 
-def _require_desk_scale(graph: Graph, cap: int = 2000) -> None:
+def _require_desk_scale(graph: Graph, cap: int = 2000, name: str = "graph") -> None:
+    """Exit 4 above the vertex cap; called before anything builds the n adjacency lists."""
     if graph.n > cap:
-        raise CliError(f"graph has {graph.n} vertices, above the supported cap {cap}", EXIT_RESOURCE)
+        raise CliError(f"{name} has {graph.n} vertices, above the supported cap {cap}", EXIT_RESOURCE)
 
 
 def _with_meta(payload: dict, meta: bool) -> dict:
@@ -164,8 +165,8 @@ def _print_analysis_table(payload: dict) -> None:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     graph = _load_graph(args.path, args.format)
-    _require_connected(graph, args.path)
     _require_desk_scale(graph)
+    _require_connected(graph, args.path)
     record = analyze_term(graph)
     if args.dot:
         _write_ascii(args.dot, to_dot(graph, record.orbits))
@@ -181,8 +182,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     a = _load_graph(args.path_a, args.format)
     b = _load_graph(args.path_b, args.format)
     for graph, path in ((a, args.path_a), (b, args.path_b)):
-        _require_connected(graph, path)
         _require_desk_scale(graph)
+        _require_connected(graph, path)
     verdict = orbitally_similar(a, b)
     profile_a, profile_b = orbit_profile(a), orbit_profile(b)
     homothetic = profile_a.omega == profile_b.omega
@@ -251,6 +252,8 @@ def cmd_sequence(args: argparse.Namespace) -> int:
         raise CliError(f"{args.specfile}: {exc}", EXIT_PARSE) from exc
     except RecursionError as exc:
         raise CliError(f"{args.specfile}: spec nested too deeply", EXIT_PARSE) from exc
+    for k, graph in enumerate(graphs):
+        _require_desk_scale(graph, name=f"term {k}")
     report = preservation_report(graphs)
     if args.json:
         print(_dumps(_with_meta(report.as_dict(), args.meta)))

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -17,13 +21,16 @@ from orbigraph.cli import (
     _dumps,
     main,
 )
-from orbigraph.constructions import cycle, path, torus
+from orbigraph.constructions import cycle, cycle_with_cliques, path, torus
 from orbigraph.graph_core import serialize_edge_list, to_graph6
 
 
-def test_certificate_failure_exits_with_resource_code(tmp_path, monkeypatch, capsys):
-    graph_file = tmp_path / "p5.edges"
-    graph_file.write_text(serialize_edge_list(path(5)), encoding="ascii")
+@pytest.mark.parametrize("n", [5, 2 * spectral.SMALL_ELL + 2], ids=["pure-python", "lapack"])
+def test_certificate_failure_exits_with_resource_code(n, tmp_path, monkeypatch, capsys):
+    # P5 has 3 orbit cells and path(2 * SMALL_ELL + 2) has SMALL_ELL + 1, so
+    # the perturbed eigenvalue reaches the certificate through both kernels.
+    graph_file = tmp_path / "path.edges"
+    graph_file.write_text(serialize_edge_list(path(n)), encoding="ascii")
     solve = spectral._top_eigenpair
 
     def perturbed(m):
@@ -137,6 +144,83 @@ def test_compare_above_the_cap_is_a_resource_error(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "graph has 2001 vertices, above the supported cap 2000" in captured.err
+
+
+@pytest.mark.parametrize("header", ["2001 0", "3000 0"])
+def test_vertex_cap_is_checked_before_connectivity(header, tmp_path, capsys):
+    # An edgeless graph above the cap is also disconnected; the cap decides
+    # first, before any adjacency list is built.
+    big = tmp_path / "big.edges"
+    big.write_text(header + "\n", encoding="ascii")
+    small = _write(tmp_path, "p5", path(5))
+    n = header.split()[0]
+    for argv in (["analyze", str(big)], ["compare", str(big), small], ["compare", small, str(big)]):
+        assert main(argv) == EXIT_RESOURCE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: graph has {n} vertices, above the supported cap 2000" in captured.err
+        assert "disconnected" not in captured.err
+
+
+def test_sequence_term_above_the_cap_is_a_resource_error(tmp_path, capsys):
+    spec = _spec(tmp_path, {"family": "cycles", "start": 2001})
+    assert main(["sequence", "--count", "2", spec]) == EXIT_RESOURCE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: term 0 has 2001 vertices, above the supported cap 2000" in captured.err
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"family": "generalized-sun", "p": 3, "q": 2, "start": 20},
+        {"family": "loaded-multi-torus", "q": 2, "m": 3, "r": 2,
+         "schedule": [[3, 4], [4, 4], [4, 5], [5, 5], [5, 6]]},
+        {"family": "corona-family", "p": 3, "q": 2, "base": {"family": "cycles", "start": 12}},
+        {"family": "cycles", "start": 1996},
+    ],
+    ids=["generalized-sun", "loaded-multi-torus-m3", "corona-family", "cycles-to-the-cap"],
+)
+def test_sequences_below_the_cap_verify(spec, tmp_path, capsys):
+    # The benchmark's sequence specs (the m=12 one is above), and cycles whose
+    # last term sits at the cap.
+    assert main(["sequence", "--count", "5", _spec(tmp_path, spec)]) == EXIT_OK
+    assert "self-similar: True" in capsys.readouterr().out
+
+
+def _run_child(code: str, *args: str) -> subprocess.CompletedProcess:
+    src = str(Path(spectral.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120)
+
+
+_CHILD = """
+import sys
+from orbigraph import cli
+try:
+    cli.main(["--version"])
+except SystemExit as exc:
+    assert exc.code == 0
+codes = [cli.main(argv.split("|")) for argv in sys.argv[1:]]
+print(codes, "numpy" in sys.modules)
+"""
+
+
+def test_cli_on_small_quotients_imports_no_numpy(tmp_path):
+    c4, c8 = _write(tmp_path, "c4", cycle(4)), _write(tmp_path, "c8", cycle(8))
+    sun = _write(tmp_path, "sun", cycle_with_cliques(10, 3, 2))
+    out = str(tmp_path / "t.edges")
+    argvs = [f"compare|{c4}|{c8}", f"analyze|--json|{sun}", f"generate|torus|--dims|3,4|--out|{out}", "demo|table1"]
+    child = _run_child(_CHILD, *argvs)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines()[-1] == "[0, 0, 0, 0] False"
+
+
+def test_cli_above_small_ell_imports_numpy(tmp_path):
+    graph = _write(tmp_path, "path", path(2 * spectral.SMALL_ELL + 2))
+    child = _run_child(_CHILD, f"analyze|--json|{graph}")
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines()[-1] == "[0] True"
 
 
 def test_sequence_parse_errors(tmp_path, capsys):

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 
 from helpers import connected_graphs, tied_star
-from orbigraph.aut import orbit_partition, unit_partition
+from orbigraph import constructions as cons
+from orbigraph import spectral
+from orbigraph.aut import Partition, orbit_partition, unit_partition
 from orbigraph.constructions import cartesian_product, complete, cycle, cycle_with_cliques, path, star
 from orbigraph.graph_core import Graph, degree_stats
-from orbigraph.orbital import DivisorMatrix, orbit_divisor_matrix
+from orbigraph.orbital import DivisorMatrix, divisor_matrix, orbit_divisor_matrix
+from orbigraph.sequences import SequenceSpec, generate
 from orbigraph.spectral import (
     check_orbit_constancy,
     principal_ratio,
@@ -245,3 +248,85 @@ def test_lemma_agreement_and_degree_sandwich(g):
 def test_orbit_constancy_property(g):
     report = check_orbit_constancy(g, orbit_partition(g))
     assert report.ok
+
+
+# The graphs of the benchmark's families workload and the terms of its
+# sequences: every orbit divisor matrix there has at most 13 cells.
+FAMILY_GRAPHS = {
+    "cycle_with_cliques(50,3,2)": cons.cycle_with_cliques(50, 3, 2),
+    "generalized_sun(60,2)": cons.generalized_sun(60, 2),
+    "loaded_torus((8,8),2,3)": cons.loaded_torus((8, 8), 2, 3),
+    "loaded_torus((6,8),2,3)": cons.loaded_torus((6, 8), 2, 3),
+    "torus((20,25))": cons.torus((20, 25)),
+    "corona(cycle(20),disjoint_cliques(2,3))": cons.corona(cons.cycle(20), cons.disjoint_cliques(2, 3)),
+    "crossed_prism(200)": cons.crossed_prism(200),
+}
+FAMILY_SEQUENCES = {
+    "generalized-sun": {"family": "generalized-sun", "p": 3, "q": 2, "start": 20},
+    "loaded-multi-torus-m3": {"family": "loaded-multi-torus", "q": 2, "m": 3, "r": 2,
+                              "schedule": [[3, 4], [4, 4], [4, 5], [5, 5], [5, 6]]},
+    "corona-family": {"family": "corona-family", "p": 3, "q": 2, "base": {"family": "cycles", "start": 12}},
+    "loaded-multi-torus-m12": {"family": "loaded-multi-torus", "q": 1, "m": 12, "r": 1, "schedule": [3, 4, 5, 6, 7]},
+}
+
+
+def discrete_partition(n: int) -> Partition:
+    """Every vertex its own cell (ell = n), equitable on every graph."""
+    return Partition(tuple((v,) for v in range(n)))
+
+
+def assert_kernels_agree(graph: Graph, partition: Partition) -> None:
+    """Jacobi and elimination against LAPACK on the same symmetrized matrix.
+
+    SMALL_ELL above every ell sends each solve through the pure-Python
+    kernels, and 0 sends it through LAPACK; both results must be certified.
+    """
+    dm = divisor_matrix(graph, partition)
+    results = []
+    for small_ell in (10**9, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "SMALL_ELL", small_ell)
+            rho_divisor, pivot, _ = spectral._divisor_perron(dm)
+            data = spectral_radius_adjacency(graph, partition)
+        assert data.rho_divisor == rho_divisor
+        assert_certified(data)
+        results.append((pivot, data))
+    (pivot_py, py), (pivot_np, lapack) = results
+    assert pivot_py == pivot_np
+    assert py.rho_divisor == pytest.approx(lapack.rho_divisor, rel=1e-12, abs=1e-300)
+    assert py.vector == pytest.approx(lapack.vector, rel=1e-12, abs=1e-300)
+
+
+class TestKernelsAgree:
+    @pytest.mark.parametrize("name", FAMILY_GRAPHS)
+    def test_family_graphs(self, name):
+        graph = FAMILY_GRAPHS[name]
+        assert_kernels_agree(graph, orbit_partition(graph))
+
+    @pytest.mark.parametrize("name", FAMILY_SEQUENCES)
+    def test_family_sequences(self, name):
+        for graph in generate(SequenceSpec.from_dict(FAMILY_SEQUENCES[name]), 5):
+            assert_kernels_agree(graph, orbit_partition(graph))
+
+    @pytest.mark.parametrize(
+        "graph",
+        [path(6), cycle(7), complete(5), star(4), tied_star(), cartesian_product(path(3), cycle(4)), cons.crossed_prism(8)],
+        ids=["P6", "C7", "K5", "star4", "tied-star", "P3xC4", "crossed-prism8"],
+    )
+    def test_discrete_partitions(self, graph):
+        # On the vertex-transitive ones every entry of u ties with the largest.
+        assert_kernels_agree(graph, discrete_partition(graph.n))
+
+    def test_pivot_ties_pick_the_first_cell(self):
+        dm = divisor_matrix(cycle(9), discrete_partition(9))
+        for small_ell in (10**9, 0):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(spectral, "SMALL_ELL", small_ell)
+                assert spectral._divisor_perron(dm)[1] == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(connected_graphs(min_n=1, max_n=8))
+def test_kernels_agree_on_connected_graphs(g):
+    assert_kernels_agree(g, orbit_partition(g))
+    assert_kernels_agree(g, discrete_partition(g.n))
