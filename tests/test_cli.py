@@ -182,8 +182,8 @@ def test_sequence_term_above_the_cap_is_a_resource_error(tmp_path, capsys):
     ids=["generalized-sun", "loaded-multi-torus-m3", "corona-family", "cycles-to-the-cap"],
 )
 def test_sequences_below_the_cap_verify(spec, tmp_path, capsys):
-    # The benchmark's sequence specs (the m=12 one is above), and cycles whose
-    # last term sits at the cap.
+    # The benchmark's sequence specs (test_sequence_with_thirteen_orbits_verifies
+    # has its m=12 one), and cycles whose last term sits at the cap.
     assert main(["sequence", "--count", "5", _spec(tmp_path, spec)]) == EXIT_OK
     assert "self-similar: True" in capsys.readouterr().out
 
