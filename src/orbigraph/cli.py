@@ -30,7 +30,8 @@ from .graph_core import (
 )
 from .orbital import entropy_of, orbit_profile, orbitally_similar
 from .sequences import (
-    SequenceSpec, SequenceSpecError, analyze_term, generate as generate_sequence, preservation_report,
+    SequenceSpec, SequenceSpecError, analyze_term, describe_families, generate as generate_sequence,
+    preservation_report,
 )
 from .spectral import CertificateError
 from . import constructions as cons
@@ -91,10 +92,10 @@ def _require_connected(graph: Graph, path: str) -> None:
         raise CliError(f"{path}: graph is disconnected", EXIT_DISCONNECTED)
 
 
-def _require_desk_scale(graph: Graph, cap: int = 2000, name: str = "graph") -> None:
+def _require_desk_scale(n: int, cap: int = 2000, name: str = "graph") -> None:
     """Exit 4 above the vertex cap; called before anything builds the n adjacency lists."""
-    if graph.n > cap:
-        raise CliError(f"{name} has {graph.n} vertices, above the supported cap {cap}", EXIT_RESOURCE)
+    if n > cap:
+        raise CliError(f"{name} has {n} vertices, above the supported cap {cap}", EXIT_RESOURCE)
 
 
 def _with_meta(payload: dict, meta: bool) -> dict:
@@ -165,7 +166,7 @@ def _print_analysis_table(payload: dict) -> None:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     graph = _load_graph(args.path, args.format)
-    _require_desk_scale(graph)
+    _require_desk_scale(graph.n)
     _require_connected(graph, args.path)
     record = analyze_term(graph)
     if args.dot:
@@ -182,7 +183,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     a = _load_graph(args.path_a, args.format)
     b = _load_graph(args.path_b, args.format)
     for graph, path in ((a, args.path_a), (b, args.path_b)):
-        _require_desk_scale(graph)
+        _require_desk_scale(graph.n)
         _require_connected(graph, path)
     verdict = orbitally_similar(a, b)
     profile_a, profile_b = orbit_profile(a), orbit_profile(b)
@@ -247,13 +248,14 @@ def cmd_sequence(args: argparse.Namespace) -> int:
     text = _read_ascii(args.specfile)
     try:
         spec = SequenceSpec.loads(text)
+        # Each term's order follows from the spec: check the cap before building.
+        for k in range(args.count):
+            _require_desk_scale(spec.order(k), name=f"term {k}")
         graphs = generate_sequence(spec, args.count)
     except (json.JSONDecodeError, SequenceSpecError) as exc:
         raise CliError(f"{args.specfile}: {exc}", EXIT_PARSE) from exc
     except RecursionError as exc:
         raise CliError(f"{args.specfile}: spec nested too deeply", EXIT_PARSE) from exc
-    for k, graph in enumerate(graphs):
-        _require_desk_scale(graph, name=f"term {k}")
     report = preservation_report(graphs)
     if args.json:
         print(_dumps(_with_meta(report.as_dict(), args.meta)))
@@ -312,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("edgelist", "graph6"), default="edgelist")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("sequence", help="generate and verify a self-similar sequence")
+    p = sub.add_parser("sequence", help="generate and verify a self-similar sequence", epilog=describe_families(),
+                       formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("specfile")
     p.add_argument("--count", type=int, default=4)
     p.add_argument("--json", action="store_true")

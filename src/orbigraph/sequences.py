@@ -1,14 +1,24 @@
 """Declarative self-similar sequence generation and verification.
 
-A sequence spec names a family and its parameters; generation yields
-connected graphs of strictly increasing order which are then certified
-pairwise orbitally similar.  Orbital similarity is an equivalence relation,
-so comparing every term with the first decides every pair.  The
-preservation report checks every invariant that orbital similarity is
-supposed to carry along a sequence: entropy, spectral radius by both
-computation routes, degree extremes, average and variance, principal ratio,
-edge-vertex ratio, the strict decay of the density index, and the
-cyclomatic trichotomy.
+A sequence spec is a JSON object such as {"family": "corona-family", "p": 3,
+"q": 2, "base": {"family": "cycles", "start": 12}}: "family" picks a row of
+the family table and the other keys are its parameters.  Integer ones have
+a minimum ("start" defaults to it; booleans are not integers).  A family
+reads at most one other key: "schedule" (torus dimensions per term, an
+integer being one cycle, with increasing products), "op" (prism,
+strong-prism or minimal-corona) or "indices" (increasing base indices), and
+"base" is a nested spec.  Unknown keys and a stray base are errors.
+SequenceSpec checks all this once, when it is made, and a term builds only
+the base terms it uses.
+
+Generation yields connected graphs of strictly increasing order which are
+then certified pairwise orbitally similar.  Orbital similarity is an
+equivalence relation, so comparing every term with the first decides every
+pair.  The preservation report checks every invariant that orbital
+similarity is supposed to carry along a sequence: entropy, spectral radius
+(and that each reported divisor matrix has it as its Perron root), degree
+extremes, average and variance, principal ratio, edge-vertex ratio, the
+strict decay of the density index, and the cyclomatic trichotomy.
 
 analyze_term is the one per-graph analysis: every sequence term carries
 its record, and the CLI's analyze command reports the same record for one
@@ -20,13 +30,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from itertools import compress
+from math import fsum, prod
 from typing import Callable, Mapping, Sequence
 
 from . import constructions as cons
 from .aut import ColouredDigraph, automorphism_group, isomorphism
 from .graph_core import Graph, cyclomatic_number, degree_stats, density, edge_vertex_ratio, frac_str, is_connected
 from .orbital import DivisorMatrix, orbit_profile, orbitally_similar
-from .spectral import spectral_radius_adjacency, spectral_radius_divisor
+from .spectral import spectral_radius_adjacency
 
 FLOAT_TOL = 1e-9
 
@@ -43,35 +56,53 @@ class SequenceSpecError(ValueError):
 
 @dataclass(frozen=True)
 class SequenceSpec:
-    """A named self-similar family with parameters, possibly built on a base spec."""
+    """A named self-similar family with parameters, possibly built on a base spec.
+
+    Checked once, when it is made, against its family's row; an omitted
+    start is filled in with its minimum.  term(k) and order(k) trust it.
+    """
 
     family: str
     params: dict = field(default_factory=dict)
     base: "SequenceSpec | None" = None
 
+    def __post_init__(self) -> None:
+        row = _FAMILIES.get(self.family) if isinstance(self.family, str) else None
+        if row is None:
+            raise SequenceSpecError(f"unknown family {self.family!r}; known: {', '.join(sorted(_FAMILIES))}")
+        unknown = sorted(set(self.params) - set(row.ints) - {row.other})
+        _require(not unknown, f"{self.family} takes no key {', '.join(map(repr, unknown))}")
+        if row.base:
+            _require(isinstance(self.base, SequenceSpec), f"{self.family} needs a 'base' spec")
+        else:
+            _require(self.base is None, f"{self.family} takes no 'base'")
+        if "start" in row.ints:
+            object.__setattr__(self, "params", {"start": row.ints["start"], **self.params})
+        for key, low in row.ints.items():
+            value = self.params.get(key)
+            _require(type(value) is int and value >= low, f"{self.family}: {key} must be an integer >= {low}")
+        if row.check is not None:
+            row.check(self.params)
+
     @classmethod
     def from_dict(cls, data: Mapping) -> "SequenceSpec":
-        if "family" not in data:
-            raise SequenceSpecError("spec needs a 'family' tag")
-        family = data["family"]
-        if family not in _FAMILY_GENERATORS:
-            known = ", ".join(sorted(_FAMILY_GENERATORS))
-            raise SequenceSpecError(f"unknown family {family!r}; known: {known}")
+        _require(isinstance(data, Mapping), f"a spec must be a JSON object, not {type(data).__name__}")
+        _require("family" in data, "spec needs a 'family' tag")
+        base = data.get("base")
         params = {k: v for k, v in data.items() if k not in ("family", "base")}
-        base = cls.from_dict(data["base"]) if "base" in data else None
-        spec = cls(family, params, base)
-        _FAMILY_GENERATORS[family].validate(spec)
-        return spec
+        return cls(data["family"], params, cls.from_dict(base) if isinstance(base, Mapping) else base)
 
     @classmethod
     def loads(cls, text: str) -> "SequenceSpec":
         return cls.from_dict(json.loads(text))
 
+    def term(self, k: int) -> Graph:
+        """Term k (from 0), building only the base terms it uses."""
+        return _FAMILIES[self.family].term(self, k)
 
-@dataclass(frozen=True)
-class _Family:
-    validate: Callable[[SequenceSpec], None]
-    generate: Callable[[SequenceSpec, int], list[Graph]]
+    def order(self, k: int) -> int:
+        """The number of vertices of term k, from the spec alone."""
+        return _FAMILIES[self.family].order(self, k)
 
 
 def _require(condition: bool, message: str) -> None:
@@ -79,195 +110,145 @@ def _require(condition: bool, message: str) -> None:
         raise SequenceSpecError(message)
 
 
-def _check_schedule(schedule, r: int | None) -> list[tuple[int, ...]]:
+@dataclass(frozen=True)
+class _Family:
+    """One row of the family table: the integer parameters with their
+    minimums, term k and its order, the one non-integer parameter other with
+    a check of what the minimums do not say, and whether a base is taken."""
+
+    ints: Mapping[str, int]
+    term: Callable[[SequenceSpec, int], Graph]
+    order: Callable[[SequenceSpec, int], int]
+    other: str | None = None
+    check: Callable[[dict], None] | None = None
+    base: bool = False
+
+
+def _entry(spec: SequenceSpec, k: int):
+    """Entry k of the spec's schedule or indices."""
+    key = _FAMILIES[spec.family].other
+    values = spec.params[key]
+    _require(k < len(values), f"{spec.family} {key} has {len(values)} entries, no term {k}")
+    return values[k]
+
+
+def _dims(entry) -> tuple[int, ...]:
+    """Torus dimensions of a schedule entry; an integer is one cycle."""
+    return tuple(entry) if isinstance(entry, (list, tuple)) else (entry,)
+
+
+def _check_schedule(params: dict) -> None:
+    schedule, r = params.get("schedule"), params.get("r")
     _require(isinstance(schedule, (list, tuple)) and schedule, "schedule must be a nonempty list")
-    dims = []
-    for entry in schedule:
-        if isinstance(entry, int):
-            entry = (entry,)
-        entry = tuple(entry)
-        _require(all(isinstance(s, int) and s >= 3 for s in entry), f"schedule entry {entry} needs integers >= 3")
-        _require(r is None or len(entry) == r, f"schedule entry {entry} must have {r} components")
-        dims.append(entry)
-    products = [_product(d) for d in dims]
+    entries = [_dims(entry) for entry in schedule]
+    for dims in entries:
+        _require(dims and all(type(s) is int and s >= 3 for s in dims), f"schedule entry {dims} needs integers >= 3")
+        _require(r is None or len(dims) == r, f"schedule entry {dims} must have {r} components")
+    products = list(map(prod, entries))
     _require(
-        all(a < b for a, b in zip(products, products[1:])),
-        f"schedule products {products} must be strictly increasing",
+        all(a < b for a, b in zip(products, products[1:])), f"schedule products {products} must be strictly increasing"
     )
-    return dims
 
 
-def _product(values: Sequence[int]) -> int:
-    out = 1
-    for v in values:
-        out *= v
-    return out
-
-
-def _validate_start(spec: SequenceSpec, minimum: int) -> None:
-    start = spec.params.get("start", minimum)
-    _require(isinstance(start, int) and start >= minimum, f"start must be an integer >= {minimum}")
-
-
-def _indexed(minimum: int, build: Callable[[int], Graph], step: int = 1):
-    def generate(spec: SequenceSpec, count: int) -> list[Graph]:
-        start = spec.params.get("start", minimum)
-        return [build(start + step * k) for k in range(count)]
-
-    return generate
-
-
-def _validate_base(spec: SequenceSpec) -> None:
-    _require(spec.base is not None, f"family {spec.family!r} needs a 'base' spec")
-
-
-def _generate_base(spec: SequenceSpec, count: int) -> list[Graph]:
-    assert spec.base is not None
-    return generate(spec.base, count)
-
-
-def _torus_schedule_validate(spec: SequenceSpec) -> None:
-    _require("schedule" in spec.params, "torus-schedule needs a 'schedule' list")
-    _check_schedule(spec.params["schedule"], None)
-
-
-def _loaded_torus_validate(spec: SequenceSpec) -> None:
-    p = spec.params
-    _require(all(k in p for k in ("q", "m", "r", "schedule")), "loaded-multi-torus needs q, m, r, schedule")
-    _require(isinstance(p["q"], int) and p["q"] >= 1, "q must be an integer >= 1")
-    _require(isinstance(p["m"], int) and p["m"] >= 1, "m must be an integer >= 1")
-    _require(isinstance(p["r"], int) and p["r"] >= 1, "r must be an integer >= 1")
-    _check_schedule(p["schedule"], p["r"])
-
-
-def _schedule_terms(spec: SequenceSpec, count: int) -> list[tuple[int, ...]]:
-    dims = _check_schedule(spec.params["schedule"], spec.params.get("r"))
-    _require(len(dims) >= count, f"schedule has {len(dims)} entries, need {count}")
-    return dims[:count]
-
-
-def _gsun_validate(spec: SequenceSpec) -> None:
-    p = spec.params.get("p")
-    q = spec.params.get("q")
-    _require(isinstance(p, int) and p >= 1, "generalized-sun needs integer p >= 1")
-    _require(isinstance(q, int) and q >= 1, "generalized-sun needs integer q >= 1")
-    _validate_start(spec, 3)
-
-
-def _corona_validate(spec: SequenceSpec) -> None:
-    _validate_base(spec)
-    p = spec.params.get("p")
-    q = spec.params.get("q")
-    _require(isinstance(p, int) and p >= 1, "corona-family needs integer p >= 1")
-    _require(isinstance(q, int) and q >= 1, "corona-family needs integer q >= 1")
-
-
-def _derived_validate(spec: SequenceSpec) -> None:
-    _validate_base(spec)
-    op = spec.params.get("op")
-    _require(op in _DERIVED_OPS, f"derived op must be one of {sorted(_DERIVED_OPS)}")
-
-
-def _iterated_prism_validate(spec: SequenceSpec) -> None:
-    _validate_base(spec)
-    r = spec.params.get("r")
-    _require(isinstance(r, int) and r >= 0, "iterated-prism needs integer r >= 0")
-
-
-def _crossed_prisms_validate(spec: SequenceSpec) -> None:
-    _validate_start(spec, 4)
-    _require(spec.params.get("start", 4) % 2 == 0, "crossed-prisms start must be even")
-
-
-def _torus_fixed_validate(spec: SequenceSpec) -> None:
-    _require(isinstance(spec.params.get("m"), int) and spec.params["m"] >= 3, "torus-fixed needs integer m >= 3")
-    _validate_start(spec, 3)
-
-
-def _subsequence_validate(spec: SequenceSpec) -> None:
-    _validate_base(spec)
-    indices = spec.params.get("indices")
+def _check_indices(params: dict) -> None:
+    indices = params.get("indices")
     _require(isinstance(indices, (list, tuple)) and indices, "subsequence needs an 'indices' list")
     _require(
-        all(isinstance(i, int) and i >= 0 for i in indices)
-        and all(a < b for a, b in zip(indices, indices[1:])),
+        all(type(i) is int and i >= 0 for i in indices) and all(a < b for a, b in zip(indices, indices[1:])),
         "indices must be strictly increasing nonnegative integers",
     )
 
 
-_FAMILY_GENERATORS: dict[str, _Family] = {
-    "cycles": _Family(lambda s: _validate_start(s, 3), _indexed(3, cons.cycle)),
-    "circular-ladders": _Family(lambda s: _validate_start(s, 3), _indexed(3, cons.circular_ladder)),
-    "moebius-ladders": _Family(lambda s: _validate_start(s, 3), _indexed(3, cons.moebius_ladder)),
-    "crossed-prisms": _Family(_crossed_prisms_validate, _indexed(4, cons.crossed_prism, step=2)),
-    "antiprisms": _Family(lambda s: _validate_start(s, 3), _indexed(3, cons.antiprism)),
+def _indexed(build: Callable[[int], Graph], factor: int, low: int = 3, step: int = 1, **row) -> _Family:
+    """A family whose term k is build(n), n = start + step * k, with factor * n vertices."""
+    return _Family(
+        {"start": low},
+        lambda s, k: build(s.params["start"] + step * k),
+        lambda s, k: factor * (s.params["start"] + step * k),
+        **row,
+    )
+
+
+_FAMILIES: dict[str, _Family] = {
+    "cycles": _indexed(cons.cycle, 1),
+    "circular-ladders": _indexed(cons.circular_ladder, 2),
+    "moebius-ladders": _indexed(cons.moebius_ladder, 2),
+    "crossed-prisms": _indexed(
+        cons.crossed_prism, 2, low=4, step=2,
+        check=lambda p: _require(p["start"] % 2 == 0, "crossed-prisms start must be even"),
+    ),
+    "antiprisms": _indexed(cons.antiprism, 2),
     # Never self-similar: the divisor matrix of K_n is [n - 1], which differs
     # from term to term; kept as a sequence that must fail verification.
-    "complete-graphs": _Family(lambda s: _validate_start(s, 3), _indexed(3, cons.complete)),
+    "complete-graphs": _indexed(cons.complete, 1),
     "torus-fixed": _Family(
-        _torus_fixed_validate,
-        lambda s, count: [
-            cons.torus((s.params.get("start", 3) + k, s.params["m"])) for k in range(count)
-        ],
+        {"start": 3, "m": 3},
+        lambda s, k: cons.torus((s.params["start"] + k, s.params["m"])),
+        lambda s, k: (s.params["start"] + k) * s.params["m"],
     ),
     "torus-schedule": _Family(
-        _torus_schedule_validate,
-        lambda s, count: [cons.torus(d) for d in _schedule_terms(s, count)],
+        {}, lambda s, k: cons.torus(_dims(_entry(s, k))), lambda s, k: prod(_dims(_entry(s, k))),
+        other="schedule", check=_check_schedule,
     ),
     "loaded-multi-torus": _Family(
-        _loaded_torus_validate,
-        lambda s, count: [
-            cons.loaded_torus(d, s.params["q"], s.params["m"]) for d in _schedule_terms(s, count)
-        ],
+        {"q": 1, "m": 1, "r": 1},
+        lambda s, k: cons.loaded_torus(_dims(_entry(s, k)), s.params["q"], s.params["m"]),
+        lambda s, k: prod(_dims(_entry(s, k))) * (1 + s.params["q"] * s.params["m"]),
+        other="schedule", check=_check_schedule,
     ),
     "generalized-sun": _Family(
-        _gsun_validate,
-        lambda s, count: [
-            cons.cycle_with_cliques(s.params.get("start", 3) + k, s.params["p"], s.params["q"])
-            for k in range(count)
-        ],
+        {"start": 3, "p": 1, "q": 1},
+        lambda s, k: cons.cycle_with_cliques(s.params["start"] + k, s.params["p"], s.params["q"]),
+        lambda s, k: (s.params["start"] + k) * (1 + s.params["q"] * (s.params["p"] - 1)),
     ),
     "corona-family": _Family(
-        _corona_validate,
-        lambda s, count: [
-            cons.corona(g, cons.disjoint_cliques(s.params["q"], s.params["p"]))
-            for g in _generate_base(s, count)
-        ],
+        {"p": 1, "q": 1},
+        lambda s, k: cons.corona(s.base.term(k), cons.disjoint_cliques(s.params["q"], s.params["p"])),
+        lambda s, k: s.base.order(k) * (1 + s.params["p"] * s.params["q"]),
+        base=True,
     ),
+    # r is at most 64: more doublings name no graph that could be built.
     "iterated-prism": _Family(
-        _iterated_prism_validate,
-        lambda s, count: [
-            g if s.params["r"] == 0 else cons.iterate(cons.prism, g, s.params["r"])
-            for g in _generate_base(s, count)
-        ],
+        {"r": 0},
+        lambda s, k: reduce(lambda g, _: cons.prism(g), range(s.params["r"]), s.base.term(k)),
+        lambda s, k: s.base.order(k) << s.params["r"],
+        check=lambda p: _require(p["r"] <= 64, "iterated-prism: r must be at most 64"),
+        base=True,
     ),
+    # Every derived op doubles the order.
     "derived": _Family(
-        _derived_validate,
-        lambda s, count: [_DERIVED_OPS[s.params["op"]](g) for g in _generate_base(s, count)],
+        {},
+        lambda s, k: _DERIVED_OPS[s.params["op"]](s.base.term(k)),
+        lambda s, k: 2 * s.base.order(k),
+        other="op",
+        check=lambda p: _require(
+            isinstance(p.get("op"), str) and p["op"] in _DERIVED_OPS,
+            f"derived op must be one of {sorted(_DERIVED_OPS)}",
+        ),
+        base=True,
     ),
     "subsequence": _Family(
-        _subsequence_validate,
-        lambda s, count: _subsequence_terms(s, count),
+        {}, lambda s, k: s.base.term(_entry(s, k)), lambda s, k: s.base.order(_entry(s, k)),
+        other="indices", check=_check_indices, base=True,
     ),
 }
 
 
-def _subsequence_terms(spec: SequenceSpec, count: int) -> list[Graph]:
-    indices = list(spec.params["indices"])
-    _require(len(indices) >= count, f"subsequence has {len(indices)} indices, need {count}")
-    indices = indices[:count]
-    base_terms = _generate_base(spec, max(indices) + 1)
-    return [base_terms[i] for i in indices]
+def describe_families() -> str:
+    """One line per family with the keys its spec takes, for the CLI's help."""
+    lines = ['spec families and their keys, e.g. {"family": "cycles", "start": 5} ([start] is optional):']
+    for name, row in _FAMILIES.items():
+        keys = [f"[start>={low}]" if key == "start" else f"{key}>={low}" for key, low in row.ints.items()]
+        keys += [row.other] * (row.other is not None) + ["base"] * row.base
+        lines.append(f"  {name:<20}{' '.join(keys)}")
+    return "\n".join(lines)
 
 
 def generate(spec: SequenceSpec, count: int) -> list[Graph]:
     """First `count` terms of the family described by `spec`."""
     if count < 2:
         raise SequenceSpecError(f"count must be >= 2, got {count}")
-    _FAMILY_GENERATORS[spec.family].validate(spec)
-    return _FAMILY_GENERATORS[spec.family].generate(spec, count)
-
-
+    return [spec.term(k) for k in range(count)]
 @dataclass(frozen=True)
 class SelfSimilarityVerdict:
     """Outcome of the growth / pairwise-similarity / seed conditions.
@@ -325,7 +306,9 @@ def verify_self_similar(graphs: Sequence[Graph], seed: Graph | None = None) -> S
 class TermRecord:
     """All per-graph quantities of one connected graph.
 
-    density is None below two vertices, where it is undefined.
+    density is None below two vertices, where it is undefined.  orbit_values
+    is the Perron vector of divisor on the cells, as certified on the graph;
+    it is not reported.
     """
 
     order: int
@@ -345,6 +328,7 @@ class TermRecord:
     edge_vertex_ratio: Fraction
     density: Fraction | None
     cyclomatic_number: int
+    orbit_values: tuple[float, ...]
 
     def as_dict(self) -> dict:
         """The analyze report: every field, fractions as "p/q"."""
@@ -402,6 +386,7 @@ def analyze_term(graph: Graph) -> TermRecord:
         edge_vertex_ratio=edge_vertex_ratio(graph),
         density=density(graph) if graph.n >= 2 else None,
         cyclomatic_number=cyclomatic_number(graph),
+        orbit_values=perron.orbit_values,
     )
 
 
@@ -488,13 +473,22 @@ def _density_check(terms: Sequence[TermRecord]) -> PreservationCheck:
 
 
 def _rho_paths_check(terms: Sequence[TermRecord]) -> PreservationCheck:
-    """Each term's reported divisor matrix, solved on its own, must give the
-    certified adjacency radius to within FLOAT_TOL * max(1, rho)."""
+    """Each term's reported divisor matrix B must have the certified adjacency
+    radius as its Perron root: every Collatz-Wielandt quotient (B alpha)_i /
+    alpha_i at the term's orbit values alpha lies within FLOAT_TOL * max(1, rho)
+    of it, which brackets the Perron root of B there.  No matrix is solved."""
     for k, t in enumerate(terms):
-        rho = spectral_radius_divisor(t.divisor)
-        if abs(rho - t.rho_adjacency) > FLOAT_TOL * max(1.0, t.rho_adjacency):
+        b, alpha = t.divisor, t.orbit_values
+        if b.ell != len(alpha):
             return PreservationCheck(
-                "rho_paths_agree", False, f"term {k}: divisor matrix gives {rho}, adjacency {t.rho_adjacency}"
+                "rho_paths_agree", False, f"term {k}: divisor matrix has {b.ell} cells, {len(alpha)} orbit values"
+            )
+        columns = range(b.ell)
+        quotients = [fsum(row[j] * alpha[j] for j in compress(columns, row)) / a for row, a in zip(b.entries, alpha)]
+        worst = max(quotients, key=lambda q: abs(q - t.rho_adjacency))
+        if abs(worst - t.rho_adjacency) > FLOAT_TOL * max(1.0, t.rho_adjacency):
+            return PreservationCheck(
+                "rho_paths_agree", False, f"term {k}: divisor matrix gives {worst}, adjacency {t.rho_adjacency}"
             )
     return PreservationCheck("rho_paths_agree", True)
 

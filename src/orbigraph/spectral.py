@@ -26,10 +26,10 @@ they are LAPACK's eigh and solve, and only then is numpy imported: its
 import is over half of the CLI's start-up (about 0.13-0.15 s of 0.23 s on
 a 2-vCPU Xeon VM with Python 3.11 and numpy 2.4), while the paper's
 self-similar families keep the same few cells however large the graph.
-SMALL_ELL = 20 is where the ten pure-Python solves of a five-term sequence
-(analyze_term and rho_paths_agree on each term) cost about that import on
+SMALL_ELL = 20 is where ten pure-Python solves cost about that import on
 that machine: 0.11-0.13 s at ell = 20, 0.19-0.27 s at 24 and 0.04 s at 13,
-against 2 ms through LAPACK.
+against 2 ms through LAPACK.  A five-term sequence makes five, one per
+analyze_term.
 
 The lift x is certified on A in O(m) from the edge list, never a dense A:
 for a positive x the Collatz-Wielandt quotients bracket the Perron root,

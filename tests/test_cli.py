@@ -22,7 +22,7 @@ from orbigraph.cli import (
     main,
 )
 from orbigraph.constructions import cycle, cycle_with_cliques, path, torus
-from orbigraph.graph_core import serialize_edge_list, to_graph6
+from orbigraph.graph_core import Graph, serialize_edge_list, to_graph6
 
 
 @pytest.mark.parametrize("n", [5, 2 * spectral.SMALL_ELL + 2], ids=["pure-python", "lapack"])
@@ -245,6 +245,66 @@ def test_over_nested_sequence_spec_is_a_parse_error(tmp_path, capsys):
 def test_complete_graphs_start_below_three_is_a_parse_error(tmp_path, capsys):
     assert main(["sequence", _spec(tmp_path, {"family": "complete-graphs", "start": 1})]) == EXIT_PARSE
     assert "start must be an integer >= 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"family": "cycles", "base": 5},
+        {"family": "torus-schedule", "schedule": [3.5]},
+        {"family": "derived", "base": {"family": "cycles"}, "op": ["x"]},
+        {"family": ["cycles"]},
+        5,
+        {"family": "cycles", "strat": 9},
+        {"family": "cycles", "base": {"family": "cycles"}},
+        {"family": "loaded-multi-torus", "q": 1, "m": 1, "r": True, "schedule": [3, 4]},
+    ],
+    ids=["base-not-a-spec", "float-schedule", "list-op", "list-family", "not-an-object", "unknown-key",
+         "stray-base", "boolean-int"],
+)
+def test_malformed_sequence_spec_is_a_parse_error(spec, tmp_path, capsys):
+    assert main(["sequence", "--count", "2", _spec(tmp_path, spec)]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"family": "cycles", "start": 300000}, "term 0 has 300000 vertices"),
+        ({"family": "generalized-sun", "p": 3, "q": 1000}, "term 0 has 6003 vertices"),
+        ({"family": "corona-family", "p": 10**9, "q": 10**9, "base": {"family": "cycles"}},
+         f"term 0 has {3 * (1 + 10**18)} vertices"),
+        ({"family": "iterated-prism", "r": 60, "base": {"family": "cycles"}}, f"term 0 has {3 * 2**60} vertices"),
+        ({"family": "loaded-multi-torus", "q": 1000, "m": 1000, "r": 1, "schedule": [3, 4]},
+         "term 0 has 3000003 vertices"),
+        ({"family": "subsequence", "indices": [0, 5000], "base": {"family": "moebius-ladders"}},
+         "term 1 has 10006 vertices"),
+    ],
+    ids=["cycles", "generalized-sun", "corona-family", "iterated-prism", "loaded-multi-torus", "subsequence"],
+)
+def test_sequence_cap_is_checked_before_any_term_is_built(spec, message, tmp_path, monkeypatch, capsys):
+    # Every construction builds its graph through Graph.from_edges.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(Graph, "from_edges", refuse)
+    assert main(["sequence", "--count", "2", _spec(tmp_path, spec)]) == EXIT_RESOURCE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}, above the supported cap 2000\n"
+
+
+def test_sequence_help_lists_every_family(capsys):
+    with pytest.raises(SystemExit):
+        main(["sequence", "--help"])
+    lines = capsys.readouterr().out.splitlines()
+    families = ("cycles", "circular-ladders", "moebius-ladders", "crossed-prisms", "antiprisms", "complete-graphs",
+                "torus-fixed", "torus-schedule", "loaded-multi-torus", "generalized-sun", "corona-family",
+                "iterated-prism", "derived", "subsequence")
+    listed = {line.split()[0] for line in lines if line.startswith("  ") and not line.startswith("   ")}
+    assert set(families) <= listed
 
 
 def test_unwritable_output_path_is_a_parse_error(tmp_path, capsys):

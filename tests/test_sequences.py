@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from orbigraph import constructions as cons
 from orbigraph import sequences
 from orbigraph.aut import automorphism_group
 from orbigraph.constructions import complete, crossed_prism, cycle, cycle_with_cliques, loaded_torus, path
@@ -17,6 +18,72 @@ def _cycles(count):
 
 def _check(report, name):
     return next(c for c in report.preservation if c.name == name)
+
+
+# One spec per family, plus a nested one, with the graphs its first three
+# terms must be, built directly from the constructions.
+FAMILY_CASES = {
+    "cycles": ({"family": "cycles", "start": 5}, lambda k: cons.cycle(5 + k)),
+    "circular-ladders": ({"family": "circular-ladders", "start": 4}, lambda k: cons.circular_ladder(4 + k)),
+    "moebius-ladders": ({"family": "moebius-ladders"}, lambda k: cons.moebius_ladder(3 + k)),
+    "crossed-prisms": ({"family": "crossed-prisms", "start": 6}, lambda k: cons.crossed_prism(6 + 2 * k)),
+    "antiprisms": ({"family": "antiprisms"}, lambda k: cons.antiprism(3 + k)),
+    "complete-graphs": ({"family": "complete-graphs", "start": 4}, lambda k: cons.complete(4 + k)),
+    "torus-fixed": ({"family": "torus-fixed", "m": 4}, lambda k: cons.torus((3 + k, 4))),
+    "torus-schedule": (
+        {"family": "torus-schedule", "schedule": [7, [3, 4], [3, 5]]},
+        lambda k: cons.torus([(7,), (3, 4), (3, 5)][k]),
+    ),
+    "loaded-multi-torus": (
+        {"family": "loaded-multi-torus", "q": 2, "m": 1, "r": 2, "schedule": [[3, 3], [3, 4], [4, 4]]},
+        lambda k: cons.loaded_torus([(3, 3), (3, 4), (4, 4)][k], 2, 1),
+    ),
+    "generalized-sun": (
+        {"family": "generalized-sun", "p": 3, "q": 2, "start": 4}, lambda k: cons.cycle_with_cliques(4 + k, 3, 2),
+    ),
+    "corona-family": (
+        {"family": "corona-family", "p": 2, "q": 3, "base": {"family": "cycles"}},
+        lambda k: cons.corona(cons.cycle(3 + k), cons.disjoint_cliques(3, 2)),
+    ),
+    "iterated-prism": (
+        {"family": "iterated-prism", "r": 2, "base": {"family": "cycles", "start": 4}},
+        lambda k: cons.prism(cons.prism(cons.cycle(4 + k))),
+    ),
+    "derived": (
+        {"family": "derived", "op": "minimal-corona", "base": {"family": "antiprisms"}},
+        lambda k: cons.minimal_corona(cons.antiprism(3 + k)),
+    ),
+    "subsequence": (
+        {"family": "subsequence", "indices": [0, 2, 5], "base": {"family": "moebius-ladders"}},
+        lambda k: cons.moebius_ladder(3 + [0, 2, 5][k]),
+    ),
+    "subsequence-derived-torus-fixed": (
+        {"family": "subsequence", "indices": [1, 2, 4],
+         "base": {"family": "derived", "op": "strong-prism", "base": {"family": "torus-fixed", "m": 3}}},
+        lambda k: cons.strong_prism(cons.torus((3 + [1, 2, 4][k], 3))),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", FAMILY_CASES, ids=str)
+def test_every_family_generates_its_constructions(case):
+    spec, build = FAMILY_CASES[case]
+    assert generate(SequenceSpec.from_dict(spec), 3) == [build(k) for k in range(3)]
+
+
+@pytest.mark.parametrize("case", FAMILY_CASES, ids=str)
+def test_order_from_the_spec_is_the_built_order(case):
+    spec = SequenceSpec.from_dict(FAMILY_CASES[case][0])
+    assert [spec.order(k) for k in range(3)] == [g.n for g in generate(spec, 3)]
+
+
+def test_subsequence_builds_only_the_base_terms_it_names(monkeypatch):
+    built = []
+    from_edges = Graph.from_edges
+    monkeypatch.setattr(Graph, "from_edges", lambda n, edges: built.append(n) or from_edges(n, edges))
+    spec = SequenceSpec.from_dict({"family": "subsequence", "indices": [0, 600], "base": {"family": "cycles"}})
+    assert [g.n for g in generate(spec, 2)] == [3, 603]
+    assert built == [3, 603]
 
 
 def test_cycles_preserve_every_invariant():
