@@ -355,7 +355,7 @@ def equitable_refinement(graph: Graph, seed: Partition | None = None) -> Partiti
     if seed.n != graph.n:
         raise ValueError(f"seed partitions {seed.n} vertices, graph has {graph.n}")
     cells = _Cells.from_cells(graph.n, seed.cells)
-    cells.refine(graph.adjacency(), cells.starts())
+    cells.refine(graph.adjacency, cells.starts())
     return Partition.from_cells(cells.cells()).canonical()
 
 
@@ -380,7 +380,7 @@ class ColouredDigraph(NamedTuple):
         """The graph with a single colour and both arcs of every edge."""
         arcs = dict.fromkeys(graph.edges, 1)
         arcs.update(dict.fromkeys(((v, u) for u, v in graph.edges), 1))
-        return cls((0,) * graph.n, graph.adjacency(), arcs)
+        return cls((0,) * graph.n, graph.adjacency, arcs)
 
 
 def _twin_classes(colour: Sequence, adj: Sequence[Sequence[int]]) -> list[tuple[int, list[int]]]:

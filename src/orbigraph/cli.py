@@ -247,12 +247,19 @@ def _print_sequence_table(report) -> None:
 def cmd_sequence(args: argparse.Namespace) -> int:
     text = _read_ascii(args.specfile)
     try:
+        # ValueError covers malformed JSON, a bad spec and an integer of more
+        # digits than int() converts.
         spec = SequenceSpec.loads(text)
+    except ValueError as exc:
+        raise CliError(f"{args.specfile}: {exc}", EXIT_PARSE) from exc
+    except RecursionError as exc:
+        raise CliError(f"{args.specfile}: spec nested too deeply", EXIT_PARSE) from exc
+    try:
         # Each term's order follows from the spec: check the cap before building.
         for k in range(args.count):
             _require_desk_scale(spec.order(k), name=f"term {k}")
         graphs = generate_sequence(spec, args.count)
-    except (json.JSONDecodeError, SequenceSpecError) as exc:
+    except SequenceSpecError as exc:
         raise CliError(f"{args.specfile}: {exc}", EXIT_PARSE) from exc
     except RecursionError as exc:
         raise CliError(f"{args.specfile}: spec nested too deeply", EXIT_PARSE) from exc

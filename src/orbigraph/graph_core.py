@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 
@@ -24,6 +25,8 @@ class Graph:
 
     Edges are stored as a frozenset of (u, v) pairs with u < v, so the
     value is hashable and immutable; all operations on it are pure.
+    Equality and hash are on (n, edges) alone: the adjacency and the
+    connectivity are derived from them once, on first use, and cached.
     """
 
     n: int
@@ -52,15 +55,33 @@ class Graph:
         """Number of edges."""
         return len(self.edges)
 
-    def adjacency(self) -> list[list[int]]:
-        """Neighbor lists, each sorted ascending."""
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Neighbour tuples, each sorted ascending; built once per graph."""
         adj: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        for nbrs in adj:
-            nbrs.sort()
-        return adj
+        return tuple(tuple(sorted(nbrs)) for nbrs in adj)
+
+    @cached_property
+    def connected(self) -> bool:
+        """True iff every vertex is reachable from vertex 0 (true for n <= 1)."""
+        if self.n <= 1:
+            return True
+        adj = self.adjacency
+        seen = [False] * self.n
+        seen[0] = True
+        queue = deque([0])
+        count = 1
+        while queue:
+            u = queue.popleft()
+            for w in adj[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    count += 1
+                    queue.append(w)
+        return count == self.n
 
     def degrees(self) -> list[int]:
         deg = [0] * self.n
@@ -259,21 +280,7 @@ def to_dot(graph: Graph, coloring: Sequence[Sequence[int]] | None = None) -> str
 
 def is_connected(graph: Graph) -> bool:
     """True iff every vertex is reachable from vertex 0 (true for n <= 1)."""
-    if graph.n <= 1:
-        return True
-    adj = graph.adjacency()
-    seen = [False] * graph.n
-    seen[0] = True
-    queue = deque([0])
-    count = 1
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                queue.append(w)
-    return count == graph.n
+    return graph.connected
 
 
 def degree_stats(graph: Graph) -> DegreeStats:

@@ -16,6 +16,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Sequence
 
 from .aut import ColouredDigraph, Partition, isomorphism, orbit_partition
@@ -92,7 +93,7 @@ def divisor_matrix(graph: Graph, partition: Partition) -> DivisorMatrix:
         raise ValueError("divisor matrix defined here for connected graphs only")
     if partition.n != graph.n:
         raise ValueError(f"partition covers {partition.n} vertices, graph has {graph.n}")
-    adj = graph.adjacency()
+    adj = graph.adjacency
     idx = partition.cell_index()
     ell = len(partition.cells)
     rows: list[tuple[int, ...]] = []
@@ -145,7 +146,7 @@ def _cell_digraph(dm: DivisorMatrix) -> ColouredDigraph:
     """Cells as vertices coloured (omega_i, B_ii), with an arc of weight B_ij from i to each j != i."""
     n = sum(dm.sizes)
     colour = [(Fraction(s, n), dm.entries[i][i]) for i, s in enumerate(dm.sizes)]
-    arcs = {(i, j): x for i, row in enumerate(dm.entries) for j, x in enumerate(row) if x and i != j}
+    arcs = {(i, j): row[j] for i, row in enumerate(dm.entries) for j in compress(range(dm.ell), row) if i != j}
     adj: list[list[int]] = [[] for _ in range(dm.ell)]
     for (i, j), x in arcs.items():
         adj[i] += [j] * x

@@ -17,19 +17,34 @@ matrix, rho I minus S^(1/2) B S^(-1/2) without row and column r, is a
 nonsingular M-matrix, and the solution keeps even the smallest entries to
 a few units of rounding on such graphs, where u loses them entirely.
 
-Two kernels do the eigenpair and the linear solve, chosen by the number of
-cells ell; everything else is one code path.  Up to SMALL_ELL cells they
-are pure Python: cyclic Jacobi, which is accurate on small symmetric
-matrices (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13, 1992), and
-Gaussian elimination, which needs no pivoting on an M-matrix.  Above it
-they are LAPACK's eigh and solve, and only then is numpy imported: its
-import is over half of the CLI's start-up (about 0.13-0.15 s of 0.23 s on
-a 2-vCPU Xeon VM with Python 3.11 and numpy 2.4), while the paper's
-self-similar families keep the same few cells however large the graph.
-SMALL_ELL = 20 is where ten pure-Python solves cost about that import on
-that machine: 0.11-0.13 s at ell = 20, 0.19-0.27 s at 24 and 0.04 s at 13,
-against 2 ms through LAPACK.  A five-term sequence makes five, one per
-analyze_term.
+Two kernels find rho(B) and make the pinned solve, chosen by the size of
+the matrix's envelope; the pivot rule, the lift and the certificate are one
+code path.  The pure-Python kernel takes the cells in reverse Cuthill-McKee
+order (Cuthill & McKee 1969; George 1971) and factors shift I - M = L D L^T,
+M being S^(1/2) B S^(-1/2), in envelope (skyline) storage: row k is held from its first nonzero to the
+diagonal, fill-in stays inside, and one factorization costs about
+sum_k w_k^2 / 2 multiply-adds for row widths w_k, so a path-like quotient
+of bandwidth b costs O(ell b^2).  shift I - M is a nonsingular M-matrix,
+all its pivots positive, exactly when shift > rho (Sylvester's law of
+inertia), so rho is found by bisection on that test, as LAPACK's dstebz
+does for tridiagonal matrices, stopping at the first pivot that is not
+positive.  The bracket starts at the least and the largest row sum of B
+(Collatz-Wielandt with x = 1), which are equal on a regular quotient, and
+ends when no float lies strictly between its ends.  At the upper end, the
+last shift that factored, one solve of (shift I - M) x = 1 gives x > 0,
+since the inverse of a nonsingular M-matrix is positive, and x, dominated
+by u, picks r.  On a regular quotient u is S^(1/2) times the ones vector.
+
+When sum_k w_k^2 is above ENVELOPE_WORK, LAPACK's eigh and solve do the
+same two steps, on a dense matrix built once, and only then is numpy imported.  Its
+import and first LAPACK calls take 88-115 ms in-process (2-vCPU Xeon VM,
+Python 3.11, numpy 2.4, one BLAS thread), about what a bisection costs at
+ENVELOPE_WORK = 40,000: 62-84 ms at 30,000 and 155 ms at 70,000 on random
+irregular graphs with one cell per vertex.  A regular quotient needs no
+bisection and costs far less, 8 ms at 100,000; rigid cubic graphs of
+several hundred vertices are well above the threshold and stay on LAPACK.
+The benchmark's path-like quotients of up to 200 cells have sum_k w_k^2
+at most 1,566, and a path of 2000 vertices 999.
 
 The lift x is certified on A in O(m) from the edge list, never a dense A:
 for a positive x the Collatz-Wielandt quotients bracket the Perron root,
@@ -50,14 +65,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import compress
-from operator import mul
+from operator import mul, truediv
 
 from .aut import Partition, orbit_partition
 from .graph_core import Graph, is_connected
 from .orbital import DivisorMatrix, divisor_matrix
 
 CERTIFICATE_TOL = 1e-10
-SMALL_ELL = 20
+ENVELOPE_WORK = 40_000
 # Entries of u within this relative distance of its largest count as tied
 # for the pivot cell; both kernels resolve u far more finely.
 PIVOT_TIE = 1e-9
@@ -118,112 +133,166 @@ def _symmetrized(dm: DivisorMatrix) -> tuple[list[dict[int, float]], list[float]
     return rows, root
 
 
-def _numpy_dense(rows: list[dict[int, float]]):
-    """numpy and the dense array of the sparse rows; numpy is imported here only."""
-    import numpy as np
+def _rcm_order(rows: list[dict[int, float]]) -> list[int]:
+    """The cells in reverse Cuthill-McKee order, which keeps the envelope narrow.
 
-    m = np.zeros((len(rows), len(rows)))
-    for i, row in enumerate(rows):
-        m[i, list(row)] = list(row.values())
-    return np, m
-
-
-def _jacobi_top(a: list[list[float]]) -> tuple[float, list[float]]:
-    """Largest eigenvalue of the symmetric a with its eigenvector, by cyclic Jacobi.
-
-    a is overwritten.  Each sweep rotates every nonzero off-diagonal entry
-    to zero (Rutishauser's formulas), until the off-diagonal Frobenius norm
-    is below 1e-14 of the whole; the diagonal then holds the eigenvalues to
-    about the square of that over the gap.
+    Breadth-first from a cell of least degree, each cell's new neighbours
+    in ascending degree, reversed (Cuthill & McKee 1969; George 1971).  The
+    matrix must be irreducible, as every divisor matrix solved here is.
     """
-    n = len(a)
-    vt = [[float(i == j) for j in range(n)] for i in range(n)]
-    total = sum(x * x for row in a for x in row)
-    for _ in range(100):
-        if sum(a[p][q] ** 2 for p in range(n) for q in range(p + 1, n)) <= 1e-28 * total:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                rp, rq = a[p], a[q]
-                apq, app, aqq = rp[q], rp[p], rq[q]
-                if apq == 0.0:
-                    continue
-                theta = (aqq - app) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.hypot(t, 1.0)
-                s = t * c
-                new_p = [c * x - s * y for x, y in zip(rp, rq)]
-                new_q = [s * x + c * y for x, y in zip(rp, rq)]
-                a[p], a[q] = new_p, new_q
-                for row, x, y in zip(a, new_p, new_q):
-                    row[p] = x
-                    row[q] = y
-                new_p[p], new_q[q] = app - t * apq, aqq + t * apq
-                new_p[q] = new_q[p] = 0.0
-                vp, vq = vt[p], vt[q]
-                vt[p] = [c * x - s * y for x, y in zip(vp, vq)]
-                vt[q] = [s * x + c * y for x, y in zip(vp, vq)]
-    k = max(range(n), key=lambda i: a[i][i])
-    u = vt[k]
-    return a[k][k], u if sum(u) > 0 else [-x for x in u]
+    degree = [len(row) for row in rows]
+    order = [min(range(len(rows)), key=degree.__getitem__)]
+    seen = set(order)
+    for c in order:  # order grows as the search goes
+        fresh = sorted((j for j in rows[c] if j not in seen), key=degree.__getitem__)
+        seen.update(fresh)
+        order += fresh
+    return order[::-1]
 
 
-def _top_eigenpair(rows: list[dict[int, float]]) -> tuple[float, list[float]]:
-    """Largest eigenvalue of the symmetric matrix with its eigenvector, signed
-    so that its entries sum to a positive value: cyclic Jacobi up to
-    SMALL_ELL rows, LAPACK's eigh above."""
-    ell = len(rows)
-    if ell <= SMALL_ELL:
-        return _jacobi_top([[row.get(j, 0.0) for j in range(ell)] for row in rows])
-    np, m = _numpy_dense(rows)
-    values, vectors = np.linalg.eigh(m)
-    u = vectors[:, -1]
-    return float(values[-1]), (u if u.sum() > 0 else -u).tolist()
+def _envelope_starts(rows: list[dict[int, float]], order: list[int]) -> list[int]:
+    """For each row k of the matrix in that order, the column of its first
+    nonzero left of the diagonal, or k when there is none."""
+    pos = {c: k for k, c in enumerate(order)}
+    return [min([k, *(pos[j] for j in rows[c] if j in pos)]) for k, c in enumerate(order)]
 
 
-def _gauss_solve(a: list[list[float]], b: list[float]) -> list[float]:
-    """Solve a w = b by Gaussian elimination without pivoting, in place.
+class _Envelope:
+    """The pure-Python kernel: LDL^T of shift I - m in envelope storage.
 
-    Meant for a nonsingular M-matrix, which elimination keeps one, so no
-    pivot vanishes and the off-diagonal updates never cancel.
+    Row k of m, cells taken in `order`, is held from column first[k] to the
+    diagonal; elimination fills in only inside that envelope, so one
+    factorization costs about sum((k - first[k])**2) / 2 multiply-adds.
     """
-    n = len(b)
-    for k in range(n):
-        ak, pivot = a[k], a[k][k]
-        for i in range(k + 1, n):
-            f = a[i][k] / pivot
-            if f:
-                ai = a[i]
-                for j in range(k + 1, n):
-                    ai[j] -= f * ak[j]
-                b[i] -= f * b[k]
-    w = [0.0] * n
-    for k in range(n - 1, -1, -1):
-        ak = a[k]
-        w[k] = (b[k] - sum(ak[j] * w[j] for j in range(k + 1, n))) / ak[k]
-    return w
+
+    def __init__(self, rows: list[dict[int, float]], order: list[int]) -> None:
+        self.rows, self.order = rows, order
+        self.first = _envelope_starts(rows, order)
+        pos = {c: k for k, c in enumerate(order)}
+        self.band, self.diag = [], []
+        for k, (c, f) in enumerate(zip(order, self.first)):
+            band = [0.0] * (k - f)
+            for j, x in rows[c].items():
+                if j in pos and pos[j] < k:
+                    band[pos[j] - f] = -x
+            self.band.append(band)
+            self.diag.append(rows[c].get(c, 0.0))
+        # Column j of row k, past its first, takes sum_t g_t L_jt over the
+        # columns t < j held by both rows; (j - f, t - f, j, t - first[j]),
+        # with t the later first column, places the two slices.
+        first = self.first
+        self.updates = [
+            [(j - f, t - f, j, t - first[j]) for j in range(f + 1, k) if (t := max(f, first[j])) < j]
+            for k, f in enumerate(first)
+        ]
+
+    def factor(self, shift: float) -> tuple[list[list[float]], list[float]] | None:
+        """The rows of L left of the diagonal and the pivots D of
+        shift I - m = L D L^T, or None at the first pivot that is not positive."""
+        low, piv = [], []
+        for f, band, m_kk, updates in zip(self.first, self.band, self.diag, self.updates):
+            # g = (L D)[k, f:k], column by column: A_kj less sum_t g_t L_jt.
+            g = band[:]
+            for i, a, j, b in updates:
+                g[i] -= sum(map(mul, g[a:i], low[j][b:]))
+            row = list(map(truediv, g, piv[f:]))
+            d = shift - m_kk - sum(map(mul, g, row))
+            if not d > 0.0:
+                return None
+            low.append(row)
+            piv.append(d)
+        return low, piv
+
+    def solve(self, factor: tuple[list[list[float]], list[float]], b: list[float]) -> list[float]:
+        """x with L D L^T x = b, both indexed by cell."""
+        low, piv = factor
+        z = [b[c] for c in self.order]
+        for k, f in enumerate(self.first):
+            if f < k:
+                z[k] -= sum(map(mul, low[k], z[f:k]))
+        z = list(map(truediv, z, piv))
+        for k in range(len(z) - 1, 0, -1):
+            f, zk = self.first[k], z[k]
+            z[f:k] = [x - l * zk for x, l in zip(z[f:k], low[k])]
+        x = [0.0] * len(self.rows)
+        for c, v in zip(self.order, z):
+            x[c] = v
+        return x
+
+    def top(self, sums: tuple[int, ...], root: list[float]) -> tuple[float, list[float]]:
+        """rho(m) by bisection on the M-matrix test, and a positive vector
+        whose largest entry picks the pivot cell (see the module docstring)."""
+        lo, hi = float(min(sums)), float(max(sums))
+        if lo == hi:
+            return lo, root
+        factor = self.factor(hi)
+        while lo < (mid := (lo + hi) / 2) < hi:
+            trial = self.factor(mid)
+            if trial is None:
+                lo = mid
+            else:
+                hi, factor = mid, trial
+        if factor is None:
+            raise CertificateError(f"{hi!r} I minus the divisor matrix is not a nonsingular M-matrix")
+        return hi, self.solve(factor, [1.0] * len(self.rows))
+
+    def pinned(self, r: int, rho: float) -> list[float]:
+        """The eigenvector w of m for rho with w_r = 1: the other entries
+        solve (rho I - m') w' = m[:, r], m' being m without row and column r."""
+        reduced = _Envelope(self.rows, [c for c in self.order if c != r])
+        factor = reduced.factor(rho)
+        if factor is None:
+            raise CertificateError(f"{rho!r} I minus the divisor matrix without cell {r} is not positive definite")
+        w = reduced.solve(factor, [row.get(r, 0.0) for row in self.rows])
+        w[r] = 1.0
+        return w
 
 
-def _pinned_solve(rows: list[dict[int, float]], r: int, rho: float) -> list[float]:
-    """The eigenvector w of the symmetric matrix m for rho with w_r = 1.
+class _Lapack:
+    """The LAPACK kernel: the dense matrix is built once, and numpy imported, here only."""
 
-    The other entries solve (rho I - m') w' = m[:, r], m' being m without
-    row and column r: by elimination up to SMALL_ELL rows, LAPACK above.
-    """
-    ell = len(rows)
-    keep = [i for i in range(ell) if i != r]
-    rhs = [rows[i].get(r, 0.0) for i in keep]
-    if ell <= SMALL_ELL:
-        system = [[(rho if i == j else 0.0) - rows[i].get(j, 0.0) for j in keep] for i in keep]
-        w = _gauss_solve(system, rhs)
-    else:
-        np, m = _numpy_dense(rows)
-        system = m[np.ix_(keep, keep)]
+    def __init__(self, rows: list[dict[int, float]]) -> None:
+        import numpy as np
+
+        self.np, self.m = np, np.zeros((len(rows), len(rows)))
+        for i, row in enumerate(rows):
+            self.m[i, list(row)] = list(row.values())
+
+    def top(self) -> tuple[float, list[float]]:
+        """rho(m) and u, signed so that its entries sum to a positive value."""
+        values, vectors = self.np.linalg.eigh(self.m)
+        u = vectors[:, -1]
+        return float(values[-1]), (u if u.sum() > 0 else -u).tolist()
+
+    def pinned(self, r: int, rho: float) -> list[float]:
+        """As _Envelope.pinned."""
+        np, ell = self.np, len(self.m)
+        keep = [i for i in range(ell) if i != r]
+        system = self.m[np.ix_(keep, keep)]
         system *= -1.0
         system.flat[::ell] += rho
-        w = np.linalg.solve(system, rhs).tolist()
-    w.insert(r, 1.0)
-    return w
+        w = np.linalg.solve(system, self.m[keep, r]).tolist()
+        w.insert(r, 1.0)
+        return w
+
+
+def _top_eigenpair(
+    rows: list[dict[int, float]], sums: tuple[int, ...], root: list[float]
+) -> tuple[float, list[float], _Envelope | _Lapack]:
+    """rho of the symmetric matrix m, a vector whose largest entry picks the
+    pivot cell, and the kernel that found them, which makes the pinned solve.
+
+    The kernel is the envelope one while sum((k - first[k])**2) over the rows
+    in reverse Cuthill-McKee order is at most ENVELOPE_WORK, LAPACK above.
+    sums are the row sums of the divisor matrix and root the square roots
+    of its cell sizes.
+    """
+    order = _rcm_order(rows)
+    if sum((k - f) ** 2 for k, f in enumerate(_envelope_starts(rows, order))) <= ENVELOPE_WORK:
+        kernel = _Envelope(rows, order)
+        return (*kernel.top(sums, root), kernel)
+    kernel = _Lapack(rows)
+    return (*kernel.top(), kernel)
 
 
 def _divisor_perron(dm: DivisorMatrix) -> tuple[float, int, list[float]]:
@@ -231,13 +300,14 @@ def _divisor_perron(dm: DivisorMatrix) -> tuple[float, int, list[float]]:
 
     u only picks r (see the module docstring): the first cell whose entry
     is within PIVOT_TIE of the largest, so that both kernels pick the same
-    one.  alpha = S^(-1/2) w is scaled so that the lift sums to 1.
+    one.  The eigenvector w with w_r = 1 is the kernel's pinned solve, and
+    alpha = S^(-1/2) w is scaled so that the lift sums to 1.
     """
     rows, root = _symmetrized(dm)
-    rho_divisor, u = _top_eigenpair(rows)
+    rho_divisor, u, kernel = _top_eigenpair(rows, dm.row_sums(), root)
     top = max(u)
     r = next(i for i, x in enumerate(u) if x >= top - PIVOT_TIE * abs(top))
-    w = _pinned_solve(rows, r, rho_divisor)
+    w = kernel.pinned(r, rho_divisor)
     alpha = [x / s for x, s in zip(w, root)]
     total = math.fsum(map(mul, alpha, dm.sizes))
     return rho_divisor, r, [x / total for x in alpha]
@@ -309,7 +379,8 @@ def spectral_radius_divisor(dm: DivisorMatrix) -> float:
                 stack.append(i)
     if len(seen) < dm.ell:
         raise ValueError("divisor matrix is reducible; spectral radius not computed")
-    return _top_eigenpair(_symmetrized(dm)[0])[0]
+    rows, root = _symmetrized(dm)
+    return _top_eigenpair(rows, dm.row_sums(), root)[0]
 
 
 def principal_ratio(graph: Graph) -> float:

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import hypothesis.strategies as st
 
-from orbigraph.aut import Partition, Permutation
+from orbigraph.aut import Partition, Permutation, automorphism_group
 from orbigraph.graph_core import Graph, is_connected
 from orbigraph.orbital import DivisorMatrix
 
@@ -19,6 +20,20 @@ def tied_star() -> Graph:
     but a different divisor matrix.
     """
     return Graph.from_edges(5, [(0, 1), (0, 4), (1, 2), (1, 3), (1, 4)])
+
+
+def rigid_cubic(seed: int, n: int) -> Graph:
+    """A connected cubic graph on n vertices with a trivial automorphism group,
+    from random perfect matchings of 3n half-edges."""
+    rng = random.Random(seed)
+    while True:
+        stubs = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(stubs)
+        pairs = {tuple(sorted(stubs[i : i + 2])) for i in range(0, 3 * n, 2)}
+        if len(pairs) == 3 * n // 2 and all(u != v for u, v in pairs):
+            graph = Graph.from_edges(n, pairs)
+            if is_connected(graph) and automorphism_group(graph).order == 1:
+                return graph
 
 
 def all_graphs(n: int):
@@ -75,7 +90,7 @@ def naive_equitable_refinement(graph: Graph, seed: Partition) -> Partition:
     Each round recolours every vertex by its colour and the multiset of its
     neighbours' colours, until the number of colours stops growing.
     """
-    adj = graph.adjacency()
+    adj = graph.adjacency
     colour = seed.cell_index()
     while True:
         keys = [(colour[v], tuple(sorted(colour[w] for w in adj[v]))) for v in range(graph.n)]

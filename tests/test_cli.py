@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import tied_star
+from helpers import rigid_cubic, tied_star
 from orbigraph import spectral
 from orbigraph.cli import (
     EXIT_DISCONNECTED,
@@ -21,21 +21,22 @@ from orbigraph.cli import (
     _dumps,
     main,
 )
-from orbigraph.constructions import cycle, cycle_with_cliques, path, torus
+from orbigraph.constructions import cartesian_product, cycle, cycle_with_cliques, path, prism, torus
 from orbigraph.graph_core import Graph, serialize_edge_list, to_graph6
 
 
-@pytest.mark.parametrize("n", [5, 2 * spectral.SMALL_ELL + 2], ids=["pure-python", "lapack"])
-def test_certificate_failure_exits_with_resource_code(n, tmp_path, monkeypatch, capsys):
-    # P5 has 3 orbit cells and path(2 * SMALL_ELL + 2) has SMALL_ELL + 1, so
-    # the perturbed eigenvalue reaches the certificate through both kernels.
+@pytest.mark.parametrize("work", [10**9, -1], ids=["pure-python", "lapack"])
+def test_certificate_failure_exits_with_resource_code(work, tmp_path, monkeypatch, capsys):
+    # ENVELOPE_WORK sends the solve through the envelope kernel, then through
+    # LAPACK, so the perturbed eigenvalue reaches the certificate through both.
     graph_file = tmp_path / "path.edges"
-    graph_file.write_text(serialize_edge_list(path(n)), encoding="ascii")
+    graph_file.write_text(serialize_edge_list(path(42)), encoding="ascii")
+    monkeypatch.setattr(spectral, "ENVELOPE_WORK", work)
     solve = spectral._top_eigenpair
 
-    def perturbed(m):
-        rho, u = solve(m)
-        return rho * (1 + 1e-6), u
+    def perturbed(*args):
+        rho, u, kernel = solve(*args)
+        return rho * (1 + 1e-6), u, kernel
 
     monkeypatch.setattr(spectral, "_top_eigenpair", perturbed)
     assert main(["analyze", "--json", str(graph_file)]) == EXIT_RESOURCE
@@ -216,8 +217,20 @@ def test_cli_on_small_quotients_imports_no_numpy(tmp_path):
     assert child.stdout.splitlines()[-1] == "[0, 0, 0, 0] False"
 
 
-def test_cli_above_small_ell_imports_numpy(tmp_path):
-    graph = _write(tmp_path, "path", path(2 * spectral.SMALL_ELL + 2))
+def test_cli_on_path_like_graphs_imports_no_numpy(tmp_path):
+    # The benchmark's slow-mixing graphs and a path at the vertex cap:
+    # quotients of 75 to 1000 cells, all solved by the envelope kernel.
+    graphs = [path(300), path(400), prism(path(150)), cartesian_product(path(5), path(80)), path(2000)]
+    files = [_write(tmp_path, f"g{i}", graph) for i, graph in enumerate(graphs)]
+    child = _run_child(_CHILD, *(f"analyze|--json|{f}" for f in files))
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] False"
+
+
+def test_cli_above_the_envelope_threshold_imports_numpy(tmp_path):
+    # A rigid cubic graph has one orbit per vertex, and at n = 150 its
+    # envelope work is above ENVELOPE_WORK.
+    graph = _write(tmp_path, "cubic", rigid_cubic(5, 150))
     child = _run_child(_CHILD, f"analyze|--json|{graph}")
     assert child.returncode == 0, child.stderr
     assert child.stdout.splitlines()[-1] == "[0] True"
@@ -229,6 +242,16 @@ def test_sequence_parse_errors(tmp_path, capsys):
     assert main(["sequence", str(bad)]) == EXIT_PARSE
     assert main(["sequence", "--count", "1", _spec(tmp_path, {"family": "cycles"})]) == EXIT_PARSE
     assert "count must be >= 2" in capsys.readouterr().err
+
+
+def test_over_long_integer_in_a_spec_names_the_file(tmp_path, capsys):
+    # json.loads refuses an integer of more than 4300 digits with a ValueError.
+    spec = tmp_path / "long.json"
+    spec.write_text('{"family": "cycles", "start": ' + "9" * 5000 + "}", encoding="ascii")
+    assert main(["sequence", str(spec)]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {spec}: ")
 
 
 def test_over_nested_sequence_spec_is_a_parse_error(tmp_path, capsys):

@@ -90,6 +90,14 @@ class TestConnectivity:
     def test_single_vertex(self):
         assert is_connected(Graph(1, frozenset()))
 
+    def test_adjacency_and_connectivity_are_cached_outside_equality(self):
+        g = Graph.from_edges(4, [(2, 0), (0, 1), (3, 0)])
+        fresh = Graph(4, g.edges)
+        assert g.adjacency == ((1, 2, 3), (0,), (0,), (0,))
+        assert g.adjacency is g.adjacency
+        assert is_connected(g) and "connected" in vars(g)
+        assert g == fresh and hash(g) == hash(fresh) and "adjacency" not in vars(fresh)
+
 
 class TestDegreeStats:
     def test_cycle_regular(self):

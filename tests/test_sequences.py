@@ -3,11 +3,11 @@ import random
 
 import pytest
 
+from helpers import rigid_cubic
 from orbigraph import constructions as cons
 from orbigraph import sequences
-from orbigraph.aut import automorphism_group
 from orbigraph.constructions import complete, crossed_prism, cycle, cycle_with_cliques, loaded_torus, path
-from orbigraph.graph_core import Graph, is_connected
+from orbigraph.graph_core import Graph
 from orbigraph.orbital import DivisorMatrix, orbitally_similar
 from orbigraph.sequences import SequenceSpec, analyze_term, generate, preservation_report, verify_self_similar
 
@@ -131,23 +131,9 @@ def test_density_is_null_below_two_vertices():
     assert check.detail == "term 0 has no density (fewer than two vertices)"
 
 
-def _rigid_cubic(seed: int, n: int) -> Graph:
-    """A connected cubic graph on n vertices with a trivial automorphism group,
-    from random perfect matchings of 3n half-edges."""
-    rng = random.Random(seed)
-    while True:
-        stubs = [v for v in range(n) for _ in range(3)]
-        rng.shuffle(stubs)
-        pairs = {tuple(sorted(stubs[i : i + 2])) for i in range(0, 3 * n, 2)}
-        if len(pairs) == 3 * n // 2 and all(u != v for u, v in pairs):
-            graph = Graph.from_edges(n, pairs)
-            if is_connected(graph) and automorphism_group(graph).order == 1:
-                return graph
-
-
 @pytest.mark.parametrize(
     "graph",
-    [cycle_with_cliques(10, 3, 2), loaded_torus((4, 4), 2, 3), crossed_prism(20), path(30), _rigid_cubic(5, 20)],
+    [cycle_with_cliques(10, 3, 2), loaded_torus((4, 4), 2, 3), crossed_prism(20), path(30), rigid_cubic(5, 20)],
     ids=["cycle_with_cliques", "loaded_torus", "crossed_prism", "path", "rigid_cubic"],
 )
 def test_analysis_is_invariant_under_relabelling(graph):

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from orbigraph import constructions as cons
 from orbigraph import spectral
 from orbigraph.aut import Partition, orbit_partition, unit_partition
 from orbigraph.constructions import cartesian_product, complete, cycle, cycle_with_cliques, path, star
-from orbigraph.graph_core import Graph, degree_stats
+from orbigraph.graph_core import Graph, degree_stats, is_connected
 from orbigraph.orbital import DivisorMatrix, divisor_matrix, orbit_divisor_matrix
 from orbigraph.sequences import SequenceSpec, generate
 from orbigraph.spectral import (
@@ -270,22 +271,47 @@ FAMILY_SEQUENCES = {
 }
 
 
+# The benchmark's slow-mixing graphs: path-like quotients of 75 to 200 cells.
+SLOW_MIXING_GRAPHS = {
+    "path(300)": path(300),
+    "path(400)": path(400),
+    "prism(path(150))": cons.prism(path(150)),
+    "cartesian_product(path(5),path(80))": cartesian_product(path(5), path(80)),
+}
+
+
+def irregular_dense(seed: int, n: int = 20) -> Graph:
+    """A connected graph on n vertices with edge density about 1/2 and
+    unequal degrees, so that its discrete quotient takes the bisection."""
+    rng = random.Random(seed)
+    while True:
+        g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u) if rng.random() < 0.5])
+        if is_connected(g) and len(set(g.degrees())) > 1:
+            return g
+
+
 def discrete_partition(n: int) -> Partition:
     """Every vertex its own cell (ell = n), equitable on every graph."""
     return Partition(tuple((v,) for v in range(n)))
 
 
-def assert_kernels_agree(graph: Graph, partition: Partition) -> None:
-    """Jacobi and elimination against LAPACK on the same symmetrized matrix.
+# ENVELOPE_WORK values that route every solve through the envelope kernel
+# and through LAPACK.
+KERNELS = (10**9, -1)
 
-    SMALL_ELL above every ell sends each solve through the pure-Python
-    kernels, and 0 sends it through LAPACK; both results must be certified.
+
+def assert_kernels_agree(graph: Graph, partition: Partition) -> None:
+    """The envelope kernel against LAPACK on the same symmetrized matrix.
+
+    ENVELOPE_WORK above every envelope's work sends each solve through the
+    pure-Python kernel, and -1 sends it through LAPACK; both results must be
+    certified.
     """
     dm = divisor_matrix(graph, partition)
     results = []
-    for small_ell in (10**9, 0):
+    for work in KERNELS:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(spectral, "SMALL_ELL", small_ell)
+            mp.setattr(spectral, "ENVELOPE_WORK", work)
             rho_divisor, pivot, _ = spectral._divisor_perron(dm)
             data = spectral_radius_adjacency(graph, partition)
         assert data.rho_divisor == rho_divisor
@@ -317,12 +343,45 @@ class TestKernelsAgree:
         # On the vertex-transitive ones every entry of u ties with the largest.
         assert_kernels_agree(graph, discrete_partition(graph.n))
 
+    @pytest.mark.parametrize("name", SLOW_MIXING_GRAPHS)
+    def test_slow_mixing_graphs(self, name):
+        graph = SLOW_MIXING_GRAPHS[name]
+        assert_kernels_agree(graph, orbit_partition(graph))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_irregular_dense_discrete_partitions(self, seed):
+        graph = irregular_dense(seed)
+        assert_kernels_agree(graph, discrete_partition(graph.n))
+
     def test_pivot_ties_pick_the_first_cell(self):
         dm = divisor_matrix(cycle(9), discrete_partition(9))
-        for small_ell in (10**9, 0):
+        for work in KERNELS:
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(spectral, "SMALL_ELL", small_ell)
+                mp.setattr(spectral, "ENVELOPE_WORK", work)
                 assert spectral._divisor_perron(dm)[1] == 0
+
+
+def test_envelope_kernel_on_path_2000_matches_the_closed_form(monkeypatch):
+    # 1000 orbit cells; bisection from the row-sum bracket [1, 2].
+    monkeypatch.setattr(spectral, "ENVELOPE_WORK", KERNELS[0])
+    n = 2000
+    theta = math.pi / (n + 1)
+    sines = [math.sin(k * theta) for k in range(1, n + 1)]
+    total = math.fsum(sines)
+    data = spectral_radius_adjacency(path(n))
+    assert data.rho_divisor == pytest.approx(2 * math.cos(theta), rel=1e-15)
+    assert data.vector == pytest.approx([x / total for x in sines], rel=1e-10)
+    assert_certified(data)
+
+
+def test_envelope_kernel_refuses_a_matrix_that_never_factors():
+    # rho = 2 lies above the whole bracket [0, 1], and -1 I minus the matrix
+    # without cell 0 has the pivot -1.
+    kernel = spectral._Envelope([{1: 2.0}, {0: 2.0}], [0, 1])
+    with pytest.raises(spectral.CertificateError, match="not a nonsingular M-matrix"):
+        kernel.top((0, 1), [1.0, 1.0])
+    with pytest.raises(spectral.CertificateError, match="not positive definite"):
+        kernel.pinned(0, -1.0)
 
 
 @settings(max_examples=80, deadline=None)
