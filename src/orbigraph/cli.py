@@ -216,8 +216,11 @@ def _family_params(args: argparse.Namespace) -> dict:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    params = _family_params(args)
     try:
-        graph = cons.family(args.family, **_family_params(args))
+        # The member's order follows from its parameters: check the cap before building.
+        _require_desk_scale(cons.family_order(args.family, **params), name=f"{args.family} member")
+        graph = cons.family(args.family, **params)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_PARSE) from exc
     text = serialize_edge_list(graph) if args.format == "edgelist" else to_graph6(graph) + "\n"

@@ -11,6 +11,8 @@ byte-stable across runs:
 
 from __future__ import annotations
 
+import inspect
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -250,20 +252,22 @@ def loaded_torus(dims: Sequence[int], q: int, m: int) -> Graph:
     return vertex_load(torus(dims), starlike_load(q, m))
 
 
-_FAMILIES: dict[str, Callable[..., Graph]] = {
-    "cycle": cycle,
-    "path": path,
-    "complete": complete,
-    "star": star,
-    "circular-ladder": circular_ladder,
-    "moebius-ladder": moebius_ladder,
-    "crossed-prism": crossed_prism,
-    "antiprism": antiprism,
-    "torus": torus,
-    "sun": sun,
-    "generalized-sun": generalized_sun,
-    "cycle-with-cliques": cycle_with_cliques,
-    "loaded-torus": loaded_torus,
+# Each family's constructor and its order in closed form, so that a member
+# can be refused by size before anything is built.
+_FAMILIES: dict[str, tuple[Callable[..., Graph], Callable[..., int]]] = {
+    "cycle": (cycle, lambda n: n),
+    "path": (path, lambda n: n),
+    "complete": (complete, lambda n: n),
+    "star": (star, lambda q: q + 1),
+    "circular-ladder": (circular_ladder, lambda n: 2 * n),
+    "moebius-ladder": (moebius_ladder, lambda n: 2 * n),
+    "crossed-prism": (crossed_prism, lambda n: 2 * n),
+    "antiprism": (antiprism, lambda n: 2 * n),
+    "torus": (torus, lambda dims: math.prod(dims)),
+    "sun": (sun, lambda n: 2 * n),
+    "generalized-sun": (generalized_sun, lambda n, q: n * (1 + q)),
+    "cycle-with-cliques": (cycle_with_cliques, lambda n, p, q: n * (1 + q * (p - 1))),
+    "loaded-torus": (loaded_torus, lambda dims, q, m: math.prod(dims) * (1 + q * m)),
 }
 
 
@@ -271,11 +275,31 @@ def family_names() -> tuple[str, ...]:
     return tuple(sorted(_FAMILIES))
 
 
-def family(name: str, **params) -> Graph:
-    """Build a named family member, e.g. family("torus", dims=(3, 4))."""
+def _call(name: str, params: dict, column: int):
+    """Column 0 (the constructor) or 1 (the order) of the family's row, called
+    on params; ValueError for an unknown name or for parameters the
+    constructor does not take."""
     if name not in _FAMILIES:
         raise ValueError(f"unknown family {name!r}; known: {', '.join(family_names())}")
+    row = _FAMILIES[name]
     try:
-        return _FAMILIES[name](**params)
+        try:
+            inspect.signature(row[0]).bind(**params)
+        except TypeError:
+            row[0](**params)  # parameters that do not bind: the constructor's own message, before its body runs
+        return row[column](**params)
     except TypeError as exc:
         raise ValueError(f"bad parameters for family {name!r}: {exc}") from exc
+
+
+def family(name: str, **params) -> Graph:
+    """Build a named family member, e.g. family("torus", dims=(3, 4))."""
+    return _call(name, params, 0)
+
+
+def family_order(name: str, **params) -> int:
+    """The number of vertices family(name, **params) has, without building it.
+
+    Parameters the constructor would refuse are not checked beyond their names.
+    """
+    return _call(name, params, 1)

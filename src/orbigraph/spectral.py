@@ -17,34 +17,39 @@ matrix, rho I minus S^(1/2) B S^(-1/2) without row and column r, is a
 nonsingular M-matrix, and the solution keeps even the smallest entries to
 a few units of rounding on such graphs, where u loses them entirely.
 
-Two kernels find rho(B) and make the pinned solve, chosen by the size of
-the matrix's envelope; the pivot rule, the lift and the certificate are one
-code path.  The pure-Python kernel takes the cells in reverse Cuthill-McKee
-order (Cuthill & McKee 1969; George 1971) and factors shift I - M = L D L^T,
-M being S^(1/2) B S^(-1/2), in envelope (skyline) storage: row k is held from its first nonzero to the
-diagonal, fill-in stays inside, and one factorization costs about
-sum_k w_k^2 / 2 multiply-adds for row widths w_k, so a path-like quotient
-of bandwidth b costs O(ell b^2).  shift I - M is a nonsingular M-matrix,
-all its pivots positive, exactly when shift > rho (Sylvester's law of
-inertia), so rho is found by bisection on that test, as LAPACK's dstebz
-does for tridiagonal matrices, stopping at the first pivot that is not
-positive.  The bracket starts at the least and the largest row sum of B
-(Collatz-Wielandt with x = 1), which are equal on a regular quotient, and
-ends when no float lies strictly between its ends.  At the upper end, the
-last shift that factored, one solve of (shift I - M) x = 1 gives x > 0,
-since the inverse of a nonsingular M-matrix is positive, and x, dominated
-by u, picks r.  On a regular quotient u is S^(1/2) times the ones vector.
+Every row sum of B is a vertex degree, and the least and the largest row
+sum bracket rho(B) (Collatz-Wielandt with x = 1).  That bracket is decided
+first, before any kernel is chosen: when it is closed, every row sum equal
+as on every regular graph, rho(B) is that row sum, the Perron vector is
+constant, and nothing is factored, solved or imported.
+
+On an open bracket two kernels find rho(B) and make the pinned solve,
+chosen by the size of the matrix's envelope; the pivot rule, the lift and
+the certificate are one code path.  The pure-Python kernel takes the cells
+in reverse Cuthill-McKee order (Cuthill & McKee 1969; George 1971) and
+factors shift I - M = L D L^T, M being S^(1/2) B S^(-1/2), in envelope
+(skyline) storage: row k is held from its first nonzero to the diagonal,
+fill-in stays inside, and one factorization costs about sum_k w_k^2 / 2
+multiply-adds for row widths w_k, so a path-like quotient of bandwidth b
+costs O(ell b^2).  shift I - M is a nonsingular M-matrix, all its pivots
+positive, exactly when shift > rho (Sylvester's law of inertia), so rho is
+found by bisection on that test, as LAPACK's dstebz does for tridiagonal
+matrices, stopping at the first pivot that is not positive.  The bisection
+starts from the row-sum bracket and ends when no float lies strictly
+between its ends.  At the upper end, the last shift that factored, one
+solve of (shift I - M) x = 1 gives x > 0, since the inverse of a
+nonsingular M-matrix is positive, and x, dominated by u, picks r.
 
 When sum_k w_k^2 is above ENVELOPE_WORK, LAPACK's eigh and solve do the
-same two steps, on a dense matrix built once, and only then is numpy imported.  Its
-import and first LAPACK calls take 88-115 ms in-process (2-vCPU Xeon VM,
-Python 3.11, numpy 2.4, one BLAS thread), about what a bisection costs at
-ENVELOPE_WORK = 40,000: 62-84 ms at 30,000 and 155 ms at 70,000 on random
-irregular graphs with one cell per vertex.  A regular quotient needs no
-bisection and costs far less, 8 ms at 100,000; rigid cubic graphs of
-several hundred vertices are well above the threshold and stay on LAPACK.
-The benchmark's path-like quotients of up to 200 cells have sum_k w_k^2
-at most 1,566, and a path of 2000 vertices 999.
+same two steps, on a dense matrix built once, and only then is numpy
+imported.  Its import and first LAPACK calls take 88-115 ms in-process
+(2-vCPU Xeon VM, Python 3.11, numpy 2.4, one BLAS thread), about what a
+bisection costs at ENVELOPE_WORK = 40,000: 62-84 ms at 30,000 and 155 ms
+at 70,000 on random irregular graphs with one cell per vertex.  Irregular
+rigid graphs of a few hundred vertices are well above the threshold (a
+rigid cubic graph on 150 vertices with one edge subdivided has 100,424).
+The benchmark's path-like quotients of up to 200 cells have sum_k w_k^2 at
+most 1,566, and a path of 2000 vertices 999.
 
 The lift x is certified on A in O(m) from the edge list, never a dense A:
 for a positive x the Collatz-Wielandt quotients bracket the Perron root,
@@ -112,8 +117,8 @@ class OrbitConstancyReport:
     ok: bool
 
 
-def _symmetrized(dm: DivisorMatrix) -> tuple[list[dict[int, float]], list[float]]:
-    """S^(1/2) B S^(-1/2) for the divisor matrix B with cell sizes S, and sqrt(S).
+def _symmetrized(dm: DivisorMatrix) -> list[dict[int, float]]:
+    """S^(1/2) B S^(-1/2) for the divisor matrix B with cell sizes S.
 
     The matrix comes as sparse rows {column: entry}, computed as
     S^(-1/2) t S^(-1/2) from t = S B, which counts the edges from cell i to
@@ -130,7 +135,7 @@ def _symmetrized(dm: DivisorMatrix) -> tuple[list[dict[int, float]], list[float]
                 raise ValueError("divisor matrix is not symmetrizable: s_i B_ij != s_j B_ji for some i, j")
             sym[j] = t / root[i] / root[j]
         rows.append(sym)
-    return rows, root
+    return rows
 
 
 def _rcm_order(rows: list[dict[int, float]]) -> list[int]:
@@ -219,12 +224,10 @@ class _Envelope:
             x[c] = v
         return x
 
-    def top(self, sums: tuple[int, ...], root: list[float]) -> tuple[float, list[float]]:
+    def top(self, sums: tuple[int, ...]) -> tuple[float, list[float]]:
         """rho(m) by bisection on the M-matrix test, and a positive vector
         whose largest entry picks the pivot cell (see the module docstring)."""
         lo, hi = float(min(sums)), float(max(sums))
-        if lo == hi:
-            return lo, root
         factor = self.factor(hi)
         while lo < (mid := (lo + hi) / 2) < hi:
             trial = self.factor(mid)
@@ -277,38 +280,52 @@ class _Lapack:
 
 
 def _top_eigenpair(
-    rows: list[dict[int, float]], sums: tuple[int, ...], root: list[float]
+    rows: list[dict[int, float]], sums: tuple[int, ...]
 ) -> tuple[float, list[float], _Envelope | _Lapack]:
     """rho of the symmetric matrix m, a vector whose largest entry picks the
     pivot cell, and the kernel that found them, which makes the pinned solve.
 
     The kernel is the envelope one while sum((k - first[k])**2) over the rows
     in reverse Cuthill-McKee order is at most ENVELOPE_WORK, LAPACK above.
-    sums are the row sums of the divisor matrix and root the square roots
-    of its cell sizes.
+    sums are the row sums of the divisor matrix, not all equal.
     """
     order = _rcm_order(rows)
     if sum((k - f) ** 2 for k, f in enumerate(_envelope_starts(rows, order))) <= ENVELOPE_WORK:
         kernel = _Envelope(rows, order)
-        return (*kernel.top(sums, root), kernel)
+        return (*kernel.top(sums), kernel)
     kernel = _Lapack(rows)
     return (*kernel.top(), kernel)
+
+
+def _radius(dm: DivisorMatrix) -> tuple[float, list[float] | None, _Envelope | _Lapack | None]:
+    """rho(B), and on an open row-sum bracket the vector and kernel of
+    _top_eigenpair.  When every row sum is equal, the Collatz-Wielandt
+    bracket with x = 1 is closed: rho(B) is that row sum, no kernel runs,
+    and the vector and kernel are None.  ValueError unless B is symmetrizable.
+    """
+    rows = _symmetrized(dm)
+    sums = dm.row_sums()
+    if min(sums) == max(sums):
+        return float(sums[0]), None, None
+    return _top_eigenpair(rows, sums)
 
 
 def _divisor_perron(dm: DivisorMatrix) -> tuple[float, int, list[float]]:
     """rho(B), the pivot cell r and the per-cell constants alpha of the lift.
 
-    u only picks r (see the module docstring): the first cell whose entry
-    is within PIVOT_TIE of the largest, so that both kernels pick the same
+    On a closed row-sum bracket alpha is constant and r is cell 0.  Else u
+    only picks r (see the module docstring): the first cell whose entry is
+    within PIVOT_TIE of the largest, so that both kernels pick the same
     one.  The eigenvector w with w_r = 1 is the kernel's pinned solve, and
     alpha = S^(-1/2) w is scaled so that the lift sums to 1.
     """
-    rows, root = _symmetrized(dm)
-    rho_divisor, u, kernel = _top_eigenpair(rows, dm.row_sums(), root)
+    rho_divisor, u, kernel = _radius(dm)
+    if kernel is None:
+        return rho_divisor, 0, [1.0 / sum(dm.sizes)] * dm.ell
     top = max(u)
     r = next(i for i, x in enumerate(u) if x >= top - PIVOT_TIE * abs(top))
     w = kernel.pinned(r, rho_divisor)
-    alpha = [x / s for x, s in zip(w, root)]
+    alpha = [x / math.sqrt(s) for x, s in zip(w, dm.sizes)]
     total = math.fsum(map(mul, alpha, dm.sizes))
     return rho_divisor, r, [x / total for x in alpha]
 
@@ -379,8 +396,7 @@ def spectral_radius_divisor(dm: DivisorMatrix) -> float:
                 stack.append(i)
     if len(seen) < dm.ell:
         raise ValueError("divisor matrix is reducible; spectral radius not computed")
-    rows, root = _symmetrized(dm)
-    return _top_eigenpair(rows, dm.row_sums(), root)[0]
+    return _radius(dm)[0]
 
 
 def principal_ratio(graph: Graph) -> float:

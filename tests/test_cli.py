@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import rigid_cubic, tied_star
+from orbigraph import constructions as cons
 from orbigraph import spectral
 from orbigraph.cli import (
     EXIT_DISCONNECTED,
@@ -103,12 +104,41 @@ def test_generate_to_stdout_file_and_graph6(tmp_path, capsys):
         (["cycle", "--n", "2"], "cycle needs n >= 3"),
         (["cycle"], "cycle() missing 1 required positional argument: 'n'"),
         (["torus", "--dims", "3,x"], "bad --dims '3,x'"),
+        (["torus", "--dims", "3,4", "--n", "5"], "torus() got an unexpected keyword argument 'n'"),
+        (["path", "--n", "100000000", "--p", "3"], "path() got an unexpected keyword argument 'p'"),
     ],
 )
 def test_generate_parameter_errors(argv, message, capsys):
     assert main(["generate", *argv]) == EXIT_PARSE
     captured = capsys.readouterr()
     assert captured.out == "" and message in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, order",
+    [
+        (["path", "--n", "100000000"], 100000000),
+        (["torus", "--dims", "1000,1000,1000"], 10**9),
+        (["loaded-torus", "--dims", "20,20", "--q", "2", "--m", "3"], 2800),
+        (["cycle-with-cliques", "--n", "401", "--p", "3", "--q", "2"], 2005),
+    ],
+)
+def test_generate_refuses_an_over_cap_member_before_building(argv, order, tmp_path, monkeypatch, capsys):
+    def build(*args, **kwargs):
+        raise AssertionError("an over-cap member was built")
+
+    monkeypatch.setattr(cons, "family", build)
+    out = tmp_path / "g.edges"
+    assert main(["generate", *argv, "--out", str(out)]) == EXIT_RESOURCE
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"member has {order} vertices, above the supported cap 2000" in captured.err
+    assert not out.exists()
+
+
+def test_generate_at_the_cap_builds(tmp_path, capsys):
+    out = tmp_path / "g.edges"
+    assert main(["generate", "loaded-torus", "--dims", "20,20", "--q", "2", "--m", "2", "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == f"wrote loaded-torus: order 2000, size 2400 -> {out}\n"
 
 
 def test_demo_table1_matches_its_references(capsys):
@@ -228,12 +258,26 @@ def test_cli_on_path_like_graphs_imports_no_numpy(tmp_path):
 
 
 def test_cli_above_the_envelope_threshold_imports_numpy(tmp_path):
-    # A rigid cubic graph has one orbit per vertex, and at n = 150 its
-    # envelope work is above ENVELOPE_WORK.
-    graph = _write(tmp_path, "cubic", rigid_cubic(5, 150))
+    # A rigid cubic graph on 150 vertices with one edge subdivided: one orbit
+    # per vertex, row sums 2 and 3, and envelope work 100,424, above
+    # ENVELOPE_WORK, so LAPACK solves it.
+    cubic = rigid_cubic(5, 150)
+    u, v = min(cubic.edges)
+    subdivided = Graph.from_edges(151, [*(cubic.edges - {(u, v)}), (u, 150), (v, 150)])
+    graph = _write(tmp_path, "subdivided", subdivided)
     child = _run_child(_CHILD, f"analyze|--json|{graph}")
     assert child.returncode == 0, child.stderr
     assert child.stdout.splitlines()[-1] == "[0] True"
+
+
+def test_cli_on_regular_graphs_imports_no_numpy(tmp_path):
+    # Rigid cubic graphs have one orbit per vertex and envelope work far
+    # above ENVELOPE_WORK, but every row sum of their divisor matrix is 3.
+    graphs = [rigid_cubic(5, 150), rigid_cubic(6, 300), rigid_cubic(7, 500)]
+    files = [_write(tmp_path, f"cubic{i}", graph) for i, graph in enumerate(graphs)]
+    child = _run_child(_CHILD, *(f"analyze|--json|{f}" for f in files))
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines()[-1] == "[0, 0, 0] False"
 
 
 def test_sequence_parse_errors(tmp_path, capsys):

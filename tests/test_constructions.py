@@ -1,6 +1,6 @@
 import pytest
 
-from orbigraph.constructions import family, family_names
+from orbigraph.constructions import family, family_names, family_order
 from orbigraph.graph_core import is_connected
 
 # (family, parameters, order, size, common degree or None if not regular)
@@ -31,6 +31,7 @@ def test_every_family_has_a_shape():
 def test_order_size_and_regularity(name, params, order, size, degree):
     g = family(name, **params)
     assert (g.n, g.m) == (order, size)
+    assert family_order(name, **params) == order
     assert is_connected(g)
     degrees = set(g.degrees())
     if degree is None:

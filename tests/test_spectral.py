@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from helpers import connected_graphs, tied_star
+from helpers import connected_graphs, rigid_cubic, tied_star
 from orbigraph import constructions as cons
 from orbigraph import spectral
 from orbigraph.aut import Partition, orbit_partition, unit_partition
@@ -295,6 +295,16 @@ def discrete_partition(n: int) -> Partition:
     return Partition(tuple((v,) for v in range(n)))
 
 
+def chorded_cycle(n: int) -> Graph:
+    """The n-cycle with the chord 0-3; the reflection swapping 0 and 3 is an automorphism."""
+    return Graph.from_edges(n, [*cycle(n).edges, (0, 3)])
+
+
+def complete_minus_edge(n: int) -> Graph:
+    """K_n less the edge 0-1."""
+    return Graph.from_edges(n, complete(n).edges - {(0, 1)})
+
+
 # ENVELOPE_WORK values that route every solve through the envelope kernel
 # and through LAPACK.
 KERNELS = (10**9, -1)
@@ -336,11 +346,14 @@ class TestKernelsAgree:
 
     @pytest.mark.parametrize(
         "graph",
-        [path(6), cycle(7), complete(5), star(4), tied_star(), cartesian_product(path(3), cycle(4)), cons.crossed_prism(8)],
-        ids=["P6", "C7", "K5", "star4", "tied-star", "P3xC4", "crossed-prism8"],
+        [path(6), cycle(7), complete(5), star(4), tied_star(), cartesian_product(path(3), cycle(4)), cons.crossed_prism(8),
+         chorded_cycle(7), complete_minus_edge(5), cons.prism(path(8))],
+        ids=["P6", "C7", "K5", "star4", "tied-star", "P3xC4", "crossed-prism8", "C7+chord", "K5-e", "ladder8"],
     )
     def test_discrete_partitions(self, graph):
-        # On the vertex-transitive ones every entry of u ties with the largest.
+        # C7, K5 and crossed-prism8 are regular and reach no kernel; C7+chord,
+        # K5-e and ladder8 are their irregular twins, on which both kernels
+        # run and several entries of u tie with the largest.
         assert_kernels_agree(graph, discrete_partition(graph.n))
 
     @pytest.mark.parametrize("name", SLOW_MIXING_GRAPHS)
@@ -354,11 +367,12 @@ class TestKernelsAgree:
         assert_kernels_agree(graph, discrete_partition(graph.n))
 
     def test_pivot_ties_pick_the_first_cell(self):
-        dm = divisor_matrix(cycle(9), discrete_partition(9))
+        # K5 less the edge 0-1: vertices 2, 3 and 4 tie for the largest entry of u.
+        dm = divisor_matrix(complete_minus_edge(5), discrete_partition(5))
         for work in KERNELS:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(spectral, "ENVELOPE_WORK", work)
-                assert spectral._divisor_perron(dm)[1] == 0
+                assert spectral._divisor_perron(dm)[1] == 2
 
 
 def test_envelope_kernel_on_path_2000_matches_the_closed_form(monkeypatch):
@@ -379,7 +393,7 @@ def test_envelope_kernel_refuses_a_matrix_that_never_factors():
     # without cell 0 has the pivot -1.
     kernel = spectral._Envelope([{1: 2.0}, {0: 2.0}], [0, 1])
     with pytest.raises(spectral.CertificateError, match="not a nonsingular M-matrix"):
-        kernel.top((0, 1), [1.0, 1.0])
+        kernel.top((0, 1))
     with pytest.raises(spectral.CertificateError, match="not positive definite"):
         kernel.pinned(0, -1.0)
 
@@ -389,3 +403,41 @@ def test_envelope_kernel_refuses_a_matrix_that_never_factors():
 def test_kernels_agree_on_connected_graphs(g):
     assert_kernels_agree(g, orbit_partition(g))
     assert_kernels_agree(g, discrete_partition(g.n))
+
+
+def complete_bipartite(n: int) -> Graph:
+    return Graph.from_edges(2 * n, [(a, n + b) for a in range(n) for b in range(n)])
+
+
+def assert_closed_bracket(graph: Graph) -> None:
+    """On a connected k-regular graph every row sum of the divisor matrix is
+    k, so rho = k and the Perron vector is constant, with no kernel run."""
+    (k,) = set(graph.degrees())
+
+    def no_kernel(*args):
+        raise AssertionError("a closed row-sum bracket reached a kernel")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_top_eigenpair", no_kernel)
+        for partition in (orbit_partition(graph), discrete_partition(graph.n)):
+            data = spectral_radius_adjacency(graph, partition)
+            assert data.rho_divisor == k and spectral_radius_divisor(data.divisor) == k
+            assert data.gamma == 1.0
+            assert len(set(data.vector)) == 1 and len(set(data.orbit_values)) == 1
+            assert_certified(data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs(min_n=1, max_n=8).filter(lambda g: len(set(g.degrees())) == 1))
+def test_regular_graphs_have_a_closed_bracket(g):
+    assert_closed_bracket(g)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [cycle(3), cycle(10), complete(1), complete(2), complete(6), complete_bipartite(3), complete_bipartite(5),
+     cons.crossed_prism(8), cons.torus((3, 4)), rigid_cubic(5, 150)],
+    ids=["C3", "C10", "K1", "K2", "K6", "K3,3", "K5,5", "crossed-prism8", "torus3x4", "rigid-cubic150"],
+)
+def test_regular_families_have_a_closed_bracket(graph):
+    assert_closed_bracket(graph)
