@@ -63,26 +63,23 @@ and the whole `orbigraph compare`, which decides it on the 2000-cell
 digraphs of the two divisor matrices, about 3 s.
 """
 
-from __future__ import annotations
-
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .graph_core import Graph
+from .graph_core import Frozen, Graph
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Frozen):
     """Ordered partition of {0, ..., n-1} into disjoint nonempty sorted cells."""
 
+    __slots__ = _fields = ("cells",)
     cells: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, cells: tuple[tuple[int, ...], ...]) -> None:
         seen: set[int] = set()
-        for cell in self.cells:
+        for cell in cells:
             if not cell:
                 raise ValueError("empty cell in partition")
             if list(cell) != sorted(cell):
@@ -90,8 +87,9 @@ class Partition:
             if seen & set(cell):
                 raise ValueError("cells are not disjoint")
             seen.update(cell)
-        if seen != set(range(len(seen))) or (seen and max(seen) != len(seen) - 1):
+        if seen != set(range(len(seen))):
             raise ValueError("cells do not cover a dense vertex range 0..n-1")
+        object.__setattr__(self, "cells", cells)
 
     @classmethod
     def from_cells(cls, cells: Iterable[Iterable[int]]) -> "Partition":
@@ -122,15 +120,16 @@ class Partition:
         return all(len({idx[v] for v in cell}) == 1 for cell in self.cells)
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Frozen):
     """Bijection on 0..n-1 in one-line notation."""
 
+    __slots__ = _fields = ("image",)
     image: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if sorted(self.image) != list(range(len(self.image))):
+    def __init__(self, image: tuple[int, ...]) -> None:
+        if sorted(image) != list(range(len(image))):
             raise ValueError("image is not a bijection on 0..n-1")
+        object.__setattr__(self, "image", image)
 
     def __call__(self, v: int) -> int:
         return self.image[v]
@@ -145,8 +144,7 @@ class Permutation:
         return Permutation(tuple(inv))
 
 
-@dataclass(frozen=True)
-class AutGroup:
+class AutGroup(NamedTuple):
     """Automorphism group given by generators, with order and vertex orbits."""
 
     generators: tuple[Permutation, ...]

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
 
@@ -100,6 +99,8 @@ def _require_desk_scale(n: int, cap: int = 2000, name: str = "graph") -> None:
 
 def _with_meta(payload: dict, meta: bool) -> dict:
     if meta:
+        from datetime import datetime, timezone  # only here: it costs every other run start-up time
+
         payload["meta"] = {
             "tool": f"orbigraph {__version__}",
             "generated_at": datetime.now(timezone.utc).isoformat(),

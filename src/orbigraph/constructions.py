@@ -11,24 +11,24 @@ byte-stable across runs:
 
 from __future__ import annotations
 
-import inspect
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .graph_core import Graph
+from .graph_core import Frozen, Graph
 
 
-@dataclass(frozen=True)
-class RootedGraph:
+class RootedGraph(Frozen):
     """Graph with a distinguished root vertex (for vertex loading)."""
 
+    __slots__ = _fields = ("graph", "root")
     graph: Graph
     root: int
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.root < self.graph.n:
-            raise ValueError(f"root {self.root} out of range")
+    def __init__(self, graph: Graph, root: int) -> None:
+        if not 0 <= root < graph.n:
+            raise ValueError(f"root {root} out of range")
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "root", root)
 
 
 def cycle(n: int) -> Graph:
@@ -281,6 +281,8 @@ def _call(name: str, params: dict, column: int):
     constructor does not take."""
     if name not in _FAMILIES:
         raise ValueError(f"unknown family {name!r}; known: {', '.join(family_names())}")
+    import inspect  # only here: it costs the CLI several ms of start-up
+
     row = _FAMILIES[name]
     try:
         try:

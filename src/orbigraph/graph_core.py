@@ -6,39 +6,76 @@ DOT are provided as conveniences.  All degree statistics are exact
 rationals so that downstream preservation checks can compare exactly.
 """
 
-from __future__ import annotations
-
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class GraphFormatError(ValueError):
     """Malformed graph text (edge list or graph6)."""
 
 
-@dataclass(frozen=True)
-class Graph:
+class Frozen:
+    """Base of the validated value types: immutable, with equality, hash and
+    repr on the fields named in `_fields`.
+
+    A subclass checks its arguments in __init__ and stores each field once
+    with object.__setattr__; every later assignment raises AttributeError.
+    Copies and pickles are rebuilt through __init__.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class Graph(Frozen):
     """Simple undirected graph on the vertex set {0, ..., n-1}.
 
     Edges are stored as a frozenset of (u, v) pairs with u < v, so the
     value is hashable and immutable; all operations on it are pure.
     Equality and hash are on (n, edges) alone: the adjacency and the
-    connectivity are derived from them once, on first use, and cached.
+    connectivity are derived from them once, on first use, and cached in
+    the instance dict.
     """
 
+    _fields = ("n", "edges")
     n: int
     edges: frozenset[tuple[int, int]]
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"vertex count must be nonnegative, got {self.n}")
-        for e in self.edges:
+    def __init__(self, n: int, edges: frozenset[tuple[int, int]]) -> None:
+        if n < 0:
+            raise ValueError(f"vertex count must be nonnegative, got {n}")
+        for e in edges:
             u, v = e
-            if not (0 <= u < v < self.n):
-                raise ValueError(f"edge {e} out of range for n={self.n} (need 0 <= u < v < n)")
+            if not (0 <= u < v < n):
+                raise ValueError(f"edge {e} out of range for n={n} (need 0 <= u < v < n)")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Sequence[int]]) -> "Graph":
@@ -97,8 +134,7 @@ class Graph:
         return Graph.from_edges(self.n, ((image[u], image[v]) for u, v in self.edges))
 
 
-@dataclass(frozen=True)
-class DegreeStats:
+class DegreeStats(NamedTuple):
     """Exact degree statistics of a graph.
 
     degree_variance is the population variance of the degree sequence and

@@ -10,21 +10,17 @@ All matrix comparisons are exact integer equality; the only float anywhere
 in this module is the entropy value.
 """
 
-from __future__ import annotations
-
 import math
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .aut import ColouredDigraph, Partition, isomorphism, orbit_partition
 from .graph_core import Graph, is_connected
 
 
-@dataclass(frozen=True)
-class DivisorMatrix:
+class DivisorMatrix(NamedTuple):
     """Per-cell neighbor counts over an equitable partition, with cell sizes.
 
     entries[i][j] is the number of neighbors every vertex of cell i has in
@@ -53,16 +49,14 @@ class DivisorMatrix:
         return cls(ell, rows, tuple(data["sizes"]))
 
 
-@dataclass(frozen=True)
-class OrbitProfile:
+class OrbitProfile(NamedTuple):
     """Orbit distribution vector (descending, exact) and its base-2 entropy."""
 
     omega: tuple[Fraction, ...]
     entropy: float
 
 
-@dataclass(frozen=True)
-class SimilarityVerdict:
+class SimilarityVerdict(NamedTuple):
     """Outcome of an orbital-similarity test between two connected graphs.
 
     When similar, witness maps the second graph's cell index i to the first

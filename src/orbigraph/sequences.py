@@ -25,19 +25,16 @@ its record, and the CLI's analyze command reports the same record for one
 graph.
 """
 
-from __future__ import annotations
-
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import compress
 from math import fsum, prod
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import constructions as cons
 from .aut import ColouredDigraph, automorphism_group, isomorphism
-from .graph_core import Graph, cyclomatic_number, degree_stats, density, edge_vertex_ratio, frac_str, is_connected
+from .graph_core import Frozen, Graph, cyclomatic_number, degree_stats, density, edge_vertex_ratio, frac_str, is_connected
 from .orbital import DivisorMatrix, orbit_profile, orbitally_similar
 from .spectral import spectral_radius_adjacency
 
@@ -54,35 +51,39 @@ class SequenceSpecError(ValueError):
     """Invalid sequence specification."""
 
 
-@dataclass(frozen=True)
-class SequenceSpec:
+class SequenceSpec(Frozen):
     """A named self-similar family with parameters, possibly built on a base spec.
 
     Checked once, when it is made, against its family's row; an omitted
     start is filled in with its minimum.  term(k) and order(k) trust it.
     """
 
+    __slots__ = _fields = ("family", "params", "base")
     family: str
-    params: dict = field(default_factory=dict)
-    base: "SequenceSpec | None" = None
+    params: dict
+    base: "SequenceSpec | None"
 
-    def __post_init__(self) -> None:
-        row = _FAMILIES.get(self.family) if isinstance(self.family, str) else None
+    def __init__(self, family: str, params: dict | None = None, base: "SequenceSpec | None" = None) -> None:
+        params = {} if params is None else params
+        row = _FAMILIES.get(family) if isinstance(family, str) else None
         if row is None:
-            raise SequenceSpecError(f"unknown family {self.family!r}; known: {', '.join(sorted(_FAMILIES))}")
-        unknown = sorted(set(self.params) - set(row.ints) - {row.other})
-        _require(not unknown, f"{self.family} takes no key {', '.join(map(repr, unknown))}")
+            raise SequenceSpecError(f"unknown family {family!r}; known: {', '.join(sorted(_FAMILIES))}")
+        unknown = sorted(set(params) - set(row.ints) - {row.other})
+        _require(not unknown, f"{family} takes no key {', '.join(map(repr, unknown))}")
         if row.base:
-            _require(isinstance(self.base, SequenceSpec), f"{self.family} needs a 'base' spec")
+            _require(isinstance(base, SequenceSpec), f"{family} needs a 'base' spec")
         else:
-            _require(self.base is None, f"{self.family} takes no 'base'")
+            _require(base is None, f"{family} takes no 'base'")
         if "start" in row.ints:
-            object.__setattr__(self, "params", {"start": row.ints["start"], **self.params})
+            params = {"start": row.ints["start"], **params}
         for key, low in row.ints.items():
-            value = self.params.get(key)
-            _require(type(value) is int and value >= low, f"{self.family}: {key} must be an integer >= {low}")
+            value = params.get(key)
+            _require(type(value) is int and value >= low, f"{family}: {key} must be an integer >= {low}")
         if row.check is not None:
-            row.check(self.params)
+            row.check(params)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "base", base)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "SequenceSpec":
@@ -110,8 +111,7 @@ def _require(condition: bool, message: str) -> None:
         raise SequenceSpecError(message)
 
 
-@dataclass(frozen=True)
-class _Family:
+class _Family(NamedTuple):
     """One row of the family table: the integer parameters with their
     minimums, term k and its order, the one non-integer parameter other with
     a check of what the minimums do not say, and whether a base is taken."""
@@ -249,8 +249,9 @@ def generate(spec: SequenceSpec, count: int) -> list[Graph]:
     if count < 2:
         raise SequenceSpecError(f"count must be >= 2, got {count}")
     return [spec.term(k) for k in range(count)]
-@dataclass(frozen=True)
-class SelfSimilarityVerdict:
+
+
+class SelfSimilarityVerdict(NamedTuple):
     """Outcome of the growth / pairwise-similarity / seed conditions.
 
     failing_pair names the first pair of terms found not to grow or not to
@@ -302,8 +303,7 @@ def verify_self_similar(graphs: Sequence[Graph], seed: Graph | None = None) -> S
     return SelfSimilarityVerdict(True, None, None, "verified")
 
 
-@dataclass(frozen=True)
-class TermRecord:
+class TermRecord(NamedTuple):
     """All per-graph quantities of one connected graph.
 
     density is None below two vertices, where it is undefined.  orbit_values
@@ -390,8 +390,7 @@ def analyze_term(graph: Graph) -> TermRecord:
     )
 
 
-@dataclass(frozen=True)
-class PreservationCheck:
+class PreservationCheck(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
@@ -400,8 +399,7 @@ class PreservationCheck:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
-@dataclass(frozen=True)
-class SequenceReport:
+class SequenceReport(NamedTuple):
     terms: tuple[TermRecord, ...]
     verdict: SelfSimilarityVerdict
     preservation: tuple[PreservationCheck, ...]

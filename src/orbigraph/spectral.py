@@ -65,12 +65,10 @@ its constancy on orbit cells is a genuine check of the lemma.  It always
 imports numpy.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
 from itertools import compress
 from operator import mul, truediv
+from typing import NamedTuple
 
 from .aut import Partition, orbit_partition
 from .graph_core import Graph, is_connected
@@ -87,8 +85,7 @@ class CertificateError(RuntimeError):
     """The Collatz-Wielandt bracket on A did not certify the computed Perron pair."""
 
 
-@dataclass(frozen=True)
-class PerronData:
+class PerronData(NamedTuple):
     """Spectral radius with the normalized positive eigenvector.
 
     rho is the Rayleigh quotient of vector on A and rho_divisor the largest
@@ -107,8 +104,7 @@ class PerronData:
     divisor: DivisorMatrix
 
 
-@dataclass(frozen=True)
-class OrbitConstancyReport:
+class OrbitConstancyReport(NamedTuple):
     """In-orbit spread of the principal eigenvector and the quotient residual."""
 
     cell_spreads: tuple[float, ...]

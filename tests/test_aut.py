@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -59,6 +61,16 @@ class TestPartitionType:
             Partition(((0, 2),))  # not dense
         with pytest.raises(ValueError):
             Partition(((1, 0),))  # unsorted cell
+
+    def test_cells_cannot_be_assigned(self):
+        p = Partition(((0, 1),))
+        with pytest.raises(AttributeError):
+            p.cells = ((0,), (1,))
+        assert p.cells == ((0, 1),)
+
+    def test_copies_and_pickles_are_equal(self):
+        p = Partition(((0, 2), (1,)))
+        assert copy.deepcopy(p) == p and pickle.loads(pickle.dumps(p)) == p
 
     def test_canonical_order(self):
         p = Partition.from_cells([[2], [1, 3], [0, 4]])
@@ -171,6 +183,10 @@ class TestAutomorphismGroup:
         g = circular_ladder(4)
         for gen in automorphism_group(g).generators:
             assert preserves_edges(gen, g)
+
+    def test_equal_graphs_share_the_cached_group(self):
+        g = cycle(7)
+        assert automorphism_group(g) is automorphism_group(Graph(g.n, g.edges))
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):

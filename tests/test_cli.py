@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import rigid_cubic, tied_star
+from orbigraph import __version__
 from orbigraph import constructions as cons
 from orbigraph import spectral
 from orbigraph.cli import (
@@ -235,6 +237,45 @@ except SystemExit as exc:
 codes = [cli.main(argv.split("|")) for argv in sys.argv[1:]]
 print(codes, "numpy" in sys.modules)
 """
+
+
+_START_UP = """
+import sys
+before = set(sys.modules)
+from orbigraph import cli
+try:
+    cli.main(["--version"])
+except SystemExit as exc:
+    assert exc.code == 0
+code = cli.main(sys.argv[1].split("|"))
+print(code, sorted({"dataclasses", "inspect", "datetime", "numpy"} & (set(sys.modules) - before)))
+"""
+
+
+def test_version_and_a_small_analyze_import_no_dataclasses_inspect_datetime_or_numpy(tmp_path):
+    child = _run_child(_START_UP, f"analyze|--json|{_write(tmp_path, 'c6', cycle(6))}")
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines()[-1] == "0 []"
+
+
+def _meta_runs(tmp_path):
+    c4, c8 = _write(tmp_path, "c4", cycle(4)), _write(tmp_path, "c8", cycle(8))
+    spec = _spec(tmp_path, {"family": "cycles", "start": 4})
+    return [["analyze", "--json", c4], ["compare", "--json", c4, c8], ["sequence", "--json", "--count", "3", spec]]
+
+
+def test_meta_names_the_tool_and_a_utc_time(tmp_path, capsys):
+    for argv in _meta_runs(tmp_path):
+        assert main([*argv, "--meta"]) == EXIT_OK
+        meta = json.loads(capsys.readouterr().out)["meta"]
+        assert meta["tool"] == f"orbigraph {__version__}"
+        assert datetime.fromisoformat(meta["generated_at"]).utcoffset() == timedelta(0)
+
+
+def test_without_meta_there_is_no_meta_key(tmp_path, capsys):
+    for argv in _meta_runs(tmp_path):
+        assert main(argv) == EXIT_OK
+        assert "meta" not in json.loads(capsys.readouterr().out)
 
 
 def test_cli_on_small_quotients_imports_no_numpy(tmp_path):

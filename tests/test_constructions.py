@@ -1,6 +1,6 @@
 import pytest
 
-from orbigraph.constructions import family, family_names, family_order
+from orbigraph.constructions import RootedGraph, family, family_names, family_order, path
 from orbigraph.graph_core import is_connected
 
 # (family, parameters, order, size, common degree or None if not regular)
@@ -38,3 +38,9 @@ def test_order_size_and_regularity(name, params, order, size, degree):
         assert len(degrees) > 1
     else:
         assert degrees == {degree}
+
+
+@pytest.mark.parametrize("root", [-1, 3])
+def test_rooted_graph_rejects_a_root_out_of_range(root):
+    with pytest.raises(ValueError, match=f"root {root} out of range"):
+        RootedGraph(path(3), root)

@@ -98,6 +98,14 @@ class TestConnectivity:
         assert is_connected(g) and "connected" in vars(g)
         assert g == fresh and hash(g) == hash(fresh) and "adjacency" not in vars(fresh)
 
+    def test_fields_cannot_be_assigned(self):
+        g = Graph(2, frozenset({(0, 1)}))
+        with pytest.raises(AttributeError):
+            g.n = 3
+        with pytest.raises(AttributeError):
+            g.edges = frozenset()
+        assert (g.n, g.edges) == (2, frozenset({(0, 1)}))
+
 
 class TestDegreeStats:
     def test_cycle_regular(self):

@@ -61,6 +61,12 @@ class TestDivisorMatrix:
         dm = orbit_divisor_matrix(path(5))
         assert DivisorMatrix.from_dict(dm.as_dict()) == dm
 
+    def test_fields_cannot_be_assigned(self):
+        dm = orbit_divisor_matrix(path(5))
+        with pytest.raises(AttributeError):
+            dm.ell = 2
+        assert dm.ell == 3
+
 
 class TestEntropy:
     def test_half_quarter_quarter(self):

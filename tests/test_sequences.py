@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -97,13 +96,20 @@ def test_rho_paths_flags_a_wrong_divisor_matrix(monkeypatch):
     def wrong_divisor_for_term_one(graph):
         record = analyze(graph)
         if graph.n == 4:
-            record = dataclasses.replace(record, divisor=DivisorMatrix(1, ((3,),), (4,)))
+            record = record._replace(divisor=DivisorMatrix(1, ((3,),), (4,)))
         return record
 
     monkeypatch.setattr(sequences, "analyze_term", wrong_divisor_for_term_one)
     check = _check(preservation_report(_cycles(3)), "rho_paths_agree")
     assert not check.passed
     assert check.detail.startswith("term 1: divisor matrix gives 3.0")
+
+
+def test_term_record_fields_cannot_be_assigned():
+    record = analyze_term(cycle(5))
+    with pytest.raises(AttributeError):
+        record.order = 6
+    assert record.order == 5
 
 
 def test_every_term_is_compared_with_the_first():
