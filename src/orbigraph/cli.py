@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import compress, count
 from pathlib import Path
 
 from . import __version__
@@ -27,7 +28,7 @@ from .graph_core import (
     to_dot,
     to_graph6,
 )
-from .orbital import entropy_of, orbit_profile, orbitally_similar
+from .orbital import DivisorMatrix, entropy_of, orbit_profile, orbitally_similar
 from .sequences import (
     SequenceSpec, SequenceSpecError, analyze_term, describe_families, generate as generate_sequence,
     preservation_report,
@@ -114,10 +115,11 @@ def _dumps(obj, indent: str = "\n") -> str:
     obj may hold str-keyed dicts, lists, tuples and JSON scalars; other
     key types are not supported.  json.dumps with an indent runs the
     pure-Python encoder, one call per item, which is most of the time of
-    a large analyze, whose divisor entries are ell**2 ints.  Here a
-    non-empty list of exact ints (bools excluded) is one C-encoder call
-    with its commas turned into the indented separator.  Every other
-    value recurses, and keys and scalars go through json.dumps itself.
+    a large analyze, whose divisor entries are ell**2 ints, nearly all 0.
+    Here a non-empty list of exact ints (bools excluded) costs one step
+    per nonzero: their positions come from a C-level scan, and each run of
+    zeros between them is one repetition of "0" and the separator.  Every
+    other value recurses, and keys and scalars go through json.dumps itself.
     """
     if isinstance(obj, dict):
         if not obj:
@@ -129,15 +131,42 @@ def _dumps(obj, indent: str = "\n") -> str:
         if not obj:
             return "[]"
         inner = indent + "  "
+        sep = "," + inner
         if set(map(type, obj)) == {int}:
-            body = json.dumps(obj, separators=(",", ":"))[1:-1].replace(",", "," + inner)
+            body = _int_items(obj, sep)
         else:
-            body = ("," + inner).join(_dumps(x, inner) for x in obj)
+            body = sep.join(_dumps(x, inner) for x in obj)
         return "[" + inner + body + indent + "]"
     return json.dumps(obj)
 
 
-def _print_analysis_table(payload: dict) -> None:
+def _int_items(obj: list | tuple, sep: str) -> str:
+    """The items of a non-empty list of exact ints as JSON, joined by sep,
+    in one step per nonzero item: each run of zeros is one repetition."""
+    zero, parts, start = "0" + sep, [], 0
+    for k in compress(count(), obj):
+        parts += (zero * (k - start), str(obj[k]), sep)
+        start = k + 1
+    tail = len(obj) - start
+    if tail:
+        parts += (zero * (tail - 1), "0")
+    else:
+        parts.pop()  # the separator after the last item
+    return "".join(parts)
+
+
+def _matrix_row(row: tuple[tuple[int, int], ...], ell: int) -> str:
+    """One row of the table's divisor matrix, each entry right-aligned in
+    three columns; each run of zeros is one string repetition."""
+    parts, start = [], 0
+    for j, x in row:
+        parts += ("   0" * (j - start), f" {x:>3}")
+        start = j + 1
+    parts.append("   0" * (ell - start))
+    return "  [" + "".join(parts)[1:] + "]"
+
+
+def _print_analysis_table(payload: dict, divisor: DivisorMatrix) -> None:
     rows = [
         ("order", payload["order"]),
         ("size", payload["size"]),
@@ -158,11 +187,9 @@ def _print_analysis_table(payload: dict) -> None:
     width = max(len(name) for name, _ in rows)
     for name, value in rows:
         print(f"{name:<{width}}  {value}")
-    ell = payload["divisor"]["ell"]
-    flat = payload["divisor"]["entries"]
     print("divisor matrix:")
-    for i in range(ell):
-        print("  [" + " ".join(f"{flat[i * ell + j]:>3}" for j in range(ell)) + "]")
+    for row in divisor.rows:
+        print(_matrix_row(row, divisor.ell))
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -176,7 +203,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.json:
         print(_dumps(_with_meta(payload, args.meta)))
     else:
-        _print_analysis_table(payload)
+        _print_analysis_table(payload, record.divisor)
     return EXIT_OK
 
 

@@ -14,6 +14,7 @@ import math
 from collections import deque
 from fractions import Fraction
 from itertools import compress
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .aut import ColouredDigraph, Partition, isomorphism, orbit_partition
@@ -23,30 +24,50 @@ from .graph_core import Graph, is_connected
 class DivisorMatrix(NamedTuple):
     """Per-cell neighbor counts over an equitable partition, with cell sizes.
 
-    entries[i][j] is the number of neighbors every vertex of cell i has in
-    cell j; row sums are the common cell degrees.
+    B_ij is the number of neighbors every vertex of cell i has in cell j.
+    The matrix is held as sparse rows: rows[i] has a (j, B_ij) pair for
+    every positive B_ij, in ascending j, so a rigid graph with ell = n
+    cells costs O(m), not O(ell**2).  Row sums are the common cell degrees.
+    The JSON form (as_dict, from_dict) is the flat row-major list of all
+    ell**2 entries.
     """
 
     ell: int
-    entries: tuple[tuple[int, ...], ...]
+    rows: tuple[tuple[tuple[int, int], ...], ...]
     sizes: tuple[int, ...]
 
     def row_sums(self) -> tuple[int, ...]:
-        return tuple(sum(row) for row in self.entries)
+        return tuple(sum(map(itemgetter(1), row)) for row in self.rows)
 
     def as_dict(self) -> dict:
-        return {
-            "ell": self.ell,
-            "entries": [x for row in self.entries for x in row],
-            "sizes": list(self.sizes),
-        }
+        ell = self.ell
+        flat = [0] * ell**2
+        for i, row in enumerate(self.rows):
+            for j, x in row:
+                flat[i * ell + j] = x
+        return {"ell": ell, "entries": flat, "sizes": list(self.sizes)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "DivisorMatrix":
-        ell = data["ell"]
-        flat = data["entries"]
-        rows = tuple(tuple(flat[i * ell : (i + 1) * ell]) for i in range(ell))
-        return cls(ell, rows, tuple(data["sizes"]))
+        """The matrix of an as_dict record; ValueError unless ell >= 1, there
+        are ell**2 non-negative int entries and ell positive int sizes."""
+        ell, flat, sizes = data["ell"], data["entries"], data["sizes"]
+        if type(ell) is not int or ell < 1:
+            raise ValueError(f"divisor matrix needs an int ell >= 1, got {ell!r}")
+        if len(flat) != ell**2 or len(sizes) != ell:
+            raise ValueError(
+                f"divisor matrix with ell = {ell} needs {ell**2} entries and {ell} sizes, "
+                f"got {len(flat)} and {len(sizes)}"
+            )
+        if not all(type(x) is int and x >= 0 for x in flat):
+            raise ValueError("divisor matrix entries must be non-negative ints")
+        if not all(type(s) is int and s > 0 for s in sizes):
+            raise ValueError("divisor matrix sizes must be positive ints")
+        rows = tuple(
+            tuple((j, flat[base + j]) for j in compress(range(ell), flat[base : base + ell]))
+            for base in range(0, ell**2, ell)
+        )
+        return cls(ell, rows, tuple(sizes))
 
 
 class OrbitProfile(NamedTuple):
@@ -89,25 +110,23 @@ def divisor_matrix(graph: Graph, partition: Partition) -> DivisorMatrix:
         raise ValueError(f"partition covers {partition.n} vertices, graph has {graph.n}")
     adj = graph.adjacency
     idx = partition.cell_index()
-    ell = len(partition.cells)
-    rows: list[tuple[int, ...]] = []
+    rows: list[tuple[tuple[int, int], ...]] = []
     for i, cell in enumerate(partition.cells):
-        counts_ref: list[int] | None = None
-        ref_vertex = cell[0]
+        counts_ref: dict[int, int] | None = None
         for u in cell:
-            counts = [0] * ell
-            for w in adj[u]:
-                counts[idx[w]] += 1
+            counts: dict[int, int] = {}
+            for c in map(idx.__getitem__, adj[u]):
+                counts[c] = counts.get(c, 0) + 1
             if counts_ref is None:
                 counts_ref = counts
             elif counts != counts_ref:
-                j = next(k for k in range(ell) if counts[k] != counts_ref[k])
+                j = min(k for k in counts.keys() | counts_ref.keys() if counts.get(k) != counts_ref.get(k))
                 raise ValueError(
-                    f"partition not equitable: vertices {ref_vertex} and {u} of cell {i} "
-                    f"have {counts_ref[j]} vs {counts[j]} neighbors in cell {j}"
+                    f"partition not equitable: vertices {cell[0]} and {u} of cell {i} "
+                    f"have {counts_ref.get(j, 0)} vs {counts.get(j, 0)} neighbors in cell {j}"
                 )
-        rows.append(tuple(counts_ref if counts_ref is not None else [0] * ell))
-    return DivisorMatrix(ell, tuple(rows), tuple(len(c) for c in partition.cells))
+        rows.append(tuple(sorted(counts_ref.items())))
+    return DivisorMatrix(len(rows), tuple(rows), tuple(len(c) for c in partition.cells))
 
 
 def orbit_divisor_matrix(graph: Graph) -> DivisorMatrix:
@@ -139,11 +158,19 @@ def orbit_profile(graph: Graph) -> OrbitProfile:
 def _cell_digraph(dm: DivisorMatrix) -> ColouredDigraph:
     """Cells as vertices coloured (omega_i, B_ii), with an arc of weight B_ij from i to each j != i."""
     n = sum(dm.sizes)
-    colour = [(Fraction(s, n), dm.entries[i][i]) for i, s in enumerate(dm.sizes)]
-    arcs = {(i, j): row[j] for i, row in enumerate(dm.entries) for j in compress(range(dm.ell), row) if i != j}
-    adj: list[list[int]] = [[] for _ in range(dm.ell)]
-    for (i, j), x in arcs.items():
-        adj[i] += [j] * x
+    colour: list[tuple[Fraction, int]] = []
+    arcs: dict[tuple[int, int], int] = {}
+    adj: list[list[int]] = []
+    for i, (row, s) in enumerate(zip(dm.rows, dm.sizes)):
+        loops, out = 0, []
+        for j, x in row:
+            if j == i:
+                loops = x
+            else:
+                arcs[i, j] = x
+                out += [j] * x
+        colour.append((Fraction(s, n), loops))
+        adj.append(out)
     return ColouredDigraph(colour, adj, arcs)
 
 
@@ -158,7 +185,7 @@ def orbitally_similar(g: Graph, h: Graph) -> SimilarityVerdict:
     witness = isomorphism(_cell_digraph(sh), _cell_digraph(sg))
     if witness is None:
         return SimilarityVerdict(similar=False)
-    common = DivisorMatrix(sh.ell, sh.entries, tuple(sg.sizes[witness[i]] for i in range(sh.ell)))
+    common = DivisorMatrix(sh.ell, sh.rows, tuple(sg.sizes[witness[i]] for i in range(sh.ell)))
     return SimilarityVerdict(similar=True, witness=witness, common_matrix=common)
 
 

@@ -28,7 +28,6 @@ graph.
 import json
 from fractions import Fraction
 from functools import reduce
-from itertools import compress
 from math import fsum, prod
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -481,8 +480,7 @@ def _rho_paths_check(terms: Sequence[TermRecord]) -> PreservationCheck:
             return PreservationCheck(
                 "rho_paths_agree", False, f"term {k}: divisor matrix has {b.ell} cells, {len(alpha)} orbit values"
             )
-        columns = range(b.ell)
-        quotients = [fsum(row[j] * alpha[j] for j in compress(columns, row)) / a for row, a in zip(b.entries, alpha)]
+        quotients = [fsum(x * alpha[j] for j, x in row) / a for row, a in zip(b.rows, alpha)]
         worst = max(quotients, key=lambda q: abs(q - t.rho_adjacency))
         if abs(worst - t.rho_adjacency) > FLOAT_TOL * max(1.0, t.rho_adjacency):
             return PreservationCheck(

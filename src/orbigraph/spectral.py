@@ -66,7 +66,6 @@ imports numpy.
 """
 
 import math
-from itertools import compress
 from operator import mul, truediv
 from typing import NamedTuple
 
@@ -116,18 +115,20 @@ class OrbitConstancyReport(NamedTuple):
 def _symmetrized(dm: DivisorMatrix) -> list[dict[int, float]]:
     """S^(1/2) B S^(-1/2) for the divisor matrix B with cell sizes S.
 
-    The matrix comes as sparse rows {column: entry}, computed as
-    S^(-1/2) t S^(-1/2) from t = S B, which counts the edges from cell i to
-    cell j (exact integers); ValueError unless t is symmetric.
+    The matrix comes as sparse rows {column: entry}, in the column order of
+    dm.rows, computed as S^(-1/2) t S^(-1/2) from t = S B, which counts the
+    edges from cell i to cell j (exact integers); ValueError unless t is
+    symmetric.  O(m) in the nonzeros of B.
     """
-    sizes, entries = dm.sizes, dm.entries
+    sizes = dm.sizes
     root = [math.sqrt(s) for s in sizes]
+    b = [dict(row) for row in dm.rows]
     rows = []
-    for i, row in enumerate(entries):
+    for i, row in enumerate(dm.rows):
         sym = {}
-        for j in compress(range(dm.ell), row):
-            t = sizes[i] * row[j]
-            if t != sizes[j] * entries[j][i]:
+        for j, x in row:
+            t = sizes[i] * x
+            if t != sizes[j] * b[j].get(i, 0):
                 raise ValueError("divisor matrix is not symmetrizable: s_i B_ij != s_j B_ji for some i, j")
             sym[j] = t / root[i] / root[j]
         rows.append(sym)
@@ -375,14 +376,14 @@ def spectral_radius_divisor(dm: DivisorMatrix) -> float:
     The matrix must be symmetrizable, s_i B_ij = s_j B_ji, as the divisor
     matrix of every equitable partition is; ValueError otherwise.
     """
-    if min(map(min, dm.entries)) < 0 or min(dm.sizes) <= 0:
+    if any(x < 0 for row in dm.rows for _, x in row) or min(dm.sizes) <= 0:
         raise ValueError("divisor matrix needs nonnegative entries and positive cell sizes")
     # Search for the cells that reach cell 0 along the support of B; for a
     # symmetrizable B the support is symmetric, so this one search decides
     # irreducibility.
     into: list[list[int]] = [[] for _ in range(dm.ell)]
-    for i, row in enumerate(dm.entries):
-        for j in compress(range(dm.ell), row):
+    for i, row in enumerate(dm.rows):
+        for j, _ in row:
             into[j].append(i)
     seen, stack = {0}, [0]
     while stack:
@@ -421,7 +422,11 @@ def check_orbit_constancy(
     x = vectors[:, -1] / vectors[:, -1].sum()
     spreads = tuple(float(np.ptp(x[list(cell)])) for cell in partition.cells)
     alpha = np.array([x[list(cell)].mean() for cell in partition.cells])
-    residual = float(np.max(np.abs(np.array(dm.entries, dtype=float) @ alpha - values[-1] * alpha)))
+    b = np.zeros((dm.ell, dm.ell))
+    for i, row in enumerate(dm.rows):
+        for j, count in row:
+            b[i, j] = count
+    residual = float(np.max(np.abs(b @ alpha - values[-1] * alpha)))
     max_spread = max(spreads)
     return OrbitConstancyReport(
         cell_spreads=spreads,

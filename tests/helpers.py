@@ -109,25 +109,72 @@ def partition_by(colour) -> Partition:
     return Partition.from_cells(cells.values()).canonical()
 
 
+def dense(dm: DivisorMatrix) -> tuple[tuple[int, ...], ...]:
+    """The ell x ell entries of a divisor matrix as a tuple of dense rows."""
+    entries = [[0] * dm.ell for _ in range(dm.ell)]
+    for i, row in enumerate(dm.rows):
+        for j, x in row:
+            entries[i][j] = x
+    return tuple(map(tuple, entries))
+
+
+def from_dense(entries, sizes) -> DivisorMatrix:
+    """The divisor matrix with these dense rows and cell sizes; every nonzero
+    entry, negative ones included, becomes a (column, entry) pair."""
+    rows = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in entries)
+    return DivisorMatrix(len(rows), rows, tuple(sizes))
+
+
+def dense_divisor_matrix(graph: Graph, partition: Partition) -> tuple[tuple[int, ...], ...]:
+    """Dense rows of the divisor matrix of an equitable partition (test oracle).
+
+    Counts each vertex's neighbours per cell in a list of ell zeros and
+    compares whole lists; raises the ValueError of orbital.divisor_matrix,
+    naming the first column where two vertices of a cell differ.
+    """
+    adj = graph.adjacency
+    idx = partition.cell_index()
+    ell = len(partition.cells)
+    rows = []
+    for i, cell in enumerate(partition.cells):
+        ref = None
+        for u in cell:
+            counts = [0] * ell
+            for w in adj[u]:
+                counts[idx[w]] += 1
+            if ref is None:
+                ref = counts
+            elif counts != ref:
+                j = next(k for k in range(ell) if counts[k] != ref[k])
+                raise ValueError(
+                    f"partition not equitable: vertices {cell[0]} and {u} of cell {i} "
+                    f"have {ref[j]} vs {counts[j]} neighbors in cell {j}"
+                )
+        rows.append(tuple(ref))
+    return tuple(rows)
+
+
 def _cell_keys(dm: DivisorMatrix) -> list[tuple]:
     """Per-cell invariants preserved by any valid cell pairing."""
     total = sum(dm.sizes)
-    cols = list(zip(*dm.entries))
+    entries = dense(dm)
+    cols = list(zip(*entries))
     return [
-        (Fraction(dm.sizes[i], total), sum(dm.entries[i]), tuple(sorted(dm.entries[i])), tuple(sorted(cols[i])))
+        (Fraction(dm.sizes[i], total), sum(entries[i]), tuple(sorted(entries[i])), tuple(sorted(cols[i])))
         for i in range(dm.ell)
     ]
 
 
 def _find_witness(sg: DivisorMatrix, sh: DivisorMatrix) -> tuple[int, ...] | None:
-    """Permutation pi with sg.entries[pi[i]][pi[j]] == sh.entries[i][j] and
-    equal relative sizes, or None (test oracle: backtracking over cell
-    pairings with invariant pruning, exponential in the cell count)."""
+    """Permutation pi with B_g[pi[i]][pi[j]] == B_h[i][j] and equal relative
+    sizes, or None (test oracle: backtracking over cell pairings with
+    invariant pruning, exponential in the cell count)."""
     ell = sg.ell
     keys_g = _cell_keys(sg)
     keys_h = _cell_keys(sh)
     if sorted(keys_g) != sorted(keys_h):
         return None
+    bg, bh = dense(sg), dense(sh)
     candidates = [sorted(a for a in range(ell) if keys_g[a] == keys_h[i]) for i in range(ell)]
     assignment: list[int] = []
     used = [False] * ell
@@ -139,11 +186,10 @@ def _find_witness(sg: DivisorMatrix, sh: DivisorMatrix) -> tuple[int, ...] | Non
             if used[a]:
                 continue
             ok = all(
-                sg.entries[assignment[j]][a] == sh.entries[j][i]
-                and sg.entries[a][assignment[j]] == sh.entries[i][j]
+                bg[assignment[j]][a] == bh[j][i] and bg[a][assignment[j]] == bh[i][j]
                 for j in range(i)
             )
-            if ok and sg.entries[a][a] == sh.entries[i][i]:
+            if ok and bg[a][a] == bh[i][i]:
                 assignment.append(a)
                 used[a] = True
                 if extend(i + 1):
@@ -158,8 +204,9 @@ def _find_witness(sg: DivisorMatrix, sh: DivisorMatrix) -> tuple[int, ...] | Non
 def equalizes(witness, sg: DivisorMatrix, sh: DivisorMatrix) -> bool:
     """True iff witness relabels sh's cells onto sg's with equal entries and relative sizes."""
     ng, nh = sum(sg.sizes), sum(sh.sizes)
+    bg, bh = dense(sg), dense(sh)
     return sorted(witness) == list(range(sh.ell)) == list(range(sg.ell)) and all(
-        sg.entries[witness[i]][witness[j]] == sh.entries[i][j]
+        bg[witness[i]][witness[j]] == bh[i][j]
         and Fraction(sg.sizes[witness[i]], ng) == Fraction(sh.sizes[i], nh)
         for i in range(sh.ell)
         for j in range(sh.ell)

@@ -22,6 +22,7 @@ from orbigraph.cli import (
     EXIT_RESOURCE,
     EXIT_VERIFY,
     _dumps,
+    _matrix_row,
     main,
 )
 from orbigraph.constructions import cartesian_product, cycle, cycle_with_cliques, path, prism, torus
@@ -455,8 +456,16 @@ _SCALARS = (
     | _KEYS
 )
 _INTS = st.lists(st.integers(), min_size=1, max_size=6) | st.lists(st.integers() | st.booleans(), max_size=6)
+# Long runs of 0 holding the odd other item, as in a flat divisor matrix;
+# a bool or a float among them must leave the all-int path.
+_ODD = st.sampled_from([1, -7, 10**30, True, False, 0.0]) | st.integers()
+_ZERO_HEAVY = st.builds(
+    lambda runs, tail: [y for run, x in runs for y in [0] * run + [x]] + [0] * tail,
+    st.lists(st.tuples(st.integers(0, 40), _ODD), max_size=4),
+    st.integers(0, 40),
+)
 _JSON = st.recursive(
-    _SCALARS | _INTS,
+    _SCALARS | _INTS | _ZERO_HEAVY,
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(inner, max_size=4).map(tuple)
     | st.dictionaries(_KEYS, inner, max_size=4),
@@ -467,3 +476,15 @@ _JSON = st.recursive(
 @given(_JSON)
 def test_dumps_is_json_dumps_with_indent_two(value):
     assert _dumps(value) == json.dumps(value, indent=2)
+
+
+@given(_ZERO_HEAVY)
+def test_dumps_of_zero_heavy_int_lists(value):
+    assert _dumps(value) == json.dumps(value, indent=2)
+    assert _dumps({"divisor": {"entries": value}}) == json.dumps({"divisor": {"entries": value}}, indent=2)
+
+
+@given(st.lists(st.sampled_from([0, 0, 0, 0, 1, 7, 999, 1000, 123456]), min_size=1, max_size=40))
+def test_table_row_is_the_dense_formatting(entries):
+    row = tuple((j, x) for j, x in enumerate(entries) if x)
+    assert _matrix_row(row, len(entries)) == "  [" + " ".join(f"{x:>3}" for x in entries) + "]"

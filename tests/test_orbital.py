@@ -1,10 +1,21 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
-from helpers import _find_witness, all_connected_graphs, connected_graphs, equalizes, tied_star, vertex_permutations
-from orbigraph.aut import Partition, isomorphism, orbit_partition, unit_partition
+from helpers import (
+    _find_witness,
+    all_connected_graphs,
+    connected_graphs,
+    dense,
+    dense_divisor_matrix,
+    equalizes,
+    from_dense,
+    tied_star,
+    vertex_permutations,
+)
+from orbigraph.aut import Partition, equitable_refinement, isomorphism, orbit_partition, unit_partition
 from orbigraph.constructions import complete, cycle, generalized_sun, path, star, strong_prism
 from orbigraph.graph_core import Graph
 from orbigraph.orbital import (
@@ -28,17 +39,17 @@ STIED = ((1, 0, 1), (0, 0, 1), (2, 2, 0))
 class TestDivisorMatrix:
     def test_path5(self):
         dm = orbit_divisor_matrix(path(5))
-        assert dm.entries == SPATH
+        assert dense(dm) == SPATH
         assert dm.sizes == (2, 2, 1)
 
     def test_vertex_transitive_scalar(self):
         dm = divisor_matrix(cycle(8), unit_partition(8))
-        assert dm.entries == ((2,),)
+        assert dense(dm) == ((2,),)
 
     def test_tied_star(self):
         g = tied_star()
         assert orbit_partition(g).cells == ((0, 4), (2, 3), (1,))
-        assert orbit_divisor_matrix(g).entries == STIED
+        assert dense(orbit_divisor_matrix(g)) == STIED
 
     def test_row_sums_are_degrees(self):
         dm = orbit_divisor_matrix(star(4))
@@ -60,6 +71,38 @@ class TestDivisorMatrix:
     def test_json_round_trip(self):
         dm = orbit_divisor_matrix(path(5))
         assert DivisorMatrix.from_dict(dm.as_dict()) == dm
+
+    def test_rows_hold_the_positive_entries_in_column_order(self):
+        dm = DivisorMatrix.from_dict({"ell": 3, "entries": [0, 1, 0, 1, 0, 1, 0, 2, 0], "sizes": [2, 2, 1]})
+        assert dm.rows == (((1, 1),), ((0, 1), (2, 1)), ((1, 2),))
+        assert dm == orbit_divisor_matrix(path(5)) == from_dense(SPATH, (2, 2, 1))
+        assert dm.as_dict()["entries"] == [0, 1, 0, 1, 0, 1, 0, 2, 0]
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"ell": 0, "entries": [], "sizes": []},
+            {"ell": -1, "entries": [0], "sizes": [1]},
+            {"ell": 1.0, "entries": [0], "sizes": [1]},
+            {"ell": True, "entries": [0], "sizes": [1]},
+            {"ell": 2, "entries": [1, 2, 3], "sizes": [1, 1]},
+            {"ell": 2, "entries": [0, 1, 1, 0, 0], "sizes": [1, 1]},
+            {"ell": 2, "entries": [0, 1, 1, 0], "sizes": [1]},
+            {"ell": 2, "entries": [0, -1, 1, 0], "sizes": [1, 1]},
+            {"ell": 2, "entries": [0, 1.0, 1, 0], "sizes": [1, 1]},
+            {"ell": 2, "entries": [0, True, 1, 0], "sizes": [1, 1]},
+            {"ell": 2, "entries": [0, 1, 1, 0], "sizes": [1, 0]},
+            {"ell": 2, "entries": [0, 1, 1, 0], "sizes": [1, -2]},
+            {"ell": 2, "entries": [0, 1, 1, 0], "sizes": [1, 2.0]},
+        ],
+        ids=[
+            "ell-zero", "ell-negative", "ell-float", "ell-bool", "entries-short", "entries-long", "sizes-short",
+            "entry-negative", "entry-float", "entry-bool", "size-zero", "size-negative", "size-float",
+        ],
+    )
+    def test_from_dict_rejects(self, data):
+        with pytest.raises(ValueError, match="divisor matrix"):
+            DivisorMatrix.from_dict(data)
 
     def test_fields_cannot_be_assigned(self):
         dm = orbit_divisor_matrix(path(5))
@@ -112,7 +155,7 @@ class TestSimilarity:
     def test_cycles_similar(self):
         verdict = orbitally_similar(cycle(4), cycle(8))
         assert verdict.similar
-        assert verdict.common_matrix.entries == ((2,),)
+        assert dense(verdict.common_matrix) == ((2,),)
 
     def test_path_vs_tied_star_dissimilar(self):
         assert not orbitally_similar(path(5), tied_star()).similar
@@ -125,18 +168,18 @@ class TestSimilarity:
     def test_strong_prisms_of_similar_bases(self):
         verdict = orbitally_similar(strong_prism(cycle(4)), strong_prism(cycle(8)))
         assert verdict.similar
-        assert verdict.common_matrix.entries == ((5,),)
+        assert dense(verdict.common_matrix) == ((5,),)
 
     def test_witness_equalizes_matrices(self):
         g, h = generalized_sun(3, 1), generalized_sun(5, 1)
         verdict = orbitally_similar(g, h)
         assert verdict.similar
-        sg = orbit_divisor_matrix(g)
-        sh = orbit_divisor_matrix(h)
+        bg = dense(orbit_divisor_matrix(g))
+        bh = dense(orbit_divisor_matrix(h))
         pi = verdict.witness
-        for i in range(sh.ell):
-            for j in range(sh.ell):
-                assert sg.entries[pi[i]][pi[j]] == sh.entries[i][j]
+        for i in range(len(bh)):
+            for j in range(len(bh)):
+                assert bg[pi[i]][pi[j]] == bh[i][j]
 
     def test_symmetric(self):
         assert orbitally_similar(tied_star(), path(5)).similar == orbitally_similar(
@@ -233,20 +276,21 @@ class TestOmegaFromDivisor:
 @given(connected_graphs(max_n=7))
 def test_edge_count_balance(g):
     dm = orbit_divisor_matrix(g)
+    entries = dense(dm)
     for i in range(dm.ell):
         for j in range(dm.ell):
-            assert dm.sizes[i] * dm.entries[i][j] == dm.sizes[j] * dm.entries[j][i]
+            assert dm.sizes[i] * entries[i][j] == dm.sizes[j] * entries[j][i]
     # row sums are the per-cell degrees
     deg = g.degrees()
     for i, cell in enumerate(orbit_partition(g).cells):
-        assert sum(dm.entries[i]) == deg[cell[0]]
+        assert sum(entries[i]) == deg[cell[0]]
 
 
 @settings(max_examples=60, deadline=None)
 @given(connected_graphs(max_n=7))
 def test_omega_recovery_matches_profile(g):
     dm = orbit_divisor_matrix(g)
-    recovered = omega_from_divisor(dm.entries)
+    recovered = omega_from_divisor(dense(dm))
     assert sorted(recovered, reverse=True) == list(orbit_profile(g).omega)
     assert recovered == tuple(F(s, g.n) for s in dm.sizes)
 
@@ -269,9 +313,9 @@ def test_cell_relabelling_found(g, perm):
     sg = orbit_divisor_matrix(g)
     image = [p for p in perm if p < sg.ell]
     inverse = [image.index(i) for i in range(sg.ell)]
-    sh = DivisorMatrix(
-        sg.ell,
-        tuple(tuple(sg.entries[inverse[i]][inverse[j]] for j in range(sg.ell)) for i in range(sg.ell)),
+    entries = dense(sg)
+    sh = from_dense(
+        tuple(tuple(entries[inverse[i]][inverse[j]] for j in range(sg.ell)) for i in range(sg.ell)),
         tuple(sg.sizes[inverse[i]] for i in range(sg.ell)),
     )
     witness = isomorphism(_cell_digraph(sh), _cell_digraph(sg))
@@ -289,8 +333,66 @@ def test_similarity_implies_homothety_implies_entropy():
             )
 
 
+def _degree_sorted_connected_graphs(max_n: int):
+    """Every connected graph on 1..max_n vertices up to isomorphism, in each
+    of its labellings whose degrees do not increase with the label."""
+    for n in range(1, max_n + 1):
+        for g in all_connected_graphs(n):
+            degrees = g.degrees()
+            if degrees == sorted(degrees, reverse=True):
+                yield g
+
+
+def _matches_dense_oracle(g: Graph, p: Partition) -> bool:
+    """divisor_matrix agrees with the dense oracle: the same matrix, or the
+    same ValueError message; True when the partition is equitable."""
+    try:
+        expected = from_dense(dense_divisor_matrix(g, p), map(len, p.cells))
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            divisor_matrix(g, p)
+        assert str(info.value) == str(exc)
+        return False
+    assert divisor_matrix(g, p) == expected
+    return True
+
+
+def test_sparse_rows_match_the_dense_oracle():
+    for g in _degree_sorted_connected_graphs(6):
+        assert _matches_dense_oracle(g, orbit_partition(g))
+        assert _matches_dense_oracle(g, equitable_refinement(g))
+
+
+def test_non_equitable_partitions_raise_the_dense_oracle_message():
+    # Cells of equal label residues, listed with the largest residue first,
+    # so that two vertices of a cell often differ in more than one column.
+    equitable = rejected = 0
+    for g in _degree_sorted_connected_graphs(6):
+        for k in (1, 2, 3):
+            cells = [[v for v in range(g.n) if v % k == r] for r in reversed(range(min(k, g.n)))]
+            if _matches_dense_oracle(g, Partition.from_cells(cells)):
+                equitable += 1
+            else:
+                rejected += 1
+    assert equitable and rejected
+
+
+def test_discrete_partition_of_a_long_cycle_stays_small():
+    # One cell per vertex: ell = n = 2000, but only 2n nonzero entries.
+    g = cycle(2000)
+    p = Partition.from_cells([v] for v in range(g.n))
+    tracemalloc.start()
+    try:
+        digraph = _cell_digraph(divisor_matrix(g, p))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(digraph.arcs) == 2 * g.n
+    assert peak < 4 * 2**20
+
+
 def test_divisor_with_explicit_alternative_order():
     # relabeling the two equal-size orbits of the path permutes the matrix
     cells = [[1, 3], [0, 4], [2]]
     dm = divisor_matrix(path(5), Partition.from_cells(cells))
-    assert dm.entries == ((0, 1, 1), (1, 0, 0), (2, 0, 0))
+    assert dense(dm) == ((0, 1, 1), (1, 0, 0), (2, 0, 0))

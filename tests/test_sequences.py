@@ -2,12 +2,12 @@ import random
 
 import pytest
 
-from helpers import rigid_cubic
+from helpers import from_dense, rigid_cubic
 from orbigraph import constructions as cons
 from orbigraph import sequences
 from orbigraph.constructions import complete, crossed_prism, cycle, cycle_with_cliques, loaded_torus, path
 from orbigraph.graph_core import Graph
-from orbigraph.orbital import DivisorMatrix, orbitally_similar
+from orbigraph.orbital import orbitally_similar
 from orbigraph.sequences import SequenceSpec, analyze_term, generate, preservation_report, verify_self_similar
 
 
@@ -96,7 +96,7 @@ def test_rho_paths_flags_a_wrong_divisor_matrix(monkeypatch):
     def wrong_divisor_for_term_one(graph):
         record = analyze(graph)
         if graph.n == 4:
-            record = record._replace(divisor=DivisorMatrix(1, ((3,),), (4,)))
+            record = record._replace(divisor=from_dense(((3,),), (4,)))
         return record
 
     monkeypatch.setattr(sequences, "analyze_term", wrong_divisor_for_term_one)
