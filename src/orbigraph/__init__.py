@@ -21,7 +21,6 @@ from .aut import (
     AutGroup,
     ColouredDigraph,
     Partition,
-    Permutation,
     automorphism_group,
     equitable_refinement,
     is_edge_transitive,

@@ -277,8 +277,8 @@ def family_names() -> tuple[str, ...]:
 
 def _call(name: str, params: dict, column: int):
     """Column 0 (the constructor) or 1 (the order) of the family's row, called
-    on params; ValueError for an unknown name or for parameters the
-    constructor does not take."""
+    on params; ValueError for an unknown name, for parameters the
+    constructor does not take, or for one below 1."""
     if name not in _FAMILIES:
         raise ValueError(f"unknown family {name!r}; known: {', '.join(family_names())}")
     import inspect  # only here: it costs the CLI several ms of start-up
@@ -289,6 +289,11 @@ def _call(name: str, params: dict, column: int):
             inspect.signature(row[0]).bind(**params)
         except TypeError:
             row[0](**params)  # parameters that do not bind: the constructor's own message, before its body runs
+        # Every parameter and every entry of dims has a minimum of at least 1;
+        # below it, a closed-form order can still come out positive.
+        low = [f"{k}={v}" for k, v in params.items() if min(v if k == "dims" else (v,), default=1) < 1]
+        if low:
+            raise ValueError(f"family {name!r} needs parameters >= 1, got {', '.join(low)}")
         return row[column](**params)
     except TypeError as exc:
         raise ValueError(f"bad parameters for family {name!r}: {exc}") from exc
@@ -302,6 +307,7 @@ def family(name: str, **params) -> Graph:
 def family_order(name: str, **params) -> int:
     """The number of vertices family(name, **params) has, without building it.
 
-    Parameters the constructor would refuse are not checked beyond their names.
+    Parameters the constructor would refuse are checked only for their names
+    and for values below 1.
     """
     return _call(name, params, 1)

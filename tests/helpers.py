@@ -8,7 +8,7 @@ from itertools import combinations
 
 import hypothesis.strategies as st
 
-from orbigraph.aut import Partition, Permutation, automorphism_group
+from orbigraph.aut import AutGroup, Partition, automorphism_group
 from orbigraph.graph_core import Graph, is_connected
 from orbigraph.orbital import DivisorMatrix
 
@@ -47,15 +47,50 @@ def all_connected_graphs(n: int):
     return (g for g in all_graphs(n) if is_connected(g))
 
 
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """p after q: v -> p(q(v))."""
-    return Permutation(tuple(p.image[q.image[v]] for v in range(len(p))))
+def dense_image(generator, n: int) -> tuple[int, ...]:
+    """The image of each of 0..n-1 under a generator given as its
+    (v, image of v) pairs over the moved v."""
+    image = list(range(n))
+    for v, w in generator:
+        image[v] = w
+    return tuple(image)
 
 
-def preserves_edges(p: Permutation, graph: Graph) -> bool:
-    """True iff p maps every edge of graph onto an edge."""
-    img = p.image
+def preserves_edges(generator, graph: Graph) -> bool:
+    """True iff the generator, in sparse form, maps every edge of graph onto an edge."""
+    img = dense_image(generator, graph.n)
     return all((min(img[u], img[v]), max(img[u], img[v])) in graph.edges for u, v in graph.edges)
+
+
+def generated_group(generators, n: int) -> set[tuple[int, ...]]:
+    """Every element of the group the generators generate, as dense images:
+    the closure of the identity under composition with each generator."""
+    dense = [dense_image(g, n) for g in generators]
+    seen = {tuple(range(n))}
+    frontier = list(seen)
+    while frontier:
+        step = []
+        for p in frontier:
+            for g in dense:
+                q = tuple(g[v] for v in p)
+                if q not in seen:
+                    seen.add(q)
+                    step.append(q)
+        frontier = step
+    return seen
+
+
+def check_generators(group: AutGroup, graph: Graph) -> None:
+    """Assert that every generator is in sparse form (moved points ascending,
+    none mapped to itself, images a permutation of the moved points) and an
+    automorphism of graph, and that together they generate exactly
+    group.order elements."""
+    for gen in group.generators:
+        moved = [v for v, _ in gen]
+        assert moved == sorted(set(moved)) and sorted(w for _, w in gen) == moved, gen
+        assert all(v != w for v, w in gen), gen
+        assert preserves_edges(gen, graph), gen
+    assert len(generated_group(group.generators, graph.n)) == group.order
 
 
 def _brute_force_automorphisms(graph: Graph):

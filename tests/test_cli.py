@@ -109,6 +109,9 @@ def test_generate_to_stdout_file_and_graph6(tmp_path, capsys):
         (["torus", "--dims", "3,x"], "bad --dims '3,x'"),
         (["torus", "--dims", "3,4", "--n", "5"], "torus() got an unexpected keyword argument 'n'"),
         (["path", "--n", "100000000", "--p", "3"], "path() got an unexpected keyword argument 'p'"),
+        # the closed-form orders of these are positive and above the cap
+        (["loaded-torus", "--dims", "3,3", "--q", "-100", "--m", "-100"], "got q=-100, m=-100"),
+        (["cycle-with-cliques", "--n", "3", "--p", "0", "--q", "-100000"], "got p=0, q=-100000"),
     ],
 )
 def test_generate_parameter_errors(argv, message, capsys):
