@@ -2,9 +2,10 @@
 
 One individualization-refinement (IR) engine serves the equitable
 refinement, the automorphism search and isomorphism.  The search works on
-a vertex-coloured digraph with arc weights (ColouredDigraph): a graph is
-one colour with both arcs of every edge, and orbital similarity hands it
-the cell digraphs of two divisor matrices.
+a vertex-coloured digraph (ColouredDigraph) whose sorted rows list each
+head as often as the arc's weight: a graph is one colour with its
+adjacency rows, and orbital similarity hands it the cell digraphs of two
+divisor matrices.
 
 Refinement is splitter-queue colour refinement over an ordered partition
 kept as cell segments of one vertex array.  A splitter cell is popped, the
@@ -41,8 +42,8 @@ level.  Sparse automorphisms are found without descending to a leaf
 symmetries, DAC 2008): when every non-singleton cell of a node holds the
 same vertices as on the first path, the map between the two nodes'
 singletons, fixing everything else, is tested at once.  It is kept if it
-maps every arc out of a moved vertex onto an arc of the same weight; if it
-fails, no leaf below the node is an automorphism, and the node is dropped.
+maps every moved vertex's row onto its image's row; if it fails, no leaf
+below the node is an automorphism, and the node is dropped.
 
 The group order is the product over levels of the base vertex's orbit size
 when its level finishes, times (class size)! for every twin class of every
@@ -56,19 +57,19 @@ the first path is searched, then the root's candidates in the second
 digraph, and the search stops at the first automorphism.
 
 Scale, measured on one core of an Intel Xeon with Python 3.11, at the
-2000-vertex cap: the search takes 0.12 s on torus(40, 50), 0.04 s on
-cycle_with_cliques(400, 3, 2), 0.5 s on loaded_torus((20, 20), 2, 2)
-(a 400-level base), 0.6 s on crossed_prism(1000) (500 levels), and 0.15 s
-on a rigid random cubic graph with 1000 vertices.  On a rigid random cubic
-graph with 2000 vertices and a relabelling of it, isomorphism takes 0.8 s,
-and the whole `orbigraph compare`, which decides it on the 2000-cell
-digraphs of the two divisor matrices, about 3 s.
+2000-vertex cap: the search takes 0.05 s on torus(40, 50), 0.02 s on
+cycle_with_cliques(400, 3, 2), 0.2 s on loaded_torus((20, 20), 2, 2)
+(a 400-level base), 0.2 s on crossed_prism(1000) (500 levels), 0.07 s on
+a rigid random cubic graph with 1000 vertices, and 0.03 s on complete(1200).
+On a rigid random cubic graph with 2000 vertices and a relabelling of it,
+isomorphism takes 0.33 s, and the whole `orbigraph compare --json`, which
+decides it on the 2000-cell digraphs of the two divisor matrices, 1.2 s.
 """
 
 from collections import deque
 from functools import lru_cache
 from math import factorial
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .graph_core import Frozen, Graph
 
@@ -343,27 +344,24 @@ class ColouredDigraph(NamedTuple):
     """Input of the IR engine: a vertex-coloured digraph with arc weights.
 
     colour[v] is any sortable value; vertices of one colour may be swapped,
-    and cells start in ascending colour order.  adj[v] lists the heads of
-    v's arcs, sorted, each as often as the arc's weight; arcs maps each arc
-    (u, v) to that weight.  The weight of (v, u) must follow from that of
-    (u, v) and the colours of u and v, with no arc back iff none forth: true
-    for a graph, and for a divisor matrix whose colours carry the relative
-    cell sizes, because s_i B_ij = s_j B_ji.
+    and cells start in ascending colour order.  adj[v] is the sorted tuple
+    of the heads of v's arcs, each listed as often as the arc's weight, so
+    the weight of (u, v) is the multiplicity of v in adj[u].  The weight of
+    (v, u) must follow from that of (u, v) and the colours of u and v, with
+    no arc back iff none forth: true for a graph, and for a divisor matrix
+    whose colours carry the relative cell sizes, because s_i B_ij = s_j B_ji.
     """
 
     colour: Sequence
-    adj: Sequence[Sequence[int]]
-    arcs: Mapping[tuple[int, int], int]
+    adj: Sequence[tuple[int, ...]]
 
     @classmethod
     def from_graph(cls, graph: Graph) -> "ColouredDigraph":
         """The graph with a single colour and both arcs of every edge."""
-        arcs = dict.fromkeys(graph.edges, 1)
-        arcs.update(dict.fromkeys(((v, u) for u, v in graph.edges), 1))
-        return cls((0,) * graph.n, graph.adjacency, arcs)
+        return cls((0,) * graph.n, graph.adjacency)
 
 
-def _twin_classes(colour: Sequence, adj: Sequence[Sequence[int]]) -> list[tuple[int, list[int]]]:
+def _twin_classes(colour: Sequence, adj: Sequence[tuple[int, ...]]) -> list[tuple[int, list[int]]]:
     """Maximal twin classes as (kind, sorted members), by smallest member.
 
     Kind 0 is a lone vertex, 1 a class of open twins (one colour, equal arc
@@ -372,31 +370,22 @@ def _twin_classes(colour: Sequence, adj: Sequence[Sequence[int]]) -> list[tuple[
     a closed twin, so the classes partition the vertex set.
     """
     by_open: dict[tuple, list[int]] = {}
+    for v, nbrs in enumerate(adj):
+        by_open.setdefault((colour[v], nbrs), []).append(v)
+    # Only a vertex with no open twin can have a closed one.
     by_closed: dict[tuple, list[int]] = {}
-    for v, nbrs in enumerate(adj):
-        by_open.setdefault((colour[v], tuple(nbrs)), []).append(v)
-        by_closed.setdefault((colour[v], tuple(sorted([*nbrs, v]))), []).append(v)
-    classes = []
-    placed = [False] * len(adj)
-    for v, nbrs in enumerate(adj):
-        if placed[v]:
-            continue
-        members = by_open[colour[v], tuple(nbrs)]
-        kind = 1
+    for (c, nbrs), members in by_open.items():
         if len(members) == 1:
-            members = by_closed[colour[v], tuple(sorted([*nbrs, v]))]
-            kind = 2 if len(members) > 1 else 0
-        for w in members:
-            placed[w] = True
-        classes.append((kind, members))
-    return classes
+            by_closed.setdefault((c, tuple(sorted([*nbrs, *members]))), []).append(members[0])
+    classes = [(1, members) for members in by_open.values() if len(members) > 1]
+    classes += ((2 if len(members) > 1 else 0, members) for members in by_closed.values())
+    return sorted(classes, key=lambda c: c[1][0])
 
 
 class _AutSearch:
     """IR search for the automorphisms of a coloured digraph, on its twin quotient."""
 
-    def __init__(self, colour: Sequence, adj: Sequence[Sequence[int]], arcs: Mapping[tuple[int, int], int]) -> None:
-        self.arcs = arcs
+    def __init__(self, colour: Sequence, adj: Sequence[tuple[int, ...]]) -> None:
         self.heads = adj  # of the input, for the arc check
         self.generators: list[tuple[tuple[int, int], ...]] = []
         self.twin_order = 1
@@ -419,7 +408,7 @@ class _AutSearch:
             # A representative has equal weights to every member of another
             # class, so its arcs to the representatives carry the quotient.
             rep = [members[0] for _, members in classes]
-            adj = [[class_of[w] for w in adj[r] if w == rep[class_of[w]] and w != r] for r in rep]
+            adj = [tuple(class_of[w] for w in adj[r] if w == rep[class_of[w]] and w != r) for r in rep]
             colour = [(colour[members[0]], kind, len(members)) for kind, members in classes]
             blocks = [[v for w in members for v in blocks[w]] for _, members in classes]
         self.adj = adj
@@ -537,14 +526,13 @@ class _AutSearch:
     def _is_automorphism(self, image: dict[int, int]) -> bool:
         # An arc between fixed vertices maps to itself, and an arc's weight
         # follows from its reverse's and the colours, which every candidate
-        # keeps; so each arc with a moved end is checked once, out of that
-        # end, or out of the smaller end if both move.
-        arcs, at = self.arcs, image.get
+        # keeps; so checking the rows of the moved vertices, as multisets of
+        # heads, checks every arc.
+        heads, at = self.heads, image.get
         for u, iu in image.items():
-            for v in self.heads[u]:
-                iv = at(v, v)
-                if (v > u or iv == v) and arcs.get((iu, iv)) != arcs[u, v]:
-                    return False
+            row = heads[u]
+            if tuple(sorted(map(at, row, row))) != heads[iu]:
+                return False
         return True
 
     def orbit_cells(self) -> list[list[int]]:
@@ -595,11 +583,10 @@ def isomorphism(a: ColouredDigraph, b: ColouredDigraph) -> tuple[int, ...] | Non
     only find automorphisms of a that fix the base, and automorphisms of b.
     """
     na = len(a.adj)
-    if na != len(b.adj) or len(a.arcs) != len(b.arcs) or sorted(a.colour) != sorted(b.colour):
+    if na != len(b.adj) or sorted(map(len, a.adj)) != sorted(map(len, b.adj)) or sorted(a.colour) != sorted(b.colour):
         return None
-    adj = [*a.adj, *([w + na for w in nbrs] for nbrs in b.adj)]
-    arcs = {**a.arcs, **{(u + na, v + na): w for (u, v), w in b.arcs.items()}}
-    search = _AutSearch([*a.colour, *b.colour], adj, arcs)
+    adj = [*a.adj, *(tuple(w + na for w in nbrs) for nbrs in b.adj)]
+    search = _AutSearch([*a.colour, *b.colour], adj)
     for g in search.generators:
         if (phi := _swap(g, na)) is not None:
             return phi

@@ -137,7 +137,19 @@ def _dumps(obj, indent: str = "\n") -> str:
         else:
             body = sep.join(_dumps(x, inner) for x in obj)
         return "[" + inner + body + indent + "]"
-    return json.dumps(obj)
+    return _digits(obj) if type(obj) is int else json.dumps(obj)
+
+
+_CHUNK = 10**4000
+
+
+def _digits(x: int) -> str:
+    """str(x), also for x >= 0 past str()'s default limit of 4,300 digits:
+    a group order up to 2000! has 5,736."""
+    if x < _CHUNK:
+        return str(x)
+    high, low = divmod(x, _CHUNK)
+    return _digits(high) + str(low).zfill(4000)
 
 
 def _int_items(obj: list | tuple, sep: str) -> str:
@@ -171,7 +183,7 @@ def _print_analysis_table(payload: dict, divisor: DivisorMatrix) -> None:
         ("order", payload["order"]),
         ("size", payload["size"]),
         ("orbits", " ".join("{" + ",".join(map(str, c)) + "}" for c in payload["orbits"])),
-        ("group order", payload["group_order"]),
+        ("group order", _digits(payload["group_order"])),
         ("omega", " ".join(payload["omega"])),
         ("entropy", f"{payload['entropy']:.4f}"),
         ("rho (adjacency)", f"{payload['rho_adjacency']:.4f}"),

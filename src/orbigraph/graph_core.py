@@ -121,11 +121,7 @@ class Graph(Frozen):
         return count == self.n
 
     def degrees(self) -> list[int]:
-        deg = [0] * self.n
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        return list(map(len, self.adjacency))
 
     def relabel(self, image: Sequence[int]) -> "Graph":
         """Apply a vertex bijection v -> image[v] to the edge set."""

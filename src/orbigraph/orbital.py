@@ -3,9 +3,9 @@
 Two connected graphs count as orbitally similar when their orbit divisor
 matrices can be made entrywise equal by relabeling the cells of one of
 them.  That is an isomorphism of the cell digraphs: cell i is a vertex
-coloured by its relative size and B_ii, with an arc of weight B_ij to each
-other cell j where B_ij > 0.  The one IR engine of aut decides it exactly,
-for any number of cells.
+coloured by its relative size and B_ii, and each other cell j is listed
+B_ij times in i's row, an arc of weight B_ij.  The one IR engine of aut
+decides it exactly, for any number of cells.
 All matrix comparisons are exact integer equality; the only float anywhere
 in this module is the entropy value.
 """
@@ -156,22 +156,20 @@ def orbit_profile(graph: Graph) -> OrbitProfile:
 
 
 def _cell_digraph(dm: DivisorMatrix) -> ColouredDigraph:
-    """Cells as vertices coloured (omega_i, B_ii), with an arc of weight B_ij from i to each j != i."""
+    """Cells as vertices coloured (omega_i, B_ii), with j listed B_ij times in i's row for each j != i."""
     n = sum(dm.sizes)
     colour: list[tuple[Fraction, int]] = []
-    arcs: dict[tuple[int, int], int] = {}
-    adj: list[list[int]] = []
+    adj: list[tuple[int, ...]] = []
     for i, (row, s) in enumerate(zip(dm.rows, dm.sizes)):
         loops, out = 0, []
         for j, x in row:
             if j == i:
                 loops = x
             else:
-                arcs[i, j] = x
                 out += [j] * x
         colour.append((Fraction(s, n), loops))
-        adj.append(out)
-    return ColouredDigraph(colour, adj, arcs)
+        adj.append(tuple(out))
+    return ColouredDigraph(colour, adj)
 
 
 def orbitally_similar(g: Graph, h: Graph) -> SimilarityVerdict:

@@ -348,6 +348,7 @@ def spectral_radius_adjacency(graph: Graph, partition: Partition | None = None) 
     if not all(v > 0.0 for v in x):
         raise CertificateError("lifted eigenvector is not positive")
     y = [0.0] * graph.n
+    # Summed in edge-set order, not along the rows: the printed rho depends on the summation order.
     for u, v in graph.edges:
         y[u] += x[v]
         y[v] += x[u]

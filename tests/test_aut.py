@@ -3,6 +3,7 @@ import itertools
 import math
 import pickle
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -94,6 +95,20 @@ class TestPermutationType:
         # as dense images they would hold 2,404,000 entries
         g = cycle_with_cliques(400, 3, 2)
         assert sum(len(gen) for gen in automorphism_group(g).generators) <= 4 * g.n
+
+    def test_complete_graph_search_holds_no_per_arc_data(self):
+        # The engine reads arc weights from the adjacency rows; a dict of
+        # the 2m = 639,200 arcs of K_800 alone would take tens of MB.
+        g = complete(800)
+        g.adjacency
+        tracemalloc.start()
+        try:
+            group = automorphism_group.__wrapped__(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert group.order == math.factorial(800)
+        assert peak < 4 * 2**20
 
 
 class TestEquitableRefinement:

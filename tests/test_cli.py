@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from datetime import datetime, timedelta
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -172,6 +173,18 @@ def test_analyze_error_exits(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "disconnected" in captured.err and "above the supported cap 2000" in captured.err
+
+
+def test_group_order_past_the_int_string_limit(tmp_path, capsys):
+    # |Aut(star(1999))| = 1999! has 5,733 digits; str() of an int refuses more
+    # than 4,300 by default, and the text of a Decimal has no such limit.
+    expected = str(Decimal(math.factorial(1999)))
+    graph = _write(tmp_path, "star", cons.star(1999))
+    assert main(["analyze", "--json", graph]) == EXIT_OK
+    assert f'\n  "group_order": {expected},\n' in capsys.readouterr().out
+    assert main(["analyze", graph]) == EXIT_OK
+    rows = capsys.readouterr().out.splitlines()
+    assert f"group order        {expected}" in rows
 
 
 def test_compare_above_the_cap_is_a_resource_error(tmp_path, capsys):
