@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from itertools import compress, count
@@ -20,6 +21,7 @@ from . import __version__
 from .graph_core import (
     Graph,
     GraphFormatError,
+    _g6_decode_n,
     frac_str,
     is_connected,
     parse_edge_list,
@@ -79,8 +81,25 @@ def _write_ascii(path: str, text: str) -> None:
         raise CliError(f"cannot write {path}: {exc}", EXIT_PARSE) from exc
 
 
+# A line of ASCII text, as str.splitlines cuts it.
+_LINE = re.compile(r"[^\n\r\v\f\x1c-\x1e]+")
+
+
+def _header_n(text: str, fmt: str) -> int:
+    """The vertex count of a well-formed header, else 0: the parser reports a malformed one."""
+    try:
+        if fmt == "graph6":
+            return _g6_decode_n(text.strip().removeprefix(">>graph6<<").strip())[0]
+        lines = map(re.Match.group, _LINE.finditer(text))
+        n, m = map(int, next(ln for ln in lines if ln.strip() and not ln.lstrip().startswith("#")).split())
+        return n if m >= 0 else 0
+    except (StopIteration, ValueError):
+        return 0
+
+
 def _load_graph(path: str, fmt: str) -> Graph:
     text = _read_ascii(path)
+    _require_desk_scale(_header_n(text, fmt))
     try:
         return parse_edge_list(text) if fmt == "edgelist" else parse_graph6(text)
     except GraphFormatError as exc:
@@ -93,7 +112,8 @@ def _require_connected(graph: Graph, path: str) -> None:
 
 
 def _require_desk_scale(n: int, cap: int = 2000, name: str = "graph") -> None:
-    """Exit 4 above the vertex cap; called before anything builds the n adjacency lists."""
+    """Exit 4 above the vertex cap.  An input graph is checked on the n of
+    its header, before the parser builds its n adjacency rows."""
     if n > cap:
         raise CliError(f"{name} has {n} vertices, above the supported cap {cap}", EXIT_RESOURCE)
 
@@ -206,7 +226,6 @@ def _print_analysis_table(payload: dict, divisor: DivisorMatrix) -> None:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     graph = _load_graph(args.path, args.format)
-    _require_desk_scale(graph.n)
     _require_connected(graph, args.path)
     record = analyze_term(graph)
     if args.dot:
@@ -223,7 +242,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     a = _load_graph(args.path_a, args.format)
     b = _load_graph(args.path_b, args.format)
     for graph, path in ((a, args.path_a), (b, args.path_b)):
-        _require_desk_scale(graph.n)
         _require_connected(graph, path)
     verdict = orbitally_similar(a, b)
     profile_a, profile_b = orbit_profile(a), orbit_profile(b)

@@ -61,9 +61,10 @@ def cartesian_product(g: Graph, f: Graph) -> Graph:
     if g.n == 0 or f.n == 0:
         raise ValueError("products need nonempty factors")
     nf = f.n
+    f_edges = f.edges
     edges: list[tuple[int, int]] = []
     for u in range(g.n):
-        edges.extend((u * nf + a, u * nf + b) for a, b in f.edges)
+        edges.extend((u * nf + a, u * nf + b) for a, b in f_edges)
     for u, v in g.edges:
         edges.extend((u * nf + a, v * nf + a) for a in range(nf))
     return Graph.from_edges(g.n * f.n, edges)
@@ -74,9 +75,10 @@ def strong_product(g: Graph, f: Graph) -> Graph:
     if g.n == 0 or f.n == 0:
         raise ValueError("products need nonempty factors")
     nf = f.n
+    f_edges = f.edges
     edges = [(u, v) for u, v in cartesian_product(g, f).edges]
     for u, v in g.edges:
-        for a, b in f.edges:
+        for a, b in f_edges:
             edges.append((u * nf + a, v * nf + b))
             edges.append((u * nf + b, v * nf + a))
     return Graph.from_edges(g.n * f.n, edges)
@@ -86,10 +88,11 @@ def corona(g: Graph, f: Graph) -> Graph:
     """Join vertex i of g to every vertex of a private copy of f."""
     if g.n == 0:
         raise ValueError("corona needs a nonempty left factor")
+    f_edges = f.edges
     edges = list(g.edges)
     for i in range(g.n):
         base = g.n + i * f.n
-        edges.extend((base + a, base + b) for a, b in f.edges)
+        edges.extend((base + a, base + b) for a, b in f_edges)
         edges.extend((i, base + a) for a in range(f.n))
     return Graph.from_edges(g.n + g.n * f.n, edges)
 
@@ -141,6 +144,7 @@ def vertex_load(g: Graph, load: RootedGraph) -> Graph:
         raise ValueError("vertex loading needs a nonempty support")
     lg = load.graph
     others = [w for w in range(lg.n) if w != load.root]
+    lg_edges = lg.edges
     edges = list(g.edges)
     block = len(others)
     for v in range(g.n):
@@ -148,7 +152,7 @@ def vertex_load(g: Graph, load: RootedGraph) -> Graph:
         mapping = {load.root: v}
         for k, w in enumerate(others):
             mapping[w] = base + k
-        edges.extend((mapping[a], mapping[b]) for a, b in lg.edges)
+        edges.extend((mapping[a], mapping[b]) for a, b in lg_edges)
     return Graph.from_edges(g.n + g.n * block, edges)
 
 

@@ -1,15 +1,19 @@
 """Core graph type, text formats, and elementary degree/cycle invariants.
 
 Graphs are finite, simple, and undirected, with vertices labeled 0..n-1.
+A graph is its sorted adjacency rows; its edge set is derived on request.
 The edge-list text format is the canonical interchange format; graph6 and
 DOT are provided as conveniences.  All degree statistics are exact
 rationals so that downstream preservation checks can compare exactly.
 """
 
+from bisect import bisect_left, bisect_right
 from collections import deque
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from itertools import compress, islice, repeat
+from operator import eq, lt
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 class GraphFormatError(ValueError):
@@ -56,50 +60,60 @@ class Frozen:
 class Graph(Frozen):
     """Simple undirected graph on the vertex set {0, ..., n-1}.
 
-    Edges are stored as a frozenset of (u, v) pairs with u < v, so the
-    value is hashable and immutable; all operations on it are pure.
-    Equality and hash are on (n, edges) alone: the adjacency and the
-    connectivity are derived from them once, on first use, and cached in
-    the instance dict.
+    The value is the sorted adjacency: one tuple of neighbours per vertex,
+    strictly ascending, so the graph is hashable and immutable and all
+    operations on it are pure.  Equality and hash are on (n, adjacency).
+    The edge set is built on each read of `edges`; the connectivity is
+    derived once, on first use, and cached in the instance dict.
     """
 
-    _fields = ("n", "edges")
+    _fields = ("n", "adjacency")
     n: int
-    edges: frozenset[tuple[int, int]]
+    adjacency: tuple[tuple[int, ...], ...]
 
-    def __init__(self, n: int, edges: frozenset[tuple[int, int]]) -> None:
+    def __init__(self, n: int, adjacency: Iterable[Sequence[int]]) -> None:
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
-        for e in edges:
-            u, v = e
-            if not (0 <= u < v < n):
-                raise ValueError(f"edge {e} out of range for n={n} (need 0 <= u < v < n)")
+        rows = tuple(map(tuple, adjacency))
+        if len(rows) != n:
+            raise ValueError(f"{len(rows)} adjacency rows for n={n}")
+        for u, row in enumerate(rows):
+            if row and not (0 <= row[0] and row[-1] < n and u not in row and all(map(lt, row, row[1:]))):
+                raise ValueError(f"row {u} is not strictly ascending in 0..{n - 1} without {u}: {row}")
+        # With every row ascending, the rows are symmetric iff the transpose,
+        # which comes out ascending too, is the rows again.
+        transpose: list[list[int]] = [[] for _ in rows]
+        for u, row in enumerate(rows):
+            for v in row:
+                transpose[v].append(u)
+        if not all(map(eq, map(tuple, transpose), rows)):
+            raise ValueError("adjacency is not symmetric")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "adjacency", rows)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Sequence[int]]) -> "Graph":
-        """Build a graph from arbitrary (u, v) pairs, normalizing endpoint order."""
-        normalized = set()
-        for u, v in edges:
+        """Build a graph from (u, v) pairs in any orientation; a repeated pair counts once."""
+        rows: list[list[int]] = [[] for _ in range(n)]
+        for e in edges:
+            u, v = e
             if u == v:
                 raise ValueError(f"loop at vertex {u} not allowed")
-            normalized.add((min(u, v), max(u, v)))
-        return cls(n, frozenset(normalized))
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge {e} out of range for n={n}")
+            rows[u].append(v)
+            rows[v].append(u)
+        return cls(n, [sorted(set(row)) for row in rows])
 
     @property
     def m(self) -> int:
         """Number of edges."""
-        return len(self.edges)
+        return sum(map(len, self.adjacency)) // 2
 
-    @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Neighbour tuples, each sorted ascending; built once per graph."""
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return tuple(tuple(sorted(nbrs)) for nbrs in adj)
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The (u, v) pairs with u < v, as a new set on each read."""
+        return frozenset(_sorted_edges(self))
 
     @cached_property
     def connected(self) -> bool:
@@ -124,10 +138,19 @@ class Graph(Frozen):
         return list(map(len, self.adjacency))
 
     def relabel(self, image: Sequence[int]) -> "Graph":
-        """Apply a vertex bijection v -> image[v] to the edge set."""
+        """Apply a vertex bijection v -> image[v] to the rows."""
         if sorted(image) != list(range(self.n)):
             raise ValueError("image is not a bijection on 0..n-1")
-        return Graph.from_edges(self.n, ((image[u], image[v]) for u, v in self.edges))
+        rows: list[Sequence[int]] = [()] * self.n
+        for u, row in enumerate(self.adjacency):
+            rows[image[u]] = sorted(map(image.__getitem__, row))
+        return Graph(self.n, rows)
+
+
+def _sorted_edges(graph: Graph) -> Iterator[tuple[int, int]]:
+    """Each edge once as (u, v) with u < v, in ascending order."""
+    for u, row in enumerate(graph.adjacency):
+        yield from zip(repeat(u), row[bisect_right(row, u) :])
 
 
 class DegreeStats(NamedTuple):
@@ -170,8 +193,9 @@ def parse_edge_list(text: str) -> Graph:
         raise GraphFormatError(f"edge count must be nonnegative, got {m}")
     if len(lines) - 1 != m:
         raise GraphFormatError(f"expected {m} edge lines, found {len(lines) - 1}")
-    edges: set[tuple[int, int]] = set()
-    for ln in lines[1:]:
+    labels = list(range(n))  # one int object per vertex, shared by the rows
+    rows: list[list[int]] = [[] for _ in labels]
+    for ln in islice(lines, 1, None):
         parts = ln.split()
         if len(parts) != 2:
             raise GraphFormatError(f"edge line must be 'u v', got {ln!r}")
@@ -185,16 +209,22 @@ def parse_edge_list(text: str) -> Graph:
             raise GraphFormatError(f"edge endpoints must satisfy u < v, got {ln!r}")
         if not (0 <= u < v < n):
             raise GraphFormatError(f"edge {u} {v} out of range for n={n}")
-        if (u, v) in edges:
+        rows[u].append(labels[v])
+        rows[v].append(labels[u])
+    del lines  # the line strings outweigh the rows: free them before Graph copies the rows
+    for u, row in enumerate(rows):
+        row.sort()
+        if any(map(eq, row, row[1:])):
+            # Rows before u hold no repeat, so each repeat here is a larger neighbour.
+            v = next(v for v, w in zip(row, row[1:]) if v == w)
             raise GraphFormatError(f"duplicate edge {u} {v}")
-        edges.add((u, v))
-    return Graph(n, frozenset(edges))
+    return Graph(n, rows)
 
 
 def serialize_edge_list(graph: Graph) -> str:
     """Serialize to the canonical edge-list format (sorted edges, LF newlines)."""
     lines = [f"{graph.n} {graph.m}"]
-    lines.extend(f"{u} {v}" for u, v in sorted(graph.edges))
+    lines.extend(f"{u} {v}" for u, v in _sorted_edges(graph))
     return "\n".join(lines) + "\n"
 
 
@@ -238,12 +268,11 @@ def to_graph6(graph: Graph) -> str:
     """Encode in graph6 format (upper triangle, column-major bit order)."""
     n = graph.n
     out = [_g6_encode_n(n)]
-    bits: list[int] = []
-    for v in range(1, n):
-        for u in range(v):
-            bits.append(1 if (u, v) in graph.edges else 0)
-    while len(bits) % 6:
-        bits.append(0)
+    bits = bytearray(-(-n * (n - 1) // 12) * 6)
+    for v, row in enumerate(graph.adjacency):
+        base = v * (v - 1) // 2
+        for u in row[: bisect_left(row, v)]:
+            bits[base + u] = 1
     for i in range(0, len(bits), 6):
         value = 0
         for b in bits[i : i + 6]:
@@ -270,14 +299,17 @@ def parse_graph6(text: str) -> Graph:
         if not 0 <= value <= 63:
             raise GraphFormatError(f"invalid graph6 byte {ch!r}")
         bits.extend((value >> s_) & 1 for s_ in (5, 4, 3, 2, 1, 0))
-    edges = set()
+    # Column v holds v's smaller neighbours, ascending; v is larger than
+    # every neighbour appended to a row before it, so the rows stay sorted.
+    labels = list(range(n))
+    rows: list[list[int]] = [[] for _ in labels]
     k = 0
     for v in range(1, n):
-        for u in range(v):
-            if bits[k]:
-                edges.add((u, v))
-            k += 1
-    return Graph(n, frozenset(edges))
+        rows[v] = list(compress(labels, bits[k : k + v]))
+        for u in rows[v]:
+            rows[u].append(v)
+        k += v
+    return Graph(n, rows)
 
 
 _DOT_PALETTE = (
@@ -305,7 +337,7 @@ def to_dot(graph: Graph, coloring: Sequence[Sequence[int]] | None = None) -> str
                 color_of[v] = _DOT_PALETTE[i % len(_DOT_PALETTE)]
         lines.append("  node [style=filled];")
         lines.extend(f'  {v} [fillcolor="{color_of[v]}"];' for v in range(graph.n))
-    lines.extend(f"  {u} -- {v};" for u, v in sorted(graph.edges))
+    lines.extend(f"  {u} -- {v};" for u, v in _sorted_edges(graph))
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -51,7 +51,7 @@ rigid cubic graph on 150 vertices with one edge subdivided has 100,424).
 The benchmark's path-like quotients of up to 200 cells have sum_k w_k^2 at
 most 1,566, and a path of 2000 vertices 999.
 
-The lift x is certified on A in O(m) from the edge list, never a dense A:
+The lift x is certified on A in O(m) from the adjacency rows, never a dense A:
 for a positive x the Collatz-Wielandt quotients bracket the Perron root,
 min_i (Ax)_i / x_i <= rho(A) <= max_i (Ax)_i / x_i (Collatz 1942; Wielandt
 1950).  The bracket must be narrower than CERTIFICATE_TOL * max(1, rho)
@@ -347,11 +347,9 @@ def spectral_radius_adjacency(graph: Graph, partition: Partition | None = None) 
     x = [alpha[c] for c in partition.cell_index()]
     if not all(v > 0.0 for v in x):
         raise CertificateError("lifted eigenvector is not positive")
-    y = [0.0] * graph.n
-    # Summed in edge-set order, not along the rows: the printed rho depends on the summation order.
-    for u, v in graph.edges:
-        y[u] += x[v]
-        y[v] += x[u]
+    # (A x)_u as an exact sum rounded once: no order of the terms, so no
+    # vertex label, moves the printed rho.
+    y = [math.fsum(map(x.__getitem__, row)) for row in graph.adjacency]
     rho = math.fsum(map(mul, x, y)) / math.fsum(map(mul, x, x))
     quotients = [a / b for a, b in zip(y, x)]
     lo, hi = min(quotients), max(quotients)

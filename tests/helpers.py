@@ -40,7 +40,7 @@ def all_graphs(n: int):
     """Every labeled graph on 0..n-1."""
     pairs = list(combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
-        yield Graph(n, frozenset(p for i, p in enumerate(pairs) if mask >> i & 1))
+        yield Graph.from_edges(n, (p for i, p in enumerate(pairs) if mask >> i & 1))
 
 
 def all_connected_graphs(n: int):
@@ -59,7 +59,8 @@ def dense_image(generator, n: int) -> tuple[int, ...]:
 def preserves_edges(generator, graph: Graph) -> bool:
     """True iff the generator, in sparse form, maps every edge of graph onto an edge."""
     img = dense_image(generator, graph.n)
-    return all((min(img[u], img[v]), max(img[u], img[v])) in graph.edges for u, v in graph.edges)
+    edges = graph.edges
+    return all((min(img[u], img[v]), max(img[u], img[v])) in edges for u, v in edges)
 
 
 def generated_group(generators, n: int) -> set[tuple[int, ...]]:
@@ -255,12 +256,12 @@ def connected_graphs(draw, min_n: int = 1, max_n: int = 7):
     pairs = list(combinations(range(n), 2))
     mask = draw(st.integers(min_value=0, max_value=(1 << len(pairs)) - 1))
     edges = {p for i, p in enumerate(pairs) if mask >> i & 1}
-    g = Graph(n, frozenset(edges))
+    g = Graph.from_edges(n, edges)
     if not is_connected(g):
         order = draw(st.permutations(range(n)))
         for a, b in zip(order, order[1:]):
             edges.add((min(a, b), max(a, b)))
-        g = Graph(n, frozenset(edges))
+        g = Graph.from_edges(n, edges)
     return g
 
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from datetime import datetime, timedelta
 from decimal import Decimal
 from pathlib import Path
@@ -210,6 +211,31 @@ def test_vertex_cap_is_checked_before_connectivity(header, tmp_path, capsys):
         assert captured.out == ""
         assert f"error: graph has {n} vertices, above the supported cap 2000" in captured.err
         assert "disconnected" not in captured.err
+
+
+def test_vertex_cap_is_checked_on_the_header_before_any_row_is_built(tmp_path, capsys):
+    # Building and checking rows for a million vertices takes over 100 MB.
+    big = tmp_path / "big.edges"
+    big.write_text("1000000 0\n", encoding="ascii")
+    small = _write(tmp_path, "p5", path(5))
+    for argv in (["analyze", str(big)], ["compare", str(big), small], ["compare", small, str(big)]):
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_RESOURCE
+        assert peak < 5 * 2**20, peak
+        assert "graph has 1000000 vertices, above the supported cap 2000" in capsys.readouterr().err
+
+
+def test_graph6_vertex_cap_is_checked_on_the_header(tmp_path, capsys):
+    # The body of a 2001-vertex graph6 is missing; the header alone decides.
+    big = tmp_path / "big.g6"
+    big.write_text(to_graph6(path(2001))[:4] + "\n", encoding="ascii")
+    assert main(["analyze", "--format", "graph6", str(big)]) == EXIT_RESOURCE
+    assert "graph has 2001 vertices, above the supported cap 2000" in capsys.readouterr().err
 
 
 def test_sequence_term_above_the_cap_is_a_resource_error(tmp_path, capsys):

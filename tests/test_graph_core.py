@@ -60,14 +60,26 @@ class TestParseEdgeList:
 
 class TestGraphType:
     def test_edge_range_validated(self):
-        with pytest.raises(ValueError):
-            Graph(3, frozenset({(0, 3)}))
-        with pytest.raises(ValueError):
-            Graph(3, frozenset({(2, 1)}))
+        bad_row = "is not strictly ascending"
+        for rows, message in (
+            (((1,), (0,)), "2 adjacency rows for n=3"),
+            (((1,), (0, 3), ()), bad_row),  # neighbour out of range
+            (((-1,), (), ()), bad_row),  # negative neighbour
+            (((0, 1), (0,), ()), bad_row),  # loop
+            (((1, 2), (2, 0), (0, 1)), bad_row),  # unsorted row
+            (((1, 1), (0, 0), ()), bad_row),  # repeated neighbour
+            (((1, 2), (0,), ()), "not symmetric"),  # 0 ~ 2 but not 2 ~ 0
+        ):
+            with pytest.raises(ValueError, match=message):
+                Graph(3, rows)
+        for pair in ((0, 3), (-1, 1)):
+            with pytest.raises(ValueError, match="out of range"):
+                Graph.from_edges(3, [pair])
 
     def test_from_edges_normalizes(self):
         g = Graph.from_edges(3, [(2, 0), (0, 1)])
         assert g.edges == frozenset({(0, 2), (0, 1)})
+        assert g.adjacency == ((1, 2), (0,), (0,)) and g.m == 2
 
     def test_from_edges_rejects_loop(self):
         with pytest.raises(ValueError):
@@ -88,23 +100,23 @@ class TestConnectivity:
         assert not is_connected(Graph.from_edges(4, [(0, 1), (2, 3)]))
 
     def test_single_vertex(self):
-        assert is_connected(Graph(1, frozenset()))
+        assert is_connected(Graph.from_edges(1, ()))
 
     def test_adjacency_and_connectivity_are_cached_outside_equality(self):
         g = Graph.from_edges(4, [(2, 0), (0, 1), (3, 0)])
-        fresh = Graph(4, g.edges)
+        fresh = Graph.from_edges(4, g.edges)
         assert g.adjacency == ((1, 2, 3), (0,), (0,), (0,))
-        assert g.adjacency is g.adjacency
+        assert g.edges == frozenset({(0, 1), (0, 2), (0, 3)}) and "edges" not in vars(g)
         assert is_connected(g) and "connected" in vars(g)
-        assert g == fresh and hash(g) == hash(fresh) and "adjacency" not in vars(fresh)
+        assert g == fresh and hash(g) == hash(fresh) and "connected" not in vars(fresh)
 
     def test_fields_cannot_be_assigned(self):
-        g = Graph(2, frozenset({(0, 1)}))
+        g = Graph.from_edges(2, [(0, 1)])
         with pytest.raises(AttributeError):
             g.n = 3
         with pytest.raises(AttributeError):
-            g.edges = frozenset()
-        assert (g.n, g.edges) == (2, frozenset({(0, 1)}))
+            g.adjacency = ()
+        assert (g.n, g.adjacency) == (2, ((1,), (0,)))
 
 
 class TestDegreeStats:
@@ -135,7 +147,7 @@ class TestDegreeStats:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            degree_stats(Graph(0, frozenset()))
+            degree_stats(Graph.from_edges(0, ()))
 
 
 class TestRatios:
@@ -149,7 +161,7 @@ class TestRatios:
         assert density(path(5)) == Fraction(2, 5)
         assert density(cycle(6)) == Fraction(2, 5)
         with pytest.raises(ValueError):
-            density(Graph(1, frozenset()))
+            density(Graph.from_edges(1, ()))
 
     def test_cyclomatic(self):
         assert cyclomatic_number(path(5)) == 0
@@ -197,7 +209,7 @@ class TestGraph6:
 
 class TestDot:
     def test_single_vertex(self):
-        assert to_dot(Graph(1, frozenset())) == "graph {\n  0;\n}\n"
+        assert to_dot(Graph.from_edges(1, ())) == "graph {\n  0;\n}\n"
 
     def test_two_color_classes(self):
         out = to_dot(path(3), [[0, 2], [1]])

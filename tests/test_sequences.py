@@ -153,3 +153,22 @@ def test_analysis_is_invariant_under_relabelling(graph):
     for name in ("entropy", "rho_adjacency", "rho_divisor", "principal_ratio"):
         assert abs(getattr(a, name) - getattr(b, name)) <= 1e-9, name
     assert orbitally_similar(graph, relabelled).similar
+
+
+@pytest.mark.parametrize(
+    "spec, k",
+    [
+        ({"family": "generalized-sun", "p": 3, "q": 2, "start": 20}, 4),
+        ({"family": "loaded-multi-torus", "q": 2, "m": 3, "r": 2,
+          "schedule": [[3, 4], [4, 4], [4, 5], [5, 5], [5, 6]]}, 3),
+        ({"family": "corona-family", "p": 3, "q": 2, "base": {"family": "cycles", "start": 12}}, 1),
+    ],
+    ids=["generalized-sun", "loaded-multi-torus", "corona-family"],
+)
+def test_printed_rho_does_not_depend_on_vertex_labels(spec, k):
+    graph = generate(SequenceSpec.from_dict(spec), k + 1)[k]
+    rho = analyze_term(graph).rho_adjacency
+    for seed in range(25):
+        image = list(range(graph.n))
+        random.Random(seed).shuffle(image)
+        assert analyze_term(graph.relabel(image)).rho_adjacency == rho, seed

@@ -75,13 +75,18 @@ class TestAdjacencyRadius:
     def test_complete(self, n):
         assert spectral_radius_adjacency(complete(n)).rho == pytest.approx(n - 1, abs=1e-9)
 
+    @pytest.mark.parametrize("n", [100, 300, 600])
+    def test_complete_is_within_two_ulps_of_n_minus_1(self, n):
+        rho = spectral_radius_adjacency(complete(n)).rho
+        assert abs(rho - (n - 1)) <= 2 * math.ulp(n - 1), rho
+
     def test_path5_closed_form(self):
         assert spectral_radius_adjacency(path(5)).rho == pytest.approx(
             2 * math.cos(math.pi / 6), abs=1e-9
         )
 
     def test_single_vertex(self):
-        data = spectral_radius_adjacency(Graph(1, frozenset()))
+        data = spectral_radius_adjacency(Graph.from_edges(1, ()))
         assert data.rho == 0.0 and data.vector == (1.0,) and data.gamma == 1.0
 
     def test_vector_normalized_positive(self):
