@@ -45,25 +45,43 @@ singletons, fixing everything else, is tested at once.  It is kept if it
 maps every moved vertex's row onto its image's row; if it fails, no leaf
 below the node is an automorphism, and the node is dropped.
 
+Refinement cannot split the root cell of a regular graph, and a rigid one
+leaves nothing to prune, so each of its n-1 root candidates would be
+refined and refuted on its own.  So the first time a root candidate is
+refuted, which shows that the root's target cell is not an orbit, every
+non-singleton root cell is split by its members' distance-layer profiles,
+grown one BFS layer at a time until some cell splits (_profile_split),
+and the search restarts once from the refinement of that partition,
+keeping only the twin quotient and its generators.  This is sound:
+automorphisms preserve distances, so a vertex's profile is an invariant,
+every automorphism maps each cell of the new root onto itself, and the
+search from it finds the whole group.  Vertex-transitive and
+orbit-equitable inputs never refute a root candidate, so they never split.
+nauty splits the root of a regular graph by vertex invariants in the same
+way (McKay & Piperno, Practical graph isomorphism II, 2014).
+
 The group order is the product over levels of the base vertex's orbit size
 when its level finishes, times (class size)! for every twin class of every
 round.  Orbits are the unions of the blocks in a quotient vertex's orbit.
 
 Isomorphism of two connected digraphs is the classical IR test on their
-disjoint union (McKay & Piperno, Practical graph isomorphism II, 2014):
-they are isomorphic iff an automorphism of the union swaps the two sides,
-and then one lies below the root's candidates on the other side.  So only
-the first path is searched, then the root's candidates in the second
-digraph, and the search stops at the first automorphism.
+disjoint union (McKay & Piperno 2014): they are isomorphic iff an
+automorphism of the union swaps the two sides, and then one lies below the
+root's candidates on the other side.  So only the first path is searched,
+then the root's candidates in the second digraph, and the search stops at
+the first automorphism.  The first refuted candidate splits the root of
+the union as above, since a swap preserves distances too.  A root cell
+with unequal numbers of vertices from the two sides rules a swap out.
 
-Scale, measured on one core of an Intel Xeon with Python 3.11, at the
-2000-vertex cap: the search takes 0.05 s on torus(40, 50), 0.02 s on
-cycle_with_cliques(400, 3, 2), 0.2 s on loaded_torus((20, 20), 2, 2)
-(a 400-level base), 0.2 s on crossed_prism(1000) (500 levels), 0.07 s on
-a rigid random cubic graph with 1000 vertices, and 0.03 s on complete(1200).
-On a rigid random cubic graph with 2000 vertices and a relabelling of it,
-isomorphism takes 0.33 s, and the whole `orbigraph compare --json`, which
-decides it on the 2000-cell digraphs of the two divisor matrices, 1.2 s.
+Scale, measured on one core of a 2-vCPU Intel Xeon VM with Python 3.11, at
+the 2000-vertex cap: the search takes 0.1 s on torus(40, 50), 0.04 s on
+cycle_with_cliques(400, 3, 2), 0.4-0.5 s on loaded_torus((20, 20), 2, 2)
+(a 400-level base), 0.4-0.5 s on crossed_prism(1000) (500 levels), 0.02 s
+on a rigid random cubic graph with 1000 vertices, 0.05 s on one with 2000,
+and 0.07 s on complete(1200).  On the rigid cubic graph with 2000 vertices
+and a relabelling of it, isomorphism takes 0.14-0.18 s, and the whole
+`orbigraph compare --json`, which decides it on the 2000-cell digraphs of
+the two divisor matrices, 1.3-1.4 s.
 """
 
 from collections import deque
@@ -382,6 +400,98 @@ def _twin_classes(colour: Sequence, adj: Sequence[tuple[int, ...]]) -> list[tupl
     return sorted(classes, key=lambda c: c[1][0])
 
 
+def _profile_split(adj: Sequence[Sequence[int]], cells: list[list[int]]) -> list[list[int]] | None:
+    """The cells with every non-singleton cell split by its members'
+    distance-layer profiles, fragments in ascending profile order, or None
+    if no cell splits.
+
+    Entry d of v's profile comes from the rows of layer d-1 of the BFS ball
+    around v: the vertices of layer d, the arcs into layer d beyond one per
+    vertex, and the arcs inside layer d-1.  Once the ball covers v's
+    component, the profile ends with (0, 0, arcs out of the last layer less
+    the arcs into it), which for a graph are the arcs inside it, taken from
+    degree sums rather than the layer's rows.  All members grow by one layer
+    per step until some cell splits or every ball covers its component.
+
+    Every arc has a reverse, so a head of an arc out of the last layer lies
+    in that layer, the one before it or the next one.  So between steps a
+    member keeps only its last two layers, never its ball, and marks them
+    afresh when it grows.  A profile of radius r then costs the rows of the
+    ball's inner r layers, about what refining v's candidate node costs when
+    its trace departs r layers out, and the kept layers hold no more
+    vertices than the last two steps scanned arcs.
+    """
+    n = len(adj)
+    component = [-1] * n
+    sizes: list[int] = []  # vertices and arcs of each component
+    arcs: list[int] = []
+    for s in range(n):
+        if component[s] < 0:
+            component[s] = len(sizes)
+            stack, size, total = [s], 0, 0
+            while stack:
+                u = stack.pop()
+                size += 1
+                total += len(adj[u])
+                for w in adj[u]:
+                    if component[w] < 0:
+                        component[w] = len(sizes)
+                        stack.append(w)
+            sizes.append(size)
+            arcs.append(total)
+    # While a member grows, mark[w] is base for its last layer but one,
+    # base + 1 for its last layer and base + 2 for the new one; every other
+    # mark is below base, which moves past all marks before each member.
+    mark = [-1] * n
+    base = 0
+    # A growing member's previous layer, last layer, vertices seen, arcs
+    # scanned and arcs into its last layer.
+    state = {v: ([], [v], 1, 0, 0) for cell in cells if len(cell) > 1 for v in cell}
+    while state:
+        # The members of a cell have agreed on every entry so far, so they
+        # all get one at this step or none does, and this step's entries
+        # alone split the cell, in ascending profile order.
+        step: dict[int, tuple[int, int, int]] = {}
+        for v, (previous, layer, seen, scanned, into) in list(state.items()):
+            size, total = sizes[component[v]], arcs[component[v]]
+            if seen == size:
+                step[v] = (0, 0, total - scanned - into)
+                del state[v]
+                continue
+            base += 3
+            for u in previous:
+                mark[u] = base
+            for u in layer:
+                mark[u] = base + 1
+            new: list[int] = []
+            extra = inside = 0
+            for u in layer:
+                row = adj[u]
+                scanned += len(row)
+                for w in row:
+                    m = mark[w]
+                    if m < base:
+                        mark[w] = base + 2
+                        new.append(w)
+                    elif m == base + 2:
+                        extra += 1
+                    elif m == base + 1:
+                        inside += 1
+            step[v] = (len(new), extra, inside)
+            state[v] = (layer, new, seen + len(new), scanned, len(new) + extra)
+        if any(len({step.get(v) for v in cell}) > 1 for cell in cells):
+            break
+    else:
+        return None
+    split: list[list[int]] = []
+    for cell in cells:
+        fragments: dict = {}
+        for v in cell:
+            fragments.setdefault(step.get(v), []).append(v)
+        split.extend(fragments[key] for key in sorted(fragments))
+    return split
+
+
 class _AutSearch:
     """IR search for the automorphisms of a coloured digraph, on its twin quotient."""
 
@@ -413,10 +523,14 @@ class _AutSearch:
             blocks = [[v for w in members for v in blocks[w]] for _, members in classes]
         self.adj = adj
         self.blocks = blocks
+        self.twin_generators = len(self.generators)
         colours: dict = {}
         for q, c in enumerate(colour):
             colours.setdefault(c, []).append(q)
-        self.colour_cells = [colours[key] for key in sorted(colours)]
+        # The root's cells before refinement: the colours, until a refuted
+        # root candidate has them split by distance profile (split_root).
+        self.root_cells = [colours[key] for key in sorted(colours)]
+        self.root_split = False
         self.orbits = _UnionFind(range(len(adj)))
         self.first_traces: list[list] = []
         self.first_leaf: list[int] = []
@@ -425,9 +539,9 @@ class _AutSearch:
 
     def first_path(self) -> list[_Cells]:
         """Search the first path; return its nodes above the leaf, root first."""
-        node = _Cells.from_cells(len(self.adj), self.colour_cells)
-        self.first_traces.append(node.refine(self.adj, node.starts()))
-        self.targets.append(node.target())
+        node = _Cells.from_cells(len(self.adj), self.root_cells)
+        self.first_traces = [node.refine(self.adj, node.starts())]
+        self.targets = [node.target()]
         path: list[_Cells] = []
         while (c := self.targets[-1]) >= 0:
             path.append(node)
@@ -443,14 +557,35 @@ class _AutSearch:
         # vertices above the level being tried.
         while path:
             level = len(path) - 1
-            node = path.pop()
+            node = path[-1]
             c = self.targets[level]
             members = sorted(node.lab[c : c + node.clen[c]])
             b = members[0]
             for v in members[1:]:
-                if self.orbits.find(v) != self.orbits.find(b):
-                    self._try(node, v, level + 1)
-            self.order *= self.orbits.class_size(b)
+                if self.orbits.find(v) != self.orbits.find(b) and not self._try(node, v, level + 1):
+                    if level == 0 and self.split_root(node):
+                        path = self.first_path()
+                        break
+            else:
+                path.pop()
+                self.order *= self.orbits.class_size(b)
+
+    def split_root(self, root: _Cells) -> bool:
+        """Called when a candidate of the refined root is refuted, so the
+        root's target cell is not an orbit.  The first time, split the root's
+        cells by distance profile; if any cell splits, drop what the search
+        has found beyond the twins and say that it must restart."""
+        if self.root_split:
+            return False
+        self.root_split = True
+        cells = _profile_split(self.adj, root.cells())
+        if cells is None:
+            return False
+        self.root_cells = cells
+        del self.generators[self.twin_generators :]
+        self.orbits = _UnionFind(range(len(self.adj)))
+        self.order = 1
+        return True
 
     def _add_block_cycle(self, cycle: list[list[int]]) -> None:
         image: dict[int, int] = {}
@@ -581,6 +716,11 @@ def isomorphism(a: ColouredDigraph, b: ColouredDigraph) -> tuple[int, ...] | Non
     base vertex to a candidate in b, below which lies a leaf equivalent to
     the first leaf.  Levels below the root are not searched, since they
     only find automorphisms of a that fix the base, and automorphisms of b.
+    At the first candidate in b that is refuted, the root's cells are split
+    by distance profile, computed the same way on both sides of the union,
+    and the search starts again from the new root.  A root with a cell that
+    holds unequal numbers of quotient vertices of a and of b gives None at
+    once, since a swap maps that cell onto itself and a onto b.
     """
     na = len(a.adj)
     if na != len(b.adj) or sorted(map(len, a.adj)) != sorted(map(len, b.adj)) or sorted(a.colour) != sorted(b.colour):
@@ -591,13 +731,27 @@ def isomorphism(a: ColouredDigraph, b: ColouredDigraph) -> tuple[int, ...] | Non
         if (phi := _swap(g, na)) is not None:
             return phi
     path = search.first_path()
-    if path:
+    while path and _balanced(path[0], search.blocks, na):
         root, c = path[0], search.targets[0]
         for v in sorted(root.lab[c : c + root.clen[c]])[1:]:
-            if search.blocks[v][0] >= na and search._try(root, v, 1):
+            if search.blocks[v][0] < na:
+                continue
+            if search._try(root, v, 1):
                 if (phi := _swap(search.generators[-1], na)) is not None:
                     return phi
+            elif search.split_root(root):
+                path = search.first_path()
+                break
+        else:
+            return None
     return None
+
+
+def _balanced(root: _Cells, blocks: list[list[int]], na: int) -> bool:
+    """Whether every cell of the root holds as many quotient vertices of a
+    as of b, as it must if a swap exists, since a swap maps each cell onto
+    itself and a onto b."""
+    return all(2 * sum(blocks[q][0] < na for q in cell) == len(cell) for cell in root.cells())
 
 
 def _swap(g: tuple[tuple[int, int], ...], na: int) -> tuple[int, ...] | None:

@@ -8,7 +8,7 @@ from itertools import combinations
 
 import hypothesis.strategies as st
 
-from orbigraph.aut import AutGroup, Partition, automorphism_group
+from orbigraph.aut import AutGroup, Partition
 from orbigraph.graph_core import Graph, is_connected
 from orbigraph.orbital import DivisorMatrix
 
@@ -24,7 +24,8 @@ def tied_star() -> Graph:
 
 def rigid_cubic(seed: int, n: int) -> Graph:
     """A connected cubic graph on n vertices with a trivial automorphism group,
-    from random perfect matchings of 3n half-edges."""
+    from random perfect matchings of 3n half-edges; a sample is kept only if
+    certified_rigid proves it rigid."""
     rng = random.Random(seed)
     while True:
         stubs = [v for v in range(n) for _ in range(3)]
@@ -32,8 +33,42 @@ def rigid_cubic(seed: int, n: int) -> Graph:
         pairs = {tuple(sorted(stubs[i : i + 2])) for i in range(0, 3 * n, 2)}
         if len(pairs) == 3 * n // 2 and all(u != v for u, v in pairs):
             graph = Graph.from_edges(n, pairs)
-            if is_connected(graph) and automorphism_group(graph).order == 1:
+            if is_connected(graph) and certified_rigid(graph):
                 return graph
+
+
+def certified_rigid(graph: Graph) -> bool:
+    """True only if graph provably has a trivial automorphism group (test
+    oracle, independent of orbigraph.aut).
+
+    Each vertex starts coloured by its BFS level-size profile, an invariant
+    every automorphism preserves; if colour refinement from there ends with
+    every vertex in its own colour, every automorphism fixes every vertex.
+    False means "not certified", not "has a symmetry".
+    """
+    profiles = []
+    for v in range(graph.n):
+        sizes, seen, layer = [], {v}, [v]
+        while layer:
+            sizes.append(len(layer))
+            next_layer = []
+            for u in layer:
+                for w in graph.adjacency[u]:
+                    if w not in seen:
+                        seen.add(w)
+                        next_layer.append(w)
+            layer = next_layer
+        profiles.append(tuple(sizes))
+    return len(naive_equitable_refinement(graph, partition_by(profiles))) == graph.n
+
+
+def generalized_petersen(n: int, k: int) -> Graph:
+    """GP(n, k): outer cycle 0..n-1, spokes i -- n+i, and inner edges
+    n+i -- n+(i+k mod n); cubic for 1 <= k < n/2."""
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    edges += [(i, n + i) for i in range(n)]
+    edges += [(n + i, n + (i + k) % n) for i in range(n)]
+    return Graph.from_edges(2 * n, edges)
 
 
 def all_graphs(n: int):

@@ -16,14 +16,17 @@ from helpers import (
     brute_force_orbits,
     check_generators,
     connected_graphs,
+    generalized_petersen,
     naive_equitable_refinement,
     partition_by,
     preserves_edges,
+    rigid_cubic,
     vertex_permutations,
 )
 from orbigraph.aut import (
     ColouredDigraph,
     Partition,
+    _Cells,
     automorphism_group,
     equitable_refinement,
     is_edge_transitive,
@@ -303,6 +306,22 @@ class TestClosedForms:
     def test_corona_with_two_triangles(self, n):
         assert automorphism_group(corona(cycle(n), disjoint_cliques(2, 3))).order == 2 * n * 72**n
 
+    def test_generalized_petersen(self):
+        # Frucht, Graver & Watkins (1971): |Aut GP(n, k)| is 4n when
+        # k^2 = +-1 (mod n), else 2n, but for seven exceptions; GP(n, k) is
+        # vertex-transitive exactly then or for an exception, and otherwise
+        # its outer and inner cycles are two orbits that refinement cannot
+        # separate, so the root cell holds both.
+        exceptions = {(4, 1): 48, (5, 2): 120, (8, 3): 96, (10, 2): 120, (10, 3): 240, (12, 5): 144, (24, 5): 288}
+        for n in range(3, 40):
+            for k in range(1, (n + 1) // 2):
+                g = generalized_petersen(n, k)
+                group = automorphism_group(g)
+                unit_square = k * k % n in (1, n - 1)
+                assert group.order == exceptions.get((n, k), 4 * n if unit_square else 2 * n), (n, k)
+                assert len(group.orbits) == (1 if unit_square or (n, k) in exceptions else 2), (n, k)
+                check_generators(group, g)
+
     def test_twin_generators_generate_the_whole_group(self):
         # edge transitivity needs more than the right order: the generators
         # lifted from twin classes must move every edge onto every other
@@ -419,6 +438,47 @@ def test_isomorphism_agrees_with_networkx_on_the_graph_atlas():
             phi = _isomorphism(g, g.relabel(image))
             assert phi is not None and g.relabel(phi) == g.relabel(image)
     assert sum(map(len, groups.values())) == 996 and pairs == 3125
+
+
+def test_isomorphism_of_generalized_petersen_graphs():
+    # Steimle & Staton (2009): GP(n, k) and GP(n, j) are isomorphic iff
+    # j = +-k or kj = +-1 (mod n).  Non-transitive ones have a root cell of
+    # two orbits on each side.
+    pairs = 0
+    for n in range(5, 30):
+        for k in range(1, (n + 1) // 2):
+            for j in range(k, (n + 1) // 2):
+                g, h = generalized_petersen(n, k), generalized_petersen(n, j)
+                phi = _isomorphism(g, h)
+                assert (phi is not None) == (j in (k, n - k) or k * j % n in (1, n - 1)), (n, k, j)
+                assert phi is None or g.relabel(phi) == h
+                pairs += 1
+    assert pairs == 1013
+
+
+@pytest.mark.parametrize("seed, n", [(1, 100), (7, 300)])
+def test_rigid_regular_graph_is_not_refined_once_per_root_candidate(monkeypatch, seed, n):
+    # Refinement cannot split a regular graph's root cell, and a rigid graph
+    # gives orbit pruning nothing, so without the distance-profile split
+    # every one of the n - 1 root candidates would be refined and refuted.
+    refine, calls = _Cells.refine, []
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return refine(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Cells, "refine", counted)
+    graph = rigid_cubic(seed, n)
+    group = automorphism_group.__wrapped__(graph)
+    assert group.order == 1 and len(group.orbits) == n
+    assert len(calls) <= 6
+    image = random.Random(seed).sample(range(n), n)
+    inverse = [0] * n
+    for v, w in enumerate(image):
+        inverse[w] = v
+    calls.clear()
+    assert _isomorphism(graph.relabel(image), graph) == tuple(inverse)
+    assert len(calls) <= 10
 
 
 def test_isomorphism_of_single_vertices_is_a_twin_swap():
