@@ -23,9 +23,7 @@ from .aut import (
     Partition,
     automorphism_group,
     equitable_refinement,
-    is_edge_transitive,
     isomorphism,
-    is_vertex_transitive,
     orbit_partition,
     unit_partition,
 )
@@ -35,17 +33,13 @@ from .orbital import (
     SimilarityVerdict,
     divisor_matrix,
     entropy_of,
-    omega_from_divisor,
     orbit_divisor_matrix,
     orbit_profile,
-    orbitally_homothetic,
     orbitally_similar,
+    similar_divisors,
 )
 from .spectral import (
-    OrbitConstancyReport,
     PerronData,
-    check_orbit_constancy,
-    principal_ratio,
     spectral_radius_adjacency,
     spectral_radius_divisor,
 )

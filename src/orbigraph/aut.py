@@ -1,4 +1,4 @@
-"""Equitable refinement, automorphism groups, orbits, isomorphism and transitivity.
+"""Equitable refinement, automorphism groups, orbits and isomorphism.
 
 One individualization-refinement (IR) engine serves the equitable
 refinement, the automorphism search and isomorphism.  The search works on
@@ -134,11 +134,6 @@ class Partition(Frozen):
     def canonical(self) -> "Partition":
         """Cells reordered by size descending, then smallest vertex ascending."""
         return Partition(tuple(sorted(self.cells, key=lambda c: (-len(c), c[0]))))
-
-    def refines(self, coarser: "Partition") -> bool:
-        """True iff every cell of self is contained in one cell of coarser."""
-        idx = coarser.cell_index()
-        return all(len({idx[v] for v in cell}) == 1 for cell in self.cells)
 
 
 class AutGroup(NamedTuple):
@@ -764,24 +759,3 @@ def _swap(g: tuple[tuple[int, int], ...], na: int) -> tuple[int, ...] | None:
 def orbit_partition(graph: Graph) -> Partition:
     """Vertex orbits under Aut(graph), cells in canonical order."""
     return automorphism_group(graph).orbits
-
-
-def is_vertex_transitive(graph: Graph) -> bool:
-    """True iff the automorphism group has a single vertex orbit."""
-    return len(orbit_partition(graph)) == 1
-
-
-def is_edge_transitive(graph: Graph) -> bool:
-    """True iff Aut(graph) acts transitively on the (unordered) edge set."""
-    if graph.m == 0:
-        raise ValueError("edge transitivity undefined for edgeless graphs")
-    group = automorphism_group(graph)
-    uf = _UnionFind(graph.edges)
-    for g in group.generators:
-        image = dict(g)
-        for u, a in g:
-            # An edge with both ends fixed maps onto itself.
-            for v in graph.adjacency[u]:
-                b = image.get(v, v)
-                uf.union(((u, v) if u < v else (v, u)), ((a, b) if a < b else (b, a)))
-    return len(uf.groups()) == 1

@@ -1,16 +1,17 @@
 """Command-line front end: analyze, compare, generate, sequence, demo.
 
 Exit codes: 0 success (or similar, for compare); 1 dissimilar; 2 parse or
-parameter error; 3 disconnected input; 4 resource cap exceeded or spectral
-certificate failure; 5 sequence verification failure.  JSON output carries
-no timestamps unless --meta is given, so identical inputs produce
-byte-identical output.
+parameter error, or an output that cannot be written; 3 disconnected input;
+4 resource cap exceeded or spectral certificate failure; 5 sequence
+verification failure.  JSON output carries no timestamps unless --meta is
+given, so identical inputs produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -400,7 +401,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError as exc:
+        # As the Python docs advise: no second error from the flush at exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -109,15 +109,6 @@ def minimal_corona(g: Graph) -> Graph:
     return corona(g, complete(1))
 
 
-def iterate(op: Callable[[Graph], Graph], g: Graph, r: int) -> Graph:
-    """Apply a unary construction r times (r >= 1)."""
-    if r < 1:
-        raise ValueError(f"iteration count must be >= 1, got {r}")
-    for _ in range(r):
-        g = op(g)
-    return g
-
-
 def starlike_load(q: int, m: int) -> RootedGraph:
     """q paths of length m glued at a common end vertex, rooted there.
 

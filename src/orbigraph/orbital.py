@@ -11,9 +11,7 @@ in this module is the entropy value.
 """
 
 import math
-from collections import deque
 from fractions import Fraction
-from itertools import compress
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
@@ -28,8 +26,7 @@ class DivisorMatrix(NamedTuple):
     The matrix is held as sparse rows: rows[i] has a (j, B_ij) pair for
     every positive B_ij, in ascending j, so a rigid graph with ell = n
     cells costs O(m), not O(ell**2).  Row sums are the common cell degrees.
-    The JSON form (as_dict, from_dict) is the flat row-major list of all
-    ell**2 entries.
+    The JSON form (as_dict) is the flat row-major list of all ell**2 entries.
     """
 
     ell: int
@@ -46,28 +43,6 @@ class DivisorMatrix(NamedTuple):
             for j, x in row:
                 flat[i * ell + j] = x
         return {"ell": ell, "entries": flat, "sizes": list(self.sizes)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DivisorMatrix":
-        """The matrix of an as_dict record; ValueError unless ell >= 1, there
-        are ell**2 non-negative int entries and ell positive int sizes."""
-        ell, flat, sizes = data["ell"], data["entries"], data["sizes"]
-        if type(ell) is not int or ell < 1:
-            raise ValueError(f"divisor matrix needs an int ell >= 1, got {ell!r}")
-        if len(flat) != ell**2 or len(sizes) != ell:
-            raise ValueError(
-                f"divisor matrix with ell = {ell} needs {ell**2} entries and {ell} sizes, "
-                f"got {len(flat)} and {len(sizes)}"
-            )
-        if not all(type(x) is int and x >= 0 for x in flat):
-            raise ValueError("divisor matrix entries must be non-negative ints")
-        if not all(type(s) is int and s > 0 for s in sizes):
-            raise ValueError("divisor matrix sizes must be positive ints")
-        rows = tuple(
-            tuple((j, flat[base + j]) for j in compress(range(ell), flat[base : base + ell]))
-            for base in range(0, ell**2, ell)
-        )
-        return cls(ell, rows, tuple(sizes))
 
 
 class OrbitProfile(NamedTuple):
@@ -172,14 +147,10 @@ def _cell_digraph(dm: DivisorMatrix) -> ColouredDigraph:
     return ColouredDigraph(colour, adj)
 
 
-def orbitally_similar(g: Graph, h: Graph) -> SimilarityVerdict:
-    """Decide whether two connected graphs have equal orbit divisor matrices
-    under some relabeling of cells, returning a witness when they do."""
-    for graph in (g, h):
-        if not is_connected(graph):
-            raise ValueError("orbital similarity defined for connected graphs only")
-    sg = orbit_divisor_matrix(g)
-    sh = orbit_divisor_matrix(h)
+def similar_divisors(sg: DivisorMatrix, sh: DivisorMatrix) -> SimilarityVerdict:
+    """Decide whether two divisor matrices are entrywise equal, with equal
+    relative cell sizes, under some relabeling of cells, returning a
+    witness when they are."""
     witness = isomorphism(_cell_digraph(sh), _cell_digraph(sg))
     if witness is None:
         return SimilarityVerdict(similar=False)
@@ -187,56 +158,10 @@ def orbitally_similar(g: Graph, h: Graph) -> SimilarityVerdict:
     return SimilarityVerdict(similar=True, witness=witness, common_matrix=common)
 
 
-def orbitally_homothetic(g: Graph, h: Graph) -> bool:
-    """True iff the two connected graphs have equal orbit distribution vectors."""
+def orbitally_similar(g: Graph, h: Graph) -> SimilarityVerdict:
+    """Decide whether two connected graphs have equal orbit divisor matrices
+    under some relabeling of cells, returning a witness when they do."""
     for graph in (g, h):
         if not is_connected(graph):
-            raise ValueError("orbital homothety defined for connected graphs only")
-    return orbit_profile(g).omega == orbit_profile(h).omega
-
-
-def omega_from_divisor(entries: Sequence[Sequence[int]]) -> tuple[Fraction, ...]:
-    """Recover relative cell sizes from divisor-matrix entries alone.
-
-    Size ratios between adjacent cells follow from the edge-count balance
-    sizes[i] * entries[i][j] == sizes[j] * entries[j][i]; ratios along a BFS
-    tree over the cell graph determine everything, and every non-tree arc
-    is checked for consistency.  Returned in cell order, unsorted.
-    """
-    ell = len(entries)
-    if ell == 0:
-        raise ValueError("empty matrix")
-    rows = [tuple(row) for row in entries]
-    for i, row in enumerate(rows):
-        if len(row) != ell:
-            raise ValueError(f"row {i} has length {len(row)}, expected {ell}")
-        if any((not isinstance(x, int)) or x < 0 for x in row):
-            raise ValueError(f"row {i} must contain nonnegative integers")
-    for i in range(ell):
-        for j in range(i + 1, ell):
-            if (rows[i][j] > 0) != (rows[j][i] > 0):
-                raise ValueError(
-                    f"inconsistent matrix: entry ({i},{j})={rows[i][j]} but ({j},{i})={rows[j][i]}"
-                )
-    ratio: list[Fraction | None] = [None] * ell
-    ratio[0] = Fraction(1)
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v in range(ell):
-            if v != u and rows[u][v] > 0 and ratio[v] is None:
-                # sizes[v]/sizes[u] = entries[u][v]/entries[v][u]
-                ratio[v] = ratio[u] * Fraction(rows[u][v], rows[v][u])
-                queue.append(v)
-    if any(r is None for r in ratio):
-        missing = [i for i, r in enumerate(ratio) if r is None]
-        raise ValueError(f"matrix is not strongly connected: cells {missing} unreachable from 0")
-    for i in range(ell):
-        for j in range(ell):
-            if i != j and rows[i][j] > 0 and ratio[i] * rows[i][j] != ratio[j] * rows[j][i]:
-                raise ValueError(
-                    f"inconsistent size ratios along arc ({i},{j}): "
-                    "matrix cannot come from an orbit partition"
-                )
-    total = sum(ratio, Fraction(0))
-    return tuple(r / total for r in ratio)
+            raise ValueError("orbital similarity defined for connected graphs only")
+    return similar_divisors(orbit_divisor_matrix(g), orbit_divisor_matrix(h))

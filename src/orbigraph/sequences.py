@@ -12,9 +12,9 @@ SequenceSpec checks all this once, when it is made, and a term builds only
 the base terms it uses.
 
 Generation yields connected graphs of strictly increasing order which are
-then certified pairwise orbitally similar.  Orbital similarity is an
-equivalence relation, so comparing every term with the first decides every
-pair.  The preservation report checks every invariant that orbital
+then certified pairwise orbitally similar, from the divisor matrices that
+the terms' records hold.  Orbital similarity is an equivalence relation,
+so comparing every term with the first decides every pair.  The preservation report checks every invariant that orbital
 similarity is supposed to carry along a sequence: entropy, spectral radius
 (and that each reported divisor matrix has it as its Perron root), degree
 extremes, average and variance, principal ratio, edge-vertex ratio, the
@@ -32,9 +32,9 @@ from math import fsum, prod
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import constructions as cons
-from .aut import ColouredDigraph, automorphism_group, isomorphism
+from .aut import automorphism_group
 from .graph_core import Frozen, Graph, cyclomatic_number, degree_stats, density, edge_vertex_ratio, frac_str, is_connected
-from .orbital import DivisorMatrix, orbit_profile, orbitally_similar
+from .orbital import DivisorMatrix, orbit_divisor_matrix, orbit_profile, similar_divisors
 from .spectral import spectral_radius_adjacency
 
 FLOAT_TOL = 1e-9
@@ -251,17 +251,21 @@ def generate(spec: SequenceSpec, count: int) -> list[Graph]:
 
 
 class SelfSimilarityVerdict(NamedTuple):
-    """Outcome of the growth / pairwise-similarity / seed conditions.
+    """Outcome of the growth and pairwise-similarity conditions.
 
     failing_pair names the first pair of terms found not to grow or not to
-    be orbitally similar; seed_status is "not-checked" without a seed, else
-    "verified" or "failed" by an exact isomorphism test.
+    be orbitally similar.
     """
 
     self_similar: bool
     failing_pair: tuple[int, int] | None = None
     reason: str | None = None
-    seed_status: str = "not-checked"  # not-checked | verified | failed
+
+    @property
+    def seed_status(self) -> str:
+        """Always "not-checked": the paper's seed condition, that the first
+        term is isomorphic to a given seed graph, is not tested here."""
+        return "not-checked"
 
     def as_dict(self) -> dict:
         return {
@@ -272,34 +276,37 @@ class SelfSimilarityVerdict(NamedTuple):
         }
 
 
-def verify_self_similar(graphs: Sequence[Graph], seed: Graph | None = None) -> SelfSimilarityVerdict:
-    """Check strict order growth and pairwise orbital similarity, plus the
-    optional seed-isomorphism condition.
+def _verdict(orders: Sequence[int], divisors: Sequence[DivisorMatrix]) -> SelfSimilarityVerdict:
+    """Strict order growth, then orbital similarity of every term's orbit
+    divisor matrix with the first one's.
 
     Orbital similarity is an equivalence relation, so every term is compared
-    with the first and no other pair needs a test.  The seed must be
-    isomorphic to the first term.
+    with the first and no other pair needs a test.
     """
+    for k in range(len(orders) - 1):
+        if orders[k] >= orders[k + 1]:
+            return SelfSimilarityVerdict(
+                False, (k, k + 1), f"orders not strictly increasing: {orders[k]} then {orders[k + 1]}"
+            )
+    for k in range(1, len(divisors)):
+        if not similar_divisors(divisors[0], divisors[k]).similar:
+            return SelfSimilarityVerdict(False, (0, k), f"terms 0 and {k} not orbitally similar")
+    return SelfSimilarityVerdict(True)
+
+
+def _require_terms(graphs: Sequence[Graph]) -> None:
+    """ValueError unless there are at least two terms, all connected."""
     if len(graphs) < 2:
         raise ValueError("need at least two graphs")
     for i, g in enumerate(graphs):
         if not is_connected(g):
             raise ValueError(f"term {i} is disconnected")
-    for k in range(len(graphs) - 1):
-        if graphs[k].n >= graphs[k + 1].n:
-            return SelfSimilarityVerdict(
-                False, (k, k + 1), f"orders not strictly increasing: {graphs[k].n} then {graphs[k + 1].n}"
-            )
-    for k in range(1, len(graphs)):
-        if not orbitally_similar(graphs[0], graphs[k]).similar:
-            return SelfSimilarityVerdict(False, (0, k), f"terms 0 and {k} not orbitally similar")
-    if seed is None:
-        return SelfSimilarityVerdict(True)
-    if not is_connected(seed):
-        raise ValueError("seed is disconnected")
-    if isomorphism(ColouredDigraph.from_graph(seed), ColouredDigraph.from_graph(graphs[0])) is None:
-        return SelfSimilarityVerdict(False, None, "first term not isomorphic to the seed", "failed")
-    return SelfSimilarityVerdict(True, None, None, "verified")
+
+
+def verify_self_similar(graphs: Sequence[Graph]) -> SelfSimilarityVerdict:
+    """Check strict order growth and pairwise orbital similarity of the terms."""
+    _require_terms(graphs)
+    return _verdict([g.n for g in graphs], [orbit_divisor_matrix(g) for g in graphs])
 
 
 class TermRecord(NamedTuple):
@@ -489,10 +496,11 @@ def _rho_paths_check(terms: Sequence[TermRecord]) -> PreservationCheck:
     return PreservationCheck("rho_paths_agree", True)
 
 
-def preservation_report(graphs: Sequence[Graph], seed: Graph | None = None) -> SequenceReport:
-    """Verify self-similarity and every preserved invariant across the terms."""
-    verdict = verify_self_similar(graphs, seed=seed)
+def preservation_report(graphs: Sequence[Graph]) -> SequenceReport:
+    """Verify self-similarity, from the terms' records, and every preserved invariant."""
+    _require_terms(graphs)
     terms = tuple(analyze_term(g) for g in graphs)
+    verdict = _verdict([t.order for t in terms], [t.divisor for t in terms])
     checks = [
         _constant_check("entropy", [t.entropy for t in terms], exact=False),
         _constant_check("rho_adjacency", [t.rho_adjacency for t in terms], exact=False),

@@ -58,11 +58,6 @@ min_i (Ax)_i / x_i <= rho(A) <= max_i (Ax)_i / x_i (Collatz 1942; Wielandt
 and hold both reported radii, widened by that much, or CertificateError is
 raised, whichever kernel solved.  The adjacency radius is the Rayleigh
 quotient of x on A.
-
-check_orbit_constancy is the independent route: it takes the principal
-eigenvector from a dense eigh of A, which knows nothing of the orbits, so
-its constancy on orbit cells is a genuine check of the lemma.  It always
-imports numpy.
 """
 
 import math
@@ -101,15 +96,6 @@ class PerronData(NamedTuple):
     orbit_values: tuple[float, ...]
     bracket: tuple[float, float]
     divisor: DivisorMatrix
-
-
-class OrbitConstancyReport(NamedTuple):
-    """In-orbit spread of the principal eigenvector and the quotient residual."""
-
-    cell_spreads: tuple[float, ...]
-    max_spread: float
-    quotient_residual: float
-    ok: bool
 
 
 def _symmetrized(dm: DivisorMatrix) -> list[dict[int, float]]:
@@ -394,42 +380,3 @@ def spectral_radius_divisor(dm: DivisorMatrix) -> float:
         raise ValueError("divisor matrix is reducible; spectral radius not computed")
     return _radius(dm)[0]
 
-
-def principal_ratio(graph: Graph) -> float:
-    """Largest over smallest component of the principal eigenvector (>= 1)."""
-    return spectral_radius_adjacency(graph).gamma
-
-
-def check_orbit_constancy(
-    graph: Graph, partition: Partition | None = None, tol: float = 1e-9
-) -> OrbitConstancyReport:
-    """Verify the principal eigenvector is constant on each orbit cell and
-    that the per-cell constants form an eigenvector of the divisor matrix.
-
-    The eigenvector comes from a dense eigh of A, independent of the orbit
-    partition and of the divisor solve in spectral_radius_adjacency.
-    """
-    import numpy as np
-
-    if partition is None:
-        partition = orbit_partition(graph)
-    dm = divisor_matrix(graph, partition)
-    a = np.zeros((graph.n, graph.n))
-    edges = np.array(list(graph.edges), dtype=np.intp).reshape(-1, 2)
-    a[edges[:, 0], edges[:, 1]] = a[edges[:, 1], edges[:, 0]] = 1.0
-    values, vectors = np.linalg.eigh(a)
-    x = vectors[:, -1] / vectors[:, -1].sum()
-    spreads = tuple(float(np.ptp(x[list(cell)])) for cell in partition.cells)
-    alpha = np.array([x[list(cell)].mean() for cell in partition.cells])
-    b = np.zeros((dm.ell, dm.ell))
-    for i, row in enumerate(dm.rows):
-        for j, count in row:
-            b[i, j] = count
-    residual = float(np.max(np.abs(b @ alpha - values[-1] * alpha)))
-    max_spread = max(spreads)
-    return OrbitConstancyReport(
-        cell_spreads=spreads,
-        max_spread=max_spread,
-        quotient_residual=residual,
-        ok=max_spread < tol and residual < tol,
-    )

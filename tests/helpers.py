@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple, Sequence
 
 import hypothesis.strategies as st
 
-from orbigraph.aut import AutGroup, Partition
+from orbigraph.aut import AutGroup, Partition, _UnionFind, automorphism_group, orbit_partition
 from orbigraph.graph_core import Graph, is_connected
-from orbigraph.orbital import DivisorMatrix
+from orbigraph.orbital import DivisorMatrix, divisor_matrix
 
 
 def tied_star() -> Graph:
@@ -281,6 +283,121 @@ def equalizes(witness, sg: DivisorMatrix, sh: DivisorMatrix) -> bool:
         and Fraction(sg.sizes[witness[i]], ng) == Fraction(sh.sizes[i], nh)
         for i in range(sh.ell)
         for j in range(sh.ell)
+    )
+
+
+def refines(fine: Partition, coarser: Partition) -> bool:
+    """True iff every cell of fine is contained in one cell of coarser."""
+    idx = coarser.cell_index()
+    return all(len({idx[v] for v in cell}) == 1 for cell in fine.cells)
+
+
+def is_edge_transitive(graph: Graph) -> bool:
+    """True iff Aut(graph) acts transitively on the (unordered) edge set."""
+    if graph.m == 0:
+        raise ValueError("edge transitivity undefined for edgeless graphs")
+    group = automorphism_group(graph)
+    uf = _UnionFind(graph.edges)
+    for g in group.generators:
+        image = dict(g)
+        for u, a in g:
+            # An edge with both ends fixed maps onto itself.
+            for v in graph.adjacency[u]:
+                b = image.get(v, v)
+                uf.union(((u, v) if u < v else (v, u)), ((a, b) if a < b else (b, a)))
+    return len(uf.groups()) == 1
+
+
+def omega_from_divisor(entries: Sequence[Sequence[int]]) -> tuple[Fraction, ...]:
+    """Recover relative cell sizes from divisor-matrix entries alone.
+
+    Size ratios between adjacent cells follow from the edge-count balance
+    sizes[i] * entries[i][j] == sizes[j] * entries[j][i]; ratios along a BFS
+    tree over the cell graph determine everything, and every non-tree arc
+    is checked for consistency.  Returned in cell order, unsorted.
+    """
+    ell = len(entries)
+    if ell == 0:
+        raise ValueError("empty matrix")
+    rows = [tuple(row) for row in entries]
+    for i, row in enumerate(rows):
+        if len(row) != ell:
+            raise ValueError(f"row {i} has length {len(row)}, expected {ell}")
+        if any((not isinstance(x, int)) or x < 0 for x in row):
+            raise ValueError(f"row {i} must contain nonnegative integers")
+    for i in range(ell):
+        for j in range(i + 1, ell):
+            if (rows[i][j] > 0) != (rows[j][i] > 0):
+                raise ValueError(
+                    f"inconsistent matrix: entry ({i},{j})={rows[i][j]} but ({j},{i})={rows[j][i]}"
+                )
+    ratio: list[Fraction | None] = [None] * ell
+    ratio[0] = Fraction(1)
+    queue = deque([0])
+    while queue:
+        u = queue.popleft()
+        for v in range(ell):
+            if v != u and rows[u][v] > 0 and ratio[v] is None:
+                # sizes[v]/sizes[u] = entries[u][v]/entries[v][u]
+                ratio[v] = ratio[u] * Fraction(rows[u][v], rows[v][u])
+                queue.append(v)
+    if any(r is None for r in ratio):
+        missing = [i for i, r in enumerate(ratio) if r is None]
+        raise ValueError(f"matrix is not strongly connected: cells {missing} unreachable from 0")
+    for i in range(ell):
+        for j in range(ell):
+            if i != j and rows[i][j] > 0 and ratio[i] * rows[i][j] != ratio[j] * rows[j][i]:
+                raise ValueError(
+                    f"inconsistent size ratios along arc ({i},{j}): "
+                    "matrix cannot come from an orbit partition"
+                )
+    total = sum(ratio, Fraction(0))
+    return tuple(r / total for r in ratio)
+
+
+class OrbitConstancyReport(NamedTuple):
+    """In-orbit spread of the principal eigenvector and the quotient residual."""
+
+    cell_spreads: tuple[float, ...]
+    max_spread: float
+    quotient_residual: float
+    ok: bool
+
+
+def check_orbit_constancy(
+    graph: Graph, partition: Partition | None = None, tol: float = 1e-9
+) -> OrbitConstancyReport:
+    """Verify the principal eigenvector is constant on each orbit cell and
+    that the per-cell constants form an eigenvector of the divisor matrix.
+
+    The eigenvector comes from a dense eigh of A, independent of the orbit
+    partition and of the divisor solve in spectral_radius_adjacency, so its
+    constancy on orbit cells is a genuine check of the equitable-partition
+    lemma that spectral relies on.  It always imports numpy.
+    """
+    import numpy as np
+
+    if partition is None:
+        partition = orbit_partition(graph)
+    dm = divisor_matrix(graph, partition)
+    a = np.zeros((graph.n, graph.n))
+    edges = np.array(list(graph.edges), dtype=np.intp).reshape(-1, 2)
+    a[edges[:, 0], edges[:, 1]] = a[edges[:, 1], edges[:, 0]] = 1.0
+    values, vectors = np.linalg.eigh(a)
+    x = vectors[:, -1] / vectors[:, -1].sum()
+    spreads = tuple(float(np.ptp(x[list(cell)])) for cell in partition.cells)
+    alpha = np.array([x[list(cell)].mean() for cell in partition.cells])
+    b = np.zeros((dm.ell, dm.ell))
+    for i, row in enumerate(dm.rows):
+        for j, count in row:
+            b[i, j] = count
+    residual = float(np.max(np.abs(b @ alpha - values[-1] * alpha)))
+    max_spread = max(spreads)
+    return OrbitConstancyReport(
+        cell_spreads=spreads,
+        max_spread=max_spread,
+        quotient_residual=residual,
+        ok=max_spread < tol and residual < tol,
     )
 
 

@@ -1,4 +1,5 @@
 import copy
+import functools
 import itertools
 import math
 import pickle
@@ -17,9 +18,11 @@ from helpers import (
     check_generators,
     connected_graphs,
     generalized_petersen,
+    is_edge_transitive,
     naive_equitable_refinement,
     partition_by,
     preserves_edges,
+    refines,
     rigid_cubic,
     vertex_permutations,
 )
@@ -29,8 +32,6 @@ from orbigraph.aut import (
     _Cells,
     automorphism_group,
     equitable_refinement,
-    is_edge_transitive,
-    is_vertex_transitive,
     isomorphism,
     orbit_partition,
     unit_partition,
@@ -45,7 +46,6 @@ from orbigraph.constructions import (
     cycle_with_cliques,
     disjoint_cliques,
     generalized_sun,
-    iterate,
     loaded_torus,
     moebius_ladder,
     path,
@@ -82,8 +82,8 @@ class TestPartitionType:
     def test_refines(self):
         fine = Partition.from_cells([[0], [1], [2, 3]])
         coarse = Partition.from_cells([[0, 1], [2, 3]])
-        assert fine.refines(coarse)
-        assert not coarse.refines(fine)
+        assert refines(fine, coarse)
+        assert not refines(coarse, fine)
 
 
 class TestPermutationType:
@@ -234,9 +234,9 @@ class TestBruteForce:
 
 class TestTransitivity:
     def test_vertex_transitive(self):
-        assert is_vertex_transitive(cycle(9))
-        assert not is_vertex_transitive(path(5))
-        assert is_vertex_transitive(moebius_ladder(5))
+        assert len(orbit_partition(cycle(9))) == 1
+        assert len(orbit_partition(path(5))) != 1
+        assert len(orbit_partition(moebius_ladder(5))) == 1
 
     def test_edge_transitive(self):
         assert is_edge_transitive(circular_ladder(4))
@@ -269,7 +269,7 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("d", range(2, 7))
     def test_hypercube(self, d):
-        cube = iterate(prism, path(2), d - 1)
+        cube = functools.reduce(lambda g, _: prism(g), range(d - 1), path(2))
         assert automorphism_group(cube).order == 2**d * math.factorial(d)
 
     @pytest.mark.parametrize("n", range(3, 11))
@@ -369,7 +369,7 @@ def test_orbits_match_brute_force(g):
 def test_group_properties(g):
     group = automorphism_group(g)
     assert group.order == brute_force_group_order(g)
-    assert group.orbits.refines(equitable_refinement(g))
+    assert refines(group.orbits, equitable_refinement(g))
     check_generators(group, g)
     deg = g.degrees()
     for cell in group.orbits.cells:

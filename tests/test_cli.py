@@ -264,10 +264,15 @@ def test_sequences_below_the_cap_verify(spec, tmp_path, capsys):
     assert "self-similar: True" in capsys.readouterr().out
 
 
-def _run_child(code: str, *args: str) -> subprocess.CompletedProcess:
+def _child_env() -> dict:
+    """The environment of a child Python that imports these sources."""
     src = str(Path(spectral.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def _run_child(code: str, *args: str) -> subprocess.CompletedProcess:
+    argv = [sys.executable, "-c", code, *args]
+    return subprocess.run(argv, env=_child_env(), capture_output=True, text=True, timeout=120)
 
 
 _CHILD = """
@@ -469,6 +474,19 @@ def test_unwritable_output_path_is_a_parse_error(tmp_path, capsys):
         assert main(argv) == EXIT_PARSE
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith(f"error: cannot write {target}: ")
+
+
+def test_closed_stdout_is_an_error_line_and_exit_two(tmp_path):
+    # path(1500)'s JSON is megabytes, far more than a pipe holds, so the
+    # child is still writing when the reader closes its end.
+    argv = [sys.executable, "-m", "orbigraph.cli", "analyze", "--json", _write(tmp_path, "p1500", path(1500))]
+    with subprocess.Popen(argv, env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+        assert child.stdout.read(10) == b'{\n  "order'
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        assert child.wait(timeout=120) == EXIT_PARSE
+    assert "Traceback" not in err
+    assert err.startswith("error: cannot write stdout: ") and err.count("\n") == 1
 
 
 def test_non_ascii_input_names_its_file(tmp_path, capsys):

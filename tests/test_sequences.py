@@ -4,7 +4,7 @@ import pytest
 
 from helpers import from_dense, rigid_cubic
 from orbigraph import constructions as cons
-from orbigraph import sequences
+from orbigraph import orbital, sequences, spectral
 from orbigraph.constructions import complete, crossed_prism, cycle, cycle_with_cliques, loaded_torus, path
 from orbigraph.graph_core import Graph
 from orbigraph.orbital import orbitally_similar
@@ -119,14 +119,22 @@ def test_every_term_is_compared_with_the_first():
     assert verdict.failing_pair == (0, 2)
 
 
-def test_seed_is_checked_by_isomorphism():
-    terms = _cycles(3)
-    relabelled = terms[0].relabel([2, 0, 1])
-    assert verify_self_similar(terms, seed=relabelled).seed_status == "verified"
-    big = generate(SequenceSpec.from_dict({"family": "cycles", "start": 12}), 2)
-    assert verify_self_similar(big, seed=big[0].relabel([(5 * v) % 12 for v in range(12)])).seed_status == "verified"
-    failed = verify_self_similar(big, seed=path(12))
-    assert not failed.self_similar and failed.seed_status == "failed"
+def test_preservation_report_builds_each_divisor_matrix_once(monkeypatch):
+    # Every divisor matrix comes from orbital.divisor_matrix, which spectral
+    # imports under its own name; count the calls through both.
+    builds = []
+    build = orbital.divisor_matrix
+
+    def counted(graph, partition):
+        builds.append(graph.n)
+        return build(graph, partition)
+
+    monkeypatch.setattr(orbital, "divisor_matrix", counted)
+    monkeypatch.setattr(spectral, "divisor_matrix", counted)
+    spec = SequenceSpec.from_dict({"family": "generalized-sun", "p": 3, "q": 2, "start": 4})
+    report = preservation_report(generate(spec, 5))
+    assert report.ok
+    assert builds == [5 * n for n in range(4, 9)]
 
 
 def test_density_is_null_below_two_vertices():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from helpers import connected_graphs, dense, from_dense, rigid_cubic, tied_star
+from helpers import check_orbit_constancy, connected_graphs, dense, from_dense, rigid_cubic, tied_star
 from orbigraph import constructions as cons
 from orbigraph import spectral
 from orbigraph.aut import Partition, orbit_partition, unit_partition
@@ -13,12 +13,7 @@ from orbigraph.constructions import cartesian_product, complete, cycle, cycle_wi
 from orbigraph.graph_core import Graph, degree_stats, is_connected
 from orbigraph.orbital import divisor_matrix, orbit_divisor_matrix
 from orbigraph.sequences import SequenceSpec, generate
-from orbigraph.spectral import (
-    check_orbit_constancy,
-    principal_ratio,
-    spectral_radius_adjacency,
-    spectral_radius_divisor,
-)
+from orbigraph.spectral import spectral_radius_adjacency, spectral_radius_divisor
 
 
 def rho_dense_oracle(graph: Graph) -> float:
@@ -207,15 +202,15 @@ class TestDivisorRadius:
 
 class TestPrincipalRatio:
     def test_vertex_transitive_is_one(self):
-        assert principal_ratio(cycle(6)) == pytest.approx(1.0, abs=1e-12)
+        assert spectral_radius_adjacency(cycle(6)).gamma == pytest.approx(1.0, abs=1e-12)
 
     def test_path3_sqrt2(self):
-        assert principal_ratio(path(3)) == pytest.approx(math.sqrt(2), abs=1e-9)
+        assert spectral_radius_adjacency(path(3)).gamma == pytest.approx(math.sqrt(2), abs=1e-9)
 
     def test_isomorphism_invariant(self):
         g = path(5)
         h = g.relabel([4, 2, 0, 1, 3])
-        assert principal_ratio(g) == pytest.approx(principal_ratio(h), abs=1e-9)
+        assert spectral_radius_adjacency(g).gamma == pytest.approx(spectral_radius_adjacency(h).gamma, abs=1e-9)
 
 
 class TestOrbitConstancy:
