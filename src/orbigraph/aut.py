@@ -81,7 +81,7 @@ on a rigid random cubic graph with 1000 vertices, 0.05 s on one with 2000,
 and 0.07 s on complete(1200).  On the rigid cubic graph with 2000 vertices
 and a relabelling of it, isomorphism takes 0.14-0.18 s, and the whole
 `orbigraph compare --json`, which decides it on the 2000-cell digraphs of
-the two divisor matrices, 1.3-1.4 s.
+the two divisor matrices and writes the 36 MB report, 0.3-0.5 s.
 """
 
 from collections import deque

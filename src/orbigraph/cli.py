@@ -15,7 +15,6 @@ import os
 import re
 import sys
 from fractions import Fraction
-from itertools import compress, count
 from pathlib import Path
 
 from . import __version__
@@ -130,35 +129,82 @@ def _with_meta(payload: dict, meta: bool) -> dict:
     return payload
 
 
-def _dumps(obj, indent: str = "\n") -> str:
-    """Exactly `json.dumps(obj, indent=2)` for the reports printed here.
+# The writer gathers its pieces into writes of at least this many characters.
+_WRITE_SIZE = 1 << 16
 
-    obj may hold str-keyed dicts, lists, tuples and JSON scalars; other
-    key types are not supported.  json.dumps with an indent runs the
-    pure-Python encoder, one call per item, which is most of the time of
-    a large analyze, whose divisor entries are ell**2 ints, nearly all 0.
-    Here a non-empty list of exact ints (bools excluded) costs one step
-    per nonzero: their positions come from a C-level scan, and each run of
-    zeros between them is one repetition of "0" and the separator.  Every
-    other value recurses, and keys and scalars go through json.dumps itself.
+
+def _write_json(obj, write) -> None:
+    """Write exactly `json.dumps(obj, indent=2) + "\n"` through write, as it is made.
+
+    obj may hold str-keyed dicts, lists, tuples, JSON scalars and
+    DivisorMatrix values; a DivisorMatrix is written as the dict
+    {"ell": ell, "entries": the ell**2 entries row-major, "sizes": sizes}.
+    No text is built twice and no ell**2 list exists: the pieces come from
+    _pieces and go out in writes of at least _WRITE_SIZE characters, so a
+    row of the matrix is never split over two writes.
     """
-    if isinstance(obj, dict):
+    buf, size = [], 0
+    for piece in _pieces(obj, "\n"):
+        buf.append(piece)
+        size += len(piece)
+        if size >= _WRITE_SIZE:
+            write("".join(buf))
+            buf, size = [], 0
+    buf.append("\n")
+    write("".join(buf))
+
+
+def _pieces(obj, indent: str):
+    """The text of obj at the nesting given by indent, in pieces: keys and
+    scalars through json.dumps itself, a list of exact ints (bools excluded)
+    as one piece, and a divisor matrix one row of entries per piece."""
+    if isinstance(obj, DivisorMatrix):
+        yield from _matrix_pieces(obj, indent)
+    elif isinstance(obj, dict):
         if not obj:
-            return "{}"
+            yield "{}"
+            return
         inner = indent + "  "
-        items = (json.dumps(key) + ": " + _dumps(value, inner) for key, value in obj.items())
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if isinstance(obj, (list, tuple)):
+        sep = "{" + inner
+        for key, value in obj.items():
+            yield sep + json.dumps(key) + ": "
+            yield from _pieces(value, inner)
+            sep = "," + inner
+        yield indent + "}"
+    elif isinstance(obj, (list, tuple)):
         if not obj:
-            return "[]"
+            yield "[]"
+            return
         inner = indent + "  "
-        sep = "," + inner
         if set(map(type, obj)) == {int}:
-            body = _int_items(obj, sep)
-        else:
-            body = sep.join(_dumps(x, inner) for x in obj)
-        return "[" + inner + body + indent + "]"
-    return _digits(obj) if type(obj) is int else json.dumps(obj)
+            yield "[" + inner + ("," + inner).join(map(str, obj)) + indent + "]"
+            return
+        sep = "[" + inner
+        for x in obj:
+            yield sep
+            yield from _pieces(x, inner)
+            sep = "," + inner
+        yield indent + "]"
+    else:
+        yield _digits(obj) if type(obj) is int else json.dumps(obj)
+
+
+def _matrix_pieces(dm: DivisorMatrix, indent: str):
+    """The JSON dict of a divisor matrix: each row of its dense entries is
+    one piece, made from the sparse row with each run of zeros one repetition."""
+    inner = indent + "  "
+    yield "{" + inner + f'"ell": {dm.ell},' + inner + '"entries": '
+    if dm.ell:
+        sep = "," + inner + "  "
+        rows = (_dense(row, dm.ell, sep + "0", (sep + "{}").format) for row in dm.rows)
+        yield "[" + inner + "  " + next(rows)[len(sep):]
+        yield from rows
+        yield inner + "]"
+    else:
+        yield "[]"
+    yield "," + inner + '"sizes": '
+    yield from _pieces(dm.sizes, inner)
+    yield indent + "}"
 
 
 _CHUNK = 10**4000
@@ -173,33 +219,25 @@ def _digits(x: int) -> str:
     return _digits(high) + str(low).zfill(4000)
 
 
-def _int_items(obj: list | tuple, sep: str) -> str:
-    """The items of a non-empty list of exact ints as JSON, joined by sep,
-    in one step per nonzero item: each run of zeros is one repetition."""
-    zero, parts, start = "0" + sep, [], 0
-    for k in compress(count(), obj):
-        parts += (zero * (k - start), str(obj[k]), sep)
-        start = k + 1
-    tail = len(obj) - start
-    if tail:
-        parts += (zero * (tail - 1), "0")
-    else:
-        parts.pop()  # the separator after the last item
+def _dense(row: tuple[tuple[int, int], ...], ell: int, zero: str, item) -> str:
+    """A sparse row of a divisor matrix as dense text: item(x) for each entry
+    x and zero for each absent one, each run of zeros one string repetition.
+    Each item carries the separator before it."""
+    parts, start = [], 0
+    for j, x in row:
+        parts += (zero * (j - start), item(x))
+        start = j + 1
+    parts.append(zero * (ell - start))
     return "".join(parts)
 
 
 def _matrix_row(row: tuple[tuple[int, int], ...], ell: int) -> str:
     """One row of the table's divisor matrix, each entry right-aligned in
-    three columns; each run of zeros is one string repetition."""
-    parts, start = [], 0
-    for j, x in row:
-        parts += ("   0" * (j - start), f" {x:>3}")
-        start = j + 1
-    parts.append("   0" * (ell - start))
-    return "  [" + "".join(parts)[1:] + "]"
+    three columns."""
+    return "  [" + _dense(row, ell, "   0", " {:>3}".format)[1:] + "]"
 
 
-def _print_analysis_table(payload: dict, divisor: DivisorMatrix) -> None:
+def _print_analysis_table(payload: dict) -> None:
     rows = [
         ("order", payload["order"]),
         ("size", payload["size"]),
@@ -221,6 +259,7 @@ def _print_analysis_table(payload: dict, divisor: DivisorMatrix) -> None:
     for name, value in rows:
         print(f"{name:<{width}}  {value}")
     print("divisor matrix:")
+    divisor = payload["divisor"]
     for row in divisor.rows:
         print(_matrix_row(row, divisor.ell))
 
@@ -233,9 +272,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         _write_ascii(args.dot, to_dot(graph, record.orbits))
     payload = record.as_dict()
     if args.json:
-        print(_dumps(_with_meta(payload, args.meta)))
+        _write_json(_with_meta(payload, args.meta), sys.stdout.write)
     else:
-        _print_analysis_table(payload, record.divisor)
+        _print_analysis_table(payload)
     return EXIT_OK
 
 
@@ -250,7 +289,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     ent_a, ent_b = profile_a.entropy, profile_b.entropy
     payload = {**verdict.as_dict(), "homothetic": homothetic, "entropy_a": ent_a, "entropy_b": ent_b}
     if args.json:
-        print(_dumps(_with_meta(payload, args.meta)))
+        _write_json(_with_meta(payload, args.meta), sys.stdout.write)
     else:
         print(f"orbitally similar   {verdict.similar}")
         print(f"orbitally homothetic {homothetic}")
@@ -327,7 +366,7 @@ def cmd_sequence(args: argparse.Namespace) -> int:
         raise CliError(f"{args.specfile}: spec nested too deeply", EXIT_PARSE) from exc
     report = preservation_report(graphs)
     if args.json:
-        print(_dumps(_with_meta(report.as_dict(), args.meta)))
+        _write_json(_with_meta(report.as_dict(), args.meta), sys.stdout.write)
     else:
         _print_sequence_table(report)
     if not report.verdict.self_similar:

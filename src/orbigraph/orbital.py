@@ -11,6 +11,7 @@ in this module is the entropy value.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 from operator import itemgetter
 from typing import NamedTuple, Sequence
@@ -26,7 +27,9 @@ class DivisorMatrix(NamedTuple):
     The matrix is held as sparse rows: rows[i] has a (j, B_ij) pair for
     every positive B_ij, in ascending j, so a rigid graph with ell = n
     cells costs O(m), not O(ell**2).  Row sums are the common cell degrees.
-    The JSON form (as_dict) is the flat row-major list of all ell**2 entries.
+    Reports carry the matrix itself; the CLI's JSON writer prints it as
+    {"ell", "entries", "sizes"}, entries being all ell**2 entries row-major,
+    one dense row at a time from the sparse rows.
     """
 
     ell: int
@@ -35,14 +38,6 @@ class DivisorMatrix(NamedTuple):
 
     def row_sums(self) -> tuple[int, ...]:
         return tuple(sum(map(itemgetter(1), row)) for row in self.rows)
-
-    def as_dict(self) -> dict:
-        ell = self.ell
-        flat = [0] * ell**2
-        for i, row in enumerate(self.rows):
-            for j, x in row:
-                flat[i * ell + j] = x
-        return {"ell": ell, "entries": flat, "sizes": list(self.sizes)}
 
 
 class OrbitProfile(NamedTuple):
@@ -69,7 +64,7 @@ class SimilarityVerdict(NamedTuple):
         return {
             "similar": self.similar,
             "witness": list(self.witness) if self.witness is not None else None,
-            "common_matrix": self.common_matrix.as_dict() if self.common_matrix else None,
+            "common_matrix": self.common_matrix,
         }
 
 
@@ -87,20 +82,21 @@ def divisor_matrix(graph: Graph, partition: Partition) -> DivisorMatrix:
     idx = partition.cell_index()
     rows: list[tuple[tuple[int, int], ...]] = []
     for i, cell in enumerate(partition.cells):
-        counts_ref: dict[int, int] | None = None
-        for u in cell:
-            counts: dict[int, int] = {}
-            for c in map(idx.__getitem__, adj[u]):
-                counts[c] = counts.get(c, 0) + 1
-            if counts_ref is None:
-                counts_ref = counts
-            elif counts != counts_ref:
-                j = min(k for k in counts.keys() | counts_ref.keys() if counts.get(k) != counts_ref.get(k))
+        # Each member's neighbour cells, sorted, against the first member's:
+        # equal lists are equal counts, so only the first row is counted.
+        first = sorted(map(idx.__getitem__, adj[cell[0]]))
+        for u in cell[1:]:
+            if sorted(map(idx.__getitem__, adj[u])) != first:
+                ref, counts = Counter(first), Counter(map(idx.__getitem__, adj[u]))
+                j = min(k for k in ref.keys() | counts.keys() if ref[k] != counts[k])
                 raise ValueError(
                     f"partition not equitable: vertices {cell[0]} and {u} of cell {i} "
-                    f"have {counts_ref.get(j, 0)} vs {counts.get(j, 0)} neighbors in cell {j}"
+                    f"have {ref[j]} vs {counts[j]} neighbors in cell {j}"
                 )
-        rows.append(tuple(sorted(counts_ref.items())))
+        counts: dict[int, int] = {}
+        for c in first:
+            counts[c] = counts.get(c, 0) + 1
+        rows.append(tuple(counts.items()))
     return DivisorMatrix(len(rows), tuple(rows), tuple(len(c) for c in partition.cells))
 
 

@@ -337,13 +337,14 @@ class TermRecord(NamedTuple):
     orbit_values: tuple[float, ...]
 
     def as_dict(self) -> dict:
-        """The analyze report: every field, fractions as "p/q"."""
+        """The analyze report: every field, fractions as "p/q", and the
+        divisor matrix itself, which the CLI's JSON writer expands."""
         return {
             "order": self.order,
             "size": self.size,
             "orbits": [list(cell) for cell in self.orbits],
             "group_order": self.group_order,
-            "divisor": self.divisor.as_dict(),
+            "divisor": self.divisor,
             "omega": [frac_str(w) for w in self.omega],
             "entropy": self.entropy,
             "rho_adjacency": self.rho_adjacency,

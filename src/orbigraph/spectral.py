@@ -32,20 +32,32 @@ factors shift I - M = L D L^T, M being S^(1/2) B S^(-1/2), in envelope
 fill-in stays inside, and one factorization costs about sum_k w_k^2 / 2
 multiply-adds for row widths w_k, so a path-like quotient of bandwidth b
 costs O(ell b^2).  shift I - M is a nonsingular M-matrix, all its pivots
-positive, exactly when shift > rho (Sylvester's law of inertia), so rho is
-found by bisection on that test, as LAPACK's dstebz does for tridiagonal
-matrices, stopping at the first pivot that is not positive.  The bisection
-starts from the row-sum bracket and ends when no float lies strictly
-between its ends.  At the upper end, the last shift that factored, one
-solve of (shift I - M) x = 1 gives x > 0, since the inverse of a
-nonsingular M-matrix is positive, and x, dominated by u, picks r.
+positive, exactly when shift > rho (Sylvester's law of inertia), and a
+factorization stops at the first pivot that is not positive.  Noda
+iteration (Noda, Numer. Math. 17, 1971) first narrows the row-sum
+bracket: at an upper end h that factors, y = (h I - M)^(-1) x is
+positive, since the inverse of a nonsingular M-matrix is, and
+M y = h y - x, so the quotients h - x_i / y_i are the Collatz-Wielandt
+quotients of y and bracket rho.  h moves down to the largest of them, x
+to y, while that shift factors, which takes a few factorizations where
+bisection from the row-sum bracket took about 54.  The lower end is then
+tested, and stepped down while it factors, since rounding can put that
+quotient a few floats above the least shift that factors.  Bisection on
+the M-matrix test, as LAPACK's dstebz does for tridiagonal matrices,
+ends the bracket where no float lies strictly between its ends, so rho is
+the float plain bisection finds.  At the upper end one solve of
+(shift I - M) x = 1 gives x > 0, and x, dominated by u, picks r.
 
-When sum_k w_k^2 is above ENVELOPE_WORK, LAPACK's eigh and solve do the
-same two steps, on a dense matrix built once, and only then is numpy
-imported.  Its import and first LAPACK calls take 88-115 ms in-process
-(2-vCPU Xeon VM, Python 3.11, numpy 2.4, one BLAS thread), about what a
-bisection costs at ENVELOPE_WORK = 40,000: 62-84 ms at 30,000 and 155 ms
-at 70,000 on random irregular graphs with one cell per vertex.  Irregular
+When sum_k w_k^2 is above ENVELOPE_WORK, LAPACK runs instead, on a dense
+matrix built once, and only then is numpy imported: eigvalsh gives rho,
+and one solve of (s I - M) x = 1, s a few floats above rho, gives the x
+that picks r, with no eigenvector matrix and no eigh workspace.  Its
+import and first LAPACK calls take 88-115 ms in-process
+(2-vCPU Xeon VM, Python 3.11, numpy 2.4, one BLAS thread), about what
+plain bisection cost at ENVELOPE_WORK = 40,000: 62-84 ms at 30,000 and
+155 ms at 70,000 on random irregular graphs with one cell per vertex.
+Noda iteration has cut the factorizations since, and the threshold has
+not been measured again.  Irregular
 rigid graphs of a few hundred vertices are well above the threshold (a
 rigid cubic graph on 150 vertices with one edge subdivided has 100,424).
 The benchmark's path-like quotients of up to 200 cells have sum_k w_k^2 at
@@ -208,18 +220,36 @@ class _Envelope:
         return x
 
     def top(self, sums: tuple[int, ...]) -> tuple[float, list[float]]:
-        """rho(m) by bisection on the M-matrix test, and a positive vector
-        whose largest entry picks the pivot cell (see the module docstring)."""
-        lo, hi = float(min(sums)), float(max(sums))
+        """rho(m) by Noda iteration and bisection on the M-matrix test, and a
+        positive vector whose largest entry picks the pivot cell (see the
+        module docstring)."""
+        sums_lo = lo = float(min(sums))
+        hi = float(max(sums))
         factor = self.factor(hi)
+        if factor is None:
+            raise CertificateError(f"{hi!r} I minus the divisor matrix is not a nonsingular M-matrix")
+        x = [1.0] * len(self.rows)
+        while min(y := self.solve(factor, x)) > 0.0:
+            # m y = hi y - x, so hi - x_i / y_i are the Collatz-Wielandt
+            # quotients of y; lo stays below hi.
+            ratios = list(map(truediv, x, y))
+            lo = max(lo, min(hi - max(ratios), math.nextafter(hi, 0.0)))
+            shift = hi - min(ratios)
+            if not lo < shift < hi or (trial := self.factor(shift)) is None:
+                break
+            scale = max(y)
+            hi, factor, x = shift, trial, [v / scale for v in y]
+        # Rounding can put the quotient bound lo a few floats above the
+        # least shift that factors: step down until a shift fails.
+        step = hi - lo
+        while lo > sums_lo and (trial := self.factor(lo)) is not None:
+            hi, factor, lo, step = lo, trial, max(sums_lo, lo - step), 2 * step
         while lo < (mid := (lo + hi) / 2) < hi:
             trial = self.factor(mid)
             if trial is None:
                 lo = mid
             else:
                 hi, factor = mid, trial
-        if factor is None:
-            raise CertificateError(f"{hi!r} I minus the divisor matrix is not a nonsingular M-matrix")
         return hi, self.solve(factor, [1.0] * len(self.rows))
 
     def pinned(self, r: int, rho: float) -> list[float]:
@@ -245,10 +275,15 @@ class _Lapack:
             self.m[i, list(row)] = list(row.values())
 
     def top(self) -> tuple[float, list[float]]:
-        """rho(m) and u, signed so that its entries sum to a positive value."""
-        values, vectors = self.np.linalg.eigh(self.m)
-        u = vectors[:, -1]
-        return float(values[-1]), (u if u.sum() > 0 else -u).tolist()
+        """rho(m) from eigvalsh, and x with (s I - m) x = 1 for a shift s a
+        few floats above it, signed so that its entries sum to a positive
+        value: the Perron vector dominates x, as it would u."""
+        np = self.np
+        rho = float(np.linalg.eigvalsh(self.m)[-1])
+        system = -self.m
+        system.flat[:: len(system) + 1] += rho + 8 * math.ulp(rho)
+        x = np.linalg.solve(system, np.ones(len(system)))
+        return rho, (x if x.sum() > 0 else -x).tolist()
 
     def pinned(self, r: int, rho: float) -> list[float]:
         """As _Envelope.pinned."""

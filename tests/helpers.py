@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from collections import deque
 from fractions import Fraction
@@ -11,6 +12,7 @@ from typing import NamedTuple, Sequence
 import hypothesis.strategies as st
 
 from orbigraph.aut import AutGroup, Partition, _UnionFind, automorphism_group, orbit_partition
+from orbigraph.cli import _write_json
 from orbigraph.graph_core import Graph, is_connected
 from orbigraph.orbital import DivisorMatrix, divisor_matrix
 
@@ -191,6 +193,18 @@ def dense(dm: DivisorMatrix) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, entries))
 
 
+def written(obj) -> str:
+    """What the CLI's JSON writer writes for obj, its writes joined."""
+    writes: list[str] = []
+    _write_json(obj, writes.append)
+    return "".join(writes)
+
+
+def json_form(dm: DivisorMatrix) -> dict:
+    """The JSON dict the CLI prints for a divisor matrix, read back."""
+    return json.loads(written(dm))
+
+
 def from_dense(entries, sizes) -> DivisorMatrix:
     """The divisor matrix with these dense rows and cell sizes; every nonzero
     entry, negative ones included, becomes a (column, entry) pair."""
@@ -353,6 +367,19 @@ def omega_from_divisor(entries: Sequence[Sequence[int]]) -> tuple[Fraction, ...]
                 )
     total = sum(ratio, Fraction(0))
     return tuple(r / total for r in ratio)
+
+
+def bisection_top(kernel, sums) -> float:
+    """rho of an envelope kernel's matrix by plain bisection on its M-matrix
+    test (test oracle): from the row-sum bracket until no float lies strictly
+    between the ends, the upper end always a shift that factors."""
+    lo, hi = float(min(sums)), float(max(sums))
+    while lo < (mid := (lo + hi) / 2) < hi:
+        if kernel.factor(mid) is None:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 class OrbitConstancyReport(NamedTuple):

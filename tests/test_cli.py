@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import rigid_cubic, tied_star
+from helpers import dense, rigid_cubic, tied_star, written
 from orbigraph import __version__
 from orbigraph import constructions as cons
 from orbigraph import spectral
@@ -23,12 +24,14 @@ from orbigraph.cli import (
     EXIT_PARSE,
     EXIT_RESOURCE,
     EXIT_VERIFY,
-    _dumps,
+    _WRITE_SIZE,
     _matrix_row,
+    _write_json,
     main,
 )
 from orbigraph.constructions import cartesian_product, cycle, cycle_with_cliques, path, prism, torus
 from orbigraph.graph_core import Graph, serialize_edge_list, to_graph6
+from orbigraph.orbital import DivisorMatrix
 
 
 @pytest.mark.parametrize("work", [10**9, -1], ids=["pure-python", "lapack"])
@@ -524,8 +527,23 @@ _ZERO_HEAVY = st.builds(
     st.lists(st.tuples(st.integers(0, 40), _ODD), max_size=4),
     st.integers(0, 40),
 )
+# Random sparse divisor matrices: the writer expands each into its dense dict.
+_MATRICES = st.integers(0, 12).flatmap(
+    lambda ell: st.builds(
+        DivisorMatrix,
+        st.just(ell),
+        st.lists(
+            st.dictionaries(st.integers(0, max(ell - 1, 0)), st.integers(1, 10**6), max_size=ell).map(
+                lambda row: tuple(sorted(row.items()))
+            ),
+            min_size=ell,
+            max_size=ell,
+        ).map(tuple),
+        st.lists(st.integers(1, 2000), min_size=ell, max_size=ell).map(tuple),
+    )
+)
 _JSON = st.recursive(
-    _SCALARS | _INTS | _ZERO_HEAVY,
+    _SCALARS | _INTS | _ZERO_HEAVY | _MATRICES,
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(inner, max_size=4).map(tuple)
     | st.dictionaries(_KEYS, inner, max_size=4),
@@ -533,15 +551,64 @@ _JSON = st.recursive(
 )
 
 
+def _dense_form(value):
+    """value with every divisor matrix replaced by its dense dict."""
+    if isinstance(value, DivisorMatrix):
+        return {"ell": value.ell, "entries": [x for row in dense(value) for x in row], "sizes": list(value.sizes)}
+    if isinstance(value, dict):
+        return {key: _dense_form(x) for key, x in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_dense_form(x) for x in value]
+    return value
+
+
 @given(_JSON)
 def test_dumps_is_json_dumps_with_indent_two(value):
-    assert _dumps(value) == json.dumps(value, indent=2)
+    assert written(value) == json.dumps(_dense_form(value), indent=2) + "\n"
 
 
-@given(_ZERO_HEAVY)
+@given(_ZERO_HEAVY | _MATRICES)
 def test_dumps_of_zero_heavy_int_lists(value):
-    assert _dumps(value) == json.dumps(value, indent=2)
-    assert _dumps({"divisor": {"entries": value}}) == json.dumps({"divisor": {"entries": value}}, indent=2)
+    dense_value = _dense_form(value)
+    assert written(value) == json.dumps(dense_value, indent=2) + "\n"
+    assert written({"divisor": {"entries": value}}) == json.dumps({"divisor": {"entries": dense_value}}, indent=2) + "\n"
+
+
+def test_rigid_cubic_reports_are_json_dumps_with_indent_two(tmp_path, capsys):
+    # 150 orbit cells: the analyze report's divisor matrix and the compare
+    # report's common matrix are written row by row from their sparse rows.
+    cubic = rigid_cubic(5, 150)
+    image = list(range(150))
+    random.Random(5).shuffle(image)
+    relabelled = Graph.from_edges(150, [(image[u], image[v]) for u, v in cubic.edges])
+    a, b = _write(tmp_path, "a", cubic), _write(tmp_path, "b", relabelled)
+    for argv in (["analyze", "--json", a], ["compare", "--json", a, b]):
+        assert main(argv) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        report = json.loads(out)
+        matrix = report["divisor"] if argv[0] == "analyze" else report["common_matrix"]
+        assert matrix["ell"] == 150 and len(matrix["entries"]) == 150**2 and sum(matrix["entries"]) == 450
+
+
+def test_writes_are_whole_rows_of_at_least_the_write_size():
+    # The divisor matrix of C_300 on its discrete partition: 90,000 entries,
+    # about 900 kB of JSON, in writes of at least _WRITE_SIZE but the last.
+    ell = 300
+    rows = tuple(tuple(sorted({(i - 1) % ell: 1, (i + 1) % ell: 1}.items())) for i in range(ell))
+    dm = DivisorMatrix(ell, rows, (1,) * ell)
+    writes = []
+    _write_json({"divisor": dm}, writes.append)
+    text = "".join(writes)
+    assert text == json.dumps({"divisor": _dense_form(dm)}, indent=2) + "\n"
+    assert len(writes) <= len(text) // _WRITE_SIZE + 1
+    assert all(len(w) >= _WRITE_SIZE for w in writes[:-1])
+    # Entry e sits on line e + 4, so a write that ends a row ends right
+    # after entry e with e + 1 a multiple of ell.
+    end = 0
+    for w in writes[:-1]:
+        end += len(w)
+        assert text[end] in ",\n" and (text.count("\n", 0, end) - 4 + 1) % ell == 0
 
 
 @given(st.lists(st.sampled_from([0, 0, 0, 0, 1, 7, 999, 1000, 123456]), min_size=1, max_size=40))

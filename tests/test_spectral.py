@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from helpers import check_orbit_constancy, connected_graphs, dense, from_dense, rigid_cubic, tied_star
+from helpers import bisection_top, check_orbit_constancy, connected_graphs, dense, from_dense, rigid_cubic, tied_star
 from orbigraph import constructions as cons
 from orbigraph import spectral
 from orbigraph.aut import Partition, orbit_partition, unit_partition
@@ -403,6 +403,43 @@ def test_envelope_kernel_refuses_a_matrix_that_never_factors():
 def test_kernels_agree_on_connected_graphs(g):
     assert_kernels_agree(g, orbit_partition(g))
     assert_kernels_agree(g, discrete_partition(g.n))
+
+
+def assert_top_is_the_bisection_float(graph: Graph, partition: Partition, most: int | None = None) -> None:
+    """_Envelope.top gives the float of plain bisection, in at most `most`
+    factorizations when given; a closed row-sum bracket reaches no kernel."""
+    dm = divisor_matrix(graph, partition)
+    sums = dm.row_sums()
+    if min(sums) == max(sums):
+        return
+    rows = spectral._symmetrized(dm)
+    kernel = spectral._Envelope(rows, spectral._rcm_order(rows))
+    calls = []
+    factor = kernel.factor
+    kernel.factor = lambda shift: calls.append(shift) or factor(shift)
+    rho, _ = kernel.top(sums)
+    assert rho == bisection_top(spectral._Envelope(rows, kernel.order), sums)
+    if most is not None:
+        assert len(calls) <= most
+
+
+@pytest.mark.parametrize("name", SLOW_MIXING_GRAPHS)
+def test_noda_top_on_slow_mixing_graphs(name):
+    # Plain bisection from the row-sum bracket takes about 54 factorizations.
+    graph = SLOW_MIXING_GRAPHS[name]
+    assert_top_is_the_bisection_float(graph, orbit_partition(graph), most=15)
+
+
+def test_noda_top_on_p5_and_path_2000():
+    assert_top_is_the_bisection_float(path(5), orbit_partition(path(5)))
+    assert_top_is_the_bisection_float(path(2000), orbit_partition(path(2000)), most=25)
+
+
+@settings(max_examples=80, deadline=None)
+@given(connected_graphs(min_n=1, max_n=8))
+def test_noda_top_on_connected_graphs(g):
+    assert_top_is_the_bisection_float(g, orbit_partition(g))
+    assert_top_is_the_bisection_float(g, discrete_partition(g.n))
 
 
 def complete_bipartite(n: int) -> Graph:
