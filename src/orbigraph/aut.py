@@ -27,6 +27,29 @@ the cycle that each twin class of each round contributes.  A generator is
 kept as the (vertex, image) pairs of the vertices it moves, in ascending
 order, so a twin transposition costs the size of its two blocks, not n.
 
+When no twins are left, pendant trees are folded (_fold), and the twin
+rounds run again, until neither changes the quotient.  The paper's loads
+are such trees, and the far ends of two branches are no twins, so without
+the fold the search would individualize a branch of every load.  Leaves
+are peeled in layers, bottom-up, in one pass over a queue, as in the tree
+isomorphism test of Aho, Hopcroft & Ullman (1974): a vertex v whose only
+other head is w folds into w, unless w became such a vertex in the same
+layer or earlier, when v and w are the centre edge of their tree.  A
+folded child is signed by its colour and children, the arc weights both
+ways and its loops, and w's colour becomes its own plus the sorted
+signatures of its children.  A parent with two equal signatures keeps its
+children, which are open twins of the next round unless they carry loops;
+so the children of a folding parent are told apart by their signatures,
+and w's block, its own followed by its children's in signature order,
+lifts member by member like any other.  That is sound: every choice of
+the fold depends on layers and signatures alone, so an automorphism of
+the quotient maps the folded quotient onto itself, and one that fixes
+every vertex of the folded quotient fixes every child too, since a
+parent's children are told apart; so a fold loses no automorphism that
+the twin generators do not give.  Anders,
+Schweitzer & Stiess (Engineering a preprocessor for symmetry detection,
+SEA 2023) use the same preprocessing.
+
 The search runs on the last quotient, with no recursion.  The first path
 is a loop from the root: a node copies its parent's equitable partition,
 individualizes the smallest vertex of the first smallest non-singleton
@@ -62,7 +85,9 @@ way (McKay & Piperno, Practical graph isomorphism II, 2014).
 
 The group order is the product over levels of the base vertex's orbit size
 when its level finishes, times (class size)! for every twin class of every
-round.  Orbits are the unions of the blocks in a quotient vertex's orbit.
+round; a fold adds no factor.  A folded block holds several orbits, so
+orbits are taken by position: the blocks of a quotient vertex's orbit are
+matched position by position, and the twin generators join the pieces.
 
 Isomorphism of two connected digraphs is the classical IR test on their
 disjoint union (McKay & Piperno 2014): they are isomorphic iff an
@@ -75,15 +100,18 @@ with unequal numbers of vertices from the two sides rules a swap out.
 
 Scale, measured on one core of a 2-vCPU Intel Xeon VM with Python 3.11, at
 the 2000-vertex cap: the search takes 0.1 s on torus(40, 50), 0.04 s on
-cycle_with_cliques(400, 3, 2), 0.4-0.5 s on loaded_torus((20, 20), 2, 2)
-(a 400-level base), 0.4-0.5 s on crossed_prism(1000) (500 levels), 0.02 s
-on a rigid random cubic graph with 1000 vertices, 0.05 s on one with 2000,
-and 0.07 s on complete(1200).  On the rigid cubic graph with 2000 vertices
+cycle_with_cliques(400, 3, 2), 0.06 s on loaded_torus((20, 20), 2, 2)
+(15 refinements, as its loads fold into the torus), 0.02 s on path(2000),
+0.05 s on the complete binary tree with 2047 vertices, 0.4 s on
+crossed_prism(1000) (500 levels), 0.02 s on a rigid random cubic graph
+with 1000 vertices, 0.05 s on one with 2000, and 0.06 s on
+complete(1200).  On the rigid cubic graph with 2000 vertices
 and a relabelling of it, isomorphism takes 0.14-0.18 s, and the whole
 `orbigraph compare --json`, which decides it on the 2000-cell digraphs of
 the two divisor matrices and writes the 36 MB report, 0.3-0.5 s.
 """
 
+from bisect import bisect_left, bisect_right
 from collections import deque
 from functools import lru_cache
 from math import factorial
@@ -395,6 +423,117 @@ def _twin_classes(colour: Sequence, adj: Sequence[tuple[int, ...]]) -> list[tupl
     return sorted(classes, key=lambda c: c[1][0])
 
 
+def _is_leaf(v: int, row: tuple[int, ...]) -> bool:
+    """Whether the sorted row of v has exactly one head other than v."""
+    if not row:
+        return False
+    a, b = row[0], row[-1]
+    if a == v:
+        return b != v and row[bisect_right(row, v)] == b
+    if b == v:
+        return row[bisect_left(row, v) - 1] == a
+    return a == b
+
+
+def _weight(row: tuple[int, ...], w: int) -> int:
+    return bisect_right(row, w) - bisect_left(row, w)
+
+
+def _fold(
+    colour: Sequence, adj: Sequence[tuple[int, ...]], blocks: list[list[int]], names: dict
+) -> tuple[list, list[tuple[int, ...]], list[list[int]]] | None:
+    """The quotient with its pendant trees folded, as (colour, adj, blocks),
+    or None if nothing folds.
+
+    Leaves are peeled in layers from a FIFO queue: layer 0 holds the
+    vertices whose row has one head other than themselves, and a vertex
+    joins layer k + 1 when, in layer k, all but one of its heads have been
+    attached to it.  When a leaf v is popped, all its children are attached.
+    Each child c gets the signature (name of c, weight of c -> v, weight of
+    v -> c, loops of c), the name being a number that `names` gives c's
+    colour with its children's sorted signatures, so that no colour nests
+    once per tree level (a path would nest 1,000 deep, deeper than tuple
+    comparison recurses).  If two signatures are equal,
+    v keeps its children: they are open twins of the next twin round, or
+    carry loops.  Otherwise v is attached to its last head p, unless p was
+    a leaf of the same layer or an earlier one: then v and p form the
+    centre edge of their tree, or p kept its children.  Every decision
+    depends on layers and signatures only, so an automorphism of the
+    quotient maps the folded quotient onto itself.  A vertex with children
+    that is never attached folds them in the same way once the queue is
+    empty.
+    """
+    n = len(adj)
+    queue = deque(v for v, row in enumerate(adj) if _is_leaf(v, row))
+    if not queue:
+        return None
+    layer = [-1] * n
+    left = [-1] * n  # heads other than v not attached to v, once counted
+    for v in queue:
+        layer[v] = 0
+        left[v] = 1
+    up = [-1] * n  # the vertex v is attached to
+    children: dict[int, list[int]] = {}
+    folds: dict[int, tuple] = {}  # sorted child signatures of a vertex that folds its children
+    order: dict[int, list[int]] = {}  # its children in signature order
+    name: dict[int, int] = {}
+    kept: set[int] = set()  # vertices that keep their children
+
+    def finish(v: int) -> bool:
+        """Sign v's children and say whether v folds them."""
+        sigs: tuple = ()
+        if v in children:
+            row = adj[v]
+            signed = sorted(((name[c], _weight(adj[c], v), _weight(row, c), _weight(adj[c], c)), c) for c in children[v])
+            sigs = tuple(s for s, _ in signed)
+            if len(set(sigs)) < len(sigs):
+                kept.add(v)
+                return False
+            order[v] = [c for _, c in signed]
+        folds[v] = sigs
+        name[v] = names.setdefault((colour[v], sigs), len(names))
+        return True
+
+    while queue:
+        v = queue.popleft()
+        if not finish(v) or left[v] == 0:
+            continue
+        p = next(h for h in adj[v] if h != v and up[h] < 0)
+        if 0 <= layer[p] <= layer[v]:
+            continue
+        up[v] = p
+        children.setdefault(p, []).append(v)
+        if left[p] < 0:
+            left[p] = len(set(adj[p]) - {p})
+        left[p] -= 1
+        if left[p] == 1:
+            layer[p] = layer[v] + 1
+            queue.append(p)
+    for p in children:
+        if p not in folds and p not in kept:
+            finish(p)
+    stays = [up[v] < 0 or up[v] in kept for v in range(n)]
+    if all(stays):
+        return None
+    index = [-1] * n
+    rest = [v for v in range(n) if stays[v]]
+    for i, v in enumerate(rest):
+        index[v] = i
+    folded_blocks = []
+    for v in rest:
+        block, stack = [], [v]
+        while stack:
+            u = stack.pop()
+            block += blocks[u]
+            stack += reversed(order.get(u, ()))
+        folded_blocks.append(block)
+    return (
+        [(colour[v], folds.get(v, ())) for v in rest],
+        [tuple(index[h] for h in adj[v] if stays[h]) for v in rest],
+        folded_blocks,
+    )
+
+
 def _profile_split(adj: Sequence[Sequence[int]], cells: list[list[int]]) -> list[list[int]] | None:
     """The cells with every non-singleton cell split by its members'
     distance-layer profiles, fragments in ascending profile order, or None
@@ -497,10 +636,14 @@ class _AutSearch:
         # blocks[q] lists the input vertices that quotient vertex q stands for,
         # in the order in which a permutation of the quotient lifts.
         blocks = [[v] for v in range(len(adj))]
+        names: dict = {}
         while True:
             classes = _twin_classes(colour, adj)
             if len(classes) == len(adj):
-                break
+                if (folded := _fold(colour, adj, blocks, names)) is None:
+                    break
+                colour, adj, blocks = folded
+                continue
             class_of = [0] * len(adj)
             for q, (_, members) in enumerate(classes):
                 for v in members:
@@ -511,9 +654,11 @@ class _AutSearch:
                     if len(members) > 2:
                         self._add_block_cycle([blocks[v] for v in members])
             # A representative has equal weights to every member of another
-            # class, so its arcs to the representatives carry the quotient.
+            # class, so its arcs to the representatives carry the quotient;
+            # its loops stay, as members of a class with loops are no twins
+            # of members of one without.
             rep = [members[0] for _, members in classes]
-            adj = [tuple(class_of[w] for w in adj[r] if w == rep[class_of[w]] and w != r) for r in rep]
+            adj = [tuple(class_of[w] for w in adj[r] if w == rep[class_of[w]]) for r in rep]
             colour = [(colour[members[0]], kind, len(members)) for kind, members in classes]
             blocks = [[v for w in members for v in blocks[w]] for _, members in classes]
         self.adj = adj
@@ -666,21 +811,34 @@ class _AutSearch:
         return True
 
     def orbit_cells(self) -> list[list[int]]:
-        return [[v for q in group for v in self.blocks[q]] for group in self.orbits.groups()]
+        # The blocks of a quotient orbit, matched position by position, give
+        # pieces of orbits, and the twin generators join the pieces.
+        pieces = [list(column) for group in self.orbits.groups() for column in zip(*map(self.blocks.__getitem__, group))]
+        twins = self.generators[: self.twin_generators]
+        if not twins:
+            return pieces
+        piece_of = [0] * len(self.heads)
+        for i, piece in enumerate(pieces):
+            for v in piece:
+                piece_of[v] = i
+        joined = _UnionFind(range(len(pieces)))
+        for g in twins:
+            for v, w in g:
+                joined.union(piece_of[v], piece_of[w])
+        return [[v for i in group for v in pieces[i]] for group in joined.groups()]
 
 
 @lru_cache(maxsize=256)
 def automorphism_group(graph: Graph) -> AutGroup:
     """Generators, order, and vertex orbits of Aut(graph).
 
-    The search runs on the iterated twin quotient (see the module
-    docstring).  Generators are in the sparse form of AutGroup.  Every
-    generator from the search has passed an edge check on `graph`; each
-    twin class of size k >= 2 adds a transposition and, for k >= 3, a
-    k-cycle of its members' blocks.  The order is exact: the
+    The search runs on the iterated twin quotient with its pendant trees
+    folded (see the module docstring).  Generators are in the sparse form
+    of AutGroup.  Every generator from the search has passed an edge check
+    on `graph`; each twin class of size k >= 2 adds a transposition and,
+    for k >= 3, a k-cycle of its members' blocks.  The order is exact: the
     product over search levels of the base vertex's orbit size, times k!
-    for every twin class.
-    Orbits come in canonical order.
+    for every twin class.  Orbits come in canonical order.
     """
     if graph.n == 0:
         raise ValueError("automorphism group undefined for the empty graph")

@@ -69,7 +69,9 @@ min_i (Ax)_i / x_i <= rho(A) <= max_i (Ax)_i / x_i (Collatz 1942; Wielandt
 1950).  The bracket must be narrower than CERTIFICATE_TOL * max(1, rho)
 and hold both reported radii, widened by that much, or CertificateError is
 raised, whichever kernel solved.  The adjacency radius is the Rayleigh
-quotient of x on A.
+quotient of x on A; on a closed bracket that is the quotient of the
+unscaled constant vector, 2m / n, so a regular graph gives its degree
+exactly, where the lift's entries 1/n would round it.
 """
 
 import math
@@ -371,7 +373,13 @@ def spectral_radius_adjacency(graph: Graph, partition: Partition | None = None) 
     # (A x)_u as an exact sum rounded once: no order of the terms, so no
     # vertex label, moves the printed rho.
     y = [math.fsum(map(x.__getitem__, row)) for row in graph.adjacency]
-    rho = math.fsum(map(mul, x, y)) / math.fsum(map(mul, x, x))
+    sums = dm.row_sums()
+    if min(sums) == max(sums):
+        # x is constant, and the quotient of the unscaled constant vector,
+        # 2m / n, gives a regular graph's degree exactly: 1/n rounds.
+        rho = sum(map(len, graph.adjacency)) / graph.n
+    else:
+        rho = math.fsum(map(mul, x, y)) / math.fsum(map(mul, x, x))
     quotients = [a / b for a, b in zip(y, x)]
     lo, hi = min(quotients), max(quotients)
     tol = CERTIFICATE_TOL * max(1.0, rho)

@@ -7,6 +7,7 @@ import random
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
+from math import factorial
 from typing import NamedTuple, Sequence
 
 import hypothesis.strategies as st
@@ -182,6 +183,94 @@ def partition_by(colour) -> Partition:
     for v, c in enumerate(colour):
         cells.setdefault(c, []).append(v)
     return Partition.from_cells(cells.values()).canonical()
+
+
+def tree_symmetry(tree: Graph, root: int | None = None) -> tuple[int, list[tuple]]:
+    """|Aut| of a tree and an orbit key for each vertex, counted bottom-up
+    (test oracle, after the tree isomorphism test of Aho, Hopcroft & Ullman).
+
+    The tree hangs from root, or else from its centre: the one or two
+    vertices left when leaves are stripped layer by layer.  Each rooted
+    subtree's code is the sorted tuple of its children's codes, equal for
+    isomorphic subtrees of any trees, and |Aut| is the product
+    over vertices of k! for every k children with one code, times 2 when the
+    two centres have equal codes.  Two vertices share an orbit iff the codes
+    on their paths down from the root (from their own centre) agree.  With a
+    root given, the order and keys are those of the automorphisms fixing it.
+    """
+    adj, n = tree.adjacency, tree.n
+    assert is_connected(tree) and len(tree.edges) == n - 1
+    if root is not None:
+        tops = [root]
+    else:
+        degree = [len(row) for row in adj]
+        tops, left = [v for v in range(n) if degree[v] <= 1], n
+        while left > 2:
+            left -= len(tops)
+            stripped = []
+            for v in tops:
+                for w in adj[v]:
+                    degree[w] -= 1
+                    if degree[w] == 1:
+                        stripped.append(w)
+            tops = stripped
+    parent = [-1] * n
+    order = list(tops)
+    seen = set(tops)
+    for v in order:
+        for w in adj[v]:
+            if w not in seen:
+                seen.add(w)
+                parent[w] = v
+                order.append(w)
+    children: list[list[int]] = [[] for _ in range(n)]
+    for v in order:
+        if parent[v] >= 0:
+            children[parent[v]].append(v)
+    code: list[tuple] = [()] * n
+    size = 1
+    for v in reversed(order):
+        code[v] = tuple(sorted(code[c] for c in children[v]))
+        for c in set(code[v]):
+            size *= factorial(code[v].count(c))
+    if len(tops) == 2 and code[tops[0]] == code[tops[1]]:
+        size *= 2
+    keys: list[tuple] = [()] * n
+    for v in order:
+        keys[v] = (keys[parent[v]] if parent[v] >= 0 else ()) + (code[v],)
+    return size, keys
+
+
+@st.composite
+def trees(draw, max_n: int = 40):
+    """A random tree: vertex i hangs from one of the `span` vertices before it
+    (a path for span 1), or copies of a random tree hang from a new root,
+    once or on both ends of an edge; labels shuffled."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, max_n))
+        span = draw(st.integers(1, max(1, n - 1)))
+        edges = [(i, draw(st.integers(max(0, i - span), i - 1))) for i in range(1, n)]
+    else:
+        k = draw(st.integers(1, 6))
+        branch = [(i, draw(st.integers(0, i - 1))) for i in range(1, k)]
+        copies = draw(st.integers(1, 4))
+        edges = [(0, 1 + c * k) for c in range(copies)]
+        edges += [(1 + c * k + a, 1 + c * k + b) for c in range(copies) for a, b in branch]
+        n = 1 + copies * k
+        if draw(st.booleans()):
+            edges += [(n + a, n + b) for a, b in edges] + [(0, n)]
+            n *= 2
+    image = draw(st.permutations(range(n)))
+    return Graph.from_edges(n, [(image[a], image[b]) for a, b in edges])
+
+
+def is_isomorphism(phi, a, b) -> bool:
+    """Whether phi maps the coloured digraph a onto b, colours and arcs with
+    their weights."""
+    return sorted(phi) == list(range(len(b.adj))) and all(
+        b.colour[phi[v]] == a.colour[v] and tuple(sorted(phi[w] for w in a.adj[v])) == b.adj[phi[v]]
+        for v in range(len(a.adj))
+    )
 
 
 def dense(dm: DivisorMatrix) -> tuple[tuple[int, ...], ...]:

@@ -7,7 +7,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -24,11 +24,14 @@ from helpers import (
     preserves_edges,
     refines,
     rigid_cubic,
+    tree_symmetry,
+    trees,
     vertex_permutations,
 )
 from orbigraph.aut import (
     ColouredDigraph,
     Partition,
+    _AutSearch,
     _Cells,
     automorphism_group,
     equitable_refinement,
@@ -492,3 +495,143 @@ def test_isomorphism_when_the_root_cell_holds_no_vertex_of_b():
     # vertices of b.
     assert _isomorphism(path(4), star(3)) is None
     assert _isomorphism(star(3), path(4)) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(trees())
+def test_trees_match_the_bottom_up_count(tree):
+    # Pendant trees are folded before the search, so a tree's whole group
+    # comes from twin classes; the oracle counts it from the tree's centre.
+    order, keys = tree_symmetry(tree)
+    group = automorphism_group(tree)
+    assert group.order == order
+    assert group.orbits == partition_by(keys)
+    assert all(preserves_edges(g, tree) for g in group.generators)
+    if order <= 5000:
+        check_generators(group, tree)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(3, 7), st.lists(trees(max_n=8), min_size=2, max_size=2), st.data())
+def test_trees_glued_on_a_cycle_match_the_bottom_up_count(k, pool, data):
+    # Each cycle vertex i carries a copy of pool[kind[i]] glued at the tree's
+    # vertex 0.  The cycle is the only one, so an automorphism is a dihedral
+    # map d of it that keeps each tree's rooted code, with any root-fixing
+    # automorphism of each tree: |Aut| = #d * prod of the rooted orders.
+    kind = data.draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
+    rooted = [tree_symmetry(tree, root=0) for tree in pool]
+    edges, where, n = [(i, (i + 1) % k) for i in range(k)], [], k
+    for i in range(k):
+        tree = pool[kind[i]]
+        label = [i] + list(range(n, n + tree.n - 1))
+        edges += [(label[a], label[b]) for a, b in tree.edges]
+        where += [(i, u, label[u]) for u in range(tree.n)]
+        n += tree.n - 1
+    code = [rooted[kind[i]][1][0] for i in range(k)]
+    maps = [[(s + sign * i) % k for i in range(k)] for s in range(k) for sign in (1, -1)]
+    maps = [d for d in maps if all(code[d[i]] == code[i] for i in range(k))]
+    keys: list = [None] * n
+    for i, u, v in where:
+        keys[v] = (min(d[i] for d in maps), rooted[kind[i]][1][u])
+    graph = Graph.from_edges(n, edges)
+    group = automorphism_group(graph)
+    assert group.order == len(maps) * math.prod(rooted[kind[i]][0] for i in range(k))
+    assert group.orbits == partition_by(keys)
+    assert all(preserves_edges(g, graph) for g in group.generators)
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+def test_complete_binary_tree(d):
+    # Each of the 2^(d-1) - 1 inner vertices swaps its two subtrees; the
+    # orbits are the d levels.
+    n = 2**d - 1
+    group = automorphism_group(Graph.from_edges(n, [(i, (i - 1) // 2) for i in range(1, n)]))
+    assert group.order == 2 ** (2 ** (d - 1) - 1)
+    assert len(group.orbits) == d
+
+
+@pytest.mark.parametrize("a", (5, 6, 8))
+@pytest.mark.parametrize("q, m", [(1, 1), (1, 4), (2, 1), (2, 3), (3, 2)])
+def test_loaded_torus_closed_form(a, q, m):
+    # C_a x C_a has 8a^2 automorphisms for a >= 5, and each of the a^2
+    # starlike loads permutes its q equal branches.
+    group = automorphism_group(loaded_torus((a, a), q, m))
+    assert group.order == 8 * a * a * math.factorial(q) ** (a * a)
+    assert len(group.orbits) == 1 + m
+
+
+@pytest.mark.parametrize("dims, q, m", [((8, 8), 2, 3), ((20, 20), 2, 2)])
+def test_loaded_torus_is_searched_on_its_base(monkeypatch, dims, q, m):
+    # The loads fold into the torus vertices before the search; with each
+    # branch searched instead, the first path is 68 levels deep on the 8 x 8
+    # torus and the search makes 373 refinements, 2,365 on the 20 x 20 one.
+    refine, calls = _Cells.refine, []
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return refine(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Cells, "refine", counted)
+    group = automorphism_group.__wrapped__(loaded_torus(dims, q, m))
+    assert group.order == 8 * dims[0] * dims[1] * math.factorial(q) ** (dims[0] * dims[1])
+    assert len(calls) <= 20
+
+
+def test_path_at_the_cap_folds_without_recursion():
+    # A path of 2000 vertices folds into its two centre vertices, 1,000
+    # levels of pendant vertices each, which are then closed twins.
+    group = automorphism_group(path(2000))
+    assert group.order == 2 and len(group.orbits) == 1000
+
+
+def _brute_force_digraph_group(colour, adj) -> tuple[int, Partition]:
+    n = len(adj)
+    count, orbit = 0, list(range(n))
+    for p in itertools.permutations(range(n)):
+        if all(colour[p[v]] == colour[v] and tuple(sorted(p[w] for w in adj[v])) == adj[p[v]] for v in range(n)):
+            count += 1
+            for v in range(n):
+                orbit[v] = min(orbit[v], p[v])
+    return count, partition_by(orbit)
+
+
+@st.composite
+def weighted_digraphs(draw, max_n: int = 6):
+    """A coloured digraph with symmetric arc weights and loops: a random
+    spanning forest plus a few more arcs, in two colours."""
+    n = draw(st.integers(1, max_n))
+    weight: dict[tuple[int, int], int] = {}
+    for v in range(1, n):
+        if draw(st.integers(0, 4)):
+            u = draw(st.integers(0, v - 1))
+            weight[u, v] = weight[v, u] = draw(st.integers(1, 2))
+    for _ in range(draw(st.integers(0, 2))):
+        u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        weight[u, v] = weight[v, u] = draw(st.integers(1, 2))
+    colour = tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    adj = tuple(tuple(sorted(w for (u, w), x in weight.items() if u == v for _ in range(x))) for v in range(n))
+    return colour, adj
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_digraphs())
+# 0 and 4 are open twins; once they are one vertex, 2 and 5 differ only in
+# 5's loop, which the quotient must keep.
+@example(((0,) * 6, ((1, 3), (0, 2, 2, 4, 5, 5), (1, 1), (0, 4), (1, 3), (1, 1, 5))))
+def test_weighted_digraphs_with_loops_match_brute_force(digraph):
+    # Loops and weights reach the twin quotient and the pendant fold: a twin
+    # class of looped vertices must not become a twin of one without loops,
+    # and a pendant vertex's signature carries both weights and its loops.
+    colour, adj = digraph
+    search = _AutSearch(colour, adj)
+    search.run()
+    order, orbits = _brute_force_digraph_group(colour, adj)
+    assert search.order * search.twin_order == order
+    assert Partition.from_cells(search.orbit_cells()).canonical() == orbits
+    for g in search.generators:
+        image = dict(g)
+        assert all(
+            colour[image.get(v, v)] == colour[v]
+            and tuple(sorted(image.get(w, w) for w in adj[v])) == adj[image.get(v, v)]
+            for v in range(len(adj))
+        )

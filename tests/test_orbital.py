@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -12,13 +13,14 @@ from helpers import (
     dense_divisor_matrix,
     equalizes,
     from_dense,
+    is_isomorphism,
     json_form,
     omega_from_divisor,
     tied_star,
     vertex_permutations,
 )
-from orbigraph.aut import Partition, equitable_refinement, isomorphism, orbit_partition, unit_partition
-from orbigraph.constructions import complete, cycle, generalized_sun, path, star, strong_prism
+from orbigraph.aut import ColouredDigraph, Partition, equitable_refinement, isomorphism, orbit_partition, unit_partition
+from orbigraph.constructions import complete, cycle, generalized_sun, loaded_torus, path, star, strong_prism
 from orbigraph.graph_core import Graph
 from orbigraph.orbital import (
     DivisorMatrix,
@@ -28,6 +30,7 @@ from orbigraph.orbital import (
     orbit_divisor_matrix,
     orbit_profile,
     orbitally_similar,
+    similar_divisors,
 )
 
 F = Fraction
@@ -377,3 +380,56 @@ def test_divisor_with_explicit_alternative_order():
     cells = [[1, 3], [0, 4], [2]]
     dm = divisor_matrix(path(5), Partition.from_cells(cells))
     assert dense(dm) == ((0, 1, 1), (1, 0, 0), (2, 0, 0))
+
+
+def _spider(legs) -> Graph:
+    """Paths of the given lengths glued at a common end vertex 0."""
+    edges, n = [], 1
+    for length in legs:
+        edges += [(0 if t == 0 else n + t - 1, n + t) for t in range(length)]
+        n += length
+    return Graph.from_edges(n, edges)
+
+
+def _relabelled(dm: DivisorMatrix, image) -> DivisorMatrix:
+    """The divisor matrix with cell i renamed image[i]."""
+    inverse = [image.index(i) for i in range(dm.ell)]
+    entries = dense(dm)
+    return from_dense(
+        tuple(tuple(entries[inverse[i]][inverse[j]] for j in range(dm.ell)) for i in range(dm.ell)),
+        tuple(dm.sizes[inverse[i]] for i in range(dm.ell)),
+    )
+
+
+def _looped_cell_digraph(dm: DivisorMatrix) -> ColouredDigraph:
+    """The cell digraph with B_ii as a loop of that weight in i's row, not in its colour."""
+    n = sum(dm.sizes)
+    rows = tuple(tuple(j for j, x in row for _ in range(x)) for row in dm.rows)
+    return ColouredDigraph(tuple(F(s, n) for s in dm.sizes), rows)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        _spider((1, 2, 2, 3)),
+        _spider((1, 1, 2, 2, 3, 3, 4)),
+        _spider((2, 5, 5, 7)),
+        loaded_torus((5, 5), 2, 3),
+        loaded_torus((4, 6), 3, 2),
+        loaded_torus((6, 6), 1, 4),
+    ],
+)
+def test_witnesses_on_the_cell_digraphs_of_spiders_and_loaded_tori(graph):
+    # These cell digraphs are trees or carry pendant paths, with arc weights
+    # and self-arcs, so the pendant fold runs on both sides of the union.
+    sg = orbit_divisor_matrix(graph)
+    for seed in range(4):
+        image = random.Random(seed).sample(range(sg.ell), sg.ell)
+        sh = _relabelled(sg, image)
+        verdict = similar_divisors(sg, sh)
+        assert verdict.similar and equalizes(verdict.witness, sg, sh)
+        for cell_digraph in (_cell_digraph, _looped_cell_digraph):
+            a, b = cell_digraph(sh), cell_digraph(sg)
+            phi = isomorphism(a, b)
+            assert phi is not None and is_isomorphism(phi, a, b)
+            assert is_isomorphism(isomorphism(b, b), b, b)

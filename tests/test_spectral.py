@@ -75,6 +75,16 @@ class TestAdjacencyRadius:
         rho = spectral_radius_adjacency(complete(n)).rho
         assert abs(rho - (n - 1)) <= 2 * math.ulp(n - 1), rho
 
+    def test_regular_graphs_give_their_degree_exactly(self):
+        # On a closed row-sum bracket rho is the Rayleigh quotient of the
+        # unscaled constant vector: from the lift 1/n it was
+        # 5.999999999999999 for K7, 10.000000000000002 for K11 and
+        # 2.9999999999999996 for the prism over C7.
+        for n in range(1, 200):
+            assert spectral_radius_adjacency(complete(n)).rho == n - 1, n
+        for g in (cons.circular_ladder(7), cons.moebius_ladder(35), cons.crossed_prism(14), rigid_cubic(5, 150)):
+            assert spectral_radius_adjacency(g).rho == 3.0
+
     def test_path5_closed_form(self):
         assert spectral_radius_adjacency(path(5)).rho == pytest.approx(
             2 * math.cos(math.pi / 6), abs=1e-9
