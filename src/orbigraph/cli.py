@@ -1,21 +1,28 @@
 """Command-line front end: analyze, compare, generate, sequence, demo.
 
-Exit codes: 0 success (or similar, for compare); 1 dissimilar; 2 parse or
-parameter error, or an output that cannot be written; 3 disconnected input;
-4 resource cap exceeded or spectral certificate failure; 5 sequence
-verification failure.  JSON output carries no timestamps unless --meta is
-given, so identical inputs produce byte-identical output.
+Arguments: orbigraph [-h | --help | --version] COMMAND [ARGS].  A command
+takes its positionals and long options in any order: --opt value or
+--opt=value, a flag alone.  An option's value may not start with "--"
+unless given as --opt=value.  "--" ends the options, so every argument after
+it is positional.  Options are not abbreviated, and -h is the only short one.
+
+Exit codes: 0 success (or similar, for compare); 1 dissimilar; 2 usage,
+parse or parameter error, or an output that cannot be written; 3
+disconnected input; 4 resource cap exceeded or spectral certificate
+failure; 5 sequence verification failure.  JSON output carries no
+timestamps unless --meta is given, so identical inputs produce
+byte-identical output.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import re
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .graph_core import (
@@ -155,8 +162,8 @@ def _write_json(obj, write) -> None:
 
 
 def _pieces(obj, indent: str):
-    """The text of obj at the nesting given by indent, in pieces: keys and
-    scalars through json.dumps itself, a list of exact ints (bools excluded)
+    """The text of obj at the nesting given by indent, in pieces: each key
+    and scalar as _scalar writes it, a list of exact ints (bools excluded)
     as one piece, and a divisor matrix one row of entries per piece."""
     if isinstance(obj, DivisorMatrix):
         yield from _matrix_pieces(obj, indent)
@@ -167,7 +174,7 @@ def _pieces(obj, indent: str):
         inner = indent + "  "
         sep = "{" + inner
         for key, value in obj.items():
-            yield sep + json.dumps(key) + ": "
+            yield sep + _string(key) + ": "
             yield from _pieces(value, inner)
             sep = "," + inner
         yield indent + "}"
@@ -186,7 +193,44 @@ def _pieces(obj, indent: str):
             sep = "," + inner
         yield indent + "]"
     else:
-        yield _digits(obj) if type(obj) is int else json.dumps(obj)
+        yield _scalar(obj)
+
+
+class _Escapes(dict):
+    """The str.translate table of a JSON string as json.dumps writes it with
+    ensure_ascii: the printable ASCII characters stand for themselves, '"'
+    and the backslash are escaped, so are the characters with a short escape,
+    and every other character is \\uXXXX, past U+FFFF the UTF-16 surrogate pair."""
+
+    def __missing__(self, code: int) -> str:
+        if code > 0xFFFF:
+            code -= 0x10000
+            return f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}"
+        return f"\\u{code:04x}"
+
+
+_ESCAPES = _Escapes({code: chr(code) for code in range(0x20, 0x7F)})
+_ESCAPES.update({ord(c): "\\" + e for c, e in zip('"\\\b\f\n\r\t', '"\\bfnrt')})
+_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_CONSTANTS = {True: "true", False: "false", None: "null"}
+
+
+def _string(s: str) -> str:
+    return '"' + s.translate(_ESCAPES) + '"'
+
+
+def _scalar(x) -> str:
+    """A JSON scalar as json.dumps writes it; an int also past str()'s digit limit."""
+    if isinstance(x, str):
+        return _string(x)
+    if x is None or isinstance(x, bool):
+        return _CONSTANTS[x]
+    if isinstance(x, int):
+        return _digits(x)
+    if isinstance(x, float):
+        text = float.__repr__(x)
+        return _FLOATS.get(text, text)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 def _matrix_pieces(dm: DivisorMatrix, indent: str):
@@ -264,7 +308,7 @@ def _print_analysis_table(payload: dict) -> None:
         print(_matrix_row(row, divisor.ell))
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
+def cmd_analyze(args: SimpleNamespace) -> int:
     graph = _load_graph(args.path, args.format)
     _require_connected(graph, args.path)
     record = analyze_term(graph)
@@ -278,7 +322,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
+def cmd_compare(args: SimpleNamespace) -> int:
     a = _load_graph(args.path_a, args.format)
     b = _load_graph(args.path_b, args.format)
     for graph, path in ((a, args.path_a), (b, args.path_b)):
@@ -299,7 +343,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_OK if verdict.similar else EXIT_DISSIMILAR
 
 
-def _family_params(args: argparse.Namespace) -> dict:
+def _family_params(args: SimpleNamespace) -> dict:
     params: dict = {}
     if args.dims is not None:
         try:
@@ -313,7 +357,7 @@ def _family_params(args: argparse.Namespace) -> dict:
     return params
 
 
-def cmd_generate(args: argparse.Namespace) -> int:
+def cmd_generate(args: SimpleNamespace) -> int:
     params = _family_params(args)
     try:
         # The member's order follows from its parameters: check the cap before building.
@@ -345,7 +389,7 @@ def _print_sequence_table(report) -> None:
         print(f"  {check.name:<20} {status}")
 
 
-def cmd_sequence(args: argparse.Namespace) -> int:
+def cmd_sequence(args: SimpleNamespace) -> int:
     text = _read_ascii(args.specfile)
     try:
         # ValueError covers malformed JSON, a bad spec and an integer of more
@@ -379,7 +423,7 @@ def cmd_sequence(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_demo(args: argparse.Namespace) -> int:
+def cmd_demo(args: SimpleNamespace) -> int:
     if args.name != "table1":
         raise CliError(f"unknown demo {args.name!r} (available: table1)", EXIT_PARSE)
     print(f"{'row':>3}  {'omega':<22} {'computed':>9}  {'reference':>9}")
@@ -390,57 +434,170 @@ def cmd_demo(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="orbigraph", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"orbigraph {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Arg(NamedTuple):
+    """A positional, or the long option --name.  kind is bool for a flag,
+    else int, str or the tuple of the values the argument may take."""
 
-    p = sub.add_parser("analyze", help="orbit structure and invariants of one graph")
-    p.add_argument("path")
-    p.add_argument("--format", choices=("edgelist", "graph6"), default="edgelist")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--dot", metavar="OUT", help="write DOT with orbit coloring")
-    p.add_argument("--meta", action="store_true", help="add provenance to JSON output")
-    p.set_defaults(func=cmd_analyze)
+    name: str
+    kind: object = str
+    default: object = None
+    help: str = ""
 
-    p = sub.add_parser("compare", help="decide orbital similarity of two graphs")
-    p.add_argument("path_a")
-    p.add_argument("path_b")
-    p.add_argument("--format", choices=("edgelist", "graph6"), default="edgelist")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--meta", action="store_true")
-    p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("generate", help="build a named family member")
-    p.add_argument("family", choices=cons.family_names())
-    p.add_argument("--n", type=int)
-    p.add_argument("--p", type=int)
-    p.add_argument("--q", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--dims", help="comma-separated cycle lengths, e.g. 3,4")
-    p.add_argument("--out", metavar="PATH")
-    p.add_argument("--format", choices=("edgelist", "graph6"), default="edgelist")
-    p.set_defaults(func=cmd_generate)
+class _Command(NamedTuple):
+    handler: Callable[[SimpleNamespace], int]
+    help: str
+    positionals: tuple[_Arg, ...]
+    options: tuple[_Arg, ...]
+    epilog: str = ""
 
-    p = sub.add_parser("sequence", help="generate and verify a self-similar sequence", epilog=describe_families(),
-                       formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("specfile")
-    p.add_argument("--count", type=int, default=4)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--meta", action="store_true")
-    p.set_defaults(func=cmd_sequence)
 
-    p = sub.add_parser("demo", help="built-in demonstrations")
-    p.add_argument("name")
-    p.set_defaults(func=cmd_demo)
+_FORMAT = _Arg("format", ("edgelist", "graph6"), "edgelist")
+_FAMILIES = cons.family_names()
+_JSON = _Arg("json", bool, False)
+_META = _Arg("meta", bool, False, help="add provenance to JSON output")
 
-    return parser
+# The command line: each command's handler, its positionals in order and its options.
+COMMANDS = {
+    "analyze": _Command(cmd_analyze, "orbit structure and invariants of one graph", (_Arg("path"),), (
+        _FORMAT, _JSON, _Arg("dot", help="write DOT with orbit coloring"), _META,
+    )),
+    "compare": _Command(cmd_compare, "decide orbital similarity of two graphs", (_Arg("path_a"), _Arg("path_b")),
+                        (_FORMAT, _JSON, _META)),
+    "generate": _Command(cmd_generate, "build a named family member", (
+        _Arg("family", _FAMILIES, help="one of: " + ", ".join(_FAMILIES)),
+    ), (
+        *(_Arg(key, int) for key in ("n", "p", "q", "m")),
+        _Arg("dims", help="comma-separated cycle lengths, e.g. 3,4"),
+        _Arg("out", help="write the graph here, not to stdout"),
+        _FORMAT,
+    )),
+    "sequence": _Command(cmd_sequence, "generate and verify a self-similar sequence", (_Arg("specfile"),),
+                         (_Arg("count", int, 4, "the number of terms"), _JSON, _META), describe_families()),
+    "demo": _Command(cmd_demo, "built-in demonstrations", (_Arg("name"),), ()),
+}
+
+
+def _flag(option: _Arg) -> str:
+    """The option as usage and help show it, with a placeholder for its value."""
+    if option.kind is bool:
+        return f"--{option.name}"
+    value = "{" + ",".join(option.kind) + "}" if isinstance(option.kind, tuple) else option.name.upper()
+    return f"--{option.name} {value}"
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "usage: orbigraph [-h] [--version] {" + ",".join(COMMANDS) + "} ..."
+    cmd = COMMANDS[command]
+    words = [f"[{_flag(option)}]" for option in cmd.options] + [arg.name for arg in cmd.positionals]
+    return " ".join(["usage: orbigraph", command, "[-h]", *words])
+
+
+def _help(command: str | None) -> str:
+    """The --help text: usage, then each section a title line or a table
+    row (name, help), and an epilog."""
+    help_row = ("-h, --help", "show this help message and exit")
+    if command is None:
+        sections = [__doc__.strip(), "commands:", *((name, cmd.help) for name, cmd in COMMANDS.items()),
+                    "options:", help_row, ("--version", "show the version and exit")]
+    else:
+        cmd = COMMANDS[command]
+        sections = [cmd.help, "positional arguments:", *((arg.name, arg.help) for arg in cmd.positionals),
+                    "options:", help_row, *((_flag(option), option.help) for option in cmd.options)]
+        sections += [cmd.epilog] * bool(cmd.epilog)
+    width = max(len(row[0]) for row in sections if isinstance(row, tuple))
+    lines = [_usage(command)]
+    for row in sections:
+        lines += ["", row] if isinstance(row, str) else [f"  {row[0]:<{width}}  {row[1]}".rstrip()]
+    return "\n".join(lines) + "\n"
+
+
+def _exit(text: str):
+    """Print the help or the version and exit 0."""
+    sys.stdout.write(text)
+    raise SystemExit(EXIT_OK)
+
+
+def _refuse(command: str | None, message: str):
+    """Print the usage and the error of a command line the table refuses, and exit 2."""
+    prog = "orbigraph" if command is None else f"orbigraph {command}"
+    print(f"{_usage(command)}\n{prog}: error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_PARSE)
+
+
+def _parse(argv: list[str]) -> tuple[_Command, SimpleNamespace]:
+    """The command argv names and its arguments by name.  A help request or
+    --version exits through _exit, a command line the table refuses through _refuse."""
+    args = iter(argv)
+    for word in args:
+        if word in ("-h", "--help"):
+            _exit(_help(None))
+        if word == "--version":
+            _exit(f"orbigraph {__version__}\n")
+        if word.startswith("-"):
+            _refuse(None, f"unrecognized arguments: {word}")
+        if word not in COMMANDS:
+            _refuse(None, f"invalid command {word!r} (choose from {', '.join(COMMANDS)})")
+        return COMMANDS[word], _arguments(word, args)
+    _refuse(None, "a command is required")
+
+
+def _arguments(command: str, args) -> SimpleNamespace:
+    """The command's positionals and options, each option at its default
+    unless given."""
+    cmd = COMMANDS[command]
+    options = {f"--{option.name}": option for option in cmd.options}
+    values = {option.name: option.default for option in cmd.options}
+    words = []
+    for word in args:
+        if word == "--":
+            words += args
+        elif word in ("-h", "--help"):
+            _exit(_help(command))
+        elif word == "-" or not word.startswith("-"):
+            words.append(word)
+        else:
+            flag, eq, value = word.partition("=")
+            option = options.get(flag)
+            if option is None:
+                _refuse(command, f"unrecognized arguments: {word}")
+            if option.kind is bool:
+                if eq:
+                    _refuse(command, f"option {flag} takes no value")
+                values[option.name] = True
+                continue
+            if not eq:
+                value = next(args, None)
+                if value is None or value.startswith("--"):
+                    _refuse(command, f"option {flag} needs a value")
+            values[option.name] = _value(flag, option.kind, value, command)
+    if len(words) < len(cmd.positionals):
+        missing = ", ".join(arg.name for arg in cmd.positionals[len(words):])
+        _refuse(command, f"the following arguments are required: {missing}")
+    if len(words) > len(cmd.positionals):
+        _refuse(command, f"unrecognized arguments: {' '.join(words[len(cmd.positionals):])}")
+    for arg, word in zip(cmd.positionals, words):
+        values[arg.name] = _value(arg.name, arg.kind, word, command)
+    return SimpleNamespace(**values)
+
+
+def _value(name: str, kind, text: str, command: str):
+    """text as the value of the argument name, of the given kind."""
+    if isinstance(kind, tuple):
+        if text not in kind:
+            _refuse(command, f"argument {name}: invalid choice: {text!r} (choose from {', '.join(kind)})")
+        return text
+    try:
+        return kind(text)
+    except ValueError:
+        _refuse(command, f"argument {name}: invalid {kind.__name__} value: {text!r}")
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    cmd, args = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        code = args.func(args)
+        code = cmd.handler(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError as exc:

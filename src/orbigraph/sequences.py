@@ -25,7 +25,6 @@ its record, and the CLI's analyze command reports the same record for one
 graph.
 """
 
-import json
 from fractions import Fraction
 from functools import reduce
 from math import fsum, prod
@@ -94,6 +93,8 @@ class SequenceSpec(Frozen):
 
     @classmethod
     def loads(cls, text: str) -> "SequenceSpec":
+        import json  # only here: no other run of the CLI reads JSON
+
         return cls.from_dict(json.loads(text))
 
     def term(self, k: int) -> Graph:

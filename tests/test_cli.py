@@ -298,15 +298,19 @@ try:
     cli.main(["--version"])
 except SystemExit as exc:
     assert exc.code == 0
-code = cli.main(sys.argv[1].split("|"))
-print(code, sorted({"dataclasses", "inspect", "datetime", "numpy"} & (set(sys.modules) - before)))
+codes = [cli.main(argv.split("|")) for argv in sys.argv[1:]]
+unused = {"argparse", "gettext", "json", "textwrap", "dataclasses", "inspect", "datetime", "numpy"}
+print(codes, sorted(unused & (set(sys.modules) - before)))
 """
 
 
-def test_version_and_a_small_analyze_import_no_dataclasses_inspect_datetime_or_numpy(tmp_path):
-    child = _run_child(_START_UP, f"analyze|--json|{_write(tmp_path, 'c6', cycle(6))}")
+def test_version_analyze_and_compare_import_no_argparse_gettext_json_textwrap_dataclasses_inspect_datetime_or_numpy(
+    tmp_path,
+):
+    c6, c12 = _write(tmp_path, "c6", cycle(6)), _write(tmp_path, "c12", cycle(12))
+    child = _run_child(_START_UP, f"analyze|--json|{c6}", f"compare|--json|{c6}|{c12}")
     assert child.returncode == 0, child.stderr
-    assert child.stdout.splitlines()[-1] == "0 []"
+    assert child.stdout.splitlines()[-1] == "[0, 0] []"
 
 
 def _meta_runs(tmp_path):
@@ -455,6 +459,90 @@ def test_sequence_cap_is_checked_before_any_term_is_built(spec, message, tmp_pat
     assert captured.err == f"error: {message}, above the supported cap 2000\n"
 
 
+_OPTIONS = {
+    "analyze": ("--format", "--json", "--dot", "--meta"),
+    "compare": ("--format", "--json", "--meta"),
+    "generate": ("--n", "--p", "--q", "--m", "--dims", "--out", "--format"),
+    "sequence": ("--count", "--json", "--meta"),
+    "demo": (),
+}
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("command", [None, *_OPTIONS])
+def test_help_exits_zero_and_names_the_commands_or_the_options(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([flag] if command is None else [command, flag])
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out.startswith("usage: orbigraph")
+    for word in _OPTIONS if command is None else ("-h, --help", *_OPTIONS[command]):
+        assert word in captured.out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bogus"],
+        [],
+        ["--bogus", "analyze", "g.edges"],
+        ["analyze"],
+        ["compare", "a.edges"],
+        ["analyze", "a.edges", "b.edges"],
+        ["demo", "table1", "extra"],
+        ["analyze", "--bogus", "g.edges"],
+        ["analyze", "g.edges", "--dot"],
+        ["sequence", "spec.json", "--count"],
+        ["analyze", "--dot", "--json", "g.edges"],
+        ["analyze", "--json=yes", "g.edges"],
+        ["analyze", "--format", "dot", "g.edges"],
+        ["analyze", "--format=graph7", "g.edges"],
+        ["compare", "--format", "Graph6", "a.edges", "b.edges"],
+        ["generate", "cycle", "--format", "json"],
+        ["sequence", "--count", "x", "spec.json"],
+        ["sequence", "--count=2.5", "spec.json"],
+        ["generate", "cycle", "--n", "five"],
+        ["generate", "no-such-family", "--n", "5"],
+    ],
+    ids=["unknown-command", "no-command", "unknown-top-option", "missing-positional", "missing-second-positional",
+         "extra-positional", "extra-demo-positional", "unknown-option", "dot-without-value", "count-without-value",
+         "dot-followed-by-an-option", "flag-with-a-value", "bad-format", "bad-format-equals", "format-case", "generate-bad-format", "count-not-int",
+         "count-float", "n-not-int", "unknown-family"],
+)
+def test_usage_errors_exit_two_with_usage_and_an_error_line(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: orbigraph")
+    assert any(line.startswith("orbigraph") and ": error: " in line for line in captured.err.splitlines())
+
+
+def test_options_go_anywhere_after_the_command_in_both_forms(tmp_path, capsys):
+    c6 = _write(tmp_path, "c6", cycle(6))
+    assert main(["analyze", "--json", c6]) == EXIT_OK
+    expected = capsys.readouterr().out
+    for argv in (["analyze", c6, "--json"], ["analyze", "--format=edgelist", c6, "--json"],
+                 ["analyze", "--format", "edgelist", "--json", "--", c6]):
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == expected
+    spec = _spec(tmp_path, {"family": "cycles", "start": 4})
+    assert main(["sequence", spec, "--json", "--count=5"]) == EXIT_OK
+    assert len(json.loads(capsys.readouterr().out)["terms"]) == 5
+
+
+def test_main_without_argv_reads_sys_argv(tmp_path, monkeypatch, capsys):
+    # The console script calls main() with no arguments.
+    monkeypatch.setattr(sys, "argv", ["orbigraph", "generate", "cycle", "--n", "5"])
+    assert main() == EXIT_OK
+    assert capsys.readouterr().out == serialize_edge_list(cycle(5))
+    monkeypatch.setattr(sys, "argv", ["orbigraph", "--version"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 0 and capsys.readouterr().out == f"orbigraph {__version__}\n"
+
+
 def test_sequence_help_lists_every_family(capsys):
     with pytest.raises(SystemExit):
         main(["sequence", "--help"])
@@ -508,7 +596,10 @@ def test_non_ascii_input_names_its_file(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: {bad}: not ASCII text (byte 0xff at offset 1)\n"
 
 
-_KEYS = st.text() | st.sampled_from(['"', "\\", "\n\t", "\x00", "\u00e9t\u00e9", "\u2028", "\U0001f600"])
+# DEL is outside ' '..'~', so json.dumps escapes it; st.text() makes no lone surrogates.
+_KEYS = st.text() | st.sampled_from(
+    ['"', "\\", "\n\t", "\x00", "\x1f", "\x7f", "\u00e9t\u00e9", "\u2028", "\ud800", "\U0001f600"]
+)
 _SCALARS = (
     st.none()
     | st.booleans()
