@@ -12,15 +12,23 @@ disconnected input; 4 resource cap exceeded or spectral certificate
 failure; 5 sequence verification failure.  JSON output carries no
 timestamps unless --meta is given, so identical inputs produce
 byte-identical output.
+
+A run ends once its output is flushed: the process exits through os._exit
+with the exit code, so the interpreter's teardown is skipped and no atexit
+handler of another library runs; every file a command writes is closed by
+then.  A stdout that cannot be written ends the run with one "error: cannot
+write stdout: ..." line and exit 2, and an unexpected error in its traceback
+and exit 1.  In-process, main() returns the exit code and never ends the
+process; run() is the process entry.
 """
 
 from __future__ import annotations
 
+import errno
 import os
 import re
 import sys
 from fractions import Fraction
-from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
@@ -73,7 +81,8 @@ class CliError(Exception):
 
 def _read_ascii(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="ascii")
+        with open(path, encoding="ascii") as f:
+            return f.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_PARSE) from exc
     except UnicodeDecodeError as exc:
@@ -83,7 +92,8 @@ def _read_ascii(path: str) -> str:
 
 def _write_ascii(path: str, text: str) -> None:
     try:
-        Path(path).write_text(text, encoding="ascii")
+        with open(path, "w", encoding="ascii") as f:
+            f.write(text)
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc}", EXIT_PARSE) from exc
 
@@ -597,14 +607,7 @@ def _value(name: str, kind, text: str, command: str):
 def main(argv: list[str] | None = None) -> int:
     cmd, args = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        code = cmd.handler(args)
-        sys.stdout.flush()
-        return code
-    except BrokenPipeError as exc:
-        # As the Python docs advise: no second error from the flush at exit.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return cmd.handler(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
@@ -616,5 +619,46 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PARSE
 
 
+class _ClosedStdout:
+    """sys.stdout when fd 1 was closed at start-up: a write fails as a write
+    to a closed descriptor does."""
+
+    def write(self, text: str) -> int:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+    def flush(self) -> None:
+        pass
+
+
+def run() -> None:
+    """The process entry, as the module docstring describes; it never returns.
+
+    A SystemExit becomes its code as the interpreter makes it: None is 0, an
+    int is itself, anything else is printed on stderr and is 1.  Every file
+    main() opens goes through _read_ascii or _write_ascii, which turn an
+    OSError into a CliError, so an OSError that reaches here is a failed
+    write to stdout.
+    """
+    if sys.stdout is None:
+        sys.stdout = _ClosedStdout()
+    try:
+        try:
+            code = main()
+        except SystemExit as exc:
+            code = exc.code
+            if code is None:
+                code = EXIT_OK
+            elif not isinstance(code, int):
+                print(code, file=sys.stderr)
+                code = 1
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        code = EXIT_PARSE
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -273,8 +273,8 @@ def _child_env() -> dict:
     return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
-def _run_child(code: str, *args: str) -> subprocess.CompletedProcess:
-    argv = [sys.executable, "-c", code, *args]
+def _run_child(code: str, *args: str, flags: tuple[str, ...] = ()) -> subprocess.CompletedProcess:
+    argv = [sys.executable, *flags, "-c", code, *args]
     return subprocess.run(argv, env=_child_env(), capture_output=True, text=True, timeout=120)
 
 
@@ -299,16 +299,17 @@ try:
 except SystemExit as exc:
     assert exc.code == 0
 codes = [cli.main(argv.split("|")) for argv in sys.argv[1:]]
-unused = {"argparse", "gettext", "json", "textwrap", "dataclasses", "inspect", "datetime", "numpy"}
+unused = {"argparse", "gettext", "json", "textwrap", "dataclasses", "inspect", "datetime", "pathlib", "numpy"}
 print(codes, sorted(unused & (set(sys.modules) - before)))
 """
 
 
-def test_version_analyze_and_compare_import_no_argparse_gettext_json_textwrap_dataclasses_inspect_datetime_or_numpy(
+def test_version_analyze_and_compare_import_no_argparse_gettext_json_textwrap_dataclasses_inspect_datetime_pathlib_or_numpy(
     tmp_path,
 ):
+    # Under -S, since a site hook may import some of these before the CLI does.
     c6, c12 = _write(tmp_path, "c6", cycle(6)), _write(tmp_path, "c12", cycle(12))
-    child = _run_child(_START_UP, f"analyze|--json|{c6}", f"compare|--json|{c6}|{c12}")
+    child = _run_child(_START_UP, f"analyze|--json|{c6}", f"compare|--json|{c6}|{c12}", flags=("-S",))
     assert child.returncode == 0, child.stderr
     assert child.stdout.splitlines()[-1] == "[0, 0] []"
 
@@ -567,6 +568,13 @@ def test_unwritable_output_path_is_a_parse_error(tmp_path, capsys):
         assert captured.out == "" and captured.err.startswith(f"error: cannot write {target}: ")
 
 
+def _cli(*args: str, env: dict | None = None, **kwargs) -> subprocess.CompletedProcess:
+    """One run of `python -m orbigraph.cli`, stdout and stderr as bytes unless redirected."""
+    argv = [sys.executable, "-m", "orbigraph.cli", *args]
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run(argv, env=env or _child_env(), stderr=subprocess.PIPE, timeout=120, **kwargs)
+
+
 def test_closed_stdout_is_an_error_line_and_exit_two(tmp_path):
     # path(1500)'s JSON is megabytes, far more than a pipe holds, so the
     # child is still writing when the reader closes its end.
@@ -574,10 +582,100 @@ def test_closed_stdout_is_an_error_line_and_exit_two(tmp_path):
     with subprocess.Popen(argv, env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
         assert child.stdout.read(10) == b'{\n  "order'
         child.stdout.close()
-        err = child.stderr.read().decode()
-        assert child.wait(timeout=120) == EXIT_PARSE
-    assert "Traceback" not in err
-    assert err.startswith("error: cannot write stdout: ") and err.count("\n") == 1
+        errors = [(child.stderr.read().decode(), child.wait(timeout=120))]
+    p6 = _write(tmp_path, "p6", path(6))
+    # A buffered stdout fails at the last flush, an unbuffered one at the write.
+    for unbuffered in ("", "1"):
+        env = dict(_child_env(), PYTHONUNBUFFERED=unbuffered)
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            child = _cli("sequence", "--help", env=env, stdout=write)
+        finally:
+            os.close(write)
+        errors.append((child.stderr.decode(), child.returncode))
+        for args in (["--version"], ["analyze", "--json", p6]):
+            # fd 1 closed: the interpreter starts with sys.stdout None.
+            argv = ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "orbigraph.cli", *args]
+            child = subprocess.run(argv, env=env, stderr=subprocess.PIPE, timeout=120)
+            errors.append((child.stderr.decode(), child.returncode))
+    for err, code in errors:
+        assert "Traceback" not in err
+        assert err.startswith("error: cannot write stdout: ") and err.count("\n") == 1
+        assert code == EXIT_PARSE
+
+
+def test_a_cli_process_writes_what_main_writes(tmp_path, capsys):
+    p1500, c6 = _write(tmp_path, "p1500", path(1500)), _write(tmp_path, "c6", cycle(6))
+    for args in (["analyze", "--json", p1500], ["compare", "--json", c6, _write(tmp_path, "c12", cycle(12))]):
+        code = main(args)
+        captured = capsys.readouterr()
+        child = _cli(*args)
+        assert (child.returncode, child.stdout, child.stderr) == (code, captured.out.encode(), captured.err.encode())
+    # Files written by --dot and --out are whole when the process ends.
+    assert main(["analyze", "--dot", str(tmp_path / "in.dot"), p1500]) == EXIT_OK
+    child = _cli("analyze", "--dot", str(tmp_path / "out.dot"), p1500)
+    assert child.returncode == EXIT_OK and child.stdout == capsys.readouterr().out.encode()
+    assert (tmp_path / "out.dot").read_bytes() == (tmp_path / "in.dot").read_bytes()
+    assert (tmp_path / "out.dot").read_text(encoding="ascii").endswith("}\n")
+    child = _cli("generate", "path", "--n", "2000", "--out", str(tmp_path / "p2000.edges"))
+    assert child.returncode == EXIT_OK
+    assert (tmp_path / "p2000.edges").read_text(encoding="ascii") == serialize_edge_list(path(2000))
+
+
+@pytest.mark.parametrize(
+    "spec, code",
+    [
+        (["--help"], EXIT_OK),
+        (["compare", "p5", "star"], EXIT_DISSIMILAR),
+        (["analyze"], EXIT_PARSE),
+        (["analyze", "split"], EXIT_DISCONNECTED),
+        (["generate", "path", "--n", "2001"], EXIT_RESOURCE),
+        (["sequence", "complete.json"], EXIT_VERIFY),
+    ],
+    ids=["help", "dissimilar", "usage", "disconnected", "over-cap", "verify"],
+)
+def test_a_cli_process_exits_with_the_documented_code(spec, code, tmp_path):
+    files = {"p5": _write(tmp_path, "p5", path(5)), "star": _write(tmp_path, "star", tied_star()),
+             "split": str(tmp_path / "split"), "complete.json": _spec(tmp_path, {"family": "complete-graphs"})}
+    (tmp_path / "split").write_text("4 2\n0 1\n2 3\n", encoding="ascii")
+    child = _cli(*(files.get(word, word) for word in spec))
+    assert child.returncode == code, child.stderr
+    assert b"Traceback" not in child.stderr
+
+
+_AT_EXIT = """
+import atexit, runpy, sys
+atexit.register(print, "atexit ran")
+sys.argv[0] = "orbigraph"
+runpy.run_module("orbigraph.cli", run_name="__main__")
+"""
+
+
+def test_a_cli_process_runs_no_atexit_handler():
+    for args in (["--version"], ["demo", "table1"]):
+        child = _run_child(_AT_EXIT, *args)
+        assert child.returncode == EXIT_OK, child.stderr
+        assert child.stdout.startswith(("orbigraph", "row")) and "atexit ran" not in child.stdout
+
+
+_RAISING = """
+import sys
+from orbigraph import cli
+
+def handler(args):
+    raise RuntimeError("a bug")
+
+cli.COMMANDS["demo"] = cli.COMMANDS["demo"]._replace(handler=handler)
+sys.argv = ["orbigraph", "demo", "table1"]
+cli.run()
+"""
+
+
+def test_an_unexpected_exception_ends_in_its_traceback_and_exit_one():
+    child = _run_child(_RAISING)
+    assert child.returncode == 1
+    assert child.stderr.startswith("Traceback") and child.stderr.endswith("RuntimeError: a bug\n")
 
 
 def test_non_ascii_input_names_its_file(tmp_path, capsys):
