@@ -81,7 +81,15 @@ every automorphism maps each cell of the new root onto itself, and the
 search from it finds the whole group.  Vertex-transitive and
 orbit-equitable inputs never refute a root candidate, so they never split.
 nauty splits the root of a regular graph by vertex invariants in the same
-way (McKay & Piperno, Practical graph isomorphism II, 2014).
+way (McKay & Piperno, Practical graph isomorphism II, 2014), and decides it
+before it descends.  Here too: the root level is tried last, so while the
+root may still be split, the first root candidate that the caller will try
+is refined in lockstep with the first path's first level, one trace event
+at a time (refinement yields its events, _Cells.splits).  At the first
+event that differs the candidate is refuted and the root is split before
+the path goes deeper; if the two traces agree, the candidate's node is
+kept and not refined again when its turn comes.  Only when the split
+happens changes, not which, so the search finds the same generators.
 
 The group order is the product over levels of the base vertex's orbit size
 when its level finishes, times (class size)! for every twin class of every
@@ -95,27 +103,32 @@ automorphism of the union swaps the two sides, and then one lies below the
 root's candidates on the other side.  So only the first path is searched,
 then the root's candidates in the second digraph, and the search stops at
 the first automorphism.  The first refuted candidate splits the root of
-the union as above, since a swap preserves distances too.  A root cell
-with unequal numbers of vertices from the two sides rules a swap out.
+the union as above, since a swap preserves distances too, and the first
+candidate in the second digraph is the one refined in lockstep.  A root
+cell with unequal numbers of vertices from the two sides rules a swap out
+before the first path descends.
 
 Scale, measured on one core of a 2-vCPU Intel Xeon VM with Python 3.11, at
 the 2000-vertex cap: the search takes 0.1 s on torus(40, 50), 0.04 s on
 cycle_with_cliques(400, 3, 2), 0.06 s on loaded_torus((20, 20), 2, 2)
 (15 refinements, as its loads fold into the torus), 0.02 s on path(2000),
 0.05 s on the complete binary tree with 2047 vertices, 0.4 s on
-crossed_prism(1000) (500 levels), 0.02 s on a rigid random cubic graph
-with 1000 vertices, 0.05 s on one with 2000, and 0.06 s on
+crossed_prism(1000) (500 levels), 0.03 s on a rigid random cubic graph
+with 1000 vertices, 0.05-0.1 s on one with 2000, and 0.06 s on
 complete(1200).  On the rigid cubic graph with 2000 vertices
-and a relabelling of it, isomorphism takes 0.14-0.18 s, and the whole
+and a relabelling of it, isomorphism takes 0.14-0.17 s, and the whole
 `orbigraph compare --json`, which decides it on the 2000-cell digraphs of
-the two divisor matrices and writes the 36 MB report, 0.3-0.5 s.
+the two divisor matrices and writes the 36 MB report, 0.37-0.51 s.  The
+CFI graph over a rigid random cubic graph with 190 vertices (1900
+vertices, |Aut| = 2^96) takes 1.4-1.6 s; with 200 base vertices the
+search runs for minutes, as orbits are not pruned below the first path.
 """
 
 from bisect import bisect_left, bisect_right
 from collections import deque
 from functools import lru_cache
 from math import factorial
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .graph_core import Frozen, Graph
 
@@ -295,13 +308,24 @@ class _Cells:
         may not be constant on other cells.  Returns the trace, or None as
         soon as it departs from `ref` when a reference trace is given.
         """
+        if ref is None:
+            return list(self.splits(adj, splitters))
+        i = 0
+        for event in self.splits(adj, splitters):
+            if i == len(ref) or ref[i] != event:
+                return None
+            i += 1
+        return ref if i == len(ref) else None
+
+    def splits(self, adj: Sequence[Sequence[int]], splitters: Iterable[int]) -> Iterator[tuple]:
+        """Refine as `refine` does, yielding each split's trace event once it
+        is made; a caller may stop at any event and resume later."""
         lab, pos, cell_of, clen = self.lab, self.pos, self.cell_of, self.clen
         n = len(lab)
         queue = deque(splitters)
         queued = [False] * n
         for s in queue:
             queued[s] = True
-        trace: list = []
         while queue and self.ncells < n:
             s = queue.popleft()
             queued[s] = False
@@ -349,10 +373,7 @@ class _Cells:
                         cell_of[w] = start
                         p += 1
                 self.ncells += len(frags) - 1
-                event = (s, c, tuple(sig))
-                if ref is not None and (len(trace) >= len(ref) or ref[len(trace)] != event):
-                    return None
-                trace.append(event)
+                yield s, c, tuple(sig)
                 if queued[c]:
                     del frags[0]
                 else:
@@ -361,9 +382,6 @@ class _Cells:
                 for f in frags:
                     queued[f] = True
                     queue.append(f)
-        if ref is not None and len(trace) != len(ref):
-            return None
-        return trace
 
 
 def equitable_refinement(graph: Graph, seed: Partition | None = None) -> Partition:
@@ -674,25 +692,68 @@ class _AutSearch:
         self.orbits = _UnionFind(range(len(adj)))
         self.first_traces: list[list] = []
         self.first_leaf: list[int] = []
+        self.kept: tuple[int, _Cells | None] | None = None
         self.targets: list[int] = []
         self.order = 1
 
-    def first_path(self) -> list[_Cells]:
-        """Search the first path; return its nodes above the leaf, root first."""
-        node = _Cells.from_cells(len(self.adj), self.root_cells)
-        self.first_traces = [node.refine(self.adj, node.starts())]
-        self.targets = [node.target()]
-        path: list[_Cells] = []
-        while (c := self.targets[-1]) >= 0:
-            path.append(node)
-            node = node.copy()
-            self.first_traces.append(node.refine(self.adj, [node.individualize(min(node.lab[c : c + node.clen[c]]))]))
-            self.targets.append(node.target())
-        self.first_leaf = node.lab
-        return path
+    def first_path(self, pick: Callable[[_Cells, list[int]], int | None]) -> list[_Cells]:
+        """Search the first path; return its nodes above the leaf, root first,
+        or [] if the root is discrete or the caller tries no root candidate.
+
+        pick(root, members) gets the refined root and the sorted members of
+        its target cell, and names the root candidate that the caller will
+        try first, or None if it will try none.  While the root may still be
+        split, that candidate is refined in lockstep with the path's first
+        level (_lockstep).  If it is refuted, the root is split and the path
+        starts again from the new root, before it descends.
+        """
+        while True:
+            root = _Cells.from_cells(len(self.adj), self.root_cells)
+            self.first_traces = [root.refine(self.adj, root.starts())]
+            self.targets = [c := root.target()]
+            self.kept = None
+            if c < 0 or (v := pick(root, sorted(root.lab[c : c + root.clen[c]]))) is None:
+                return []
+            node, path, lockstep = root, [], not self.root_split
+            while (c := self.targets[-1]) >= 0:
+                path.append(node)
+                node = node.copy()
+                splits = node.splits(self.adj, [node.individualize(min(node.lab[c : c + node.clen[c]]))])
+                trace: list = []
+                if lockstep and self._lockstep(root, v, splits, trace) and self.split_root(root):
+                    break
+                lockstep = False
+                trace += splits
+                self.first_traces.append(trace)
+                self.targets.append(node.target())
+            else:
+                self.first_leaf = node.lab
+                return path
+
+    def _lockstep(self, root: _Cells, v: int, splits: Iterator[tuple], trace: list) -> bool:
+        """Refine root + v one event at a time beside the first level's
+        `splits`, whose events are appended to trace; stop at the first pair
+        that differs and say whether one did.  The outcome is kept for
+        _child, so that the candidate is not refined twice: root + v if the
+        traces agree, None if it is refuted."""
+        node = root.copy()
+        other = node.splits(self.adj, [node.individualize(v)])
+        for event in splits:
+            trace.append(event)
+            if next(other, None) != event:
+                break
+        else:
+            if next(other, None) is None:
+                self.kept = (v, node)
+                return False
+        self.kept = (v, None)
+        return True
 
     def run(self) -> None:
-        path = self.first_path()
+        def pick(root: _Cells, members: list[int]) -> int:
+            return members[1]
+
+        path = self.first_path(pick)
         # Deepest level first: every generator found so far fixes the base
         # vertices above the level being tried.
         while path:
@@ -704,7 +765,7 @@ class _AutSearch:
             for v in members[1:]:
                 if self.orbits.find(v) != self.orbits.find(b) and not self._try(node, v, level + 1):
                     if level == 0 and self.split_root(node):
-                        path = self.first_path()
+                        path = self.first_path(pick)
                         break
             else:
                 path.pop()
@@ -743,8 +804,8 @@ class _AutSearch:
             if not todo:
                 stack.pop()
                 continue
-            node = parent.copy()
-            if node.refine(self.adj, [node.individualize(todo.pop())], self.first_traces[level]) is None:
+            node = self._child(parent, todo.pop(), level)
+            if node is None:
                 continue
             image = self._singleton_map(node)
             if image is None:
@@ -754,6 +815,17 @@ class _AutSearch:
             elif self._accept(image):
                 return True
         return False
+
+    def _child(self, parent: _Cells, v: int, level: int) -> _Cells | None:
+        """parent + v refined, or None if its trace departs from the first
+        path's at `level`.  For the root candidate that _lockstep tried, its
+        outcome is taken as it is: a node at level 1 is a child of the
+        current root."""
+        if level == 1 and self.kept is not None and self.kept[0] == v:
+            node, self.kept = self.kept[1], None
+            return node
+        node = parent.copy()
+        return None if node.refine(self.adj, [node.individualize(v)], self.first_traces[level]) is None else node
 
     def _singleton_map(self, node: _Cells) -> dict[int, int] | None:
         """The candidate that node's singletons give, as the image of each
@@ -871,9 +943,11 @@ def isomorphism(a: ColouredDigraph, b: ColouredDigraph) -> tuple[int, ...] | Non
     only find automorphisms of a that fix the base, and automorphisms of b.
     At the first candidate in b that is refuted, the root's cells are split
     by distance profile, computed the same way on both sides of the union,
-    and the search starts again from the new root.  A root with a cell that
-    holds unequal numbers of quotient vertices of a and of b gives None at
-    once, since a swap maps that cell onto itself and a onto b.
+    and the search starts again from the new root.  The first candidate is
+    refined beside the first path's first level, so when it is refuted the
+    split comes before the path descends.  A root with a cell that holds
+    unequal numbers of quotient vertices of a and of b gives None before
+    the path descends, since a swap maps that cell onto itself and a onto b.
     """
     na = len(a.adj)
     if na != len(b.adj) or sorted(map(len, a.adj)) != sorted(map(len, b.adj)) or sorted(a.colour) != sorted(b.colour):
@@ -883,17 +957,24 @@ def isomorphism(a: ColouredDigraph, b: ColouredDigraph) -> tuple[int, ...] | Non
     for g in search.generators:
         if (phi := _swap(g, na)) is not None:
             return phi
-    path = search.first_path()
-    while path and _balanced(path[0], search.blocks, na):
+    blocks = search.blocks
+
+    def pick(root: _Cells, members: list[int]) -> int | None:
+        if not _balanced(root, blocks, na):
+            return None
+        return next((v for v in members[1:] if blocks[v][0] >= na), None)
+
+    path = search.first_path(pick)
+    while path:
         root, c = path[0], search.targets[0]
         for v in sorted(root.lab[c : c + root.clen[c]])[1:]:
-            if search.blocks[v][0] < na:
+            if blocks[v][0] < na:
                 continue
             if search._try(root, v, 1):
                 if (phi := _swap(search.generators[-1], na)) is not None:
                     return phi
             elif search.split_root(root):
-                path = search.first_path()
+                path = search.first_path(pick)
                 break
         else:
             return None

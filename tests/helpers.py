@@ -42,6 +42,48 @@ def rigid_cubic(seed: int, n: int) -> Graph:
                 return graph
 
 
+def frucht() -> Graph:
+    """The Frucht graph: cubic, 12 vertices, trivial automorphism group;
+    LCF notation [-5,-2,-4,2,5,-2,2,5,-2,-5,4,2]."""
+    lcf = [-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2]
+    return Graph.from_edges(12, [(i, (i + 1) % 12) for i in range(12)] + [(i, (i + s) % 12) for i, s in enumerate(lcf)])
+
+
+def cfi_graph(base_edges: Sequence[tuple[int, int]], twist: Sequence[int] = ()) -> Graph:
+    """The Cai-Fuerer-Immerman graph over a base graph given by its edges
+    (Cai, Fuerer & Immerman, Combinatorica 12, 1992).
+
+    A base vertex v with incident edges e_1 < ... < e_d becomes 2^(d-1)
+    middle vertices, one per even subset S of its edges, then an end pair
+    (e, 0), (e, 1) per incident edge; the middle vertex of S is adjacent to
+    (e, 1) for e in S and (e, 0) otherwise.  A base edge joins its two end
+    pairs straight, (u, e, i) - (v, e, i), or crossed if its index is in
+    `twist`.  Over a connected base, graphs whose twists have the same
+    parity are isomorphic and the two parities are not.  Vertices are
+    numbered slot by slot: the j-th vertex of every base vertex, in base
+    vertex order, comes before the (j+1)-th of any.
+    """
+    incident: dict[int, list[int]] = {}
+    for i, (u, v) in enumerate(base_edges):
+        incident.setdefault(u, []).append(i)
+        incident.setdefault(v, []).append(i)
+    end: dict[tuple[int, int], int] = {}  # (base vertex, edge) -> the slot of (e, 0)
+    edges = []  # between (base vertex, slot) pairs
+    for v, own in incident.items():
+        subsets = [S for k in range(0, len(own) + 1, 2) for S in combinations(own, k)]
+        for j, e in enumerate(own):
+            end[v, e] = len(subsets) + 2 * j
+        for m, S in enumerate(subsets):
+            edges += [((v, m), (v, end[v, e] + (e in S))) for e in own]
+    crossed = set(twist)
+    for i, (u, v) in enumerate(base_edges):
+        for side in (0, 1):
+            edges.append(((u, end[u, i] + side), (v, end[v, i] + (side ^ (i in crossed)))))
+    slots = sorted({key for edge in edges for key in edge}, key=lambda key: (key[1], key[0]))
+    index = {key: i for i, key in enumerate(slots)}
+    return Graph.from_edges(len(slots), [(index[a], index[b]) for a, b in edges])
+
+
 def certified_rigid(graph: Graph) -> bool:
     """True only if graph provably has a trivial automorphism group (test
     oracle, independent of orbigraph.aut).
@@ -121,16 +163,21 @@ def generated_group(generators, n: int) -> set[tuple[int, ...]]:
     return seen
 
 
-def check_generators(group: AutGroup, graph: Graph) -> None:
+def check_generator_form(group: AutGroup, graph: Graph) -> None:
     """Assert that every generator is in sparse form (moved points ascending,
     none mapped to itself, images a permutation of the moved points) and an
-    automorphism of graph, and that together they generate exactly
-    group.order elements."""
+    automorphism of graph."""
     for gen in group.generators:
         moved = [v for v, _ in gen]
         assert moved == sorted(set(moved)) and sorted(w for _, w in gen) == moved, gen
         assert all(v != w for v, w in gen), gen
         assert preserves_edges(gen, graph), gen
+
+
+def check_generators(group: AutGroup, graph: Graph) -> None:
+    """check_generator_form, and that the generators generate exactly
+    group.order elements, each of which is listed."""
+    check_generator_form(group, graph)
     assert len(generated_group(group.generators, graph.n)) == group.order
 
 

@@ -15,8 +15,11 @@ from helpers import (
     all_graphs,
     brute_force_group_order,
     brute_force_orbits,
+    cfi_graph,
+    check_generator_form,
     check_generators,
     connected_graphs,
+    frucht,
     generalized_petersen,
     is_edge_transitive,
     naive_equitable_refinement,
@@ -459,29 +462,86 @@ def test_isomorphism_of_generalized_petersen_graphs():
     assert pairs == 1013
 
 
+def _count_refinements(monkeypatch) -> list[int]:
+    """Count every refinement and every trace event it yields, as
+    [refinements, events], by wrapping _Cells.splits."""
+    splits, counts = _Cells.splits, [0, 0]
+
+    def counted(self, *args):
+        counts[0] += 1
+        for event in splits(self, *args):
+            counts[1] += 1
+            yield event
+
+    monkeypatch.setattr(_Cells, "splits", counted)
+    return counts
+
+
 @pytest.mark.parametrize("seed, n", [(1, 100), (7, 300)])
 def test_rigid_regular_graph_is_not_refined_once_per_root_candidate(monkeypatch, seed, n):
     # Refinement cannot split a regular graph's root cell, and a rigid graph
     # gives orbit pruning nothing, so without the distance-profile split
     # every one of the n - 1 root candidates would be refined and refuted.
-    refine, calls = _Cells.refine, []
-
-    def counted(self, *args, **kwargs):
-        calls.append(1)
-        return refine(self, *args, **kwargs)
-
-    monkeypatch.setattr(_Cells, "refine", counted)
+    # The first root candidate is refuted within a few events of the first
+    # path's first level, so the root is split before the path descends:
+    # the search yields about n events, one refinement to a discrete
+    # partition, where refining the whole first path before the split
+    # doubles that (560 events on rigid_cubic(7, 300)), and isomorphism
+    # about 3n (1,442 events on rigid_cubic(7, 300) if it descends first).
+    counts = _count_refinements(monkeypatch)
     graph = rigid_cubic(seed, n)
     group = automorphism_group.__wrapped__(graph)
     assert group.order == 1 and len(group.orbits) == n
-    assert len(calls) <= 6
+    assert counts[0] <= 4 and counts[1] <= 1.2 * n
     image = random.Random(seed).sample(range(n), n)
     inverse = [0] * n
     for v, w in enumerate(image):
         inverse[w] = v
-    calls.clear()
+    counts[:] = [0, 0]
     assert _isomorphism(graph.relabel(image), graph) == tuple(inverse)
-    assert len(calls) <= 10
+    assert counts[0] <= 6 and counts[1] <= 3.3 * n
+
+
+@pytest.mark.parametrize("k", [12, 20, 40, 60])
+def test_cfi_graph_group_is_its_cycle_space(k):
+    # A CFI graph over a rigid connected cubic base (the Frucht graph for
+    # k = 12, else a seeded random one): its automorphisms fix every gadget
+    # and flip the end pairs along an element of the base's cycle space, so
+    # |Aut| = 2^beta with beta = m - k + 1.  Each base vertex gives 4
+    # orbits: its 4 middle vertices, and each of its 3 end pairs.
+    base = sorted((frucht() if k == 12 else rigid_cubic(11, k)).edges)
+    graph = cfi_graph(base)
+    group = automorphism_group(graph)
+    assert graph.n == 10 * k
+    assert group.order == 2 ** (len(base) - k + 1)
+    assert len(group.orbits) == 4 * k
+    # check_generators lists the generated group element by element.
+    if k <= 20:
+        check_generators(group, graph)
+    else:
+        check_generator_form(group, graph)
+
+
+def test_cfi_graph_root_is_split_before_the_first_path_descends(monkeypatch):
+    # The base is rigid, so the first root candidate, a middle vertex of
+    # another base vertex, is refuted at the first level and the root is
+    # split there; refining the whole first path first, and searching its
+    # deeper levels, took 579 refinements and 7,914 events on this graph.
+    counts = _count_refinements(monkeypatch)
+    group = automorphism_group.__wrapped__(cfi_graph(sorted(rigid_cubic(11, 40).edges)))
+    assert group.order == 2**21
+    assert counts[0] <= 450 and counts[1] <= 6000
+
+
+def test_root_candidate_refined_in_lockstep_is_not_refined_again(monkeypatch):
+    # A vertex-transitive graph refutes no root candidate, so the first one,
+    # refined beside the first path's first level, is kept for the root
+    # level: the 20 x 25 torus takes 13 refinements, 14 if it were refined
+    # again there.
+    counts = _count_refinements(monkeypatch)
+    group = automorphism_group.__wrapped__(torus((20, 25)))
+    assert group.order == 4 * 20 * 25
+    assert counts[0] <= 13
 
 
 def test_isomorphism_of_single_vertices_is_a_twin_swap():
@@ -565,16 +625,10 @@ def test_loaded_torus_is_searched_on_its_base(monkeypatch, dims, q, m):
     # The loads fold into the torus vertices before the search; with each
     # branch searched instead, the first path is 68 levels deep on the 8 x 8
     # torus and the search makes 373 refinements, 2,365 on the 20 x 20 one.
-    refine, calls = _Cells.refine, []
-
-    def counted(self, *args, **kwargs):
-        calls.append(1)
-        return refine(self, *args, **kwargs)
-
-    monkeypatch.setattr(_Cells, "refine", counted)
+    counts = _count_refinements(monkeypatch)
     group = automorphism_group.__wrapped__(loaded_torus(dims, q, m))
     assert group.order == 8 * dims[0] * dims[1] * math.factorial(q) ** (dims[0] * dims[1])
-    assert len(calls) <= 20
+    assert counts[0] <= 20
 
 
 def test_path_at_the_cap_folds_without_recursion():

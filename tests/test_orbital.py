@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from helpers import (
     _find_witness,
     all_connected_graphs,
+    cfi_graph,
     connected_graphs,
     dense,
     dense_divisor_matrix,
     equalizes,
+    frucht,
     from_dense,
     is_isomorphism,
     json_form,
@@ -205,6 +207,16 @@ class TestSimilarity:
                         similar += 1
                         assert equalizes(verdict.witness, sg, sh)
         assert similar > len(reps)
+
+    def test_cfi_graph_and_its_twist(self):
+        # The CFI graph over the Frucht graph and its one-edge twist are not
+        # isomorphic, but colour refinement cannot tell them apart, and both
+        # have 48 orbits with the same divisor matrix.
+        base = sorted(frucht().edges)
+        g, h = cfi_graph(base), cfi_graph(base, twist=(0,))
+        verdict = orbitally_similar(g, h)
+        assert verdict.similar and len(verdict.witness) == 48
+        assert equalizes(verdict.witness, orbit_divisor_matrix(g), orbit_divisor_matrix(h))
 
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError):
