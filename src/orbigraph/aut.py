@@ -112,22 +112,25 @@ Scale, measured on one core of a 2-vCPU Intel Xeon VM with Python 3.11, at
 the 2000-vertex cap: the search takes 0.1 s on torus(40, 50), 0.04 s on
 cycle_with_cliques(400, 3, 2), 0.06 s on loaded_torus((20, 20), 2, 2)
 (15 refinements, as its loads fold into the torus), 0.02 s on path(2000),
-0.05 s on the complete binary tree with 2047 vertices, 0.4 s on
-crossed_prism(1000) (500 levels), 0.03 s on a rigid random cubic graph
-with 1000 vertices, 0.05-0.1 s on one with 2000, and 0.06 s on
-complete(1200).  On the rigid cubic graph with 2000 vertices
-and a relabelling of it, isomorphism takes 0.14-0.17 s, and the whole
-`orbigraph compare --json`, which decides it on the 2000-cell digraphs of
-the two divisor matrices and writes the 36 MB report, 0.37-0.51 s.  The
-CFI graph over a rigid random cubic graph with 190 vertices (1900
-vertices, |Aut| = 2^96) takes 1.4-1.6 s; with 200 base vertices the
-search runs for minutes, as orbits are not pruned below the first path.
+0.05 s on the complete binary tree with 2047 vertices, 0.29-0.38 s on
+crossed_prism(1000) (500 levels, 1,500 nodes tried against the first
+path), 0.03 s on a rigid random cubic graph with 1000 vertices,
+0.05-0.1 s on one with 2000, and 0.06 s on complete(1200).  On the rigid
+cubic graph with 2000 vertices and a relabelling of it, isomorphism takes
+0.14-0.17 s, and the whole `orbigraph compare --json`, which decides it on
+the 2000-cell digraphs of the two divisor matrices and writes the 36 MB
+report, 0.26-0.38 s.  The CFI graph over a rigid random cubic graph with
+190 vertices (1900 vertices, |Aut| = 2^96) takes 1.4-1.6 s; with 200 base
+vertices the search runs for minutes, as orbits are not pruned below the
+first path.
 """
 
 from bisect import bisect_left, bisect_right
 from collections import deque
 from functools import lru_cache
+from itertools import chain, compress
 from math import factorial
+from operator import ne
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .graph_core import Frozen, Graph
@@ -140,26 +143,26 @@ class Partition(Frozen):
     cells: tuple[tuple[int, ...], ...]
 
     def __init__(self, cells: tuple[tuple[int, ...], ...]) -> None:
-        seen: set[int] = set()
-        for cell in cells:
-            if not cell:
-                raise ValueError("empty cell in partition")
-            if list(cell) != sorted(cell):
-                raise ValueError(f"cell {cell} not sorted ascending")
-            if seen & set(cell):
+        if not all(cells):
+            raise ValueError("empty cell in partition")
+        if any(map(ne, map(list, cells), map(sorted, cells))):
+            cell = next(c for c in cells if list(c) != sorted(c))
+            raise ValueError(f"cell {cell} not sorted ascending")
+        # One sort checks cover and disjointness: the members are 0..n-1, once each.
+        members = sorted(chain.from_iterable(cells))
+        if members != list(range(len(members))):
+            if len(set(members)) < len(members):
                 raise ValueError("cells are not disjoint")
-            seen.update(cell)
-        if seen != set(range(len(seen))):
             raise ValueError("cells do not cover a dense vertex range 0..n-1")
         object.__setattr__(self, "cells", cells)
 
     @classmethod
     def from_cells(cls, cells: Iterable[Iterable[int]]) -> "Partition":
-        return cls(tuple(tuple(sorted(cell)) for cell in cells))
+        return cls(tuple(map(tuple, map(sorted, cells))))
 
     @property
     def n(self) -> int:
-        return sum(len(cell) for cell in self.cells)
+        return sum(map(len, self.cells))
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -174,7 +177,14 @@ class Partition(Frozen):
 
     def canonical(self) -> "Partition":
         """Cells reordered by size descending, then smallest vertex ascending."""
-        return Partition(tuple(sorted(self.cells, key=lambda c: (-len(c), c[0]))))
+        return _canonical_partition(self.cells)
+
+
+def _canonical_partition(cells: Iterable[Iterable[int]]) -> Partition:
+    """Partition.from_cells(cells).canonical(), checked once."""
+    # Disjoint sorted cells compare as their smallest vertices, and the
+    # second sort is stable, so it keeps that order among cells of one size.
+    return Partition(tuple(sorted(sorted(map(tuple, map(sorted, cells))), key=len, reverse=True)))
 
 
 class AutGroup(NamedTuple):
@@ -396,7 +406,7 @@ def equitable_refinement(graph: Graph, seed: Partition | None = None) -> Partiti
         raise ValueError(f"seed partitions {seed.n} vertices, graph has {graph.n}")
     cells = _Cells.from_cells(graph.n, seed.cells)
     cells.refine(graph.adjacency, cells.starts())
-    return Partition.from_cells(cells.cells()).canonical()
+    return _canonical_partition(cells.cells())
 
 
 class ColouredDigraph(NamedTuple):
@@ -692,6 +702,10 @@ class _AutSearch:
         self.orbits = _UnionFind(range(len(adj)))
         self.first_traces: list[list] = []
         self.first_leaf: list[int] = []
+        # cell_of of the first path's node at each level, while run still
+        # needs it, and the first leaf's pos (see _singleton_map)
+        self.first_cells: list[list[int]] = []
+        self.first_pos: list[int] = []
         self.kept: tuple[int, _Cells | None] | None = None
         self.targets: list[int] = []
         self.order = 1
@@ -727,7 +741,8 @@ class _AutSearch:
                 self.first_traces.append(trace)
                 self.targets.append(node.target())
             else:
-                self.first_leaf = node.lab
+                self.first_leaf, self.first_pos = node.lab, node.pos
+                self.first_cells = [p.cell_of for p in path] + [node.cell_of]
                 return path
 
     def _lockstep(self, root: _Cells, v: int, splits: Iterator[tuple], trace: list) -> bool:
@@ -769,6 +784,8 @@ class _AutSearch:
                         break
             else:
                 path.pop()
+                # The levels above try children down to this level's cells.
+                del self.first_cells[level + 1 :]
                 self.order *= self.orbits.class_size(b)
 
     def split_root(self, root: _Cells) -> bool:
@@ -807,7 +824,7 @@ class _AutSearch:
             node = self._child(parent, todo.pop(), level)
             if node is None:
                 continue
-            image = self._singleton_map(node)
+            image = self._singleton_map(node, level)
             if image is None:
                 # Equal traces give the first path's cells, so its target too.
                 c = self.targets[level]
@@ -827,7 +844,7 @@ class _AutSearch:
         node = parent.copy()
         return None if node.refine(self.adj, [node.individualize(v)], self.first_traces[level]) is None else node
 
-    def _singleton_map(self, node: _Cells) -> dict[int, int] | None:
+    def _singleton_map(self, node: _Cells, level: int) -> dict[int, int] | None:
         """The candidate that node's singletons give, as the image of each
         vertex it moves, or None if there is none.
 
@@ -837,7 +854,18 @@ class _AutSearch:
         maps F's vertex at each singleton position to node's vertex there and
         fixes everything else; a leaf is the case of no non-singleton cell.
         Refinement only reorders a cell within its segment of positions, so
-        the first leaf holds F's singletons, and F's cell at each segment.
+        the first leaf holds F's singletons at their positions.
+
+        Only the vertices whose cell in node is not their cell in F are
+        visited, found by comparing node's cell_of with F's in C.  Such a
+        vertex v is either node's singleton at some position c, moved there
+        from F's first_leaf[c], or it lies in a non-singleton cell of node
+        that does not hold F's vertices, and then there is no candidate.  So
+        a node costs O(n) in C and O(moved vertices) in Python.  F's cell_of
+        is kept while F is on the path and one level below it; deeper, it is
+        read off node, as F's cell of v is node's segment that holds v's
+        position in the first leaf.  So a search holds one cell array beyond
+        its path's nodes.
 
         If the candidate is not an automorphism, no leaf below node gives
         one: such an automorphism would map F onto node, so agree with the
@@ -846,15 +874,17 @@ class _AutSearch:
         equitable partition, or none, so the candidate would keep every arc
         too.  The caller therefore abandons node when the candidate fails.
         """
-        cell_of, clen = node.cell_of, node.clen
+        cell_of, clen, first_leaf = node.cell_of, node.clen, self.first_leaf
+        if level < len(self.first_cells):
+            first = self.first_cells[level]
+        else:
+            first = map(cell_of.__getitem__, map(node.lab.__getitem__, self.first_pos))
         image = {}
-        for a, b in zip(self.first_leaf, node.lab):
-            if a != b:
-                c = cell_of[b]
-                if clen[c] == 1:
-                    image[a] = b
-                elif cell_of[a] != c:
-                    return None
+        for v in compress(range(len(cell_of)), map(ne, cell_of, first)):
+            c = cell_of[v]
+            if clen[c] > 1:
+                return None
+            image[first_leaf[c]] = v
         return image
 
     def _accept(self, image: dict[int, int]) -> bool:
@@ -923,7 +953,7 @@ def automorphism_group(graph: Graph) -> AutGroup:
     return AutGroup(
         generators=tuple(search.generators),
         order=search.order * search.twin_order,
-        orbits=Partition.from_cells(search.orbit_cells()).canonical(),
+        orbits=_canonical_partition(search.orbit_cells()),
     )
 
 

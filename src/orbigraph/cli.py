@@ -29,6 +29,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from itertools import chain, repeat
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
@@ -173,8 +174,9 @@ def _write_json(obj, write) -> None:
 
 def _pieces(obj, indent: str):
     """The text of obj at the nesting given by indent, in pieces: each key
-    and scalar as _scalar writes it, a list of exact ints (bools excluded)
-    as one piece, and a divisor matrix one row of entries per piece."""
+    and scalar as _scalar writes it; a list of exact ints (bools excluded),
+    a list of strings, or a list of nonempty lists of exact ints as one
+    piece; and a divisor matrix one row of entries per piece."""
     if isinstance(obj, DivisorMatrix):
         yield from _matrix_pieces(obj, indent)
     elif isinstance(obj, dict):
@@ -193,8 +195,20 @@ def _pieces(obj, indent: str):
             yield "[]"
             return
         inner = indent + "  "
-        if set(map(type, obj)) == {int}:
+        types = set(map(type, obj))
+        if types == {int}:
             yield "[" + inner + ("," + inner).join(map(str, obj)) + indent + "]"
+            return
+        if types == {str}:
+            strings = map(str.translate, obj, repeat(_ESCAPES))
+            yield "[" + inner + '"' + ('",' + inner + '"').join(strings) + '"' + indent + "]"
+            return
+        if types <= {list, tuple} and all(obj) and set(map(type, chain.from_iterable(obj))) == {int}:
+            # Each list's items are joined in C, then the lists themselves.
+            deeper = inner + "  "
+            lists = map(("," + deeper).join, map(map, repeat(str), obj))
+            between = inner + "]," + inner + "[" + deeper
+            yield "[" + inner + "[" + deeper + between.join(lists) + inner + "]" + indent + "]"
             return
         sep = "[" + inner
         for x in obj:

@@ -8,11 +8,22 @@ B_ij times in i's row, an arc of weight B_ij.  The one IR engine of aut
 decides it exactly, for any number of cells.
 All matrix comparisons are exact integer equality; the only float anywhere
 in this module is the entropy value.
+
+Cell sizes stay ints from the orbit partition to the report.  A relative
+size s/n becomes a Fraction only at the public boundary, one per distinct
+size: OrbitProfile.omega repeats it for every cell of that size.  The cell
+digraphs colour a cell by the rank of s/n among the distinct relative sizes
+of both matrices, sorted once, so the search hashes and sorts ints in the
+order that the fractions would give.  The entropy is -sum of w log2 w over
+the cells, w = s/n: the int quotient s/n is float(Fraction(s, n)) bit for
+bit, as both are correctly rounded, so the value is the one entropy_of gives
+for omega.
 """
 
 import math
 from collections import Counter
 from fractions import Fraction
+from itertools import repeat
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
@@ -37,7 +48,7 @@ class DivisorMatrix(NamedTuple):
     sizes: tuple[int, ...]
 
     def row_sums(self) -> tuple[int, ...]:
-        return tuple(sum(map(itemgetter(1), row)) for row in self.rows)
+        return tuple(map(sum, map(map, repeat(itemgetter(1)), self.rows)))
 
 
 class OrbitProfile(NamedTuple):
@@ -97,7 +108,7 @@ def divisor_matrix(graph: Graph, partition: Partition) -> DivisorMatrix:
         for c in first:
             counts[c] = counts.get(c, 0) + 1
         rows.append(tuple(counts.items()))
-    return DivisorMatrix(len(rows), tuple(rows), tuple(len(c) for c in partition.cells))
+    return DivisorMatrix(len(rows), tuple(rows), tuple(map(len, partition.cells)))
 
 
 def orbit_divisor_matrix(graph: Graph) -> DivisorMatrix:
@@ -121,36 +132,53 @@ def orbit_profile(graph: Graph) -> OrbitProfile:
     """Orbit distribution vector (relative orbit sizes, descending) and entropy."""
     if not is_connected(graph):
         raise ValueError("orbit profile defined here for connected graphs only")
-    cells = orbit_partition(graph).cells
-    omega = tuple(sorted((Fraction(len(c), graph.n) for c in cells), reverse=True))
-    return OrbitProfile(omega, entropy_of(omega))
+    n = graph.n
+    sizes = sorted(map(len, orbit_partition(graph).cells), reverse=True)
+    if sizes[-1] <= 0 or sum(sizes) != n:
+        raise ValueError(f"orbit sizes {sizes} are not a partition of {n}")
+    fractions = {s: Fraction(s, n) for s in set(sizes)}
+    # entropy_of's float terms, each computed once per distinct size
+    terms = {s: s / n * math.log2(s / n) for s in fractions}
+    entropy = -math.fsum(map(terms.__getitem__, sizes)) + 0.0
+    return OrbitProfile(tuple(map(fractions.__getitem__, sizes)), entropy)
 
 
-def _cell_digraph(dm: DivisorMatrix) -> ColouredDigraph:
-    """Cells as vertices coloured (omega_i, B_ii), with j listed B_ij times in i's row for each j != i."""
-    n = sum(dm.sizes)
-    colour: list[tuple[Fraction, int]] = []
-    adj: list[tuple[int, ...]] = []
-    for i, (row, s) in enumerate(zip(dm.rows, dm.sizes)):
-        loops, out = 0, []
-        for j, x in row:
-            if j == i:
-                loops = x
-            else:
-                out += [j] * x
-        colour.append((Fraction(s, n), loops))
-        adj.append(tuple(out))
-    return ColouredDigraph(colour, adj)
+def _cell_digraphs(*matrices: DivisorMatrix) -> list[ColouredDigraph]:
+    """Each matrix's cells as vertices coloured (rank, B_ii), with j listed
+    B_ij times in i's row for each j != i.  The rank is that of the cell's
+    relative size among the distinct relative sizes of all the matrices, so
+    ranks compare as the sizes do."""
+    relative = []
+    for dm in matrices:
+        n = sum(dm.sizes)
+        relative.append({s: Fraction(s, n) for s in set(dm.sizes)})
+    rank = {w: r for r, w in enumerate(sorted({w for fractions in relative for w in fractions.values()}))}
+    digraphs = []
+    for dm, fractions in zip(matrices, relative):
+        rank_of = {s: rank[w] for s, w in fractions.items()}
+        colour: list[tuple[int, int]] = []
+        adj: list[tuple[int, ...]] = []
+        for i, (row, s) in enumerate(zip(dm.rows, dm.sizes)):
+            loops, out = 0, []
+            for j, x in row:
+                if j == i:
+                    loops = x
+                else:
+                    out += [j] * x
+            colour.append((rank_of[s], loops))
+            adj.append(tuple(out))
+        digraphs.append(ColouredDigraph(colour, adj))
+    return digraphs
 
 
 def similar_divisors(sg: DivisorMatrix, sh: DivisorMatrix) -> SimilarityVerdict:
     """Decide whether two divisor matrices are entrywise equal, with equal
     relative cell sizes, under some relabeling of cells, returning a
     witness when they are."""
-    witness = isomorphism(_cell_digraph(sh), _cell_digraph(sg))
+    witness = isomorphism(*_cell_digraphs(sh, sg))
     if witness is None:
         return SimilarityVerdict(similar=False)
-    common = DivisorMatrix(sh.ell, sh.rows, tuple(sg.sizes[witness[i]] for i in range(sh.ell)))
+    common = DivisorMatrix(sh.ell, sh.rows, tuple(map(sg.sizes.__getitem__, witness)))
     return SimilarityVerdict(similar=True, witness=witness, common_matrix=common)
 
 

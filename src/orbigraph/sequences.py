@@ -343,7 +343,7 @@ class TermRecord(NamedTuple):
         return {
             "order": self.order,
             "size": self.size,
-            "orbits": [list(cell) for cell in self.orbits],
+            "orbits": list(map(list, self.orbits)),
             "group_order": self.group_order,
             "divisor": self.divisor,
             "omega": [frac_str(w) for w in self.omega],

@@ -42,6 +42,15 @@ def rigid_cubic(seed: int, n: int) -> Graph:
                 return graph
 
 
+def spider(legs: Sequence[int]) -> Graph:
+    """Paths of the given lengths glued at a common end vertex 0."""
+    edges, n = [], 1
+    for length in legs:
+        edges += [(0 if t == 0 else n + t - 1, n + t) for t in range(length)]
+        n += length
+    return Graph.from_edges(n, edges)
+
+
 def frucht() -> Graph:
     """The Frucht graph: cubic, 12 vertices, trivial automorphism group;
     LCF notation [-5,-2,-4,2,5,-2,2,5,-2,-5,4,2]."""
@@ -222,6 +231,22 @@ def naive_equitable_refinement(graph: Graph, seed: Partition) -> Partition:
             break
         colour = [ids[key] for key in keys]
     return partition_by(colour)
+
+
+def dense_singleton_map(first_leaf: Sequence[int], node) -> dict[int, int] | None:
+    """The candidate that a search node's singletons give, from a scan of
+    all n positions against the first leaf; the reference for
+    _AutSearch._singleton_map."""
+    cell_of, clen = node.cell_of, node.clen
+    image = {}
+    for a, b in zip(first_leaf, node.lab):
+        if a != b:
+            c = cell_of[b]
+            if clen[c] == 1:
+                image[a] = b
+            elif cell_of[a] != c:
+                return None
+    return image
 
 
 def partition_by(colour) -> Partition:

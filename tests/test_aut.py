@@ -19,6 +19,7 @@ from helpers import (
     check_generator_form,
     check_generators,
     connected_graphs,
+    dense_singleton_map,
     frucht,
     generalized_petersen,
     is_edge_transitive,
@@ -64,12 +65,21 @@ from orbigraph.graph_core import Graph
 
 class TestPartitionType:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            Partition(((0, 1), (1, 2)))  # overlap
-        with pytest.raises(ValueError):
-            Partition(((0, 2),))  # not dense
-        with pytest.raises(ValueError):
-            Partition(((1, 0),))  # unsorted cell
+        with pytest.raises(ValueError, match="not disjoint"):
+            Partition(((0, 1), (1, 2)))
+        with pytest.raises(ValueError, match="not disjoint"):
+            Partition(((0, 2), (2,)))  # overlapping and not covering 1
+        with pytest.raises(ValueError, match="do not cover"):
+            Partition(((0, 2),))
+        with pytest.raises(ValueError, match="do not cover"):
+            Partition(((1,), (2, 3)))
+        with pytest.raises(ValueError, match="not sorted"):
+            Partition(((1, 0),))
+        with pytest.raises(ValueError, match="not sorted"):
+            Partition(((0,), (1, 3, 2)))
+        with pytest.raises(ValueError, match="empty cell"):
+            Partition(((0, 1), ()))
+        assert Partition(()).n == 0
 
     def test_cells_cannot_be_assigned(self):
         p = Partition(((0, 1),))
@@ -531,6 +541,35 @@ def test_cfi_graph_root_is_split_before_the_first_path_descends(monkeypatch):
     group = automorphism_group.__wrapped__(cfi_graph(sorted(rigid_cubic(11, 40).edges)))
     assert group.order == 2**21
     assert counts[0] <= 450 and counts[1] <= 6000
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [crossed_prism(12), crossed_prism(50), generalized_petersen(10, 3), generalized_petersen(12, 5), cfi_graph(sorted(frucht().edges))],
+)
+def test_singleton_map_matches_the_scan_of_every_position(graph, monkeypatch):
+    # Every node that the search checks for a sparse automorphism gets the
+    # same candidate, or the same refutation, from the dense scan, whether
+    # its level's cells are kept or read off the node.  While a level's
+    # candidates are tried, the search keeps the cells of that level and
+    # of the one below it, which its path's nodes hold or held last.
+    singleton_map, try_subtree, results = _AutSearch._singleton_map, _AutSearch._try, []
+
+    def checked(self, node, level):
+        image = singleton_map(self, node, level)
+        assert image == dense_singleton_map(self.first_leaf, node)
+        results.append(image is not None)
+        return image
+
+    def bounded(self, parent, v, level):
+        assert len(self.first_cells) <= level + 1
+        return try_subtree(self, parent, v, level)
+
+    monkeypatch.setattr(_AutSearch, "_singleton_map", checked)
+    monkeypatch.setattr(_AutSearch, "_try", bounded)
+    group = automorphism_group.__wrapped__(graph)
+    check_generator_form(group, graph)
+    assert any(results)
 
 
 def test_root_candidate_refined_in_lockstep_is_not_refined_again(monkeypatch):

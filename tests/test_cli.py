@@ -731,8 +731,11 @@ _MATRICES = st.integers(0, 12).flatmap(
         st.lists(st.integers(1, 2000), min_size=ell, max_size=ell).map(tuple),
     )
 )
+# Lists that the writer prints as one piece, like an analyze report's orbits
+# and omega; an empty inner list must leave that path.
+_FLAT_LISTS = st.lists(_INTS | st.lists(st.integers(), max_size=2).map(tuple), max_size=4) | st.lists(_KEYS, max_size=4)
 _JSON = st.recursive(
-    _SCALARS | _INTS | _ZERO_HEAVY | _MATRICES,
+    _SCALARS | _INTS | _ZERO_HEAVY | _MATRICES | _FLAT_LISTS,
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(inner, max_size=4).map(tuple)
     | st.dictionaries(_KEYS, inner, max_size=4),

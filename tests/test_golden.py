@@ -9,21 +9,38 @@ from pathlib import Path
 
 import pytest
 
-from helpers import tied_star
+from helpers import rigid_cubic, spider, tied_star
 from orbigraph.cli import EXIT_DISSIMILAR, EXIT_OK, main
 from orbigraph.constructions import complete, cycle, path
 from orbigraph.graph_core import serialize_edge_list
 
 GOLDEN = Path(__file__).parent / "golden"
 
-GRAPHS = {"p5": path(5), "k1": complete(1), "c4": cycle(4), "c8": cycle(8), "tied_star": tied_star()}
+# A spider whose orbits have three distinct relative sizes (1/12, 2/12 and
+# 3/12), and a relabelling of it.
+SPIDER = spider((1, 1, 2, 2, 2, 3))
+SPIDER_IMAGE = (7, 2, 10, 0, 5, 11, 3, 9, 1, 6, 4, 8)
+
+GRAPHS = {
+    "p5": path(5),
+    "k1": complete(1),
+    "c4": cycle(4),
+    "c8": cycle(8),
+    "tied_star": tied_star(),
+    # rigid: one orbit per vertex, so a report with ell = n cells
+    "rigid20": rigid_cubic(5, 20),
+    "spider": SPIDER,
+    "spider_relabelled": SPIDER.relabel(SPIDER_IMAGE),
+}
 
 # expected file -> (argv with graph names for input files, exit code)
 CASES = {
     "analyze_p5.json": (["analyze", "--json", "p5"], EXIT_OK),
     "analyze_k1.json": (["analyze", "--json", "k1"], EXIT_OK),
     "analyze_p5.txt": (["analyze", "p5"], EXIT_OK),
+    "analyze_rigid20.json": (["analyze", "--json", "rigid20"], EXIT_OK),
     "compare_c4_c8.json": (["compare", "--json", "c4", "c8"], EXIT_OK),
+    "compare_spider_relabelled.json": (["compare", "--json", "spider", "spider_relabelled"], EXIT_OK),
     "compare_p5_tied_star.json": (["compare", "--json", "p5", "tied_star"], EXIT_DISSIMILAR),
     "sequence_cycles_3.json": (["sequence", "--json", "--count", "3", "cycles.json"], EXIT_OK),
 }

@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -18,15 +19,19 @@ from helpers import (
     is_isomorphism,
     json_form,
     omega_from_divisor,
+    rigid_cubic,
+    spider,
     tied_star,
     vertex_permutations,
 )
 from orbigraph.aut import ColouredDigraph, Partition, equitable_refinement, isomorphism, orbit_partition, unit_partition
 from orbigraph.constructions import complete, cycle, generalized_sun, loaded_torus, path, star, strong_prism
+from orbigraph import orbital
 from orbigraph.graph_core import Graph
+from orbigraph.sequences import analyze_term
 from orbigraph.orbital import (
     DivisorMatrix,
-    _cell_digraph,
+    _cell_digraphs,
     divisor_matrix,
     entropy_of,
     orbit_divisor_matrix,
@@ -130,6 +135,44 @@ class TestOrbitProfile:
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError):
             orbit_profile(Graph.from_edges(4, [(0, 1), (2, 3)]))
+
+    def test_is_entropy_of_omega_on_the_graph_atlas(self):
+        nx = pytest.importorskip("networkx")
+        for g in nx.graph_atlas_g():
+            if g.number_of_nodes() and nx.is_connected(g):
+                graph = Graph.from_edges(g.number_of_nodes(), g.edges())
+                _check_profile(orbit_profile(graph), orbit_partition(graph).cells, graph.n)
+
+    def test_is_entropy_of_omega_on_mixed_cell_sizes(self, monkeypatch):
+        # Random partitions stand in for the orbits of a path, so that many
+        # distinct sizes, and many repeats of each, reach the arithmetic.
+        rng = random.Random(2501)
+        for _ in range(200):
+            sizes = [rng.choice((1, 1, 2, 3, 5, 8, 13)) for _ in range(rng.randint(1, 40))]
+            n = sum(sizes)
+            members = rng.sample(range(n), n)
+            cells = [members[sum(sizes[:i]) : sum(sizes[: i + 1])] for i in range(len(sizes))]
+            monkeypatch.setattr(orbital, "orbit_partition", lambda graph: Partition.from_cells(cells))
+            _check_profile(orbit_profile(path(n)), cells, n)
+
+    @pytest.mark.parametrize("graph", [rigid_cubic(11, 300), spider((1, 1, 2, 2, 2, 3)), loaded_torus((4, 6), 3, 2)])
+    def test_analyze_term_makes_one_fraction_per_distinct_orbit_size(self, graph, monkeypatch):
+        made = []
+
+        def counted(*args):
+            made.append(args)
+            return F(*args)
+
+        monkeypatch.setattr(orbital, "Fraction", counted)
+        record = analyze_term(graph)
+        assert 0 < len(made) <= len(set(map(len, record.orbits)))
+
+
+def _check_profile(profile, cells, n: int) -> None:
+    """profile is (omega, entropy_of(omega)) for these cells, the entropy bit for bit."""
+    omega = tuple(sorted((F(len(cell), n) for cell in cells), reverse=True))
+    assert profile == (omega, entropy_of(omega))
+    assert profile.entropy.hex() == entropy_of(omega).hex()
 
 
 class TestSimilarity:
@@ -314,7 +357,7 @@ def test_cell_relabelling_found(g, perm):
         tuple(tuple(entries[inverse[i]][inverse[j]] for j in range(sg.ell)) for i in range(sg.ell)),
         tuple(sg.sizes[inverse[i]] for i in range(sg.ell)),
     )
-    witness = isomorphism(_cell_digraph(sh), _cell_digraph(sg))
+    witness = isomorphism(*_cell_digraphs(sh, sg))
     assert witness is not None and equalizes(witness, sg, sh)
 
 
@@ -373,13 +416,28 @@ def test_non_equitable_partitions_raise_the_dense_oracle_message():
     assert equitable and rejected
 
 
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs(max_n=7), connected_graphs(max_n=7))
+def test_cell_digraph_ranks_order_cells_as_their_relative_sizes(g, h):
+    # A cell's colour is (rank of s/n, B_ii); across both digraphs the ranks
+    # must order and tie cells exactly as the fractions s/n themselves do.
+    pairs = [(orbit_divisor_matrix(spider((1, 1, 2, 2, 2, 3))), orbit_divisor_matrix(loaded_torus((4, 6), 3, 2)))]
+    pairs.append((orbit_divisor_matrix(g), orbit_divisor_matrix(h)))
+    for a, b in pairs:
+        colours = [c for digraph in _cell_digraphs(a, b) for c in digraph.colour]
+        exact = [(F(s, sum(dm.sizes)), dict(row).get(i, 0)) for dm in (a, b) for i, (row, s) in enumerate(zip(dm.rows, dm.sizes))]
+        assert [c[1] for c in colours] == [e[1] for e in exact]
+        for (c, e), (d, f) in itertools.product(zip(colours, exact), repeat=2):
+            assert (c < d) == (e < f) and (c == d) == (e == f)
+
+
 def test_discrete_partition_of_a_long_cycle_stays_small():
     # One cell per vertex: ell = n = 2000, but only 2n nonzero entries.
     g = cycle(2000)
     p = Partition.from_cells([v] for v in range(g.n))
     tracemalloc.start()
     try:
-        digraph = _cell_digraph(divisor_matrix(g, p))
+        (digraph,) = _cell_digraphs(divisor_matrix(g, p))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -392,15 +450,6 @@ def test_divisor_with_explicit_alternative_order():
     cells = [[1, 3], [0, 4], [2]]
     dm = divisor_matrix(path(5), Partition.from_cells(cells))
     assert dense(dm) == ((0, 1, 1), (1, 0, 0), (2, 0, 0))
-
-
-def _spider(legs) -> Graph:
-    """Paths of the given lengths glued at a common end vertex 0."""
-    edges, n = [], 1
-    for length in legs:
-        edges += [(0 if t == 0 else n + t - 1, n + t) for t in range(length)]
-        n += length
-    return Graph.from_edges(n, edges)
 
 
 def _relabelled(dm: DivisorMatrix, image) -> DivisorMatrix:
@@ -423,9 +472,9 @@ def _looped_cell_digraph(dm: DivisorMatrix) -> ColouredDigraph:
 @pytest.mark.parametrize(
     "graph",
     [
-        _spider((1, 2, 2, 3)),
-        _spider((1, 1, 2, 2, 3, 3, 4)),
-        _spider((2, 5, 5, 7)),
+        spider((1, 2, 2, 3)),
+        spider((1, 1, 2, 2, 3, 3, 4)),
+        spider((2, 5, 5, 7)),
         loaded_torus((5, 5), 2, 3),
         loaded_torus((4, 6), 3, 2),
         loaded_torus((6, 6), 1, 4),
@@ -440,8 +489,7 @@ def test_witnesses_on_the_cell_digraphs_of_spiders_and_loaded_tori(graph):
         sh = _relabelled(sg, image)
         verdict = similar_divisors(sg, sh)
         assert verdict.similar and equalizes(verdict.witness, sg, sh)
-        for cell_digraph in (_cell_digraph, _looped_cell_digraph):
-            a, b = cell_digraph(sh), cell_digraph(sg)
+        for a, b in (_cell_digraphs(sh, sg), (_looped_cell_digraph(sh), _looped_cell_digraph(sg))):
             phi = isomorphism(a, b)
             assert phi is not None and is_isomorphism(phi, a, b)
             assert is_isomorphism(isomorphism(b, b), b, b)
