@@ -108,6 +108,27 @@ candidate in the second digraph is the one refined in lockstep.  A root
 cell with unequal numbers of vertices from the two sides rules a swap out
 before the first path descends.
 
+A search has a single leaf when neither a twin round nor a fold changed
+its input and the refined root is discrete, after the profile split if
+one was made; its group is then trivial, as a discrete partition that
+every automorphism maps onto itself is fixed pointwise.  The order of
+that leaf is canonical.  The root is one colour, refinement orders the
+fragments of a cell by counts alone, _profile_split by profiles, and the
+split is made exactly once, from the refined root, whichever candidate is
+refuted first.  So an isomorphism of two such graphs maps the p-th vertex
+of one leaf to the p-th of the other, and single_leaf hands that order to
+orbital similarity, which then needs no search of the union: for almost
+all graphs colour refinement alone gives a discrete root (Babai, Erdos &
+Selkow, SIAM J. Comput. 9, 1980), and a search tree of one leaf is the
+base case of canonical labelling by IR (McKay & Piperno 2014).  Twins
+are excluded as a swap of two twins is an automorphism, so the leaf's
+blocks would match in more than one way.  Folds are excluded because
+_fold numbers signatures in `names` in the order of its queue, which
+follows the vertex labels, so the order of a folded quotient's root cells
+can follow them too; the union search is immune, as both sides share one
+`names`.  A canonical form of folded quotients would need names that do
+not depend on labels.
+
 Scale, measured on one core of a 2-vCPU Intel Xeon VM with Python 3.11, at
 the 2000-vertex cap: the search takes 0.1 s on torus(40, 50), 0.04 s on
 cycle_with_cliques(400, 3, 2), 0.06 s on loaded_torus((20, 20), 2, 2)
@@ -115,14 +136,16 @@ cycle_with_cliques(400, 3, 2), 0.06 s on loaded_torus((20, 20), 2, 2)
 0.05 s on the complete binary tree with 2047 vertices, 0.29-0.38 s on
 crossed_prism(1000) (500 levels, 1,500 nodes tried against the first
 path), 0.03 s on a rigid random cubic graph with 1000 vertices,
-0.05-0.1 s on one with 2000, and 0.06 s on complete(1200).  On the rigid
-cubic graph with 2000 vertices and a relabelling of it, isomorphism takes
-0.14-0.17 s, and the whole `orbigraph compare --json`, which decides it on
-the 2000-cell digraphs of the two divisor matrices and writes the 36 MB
-report, 0.26-0.38 s.  The CFI graph over a rigid random cubic graph with
-190 vertices (1900 vertices, |Aut| = 2^96) takes 1.4-1.6 s; with 200 base
-vertices the search runs for minutes, as orbits are not pruned below the
-first path.
+0.05-0.1 s on one with 2000, and 0.06 s on complete(1200).  The rigid
+cubic graph perfbench/bench_inputs.py cubic_graph(11, 2000) and a
+relabelling of it both end at a single leaf, so orbital similarity
+checks one map, in 7-22 ms once both searches are done, where isomorphism
+of their 2000-cell digraphs takes 0.09-0.12 s; the whole `orbigraph
+compare --json`, which writes the 36 MB report, takes 0.22-0.28 s.  The
+CFI graph over tests/helpers.py rigid_cubic(11, 200) (2000 vertices,
+|Aut| = 2^101) takes 1.0-1.7 s; over cubic_graph(11, 200), a different
+graph of the same size and group order, the search runs for minutes, as
+orbits are not pruned below the first path.
 """
 
 from bisect import bisect_left, bisect_right
@@ -712,7 +735,8 @@ class _AutSearch:
 
     def first_path(self, pick: Callable[[_Cells, list[int]], int | None]) -> list[_Cells]:
         """Search the first path; return its nodes above the leaf, root first,
-        or [] if the root is discrete or the caller tries no root candidate.
+        or [] if the root is discrete, and then the leaf, or the caller tries
+        no root candidate.
 
         pick(root, members) gets the refined root and the sorted members of
         its target cell, and names the root candidate that the caller will
@@ -726,7 +750,10 @@ class _AutSearch:
             self.first_traces = [root.refine(self.adj, root.starts())]
             self.targets = [c := root.target()]
             self.kept = None
-            if c < 0 or (v := pick(root, sorted(root.lab[c : c + root.clen[c]]))) is None:
+            if c < 0:
+                self.first_leaf = root.lab
+                return []
+            if (v := pick(root, sorted(root.lab[c : c + root.clen[c]]))) is None:
                 return []
             node, path, lockstep = root, [], not self.root_split
             while (c := self.targets[-1]) >= 0:
@@ -929,19 +956,18 @@ class _AutSearch:
                 joined.union(piece_of[v], piece_of[w])
         return [[v for i in group for v in pieces[i]] for group in joined.groups()]
 
+    def single_leaf(self) -> tuple[int, ...] | None:
+        """After run, the vertices in the order of the one leaf of the search
+        tree, its discrete root, if neither a twin round nor a fold changed
+        the input; else None."""
+        if len(self.adj) < len(self.heads) or self.targets[0] >= 0:
+            return None
+        return tuple(self.first_leaf)
+
 
 @lru_cache(maxsize=256)
-def automorphism_group(graph: Graph) -> AutGroup:
-    """Generators, order, and vertex orbits of Aut(graph).
-
-    The search runs on the iterated twin quotient with its pendant trees
-    folded (see the module docstring).  Generators are in the sparse form
-    of AutGroup.  Every generator from the search has passed an edge check
-    on `graph`; each twin class of size k >= 2 adds a transposition and,
-    for k >= 3, a k-cycle of its members' blocks.  The order is exact: the
-    product over search levels of the base vertex's orbit size, times k!
-    for every twin class.  Orbits come in canonical order.
-    """
+def _searched(graph: Graph) -> tuple[AutGroup, tuple[int, ...] | None]:
+    """automorphism_group(graph) and single_leaf(graph), from one search."""
     if graph.n == 0:
         raise ValueError("automorphism group undefined for the empty graph")
     search = _AutSearch(*ColouredDigraph.from_graph(graph))
@@ -954,7 +980,39 @@ def automorphism_group(graph: Graph) -> AutGroup:
         generators=tuple(search.generators),
         order=search.order * search.twin_order,
         orbits=_canonical_partition(search.orbit_cells()),
-    )
+    ), search.single_leaf()
+
+
+def automorphism_group(graph: Graph) -> AutGroup:
+    """Generators, order, and vertex orbits of Aut(graph).
+
+    The search runs on the iterated twin quotient with its pendant trees
+    folded (see the module docstring).  Generators are in the sparse form
+    of AutGroup.  Every generator from the search has passed an edge check
+    on `graph`; each twin class of size k >= 2 adds a transposition and,
+    for k >= 3, a k-cycle of its members' blocks.  The order is exact: the
+    product over search levels of the base vertex's orbit size, times k!
+    for every twin class.  Orbits come in canonical order.
+
+    The group is cached with the search's single leaf (single_leaf), and
+    automorphism_group.cache_clear() clears both.
+    """
+    return _searched(graph)[0]
+
+
+automorphism_group.cache_clear = _searched.cache_clear
+automorphism_group.cache_info = _searched.cache_info
+
+
+def single_leaf(graph: Graph) -> tuple[int, ...] | None:
+    """The vertices of graph in a canonical order when its automorphism
+    search ends at a single leaf (see the module docstring), else None.
+
+    Two graphs with such orders are isomorphic iff mapping the p-th vertex
+    of one to the p-th of the other is an isomorphism, and that map is the
+    only one, as both groups are trivial.
+    """
+    return _searched(graph)[1]
 
 
 def isomorphism(a: ColouredDigraph, b: ColouredDigraph) -> tuple[int, ...] | None:

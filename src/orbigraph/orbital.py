@@ -27,7 +27,7 @@ from itertools import repeat
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
-from .aut import ColouredDigraph, Partition, isomorphism, orbit_partition
+from .aut import ColouredDigraph, Partition, isomorphism, orbit_partition, single_leaf
 from .graph_core import Graph, is_connected
 
 
@@ -184,8 +184,26 @@ def similar_divisors(sg: DivisorMatrix, sh: DivisorMatrix) -> SimilarityVerdict:
 
 def orbitally_similar(g: Graph, h: Graph) -> SimilarityVerdict:
     """Decide whether two connected graphs have equal orbit divisor matrices
-    under some relabeling of cells, returning a witness when they do."""
+    under some relabeling of cells, returning a witness when they do.
+
+    When both automorphism searches ended at a single leaf (aut.single_leaf)
+    and the graphs have one order, both groups are trivial, every orbit is
+    one vertex and cell i of a divisor matrix is vertex i.  The one candidate
+    isomorphism maps the p-th vertex of h's leaf to the p-th of g's; if it
+    carries every row of h onto the row of its image in g, it is the only
+    witness, and h's matrix is the common one.  In every other case, a
+    failed check included, similar_divisors decides, so a leaf order that is
+    not canonical can cost time but never change the answer.
+    """
     for graph in (g, h):
         if not is_connected(graph):
             raise ValueError("orbital similarity defined for connected graphs only")
+    leaf_g, leaf_h = single_leaf(g), single_leaf(h)
+    if leaf_g is not None and leaf_h is not None and g.n == h.n:
+        witness = [0] * h.n
+        for u, v in zip(leaf_h, leaf_g):
+            witness[u] = v
+        rows, at = g.adjacency, witness.__getitem__
+        if all(tuple(sorted(map(at, row))) == rows[v] for row, v in zip(h.adjacency, witness)):
+            return SimilarityVerdict(similar=True, witness=tuple(witness), common_matrix=orbit_divisor_matrix(h))
     return similar_divisors(orbit_divisor_matrix(g), orbit_divisor_matrix(h))

@@ -21,7 +21,7 @@ Every row sum of B is a vertex degree, and the least and the largest row
 sum bracket rho(B) (Collatz-Wielandt with x = 1).  That bracket is decided
 first, before any kernel is chosen: when it is closed, every row sum equal
 as on every regular graph, rho(B) is that row sum, the Perron vector is
-constant, and nothing is factored, solved or imported.
+constant, and nothing is symmetrized, factored, solved or imported.
 
 On an open bracket two kernels find rho(B) and make the pinned solve,
 chosen by the size of the matrix's envelope; the pivot rule, the lift and
@@ -317,17 +317,20 @@ def _top_eigenpair(
     return (*kernel.top(), kernel)
 
 
-def _radius(dm: DivisorMatrix) -> tuple[float, list[float] | None, _Envelope | _Lapack | None]:
+def _radius(
+    dm: DivisorMatrix, rows: list[dict[int, float]] | None = None
+) -> tuple[float, list[float] | None, _Envelope | _Lapack | None]:
     """rho(B), and on an open row-sum bracket the vector and kernel of
     _top_eigenpair.  When every row sum is equal, the Collatz-Wielandt
     bracket with x = 1 is closed: rho(B) is that row sum, no kernel runs,
-    and the vector and kernel are None.  ValueError unless B is symmetrizable.
+    nothing is symmetrized, and the vector and kernel are None.  Else rows,
+    _symmetrized(dm) if not given, is solved; ValueError unless B is
+    symmetrizable.
     """
-    rows = _symmetrized(dm)
     sums = dm.row_sums()
     if min(sums) == max(sums):
         return float(sums[0]), None, None
-    return _top_eigenpair(rows, sums)
+    return _top_eigenpair(_symmetrized(dm) if rows is None else rows, sums)
 
 
 def _divisor_perron(dm: DivisorMatrix) -> tuple[float, int, list[float]]:
@@ -421,5 +424,6 @@ def spectral_radius_divisor(dm: DivisorMatrix) -> float:
                 stack.append(i)
     if len(seen) < dm.ell:
         raise ValueError("divisor matrix is reducible; spectral radius not computed")
-    return _radius(dm)[0]
+    # Checked here, since _radius symmetrizes only on an open bracket.
+    return _radius(dm, _symmetrized(dm))[0]
 

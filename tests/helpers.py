@@ -42,6 +42,20 @@ def rigid_cubic(seed: int, n: int) -> Graph:
                 return graph
 
 
+def pendant_trees() -> Graph:
+    """rigid_cubic(5, 20) with two pendant trees: a path 20-21-22 hung at
+    vertex 0, and at vertex 10 a branch 23 that carries the leaf 24 and the
+    path 25-26.  Rigid, but _fold changes it, so the order of its search's
+    root cells follows the vertex labels."""
+    edges = [*rigid_cubic(5, 20).edges, (0, 20), (20, 21), (21, 22), (10, 23), (23, 24), (23, 25), (25, 26)]
+    return Graph.from_edges(27, edges)
+
+
+def relabelled(graph: Graph, seed: int) -> Graph:
+    """graph under the seeded random permutation random.Random(seed).sample."""
+    return graph.relabel(random.Random(seed).sample(range(graph.n), graph.n))
+
+
 def spider(legs: Sequence[int]) -> Graph:
     """Paths of the given lengths glued at a common end vertex 0."""
     edges, n = [], 1

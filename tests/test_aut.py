@@ -25,8 +25,10 @@ from helpers import (
     is_edge_transitive,
     naive_equitable_refinement,
     partition_by,
+    pendant_trees,
     preserves_edges,
     refines,
+    relabelled,
     rigid_cubic,
     tree_symmetry,
     trees,
@@ -37,10 +39,12 @@ from orbigraph.aut import (
     Partition,
     _AutSearch,
     _Cells,
+    _searched,
     automorphism_group,
     equitable_refinement,
     isomorphism,
     orbit_partition,
+    single_leaf,
     unit_partition,
 )
 from orbigraph.constructions import (
@@ -61,6 +65,11 @@ from orbigraph.constructions import (
     torus,
 )
 from orbigraph.graph_core import Graph
+
+
+def _uncached_group(graph: Graph):
+    """automorphism_group(graph) from a search of its own, past the cache."""
+    return _searched.__wrapped__(graph)[0]
 
 
 class TestPartitionType:
@@ -122,7 +131,7 @@ class TestPermutationType:
         g.adjacency
         tracemalloc.start()
         try:
-            group = automorphism_group.__wrapped__(g)
+            group = _uncached_group(g)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -500,7 +509,7 @@ def test_rigid_regular_graph_is_not_refined_once_per_root_candidate(monkeypatch,
     # about 3n (1,442 events on rigid_cubic(7, 300) if it descends first).
     counts = _count_refinements(monkeypatch)
     graph = rigid_cubic(seed, n)
-    group = automorphism_group.__wrapped__(graph)
+    group = _uncached_group(graph)
     assert group.order == 1 and len(group.orbits) == n
     assert counts[0] <= 4 and counts[1] <= 1.2 * n
     image = random.Random(seed).sample(range(n), n)
@@ -538,7 +547,7 @@ def test_cfi_graph_root_is_split_before_the_first_path_descends(monkeypatch):
     # split there; refining the whole first path first, and searching its
     # deeper levels, took 579 refinements and 7,914 events on this graph.
     counts = _count_refinements(monkeypatch)
-    group = automorphism_group.__wrapped__(cfi_graph(sorted(rigid_cubic(11, 40).edges)))
+    group = _uncached_group(cfi_graph(sorted(rigid_cubic(11, 40).edges)))
     assert group.order == 2**21
     assert counts[0] <= 450 and counts[1] <= 6000
 
@@ -567,7 +576,7 @@ def test_singleton_map_matches_the_scan_of_every_position(graph, monkeypatch):
 
     monkeypatch.setattr(_AutSearch, "_singleton_map", checked)
     monkeypatch.setattr(_AutSearch, "_try", bounded)
-    group = automorphism_group.__wrapped__(graph)
+    group = _uncached_group(graph)
     check_generator_form(group, graph)
     assert any(results)
 
@@ -578,9 +587,35 @@ def test_root_candidate_refined_in_lockstep_is_not_refined_again(monkeypatch):
     # level: the 20 x 25 torus takes 13 refinements, 14 if it were refined
     # again there.
     counts = _count_refinements(monkeypatch)
-    group = automorphism_group.__wrapped__(torus((20, 25)))
+    group = _uncached_group(torus((20, 25)))
     assert group.order == 4 * 20 * 25
     assert counts[0] <= 13
+
+
+@pytest.mark.parametrize("seed, n", [(0, 20), (1, 50), (2, 300)])
+def test_single_leaf_is_a_canonical_order(seed, n):
+    # The root of a rigid cubic graph ends discrete once split by distance
+    # profile; its order follows any relabelling of the graph.
+    graph = rigid_cubic(seed, n)
+    image = random.Random(seed).sample(range(n), n)
+    leaf, other = single_leaf(graph), single_leaf(graph.relabel(image))
+    assert sorted(leaf) == list(range(n))
+    assert other == tuple(image[v] for v in leaf)
+
+
+def test_single_leaf_only_without_twins_folds_or_symmetry(monkeypatch):
+    assert single_leaf(complete(1)) == (0,)
+    assert single_leaf(frucht()) is not None
+    for graph in (pendant_trees(), cycle(5), complete(2), generalized_petersen(5, 2)):
+        assert single_leaf(graph) is None
+    # the leaf is cached with the group, and cache_clear drops both
+    runs = []
+    monkeypatch.setattr(_AutSearch, "run", lambda self, run=_AutSearch.run: runs.append(run(self)))
+    automorphism_group.cache_clear()
+    assert automorphism_group.cache_info().currsize == 0
+    single_leaf(frucht())
+    automorphism_group(frucht())
+    assert len(runs) == 1
 
 
 def test_isomorphism_of_single_vertices_is_a_twin_swap():
@@ -665,7 +700,7 @@ def test_loaded_torus_is_searched_on_its_base(monkeypatch, dims, q, m):
     # branch searched instead, the first path is 68 levels deep on the 8 x 8
     # torus and the search makes 373 refinements, 2,365 on the 20 x 20 one.
     counts = _count_refinements(monkeypatch)
-    group = automorphism_group.__wrapped__(loaded_torus(dims, q, m))
+    group = _uncached_group(loaded_torus(dims, q, m))
     assert group.order == 8 * dims[0] * dims[1] * math.factorial(q) ** (dims[0] * dims[1])
     assert counts[0] <= 20
 

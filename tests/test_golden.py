@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import rigid_cubic, spider, tied_star
+from helpers import pendant_trees, relabelled, rigid_cubic, spider, tied_star
 from orbigraph.cli import EXIT_DISSIMILAR, EXIT_OK, main
 from orbigraph.constructions import complete, cycle, path
 from orbigraph.graph_core import serialize_edge_list
@@ -31,6 +31,12 @@ GRAPHS = {
     "rigid20": rigid_cubic(5, 20),
     "spider": SPIDER,
     "spider_relabelled": SPIDER.relabel(SPIDER_IMAGE),
+    # compare decides a pair of rigid graphs from their searches' single leaves
+    "rigid20_relabelled": relabelled(rigid_cubic(5, 20), 20),
+    "rigid20_seed6": rigid_cubic(6, 20),
+    # rigid, but its pendant trees fold, so compare searches the pair
+    "pendant_trees": pendant_trees(),
+    "pendant_trees_relabelled": relabelled(pendant_trees(), 27),
 }
 
 # expected file -> (argv with graph names for input files, exit code)
@@ -42,6 +48,9 @@ CASES = {
     "compare_c4_c8.json": (["compare", "--json", "c4", "c8"], EXIT_OK),
     "compare_spider_relabelled.json": (["compare", "--json", "spider", "spider_relabelled"], EXIT_OK),
     "compare_p5_tied_star.json": (["compare", "--json", "p5", "tied_star"], EXIT_DISSIMILAR),
+    "compare_rigid20_relabelled.json": (["compare", "--json", "rigid20", "rigid20_relabelled"], EXIT_OK),
+    "compare_rigid20_seed6.json": (["compare", "--json", "rigid20", "rigid20_seed6"], EXIT_DISSIMILAR),
+    "compare_pendant_trees_relabelled.json": (["compare", "--json", "pendant_trees", "pendant_trees_relabelled"], EXIT_OK),
     "sequence_cycles_3.json": (["sequence", "--json", "--count", "3", "cycles.json"], EXIT_OK),
 }
 

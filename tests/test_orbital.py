@@ -19,12 +19,22 @@ from helpers import (
     is_isomorphism,
     json_form,
     omega_from_divisor,
+    pendant_trees,
+    relabelled,
     rigid_cubic,
     spider,
     tied_star,
     vertex_permutations,
 )
-from orbigraph.aut import ColouredDigraph, Partition, equitable_refinement, isomorphism, orbit_partition, unit_partition
+from orbigraph.aut import (
+    ColouredDigraph,
+    Partition,
+    equitable_refinement,
+    isomorphism,
+    orbit_partition,
+    single_leaf,
+    unit_partition,
+)
 from orbigraph.constructions import complete, cycle, generalized_sun, loaded_torus, path, star, strong_prism
 from orbigraph import orbital
 from orbigraph.graph_core import Graph
@@ -269,6 +279,86 @@ class TestSimilarity:
 def _homothetic(g: Graph, h: Graph) -> bool:
     """Orbital homothety as the compare command decides it: equal orbit distribution vectors."""
     return orbit_profile(g).omega == orbit_profile(h).omega
+
+
+def _searched_verdict(g: Graph, h: Graph):
+    """The verdict of the cell digraph search, which orbitally_similar must match."""
+    return similar_divisors(orbit_divisor_matrix(g), orbit_divisor_matrix(h))
+
+
+@pytest.fixture
+def isomorphism_calls(monkeypatch):
+    """Counts the calls of isomorphism made through orbital."""
+    calls = [0]
+    search = orbital.isomorphism
+
+    def counted(a, b):
+        calls[0] += 1
+        return search(a, b)
+
+    monkeypatch.setattr(orbital, "isomorphism", counted)
+    return calls
+
+
+class TestSingleLeafShortcut:
+    """orbitally_similar decides a pair of graphs whose searches ended at a
+    single leaf from the two leaves; it must give the search's verdict,
+    witness and common matrix on every pair."""
+
+    @pytest.mark.parametrize("n", [20, 50, 200])
+    def test_rigid_relabellings(self, n):
+        for seed in range(4):
+            g = rigid_cubic(seed, n)
+            h = relabelled(g, 1000 + seed)
+            verdict = orbitally_similar(g, h)
+            assert verdict.similar and h.relabel(verdict.witness) == g
+            assert verdict == _searched_verdict(g, h)
+
+    def test_non_isomorphic_rigid_pairs(self):
+        graphs = [rigid_cubic(seed, n) for n in (20, 50) for seed in range(3)]
+        for g in graphs:
+            for h in graphs:
+                if g != h:
+                    verdict = orbitally_similar(g, h)
+                    assert not verdict.similar
+                    assert verdict == _searched_verdict(g, h)
+
+    def test_pendant_trees_under_relabellings(self):
+        g = pendant_trees()
+        for seed in range(40):
+            h = relabelled(g, seed)
+            verdict = orbitally_similar(g, h)
+            assert verdict.similar and h.relabel(verdict.witness) == g
+            assert verdict == _searched_verdict(g, h)
+
+    def test_asymmetric_graphs_of_the_atlas(self):
+        nx = pytest.importorskip("networkx")
+        graphs = []
+        for a in nx.graph_atlas_g():
+            if a.number_of_nodes() and nx.is_connected(a):
+                g = Graph.from_edges(a.number_of_nodes(), a.edges())
+                if orbit_divisor_matrix(g).ell == g.n:
+                    graphs.append(g)
+        # 153 graphs, 83 of them unfolded with a discrete root
+        assert sum(single_leaf(g) is not None for g in graphs) >= 80
+        degrees = [sorted(map(len, g.adjacency)) for g in graphs]
+        for i, g in enumerate(graphs):
+            # every other graph whose degrees do not tell it from g
+            pairs = [(g, relabelled(g, i))] + [(g, h) for j, h in enumerate(graphs) if j != i and degrees[j] == degrees[i]]
+            for a, b in pairs:
+                assert orbitally_similar(a, b) == _searched_verdict(a, b)
+
+    def test_an_unfolded_rigid_pair_searches_nothing_more(self, isomorphism_calls):
+        g = rigid_cubic(3, 50)
+        assert single_leaf(g) is not None
+        assert orbitally_similar(g, relabelled(g, 3)).similar
+        assert isomorphism_calls[0] == 0
+
+    @pytest.mark.parametrize("pair", [(pendant_trees(), relabelled(pendant_trees(), 5)), (cycle(4), cycle(8))])
+    def test_folded_or_symmetric_pairs_are_searched(self, pair, isomorphism_calls):
+        assert all(single_leaf(g) is None for g in pair)
+        assert orbitally_similar(*pair).similar
+        assert isomorphism_calls[0] >= 1
 
 
 class TestHomothety:

@@ -488,3 +488,14 @@ def test_regular_graphs_have_a_closed_bracket(g):
 )
 def test_regular_families_have_a_closed_bracket(graph):
     assert_closed_bracket(graph)
+
+
+def test_a_closed_bracket_symmetrizes_nothing(monkeypatch):
+    # Equal row sums decide rho before the matrix is symmetrized; input from
+    # outside is still checked (test_not_symmetrizable_rejected).
+    def refused(dm):
+        raise AssertionError("symmetrized on a closed bracket")
+
+    monkeypatch.setattr(spectral, "_symmetrized", refused)
+    assert spectral_radius_adjacency(rigid_cubic(5, 150)).rho == 3.0
+    assert spectral_radius_adjacency(cycle(10)).rho_divisor == 2.0
