@@ -57,7 +57,13 @@ cell, and refines with that singleton as the only splitter.  The levels are
 then tried deepest first, so while the candidates of level L are tried,
 every generator found so far fixes the first L base vertices; one
 union-find over all generators therefore holds the orbits of that
-stabiliser, and prunes every candidate already in the base vertex's orbit.
+stabiliser, and a candidate is tried only if its orbit holds neither the
+base vertex nor a refuted candidate.  Below the first path a node tries
+one child per orbit of the generators that fix every vertex individualized
+down to it, taken once its first child is refuted; a child keeps those
+that fix its vertex.  This is nauty's rule (McKay, Congressus Numerantium
+30, 1981; McKay & Piperno, J. Symbolic Comput. 60, 2014): such a
+generator maps the node onto itself and one child's subtree onto another's.
 A candidate is searched depth first on an explicit stack, and a node is
 abandoned at the first trace event that differs from the first path at its
 level.  Sparse automorphisms are found without descending to a leaf
@@ -83,7 +89,7 @@ orbit-equitable inputs never refute a root candidate, so they never split.
 nauty splits the root of a regular graph by vertex invariants in the same
 way (McKay & Piperno, Practical graph isomorphism II, 2014), and decides it
 before it descends.  Here too: the root level is tried last, so while the
-root may still be split, the first root candidate that the caller will try
+root may still be split, the first root candidate that will be tried
 is refined in lockstep with the first path's first level, one trace event
 at a time (refinement yields its events, _Cells.splits).  At the first
 event that differs the candidate is refuted and the root is split before
@@ -97,16 +103,12 @@ round; a fold adds no factor.  A folded block holds several orbits, so
 orbits are taken by position: the blocks of a quotient vertex's orbit are
 matched position by position, and the twin generators join the pieces.
 
-Isomorphism of two connected digraphs is the classical IR test on their
-disjoint union (McKay & Piperno 2014): they are isomorphic iff an
-automorphism of the union swaps the two sides, and then one lies below the
-root's candidates on the other side.  So only the first path is searched,
-then the root's candidates in the second digraph, and the search stops at
-the first automorphism.  The first refuted candidate splits the root of
-the union as above, since a swap preserves distances too, and the first
-candidate in the second digraph is the one refined in lockstep.  A root
-cell with unequal numbers of vertices from the two sides rules a swap out
-before the first path descends.
+Isomorphism of two connected digraphs a and b is the automorphism search
+of their disjoint union (McKay & Piperno 2014), and a swap is a generator
+that moves vertex 0 into b: generators that keep the two sides generate
+only automorphisms that keep them, so one is found iff a and b are
+isomorphic.  The groups of both sides are found first, and they prune the
+subtrees of the root's candidates in b.
 
 A search has a single leaf when neither a twin round nor a fold changed
 its input and the refined root is discrete, after the profile split if
@@ -142,10 +144,9 @@ relabelling of it both end at a single leaf, so orbital similarity
 checks one map, in 7-22 ms once both searches are done, where isomorphism
 of their 2000-cell digraphs takes 0.09-0.12 s; the whole `orbigraph
 compare --json`, which writes the 36 MB report, takes 0.22-0.28 s.  The
-CFI graph over tests/helpers.py rigid_cubic(11, 200) (2000 vertices,
-|Aut| = 2^101) takes 1.0-1.7 s; over cubic_graph(11, 200), a different
-graph of the same size and group order, the search runs for minutes, as
-orbits are not pruned below the first path.
+CFI graphs (Cai, Fuerer & Immerman, Combinatorica 12, 1992) over
+tests/helpers.py rigid_cubic(11, 200) and over cubic_graph(11, 200), two
+graphs with 2000 vertices and |Aut| = 2^101, take 0.9-1.8 s and 0.9-2.1 s.
 """
 
 from bisect import bisect_left, bisect_right
@@ -154,7 +155,7 @@ from functools import lru_cache
 from itertools import chain, compress
 from math import factorial
 from operator import ne
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .graph_core import Frozen, Graph
 
@@ -306,19 +307,21 @@ class _Cells:
     def cells(self) -> list[list[int]]:
         return [self.lab[c : c + self.clen[c]] for c in self.starts()]
 
-    def target(self) -> int:
-        """Start of the first non-singleton cell of minimum size, or -1 if discrete."""
-        best, best_len = -1, len(self.lab) + 1
+    def target(self, start: int = 0) -> tuple[int, int]:
+        """The starts of the first non-singleton cell (n if none) and of the
+        first one of minimum size (-1 if none), walking from `start`, a cell
+        start with only singletons before it."""
         clen = self.clen
-        c, n = 0, len(self.lab)
+        c, n = start, len(self.lab)
+        first, best, best_len = n, -1, n + 1
         while c < n:
             length = clen[c]
             if 1 < length < best_len:
-                best, best_len = c, length
+                first, best, best_len = min(first, c), c, length
                 if length == 2:
                     break
             c += length
-        return best
+        return first, best
 
     def individualize(self, v: int) -> int:
         """Split v off as a singleton at the end of its cell; return its position."""
@@ -677,6 +680,20 @@ def _profile_split(adj: Sequence[Sequence[int]], cells: list[list[int]]) -> list
     return split
 
 
+def _other_orbits(cell: list[int], gens: list[dict[int, int]]) -> list[int]:
+    """The smallest member of each orbit of gens on the sorted cell but
+    cell[0]'s, in descending order; gens map the cell onto itself."""
+    if not gens:
+        return cell[:0:-1]
+    orbits = _UnionFind(cell)
+    for g in gens:
+        for v in filter(g.__contains__, cell):
+            orbits.union(v, g[v])
+    smallest = {orbits.find(v): v for v in reversed(cell)}
+    del smallest[orbits.find(cell[0])]
+    return sorted(smallest.values(), reverse=True)
+
+
 class _AutSearch:
     """IR search for the automorphisms of a coloured digraph, on its twin quotient."""
 
@@ -723,6 +740,8 @@ class _AutSearch:
         self.root_cells = [colours[key] for key in sorted(colours)]
         self.root_split = False
         self.orbits = _UnionFind(range(len(adj)))
+        # The quotient permutation of each generator the search found.
+        self.images: list[dict[int, int]] = []
         self.first_traces: list[list] = []
         self.first_leaf: list[int] = []
         # cell_of of the first path's node at each level, while run still
@@ -733,28 +752,22 @@ class _AutSearch:
         self.targets: list[int] = []
         self.order = 1
 
-    def first_path(self, pick: Callable[[_Cells, list[int]], int | None]) -> list[_Cells]:
+    def first_path(self) -> list[_Cells]:
         """Search the first path; return its nodes above the leaf, root first,
-        or [] if the root is discrete, and then the leaf, or the caller tries
-        no root candidate.
-
-        pick(root, members) gets the refined root and the sorted members of
-        its target cell, and names the root candidate that the caller will
-        try first, or None if it will try none.  While the root may still be
-        split, that candidate is refined in lockstep with the path's first
-        level (_lockstep).  If it is refuted, the root is split and the path
-        starts again from the new root, before it descends.
-        """
+        or [] if the root is discrete, and then the leaf.  While the root
+        may still be split, run's first root candidate, the second member of
+        the target cell, is refined beside the first level (_lockstep), and
+        if it is refuted the path starts again from the split root."""
         while True:
             root = _Cells.from_cells(len(self.adj), self.root_cells)
             self.first_traces = [root.refine(self.adj, root.starts())]
-            self.targets = [c := root.target()]
+            start, c = root.target()
+            self.targets = [c]
             self.kept = None
             if c < 0:
                 self.first_leaf = root.lab
                 return []
-            if (v := pick(root, sorted(root.lab[c : c + root.clen[c]]))) is None:
-                return []
+            v = sorted(root.lab[c : c + root.clen[c]])[1]
             node, path, lockstep = root, [], not self.root_split
             while (c := self.targets[-1]) >= 0:
                 path.append(node)
@@ -766,7 +779,8 @@ class _AutSearch:
                 lockstep = False
                 trace += splits
                 self.first_traces.append(trace)
-                self.targets.append(node.target())
+                start, c = node.target(start)
+                self.targets.append(c)
             else:
                 self.first_leaf, self.first_pos = node.lab, node.pos
                 self.first_cells = [p.cell_of for p in path] + [node.cell_of]
@@ -792,10 +806,7 @@ class _AutSearch:
         return True
 
     def run(self) -> None:
-        def pick(root: _Cells, members: list[int]) -> int:
-            return members[1]
-
-        path = self.first_path(pick)
+        path = self.first_path()
         # Deepest level first: every generator found so far fixes the base
         # vertices above the level being tried.
         while path:
@@ -804,10 +815,18 @@ class _AutSearch:
             c = self.targets[level]
             members = sorted(node.lab[c : c + node.clen[c]])
             b = members[0]
+            # The orbits of candidates whose subtree held no automorphism,
+            # by their roots: no other member of such an orbit has one.
+            refuted: set[int] = set()
             for v in members[1:]:
-                if self.orbits.find(v) != self.orbits.find(b) and not self._try(node, v, level + 1):
+                if (r := self.orbits.find(v)) in refuted or r == self.orbits.find(b):
+                    continue
+                if self._try(node, v, level + 1):
+                    refuted = set(map(self.orbits.find, refuted))
+                else:
+                    refuted.add(r)
                     if level == 0 and self.split_root(node):
-                        path = self.first_path(pick)
+                        path = self.first_path()
                         break
             else:
                 path.pop()
@@ -828,6 +847,7 @@ class _AutSearch:
             return False
         self.root_cells = cells
         del self.generators[self.twin_generators :]
+        self.images.clear()
         self.orbits = _UnionFind(range(len(self.adj)))
         self.order = 1
         return True
@@ -841,21 +861,33 @@ class _AutSearch:
     def _try(self, parent: _Cells, v: int, level: int) -> bool:
         """Depth-first search of the subtree of parent + v, whose root is at
         `level`, for an automorphism; stops at the first one found, kept as
-        the last generator, and says whether there was one."""
-        stack = [(parent, level, [v])]
+        the last generator, and says whether there was one.  A node tries
+        its smallest child, then one child per other orbit of the generators
+        that fix its path (see the module docstring)."""
+        # An entry: a node, its level, its children to try (popped from the
+        # end), its sorted target cell until the first child is done, and the
+        # generators that fix its path once those moving `unfixed` are dropped.
+        stack = [[parent, level, [v], None, self.images, ()]]
         while stack:
-            parent, level, todo = stack[-1]
+            entry = stack[-1]
+            parent, level, todo, cell, gens, unfixed = entry
             if not todo:
-                stack.pop()
+                if cell is None:
+                    stack.pop()
+                else:
+                    gens = [g for g in gens if g.keys().isdisjoint(unfixed)]
+                    entry[2:] = _other_orbits(cell, gens), None, gens, ()
                 continue
-            node = self._child(parent, todo.pop(), level)
+            u = todo.pop()
+            node = self._child(parent, u, level)
             if node is None:
                 continue
             image = self._singleton_map(node, level)
             if image is None:
                 # Equal traces give the first path's cells, so its target too.
                 c = self.targets[level]
-                stack.append((node, level + 1, sorted(node.lab[c : c + node.clen[c]], reverse=True)))
+                cell = sorted(node.lab[c : c + node.clen[c]])
+                stack.append([node, level + 1, [cell[0]], cell, gens, (*unfixed, u)])
             elif self._accept(image):
                 return True
         return False
@@ -923,6 +955,7 @@ class _AutSearch:
         if not self._is_automorphism(lifted):
             return False
         self.generators.append(tuple(sorted(lifted.items())))
+        self.images.append(image)
         for q, r in image.items():
             self.orbits.union(q, r)
         return True
@@ -1018,62 +1051,21 @@ def single_leaf(graph: Graph) -> tuple[int, ...] | None:
 def isomorphism(a: ColouredDigraph, b: ColouredDigraph) -> tuple[int, ...] | None:
     """An isomorphism from a onto b as the image of each vertex of a, or None.
 
-    a and b must be connected.  The search is set up on the disjoint union
-    of a and b, with b's vertices shifted past a's, and looks for a swap: an
-    automorphism of the union that moves vertex 0 into b, so moves all of a
-    onto b.  A twin generator is one when each side collapses to a single
-    quotient vertex.  Otherwise only the first path is searched, and then
-    the root's candidates in b, in ascending order; the first automorphism
-    found below one of them is the answer, restricted to a.  That is
-    complete: a swap keeps every cell of the root, so maps the root's first
-    base vertex to a candidate in b, below which lies a leaf equivalent to
-    the first leaf.  Levels below the root are not searched, since they
-    only find automorphisms of a that fix the base, and automorphisms of b.
-    At the first candidate in b that is refuted, the root's cells are split
-    by distance profile, computed the same way on both sides of the union,
-    and the search starts again from the new root.  The first candidate is
-    refined beside the first path's first level, so when it is refuted the
-    split comes before the path descends.  A root with a cell that holds
-    unequal numbers of quotient vertices of a and of b gives None before
-    the path descends, since a swap maps that cell onto itself and a onto b.
+    a and b must be connected.  It is the first generator of the
+    automorphism search of the union, b's vertices shifted past a's, that
+    moves vertex 0 into b, restricted to a (see the module docstring); so
+    when a and b have symmetry, both groups are found before it.
     """
     na = len(a.adj)
     if na != len(b.adj) or sorted(map(len, a.adj)) != sorted(map(len, b.adj)) or sorted(a.colour) != sorted(b.colour):
         return None
     adj = [*a.adj, *(tuple(w + na for w in nbrs) for nbrs in b.adj)]
     search = _AutSearch([*a.colour, *b.colour], adj)
+    search.run()
     for g in search.generators:
         if (phi := _swap(g, na)) is not None:
             return phi
-    blocks = search.blocks
-
-    def pick(root: _Cells, members: list[int]) -> int | None:
-        if not _balanced(root, blocks, na):
-            return None
-        return next((v for v in members[1:] if blocks[v][0] >= na), None)
-
-    path = search.first_path(pick)
-    while path:
-        root, c = path[0], search.targets[0]
-        for v in sorted(root.lab[c : c + root.clen[c]])[1:]:
-            if blocks[v][0] < na:
-                continue
-            if search._try(root, v, 1):
-                if (phi := _swap(search.generators[-1], na)) is not None:
-                    return phi
-            elif search.split_root(root):
-                path = search.first_path(pick)
-                break
-        else:
-            return None
     return None
-
-
-def _balanced(root: _Cells, blocks: list[list[int]], na: int) -> bool:
-    """Whether every cell of the root holds as many quotient vertices of a
-    as of b, as it must if a swap exists, since a swap maps each cell onto
-    itself and a onto b."""
-    return all(2 * sum(blocks[q][0] < na for q in cell) == len(cell) for cell in root.cells())
 
 
 def _swap(g: tuple[tuple[int, int], ...], na: int) -> tuple[int, ...] | None:

@@ -15,6 +15,7 @@ from helpers import (
     all_graphs,
     brute_force_group_order,
     brute_force_orbits,
+    certified_rigid,
     cfi_graph,
     check_generator_form,
     check_generators,
@@ -23,6 +24,7 @@ from helpers import (
     frucht,
     generalized_petersen,
     is_edge_transitive,
+    is_isomorphism,
     naive_equitable_refinement,
     partition_by,
     pendant_trees,
@@ -30,10 +32,12 @@ from helpers import (
     refines,
     relabelled,
     rigid_cubic,
+    spider,
     tree_symmetry,
     trees,
     vertex_permutations,
 )
+from orbigraph import aut
 from orbigraph.aut import (
     ColouredDigraph,
     Partition,
@@ -481,13 +485,16 @@ def test_isomorphism_of_generalized_petersen_graphs():
     assert pairs == 1013
 
 
-def _count_refinements(monkeypatch) -> list[int]:
+def _count_refinements(monkeypatch, bound: float = math.inf) -> list[int]:
     """Count every refinement and every trace event it yields, as
-    [refinements, events], by wrapping _Cells.splits."""
+    [refinements, events], by wrapping _Cells.splits; fail at once at the
+    first refinement past `bound`."""
     splits, counts = _Cells.splits, [0, 0]
 
     def counted(self, *args):
         counts[0] += 1
+        if counts[0] > bound:
+            raise AssertionError(f"more than {bound} refinements")
         for event in splits(self, *args):
             counts[1] += 1
             yield event
@@ -550,6 +557,117 @@ def test_cfi_graph_root_is_split_before_the_first_path_descends(monkeypatch):
     group = _uncached_group(cfi_graph(sorted(rigid_cubic(11, 40).edges)))
     assert group.order == 2**21
     assert counts[0] <= 450 and counts[1] <= 6000
+
+
+def test_isomorphism_of_a_cfi_pair_prunes_by_the_automorphisms_of_both(monkeypatch):
+    # The CFI graphs over the Frucht graph with and without a twisted edge
+    # (120 vertices each) are not isomorphic.  The search of their union
+    # finds the automorphisms of both before it tries the root's candidates
+    # in the second one, and prunes their subtrees by orbits: 132
+    # refinements, where searching those subtrees with no automorphism known
+    # took more than 50,000 and about 18 s.
+    base = sorted(frucht().edges)
+    _count_refinements(monkeypatch, bound=2000)
+    assert _isomorphism(cfi_graph(base), cfi_graph(base, twist=[0])) is None
+
+
+# A connected cubic base with the order of its group.  The automorphisms of
+# the CFI graph over it flip end pairs along an element of the base's cycle
+# space, and every automorphism of the base lifts, gadget by gadget, so
+# |Aut| = 2^beta |Aut(base)| with beta = m - n + 1 of the base (for the
+# first three also counted by networkx's VF2 matcher).
+CFI_BASES = {
+    "K4": (complete(4), 24),
+    "K3,3": (moebius_ladder(3), 72),
+    "cube": (circular_ladder(4), 48),
+    "Petersen": (generalized_petersen(5, 2), 120),
+    "Frucht": (frucht(), 1),
+}
+
+
+@pytest.mark.parametrize("name", CFI_BASES)
+def test_cfi_graphs_over_small_bases(name):
+    # An arc-transitive base gives two orbits, the middle vertices and the
+    # end vertices; the rigid Frucht graph gives four per base vertex.  Over
+    # a connected base, the graphs whose twists differ in parity are not
+    # isomorphic, and a relabelling is.
+    base, base_order = CFI_BASES[name]
+    edges = sorted(base.edges)
+    graph = cfi_graph(edges)
+    group = _uncached_group(graph)
+    assert group.order == 2 ** (len(edges) - base.n + 1) * base_order
+    assert len(group.orbits) == (4 * base.n if base_order == 1 else 2)
+    check_generator_form(group, graph)
+    a = ColouredDigraph.from_graph(graph)
+    for i in range(len(edges)):
+        assert isomorphism(a, ColouredDigraph.from_graph(cfi_graph(edges, twist=[i]))) is None
+    for seed in range(3):
+        b = ColouredDigraph.from_graph(relabelled(graph, seed))
+        assert is_isomorphism(isomorphism(a, b), a, b)
+
+
+def _with_legs(graph: Graph, legs: int, length: int) -> Graph:
+    """graph with `legs` pendant paths of `length` edges hung at every vertex."""
+    edges, n = list(graph.edges), graph.n
+    for v in range(graph.n):
+        for _ in range(legs):
+            edges += [(v if t == 0 else n + t - 1, n + t) for t in range(length)]
+            n += length
+    return Graph.from_edges(n, edges)
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+@pytest.mark.parametrize("legs, length", [(0, 0), (2, 1), (1, 2)])
+def test_orbit_pruning_keeps_the_group(monkeypatch, seed, legs, length):
+    # The CFI graph over rigid_cubic(seed, 40), relabelled by seed 1, is one
+    # whose search skips children by orbit.  Two leaves at every vertex are
+    # twins, and their quotient vertex then folds; a path of two edges folds
+    # in two layers.  Either way the search runs on a quotient of the CFI
+    # graph and lifts its generators through blocks.  The group is 2^beta
+    # times the twin swaps, and equals the one found with no child skipped.
+    base = rigid_cubic(seed, 40)
+    graph = _with_legs(relabelled(cfi_graph(sorted(base.edges)), 1), legs, length)
+    other_orbits, skipped = aut._other_orbits, [0]
+
+    def counted(cell, gens):
+        kept = other_orbits(cell, gens)
+        skipped[0] += len(cell) - 1 - len(kept)
+        return kept
+
+    monkeypatch.setattr(aut, "_other_orbits", counted)
+    group = _uncached_group(graph)
+    assert skipped[0] > 0
+    assert group.order == 2**21 * (2**400 if legs == 2 else 1)
+    assert len(group.orbits) == 160 * (1 + length)
+    check_generator_form(group, graph)
+    monkeypatch.setattr(aut, "_other_orbits", lambda cell, gens: cell[:0:-1])
+    unpruned = _uncached_group(graph)
+    assert (unpruned.order, unpruned.orbits) == (group.order, group.orbits)
+
+
+@pytest.mark.parametrize(
+    "graph, order",
+    [
+        (pendant_trees(), 1),
+        # the legs of each length permute: 2! * 3!
+        (spider((1, 1, 2, 2, 2, 3)), 12),
+        (cycle_with_cliques(7, 3, 2), 2 * 7 * 8**7),
+        # Aut(C5 x C6) = D5 x D6, and each load swaps its two branches
+        (loaded_torus((5, 6), 2, 2), 120 * 2**30),
+    ],
+)
+def test_twins_and_folds_under_relabellings(graph, order):
+    # Relabelled, each graph has the same order, and its orbits are the
+    # images of the first graph's.
+    assert certified_rigid(graph) == (order == 1)
+    group = _uncached_group(graph)
+    assert group.order == order
+    check_generator_form(group, graph)
+    for seed in range(3):
+        image = random.Random(seed).sample(range(graph.n), graph.n)
+        other = _uncached_group(graph.relabel(image))
+        assert other.order == order
+        assert other.orbits == Partition.from_cells([[image[v] for v in cell] for cell in group.orbits.cells]).canonical()
 
 
 @pytest.mark.parametrize(
