@@ -79,23 +79,22 @@ leaves nothing to prune, so each of its n-1 root candidates would be
 refined and refuted on its own.  So the first time a root candidate is
 refuted, which shows that the root's target cell is not an orbit, every
 non-singleton root cell is split by its members' distance-layer profiles,
-grown one BFS layer at a time until some cell splits (_profile_split),
-and the search restarts once from the refinement of that partition,
-keeping only the twin quotient and its generators.  This is sound:
-automorphisms preserve distances, so a vertex's profile is an invariant,
-every automorphism maps each cell of the new root onto itself, and the
-search from it finds the whole group.  Vertex-transitive and
-orbit-equitable inputs never refute a root candidate, so they never split.
-nauty splits the root of a regular graph by vertex invariants in the same
-way (McKay & Piperno, Practical graph isomorphism II, 2014), and decides it
-before it descends.  Here too: the root level is tried last, so while the
-root may still be split, the first root candidate that will be tried
-is refined in lockstep with the first path's first level, one trace event
-at a time (refinement yields its events, _Cells.splits).  At the first
-event that differs the candidate is refuted and the root is split before
-the path goes deeper; if the two traces agree, the candidate's node is
-kept and not refined again when its turn comes.  Only when the split
-happens changes, not which, so the search finds the same generators.
+grown one BFS layer at a time until some cell splits (_profile_split), and
+refined: the split root.  Automorphisms preserve distances, so a vertex's
+profile is an invariant and every automorphism maps each cell of the split
+root onto itself; so the base vertex's orbit lies in its cell of the split
+root, and every later root candidate outside that cell is skipped; nothing
+found is dropped.  Vertex-transitive and orbit-equitable inputs never
+refute a root candidate, so they never split.  nauty splits the root of a
+regular graph by vertex invariants in the same way (McKay & Piperno,
+Practical graph isomorphism II, 2014), and decides it before it descends.
+Here the first root candidate that will be tried is refined in lockstep
+with the first path's first level, one trace event at a time (refinement
+yields its events, _Cells.splits).  At the first event that differs the
+candidate is refuted, and if the root splits, the first path starts from
+the split root, as nothing has been found yet; if the two traces agree,
+the candidate's node is kept and not refined again when its turn comes.  A
+later split prunes the root level alone: the search never restarts.
 
 The group order is the product over levels of the base vertex's orbit size
 when its level finishes, times (class size)! for every twin class of every
@@ -111,25 +110,25 @@ isomorphic.  The groups of both sides are found first, and they prune the
 subtrees of the root's candidates in b.
 
 A search has a single leaf when neither a twin round nor a fold changed
-its input and the refined root is discrete, after the profile split if
-one was made; its group is then trivial, as a discrete partition that
-every automorphism maps onto itself is fixed pointwise.  The order of
-that leaf is canonical.  The root is one colour, refinement orders the
-fragments of a cell by counts alone, _profile_split by profiles, and the
-split is made exactly once, from the refined root, whichever candidate is
-refuted first.  So an isomorphism of two such graphs maps the p-th vertex
-of one leaf to the p-th of the other, and single_leaf hands that order to
-orbital similarity, which then needs no search of the union: for almost
-all graphs colour refinement alone gives a discrete root (Babai, Erdos &
-Selkow, SIAM J. Comput. 9, 1980), and a search tree of one leaf is the
-base case of canonical labelling by IR (McKay & Piperno 2014).  Twins
-are excluded as a swap of two twins is an automorphism, so the leaf's
-blocks would match in more than one way.  Folds are excluded because
-_fold numbers signatures in `names` in the order of its queue, which
-follows the vertex labels, so the order of a folded quotient's root cells
-can follow them too; the union search is immune, as both sides share one
-`names`.  A canonical form of folded quotients would need names that do
-not depend on labels.
+its input and the first path starts from a discrete root: the refined
+root, or the split root made at the lockstep.  Its group is then trivial,
+as a discrete partition that every automorphism maps onto itself is fixed
+pointwise.  The order of that leaf is canonical.  The root is one colour,
+refinement orders the fragments of a cell by counts alone, and
+_profile_split by profiles, from the refined root.  So an isomorphism of
+two such graphs maps the p-th vertex of one leaf to the p-th of the other,
+and single_leaf hands that order to orbital similarity, which then needs
+no search of the union; a discrete root split after the first path has
+descended gives no leaf.  For almost all graphs colour refinement alone
+gives a discrete root (Babai, Erdos & Selkow, SIAM J. Comput. 9, 1980),
+and a search tree of one leaf is the base case of canonical labelling by
+IR (McKay & Piperno 2014).  Twins are excluded as a swap of two twins is
+an automorphism, so the leaf's blocks would match in more than one way.
+Folds are excluded because _fold numbers signatures in `names` in the
+order of its queue, which follows the vertex labels, so the order of a
+folded quotient's root cells can follow them too; the union search is
+immune, as both sides share one `names`.  A canonical form of folded
+quotients would need names that do not depend on labels.
 
 Scale, measured on one core of a 2-vCPU Intel Xeon VM with Python 3.11, at
 the 2000-vertex cap: the search takes 0.1 s on torus(40, 50), 0.04 s on
@@ -146,7 +145,8 @@ of their 2000-cell digraphs takes 0.09-0.12 s; the whole `orbigraph
 compare --json`, which writes the 36 MB report, takes 0.22-0.28 s.  The
 CFI graphs (Cai, Fuerer & Immerman, Combinatorica 12, 1992) over
 tests/helpers.py rigid_cubic(11, 200) and over cubic_graph(11, 200), two
-graphs with 2000 vertices and |Aut| = 2^101, take 0.9-1.8 s and 0.9-2.1 s.
+graphs with 2000 vertices and |Aut| = 2^101, take 0.9-1.8 s and 0.9-2.1 s,
+and numbered gadget by gadget (vertex 10v + j) the latter takes 1.3-1.7 s.
 """
 
 from bisect import bisect_left, bisect_right
@@ -731,18 +731,14 @@ class _AutSearch:
             blocks = [[v for w in members for v in blocks[w]] for _, members in classes]
         self.adj = adj
         self.blocks = blocks
+        self.colour = colour
         self.twin_generators = len(self.generators)
-        colours: dict = {}
-        for q, c in enumerate(colour):
-            colours.setdefault(c, []).append(q)
-        # The root's cells before refinement: the colours, until a refuted
-        # root candidate has them split by distance profile (split_root).
-        self.root_cells = [colours[key] for key in sorted(colours)]
-        self.root_split = False
+        # Each quotient vertex's cell of the split root, once split_root ran.
+        self.split: list[int] | None = None
         self.orbits = _UnionFind(range(len(adj)))
         # The quotient permutation of each generator the search found.
         self.images: list[dict[int, int]] = []
-        self.first_traces: list[list] = []
+        self.first_traces: list[list] = []  # of the first path's nodes below the root
         self.first_leaf: list[int] = []
         # cell_of of the first path's node at each level, while run still
         # needs it, and the first leaf's pos (see _singleton_map)
@@ -752,39 +748,36 @@ class _AutSearch:
         self.targets: list[int] = []
         self.order = 1
 
-    def first_path(self) -> list[_Cells]:
-        """Search the first path; return its nodes above the leaf, root first,
-        or [] if the root is discrete, and then the leaf.  While the root
-        may still be split, run's first root candidate, the second member of
-        the target cell, is refined beside the first level (_lockstep), and
-        if it is refuted the path starts again from the split root."""
-        while True:
-            root = _Cells.from_cells(len(self.adj), self.root_cells)
-            self.first_traces = [root.refine(self.adj, root.starts())]
-            start, c = root.target()
-            self.targets = [c]
-            self.kept = None
-            if c < 0:
-                self.first_leaf = root.lab
-                return []
-            v = sorted(root.lab[c : c + root.clen[c]])[1]
-            node, path, lockstep = root, [], not self.root_split
-            while (c := self.targets[-1]) >= 0:
-                path.append(node)
-                node = node.copy()
-                splits = node.splits(self.adj, [node.individualize(min(node.lab[c : c + node.clen[c]]))])
-                trace: list = []
-                if lockstep and self._lockstep(root, v, splits, trace) and self.split_root(root):
-                    break
-                lockstep = False
-                trace += splits
-                self.first_traces.append(trace)
-                start, c = node.target(start)
-                self.targets.append(c)
-            else:
-                self.first_leaf, self.first_pos = node.lab, node.pos
-                self.first_cells = [p.cell_of for p in path] + [node.cell_of]
-                return path
+    def first_path(self, root: _Cells) -> list[_Cells]:
+        """Search the first path from the refined root; return its nodes above
+        the leaf, root first, or [] if the root is discrete, and then the
+        leaf.  Until split_root has run, run's first root candidate is refined
+        beside the first level (_lockstep); if it is refuted and the root
+        splits, the path starts from the split root instead."""
+        start, c = root.target()
+        self.targets = [c]
+        self.first_traces = []
+        self.kept = None
+        if c < 0:
+            self.first_leaf = root.lab
+            return []
+        v = sorted(root.lab[c : c + root.clen[c]])[1]
+        node, path, lockstep = root, [], self.split is None
+        while c >= 0:
+            path.append(node)
+            node = node.copy()
+            splits = node.splits(self.adj, [node.individualize(min(node.lab[c : c + node.clen[c]]))])
+            trace: list = []
+            if lockstep and self._lockstep(root, v, splits, trace) and (split := self.split_root(root)) is not None:
+                return self.first_path(split)
+            lockstep = False
+            trace += splits
+            self.first_traces.append(trace)
+            start, c = node.target(start)
+            self.targets.append(c)
+        self.first_leaf, self.first_pos = node.lab, node.pos
+        self.first_cells = [p.cell_of for p in path] + [node.cell_of]
+        return path
 
     def _lockstep(self, root: _Cells, v: int, splits: Iterator[tuple], trace: list) -> bool:
         """Refine root + v one event at a time beside the first level's
@@ -806,7 +799,14 @@ class _AutSearch:
         return True
 
     def run(self) -> None:
-        path = self.first_path()
+        """Search the first path once, then its levels' candidates, deepest
+        first; a refuted root candidate splits the root (split_root)."""
+        colours: dict = {}
+        for q, c in enumerate(self.colour):
+            colours.setdefault(c, []).append(q)
+        root = _Cells.from_cells(len(self.adj), [colours[key] for key in sorted(colours)])
+        root.refine(self.adj, root.starts())
+        path = self.first_path(root)
         # Deepest level first: every generator found so far fixes the base
         # vertices above the level being tried.
         while path:
@@ -819,38 +819,35 @@ class _AutSearch:
             # by their roots: no other member of such an orbit has one.
             refuted: set[int] = set()
             for v in members[1:]:
-                if (r := self.orbits.find(v)) in refuted or r == self.orbits.find(b):
+                # b's orbit lies in b's cell of the split root.
+                split = self.split if level == 0 else None
+                if (r := self.orbits.find(v)) in refuted or r == self.orbits.find(b) or split and split[v] != split[b]:
                     continue
                 if self._try(node, v, level + 1):
                     refuted = set(map(self.orbits.find, refuted))
                 else:
                     refuted.add(r)
-                    if level == 0 and self.split_root(node):
-                        path = self.first_path()
-                        break
-            else:
-                path.pop()
-                # The levels above try children down to this level's cells.
-                del self.first_cells[level + 1 :]
-                self.order *= self.orbits.class_size(b)
+                    if level == 0:
+                        self.split_root(node)
+            path.pop()
+            # The levels above try children down to this level's cells.
+            del self.first_cells[level + 1 :]
+            self.order *= self.orbits.class_size(b)
 
-    def split_root(self, root: _Cells) -> bool:
+    def split_root(self, root: _Cells) -> _Cells | None:
         """Called when a candidate of the refined root is refuted, so the
         root's target cell is not an orbit.  The first time, split the root's
-        cells by distance profile; if any cell splits, drop what the search
-        has found beyond the twins and say that it must restart."""
-        if self.root_split:
-            return False
-        self.root_split = True
-        cells = _profile_split(self.adj, root.cells())
-        if cells is None:
-            return False
-        self.root_cells = cells
-        del self.generators[self.twin_generators :]
-        self.images.clear()
-        self.orbits = _UnionFind(range(len(self.adj)))
-        self.order = 1
-        return True
+        cells by distance profile and refine; keep each vertex's cell of the
+        result, and return the result if any cell split."""
+        if self.split is not None:
+            return None
+        self.split = root.cell_of
+        if (cells := _profile_split(self.adj, root.cells())) is None:
+            return None
+        split = _Cells.from_cells(len(self.adj), cells)
+        split.refine(self.adj, split.starts())
+        self.split = split.cell_of
+        return split
 
     def _add_block_cycle(self, cycle: list[list[int]]) -> None:
         image: dict[int, int] = {}
@@ -901,7 +898,7 @@ class _AutSearch:
             node, self.kept = self.kept[1], None
             return node
         node = parent.copy()
-        return None if node.refine(self.adj, [node.individualize(v)], self.first_traces[level]) is None else node
+        return None if node.refine(self.adj, [node.individualize(v)], self.first_traces[level - 1]) is None else node
 
     def _singleton_map(self, node: _Cells, level: int) -> dict[int, int] | None:
         """The candidate that node's singletons give, as the image of each

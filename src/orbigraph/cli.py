@@ -61,6 +61,8 @@ EXIT_DISCONNECTED = 3
 EXIT_RESOURCE = 4
 EXIT_VERIFY = 5
 
+VERTEX_CAP = 2000
+
 # Reference orbit distribution vectors with their published 4-decimal entropies.
 TABLE1_ROWS = (
     ((Fraction(17, 20), Fraction(2, 20), Fraction(1, 20)), 0.7476),
@@ -129,11 +131,11 @@ def _require_connected(graph: Graph, path: str) -> None:
         raise CliError(f"{path}: graph is disconnected", EXIT_DISCONNECTED)
 
 
-def _require_desk_scale(n: int, cap: int = 2000, name: str = "graph") -> None:
-    """Exit 4 above the vertex cap.  An input graph is checked on the n of
-    its header, before the parser builds its n adjacency rows."""
-    if n > cap:
-        raise CliError(f"{name} has {n} vertices, above the supported cap {cap}", EXIT_RESOURCE)
+def _require_desk_scale(n: int, name: str = "graph") -> None:
+    """Exit 4 above VERTEX_CAP.  An input graph is checked on the n of its
+    header, before the parser builds its n adjacency rows."""
+    if n > VERTEX_CAP:
+        raise CliError(f"{name} has {n} vertices, above the supported cap {VERTEX_CAP}", EXIT_RESOURCE)
 
 
 def _with_meta(payload: dict, meta: bool) -> dict:

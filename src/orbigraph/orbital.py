@@ -189,11 +189,11 @@ def orbitally_similar(g: Graph, h: Graph) -> SimilarityVerdict:
     When both automorphism searches ended at a single leaf (aut.single_leaf)
     and the graphs have one order, both groups are trivial, every orbit is
     one vertex and cell i of a divisor matrix is vertex i.  The one candidate
-    isomorphism maps the p-th vertex of h's leaf to the p-th of g's; if it
-    carries every row of h onto the row of its image in g, it is the only
-    witness, and h's matrix is the common one.  In every other case, a
-    failed check included, similar_divisors decides, so a leaf order that is
-    not canonical can cost time but never change the answer.
+    isomorphism maps the p-th vertex of h's leaf to the p-th of g's, as both
+    leaf orders are canonical; if it carries every row of h onto the row of
+    its image in g, it is the only witness and h's matrix is the common one,
+    and if not, the graphs are not similar.  Every other pair goes to
+    similar_divisors.
     """
     for graph in (g, h):
         if not is_connected(graph):
@@ -206,4 +206,5 @@ def orbitally_similar(g: Graph, h: Graph) -> SimilarityVerdict:
         rows, at = g.adjacency, witness.__getitem__
         if all(tuple(sorted(map(at, row))) == rows[v] for row, v in zip(h.adjacency, witness)):
             return SimilarityVerdict(similar=True, witness=tuple(witness), common_matrix=orbit_divisor_matrix(h))
+        return SimilarityVerdict(similar=False)
     return similar_divisors(orbit_divisor_matrix(g), orbit_divisor_matrix(h))

@@ -72,7 +72,7 @@ def frucht() -> Graph:
     return Graph.from_edges(12, [(i, (i + 1) % 12) for i in range(12)] + [(i, (i + s) % 12) for i, s in enumerate(lcf)])
 
 
-def cfi_graph(base_edges: Sequence[tuple[int, int]], twist: Sequence[int] = ()) -> Graph:
+def cfi_graph(base_edges: Sequence[tuple[int, int]], twist: Sequence[int] = (), by_gadget: bool = False) -> Graph:
     """The Cai-Fuerer-Immerman graph over a base graph given by its edges
     (Cai, Fuerer & Immerman, Combinatorica 12, 1992).
 
@@ -84,7 +84,9 @@ def cfi_graph(base_edges: Sequence[tuple[int, int]], twist: Sequence[int] = ()) 
     `twist`.  Over a connected base, graphs whose twists have the same
     parity are isomorphic and the two parities are not.  Vertices are
     numbered slot by slot: the j-th vertex of every base vertex, in base
-    vertex order, comes before the (j+1)-th of any.
+    vertex order, comes before the (j+1)-th of any; or, `by_gadget`, base
+    vertex by base vertex, so that over a cubic base on 0..k-1 the j-th
+    vertex of v is 10v + j.
     """
     incident: dict[int, list[int]] = {}
     for i, (u, v) in enumerate(base_edges):
@@ -102,7 +104,7 @@ def cfi_graph(base_edges: Sequence[tuple[int, int]], twist: Sequence[int] = ()) 
     for i, (u, v) in enumerate(base_edges):
         for side in (0, 1):
             edges.append(((u, end[u, i] + side), (v, end[v, i] + (side ^ (i in crossed)))))
-    slots = sorted({key for edge in edges for key in edge}, key=lambda key: (key[1], key[0]))
+    slots = sorted({key for edge in edges for key in edge}, key=None if by_gadget else lambda key: (key[1], key[0]))
     index = {key: i for i, key in enumerate(slots)}
     return Graph.from_edges(len(slots), [(index[a], index[b]) for a, b in edges])
 

@@ -559,6 +559,59 @@ def test_cfi_graph_root_is_split_before_the_first_path_descends(monkeypatch):
     assert counts[0] <= 450 and counts[1] <= 6000
 
 
+@pytest.mark.parametrize("seed, k", [(11, 30), (3, 30), (5, 40), (11, 50)])
+def test_cfi_search_cost_hardly_depends_on_the_numbering(monkeypatch, seed, k):
+    # Numbered gadget by gadget, the first root candidate is a middle vertex
+    # of the base vertex's own gadget: its first level agrees with the first
+    # path's, and it is refuted only after the deeper levels are searched.
+    # The root is then split for the root level alone, and nothing is
+    # searched again, so the refinement counts over the slot numbering, the
+    # gadget numbering and three relabellings stay within a factor of 1.5;
+    # restarting the search after the split made it 1.91-2.16.
+    counts = _count_refinements(monkeypatch)
+    edges = sorted(rigid_cubic(seed, k).edges)
+    graph = cfi_graph(edges)
+    made = []
+    for g in (graph, cfi_graph(edges, by_gadget=True), *(relabelled(graph, s) for s in range(3))):
+        counts[0] = 0
+        assert _uncached_group(g).order == 2 ** (k // 2 + 1)
+        made.append(counts[0])
+    assert max(made) <= 1.5 * min(made), made
+
+
+def test_generalized_petersen_corpus_searches_no_level_twice(monkeypatch):
+    # The 361 GP(n, k) with 3 <= n < 40.  The root cell of a non-transitive
+    # one holds two orbits, and its first root candidate may lie in the base
+    # vertex's orbit, so a root candidate is refuted only after the deeper
+    # levels are searched.  Splitting the root there prunes the root level
+    # and repeats nothing: 2,896 refinements, where restarting made 4,306.
+    _count_refinements(monkeypatch, bound=3200)
+    for n in range(3, 40):
+        for k in range(1, (n + 1) // 2):
+            _uncached_group(generalized_petersen(n, k))
+
+
+def _interleaved_double(graph: Graph) -> Graph:
+    """Two copies of graph, each without its first edge (a, b), joined by
+    a0-b1 and a1-b0, with vertex v of copy c numbered 2v + c."""
+    (a, b), *edges = sorted(graph.edges)
+    pairs = [(2 * u + c, 2 * v + c) for u, v in edges for c in (0, 1)]
+    return Graph.from_edges(2 * graph.n, [*pairs, (2 * a, 2 * b + 1), (2 * a + 1, 2 * b)])
+
+
+def test_a_refuted_root_candidate_prunes_the_rest_of_the_root_cell(monkeypatch):
+    # The swap of the two copies is the only automorphism but the identity.
+    # The first root candidate, vertex 1, is vertex 0's image under it, so
+    # the root is not split before the first path descends.  The next root
+    # candidate is refuted and splits the root, and every later one lies
+    # outside vertex 0's cell of the split root and is skipped: 5
+    # refinements, where refining each of them made about 300.
+    counts = _count_refinements(monkeypatch)
+    group = _uncached_group(_interleaved_double(rigid_cubic(11, 300)))
+    assert group.order == 2
+    assert counts[0] <= 10
+
+
 def test_isomorphism_of_a_cfi_pair_prunes_by_the_automorphisms_of_both(monkeypatch):
     # The CFI graphs over the Frucht graph with and without a twisted edge
     # (120 vertices each) are not isomorphic.  The search of their union

@@ -41,6 +41,7 @@ from orbigraph.graph_core import Graph
 from orbigraph.sequences import analyze_term
 from orbigraph.orbital import (
     DivisorMatrix,
+    SimilarityVerdict,
     _cell_digraphs,
     divisor_matrix,
     entropy_of,
@@ -352,6 +353,14 @@ class TestSingleLeafShortcut:
         g = rigid_cubic(3, 50)
         assert single_leaf(g) is not None
         assert orbitally_similar(g, relabelled(g, 3)).similar
+        assert isomorphism_calls[0] == 0
+
+    def test_a_failed_leaf_map_answers_dissimilar(self, isomorphism_calls):
+        # Both leaf orders are canonical, so any isomorphism would be the
+        # leaf map; when it fails, no search of the cell digraphs is needed.
+        g, h = rigid_cubic(0, 50), rigid_cubic(1, 50)
+        assert single_leaf(g) is not None and single_leaf(h) is not None
+        assert orbitally_similar(g, h) == SimilarityVerdict(similar=False)
         assert isomorphism_calls[0] == 0
 
     @pytest.mark.parametrize("pair", [(pendant_trees(), relabelled(pendant_trees(), 5)), (cycle(4), cycle(8))])
