@@ -24,35 +24,32 @@ process; run() is the process entry.
 
 from __future__ import annotations
 
+# Start-up (a comment, since the docstring above is the --help text).  A run
+# loads only the modules its command calls, since interpreter start-up is
+# most of a small run: this module imports no analysis module at load, and
+# each handler imports what it uses.  --version, --help and a usage error
+# load the package and this module, and so neither fractions nor decimal,
+# which graph_core's exact degree statistics bring in.  analyze loads
+# graph_core, aut, orbital, spectral and sequences; compare graph_core, aut
+# and orbital; generate graph_core and constructions; demo graph_core, aut
+# and orbital; sequence all six.  generate's family choices and sequence's
+# epilog are made only when that command is parsed or its help printed, and
+# main imports spectral to recognise a CertificateError only once an error
+# reaches it.
+
 import errno
 import os
 import re
 import sys
-from fractions import Fraction
 from itertools import chain, repeat
 from types import SimpleNamespace
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import __version__
-from .graph_core import (
-    Graph,
-    GraphFormatError,
-    _g6_decode_n,
-    frac_str,
-    is_connected,
-    parse_edge_list,
-    parse_graph6,
-    serialize_edge_list,
-    to_dot,
-    to_graph6,
-)
-from .orbital import DivisorMatrix, entropy_of, orbit_profile, orbitally_similar
-from .sequences import (
-    SequenceSpec, SequenceSpecError, analyze_term, describe_families, generate as generate_sequence,
-    preservation_report,
-)
-from .spectral import CertificateError
-from . import constructions as cons
+
+if TYPE_CHECKING:
+    from .graph_core import Graph
+    from .orbital import DivisorMatrix
 
 EXIT_OK = 0
 EXIT_DISSIMILAR = 1
@@ -62,18 +59,6 @@ EXIT_RESOURCE = 4
 EXIT_VERIFY = 5
 
 VERTEX_CAP = 2000
-
-# Reference orbit distribution vectors with their published 4-decimal entropies.
-TABLE1_ROWS = (
-    ((Fraction(17, 20), Fraction(2, 20), Fraction(1, 20)), 0.7476),
-    ((Fraction(5, 8), Fraction(2, 8), Fraction(1, 8)), 1.2988),
-    ((Fraction(2, 4), Fraction(1, 4), Fraction(1, 4)), 1.5000),
-    ((Fraction(2, 5), Fraction(2, 5), Fraction(1, 5)), 1.5219),
-    ((Fraction(2, 5), Fraction(2, 5), Fraction(1, 5)), 1.5219),
-    ((Fraction(8, 20), Fraction(8, 20), Fraction(4, 20)), 1.5219),
-    ((Fraction(2, 5), Fraction(2, 5), Fraction(1, 5)), 1.5219),
-    ((Fraction(4, 10), Fraction(4, 10), Fraction(2, 10)), 1.5219),
-)
 
 
 class CliError(Exception):
@@ -107,6 +92,8 @@ _LINE = re.compile(r"[^\n\r\v\f\x1c-\x1e]+")
 
 def _header_n(text: str, fmt: str) -> int:
     """The vertex count of a well-formed header, else 0: the parser reports a malformed one."""
+    from .graph_core import _g6_decode_n
+
     try:
         if fmt == "graph6":
             return _g6_decode_n(text.strip().removeprefix(">>graph6<<").strip())[0]
@@ -118,6 +105,8 @@ def _header_n(text: str, fmt: str) -> int:
 
 
 def _load_graph(path: str, fmt: str) -> Graph:
+    from .graph_core import GraphFormatError, parse_edge_list, parse_graph6
+
     text = _read_ascii(path)
     _require_desk_scale(_header_n(text, fmt))
     try:
@@ -127,6 +116,8 @@ def _load_graph(path: str, fmt: str) -> Graph:
 
 
 def _require_connected(graph: Graph, path: str) -> None:
+    from .graph_core import is_connected
+
     if not is_connected(graph):
         raise CliError(f"{path}: graph is disconnected", EXIT_DISCONNECTED)
 
@@ -163,8 +154,10 @@ def _write_json(obj, write) -> None:
     _pieces and go out in writes of at least _WRITE_SIZE characters, so a
     row of the matrix is never split over two writes.
     """
+    from .orbital import DivisorMatrix
+
     buf, size = [], 0
-    for piece in _pieces(obj, "\n"):
+    for piece in _pieces(obj, "\n", DivisorMatrix):
         buf.append(piece)
         size += len(piece)
         if size >= _WRITE_SIZE:
@@ -174,12 +167,13 @@ def _write_json(obj, write) -> None:
     write("".join(buf))
 
 
-def _pieces(obj, indent: str):
+def _pieces(obj, indent: str, matrix: type):
     """The text of obj at the nesting given by indent, in pieces: each key
     and scalar as _scalar writes it; a list of exact ints (bools excluded),
     a list of strings, or a list of nonempty lists of exact ints as one
-    piece; and a divisor matrix one row of entries per piece."""
-    if isinstance(obj, DivisorMatrix):
+    piece; and a divisor matrix, an instance of matrix, one row of entries
+    per piece."""
+    if isinstance(obj, matrix):
         yield from _matrix_pieces(obj, indent)
     elif isinstance(obj, dict):
         if not obj:
@@ -189,7 +183,7 @@ def _pieces(obj, indent: str):
         sep = "{" + inner
         for key, value in obj.items():
             yield sep + _string(key) + ": "
-            yield from _pieces(value, inner)
+            yield from _pieces(value, inner, matrix)
             sep = "," + inner
         yield indent + "}"
     elif isinstance(obj, (list, tuple)):
@@ -215,7 +209,7 @@ def _pieces(obj, indent: str):
         sep = "[" + inner
         for x in obj:
             yield sep
-            yield from _pieces(x, inner)
+            yield from _pieces(x, inner, matrix)
             sep = "," + inner
         yield indent + "]"
     else:
@@ -273,7 +267,7 @@ def _matrix_pieces(dm: DivisorMatrix, indent: str):
     else:
         yield "[]"
     yield "," + inner + '"sizes": '
-    yield from _pieces(dm.sizes, inner)
+    yield from _pieces(dm.sizes, inner, type(dm))
     yield indent + "}"
 
 
@@ -335,6 +329,9 @@ def _print_analysis_table(payload: dict) -> None:
 
 
 def cmd_analyze(args: SimpleNamespace) -> int:
+    from .graph_core import to_dot
+    from .sequences import analyze_term
+
     graph = _load_graph(args.path, args.format)
     _require_connected(graph, args.path)
     record = analyze_term(graph)
@@ -349,6 +346,8 @@ def cmd_analyze(args: SimpleNamespace) -> int:
 
 
 def cmd_compare(args: SimpleNamespace) -> int:
+    from .orbital import orbit_profile, orbitally_similar
+
     a = _load_graph(args.path_a, args.format)
     b = _load_graph(args.path_b, args.format)
     for graph, path in ((a, args.path_a), (b, args.path_b)):
@@ -384,6 +383,9 @@ def _family_params(args: SimpleNamespace) -> dict:
 
 
 def cmd_generate(args: SimpleNamespace) -> int:
+    from . import constructions as cons
+    from .graph_core import serialize_edge_list, to_graph6
+
     params = _family_params(args)
     try:
         # The member's order follows from its parameters: check the cap before building.
@@ -401,6 +403,8 @@ def cmd_generate(args: SimpleNamespace) -> int:
 
 
 def _print_sequence_table(report) -> None:
+    from .graph_core import frac_str
+
     header = f"{'k':>2}  {'|G|':>5}  {'size':>5}  {'omega':<24} {'Ent':>8}  {'rho':>8}  {'gamma':>8}  {'c':>4}"
     print(header)
     for k, t in enumerate(report.terms, start=1):
@@ -416,6 +420,8 @@ def _print_sequence_table(report) -> None:
 
 
 def cmd_sequence(args: SimpleNamespace) -> int:
+    from .sequences import SequenceSpec, SequenceSpecError, generate, preservation_report
+
     text = _read_ascii(args.specfile)
     try:
         # ValueError covers malformed JSON, a bad spec and an integer of more
@@ -429,7 +435,7 @@ def cmd_sequence(args: SimpleNamespace) -> int:
         # Each term's order follows from the spec: check the cap before building.
         for k in range(args.count):
             _require_desk_scale(spec.order(k), name=f"term {k}")
-        graphs = generate_sequence(spec, args.count)
+        graphs = generate(spec, args.count)
     except SequenceSpecError as exc:
         raise CliError(f"{args.specfile}: {exc}", EXIT_PARSE) from exc
     except RecursionError as exc:
@@ -450,10 +456,26 @@ def cmd_sequence(args: SimpleNamespace) -> int:
 
 
 def cmd_demo(args: SimpleNamespace) -> int:
+    from fractions import Fraction
+
+    from .graph_core import frac_str
+    from .orbital import entropy_of
+
     if args.name != "table1":
         raise CliError(f"unknown demo {args.name!r} (available: table1)", EXIT_PARSE)
+    # Reference orbit distribution vectors with their published 4-decimal entropies.
+    table1_rows = (
+        ((Fraction(17, 20), Fraction(2, 20), Fraction(1, 20)), 0.7476),
+        ((Fraction(5, 8), Fraction(2, 8), Fraction(1, 8)), 1.2988),
+        ((Fraction(2, 4), Fraction(1, 4), Fraction(1, 4)), 1.5000),
+        ((Fraction(2, 5), Fraction(2, 5), Fraction(1, 5)), 1.5219),
+        ((Fraction(2, 5), Fraction(2, 5), Fraction(1, 5)), 1.5219),
+        ((Fraction(8, 20), Fraction(8, 20), Fraction(4, 20)), 1.5219),
+        ((Fraction(2, 5), Fraction(2, 5), Fraction(1, 5)), 1.5219),
+        ((Fraction(4, 10), Fraction(4, 10), Fraction(2, 10)), 1.5219),
+    )
     print(f"{'row':>3}  {'omega':<22} {'computed':>9}  {'reference':>9}")
-    for i, (omega, expected) in enumerate(TABLE1_ROWS, start=1):
+    for i, (omega, expected) in enumerate(table1_rows, start=1):
         value = entropy_of(omega)
         vec = ",".join(frac_str(w) for w in omega)
         print(f"{i:>3}  {vec:<22} {value:>9.4f}  {expected:>9.4f}")
@@ -471,15 +493,33 @@ class _Arg(NamedTuple):
 
 
 class _Command(NamedTuple):
+    """A command's handler, its help line, its positionals in order, its
+    options and the epilog of its --help.  The positionals and the epilog
+    may be a function that makes them when the command is parsed or its help
+    printed: generate's family choices and sequence's epilog come from
+    modules that no other command loads."""
+
     handler: Callable[[SimpleNamespace], int]
     help: str
-    positionals: tuple[_Arg, ...]
+    positionals: tuple[_Arg, ...] | Callable[[], tuple[_Arg, ...]]
     options: tuple[_Arg, ...]
-    epilog: str = ""
+    epilog: str | Callable[[], str] = ""
+
+
+def _family_arg() -> tuple[_Arg, ...]:
+    from .constructions import family_names
+
+    families = family_names()
+    return (_Arg("family", families, help="one of: " + ", ".join(families)),)
+
+
+def _describe_families() -> str:
+    from .sequences import describe_families
+
+    return describe_families()
 
 
 _FORMAT = _Arg("format", ("edgelist", "graph6"), "edgelist")
-_FAMILIES = cons.family_names()
 _JSON = _Arg("json", bool, False)
 _META = _Arg("meta", bool, False, help="add provenance to JSON output")
 
@@ -490,16 +530,14 @@ COMMANDS = {
     )),
     "compare": _Command(cmd_compare, "decide orbital similarity of two graphs", (_Arg("path_a"), _Arg("path_b")),
                         (_FORMAT, _JSON, _META)),
-    "generate": _Command(cmd_generate, "build a named family member", (
-        _Arg("family", _FAMILIES, help="one of: " + ", ".join(_FAMILIES)),
-    ), (
+    "generate": _Command(cmd_generate, "build a named family member", _family_arg, (
         *(_Arg(key, int) for key in ("n", "p", "q", "m")),
         _Arg("dims", help="comma-separated cycle lengths, e.g. 3,4"),
         _Arg("out", help="write the graph here, not to stdout"),
         _FORMAT,
     )),
     "sequence": _Command(cmd_sequence, "generate and verify a self-similar sequence", (_Arg("specfile"),),
-                         (_Arg("count", int, 4, "the number of terms"), _JSON, _META), describe_families()),
+                         (_Arg("count", int, 4, "the number of terms"), _JSON, _META), _describe_families),
     "demo": _Command(cmd_demo, "built-in demonstrations", (_Arg("name"),), ()),
 }
 
@@ -512,10 +550,17 @@ def _flag(option: _Arg) -> str:
     return f"--{option.name} {value}"
 
 
+def _command(name: str) -> _Command:
+    """COMMANDS[name] with its positionals and epilog made."""
+    cmd = COMMANDS[name]
+    positionals, epilog = (part() if callable(part) else part for part in (cmd.positionals, cmd.epilog))
+    return cmd._replace(positionals=positionals, epilog=epilog)
+
+
 def _usage(command: str | None) -> str:
     if command is None:
         return "usage: orbigraph [-h] [--version] {" + ",".join(COMMANDS) + "} ..."
-    cmd = COMMANDS[command]
+    cmd = _command(command)
     words = [f"[{_flag(option)}]" for option in cmd.options] + [arg.name for arg in cmd.positionals]
     return " ".join(["usage: orbigraph", command, "[-h]", *words])
 
@@ -528,7 +573,7 @@ def _help(command: str | None) -> str:
         sections = [__doc__.strip(), "commands:", *((name, cmd.help) for name, cmd in COMMANDS.items()),
                     "options:", help_row, ("--version", "show the version and exit")]
     else:
-        cmd = COMMANDS[command]
+        cmd = _command(command)
         sections = [cmd.help, "positional arguments:", *((arg.name, arg.help) for arg in cmd.positionals),
                     "options:", help_row, *((_flag(option), option.help) for option in cmd.options)]
         sections += [cmd.epilog] * bool(cmd.epilog)
@@ -572,7 +617,7 @@ def _parse(argv: list[str]) -> tuple[_Command, SimpleNamespace]:
 def _arguments(command: str, args) -> SimpleNamespace:
     """The command's positionals and options, each option at its default
     unless given."""
-    cmd = COMMANDS[command]
+    cmd = _command(command)
     options = {f"--{option.name}": option for option in cmd.options}
     values = {option.name: option.default for option in cmd.options}
     words = []
@@ -627,12 +672,16 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except CertificateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except RuntimeError as exc:
+        from .spectral import CertificateError
+
+        if not isinstance(exc, CertificateError):
+            raise
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 class _ClosedStdout:

@@ -28,9 +28,9 @@ graph.
 from fractions import Fraction
 from functools import reduce
 from math import fsum, prod
+from types import ModuleType
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from . import constructions as cons
 from .aut import automorphism_group
 from .graph_core import Frozen, Graph, cyclomatic_number, degree_stats, density, edge_vertex_ratio, frac_str, is_connected
 from .orbital import DivisorMatrix, orbit_divisor_matrix, orbit_profile, similar_divisors
@@ -38,11 +38,8 @@ from .spectral import spectral_radius_adjacency
 
 FLOAT_TOL = 1e-9
 
-_DERIVED_OPS: dict[str, Callable[[Graph], Graph]] = {
-    "prism": cons.prism,
-    "strong-prism": cons.strong_prism,
-    "minimal-corona": cons.minimal_corona,
-}
+# Each derived op, by the name of its construction.
+_DERIVED_OPS = {"prism": "prism", "strong-prism": "strong_prism", "minimal-corona": "minimal_corona"}
 
 
 class SequenceSpecError(ValueError):
@@ -99,7 +96,9 @@ class SequenceSpec(Frozen):
 
     def term(self, k: int) -> Graph:
         """Term k (from 0), building only the base terms it uses."""
-        return _FAMILIES[self.family].term(self, k)
+        from . import constructions  # here, not at load: analyze builds no term
+
+        return _FAMILIES[self.family].term(constructions, self, k)
 
     def order(self, k: int) -> int:
         """The number of vertices of term k, from the spec alone."""
@@ -113,11 +112,12 @@ def _require(condition: bool, message: str) -> None:
 
 class _Family(NamedTuple):
     """One row of the family table: the integer parameters with their
-    minimums, term k and its order, the one non-integer parameter other with
-    a check of what the minimums do not say, and whether a base is taken."""
+    minimums, term k built from the constructions module and its order, the
+    one non-integer parameter other with a check of what the minimums do not
+    say, and whether a base is taken."""
 
     ints: Mapping[str, int]
-    term: Callable[[SequenceSpec, int], Graph]
+    term: Callable[[ModuleType, SequenceSpec, int], Graph]
     order: Callable[[SequenceSpec, int], int]
     other: str | None = None
     check: Callable[[dict], None] | None = None
@@ -159,58 +159,59 @@ def _check_indices(params: dict) -> None:
     )
 
 
-def _indexed(build: Callable[[int], Graph], factor: int, low: int = 3, step: int = 1, **row) -> _Family:
-    """A family whose term k is build(n), n = start + step * k, with factor * n vertices."""
+def _indexed(build: str, factor: int, low: int = 3, step: int = 1, **row) -> _Family:
+    """A family whose term k is the construction build of n, n = start + step * k,
+    with factor * n vertices."""
     return _Family(
         {"start": low},
-        lambda s, k: build(s.params["start"] + step * k),
+        lambda cons, s, k: getattr(cons, build)(s.params["start"] + step * k),
         lambda s, k: factor * (s.params["start"] + step * k),
         **row,
     )
 
 
 _FAMILIES: dict[str, _Family] = {
-    "cycles": _indexed(cons.cycle, 1),
-    "circular-ladders": _indexed(cons.circular_ladder, 2),
-    "moebius-ladders": _indexed(cons.moebius_ladder, 2),
+    "cycles": _indexed("cycle", 1),
+    "circular-ladders": _indexed("circular_ladder", 2),
+    "moebius-ladders": _indexed("moebius_ladder", 2),
     "crossed-prisms": _indexed(
-        cons.crossed_prism, 2, low=4, step=2,
+        "crossed_prism", 2, low=4, step=2,
         check=lambda p: _require(p["start"] % 2 == 0, "crossed-prisms start must be even"),
     ),
-    "antiprisms": _indexed(cons.antiprism, 2),
+    "antiprisms": _indexed("antiprism", 2),
     # Never self-similar: the divisor matrix of K_n is [n - 1], which differs
     # from term to term; kept as a sequence that must fail verification.
-    "complete-graphs": _indexed(cons.complete, 1),
+    "complete-graphs": _indexed("complete", 1),
     "torus-fixed": _Family(
         {"start": 3, "m": 3},
-        lambda s, k: cons.torus((s.params["start"] + k, s.params["m"])),
+        lambda cons, s, k: cons.torus((s.params["start"] + k, s.params["m"])),
         lambda s, k: (s.params["start"] + k) * s.params["m"],
     ),
     "torus-schedule": _Family(
-        {}, lambda s, k: cons.torus(_dims(_entry(s, k))), lambda s, k: prod(_dims(_entry(s, k))),
+        {}, lambda cons, s, k: cons.torus(_dims(_entry(s, k))), lambda s, k: prod(_dims(_entry(s, k))),
         other="schedule", check=_check_schedule,
     ),
     "loaded-multi-torus": _Family(
         {"q": 1, "m": 1, "r": 1},
-        lambda s, k: cons.loaded_torus(_dims(_entry(s, k)), s.params["q"], s.params["m"]),
+        lambda cons, s, k: cons.loaded_torus(_dims(_entry(s, k)), s.params["q"], s.params["m"]),
         lambda s, k: prod(_dims(_entry(s, k))) * (1 + s.params["q"] * s.params["m"]),
         other="schedule", check=_check_schedule,
     ),
     "generalized-sun": _Family(
         {"start": 3, "p": 1, "q": 1},
-        lambda s, k: cons.cycle_with_cliques(s.params["start"] + k, s.params["p"], s.params["q"]),
+        lambda cons, s, k: cons.cycle_with_cliques(s.params["start"] + k, s.params["p"], s.params["q"]),
         lambda s, k: (s.params["start"] + k) * (1 + s.params["q"] * (s.params["p"] - 1)),
     ),
     "corona-family": _Family(
         {"p": 1, "q": 1},
-        lambda s, k: cons.corona(s.base.term(k), cons.disjoint_cliques(s.params["q"], s.params["p"])),
+        lambda cons, s, k: cons.corona(s.base.term(k), cons.disjoint_cliques(s.params["q"], s.params["p"])),
         lambda s, k: s.base.order(k) * (1 + s.params["p"] * s.params["q"]),
         base=True,
     ),
     # r is at most 64: more doublings name no graph that could be built.
     "iterated-prism": _Family(
         {"r": 0},
-        lambda s, k: reduce(lambda g, _: cons.prism(g), range(s.params["r"]), s.base.term(k)),
+        lambda cons, s, k: reduce(lambda g, _: cons.prism(g), range(s.params["r"]), s.base.term(k)),
         lambda s, k: s.base.order(k) << s.params["r"],
         check=lambda p: _require(p["r"] <= 64, "iterated-prism: r must be at most 64"),
         base=True,
@@ -218,7 +219,7 @@ _FAMILIES: dict[str, _Family] = {
     # Every derived op doubles the order.
     "derived": _Family(
         {},
-        lambda s, k: _DERIVED_OPS[s.params["op"]](s.base.term(k)),
+        lambda cons, s, k: getattr(cons, _DERIVED_OPS[s.params["op"]])(s.base.term(k)),
         lambda s, k: 2 * s.base.order(k),
         other="op",
         check=lambda p: _require(
@@ -228,7 +229,7 @@ _FAMILIES: dict[str, _Family] = {
         base=True,
     ),
     "subsequence": _Family(
-        {}, lambda s, k: s.base.term(_entry(s, k)), lambda s, k: s.base.order(_entry(s, k)),
+        {}, lambda cons, s, k: s.base.term(_entry(s, k)), lambda s, k: s.base.order(_entry(s, k)),
         other="indices", check=_check_indices, base=True,
     ),
 }

@@ -3,19 +3,36 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
+from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import hypothesis.strategies as st
 
+import orbigraph
 from orbigraph.aut import AutGroup, Partition, _UnionFind, automorphism_group, orbit_partition
 from orbigraph.cli import _write_json
 from orbigraph.graph_core import Graph, is_connected
 from orbigraph.orbital import DivisorMatrix, divisor_matrix
+
+
+def child_env() -> dict:
+    """The environment of a child Python that imports these sources."""
+    src = str(Path(orbigraph.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def run_child(code: str, *args: str, flags: tuple[str, ...] = ()) -> subprocess.CompletedProcess:
+    """A fresh Python running code with args as sys.argv[1:], text output captured."""
+    argv = [sys.executable, *flags, "-c", code, *args]
+    return subprocess.run(argv, env=child_env(), capture_output=True, text=True, timeout=120)
 
 
 def tied_star() -> Graph:

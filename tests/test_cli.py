@@ -7,13 +7,12 @@ import sys
 import tracemalloc
 from datetime import datetime, timedelta
 from decimal import Decimal
-from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import dense, rigid_cubic, tied_star, written
+from helpers import child_env, dense, rigid_cubic, run_child, tied_star, written
 from orbigraph import __version__
 from orbigraph import constructions as cons
 from orbigraph import spectral
@@ -34,12 +33,9 @@ from orbigraph.graph_core import Graph, serialize_edge_list, to_graph6
 from orbigraph.orbital import DivisorMatrix
 
 
-@pytest.mark.parametrize("work", [10**9, -1], ids=["pure-python", "lapack"])
-def test_certificate_failure_exits_with_resource_code(work, tmp_path, monkeypatch, capsys):
-    # ENVELOPE_WORK sends the solve through the envelope kernel, then through
-    # LAPACK, so the perturbed eigenvalue reaches the certificate through both.
-    graph_file = tmp_path / "path.edges"
-    graph_file.write_text(serialize_edge_list(path(42)), encoding="ascii")
+def _perturb_the_eigenvalue(monkeypatch, work: int) -> None:
+    """Every divisor solve reports rho 1e-6 too large, through the envelope
+    kernel or through LAPACK as ENVELOPE_WORK chooses."""
     monkeypatch.setattr(spectral, "ENVELOPE_WORK", work)
     solve = spectral._top_eigenpair
 
@@ -48,7 +44,27 @@ def test_certificate_failure_exits_with_resource_code(work, tmp_path, monkeypatc
         return rho * (1 + 1e-6), u, kernel
 
     monkeypatch.setattr(spectral, "_top_eigenpair", perturbed)
+
+
+@pytest.mark.parametrize("work", [10**9, -1], ids=["pure-python", "lapack"])
+def test_certificate_failure_exits_with_resource_code(work, tmp_path, monkeypatch, capsys):
+    # ENVELOPE_WORK sends the solve through the envelope kernel, then through
+    # LAPACK, so the perturbed eigenvalue reaches the certificate through both.
+    graph_file = tmp_path / "path.edges"
+    graph_file.write_text(serialize_edge_list(path(42)), encoding="ascii")
+    _perturb_the_eigenvalue(monkeypatch, work)
     assert main(["analyze", "--json", str(graph_file)]) == EXIT_RESOURCE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: Collatz-Wielandt bracket")
+
+
+@pytest.mark.parametrize("work", [10**9, -1], ids=["pure-python", "lapack"])
+def test_sequence_certificate_failure_exits_with_resource_code(work, tmp_path, monkeypatch, capsys):
+    # The suns are not regular, so every term's divisor matrix is solved.
+    spec = _spec(tmp_path, {"family": "generalized-sun", "p": 3, "q": 2, "start": 5})
+    _perturb_the_eigenvalue(monkeypatch, work)
+    assert main(["sequence", "--json", "--count", "2", spec]) == EXIT_RESOURCE
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: Collatz-Wielandt bracket")
@@ -267,17 +283,6 @@ def test_sequences_below_the_cap_verify(spec, tmp_path, capsys):
     assert "self-similar: True" in capsys.readouterr().out
 
 
-def _child_env() -> dict:
-    """The environment of a child Python that imports these sources."""
-    src = str(Path(spectral.__file__).resolve().parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
-
-
-def _run_child(code: str, *args: str, flags: tuple[str, ...] = ()) -> subprocess.CompletedProcess:
-    argv = [sys.executable, *flags, "-c", code, *args]
-    return subprocess.run(argv, env=_child_env(), capture_output=True, text=True, timeout=120)
-
-
 _CHILD = """
 import sys
 from orbigraph import cli
@@ -309,9 +314,47 @@ def test_version_analyze_and_compare_import_no_argparse_gettext_json_textwrap_da
 ):
     # Under -S, since a site hook may import some of these before the CLI does.
     c6, c12 = _write(tmp_path, "c6", cycle(6)), _write(tmp_path, "c12", cycle(12))
-    child = _run_child(_START_UP, f"analyze|--json|{c6}", f"compare|--json|{c6}|{c12}", flags=("-S",))
+    child = run_child(_START_UP, f"analyze|--json|{c6}", f"compare|--json|{c6}|{c12}", flags=("-S",))
     assert child.returncode == 0, child.stderr
     assert child.stdout.splitlines()[-1] == "[0, 0] []"
+
+
+_LOADED = """
+import sys
+from orbigraph import cli
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(code, *sorted(m for m in sys.modules if m.startswith("orbigraph.") or m in ("fractions", "decimal")))
+"""
+
+_ANALYSIS = {f"orbigraph.{m}" for m in ("graph_core", "aut", "orbital", "spectral", "sequences", "constructions")}
+
+
+@pytest.mark.parametrize(
+    "argv, code, unloaded",
+    [
+        (["--version"], EXIT_OK, {*_ANALYSIS, "fractions", "decimal"}),
+        (["--help"], EXIT_OK, {*_ANALYSIS, "fractions", "decimal"}),
+        (["analyze"], EXIT_PARSE, {*_ANALYSIS, "fractions", "decimal"}),
+        (["compare", "--json", "c6", "c12"], EXIT_OK,
+         {"orbigraph.spectral", "orbigraph.sequences", "orbigraph.constructions"}),
+        (["generate", "cycle", "--n", "6"], EXIT_OK,
+         {"orbigraph.aut", "orbigraph.orbital", "orbigraph.spectral", "orbigraph.sequences"}),
+        (["analyze", "--json", "c6"], EXIT_OK, {"orbigraph.constructions"}),
+    ],
+    ids=["version", "help", "usage-error", "compare", "generate", "analyze"],
+)
+def test_a_command_loads_only_the_modules_it_runs(argv, code, unloaded, tmp_path):
+    # A fresh child under -S for each command: a module loaded by an earlier
+    # command, or by a site hook, would hide one this command loads.
+    files = {"c6": _write(tmp_path, "c6", cycle(6)), "c12": _write(tmp_path, "c12", cycle(12))}
+    child = run_child(_LOADED, *(files.get(arg, arg) for arg in argv), flags=("-S",))
+    assert child.returncode == 0, child.stderr
+    exit_code, *loaded = child.stdout.splitlines()[-1].split()
+    assert int(exit_code) == code
+    assert "orbigraph.cli" in loaded and not unloaded & set(loaded)
 
 
 def _meta_runs(tmp_path):
@@ -339,7 +382,7 @@ def test_cli_on_small_quotients_imports_no_numpy(tmp_path):
     sun = _write(tmp_path, "sun", cycle_with_cliques(10, 3, 2))
     out = str(tmp_path / "t.edges")
     argvs = [f"compare|{c4}|{c8}", f"analyze|--json|{sun}", f"generate|torus|--dims|3,4|--out|{out}", "demo|table1"]
-    child = _run_child(_CHILD, *argvs)
+    child = run_child(_CHILD, *argvs)
     assert child.returncode == 0, child.stderr
     assert child.stdout.splitlines()[-1] == "[0, 0, 0, 0] False"
 
@@ -349,7 +392,7 @@ def test_cli_on_path_like_graphs_imports_no_numpy(tmp_path):
     # quotients of 75 to 1000 cells, all solved by the envelope kernel.
     graphs = [path(300), path(400), prism(path(150)), cartesian_product(path(5), path(80)), path(2000)]
     files = [_write(tmp_path, f"g{i}", graph) for i, graph in enumerate(graphs)]
-    child = _run_child(_CHILD, *(f"analyze|--json|{f}" for f in files))
+    child = run_child(_CHILD, *(f"analyze|--json|{f}" for f in files))
     assert child.returncode == 0, child.stderr
     assert child.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] False"
 
@@ -362,7 +405,7 @@ def test_cli_above_the_envelope_threshold_imports_numpy(tmp_path):
     u, v = min(cubic.edges)
     subdivided = Graph.from_edges(151, [*(cubic.edges - {(u, v)}), (u, 150), (v, 150)])
     graph = _write(tmp_path, "subdivided", subdivided)
-    child = _run_child(_CHILD, f"analyze|--json|{graph}")
+    child = run_child(_CHILD, f"analyze|--json|{graph}")
     assert child.returncode == 0, child.stderr
     assert child.stdout.splitlines()[-1] == "[0] True"
 
@@ -372,7 +415,7 @@ def test_cli_on_regular_graphs_imports_no_numpy(tmp_path):
     # above ENVELOPE_WORK, but every row sum of their divisor matrix is 3.
     graphs = [rigid_cubic(5, 150), rigid_cubic(6, 300), rigid_cubic(7, 500)]
     files = [_write(tmp_path, f"cubic{i}", graph) for i, graph in enumerate(graphs)]
-    child = _run_child(_CHILD, *(f"analyze|--json|{f}" for f in files))
+    child = run_child(_CHILD, *(f"analyze|--json|{f}" for f in files))
     assert child.returncode == 0, child.stderr
     assert child.stdout.splitlines()[-1] == "[0, 0, 0] False"
 
@@ -572,21 +615,21 @@ def _cli(*args: str, env: dict | None = None, **kwargs) -> subprocess.CompletedP
     """One run of `python -m orbigraph.cli`, stdout and stderr as bytes unless redirected."""
     argv = [sys.executable, "-m", "orbigraph.cli", *args]
     kwargs.setdefault("stdout", subprocess.PIPE)
-    return subprocess.run(argv, env=env or _child_env(), stderr=subprocess.PIPE, timeout=120, **kwargs)
+    return subprocess.run(argv, env=env or child_env(), stderr=subprocess.PIPE, timeout=120, **kwargs)
 
 
 def test_closed_stdout_is_an_error_line_and_exit_two(tmp_path):
     # path(1500)'s JSON is megabytes, far more than a pipe holds, so the
     # child is still writing when the reader closes its end.
     argv = [sys.executable, "-m", "orbigraph.cli", "analyze", "--json", _write(tmp_path, "p1500", path(1500))]
-    with subprocess.Popen(argv, env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+    with subprocess.Popen(argv, env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
         assert child.stdout.read(10) == b'{\n  "order'
         child.stdout.close()
         errors = [(child.stderr.read().decode(), child.wait(timeout=120))]
     p6 = _write(tmp_path, "p6", path(6))
     # A buffered stdout fails at the last flush, an unbuffered one at the write.
     for unbuffered in ("", "1"):
-        env = dict(_child_env(), PYTHONUNBUFFERED=unbuffered)
+        env = dict(child_env(), PYTHONUNBUFFERED=unbuffered)
         read, write = os.pipe()
         os.close(read)
         try:
@@ -654,7 +697,7 @@ runpy.run_module("orbigraph.cli", run_name="__main__")
 
 def test_a_cli_process_runs_no_atexit_handler():
     for args in (["--version"], ["demo", "table1"]):
-        child = _run_child(_AT_EXIT, *args)
+        child = run_child(_AT_EXIT, *args)
         assert child.returncode == EXIT_OK, child.stderr
         assert child.stdout.startswith(("orbigraph", "row")) and "atexit ran" not in child.stdout
 
@@ -673,7 +716,7 @@ cli.run()
 
 
 def test_an_unexpected_exception_ends_in_its_traceback_and_exit_one():
-    child = _run_child(_RAISING)
+    child = run_child(_RAISING)
     assert child.returncode == 1
     assert child.stderr.startswith("Traceback") and child.stderr.endswith("RuntimeError: a bug\n")
 

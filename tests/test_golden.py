@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from helpers import pendant_trees, relabelled, rigid_cubic, spider, tied_star
-from orbigraph.cli import EXIT_DISSIMILAR, EXIT_OK, main
+from orbigraph.cli import EXIT_DISSIMILAR, EXIT_OK, EXIT_PARSE, main
 from orbigraph.constructions import complete, cycle, path
 from orbigraph.graph_core import serialize_edge_list
 
@@ -79,3 +79,33 @@ def test_dot_file_matches_golden(tmp_path, capsys):
     assert main(["analyze", "--dot", str(dot), files["p5"]]) == EXIT_OK
     assert capsys.readouterr().out == (GOLDEN / "analyze_p5.txt").read_text(encoding="ascii")
     assert dot.read_text(encoding="ascii") == (GOLDEN / "analyze_p5.dot").read_text(encoding="ascii")
+
+
+# expected file -> argv of a help request, which prints to stdout and exits 0
+HELP = {
+    "help.txt": ["--help"],
+    "help_analyze.txt": ["analyze", "--help"],
+    "help_generate.txt": ["generate", "--help"],
+    # its epilog is describe_families()
+    "help_sequence.txt": ["sequence", "--help"],
+}
+
+
+@pytest.mark.parametrize("expected", sorted(HELP))
+def test_help_matches_golden(expected, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(HELP[expected])
+    assert exc.value.code == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == (GOLDEN / expected).read_text(encoding="ascii")
+
+
+def test_usage_error_matches_golden(capsys):
+    # The family choices in the error line come from constructions.family_names().
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "nosuch"])
+    assert exc.value.code == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (GOLDEN / "usage_generate_nosuch.txt").read_text(encoding="ascii")
