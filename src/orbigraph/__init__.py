@@ -22,10 +22,10 @@ _EXPORTS = {
         "DivisorMatrix", "OrbitProfile", "SimilarityVerdict", "divisor_matrix", "entropy_of", "orbit_divisor_matrix",
         "orbit_profile", "orbitally_similar", "similar_divisors",
     ),
-    "spectral": ("PerronData", "spectral_radius_adjacency", "spectral_radius_divisor"),
+    "spectral": ("PerronData", "TermRecord", "analyze_term", "spectral_radius_adjacency", "spectral_radius_divisor"),
     "sequences": (
-        "SequenceReport", "SequenceSpec", "SequenceSpecError", "SelfSimilarityVerdict", "TermRecord", "analyze_term",
-        "generate", "preservation_report", "verify_self_similar",
+        "SequenceReport", "SequenceSpec", "SequenceSpecError", "SelfSimilarityVerdict", "generate",
+        "preservation_report", "verify_self_similar",
     ),
     "constructions": (),
 }

@@ -30,9 +30,9 @@ from __future__ import annotations
 # each handler imports what it uses.  --version, --help and a usage error
 # load the package and this module, and so neither fractions nor decimal,
 # which graph_core's exact degree statistics bring in.  analyze loads
-# graph_core, aut, orbital, spectral and sequences; compare graph_core, aut
-# and orbital; generate graph_core and constructions; demo graph_core, aut
-# and orbital; sequence all six.  generate's family choices and sequence's
+# graph_core, aut, orbital and spectral; compare graph_core, aut and
+# orbital; generate graph_core and constructions; demo graph_core, aut and
+# orbital; sequence all six.  generate's family choices and sequence's
 # epilog are made only when that command is parsed or its help printed, and
 # main imports spectral to recognise a CertificateError only once an error
 # reaches it.
@@ -330,7 +330,7 @@ def _print_analysis_table(payload: dict) -> None:
 
 def cmd_analyze(args: SimpleNamespace) -> int:
     from .graph_core import to_dot
-    from .sequences import analyze_term
+    from .spectral import analyze_term
 
     graph = _load_graph(args.path, args.format)
     _require_connected(graph, args.path)

@@ -19,27 +19,28 @@ similarity is supposed to carry along a sequence: entropy, spectral radius
 (and that each reported divisor matrix has it as its Perron root), degree
 extremes, average and variance, principal ratio, edge-vertex ratio, the
 strict decay of the density index, and the cyclomatic trichotomy.
-
-analyze_term is the one per-graph analysis: every sequence term carries
-its record, and the CLI's analyze command reports the same record for one
-graph.
+Each term's record is spectral.analyze_term, the one per-graph analysis.
 """
 
+import json
 from fractions import Fraction
 from functools import reduce
 from math import fsum, prod
-from types import ModuleType
+from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .aut import automorphism_group
-from .graph_core import Frozen, Graph, cyclomatic_number, degree_stats, density, edge_vertex_ratio, frac_str, is_connected
-from .orbital import DivisorMatrix, orbit_divisor_matrix, orbit_profile, similar_divisors
-from .spectral import spectral_radius_adjacency
+from . import constructions as cons
+from .graph_core import Frozen, Graph, is_connected
+from .orbital import DivisorMatrix, orbit_divisor_matrix, similar_divisors
+from .spectral import TermRecord, analyze_term
 
 FLOAT_TOL = 1e-9
 
-# Each derived op, by the name of its construction.
-_DERIVED_OPS = {"prism": "prism", "strong-prism": "strong_prism", "minimal-corona": "minimal_corona"}
+_DERIVED_OPS: dict[str, Callable[[Graph], Graph]] = {
+    "prism": cons.prism,
+    "strong-prism": cons.strong_prism,
+    "minimal-corona": cons.minimal_corona,
+}
 
 
 class SequenceSpecError(ValueError):
@@ -50,12 +51,14 @@ class SequenceSpec(Frozen):
     """A named self-similar family with parameters, possibly built on a base spec.
 
     Checked once, when it is made, against its family's row; an omitted
-    start is filled in with its minimum.  term(k) and order(k) trust it.
+    start is filled in with its minimum.  term(k) and order(k) trust it, so
+    params is kept read-only, every list in it a tuple, and the spec is
+    hashable.
     """
 
     __slots__ = _fields = ("family", "params", "base")
     family: str
-    params: dict
+    params: Mapping
     base: "SequenceSpec | None"
 
     def __init__(self, family: str, params: dict | None = None, base: "SequenceSpec | None" = None) -> None:
@@ -77,8 +80,16 @@ class SequenceSpec(Frozen):
         if row.check is not None:
             row.check(params)
         object.__setattr__(self, "family", family)
-        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "params", MappingProxyType({k: _frozen(v) for k, v in params.items()}))
         object.__setattr__(self, "base", base)
+
+    # A read-only mapping is neither hashable nor picklable: hash its items,
+    # and rebuild from a dict.
+    def __hash__(self) -> int:
+        return hash((self.family, frozenset(self.params.items()), self.base))
+
+    def __reduce__(self):
+        return SequenceSpec, (self.family, dict(self.params), self.base)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "SequenceSpec":
@@ -90,15 +101,11 @@ class SequenceSpec(Frozen):
 
     @classmethod
     def loads(cls, text: str) -> "SequenceSpec":
-        import json  # only here: no other run of the CLI reads JSON
-
         return cls.from_dict(json.loads(text))
 
     def term(self, k: int) -> Graph:
         """Term k (from 0), building only the base terms it uses."""
-        from . import constructions  # here, not at load: analyze builds no term
-
-        return _FAMILIES[self.family].term(constructions, self, k)
+        return _FAMILIES[self.family].term(self, k)
 
     def order(self, k: int) -> int:
         """The number of vertices of term k, from the spec alone."""
@@ -110,14 +117,18 @@ def _require(condition: bool, message: str) -> None:
         raise SequenceSpecError(message)
 
 
+def _frozen(value):
+    """value with every list in it, at any depth, as a tuple."""
+    return tuple(map(_frozen, value)) if isinstance(value, (list, tuple)) else value
+
+
 class _Family(NamedTuple):
     """One row of the family table: the integer parameters with their
-    minimums, term k built from the constructions module and its order, the
-    one non-integer parameter other with a check of what the minimums do not
-    say, and whether a base is taken."""
+    minimums, term k and its order, the one non-integer parameter other with
+    a check of what the minimums do not say, and whether a base is taken."""
 
     ints: Mapping[str, int]
-    term: Callable[[ModuleType, SequenceSpec, int], Graph]
+    term: Callable[[SequenceSpec, int], Graph]
     order: Callable[[SequenceSpec, int], int]
     other: str | None = None
     check: Callable[[dict], None] | None = None
@@ -159,59 +170,58 @@ def _check_indices(params: dict) -> None:
     )
 
 
-def _indexed(build: str, factor: int, low: int = 3, step: int = 1, **row) -> _Family:
-    """A family whose term k is the construction build of n, n = start + step * k,
-    with factor * n vertices."""
+def _indexed(build: Callable[[int], Graph], factor: int, low: int = 3, step: int = 1, **row) -> _Family:
+    """A family whose term k is build(n), n = start + step * k, with factor * n vertices."""
     return _Family(
         {"start": low},
-        lambda cons, s, k: getattr(cons, build)(s.params["start"] + step * k),
+        lambda s, k: build(s.params["start"] + step * k),
         lambda s, k: factor * (s.params["start"] + step * k),
         **row,
     )
 
 
 _FAMILIES: dict[str, _Family] = {
-    "cycles": _indexed("cycle", 1),
-    "circular-ladders": _indexed("circular_ladder", 2),
-    "moebius-ladders": _indexed("moebius_ladder", 2),
+    "cycles": _indexed(cons.cycle, 1),
+    "circular-ladders": _indexed(cons.circular_ladder, 2),
+    "moebius-ladders": _indexed(cons.moebius_ladder, 2),
     "crossed-prisms": _indexed(
-        "crossed_prism", 2, low=4, step=2,
+        cons.crossed_prism, 2, low=4, step=2,
         check=lambda p: _require(p["start"] % 2 == 0, "crossed-prisms start must be even"),
     ),
-    "antiprisms": _indexed("antiprism", 2),
+    "antiprisms": _indexed(cons.antiprism, 2),
     # Never self-similar: the divisor matrix of K_n is [n - 1], which differs
     # from term to term; kept as a sequence that must fail verification.
-    "complete-graphs": _indexed("complete", 1),
+    "complete-graphs": _indexed(cons.complete, 1),
     "torus-fixed": _Family(
         {"start": 3, "m": 3},
-        lambda cons, s, k: cons.torus((s.params["start"] + k, s.params["m"])),
+        lambda s, k: cons.torus((s.params["start"] + k, s.params["m"])),
         lambda s, k: (s.params["start"] + k) * s.params["m"],
     ),
     "torus-schedule": _Family(
-        {}, lambda cons, s, k: cons.torus(_dims(_entry(s, k))), lambda s, k: prod(_dims(_entry(s, k))),
+        {}, lambda s, k: cons.torus(_dims(_entry(s, k))), lambda s, k: prod(_dims(_entry(s, k))),
         other="schedule", check=_check_schedule,
     ),
     "loaded-multi-torus": _Family(
         {"q": 1, "m": 1, "r": 1},
-        lambda cons, s, k: cons.loaded_torus(_dims(_entry(s, k)), s.params["q"], s.params["m"]),
+        lambda s, k: cons.loaded_torus(_dims(_entry(s, k)), s.params["q"], s.params["m"]),
         lambda s, k: prod(_dims(_entry(s, k))) * (1 + s.params["q"] * s.params["m"]),
         other="schedule", check=_check_schedule,
     ),
     "generalized-sun": _Family(
         {"start": 3, "p": 1, "q": 1},
-        lambda cons, s, k: cons.cycle_with_cliques(s.params["start"] + k, s.params["p"], s.params["q"]),
+        lambda s, k: cons.cycle_with_cliques(s.params["start"] + k, s.params["p"], s.params["q"]),
         lambda s, k: (s.params["start"] + k) * (1 + s.params["q"] * (s.params["p"] - 1)),
     ),
     "corona-family": _Family(
         {"p": 1, "q": 1},
-        lambda cons, s, k: cons.corona(s.base.term(k), cons.disjoint_cliques(s.params["q"], s.params["p"])),
+        lambda s, k: cons.corona(s.base.term(k), cons.disjoint_cliques(s.params["q"], s.params["p"])),
         lambda s, k: s.base.order(k) * (1 + s.params["p"] * s.params["q"]),
         base=True,
     ),
     # r is at most 64: more doublings name no graph that could be built.
     "iterated-prism": _Family(
         {"r": 0},
-        lambda cons, s, k: reduce(lambda g, _: cons.prism(g), range(s.params["r"]), s.base.term(k)),
+        lambda s, k: reduce(lambda g, _: cons.prism(g), range(s.params["r"]), s.base.term(k)),
         lambda s, k: s.base.order(k) << s.params["r"],
         check=lambda p: _require(p["r"] <= 64, "iterated-prism: r must be at most 64"),
         base=True,
@@ -219,7 +229,7 @@ _FAMILIES: dict[str, _Family] = {
     # Every derived op doubles the order.
     "derived": _Family(
         {},
-        lambda cons, s, k: getattr(cons, _DERIVED_OPS[s.params["op"]])(s.base.term(k)),
+        lambda s, k: _DERIVED_OPS[s.params["op"]](s.base.term(k)),
         lambda s, k: 2 * s.base.order(k),
         other="op",
         check=lambda p: _require(
@@ -229,7 +239,7 @@ _FAMILIES: dict[str, _Family] = {
         base=True,
     ),
     "subsequence": _Family(
-        {}, lambda cons, s, k: s.base.term(_entry(s, k)), lambda s, k: s.base.order(_entry(s, k)),
+        {}, lambda s, k: s.base.term(_entry(s, k)), lambda s, k: s.base.order(_entry(s, k)),
         other="indices", check=_check_indices, base=True,
     ),
 }
@@ -311,57 +321,6 @@ def verify_self_similar(graphs: Sequence[Graph]) -> SelfSimilarityVerdict:
     return _verdict([g.n for g in graphs], [orbit_divisor_matrix(g) for g in graphs])
 
 
-class TermRecord(NamedTuple):
-    """All per-graph quantities of one connected graph.
-
-    density is None below two vertices, where it is undefined.  orbit_values
-    is the Perron vector of divisor on the cells, as certified on the graph;
-    it is not reported.
-    """
-
-    order: int
-    size: int
-    orbits: tuple[tuple[int, ...], ...]
-    group_order: int
-    divisor: DivisorMatrix
-    omega: tuple[Fraction, ...]
-    entropy: float
-    rho_adjacency: float
-    rho_divisor: float
-    principal_ratio: float
-    min_degree: int
-    max_degree: int
-    average_degree: Fraction
-    degree_variance: Fraction
-    edge_vertex_ratio: Fraction
-    density: Fraction | None
-    cyclomatic_number: int
-    orbit_values: tuple[float, ...]
-
-    def as_dict(self) -> dict:
-        """The analyze report: every field, fractions as "p/q", and the
-        divisor matrix itself, which the CLI's JSON writer expands."""
-        return {
-            "order": self.order,
-            "size": self.size,
-            "orbits": list(map(list, self.orbits)),
-            "group_order": self.group_order,
-            "divisor": self.divisor,
-            "omega": [frac_str(w) for w in self.omega],
-            "entropy": self.entropy,
-            "rho_adjacency": self.rho_adjacency,
-            "rho_divisor": self.rho_divisor,
-            "principal_ratio": self.principal_ratio,
-            "min_degree": self.min_degree,
-            "max_degree": self.max_degree,
-            "average_degree": frac_str(self.average_degree),
-            "degree_variance": frac_str(self.degree_variance),
-            "edge_vertex_ratio": frac_str(self.edge_vertex_ratio),
-            "density": frac_str(self.density) if self.density is not None else None,
-            "cyclomatic_number": self.cyclomatic_number,
-        }
-
-
 # The keys of TermRecord.as_dict that a sequence report gives each term, in
 # its published order.
 _SEQUENCE_TERM_KEYS = (
@@ -369,34 +328,6 @@ _SEQUENCE_TERM_KEYS = (
     "max_degree", "average_degree", "degree_variance", "principal_ratio", "edge_vertex_ratio",
     "density", "cyclomatic_number",
 )
-
-
-def analyze_term(graph: Graph) -> TermRecord:
-    """Compute the full per-graph record of a connected graph."""
-    group = automorphism_group(graph)
-    profile = orbit_profile(graph)
-    perron = spectral_radius_adjacency(graph, partition=group.orbits)
-    stats = degree_stats(graph)
-    return TermRecord(
-        order=graph.n,
-        size=graph.m,
-        orbits=group.orbits.cells,
-        group_order=group.order,
-        divisor=perron.divisor,
-        omega=profile.omega,
-        entropy=profile.entropy,
-        rho_adjacency=perron.rho,
-        rho_divisor=perron.rho_divisor,
-        principal_ratio=perron.gamma,
-        min_degree=stats.min_degree,
-        max_degree=stats.max_degree,
-        average_degree=stats.average_degree,
-        degree_variance=stats.degree_variance,
-        edge_vertex_ratio=edge_vertex_ratio(graph),
-        density=density(graph) if graph.n >= 2 else None,
-        cyclomatic_number=cyclomatic_number(graph),
-        orbit_values=perron.orbit_values,
-    )
 
 
 class PreservationCheck(NamedTuple):

@@ -15,18 +15,22 @@ pendant path).  So u only picks the cell r of its largest entry; with u_r
 fixed to 1 the other entries come from one linear solve with rho(B).  Its
 matrix, rho I minus S^(1/2) B S^(-1/2) without row and column r, is a
 nonsingular M-matrix, and the solution keeps even the smallest entries to
-a few units of rounding on such graphs, where u loses them entirely.
+a few units of rounding on such graphs, where u loses them entirely.  A
+Perron vector that spans more than the float range, as on K_50 with a
+pendant path of 200 vertices, still rounds to 0, and CertificateError says so.
 
 Every row sum of B is a vertex degree, and the least and the largest row
-sum bracket rho(B) (Collatz-Wielandt with x = 1).  That bracket is decided
-first, before any kernel is chosen: when it is closed, every row sum equal
-as on every regular graph, rho(B) is that row sum, the Perron vector is
-constant, and nothing is symmetrized, factored, solved or imported.
+sum bracket rho(B) (Collatz-Wielandt with x = 1).  _divisor_perron decides
+that bracket first, before any kernel is chosen: when it is closed, every
+row sum equal as on every regular graph, rho(B) is that row sum, the Perron
+vector is constant, no pivot cell is picked, and nothing is symmetrized,
+factored, solved or imported.
 
-On an open bracket two kernels find rho(B) and make the pinned solve,
-chosen by the size of the matrix's envelope; the pivot rule, the lift and
-the certificate are one code path.  The pure-Python kernel takes the cells
-in reverse Cuthill-McKee order (Cuthill & McKee 1969; George 1971) and
+On an open bracket the cells are taken in reverse Cuthill-McKee order
+(Cuthill & McKee 1969; George 1971), and _kernel chooses one of two kernels
+by the size of the matrix's envelope in that order, computed once; the
+kernel finds rho(B) and makes the pinned solve, and the pivot rule, the
+lift and the certificate are one code path.  The pure-Python kernel
 factors shift I - M = L D L^T, M being S^(1/2) B S^(-1/2), in envelope
 (skyline) storage: row k is held from its first nonzero to the diagonal,
 fill-in stays inside, and one factorization costs about sum_k w_k^2 / 2
@@ -51,15 +55,16 @@ the float plain bisection finds.  At the upper end one solve of
 When sum_k w_k^2 is above ENVELOPE_WORK, LAPACK runs instead, on a dense
 matrix built once, and only then is numpy imported: eigvalsh gives rho,
 and one solve of (s I - M) x = 1, s a few floats above rho, gives the x
-that picks r, with no eigenvector matrix and no eigh workspace.  Its
-import and first LAPACK calls take 88-115 ms in-process
-(2-vCPU Xeon VM, Python 3.11, numpy 2.4, one BLAS thread), about what
-plain bisection cost at ENVELOPE_WORK = 40,000: 62-84 ms at 30,000 and
-155 ms at 70,000 on random irregular graphs with one cell per vertex.
-Noda iteration has cut the factorizations since, and the threshold has
-not been measured again.  Irregular
-rigid graphs of a few hundred vertices are well above the threshold (a
-rigid cubic graph on 150 vertices with one edge subdivided has 100,424).
+that picks r, with no eigenvector matrix and no eigh workspace; at most
+two dense ell x ell arrays are held.  On random irregular graphs with one
+cell per vertex (2-vCPU Xeon VM, Python 3.11, numpy 2.4, one BLAS thread),
+at sum_k w_k^2 of 29,000-48,000 the envelope kernel takes 21-63 ms and
+LAPACK, its import included, 75-99 ms; they meet at about 55,000-70,000,
+and at 82,000 the envelope kernel takes 152-164 ms.  ENVELOPE_WORK stays
+at 40,000, set before Noda iteration: moving it changes which kernel runs
+near it, and so the last bits of rho.  Irregular rigid graphs of a few
+hundred vertices are well above it (a rigid cubic graph on 150 vertices
+with one edge subdivided has 100,424).
 The benchmark's path-like quotients of up to 200 cells have sum_k w_k^2 at
 most 1,566, and a path of 2000 vertices 999.
 
@@ -72,15 +77,20 @@ raised, whichever kernel solved.  The adjacency radius is the Rayleigh
 quotient of x on A; on a closed bracket that is the quotient of the
 unscaled constant vector, 2m / n, so a regular graph gives its degree
 exactly, where the lift's entries 1/n would round it.
+
+analyze_term ends the per-graph analysis (graph_core, aut, orbital,
+spectral): every sequence term carries its TermRecord, and the CLI's
+analyze command reports the same record for one graph.
 """
 
 import math
+from fractions import Fraction
 from operator import mul, truediv
 from typing import NamedTuple
 
-from .aut import Partition, orbit_partition
-from .graph_core import Graph, is_connected
-from .orbital import DivisorMatrix, divisor_matrix
+from .aut import Partition, automorphism_group, orbit_partition
+from .graph_core import Graph, cyclomatic_number, degree_stats, density, edge_vertex_ratio, frac_str, is_connected
+from .orbital import DivisorMatrix, divisor_matrix, orbit_profile
 
 CERTIFICATE_TOL = 1e-10
 ENVELOPE_WORK = 40_000
@@ -167,9 +177,8 @@ class _Envelope:
     factorization costs about sum((k - first[k])**2) / 2 multiply-adds.
     """
 
-    def __init__(self, rows: list[dict[int, float]], order: list[int]) -> None:
-        self.rows, self.order = rows, order
-        self.first = _envelope_starts(rows, order)
+    def __init__(self, rows: list[dict[int, float]], order: list[int], first: list[int]) -> None:
+        self.rows, self.order, self.first = rows, order, first
         pos = {c: k for k, c in enumerate(order)}
         self.band, self.diag = [], []
         for k, (c, f) in enumerate(zip(order, self.first)):
@@ -182,7 +191,6 @@ class _Envelope:
         # Column j of row k, past its first, takes sum_t g_t L_jt over the
         # columns t < j held by both rows; (j - f, t - f, j, t - first[j]),
         # with t the later first column, places the two slices.
-        first = self.first
         self.updates = [
             [(j - f, t - f, j, t - first[j]) for j in range(f + 1, k) if (t := max(f, first[j])) < j]
             for k, f in enumerate(first)
@@ -257,7 +265,8 @@ class _Envelope:
     def pinned(self, r: int, rho: float) -> list[float]:
         """The eigenvector w of m for rho with w_r = 1: the other entries
         solve (rho I - m') w' = m[:, r], m' being m without row and column r."""
-        reduced = _Envelope(self.rows, [c for c in self.order if c != r])
+        order = [c for c in self.order if c != r]
+        reduced = _Envelope(self.rows, order, _envelope_starts(self.rows, order))
         factor = reduced.factor(rho)
         if factor is None:
             raise CertificateError(f"{rho!r} I minus the divisor matrix without cell {r} is not positive definite")
@@ -267,7 +276,8 @@ class _Envelope:
 
 
 class _Lapack:
-    """The LAPACK kernel: the dense matrix is built once, and numpy imported, here only."""
+    """The LAPACK kernel: the dense matrix is built once, and numpy imported,
+    here only; beside it, only the copy that eigvalsh or a solve factors."""
 
     def __init__(self, rows: list[dict[int, float]]) -> None:
         import numpy as np
@@ -276,75 +286,62 @@ class _Lapack:
         for i, row in enumerate(rows):
             self.m[i, list(row)] = list(row.values())
 
-    def top(self) -> tuple[float, list[float]]:
+    def top(self, sums: tuple[int, ...]) -> tuple[float, list[float]]:
         """rho(m) from eigvalsh, and x with (s I - m) x = 1 for a shift s a
         few floats above it, signed so that its entries sum to a positive
-        value: the Perron vector dominates x, as it would u."""
-        np = self.np
-        rho = float(np.linalg.eigvalsh(self.m)[-1])
-        system = -self.m
-        system.flat[:: len(system) + 1] += rho + 8 * math.ulp(rho)
-        x = np.linalg.solve(system, np.ones(len(system)))
+        value: the Perron vector dominates x, as it would u (sums are not
+        needed).  m is shifted in place for the solve and restored exactly:
+        negation is exact, and the saved diagonal is put back."""
+        np, m = self.np, self.m
+        rho = float(np.linalg.eigvalsh(m)[-1])
+        diagonal = m.diagonal().copy()
+        np.negative(m, out=m)
+        m.flat[:: len(m) + 1] += rho + 8 * math.ulp(rho)
+        x = np.linalg.solve(m, np.ones(len(m)))
+        np.negative(m, out=m)
+        m.flat[:: len(m) + 1] = diagonal
         return rho, (x if x.sum() > 0 else -x).tolist()
 
     def pinned(self, r: int, rho: float) -> list[float]:
-        """As _Envelope.pinned."""
+        """As _Envelope.pinned; the kernel's last call, as it drops m once copied."""
         np, ell = self.np, len(self.m)
         keep = [i for i in range(ell) if i != r]
-        system = self.m[np.ix_(keep, keep)]
+        column, system = self.m[keep, r], self.m[np.ix_(keep, keep)]
+        del self.m
         system *= -1.0
         system.flat[::ell] += rho
-        w = np.linalg.solve(system, self.m[keep, r]).tolist()
+        w = np.linalg.solve(system, column).tolist()
         w.insert(r, 1.0)
         return w
 
 
-def _top_eigenpair(
-    rows: list[dict[int, float]], sums: tuple[int, ...]
-) -> tuple[float, list[float], _Envelope | _Lapack]:
-    """rho of the symmetric matrix m, a vector whose largest entry picks the
-    pivot cell, and the kernel that found them, which makes the pinned solve.
-
-    The kernel is the envelope one while sum((k - first[k])**2) over the rows
-    in reverse Cuthill-McKee order is at most ENVELOPE_WORK, LAPACK above.
-    sums are the row sums of the divisor matrix, not all equal.
-    """
-    order = _rcm_order(rows)
-    if sum((k - f) ** 2 for k, f in enumerate(_envelope_starts(rows, order))) <= ENVELOPE_WORK:
-        kernel = _Envelope(rows, order)
-        return (*kernel.top(sums), kernel)
-    kernel = _Lapack(rows)
-    return (*kernel.top(), kernel)
+def _kernel(rows: list[dict[int, float]], order: list[int]) -> _Envelope | _Lapack:
+    """The kernel for the symmetric matrix m with sparse rows `rows`: the
+    envelope one while sum((k - first[k])**2) over its rows in `order` is at
+    most ENVELOPE_WORK, LAPACK above."""
+    first = _envelope_starts(rows, order)
+    if sum((k - f) ** 2 for k, f in enumerate(first)) <= ENVELOPE_WORK:
+        return _Envelope(rows, order, first)
+    return _Lapack(rows)
 
 
-def _radius(
-    dm: DivisorMatrix, rows: list[dict[int, float]] | None = None
-) -> tuple[float, list[float] | None, _Envelope | _Lapack | None]:
-    """rho(B), and on an open row-sum bracket the vector and kernel of
-    _top_eigenpair.  When every row sum is equal, the Collatz-Wielandt
-    bracket with x = 1 is closed: rho(B) is that row sum, no kernel runs,
-    nothing is symmetrized, and the vector and kernel are None.  Else rows,
-    _symmetrized(dm) if not given, is solved; ValueError unless B is
-    symmetrizable.
+def _divisor_perron(dm: DivisorMatrix) -> tuple[float, int | None, list[float]]:
+    """rho(B), the pivot cell r and the per-cell constants alpha of the lift.
+
+    On a closed row-sum bracket alpha is constant and r is None.  Else the
+    kernel of _kernel solves _symmetrized(dm), ValueError unless B is
+    symmetrizable, and u only picks r (see the module docstring): the first
+    cell whose entry is within PIVOT_TIE of the largest, so that both
+    kernels pick the same one.  The eigenvector w with w_r = 1 is the
+    kernel's pinned solve, and alpha = S^(-1/2) w is scaled so that the
+    lift sums to 1.
     """
     sums = dm.row_sums()
     if min(sums) == max(sums):
-        return float(sums[0]), None, None
-    return _top_eigenpair(_symmetrized(dm) if rows is None else rows, sums)
-
-
-def _divisor_perron(dm: DivisorMatrix) -> tuple[float, int, list[float]]:
-    """rho(B), the pivot cell r and the per-cell constants alpha of the lift.
-
-    On a closed row-sum bracket alpha is constant and r is cell 0.  Else u
-    only picks r (see the module docstring): the first cell whose entry is
-    within PIVOT_TIE of the largest, so that both kernels pick the same
-    one.  The eigenvector w with w_r = 1 is the kernel's pinned solve, and
-    alpha = S^(-1/2) w is scaled so that the lift sums to 1.
-    """
-    rho_divisor, u, kernel = _radius(dm)
-    if kernel is None:
-        return rho_divisor, 0, [1.0 / sum(dm.sizes)] * dm.ell
+        return float(sums[0]), None, [1.0 / sum(dm.sizes)] * dm.ell
+    rows = _symmetrized(dm)
+    kernel = _kernel(rows, _rcm_order(rows))
+    rho_divisor, u = kernel.top(sums)
     top = max(u)
     r = next(i for i, x in enumerate(u) if x >= top - PIVOT_TIE * abs(top))
     w = kernel.pinned(r, rho_divisor)
@@ -369,17 +366,18 @@ def spectral_radius_adjacency(graph: Graph, partition: Partition | None = None) 
     if partition is None:
         partition = orbit_partition(graph)
     dm = divisor_matrix(graph, partition)
-    rho_divisor, _, alpha = _divisor_perron(dm)
+    rho_divisor, pivot, alpha = _divisor_perron(dm)
     x = [alpha[c] for c in partition.cell_index()]
     if not all(v > 0.0 for v in x):
-        raise CertificateError("lifted eigenvector is not positive")
+        beyond = "the Perron vector spans more than the float range: its smallest entries round to 0"
+        raise CertificateError(beyond if min(x) == 0.0 else "lifted eigenvector is not positive")
     # (A x)_u as an exact sum rounded once: no order of the terms, so no
     # vertex label, moves the printed rho.
     y = [math.fsum(map(x.__getitem__, row)) for row in graph.adjacency]
-    sums = dm.row_sums()
-    if min(sums) == max(sums):
-        # x is constant, and the quotient of the unscaled constant vector,
-        # 2m / n, gives a regular graph's degree exactly: 1/n rounds.
+    if pivot is None:
+        # A closed row-sum bracket: x is constant, and the quotient of the
+        # unscaled constant vector, 2m / n, gives a regular graph's degree
+        # exactly: 1/n rounds.
         rho = sum(map(len, graph.adjacency)) / graph.n
     else:
         rho = math.fsum(map(mul, x, y)) / math.fsum(map(mul, x, x))
@@ -424,6 +422,74 @@ def spectral_radius_divisor(dm: DivisorMatrix) -> float:
                 stack.append(i)
     if len(seen) < dm.ell:
         raise ValueError("divisor matrix is reducible; spectral radius not computed")
-    # Checked here, since _radius symmetrizes only on an open bracket.
-    return _radius(dm, _symmetrized(dm))[0]
+    # Checked here, since _divisor_perron symmetrizes only on an open bracket.
+    _symmetrized(dm)
+    return _divisor_perron(dm)[0]
 
+
+class TermRecord(NamedTuple):
+    """All per-graph quantities of one connected graph.
+
+    density is None below two vertices, where it is undefined.  orbit_values
+    is the Perron vector of divisor on the cells, as certified on the graph;
+    it is not reported.
+    """
+
+    order: int
+    size: int
+    orbits: tuple[tuple[int, ...], ...]
+    group_order: int
+    divisor: DivisorMatrix
+    omega: tuple[Fraction, ...]
+    entropy: float
+    rho_adjacency: float
+    rho_divisor: float
+    principal_ratio: float
+    min_degree: int
+    max_degree: int
+    average_degree: Fraction
+    degree_variance: Fraction
+    edge_vertex_ratio: Fraction
+    density: Fraction | None
+    cyclomatic_number: int
+    orbit_values: tuple[float, ...]
+
+    def as_dict(self) -> dict:
+        """The analyze report: every field but orbit_values, in field order,
+        fractions as "p/q", and the divisor matrix itself, which the CLI's
+        JSON writer expands."""
+        report = self._asdict()
+        del report["orbit_values"]
+        report["orbits"] = list(map(list, self.orbits))
+        report["omega"] = list(map(frac_str, self.omega))
+        for key in ("average_degree", "degree_variance", "edge_vertex_ratio", "density"):
+            report[key] = None if report[key] is None else frac_str(report[key])
+        return report
+
+
+def analyze_term(graph: Graph) -> TermRecord:
+    """Compute the full per-graph record of a connected graph."""
+    group = automorphism_group(graph)
+    profile = orbit_profile(graph)
+    perron = spectral_radius_adjacency(graph, partition=group.orbits)
+    stats = degree_stats(graph)
+    return TermRecord(
+        order=graph.n,
+        size=graph.m,
+        orbits=group.orbits.cells,
+        group_order=group.order,
+        divisor=perron.divisor,
+        omega=profile.omega,
+        entropy=profile.entropy,
+        rho_adjacency=perron.rho,
+        rho_divisor=perron.rho_divisor,
+        principal_ratio=perron.gamma,
+        min_degree=stats.min_degree,
+        max_degree=stats.max_degree,
+        average_degree=stats.average_degree,
+        degree_variance=stats.degree_variance,
+        edge_vertex_ratio=edge_vertex_ratio(graph),
+        density=density(graph) if graph.n >= 2 else None,
+        cyclomatic_number=cyclomatic_number(graph),
+        orbit_values=perron.orbit_values,
+    )

@@ -37,13 +37,20 @@ def _perturb_the_eigenvalue(monkeypatch, work: int) -> None:
     """Every divisor solve reports rho 1e-6 too large, through the envelope
     kernel or through LAPACK as ENVELOPE_WORK chooses."""
     monkeypatch.setattr(spectral, "ENVELOPE_WORK", work)
-    solve = spectral._top_eigenpair
+    build = spectral._kernel
 
     def perturbed(*args):
-        rho, u, kernel = solve(*args)
-        return rho * (1 + 1e-6), u, kernel
+        kernel = build(*args)
+        top = kernel.top
 
-    monkeypatch.setattr(spectral, "_top_eigenpair", perturbed)
+        def perturbed_top(sums):
+            rho, u = top(sums)
+            return rho * (1 + 1e-6), u
+
+        kernel.top = perturbed_top
+        return kernel
+
+    monkeypatch.setattr(spectral, "_kernel", perturbed)
 
 
 @pytest.mark.parametrize("work", [10**9, -1], ids=["pure-python", "lapack"])
@@ -342,7 +349,7 @@ _ANALYSIS = {f"orbigraph.{m}" for m in ("graph_core", "aut", "orbital", "spectra
          {"orbigraph.spectral", "orbigraph.sequences", "orbigraph.constructions"}),
         (["generate", "cycle", "--n", "6"], EXIT_OK,
          {"orbigraph.aut", "orbigraph.orbital", "orbigraph.spectral", "orbigraph.sequences"}),
-        (["analyze", "--json", "c6"], EXIT_OK, {"orbigraph.constructions"}),
+        (["analyze", "--json", "c6"], EXIT_OK, {"orbigraph.sequences", "orbigraph.constructions"}),
     ],
     ids=["version", "help", "usage-error", "compare", "generate", "analyze"],
 )
@@ -685,6 +692,25 @@ def test_a_cli_process_exits_with_the_documented_code(spec, code, tmp_path):
     child = _cli(*(files.get(word, word) for word in spec))
     assert child.returncode == code, child.stderr
     assert b"Traceback" not in child.stderr
+
+
+def _lollipop(clique: int, tail: int) -> Graph:
+    """K_clique with a path of `tail` more vertices hung at its last vertex."""
+    edges = [(i, j) for j in range(clique) for i in range(j)]
+    return Graph.from_edges(clique + tail, edges + [(v, v + 1) for v in range(clique - 1, clique + tail - 1)])
+
+
+def test_a_perron_vector_beyond_the_float_range_exits_with_resource_code(tmp_path):
+    # Along the path the Perron vector falls by about rho ~ 49 per vertex: with
+    # 150 path vertices its principal ratio is about 3e253, and with 200 its
+    # smallest entries round to 0.0.
+    child = _cli("analyze", "--json", _write(tmp_path, "k50p150", _lollipop(50, 150)))
+    assert child.returncode == EXIT_OK, child.stderr
+    assert 1e253 < json.loads(child.stdout)["principal_ratio"] < 1e254
+    child = _cli("analyze", "--json", _write(tmp_path, "k50p200", _lollipop(50, 200)))
+    assert (child.returncode, child.stdout) == (EXIT_RESOURCE, b"")
+    assert child.stderr.startswith(b"error: ") and child.stderr.count(b"\n") == 1
+    assert b"float range" in child.stderr and b"Traceback" not in child.stderr
 
 
 _AT_EXIT = """

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -74,6 +76,38 @@ def test_every_family_generates_its_constructions(case):
 def test_order_from_the_spec_is_the_built_order(case):
     spec = SequenceSpec.from_dict(FAMILY_CASES[case][0])
     assert [spec.order(k) for k in range(3)] == [g.n for g in generate(spec, 3)]
+
+
+def test_equal_specs_hash_equal():
+    a = SequenceSpec.from_dict({"family": "loaded-multi-torus", "q": 2, "m": 1, "r": 2, "schedule": [[3, 3], [3, 4]]})
+    b = SequenceSpec.from_dict({"schedule": ((3, 3), (3, 4)), "r": 2, "m": 1, "q": 2, "family": "loaded-multi-torus"})
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    cycles = SequenceSpec.from_dict({"family": "cycles", "start": 5})
+    assert hash(cycles) == hash(SequenceSpec("cycles", {"start": 5}))
+    assert cycles != SequenceSpec.from_dict({"family": "cycles"})
+
+
+def test_spec_parameters_are_read_only():
+    params = {"schedule": [7, [3, 4]]}
+    spec = SequenceSpec("torus-schedule", params)
+    params["schedule"].append([3, 5])
+    assert spec.params["schedule"] == (7, (3, 4))
+    cycles = SequenceSpec.from_dict({"family": "cycles"})
+    with pytest.raises(TypeError):
+        cycles.params["start"] = 2
+    assert cycles.order(0) == 3
+
+
+def test_copies_and_pickles_rebuild_through_init(monkeypatch):
+    spec = SequenceSpec.from_dict(FAMILY_CASES["subsequence-derived-torus-fixed"][0])
+    made = []
+    init = SequenceSpec.__init__
+    monkeypatch.setattr(SequenceSpec, "__init__", lambda self, *args: made.append(args[0]) or init(self, *args))
+    for twin in (copy.copy(spec), copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+        assert twin == spec and hash(twin) == hash(spec)
+        with pytest.raises(TypeError):
+            twin.params["indices"] = (0,)
+    assert made.count("subsequence") == 3
 
 
 def test_subsequence_builds_only_the_base_terms_it_names(monkeypatch):

@@ -401,11 +401,21 @@ def test_envelope_kernel_on_path_2000_matches_the_closed_form(monkeypatch):
 def test_envelope_kernel_refuses_a_matrix_that_never_factors():
     # rho = 2 lies above the whole bracket [0, 1], and -1 I minus the matrix
     # without cell 0 has the pivot -1.
-    kernel = spectral._Envelope([{1: 2.0}, {0: 2.0}], [0, 1])
+    kernel = spectral._Envelope([{1: 2.0}, {0: 2.0}], [0, 1], [0, 0])
     with pytest.raises(spectral.CertificateError, match="not a nonsingular M-matrix"):
         kernel.top((0, 1))
     with pytest.raises(spectral.CertificateError, match="not positive definite"):
         kernel.pinned(0, -1.0)
+
+
+def test_lapack_top_restores_its_matrix_exactly():
+    # top shifts the matrix in place for its solve, and pinned reads it after.
+    for graph, partition in ((path(6), orbit_partition(path(6))), (irregular_dense(0), discrete_partition(20))):
+        dm = divisor_matrix(graph, partition)
+        kernel = spectral._Lapack(spectral._symmetrized(dm))
+        before = kernel.m.copy()
+        kernel.top(dm.row_sums())
+        assert np.array_equal(kernel.m, before) and np.array_equal(np.signbit(kernel.m), np.signbit(before))
 
 
 @settings(max_examples=80, deadline=None)
@@ -423,12 +433,13 @@ def assert_top_is_the_bisection_float(graph: Graph, partition: Partition, most: 
     if min(sums) == max(sums):
         return
     rows = spectral._symmetrized(dm)
-    kernel = spectral._Envelope(rows, spectral._rcm_order(rows))
+    order = spectral._rcm_order(rows)
+    kernel = spectral._Envelope(rows, order, spectral._envelope_starts(rows, order))
     calls = []
     factor = kernel.factor
     kernel.factor = lambda shift: calls.append(shift) or factor(shift)
     rho, _ = kernel.top(sums)
-    assert rho == bisection_top(spectral._Envelope(rows, kernel.order), sums)
+    assert rho == bisection_top(spectral._Envelope(rows, order, kernel.first), sums)
     if most is not None:
         assert len(calls) <= most
 
@@ -465,7 +476,7 @@ def assert_closed_bracket(graph: Graph) -> None:
         raise AssertionError("a closed row-sum bracket reached a kernel")
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectral, "_top_eigenpair", no_kernel)
+        mp.setattr(spectral, "_kernel", no_kernel)
         for partition in (orbit_partition(graph), discrete_partition(graph.n)):
             data = spectral_radius_adjacency(graph, partition)
             assert data.rho_divisor == k and spectral_radius_divisor(data.divisor) == k
