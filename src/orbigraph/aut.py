@@ -76,25 +76,22 @@ below the node is an automorphism, and the node is dropped.
 
 Refinement cannot split the root cell of a regular graph, and a rigid one
 leaves nothing to prune, so each of its n-1 root candidates would be
-refined and refuted on its own.  So the first time a root candidate is
-refuted, which shows that the root's target cell is not an orbit, every
-non-singleton root cell is split by its members' distance-layer profiles,
-grown one BFS layer at a time until some cell splits (_profile_split), and
-refined: the split root.  Automorphisms preserve distances, so a vertex's
-profile is an invariant and every automorphism maps each cell of the split
-root onto itself; so the base vertex's orbit lies in its cell of the split
-root, and every later root candidate outside that cell is skipped; nothing
-found is dropped.  Vertex-transitive and orbit-equitable inputs never
-refute a root candidate, so they never split.  nauty splits the root of a
-regular graph by vertex invariants in the same way (McKay & Piperno,
-Practical graph isomorphism II, 2014), and decides it before it descends.
-Here the first root candidate that will be tried is refined in lockstep
-with the first path's first level, one trace event at a time (refinement
-yields its events, _Cells.splits).  At the first event that differs the
-candidate is refuted, and if the root splits, the first path starts from
-the split root, as nothing has been found yet; if the two traces agree,
-the candidate's node is kept and not refined again when its turn comes.  A
-later split prunes the root level alone: the search never restarts.
+refined and refuted on its own.  So when the refined root is not discrete,
+its non-singleton cells are split by their members' distance-layer
+profiles, grown one BFS layer at a time until some cell splits
+(_profile_split), and refined: the first path starts from this split root.
+Automorphisms preserve distances, so a vertex's profile is an invariant,
+every automorphism maps each cell of the split root onto itself, and
+nothing found is dropped.  The profiles stop before they would scan more
+than PROFILE_WORK = 16 times the arcs, a little above the 4 and 10 times
+after which rigid cubic and CFI graphs split.  The two orbits of GP(1000, 33)
+part only at radius 29, after 1,030 times, far more than the few
+refinements that the split would save there, and a vertex-transitive
+graph, which never splits, pays at most the budget.  Past the budget the
+root stays as refined, and orbit pruning and the trace refute its
+candidates one by one.  nauty applies vertex invariants the same way,
+once, at a chosen level and with a bound on their radius (McKay & Piperno,
+Practical graph isomorphism II, 2014, on invarproc and invararg).
 
 The group order is the product over levels of the base vertex's orbit size
 when its level finishes, times (class size)! for every twin class of every
@@ -110,43 +107,25 @@ isomorphic.  The groups of both sides are found first, and they prune the
 subtrees of the root's candidates in b.
 
 A search has a single leaf when neither a twin round nor a fold changed
-its input and the first path starts from a discrete root: the refined
-root, or the split root made at the lockstep.  Its group is then trivial,
-as a discrete partition that every automorphism maps onto itself is fixed
-pointwise.  The order of that leaf is canonical.  The root is one colour,
-refinement orders the fragments of a cell by counts alone, and
-_profile_split by profiles, from the refined root.  So an isomorphism of
-two such graphs maps the p-th vertex of one leaf to the p-th of the other,
-and single_leaf hands that order to orbital similarity, which then needs
-no search of the union; a discrete root split after the first path has
-descended gives no leaf.  For almost all graphs colour refinement alone
-gives a discrete root (Babai, Erdos & Selkow, SIAM J. Comput. 9, 1980),
-and a search tree of one leaf is the base case of canonical labelling by
-IR (McKay & Piperno 2014).  Twins are excluded as a swap of two twins is
-an automorphism, so the leaf's blocks would match in more than one way.
-Folds are excluded because _fold numbers signatures in `names` in the
-order of its queue, which follows the vertex labels, so the order of a
-folded quotient's root cells can follow them too; the union search is
-immune, as both sides share one `names`.  A canonical form of folded
-quotients would need names that do not depend on labels.
-
-Scale, measured on one core of a 2-vCPU Intel Xeon VM with Python 3.11, at
-the 2000-vertex cap: the search takes 0.1 s on torus(40, 50), 0.04 s on
-cycle_with_cliques(400, 3, 2), 0.06 s on loaded_torus((20, 20), 2, 2)
-(15 refinements, as its loads fold into the torus), 0.02 s on path(2000),
-0.05 s on the complete binary tree with 2047 vertices, 0.29-0.38 s on
-crossed_prism(1000) (500 levels, 1,500 nodes tried against the first
-path), 0.03 s on a rigid random cubic graph with 1000 vertices,
-0.05-0.1 s on one with 2000, and 0.06 s on complete(1200).  The rigid
-cubic graph perfbench/bench_inputs.py cubic_graph(11, 2000) and a
-relabelling of it both end at a single leaf, so orbital similarity
-checks one map, in 7-22 ms once both searches are done, where isomorphism
-of their 2000-cell digraphs takes 0.09-0.12 s; the whole `orbigraph
-compare --json`, which writes the 36 MB report, takes 0.22-0.28 s.  The
-CFI graphs (Cai, Fuerer & Immerman, Combinatorica 12, 1992) over
-tests/helpers.py rigid_cubic(11, 200) and over cubic_graph(11, 200), two
-graphs with 2000 vertices and |Aut| = 2^101, take 0.9-1.8 s and 0.9-2.1 s,
-and numbered gadget by gadget (vertex 10v + j) the latter takes 1.3-1.7 s.
+its input and the first path starts from a discrete root, refined or
+split.  Its group is then trivial, as a discrete partition that every
+automorphism maps onto itself is fixed pointwise.  The order of that leaf
+is canonical.  The root is one colour, refinement orders the fragments of
+a cell by counts alone, and _profile_split by profiles, from the refined
+root, within a budget that depends on layer sizes and degrees alone.  So
+an isomorphism of two such graphs maps the p-th vertex of one leaf to the
+p-th of the other, and single_leaf hands that order to orbital
+similarity, which then needs no search of the union.  For almost all
+graphs colour refinement alone gives a discrete root (Babai, Erdos &
+Selkow, SIAM J. Comput. 9, 1980), and a search tree of one leaf is the
+base case of canonical labelling by IR (McKay & Piperno 2014).  Twins are
+excluded as a swap of two twins is an automorphism, so the leaf's blocks
+would match in more than one way.  Folds are excluded because _fold
+numbers signatures in `names` in the order of its queue, which follows
+the vertex labels, so the order of a folded quotient's root cells can
+follow them too; the union search is immune, as both sides share one
+`names`.  A canonical form of folded quotients would need names that do
+not depend on labels.
 """
 
 from bisect import bisect_left, bisect_right
@@ -355,7 +334,7 @@ class _Cells:
 
     def splits(self, adj: Sequence[Sequence[int]], splitters: Iterable[int]) -> Iterator[tuple]:
         """Refine as `refine` does, yielding each split's trace event once it
-        is made; a caller may stop at any event and resume later."""
+        is made; a caller may stop at any event."""
         lab, pos, cell_of, clen = self.lab, self.pos, self.cell_of, self.clen
         n = len(lab)
         queue = deque(splitters)
@@ -588,64 +567,50 @@ def _fold(
     )
 
 
+# The root split's budget, in arcs scanned per arc (see the module docstring).
+PROFILE_WORK = 16
+
+
 def _profile_split(adj: Sequence[Sequence[int]], cells: list[list[int]]) -> list[list[int]] | None:
     """The cells with every non-singleton cell split by its members'
     distance-layer profiles, fragments in ascending profile order, or None
-    if no cell splits.
+    if no cell splits within PROFILE_WORK times the arcs of adj.
 
     Entry d of v's profile comes from the rows of layer d-1 of the BFS ball
     around v: the vertices of layer d, the arcs into layer d beyond one per
-    vertex, and the arcs inside layer d-1.  Once the ball covers v's
-    component, the profile ends with (0, 0, arcs out of the last layer less
-    the arcs into it), which for a graph are the arcs inside it, taken from
-    degree sums rather than the layer's rows.  All members grow by one layer
-    per step until some cell splits or every ball covers its component.
+    vertex, and the arcs inside layer d-1.  All members grow by one layer
+    per step until some cell splits; a member stops once its new layer is
+    empty, with the last entry (0, 0, arcs inside its last layer).
 
     Every arc has a reverse, so a head of an arc out of the last layer lies
     in that layer, the one before it or the next one.  So between steps a
     member keeps only its last two layers, never its ball, and marks them
-    afresh when it grows.  A profile of radius r then costs the rows of the
-    ball's inner r layers, about what refining v's candidate node costs when
-    its trace departs r layers out, and the kept layers hold no more
-    vertices than the last two steps scanned arcs.
+    afresh when it grows.  A step scans at most the widest row for each
+    vertex of the members' last layers, and no step starts whose bound,
+    added to those of the steps before it, passes the budget; so the check
+    counts layer sizes and scans no arc.  The bound and the budget depend on
+    layer sizes and degrees alone, so whether the cells split does not
+    depend on the labels.
     """
-    n = len(adj)
-    component = [-1] * n
-    sizes: list[int] = []  # vertices and arcs of each component
-    arcs: list[int] = []
-    for s in range(n):
-        if component[s] < 0:
-            component[s] = len(sizes)
-            stack, size, total = [s], 0, 0
-            while stack:
-                u = stack.pop()
-                size += 1
-                total += len(adj[u])
-                for w in adj[u]:
-                    if component[w] < 0:
-                        component[w] = len(sizes)
-                        stack.append(w)
-            sizes.append(size)
-            arcs.append(total)
+    budget, widest = PROFILE_WORK * sum(map(len, adj)), max(map(len, adj))
     # While a member grows, mark[w] is base for its last layer but one,
     # base + 1 for its last layer and base + 2 for the new one; every other
     # mark is below base, which moves past all marks before each member.
-    mark = [-1] * n
+    mark = [-1] * len(adj)
     base = 0
-    # A growing member's previous layer, last layer, vertices seen, arcs
-    # scanned and arcs into its last layer.
-    state = {v: ([], [v], 1, 0, 0) for cell in cells if len(cell) > 1 for v in cell}
+    # A growing member's previous layer and last layer.
+    state = {v: ([], [v]) for cell in cells if len(cell) > 1 for v in cell}
+    work, frontier = 0, len(state)
     while state:
+        work += widest * frontier
+        if work > budget:
+            return None
         # The members of a cell have agreed on every entry so far, so they
         # all get one at this step or none does, and this step's entries
         # alone split the cell, in ascending profile order.
         step: dict[int, tuple[int, int, int]] = {}
-        for v, (previous, layer, seen, scanned, into) in list(state.items()):
-            size, total = sizes[component[v]], arcs[component[v]]
-            if seen == size:
-                step[v] = (0, 0, total - scanned - into)
-                del state[v]
-                continue
+        frontier = 0
+        for v, (previous, layer) in list(state.items()):
             base += 3
             for u in previous:
                 mark[u] = base
@@ -654,9 +619,7 @@ def _profile_split(adj: Sequence[Sequence[int]], cells: list[list[int]]) -> list
             new: list[int] = []
             extra = inside = 0
             for u in layer:
-                row = adj[u]
-                scanned += len(row)
-                for w in row:
+                for w in adj[u]:
                     m = mark[w]
                     if m < base:
                         mark[w] = base + 2
@@ -666,7 +629,11 @@ def _profile_split(adj: Sequence[Sequence[int]], cells: list[list[int]]) -> list
                     elif m == base + 1:
                         inside += 1
             step[v] = (len(new), extra, inside)
-            state[v] = (layer, new, seen + len(new), scanned, len(new) + extra)
+            if new:
+                state[v] = (layer, new)
+                frontier += len(new)
+            else:
+                del state[v]
         if any(len({step.get(v) for v in cell}) > 1 for cell in cells):
             break
     else:
@@ -733,8 +700,6 @@ class _AutSearch:
         self.blocks = blocks
         self.colour = colour
         self.twin_generators = len(self.generators)
-        # Each quotient vertex's cell of the split root, once split_root ran.
-        self.split: list[int] | None = None
         self.orbits = _UnionFind(range(len(adj)))
         # The quotient permutation of each generator the search found.
         self.images: list[dict[int, int]] = []
@@ -744,68 +709,39 @@ class _AutSearch:
         # needs it, and the first leaf's pos (see _singleton_map)
         self.first_cells: list[list[int]] = []
         self.first_pos: list[int] = []
-        self.kept: tuple[int, _Cells | None] | None = None
         self.targets: list[int] = []
         self.order = 1
 
     def first_path(self, root: _Cells) -> list[_Cells]:
-        """Search the first path from the refined root; return its nodes above
-        the leaf, root first, or [] if the root is discrete, and then the
-        leaf.  Until split_root has run, run's first root candidate is refined
-        beside the first level (_lockstep); if it is refuted and the root
-        splits, the path starts from the split root instead."""
+        """Search the first path from the root, keeping its traces, cells and
+        leaf; return its nodes above the leaf, root first, or [] if the root
+        is discrete."""
         start, c = root.target()
         self.targets = [c]
-        self.first_traces = []
-        self.kept = None
-        if c < 0:
-            self.first_leaf = root.lab
-            return []
-        v = sorted(root.lab[c : c + root.clen[c]])[1]
-        node, path, lockstep = root, [], self.split is None
+        node, path = root, []
         while c >= 0:
             path.append(node)
             node = node.copy()
-            splits = node.splits(self.adj, [node.individualize(min(node.lab[c : c + node.clen[c]]))])
-            trace: list = []
-            if lockstep and self._lockstep(root, v, splits, trace) and (split := self.split_root(root)) is not None:
-                return self.first_path(split)
-            lockstep = False
-            trace += splits
-            self.first_traces.append(trace)
+            self.first_traces.append(node.refine(self.adj, [node.individualize(min(node.lab[c : c + node.clen[c]]))]))
             start, c = node.target(start)
             self.targets.append(c)
         self.first_leaf, self.first_pos = node.lab, node.pos
         self.first_cells = [p.cell_of for p in path] + [node.cell_of]
         return path
 
-    def _lockstep(self, root: _Cells, v: int, splits: Iterator[tuple], trace: list) -> bool:
-        """Refine root + v one event at a time beside the first level's
-        `splits`, whose events are appended to trace; stop at the first pair
-        that differs and say whether one did.  The outcome is kept for
-        _child, so that the candidate is not refined twice: root + v if the
-        traces agree, None if it is refuted."""
-        node = root.copy()
-        other = node.splits(self.adj, [node.individualize(v)])
-        for event in splits:
-            trace.append(event)
-            if next(other, None) != event:
-                break
-        else:
-            if next(other, None) is None:
-                self.kept = (v, node)
-                return False
-        self.kept = (v, None)
-        return True
-
     def run(self) -> None:
-        """Search the first path once, then its levels' candidates, deepest
-        first; a refuted root candidate splits the root (split_root)."""
+        """Refine the root, split it by distance profile if it is not
+        discrete (_profile_split), search the first path from it once, then
+        its levels' candidates, deepest first."""
+        n = len(self.adj)
         colours: dict = {}
         for q, c in enumerate(self.colour):
             colours.setdefault(c, []).append(q)
-        root = _Cells.from_cells(len(self.adj), [colours[key] for key in sorted(colours)])
+        root = _Cells.from_cells(n, [colours[key] for key in sorted(colours)])
         root.refine(self.adj, root.starts())
+        if root.ncells < n and (cells := _profile_split(self.adj, root.cells())) is not None:
+            root = _Cells.from_cells(n, cells)
+            root.refine(self.adj, root.starts())
         path = self.first_path(root)
         # Deepest level first: every generator found so far fixes the base
         # vertices above the level being tried.
@@ -819,35 +755,16 @@ class _AutSearch:
             # by their roots: no other member of such an orbit has one.
             refuted: set[int] = set()
             for v in members[1:]:
-                # b's orbit lies in b's cell of the split root.
-                split = self.split if level == 0 else None
-                if (r := self.orbits.find(v)) in refuted or r == self.orbits.find(b) or split and split[v] != split[b]:
+                if (r := self.orbits.find(v)) in refuted or r == self.orbits.find(b):
                     continue
                 if self._try(node, v, level + 1):
                     refuted = set(map(self.orbits.find, refuted))
                 else:
                     refuted.add(r)
-                    if level == 0:
-                        self.split_root(node)
             path.pop()
             # The levels above try children down to this level's cells.
             del self.first_cells[level + 1 :]
             self.order *= self.orbits.class_size(b)
-
-    def split_root(self, root: _Cells) -> _Cells | None:
-        """Called when a candidate of the refined root is refuted, so the
-        root's target cell is not an orbit.  The first time, split the root's
-        cells by distance profile and refine; keep each vertex's cell of the
-        result, and return the result if any cell split."""
-        if self.split is not None:
-            return None
-        self.split = root.cell_of
-        if (cells := _profile_split(self.adj, root.cells())) is None:
-            return None
-        split = _Cells.from_cells(len(self.adj), cells)
-        split.refine(self.adj, split.starts())
-        self.split = split.cell_of
-        return split
 
     def _add_block_cycle(self, cycle: list[list[int]]) -> None:
         image: dict[int, int] = {}
@@ -891,12 +808,7 @@ class _AutSearch:
 
     def _child(self, parent: _Cells, v: int, level: int) -> _Cells | None:
         """parent + v refined, or None if its trace departs from the first
-        path's at `level`.  For the root candidate that _lockstep tried, its
-        outcome is taken as it is: a node at level 1 is a child of the
-        current root."""
-        if level == 1 and self.kept is not None and self.kept[0] == v:
-            node, self.kept = self.kept[1], None
-            return node
+        path's at `level`."""
         node = parent.copy()
         return None if node.refine(self.adj, [node.individualize(v)], self.first_traces[level - 1]) is None else node
 

@@ -422,9 +422,12 @@ def spectral_radius_divisor(dm: DivisorMatrix) -> float:
                 stack.append(i)
     if len(seen) < dm.ell:
         raise ValueError("divisor matrix is reducible; spectral radius not computed")
-    # Checked here, since _divisor_perron symmetrizes only on an open bracket.
-    _symmetrized(dm)
-    return _divisor_perron(dm)[0]
+    # Symmetrized on a closed bracket too, as the check; rho needs no pinned solve.
+    rows = _symmetrized(dm)
+    sums = dm.row_sums()
+    if min(sums) == max(sums):
+        return float(sums[0])
+    return _kernel(rows, _rcm_order(rows)).top(sums)[0]
 
 
 class TermRecord(NamedTuple):

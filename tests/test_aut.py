@@ -508,12 +508,12 @@ def test_rigid_regular_graph_is_not_refined_once_per_root_candidate(monkeypatch,
     # Refinement cannot split a regular graph's root cell, and a rigid graph
     # gives orbit pruning nothing, so without the distance-profile split
     # every one of the n - 1 root candidates would be refined and refuted.
-    # The first root candidate is refuted within a few events of the first
-    # path's first level, so the root is split before the path descends:
-    # the search yields about n events, one refinement to a discrete
-    # partition, where refining the whole first path before the split
-    # doubles that (560 events on rigid_cubic(7, 300)), and isomorphism
-    # about 3n (1,442 events on rigid_cubic(7, 300) if it descends first).
+    # Distance profiles split the refined root before the first path, after
+    # scanning a few times the graph's arcs, and refining the split root
+    # ends discrete: the search makes 2 refinements and yields about n
+    # events, where refining the whole first path before the split doubles
+    # that (560 events on rigid_cubic(7, 300)).  Isomorphism splits the
+    # root of the union the same way: 4 refinements and about 3n events.
     counts = _count_refinements(monkeypatch)
     graph = rigid_cubic(seed, n)
     group = _uncached_group(graph)
@@ -549,10 +549,11 @@ def test_cfi_graph_group_is_its_cycle_space(k):
 
 
 def test_cfi_graph_root_is_split_before_the_first_path_descends(monkeypatch):
-    # The base is rigid, so the first root candidate, a middle vertex of
-    # another base vertex, is refuted at the first level and the root is
-    # split there; refining the whole first path first, and searching its
-    # deeper levels, took 579 refinements and 7,914 events on this graph.
+    # The base is rigid, so distance profiles split the refined root within
+    # the budget, and the first path starts from the split root: 262
+    # refinements and 3,683 events.  Searching the whole first path from
+    # the unsplit root, and its deeper levels, took 579 refinements and
+    # 7,914 events on this graph.
     counts = _count_refinements(monkeypatch)
     group = _uncached_group(cfi_graph(sorted(rigid_cubic(11, 40).edges)))
     assert group.order == 2**21
@@ -561,13 +562,13 @@ def test_cfi_graph_root_is_split_before_the_first_path_descends(monkeypatch):
 
 @pytest.mark.parametrize("seed, k", [(11, 30), (3, 30), (5, 40), (11, 50)])
 def test_cfi_search_cost_hardly_depends_on_the_numbering(monkeypatch, seed, k):
-    # Numbered gadget by gadget, the first root candidate is a middle vertex
-    # of the base vertex's own gadget: its first level agrees with the first
-    # path's, and it is refuted only after the deeper levels are searched.
-    # The root is then split for the root level alone, and nothing is
-    # searched again, so the refinement counts over the slot numbering, the
-    # gadget numbering and three relabellings stay within a factor of 1.5;
-    # restarting the search after the split made it 1.91-2.16.
+    # The root is split by distance profile before the first path, and
+    # whether and how it splits depends on no label, so the refinement
+    # counts over the slot numbering, the gadget numbering and three
+    # relabellings stay within a factor of 1.15 (at most 1.091 here).
+    # Splitting only once a root candidate was refuted made it 1.325: the
+    # gadget numbering's first candidate, a middle vertex of the base
+    # vertex's own gadget, was refuted only after the deeper levels.
     counts = _count_refinements(monkeypatch)
     edges = sorted(rigid_cubic(seed, k).edges)
     graph = cfi_graph(edges)
@@ -576,19 +577,42 @@ def test_cfi_search_cost_hardly_depends_on_the_numbering(monkeypatch, seed, k):
         counts[0] = 0
         assert _uncached_group(g).order == 2 ** (k // 2 + 1)
         made.append(counts[0])
-    assert max(made) <= 1.5 * min(made), made
+    assert max(made) <= 1.15 * min(made), made
 
 
 def test_generalized_petersen_corpus_searches_no_level_twice(monkeypatch):
     # The 361 GP(n, k) with 3 <= n < 40.  The root cell of a non-transitive
-    # one holds two orbits, and its first root candidate may lie in the base
-    # vertex's orbit, so a root candidate is refuted only after the deeper
-    # levels are searched.  Splitting the root there prunes the root level
-    # and repeats nothing: 2,896 refinements, where restarting made 4,306.
+    # one holds two orbits, which distance profiles split before the first
+    # path within the budget, so no level is searched twice: 2,614
+    # refinements, where splitting once a root candidate was refuted made
+    # 2,896 and restarting the search after it 4,306.
     _count_refinements(monkeypatch, bound=3200)
     for n in range(3, 40):
         for k in range(1, (n + 1) // 2):
             _uncached_group(generalized_petersen(n, k))
+
+
+def test_profile_split_stops_at_its_budget():
+    # The outer and inner cycles of GP(1000, 33) differ only in distance
+    # profiles of radius about 29: splitting its refined root scans 6.18 M
+    # arcs, 1,030 times the graph's.  Within the budget the root does not
+    # split, and the search finds the group without it.
+    graph = generalized_petersen(1000, 33)
+    scanned = [0]
+
+    class Rows(list):
+        def __getitem__(self, v):
+            row = super().__getitem__(v)
+            scanned[0] += len(row)
+            return row
+
+    root = _Cells.from_cells(graph.n, [range(graph.n)])
+    root.refine(graph.adjacency, root.starts())
+    assert root.ncells == 1
+    assert aut._profile_split(Rows(graph.adjacency), root.cells()) is None
+    assert 0 < scanned[0] <= aut.PROFILE_WORK * 2 * graph.m
+    group = _uncached_group(graph)
+    assert group.order == 2000 and len(group.orbits) == 2
 
 
 def _interleaved_double(graph: Graph) -> Graph:
@@ -599,13 +623,13 @@ def _interleaved_double(graph: Graph) -> Graph:
     return Graph.from_edges(2 * graph.n, [*pairs, (2 * a, 2 * b + 1), (2 * a + 1, 2 * b)])
 
 
-def test_a_refuted_root_candidate_prunes_the_rest_of_the_root_cell(monkeypatch):
+def test_the_root_split_leaves_only_the_base_orbit_in_the_root_cell(monkeypatch):
     # The swap of the two copies is the only automorphism but the identity.
-    # The first root candidate, vertex 1, is vertex 0's image under it, so
-    # the root is not split before the first path descends.  The next root
-    # candidate is refuted and splits the root, and every later one lies
-    # outside vertex 0's cell of the split root and is skipped: 5
-    # refinements, where refining each of them made about 300.
+    # Distance profiles split the refined root, one cell of 600 vertices,
+    # and refining the split root ends at the orbits {2v, 2v + 1}.  So the
+    # root level tries one candidate, the base vertex's image under the
+    # swap: 4 refinements, where refuting the root cell's other members one
+    # by one made about 300.
     counts = _count_refinements(monkeypatch)
     group = _uncached_group(_interleaved_double(rigid_cubic(11, 300)))
     assert group.order == 2
@@ -752,11 +776,12 @@ def test_singleton_map_matches_the_scan_of_every_position(graph, monkeypatch):
     assert any(results)
 
 
-def test_root_candidate_refined_in_lockstep_is_not_refined_again(monkeypatch):
-    # A vertex-transitive graph refutes no root candidate, so the first one,
-    # refined beside the first path's first level, is kept for the root
-    # level: the 20 x 25 torus takes 13 refinements, 14 if it were refined
-    # again there.
+def test_unsplit_root_refines_each_node_once(monkeypatch):
+    # A vertex-transitive graph's root does not split, and every node is
+    # refined once: the 20 x 25 torus takes 13 refinements, the root, the
+    # first path's 3 levels and 9 candidates; refining the first root
+    # candidate beside the first path's first level and again on its turn
+    # would make 14.
     counts = _count_refinements(monkeypatch)
     group = _uncached_group(torus((20, 25)))
     assert group.order == 4 * 20 * 25

@@ -191,6 +191,19 @@ class TestDivisorRadius:
         assert rho_div == pytest.approx(spectral_radius_adjacency(g).rho, abs=1e-9)
         assert rho_div == pytest.approx(rho_charpoly_oracle(dense(dm)), abs=1e-9)
 
+    @pytest.mark.parametrize("graph", [tied_star(), cartesian_product(path(5), path(80))])
+    def test_open_bracket_symmetrizes_once_and_makes_no_pinned_solve(self, graph, monkeypatch):
+        # rho is the kernel's top alone, the value _divisor_perron returns.
+        dm = orbit_divisor_matrix(graph)
+        assert min(dm.row_sums()) < max(dm.row_sums())
+        expected = spectral._divisor_perron(dm)[0]
+        symmetrized, calls = spectral._symmetrized, []
+        monkeypatch.setattr(spectral, "_symmetrized", lambda dm: calls.append(dm) or symmetrized(dm))
+        for kernel in (spectral._Envelope, spectral._Lapack):
+            monkeypatch.setattr(kernel, "pinned", None)
+        assert spectral_radius_divisor(dm) == expected
+        assert len(calls) == 1
+
     def test_reducible_rejected(self):
         with pytest.raises(ValueError, match="reducible"):
             spectral_radius_divisor(from_dense(((1, 0), (0, 2)), (1, 1)))
