@@ -31,24 +31,25 @@ When no twins are left, pendant trees are folded (_fold), and the twin
 rounds run again, until neither changes the quotient.  The paper's loads
 are such trees, and the far ends of two branches are no twins, so without
 the fold the search would individualize a branch of every load.  Leaves
-are peeled in layers, bottom-up, in one pass over a queue, as in the tree
+are peeled in layers, bottom-up, one layer at a time, as in the tree
 isomorphism test of Aho, Hopcroft & Ullman (1974): a vertex v whose only
 other head is w folds into w, unless w became such a vertex in the same
 layer or earlier, when v and w are the centre edge of their tree.  A
-folded child is signed by its colour and children, the arc weights both
-ways and its loops, and w's colour becomes its own plus the sorted
-signatures of its children.  A parent with two equal signatures keeps its
-children, which are open twins of the next round unless they carry loops;
-so the children of a folding parent are told apart by their signatures,
-and w's block, its own followed by its children's in signature order,
-lifts member by member like any other.  That is sound: every choice of
-the fold depends on layers and signatures alone, so an automorphism of
-the quotient maps the folded quotient onto itself, and one that fixes
-every vertex of the folded quotient fixes every child too, since a
-parent's children are told apart; so a fold loses no automorphism that
-the twin generators do not give.  Anders,
-Schweitzer & Stiess (Engineering a preprocessor for symmetry detection,
-SEA 2023) use the same preprocessing.
+folded child is signed by its name, the arc weights both ways and its
+loops, and w's colour becomes its own plus the sorted signatures of its
+children; the names number the (colour, child signatures) keys of a layer
+in sorted order once the layer is done, so they do not depend on labels.
+A parent with two equal signatures keeps its children, which are open
+twins of the next round unless they carry loops; so the children of a
+folding parent are told apart by their signatures, and w's block, its own
+followed by its children's in signature order, lifts member by member like
+any other.  That is sound: every choice of the fold depends on layers and
+signatures alone, so an automorphism of the quotient maps the folded
+quotient onto itself, and one that fixes every vertex of the folded
+quotient fixes every child too, since a parent's children are told apart;
+so a fold loses no automorphism that the twin generators do not give.
+Anders, Schweitzer & Stiess (Engineering a preprocessor for symmetry
+detection, SEA 2023) use the same preprocessing.
 
 The search runs on the last quotient, with no recursion.  The first path
 is a loop from the root: a node copies its parent's equitable partition,
@@ -106,26 +107,24 @@ only automorphisms that keep them, so one is found iff a and b are
 isomorphic.  The groups of both sides are found first, and they prune the
 subtrees of the root's candidates in b.
 
-A search has a single leaf when neither a twin round nor a fold changed
-its input and the first path starts from a discrete root, refined or
-split.  Its group is then trivial, as a discrete partition that every
-automorphism maps onto itself is fixed pointwise.  The order of that leaf
-is canonical.  The root is one colour, refinement orders the fragments of
-a cell by counts alone, and _profile_split by profiles, from the refined
-root, within a budget that depends on layer sizes and degrees alone.  So
-an isomorphism of two such graphs maps the p-th vertex of one leaf to the
-p-th of the other, and single_leaf hands that order to orbital
+A search has a single leaf when it found no generator, so no twin round
+changed its input, and the first path starts from a discrete root, refined
+or split.  Its group is then trivial, as a discrete partition that every
+automorphism maps onto itself is fixed pointwise.  The order of that leaf,
+each quotient vertex expanded to its block, is canonical.  The root is one
+colour, refinement orders the fragments of a cell by counts alone, and
+_profile_split by profiles, from the refined root, within a budget that
+depends on layer sizes and degrees alone.  _fold names a layer's keys in
+their sorted order and orders a block by its children's signatures, so a
+fold's colours and blocks do not depend on the labels either.  So an
+isomorphism of two such graphs maps the p-th vertex of one leaf to the
+p-th of the other, and AutGroup.leaf hands that order to orbital
 similarity, which then needs no search of the union.  For almost all
 graphs colour refinement alone gives a discrete root (Babai, Erdos &
 Selkow, SIAM J. Comput. 9, 1980), and a search tree of one leaf is the
 base case of canonical labelling by IR (McKay & Piperno 2014).  Twins are
 excluded as a swap of two twins is an automorphism, so the leaf's blocks
-would match in more than one way.  Folds are excluded because _fold
-numbers signatures in `names` in the order of its queue, which follows
-the vertex labels, so the order of a folded quotient's root cells can
-follow them too; the union search is immune, as both sides share one
-`names`.  A canonical form of folded quotients would need names that do
-not depend on labels.
+would match in more than one way.
 """
 
 from bisect import bisect_left, bisect_right
@@ -194,12 +193,15 @@ class AutGroup(NamedTuple):
     """Automorphism group given by generators, with order and vertex orbits.
 
     A generator is the tuple of its (v, image of v) pairs over the vertices
-    it moves, in ascending v; every other vertex is fixed.
+    it moves, in ascending v; every other vertex is fixed.  leaf is the
+    vertices in a canonical order when the group is trivial and its search
+    ended at a single leaf, else None (see automorphism_group).
     """
 
     generators: tuple[tuple[tuple[int, int], ...], ...]
     order: int
     orbits: Partition
+    leaf: tuple[int, ...] | None = None
 
 
 def unit_partition(n: int) -> Partition:
@@ -473,43 +475,44 @@ def _weight(row: tuple[int, ...], w: int) -> int:
 
 
 def _fold(
-    colour: Sequence, adj: Sequence[tuple[int, ...]], blocks: list[list[int]], names: dict
+    colour: Sequence, adj: Sequence[tuple[int, ...]], blocks: list[list[int]]
 ) -> tuple[list, list[tuple[int, ...]], list[list[int]]] | None:
     """The quotient with its pendant trees folded, as (colour, adj, blocks),
     or None if nothing folds.
 
-    Leaves are peeled in layers from a FIFO queue: layer 0 holds the
-    vertices whose row has one head other than themselves, and a vertex
-    joins layer k + 1 when, in layer k, all but one of its heads have been
-    attached to it.  When a leaf v is popped, all its children are attached.
-    Each child c gets the signature (name of c, weight of c -> v, weight of
-    v -> c, loops of c), the name being a number that `names` gives c's
-    colour with its children's sorted signatures, so that no colour nests
-    once per tree level (a path would nest 1,000 deep, deeper than tuple
-    comparison recurses).  If two signatures are equal,
-    v keeps its children: they are open twins of the next twin round, or
-    carry loops.  Otherwise v is attached to its last head p, unless p was
-    a leaf of the same layer or an earlier one: then v and p form the
-    centre edge of their tree, or p kept its children.  Every decision
-    depends on layers and signatures only, so an automorphism of the
-    quotient maps the folded quotient onto itself.  A vertex with children
-    that is never attached folds them in the same way once the queue is
-    empty.
+    Leaves are peeled in layers: layer 0 holds the vertices whose row has
+    one head other than themselves, and a vertex joins layer k + 1 when, in
+    layer k, all but one of its heads have been attached to it.  When a
+    layer is signed, all children of its vertices are attached.  Each child
+    c gets the signature (name of c, weight of c -> v, weight of v -> c,
+    loops of c), the name being a number for c's key, its colour with its
+    children's sorted signatures, so that no colour nests once per tree
+    level (a path would nest 1,000 deep, deeper than tuple comparison
+    recurses).  Once every vertex of a layer is signed, the layer's new keys
+    are numbered in sorted order, so no name depends on the labels.  If two
+    signatures are equal, v keeps its children: they are open twins of the
+    next twin round, or carry loops.  Otherwise v is attached to its last
+    head p, unless p was a leaf of the same layer or an earlier one: then v
+    and p form the centre edge of their tree, or p kept its children.  Every
+    decision depends on layers and signatures only, so an automorphism of
+    the quotient maps the folded quotient onto itself.  A vertex with
+    children that is never attached folds them in the same way once the last
+    layer is done.
     """
     n = len(adj)
-    queue = deque(v for v, row in enumerate(adj) if _is_leaf(v, row))
-    if not queue:
+    layer = [v for v, row in enumerate(adj) if _is_leaf(v, row)]
+    if not layer:
         return None
-    layer = [-1] * n
+    depth = [-1] * n
     left = [-1] * n  # heads other than v not attached to v, once counted
-    for v in queue:
-        layer[v] = 0
+    for v in layer:
+        depth[v] = 0
         left[v] = 1
     up = [-1] * n  # the vertex v is attached to
     children: dict[int, list[int]] = {}
     folds: dict[int, tuple] = {}  # sorted child signatures of a vertex that folds its children
     order: dict[int, list[int]] = {}  # its children in signature order
-    name: dict[int, int] = {}
+    names: dict = {}  # (colour, child signatures) -> name
     kept: set[int] = set()  # vertices that keep their children
 
     def finish(v: int) -> bool:
@@ -517,31 +520,39 @@ def _fold(
         sigs: tuple = ()
         if v in children:
             row = adj[v]
-            signed = sorted(((name[c], _weight(adj[c], v), _weight(row, c), _weight(adj[c], c)), c) for c in children[v])
+            signed = sorted(
+                ((names[colour[c], folds[c]], _weight(adj[c], v), _weight(row, c), _weight(adj[c], c)), c)
+                for c in children[v]
+            )
             sigs = tuple(s for s, _ in signed)
             if len(set(sigs)) < len(sigs):
                 kept.add(v)
                 return False
             order[v] = [c for _, c in signed]
         folds[v] = sigs
-        name[v] = names.setdefault((colour[v], sigs), len(names))
         return True
 
-    while queue:
-        v = queue.popleft()
-        if not finish(v) or left[v] == 0:
-            continue
-        p = next(h for h in adj[v] if h != v and up[h] < 0)
-        if 0 <= layer[p] <= layer[v]:
-            continue
-        up[v] = p
-        children.setdefault(p, []).append(v)
-        if left[p] < 0:
-            left[p] = len(set(adj[p]) - {p})
-        left[p] -= 1
-        if left[p] == 1:
-            layer[p] = layer[v] + 1
-            queue.append(p)
+    k = 0
+    while layer:
+        layer = [v for v in layer if finish(v)]
+        for key in sorted({(colour[v], folds[v]) for v in layer}):
+            names.setdefault(key, len(names))
+        above = []
+        for v in layer:
+            if left[v] == 0:
+                continue
+            p = next(h for h in adj[v] if h != v and up[h] < 0)
+            if 0 <= depth[p] <= k:
+                continue
+            up[v] = p
+            children.setdefault(p, []).append(v)
+            if left[p] < 0:
+                left[p] = len(set(adj[p]) - {p})
+            left[p] -= 1
+            if left[p] == 1:
+                depth[p] = k + 1
+                above.append(p)
+        layer, k = above, k + 1
     for p in children:
         if p not in folds and p not in kept:
             finish(p)
@@ -650,8 +661,6 @@ def _profile_split(adj: Sequence[Sequence[int]], cells: list[list[int]]) -> list
 def _other_orbits(cell: list[int], gens: list[dict[int, int]]) -> list[int]:
     """The smallest member of each orbit of gens on the sorted cell but
     cell[0]'s, in descending order; gens map the cell onto itself."""
-    if not gens:
-        return cell[:0:-1]
     orbits = _UnionFind(cell)
     for g in gens:
         for v in filter(g.__contains__, cell):
@@ -671,11 +680,10 @@ class _AutSearch:
         # blocks[q] lists the input vertices that quotient vertex q stands for,
         # in the order in which a permutation of the quotient lifts.
         blocks = [[v] for v in range(len(adj))]
-        names: dict = {}
         while True:
             classes = _twin_classes(colour, adj)
             if len(classes) == len(adj):
-                if (folded := _fold(colour, adj, blocks, names)) is None:
+                if (folded := _fold(colour, adj, blocks)) is None:
                     break
                 colour, adj, blocks = folded
                 continue
@@ -899,17 +907,34 @@ class _AutSearch:
         return [[v for i in group for v in pieces[i]] for group in joined.groups()]
 
     def single_leaf(self) -> tuple[int, ...] | None:
-        """After run, the vertices in the order of the one leaf of the search
-        tree, its discrete root, if neither a twin round nor a fold changed
-        the input; else None."""
-        if len(self.adj) < len(self.heads) or self.targets[0] >= 0:
+        """After run, the input vertices in the order of the one leaf of the
+        search tree, its discrete root, expanded through the blocks, if the
+        search found no generator; else None."""
+        if self.generators or self.targets[0] >= 0:
             return None
-        return tuple(self.first_leaf)
+        return tuple(v for q in self.first_leaf for v in self.blocks[q])
 
 
 @lru_cache(maxsize=256)
-def _searched(graph: Graph) -> tuple[AutGroup, tuple[int, ...] | None]:
-    """automorphism_group(graph) and single_leaf(graph), from one search."""
+def automorphism_group(graph: Graph) -> AutGroup:
+    """Generators, order, vertex orbits and single leaf of Aut(graph).
+
+    The search runs on the iterated twin quotient with its pendant trees
+    folded (see the module docstring).  Generators are in the sparse form
+    of AutGroup.  Every generator from the search has passed an edge check
+    on `graph`; each twin class of size k >= 2 adds a transposition and,
+    for k >= 3, a k-cycle of its members' blocks.  The order is exact: the
+    product over search levels of the base vertex's orbit size, times k!
+    for every twin class.  Orbits come in canonical order.
+
+    When the search found no generator and its root is discrete, `leaf`
+    holds the vertices in the canonical order of that one leaf (see the
+    module docstring), else None.  Two graphs with leaves are isomorphic iff
+    mapping the p-th vertex of one leaf to the p-th of the other is an
+    isomorphism, and that map is the only one, as both groups are trivial.
+    Groups are cached; automorphism_group.cache_clear() clears them, leaves
+    and all.
+    """
     if graph.n == 0:
         raise ValueError("automorphism group undefined for the empty graph")
     search = _AutSearch(*ColouredDigraph.from_graph(graph))
@@ -922,39 +947,8 @@ def _searched(graph: Graph) -> tuple[AutGroup, tuple[int, ...] | None]:
         generators=tuple(search.generators),
         order=search.order * search.twin_order,
         orbits=_canonical_partition(search.orbit_cells()),
-    ), search.single_leaf()
-
-
-def automorphism_group(graph: Graph) -> AutGroup:
-    """Generators, order, and vertex orbits of Aut(graph).
-
-    The search runs on the iterated twin quotient with its pendant trees
-    folded (see the module docstring).  Generators are in the sparse form
-    of AutGroup.  Every generator from the search has passed an edge check
-    on `graph`; each twin class of size k >= 2 adds a transposition and,
-    for k >= 3, a k-cycle of its members' blocks.  The order is exact: the
-    product over search levels of the base vertex's orbit size, times k!
-    for every twin class.  Orbits come in canonical order.
-
-    The group is cached with the search's single leaf (single_leaf), and
-    automorphism_group.cache_clear() clears both.
-    """
-    return _searched(graph)[0]
-
-
-automorphism_group.cache_clear = _searched.cache_clear
-automorphism_group.cache_info = _searched.cache_info
-
-
-def single_leaf(graph: Graph) -> tuple[int, ...] | None:
-    """The vertices of graph in a canonical order when its automorphism
-    search ends at a single leaf (see the module docstring), else None.
-
-    Two graphs with such orders are isomorphic iff mapping the p-th vertex
-    of one to the p-th of the other is an isomorphism, and that map is the
-    only one, as both groups are trivial.
-    """
-    return _searched(graph)[1]
+        leaf=search.single_leaf(),
+    )
 
 
 def isomorphism(a: ColouredDigraph, b: ColouredDigraph) -> tuple[int, ...] | None:

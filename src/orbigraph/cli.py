@@ -24,29 +24,31 @@ process; run() is the process entry.
 
 from __future__ import annotations
 
-# Start-up (a comment, since the docstring above is the --help text).  A run
-# loads only the modules its command calls, since interpreter start-up is
-# most of a small run: this module imports no analysis module at load, and
-# each handler imports what it uses.  --version, --help and a usage error
-# load the package and this module, and so neither fractions nor decimal,
-# which graph_core's exact degree statistics bring in.  analyze loads
-# graph_core, aut, orbital and spectral; compare graph_core, aut and
-# orbital; generate graph_core and constructions; demo graph_core, aut and
-# orbital; sequence all six.  generate's family choices and sequence's
-# epilog are made only when that command is parsed or its help printed, and
-# main imports spectral to recognise a CertificateError only once an error
-# reaches it.
+# Start-up (a comment, since the docstring above is the --help text).  A
+# run loads only the modules its command calls, since interpreter start-up
+# is most of a small run: this module imports no analysis module at load,
+# and each handler imports what it uses.  --version, --help and a usage
+# error load the package and this module, and so neither fractions nor
+# decimal, which graph_core's exact degree statistics bring in, nor re or
+# typing.  analyze loads graph_core, aut, orbital and spectral; compare
+# graph_core, aut and orbital; generate graph_core and constructions; demo
+# graph_core, aut and orbital; sequence all six.  generate's family choices
+# and sequence's epilog are made only when that command is parsed or its
+# help printed, and main imports spectral to recognise a CertificateError
+# only once an error reaches it.
 
 import errno
 import os
-import re
 import sys
+from collections import namedtuple
 from itertools import chain, repeat
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import __version__
 
+# typing.TYPE_CHECKING without importing typing, which --version and --help
+# need not pay for.
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .graph_core import Graph
     from .orbital import DivisorMatrix
@@ -86,10 +88,6 @@ def _write_ascii(path: str, text: str) -> None:
         raise CliError(f"cannot write {path}: {exc}", EXIT_PARSE) from exc
 
 
-# A line of ASCII text, as str.splitlines cuts it.
-_LINE = re.compile(r"[^\n\r\v\f\x1c-\x1e]+")
-
-
 def _header_n(text: str, fmt: str) -> int:
     """The vertex count of a well-formed header, else 0: the parser reports a malformed one."""
     from .graph_core import _g6_decode_n
@@ -97,7 +95,10 @@ def _header_n(text: str, fmt: str) -> int:
     try:
         if fmt == "graph6":
             return _g6_decode_n(text.strip().removeprefix(">>graph6<<").strip())[0]
-        lines = map(re.Match.group, _LINE.finditer(text))
+        import re  # only here: --version and --help need not load it
+
+        # The lines of ASCII text, as str.splitlines cuts them.
+        lines = map(re.Match.group, re.finditer(r"[^\n\r\v\f\x1c-\x1e]+", text))
         n, m = map(int, next(ln for ln in lines if ln.strip() and not ln.lstrip().startswith("#")).split())
         return n if m >= 0 else 0
     except (StopIteration, ValueError):
@@ -482,28 +483,16 @@ def cmd_demo(args: SimpleNamespace) -> int:
     return EXIT_OK
 
 
-class _Arg(NamedTuple):
-    """A positional, or the long option --name.  kind is bool for a flag,
-    else int, str or the tuple of the values the argument may take."""
+# A positional, or the long option --name.  kind is bool for a flag, else
+# int, str or the tuple of the values the argument may take.
+_Arg = namedtuple("_Arg", "name kind default help", defaults=(str, None, ""))
 
-    name: str
-    kind: object = str
-    default: object = None
-    help: str = ""
-
-
-class _Command(NamedTuple):
-    """A command's handler, its help line, its positionals in order, its
-    options and the epilog of its --help.  The positionals and the epilog
-    may be a function that makes them when the command is parsed or its help
-    printed: generate's family choices and sequence's epilog come from
-    modules that no other command loads."""
-
-    handler: Callable[[SimpleNamespace], int]
-    help: str
-    positionals: tuple[_Arg, ...] | Callable[[], tuple[_Arg, ...]]
-    options: tuple[_Arg, ...]
-    epilog: str | Callable[[], str] = ""
+# A command's handler, its help line, its positionals in order, its options
+# and the epilog of its --help.  The positionals and the epilog may be a
+# function that makes them when the command is parsed or its help printed:
+# generate's family choices and sequence's epilog come from modules that no
+# other command loads.
+_Command = namedtuple("_Command", "handler help positionals options epilog", defaults=("",))
 
 
 def _family_arg() -> tuple[_Arg, ...]:

@@ -247,21 +247,15 @@ def _g6_decode_n(data: str) -> tuple[int, int]:
         if not 0 <= c0 <= 62:
             raise GraphFormatError("invalid graph6 size byte")
         return c0, 1
-    if len(data) >= 2 and ord(data[1]) - 63 == 63:
-        chars = data[2:8]
-        if len(chars) < 6:
-            raise GraphFormatError("truncated graph6 size field")
-        n = 0
-        for ch in chars:
-            n = (n << 6) | (ord(ch) - 63)
-        return n, 8
-    chars = data[1:4]
-    if len(chars) < 3:
+    # "~" then 3 characters, or "~~" then 6.
+    start, end = (2, 8) if data[1:2] == "~" else (1, 4)
+    chars = data[start:end]
+    if len(chars) < end - start:
         raise GraphFormatError("truncated graph6 size field")
     n = 0
     for ch in chars:
         n = (n << 6) | (ord(ch) - 63)
-    return n, 4
+    return n, end
 
 
 def to_graph6(graph: Graph) -> str:

@@ -27,7 +27,7 @@ from itertools import repeat
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
-from .aut import ColouredDigraph, Partition, isomorphism, orbit_partition, single_leaf
+from .aut import ColouredDigraph, Partition, automorphism_group, isomorphism, orbit_partition
 from .graph_core import Graph, is_connected
 
 
@@ -186,19 +186,20 @@ def orbitally_similar(g: Graph, h: Graph) -> SimilarityVerdict:
     """Decide whether two connected graphs have equal orbit divisor matrices
     under some relabeling of cells, returning a witness when they do.
 
-    When both automorphism searches ended at a single leaf (aut.single_leaf)
-    and the graphs have one order, both groups are trivial, every orbit is
-    one vertex and cell i of a divisor matrix is vertex i.  The one candidate
-    isomorphism maps the p-th vertex of h's leaf to the p-th of g's, as both
-    leaf orders are canonical; if it carries every row of h onto the row of
-    its image in g, it is the only witness and h's matrix is the common one,
-    and if not, the graphs are not similar.  Every other pair goes to
-    similar_divisors.
+    When both automorphism groups carry a leaf (AutGroup.leaf: the search
+    found no generator and ended at its discrete root, with or without
+    folded pendant trees) and the graphs have one order, both groups are
+    trivial, every orbit is one vertex and cell i of a divisor matrix is
+    vertex i.  The one candidate isomorphism maps the p-th vertex of h's
+    leaf to the p-th of g's, as both leaf orders are canonical; if it
+    carries every row of h onto the row of its image in g, it is the only
+    witness and h's matrix is the common one, and if not, the graphs are not
+    similar.  Every other pair goes to similar_divisors.
     """
     for graph in (g, h):
         if not is_connected(graph):
             raise ValueError("orbital similarity defined for connected graphs only")
-    leaf_g, leaf_h = single_leaf(g), single_leaf(h)
+    leaf_g, leaf_h = automorphism_group(g).leaf, automorphism_group(h).leaf
     if leaf_g is not None and leaf_h is not None and g.n == h.n:
         witness = [0] * h.n
         for u, v in zip(leaf_h, leaf_g):

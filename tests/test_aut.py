@@ -43,12 +43,10 @@ from orbigraph.aut import (
     Partition,
     _AutSearch,
     _Cells,
-    _searched,
     automorphism_group,
     equitable_refinement,
     isomorphism,
     orbit_partition,
-    single_leaf,
     unit_partition,
 )
 from orbigraph.constructions import (
@@ -73,7 +71,7 @@ from orbigraph.graph_core import Graph
 
 def _uncached_group(graph: Graph):
     """automorphism_group(graph) from a search of its own, past the cache."""
-    return _searched.__wrapped__(graph)[0]
+    return automorphism_group.__wrapped__(graph)
 
 
 class TestPartitionType:
@@ -794,24 +792,63 @@ def test_single_leaf_is_a_canonical_order(seed, n):
     # profile; its order follows any relabelling of the graph.
     graph = rigid_cubic(seed, n)
     image = random.Random(seed).sample(range(n), n)
-    leaf, other = single_leaf(graph), single_leaf(graph.relabel(image))
+    leaf, other = automorphism_group(graph).leaf, automorphism_group(graph.relabel(image)).leaf
     assert sorted(leaf) == list(range(n))
     assert other == tuple(image[v] for v in leaf)
 
 
-def test_single_leaf_only_without_twins_folds_or_symmetry(monkeypatch):
-    assert single_leaf(complete(1)) == (0,)
-    assert single_leaf(frucht()) is not None
-    for graph in (pendant_trees(), cycle(5), complete(2), generalized_petersen(5, 2)):
-        assert single_leaf(graph) is None
+def test_single_leaf_only_without_twins_or_symmetry(monkeypatch):
+    assert automorphism_group(complete(1)).leaf == (0,)
+    assert automorphism_group(frucht()).leaf is not None
+    # a rigid graph whose pendant trees fold ends at a leaf of its quotient,
+    # which lists every vertex
+    leaf = automorphism_group(pendant_trees()).leaf
+    assert sorted(leaf) == list(range(27))
+    for graph in (star(3), cycle(4), cycle(5), complete(2), generalized_petersen(5, 2), spider((2, 2, 3))):
+        assert automorphism_group(graph).leaf is None
     # the leaf is cached with the group, and cache_clear drops both
     runs = []
     monkeypatch.setattr(_AutSearch, "run", lambda self, run=_AutSearch.run: runs.append(run(self)))
     automorphism_group.cache_clear()
     assert automorphism_group.cache_info().currsize == 0
-    single_leaf(frucht())
-    automorphism_group(frucht())
+    assert automorphism_group(pendant_trees()).leaf == leaf
+    assert automorphism_group(pendant_trees()).leaf == leaf
     assert len(runs) == 1
+
+
+def _leaf_map(g: Graph, h: Graph) -> list[int] | None:
+    """The map from the p-th vertex of g's leaf to the p-th of h's, or None
+    if neither graph has a leaf; fails if only one of them has one."""
+    leaf_g, leaf_h = automorphism_group(g).leaf, automorphism_group(h).leaf
+    assert (leaf_g is None) == (leaf_h is None)
+    if leaf_g is None:
+        return None
+    phi = [0] * g.n
+    for u, v in zip(leaf_g, leaf_h):
+        phi[u] = v
+    return phi
+
+
+def test_folded_single_leaf_is_a_canonical_order():
+    # _fold names its signatures by layer in sorted order, so the leaf of
+    # the folded quotient follows every relabelling: all 174 seeds map
+    # right, where numbering in queue order mapped 73 of them wrongly.
+    g = pendant_trees()
+    wrong = [seed for seed in range(174) if g.relabel(_leaf_map(g, h := relabelled(g, seed))) != h]
+    assert wrong == []
+
+
+def test_single_leaves_map_relabellings_n5():
+    # Every connected labelled graph with n <= 5 against one relabelling:
+    # both have a leaf or neither does, and the leaf map is an isomorphism.
+    leaves = 0
+    for n in range(1, 6):
+        for i, g in enumerate(all_connected_graphs(n)):
+            h = relabelled(g, i)
+            if (phi := _leaf_map(g, h)) is not None:
+                assert g.relabel(phi) == h
+                leaves += 1
+    assert leaves > 0
 
 
 def test_isomorphism_of_single_vertices_is_a_twin_swap():

@@ -1,7 +1,10 @@
+import re
+
 import pytest
 
+from orbigraph import constructions as cons
 from orbigraph.constructions import RootedGraph, family, family_names, family_order, path
-from orbigraph.graph_core import is_connected
+from orbigraph.graph_core import Graph, is_connected
 
 # (family, parameters, order, size, common degree or None if not regular)
 SHAPES = [
@@ -44,3 +47,40 @@ def test_order_size_and_regularity(name, params, order, size, degree):
 def test_rooted_graph_rejects_a_root_out_of_range(root):
     with pytest.raises(ValueError, match=f"root {root} out of range"):
         RootedGraph(path(3), root)
+
+
+EMPTY = Graph.from_edges(0, ())
+
+# Each constructor's argument check, with the message it raises.
+ARGUMENT_ERRORS = [
+    ("path", lambda: cons.path(0), "path needs n >= 1, got 0"),
+    ("complete", lambda: cons.complete(0), "complete graph needs n >= 1, got 0"),
+    ("star", lambda: cons.star(0), "star needs q >= 1, got 0"),
+    ("cartesian_product", lambda: cons.cartesian_product(path(2), EMPTY), "products need nonempty factors"),
+    ("strong_product", lambda: cons.strong_product(EMPTY, path(2)), "products need nonempty factors"),
+    ("corona", lambda: cons.corona(EMPTY, path(2)), "corona needs a nonempty left factor"),
+    ("starlike_load", lambda: cons.starlike_load(2, 0), "starlike load needs q, m >= 1, got q=2, m=0"),
+    (
+        "vertex_load",
+        lambda: cons.vertex_load(EMPTY, cons.starlike_load(1, 1)),
+        "vertex loading needs a nonempty support",
+    ),
+    ("moebius_ladder", lambda: cons.moebius_ladder(2), "Moebius ladder needs n >= 3, got 2"),
+    ("crossed_prism", lambda: cons.crossed_prism(5), "crossed prism needs even n >= 4, got 5"),
+    ("antiprism", lambda: cons.antiprism(2), "antiprism needs n >= 3, got 2"),
+    ("torus_empty", lambda: cons.torus(()), "torus needs at least one dimension"),
+    ("torus_small", lambda: cons.torus([3, 2]), "torus dimensions must all be >= 3, got (3, 2)"),
+    (
+        "cycle_with_cliques",
+        lambda: cons.cycle_with_cliques(3, 0, 1),
+        "need n >= 3 and p, q >= 1, got n=3, p=0, q=1",
+    ),
+    ("disjoint_cliques", lambda: cons.disjoint_cliques(0, 2), "need q, p >= 1, got q=0, p=2"),
+    ("family", lambda: family("nosuch", n=3), f"unknown family 'nosuch'; known: {', '.join(family_names())}"),
+]
+
+
+@pytest.mark.parametrize("build, message", [e[1:] for e in ARGUMENT_ERRORS], ids=[e[0] for e in ARGUMENT_ERRORS])
+def test_argument_errors(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()

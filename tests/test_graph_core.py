@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,8 @@ from orbigraph.constructions import complete, cycle, path, star
 from orbigraph.graph_core import (
     Graph,
     GraphFormatError,
+    _g6_decode_n,
+    _g6_encode_n,
     cyclomatic_number,
     degree_stats,
     density,
@@ -205,6 +208,37 @@ class TestGraph6:
     def test_bad_body(self):
         with pytest.raises(GraphFormatError):
             parse_graph6("D")  # truncated
+
+    @pytest.mark.parametrize(
+        "n, field",
+        [(62, "}"), (63, "~??~"), (258047, "~}~~"), (258048, "~~???~??"), (68719476735, "~~~~~~~~")],
+    )
+    def test_size_fields(self, n, field):
+        # one character up to 62, "~" and 3 up to 258,047, "~~" and 6 above
+        assert _g6_encode_n(n) == field
+        assert _g6_decode_n(field + "?") == (n, len(field))
+
+    def test_size_above_the_8_character_field(self):
+        with pytest.raises(GraphFormatError, match="vertex count 68719476736 too large for graph6"):
+            _g6_encode_n(68719476736)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty graph6 string"),
+            (">>graph6<<\n", "empty graph6 string"),
+            ("!", "invalid graph6 size byte"),
+            ("\x7f", "invalid graph6 size byte"),
+            ("~?@", "truncated graph6 size field"),
+            ("~~??@??", "truncated graph6 size field"),
+            ("?", "graph6 with zero vertices rejected"),
+            ("C!", "invalid graph6 byte '!'"),
+            ("C\x7f", "invalid graph6 byte '\\x7f'"),
+        ],
+    )
+    def test_malformed_strings(self, text, message):
+        with pytest.raises(GraphFormatError, match=f"^{re.escape(message)}$"):
+            parse_graph6(text)
 
 
 class TestDot:

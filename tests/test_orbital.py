@@ -29,10 +29,10 @@ from helpers import (
 from orbigraph.aut import (
     ColouredDigraph,
     Partition,
+    automorphism_group,
     equitable_refinement,
     isomorphism,
     orbit_partition,
-    single_leaf,
     unit_partition,
 )
 from orbigraph.constructions import complete, cycle, generalized_sun, loaded_torus, path, star, strong_prism
@@ -340,8 +340,8 @@ class TestSingleLeafShortcut:
                 g = Graph.from_edges(a.number_of_nodes(), a.edges())
                 if orbit_divisor_matrix(g).ell == g.n:
                     graphs.append(g)
-        # 153 graphs, 83 of them unfolded with a discrete root
-        assert sum(single_leaf(g) is not None for g in graphs) >= 80
+        # 153 graphs, each with a leaf, folded or not (83 unfolded)
+        assert len(graphs) == 153 and all(automorphism_group(g).leaf is not None for g in graphs)
         degrees = [sorted(map(len, g.adjacency)) for g in graphs]
         for i, g in enumerate(graphs):
             # every other graph whose degrees do not tell it from g
@@ -351,7 +351,7 @@ class TestSingleLeafShortcut:
 
     def test_an_unfolded_rigid_pair_searches_nothing_more(self, isomorphism_calls):
         g = rigid_cubic(3, 50)
-        assert single_leaf(g) is not None
+        assert automorphism_group(g).leaf is not None
         assert orbitally_similar(g, relabelled(g, 3)).similar
         assert isomorphism_calls[0] == 0
 
@@ -359,13 +359,23 @@ class TestSingleLeafShortcut:
         # Both leaf orders are canonical, so any isomorphism would be the
         # leaf map; when it fails, no search of the cell digraphs is needed.
         g, h = rigid_cubic(0, 50), rigid_cubic(1, 50)
-        assert single_leaf(g) is not None and single_leaf(h) is not None
+        assert automorphism_group(g).leaf is not None and automorphism_group(h).leaf is not None
         assert orbitally_similar(g, h) == SimilarityVerdict(similar=False)
         assert isomorphism_calls[0] == 0
 
-    @pytest.mark.parametrize("pair", [(pendant_trees(), relabelled(pendant_trees(), 5)), (cycle(4), cycle(8))])
-    def test_folded_or_symmetric_pairs_are_searched(self, pair, isomorphism_calls):
-        assert all(single_leaf(g) is None for g in pair)
+    def test_a_folded_rigid_pair_takes_the_leaf_map(self, isomorphism_calls):
+        # _fold's names do not depend on the labels, so the leaves of folded
+        # quotients are canonical too.
+        g, h = pendant_trees(), relabelled(pendant_trees(), 5)
+        assert automorphism_group(g).leaf is not None and automorphism_group(h).leaf is not None
+        verdict = orbitally_similar(g, h)
+        assert isomorphism_calls[0] == 0
+        assert verdict.similar and h.relabel(verdict.witness) == g
+        assert verdict == _searched_verdict(g, h)
+
+    @pytest.mark.parametrize("pair", [(cycle(4), cycle(8)), (cycle(5), cycle(10))], ids=["twins", "symmetric"])
+    def test_symmetric_pairs_are_searched(self, pair, isomorphism_calls):
+        assert all(automorphism_group(g).leaf is None for g in pair)
         assert orbitally_similar(*pair).similar
         assert isomorphism_calls[0] >= 1
 

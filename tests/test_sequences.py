@@ -214,3 +214,55 @@ def test_printed_rho_does_not_depend_on_vertex_labels(spec, k):
         image = list(range(graph.n))
         random.Random(seed).shuffle(image)
         assert analyze_term(graph.relabel(image)).rho_adjacency == rho, seed
+
+
+def test_orders_must_increase():
+    verdict = verify_self_similar([cycle(5), cycle(4)])
+    assert not verdict.self_similar
+    assert verdict.failing_pair == (0, 1)
+    assert verdict.reason == "orders not strictly increasing: 5 then 4"
+
+
+@pytest.mark.parametrize(
+    "terms, message",
+    [
+        ([cycle(3)], "need at least two graphs"),
+        ([cycle(3), Graph.from_edges(4, [(0, 1), (2, 3)])], "term 1 is disconnected"),
+    ],
+    ids=["one_term", "disconnected"],
+)
+def test_terms_are_checked(terms, message):
+    for check in (verify_self_similar, preservation_report):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check(terms)
+
+
+@pytest.mark.parametrize(
+    "terms, detail",
+    [
+        # c1 = 3 and K_5 has 10 - 5 + 1 = 6, where the law asks 1 + 2 * 5/4
+        ([complete(4), complete(5)], "term 1: c-1 = 5 != (c1-1)*|G_k|/n = 5/2"),
+        # the law holds for a repeated term, which does not grow
+        ([complete(4), complete(4)], "term 1: cyclomatic number not increasing"),
+    ],
+    ids=["scaling_law", "not_increasing"],
+)
+def test_cyclomatic_check_failures(terms, detail):
+    check = _check(preservation_report(terms), "cyclomatic")
+    assert not check.passed
+    assert check.detail == detail
+
+
+def test_rho_paths_flags_a_divisor_matrix_of_the_wrong_size(monkeypatch):
+    analyze = sequences.analyze_term
+
+    def two_cells_for_term_one(graph):
+        record = analyze(graph)
+        if graph.n == 4:
+            record = record._replace(divisor=from_dense(((1, 1), (1, 1)), (2, 2)))
+        return record
+
+    monkeypatch.setattr(sequences, "analyze_term", two_cells_for_term_one)
+    check = _check(preservation_report(_cycles(3)), "rho_paths_agree")
+    assert not check.passed
+    assert check.detail == "term 1: divisor matrix has 2 cells, 1 orbit values"
