@@ -582,6 +582,23 @@ def _fold(
 PROFILE_WORK = 16
 
 
+def _first_entry(v: int, row: Sequence[int]) -> tuple[int, int, int]:
+    """Step 1's entry of v's profile, from v's row alone: the distinct heads
+    but v, which make v's first layer, the arcs to them beyond one per head,
+    and the loops at v, the arcs inside layer 0."""
+    heads = set(row)
+    loops = row.count(v) if v in heads else 0
+    new = len(heads) - (loops > 0)
+    return new, len(row) - loops - new, loops
+
+
+def _first_layer(v: int, row: Sequence[int]) -> list[int]:
+    """v's first layer: the distinct heads of its row but v, in first-seen order."""
+    layer = dict.fromkeys(row)
+    layer.pop(v, None)
+    return list(layer)
+
+
 def _profile_split(adj: Sequence[Sequence[int]], cells: list[list[int]]) -> list[list[int]] | None:
     """The cells with every non-singleton cell split by its members'
     distance-layer profiles, fragments in ascending profile order, or None
@@ -593,33 +610,42 @@ def _profile_split(adj: Sequence[Sequence[int]], cells: list[list[int]]) -> list
     per step until some cell splits; a member stops once its new layer is
     empty, with the last entry (0, 0, arcs inside its last layer).
 
-    Every arc has a reverse, so a head of an arc out of the last layer lies
-    in that layer, the one before it or the next one.  So between steps a
-    member keeps only its last two layers, never its ball, and marks them
-    afresh when it grows.  A step scans at most the widest row for each
-    vertex of the members' last layers, and no step starts whose bound,
-    added to those of the steps before it, passes the budget; so the check
-    counts layer sizes and scans no arc.  The bound and the budget depend on
-    layer sizes and degrees alone, so whether the cells split does not
-    depend on the labels.
+    Step 1 reads each member's row alone (_first_entry), and its first
+    layer is listed only if step 2 runs.  From step 2 on, every arc has a
+    reverse, so a head of an arc out of the last layer lies in that layer,
+    the one before it or the next one.  So between steps a member keeps only
+    its last two layers, never its ball, and marks them afresh when it
+    grows.  A step scans at most the widest row for each vertex of the
+    members' last layers, and no step starts whose bound, added to those of
+    the steps before it, passes the budget; so the check counts layer sizes
+    and scans no arc.  The bound and the budget depend on layer sizes and
+    degrees alone, so whether the cells split does not depend on the labels.
     """
     budget, widest = PROFILE_WORK * sum(map(len, adj)), max(map(len, adj))
+    members = [v for cell in cells if len(cell) > 1 for v in cell]
+    work = widest * len(members)
+    if work > budget:
+        return None
+    # The entries of the last step.  The members of a cell have agreed on
+    # every entry so far, so they all get one at a step or none does, and
+    # that step's entries alone split the cell, in ascending profile order.
+    step = {v: _first_entry(v, adj[v]) for v in members}
+    frontier = sum(entry[0] for entry in step.values())
+    # A growing member's previous layer and last layer, once step 2 runs.
+    state: dict[int, tuple[list[int], list[int]]] | None = None
     # While a member grows, mark[w] is base for its last layer but one,
     # base + 1 for its last layer and base + 2 for the new one; every other
     # mark is below base, which moves past all marks before each member.
     mark = [-1] * len(adj)
     base = 0
-    # A growing member's previous layer and last layer.
-    state = {v: ([], [v]) for cell in cells if len(cell) > 1 for v in cell}
-    work, frontier = 0, len(state)
-    while state:
+    while not any(len({step.get(v) for v in cell}) > 1 for cell in cells):
         work += widest * frontier
-        if work > budget:
+        # frontier counts the last layers, so it is 0 once no member grows.
+        if not frontier or work > budget:
             return None
-        # The members of a cell have agreed on every entry so far, so they
-        # all get one at this step or none does, and this step's entries
-        # alone split the cell, in ascending profile order.
-        step: dict[int, tuple[int, int, int]] = {}
+        if state is None:
+            state = {v: ([v], _first_layer(v, adj[v])) for v in members if step[v][0]}
+        step = {}
         frontier = 0
         for v, (previous, layer) in list(state.items()):
             base += 3
@@ -645,10 +671,6 @@ def _profile_split(adj: Sequence[Sequence[int]], cells: list[list[int]]) -> list
                 frontier += len(new)
             else:
                 del state[v]
-        if any(len({step.get(v) for v in cell}) > 1 for cell in cells):
-            break
-    else:
-        return None
     split: list[list[int]] = []
     for cell in cells:
         fragments: dict = {}

@@ -38,6 +38,7 @@ from __future__ import annotations
 # only once an error reaches it.
 
 import errno
+import gc
 import os
 import sys
 from collections import namedtuple
@@ -88,30 +89,14 @@ def _write_ascii(path: str, text: str) -> None:
         raise CliError(f"cannot write {path}: {exc}", EXIT_PARSE) from exc
 
 
-def _header_n(text: str, fmt: str) -> int:
-    """The vertex count of a well-formed header, else 0: the parser reports a malformed one."""
-    from .graph_core import _g6_decode_n
-
-    try:
-        if fmt == "graph6":
-            return _g6_decode_n(text.strip().removeprefix(">>graph6<<").strip())[0]
-        import re  # only here: --version and --help need not load it
-
-        # The lines of ASCII text, as str.splitlines cuts them.
-        lines = map(re.Match.group, re.finditer(r"[^\n\r\v\f\x1c-\x1e]+", text))
-        n, m = map(int, next(ln for ln in lines if ln.strip() and not ln.lstrip().startswith("#")).split())
-        return n if m >= 0 else 0
-    except (StopIteration, ValueError):
-        return 0
-
-
 def _load_graph(path: str, fmt: str) -> Graph:
-    from .graph_core import GraphFormatError, parse_edge_list, parse_graph6
+    from .graph_core import GraphFormatError, _edge_list_header, _graph6_header, parse_edge_list, parse_graph6
 
     text = _read_ascii(path)
-    _require_desk_scale(_header_n(text, fmt))
+    header, parse = (_edge_list_header, parse_edge_list) if fmt == "edgelist" else (_graph6_header, parse_graph6)
     try:
-        return parse_edge_list(text) if fmt == "edgelist" else parse_graph6(text)
+        _require_desk_scale(header(text)[0])
+        return parse(text)
     except GraphFormatError as exc:
         raise CliError(f"{path}: {exc}", EXIT_PARSE) from exc
 
@@ -421,23 +406,18 @@ def _print_sequence_table(report) -> None:
 
 
 def cmd_sequence(args: SimpleNamespace) -> int:
-    from .sequences import SequenceSpec, SequenceSpecError, generate, preservation_report
+    from .sequences import SequenceSpec, generate, preservation_report
 
     text = _read_ascii(args.specfile)
     try:
-        # ValueError covers malformed JSON, a bad spec and an integer of more
-        # digits than int() converts.
+        # ValueError covers malformed JSON, a bad spec or count, and an
+        # integer of more digits than int() converts.  Each term's order
+        # follows from the spec: the cap is checked before any term is built.
         spec = SequenceSpec.loads(text)
-    except ValueError as exc:
-        raise CliError(f"{args.specfile}: {exc}", EXIT_PARSE) from exc
-    except RecursionError as exc:
-        raise CliError(f"{args.specfile}: spec nested too deeply", EXIT_PARSE) from exc
-    try:
-        # Each term's order follows from the spec: check the cap before building.
         for k in range(args.count):
             _require_desk_scale(spec.order(k), name=f"term {k}")
         graphs = generate(spec, args.count)
-    except SequenceSpecError as exc:
+    except ValueError as exc:
         raise CliError(f"{args.specfile}: {exc}", EXIT_PARSE) from exc
     except RecursionError as exc:
         raise CliError(f"{args.specfile}: spec nested too deeply", EXIT_PARSE) from exc
@@ -687,6 +667,10 @@ class _ClosedStdout:
 def run() -> None:
     """The process entry, as the module docstring describes; it never returns.
 
+    The cyclic garbage collector is off for the whole run: a command leaves
+    no reference cycle for it to free, so its passes would be time spent for
+    nothing.
+
     A SystemExit becomes its code as the interpreter makes it: None is 0, an
     int is itself, anything else is printed on stderr and is 1.  Every file
     main() opens goes through _read_ascii or _write_ascii, which turn an
@@ -695,6 +679,7 @@ def run() -> None:
     """
     if sys.stdout is None:
         sys.stdout = _ClosedStdout()
+    gc.disable()
     try:
         try:
             code = main()

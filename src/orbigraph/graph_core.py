@@ -7,6 +7,7 @@ DOT are provided as conveniences.  All degree statistics are exact
 rationals so that downstream preservation checks can compare exactly.
 """
 
+import re
 from bisect import bisect_left, bisect_right
 from collections import deque
 from fractions import Fraction
@@ -171,28 +172,50 @@ def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_edge_list(text: str) -> Graph:
-    """Parse the canonical edge-list format.
+# A nonempty line of a text, as str.splitlines cuts them.
+_LINE = re.compile("[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]+")
 
-    First significant line is "n m"; then exactly m lines "u v" with
-    0 <= u < v < n.  Lines starting with '#' and blank lines are ignored.
-    """
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines:
+
+def _significant(lines: Iterable[str]) -> Iterator[str]:
+    """The lines that are neither blank nor a comment (first non-blank character '#')."""
+    return (ln for ln in lines if ln.strip() and not ln.lstrip().startswith("#"))
+
+
+def _edge_list_header(text: str) -> tuple[int, int]:
+    """(n, m) from the first significant line of an edge list, n > 0 and m >= 0
+    in plain decimal (int() also reads "3_0" and "+3"); the lines are cut one
+    at a time, so no list of them exists yet."""
+    line = next(_significant(map(re.Match.group, _LINE.finditer(text))), None)
+    if line is None:
         raise GraphFormatError("empty input")
-    header = lines[0].split()
+    header = line.split()
     if len(header) != 2:
-        raise GraphFormatError(f"header must be 'n m', got {lines[0]!r}")
+        raise GraphFormatError(f"header must be 'n m', got {line!r}")
     try:
+        if "_" in line or "+" in line:
+            raise ValueError(line)
         n, m = int(header[0]), int(header[1])
     except ValueError as exc:
-        raise GraphFormatError(f"header must contain integers, got {lines[0]!r}") from exc
+        raise GraphFormatError(f"header must contain integers, got {line!r}") from exc
     if n <= 0:
         raise GraphFormatError(f"vertex count must be positive, got {n}")
     if m < 0:
         raise GraphFormatError(f"edge count must be nonnegative, got {m}")
+    return n, m
+
+
+def parse_edge_list(text: str) -> Graph:
+    """Parse the canonical edge-list format.
+
+    First significant line is "n m"; then exactly m lines "u v" with
+    0 <= u < v < n, in plain decimal.  Blank lines and '#' comments are ignored.
+    """
+    n, m = _edge_list_header(text)
+    lines = list(_significant(text.splitlines()))
     if len(lines) - 1 != m:
         raise GraphFormatError(f"expected {m} edge lines, found {len(lines) - 1}")
+    # One scan of the text spares the edge lines their own "_" and "+" checks.
+    plain = "_" not in text and "+" not in text
     labels = list(range(n))  # one int object per vertex, shared by the rows
     rows: list[list[int]] = [[] for _ in labels]
     for ln in islice(lines, 1, None):
@@ -200,6 +223,8 @@ def parse_edge_list(text: str) -> Graph:
         if len(parts) != 2:
             raise GraphFormatError(f"edge line must be 'u v', got {ln!r}")
         try:
+            if not plain and ("_" in ln or "+" in ln):
+                raise ValueError(ln)
             u, v = int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise GraphFormatError(f"edge line must contain integers, got {ln!r}") from exc
@@ -238,24 +263,31 @@ def _g6_encode_n(n: int) -> str:
     raise GraphFormatError(f"vertex count {n} too large for graph6")
 
 
-def _g6_decode_n(data: str) -> tuple[int, int]:
-    """Return (n, number of characters consumed)."""
-    if not data:
+def _graph6_header(text: str) -> tuple[int, str]:
+    """(n, body) of a graph6 string after an optional '>>graph6<<' header: n > 0
+    from the size field, one byte or "~" and 3 or "~~" and 6, each in "?".."~"
+    (McKay, graph6 and sparse6 formats), and the characters after it."""
+    s = text.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<") :].strip()
+    if not s:
         raise GraphFormatError("empty graph6 string")
-    c0 = ord(data[0]) - 63
-    if c0 != 63:
-        if not 0 <= c0 <= 62:
-            raise GraphFormatError("invalid graph6 size byte")
-        return c0, 1
-    # "~" then 3 characters, or "~~" then 6.
-    start, end = (2, 8) if data[1:2] == "~" else (1, 4)
-    chars = data[start:end]
-    if len(chars) < end - start:
-        raise GraphFormatError("truncated graph6 size field")
-    n = 0
-    for ch in chars:
-        n = (n << 6) | (ord(ch) - 63)
-    return n, end
+    n, end = ord(s[0]) - 63, 1
+    if n == 63:
+        start, end = (2, 8) if s[1:2] == "~" else (1, 4)
+        if len(s) < end:
+            raise GraphFormatError("truncated graph6 size field")
+        n = 0
+        for ch in s[start:end]:
+            value = ord(ch) - 63
+            if not 0 <= value <= 63:
+                raise GraphFormatError(f"invalid byte {ch!r} in graph6 size field {s[:end]!r}")
+            n = (n << 6) | value
+    elif not 0 <= n <= 62:
+        raise GraphFormatError("invalid graph6 size byte")
+    if n == 0:
+        raise GraphFormatError("graph6 with zero vertices rejected")
+    return n, s[end:]
 
 
 def to_graph6(graph: Graph) -> str:
@@ -277,14 +309,8 @@ def to_graph6(graph: Graph) -> str:
 
 def parse_graph6(text: str) -> Graph:
     """Decode a graph6 string (optional '>>graph6<<' header allowed)."""
-    s = text.strip()
-    if s.startswith(">>graph6<<"):
-        s = s[len(">>graph6<<") :].strip()
-    n, consumed = _g6_decode_n(s)
-    if n == 0:
-        raise GraphFormatError("graph6 with zero vertices rejected")
+    n, body = _graph6_header(text)
     need = (n * (n - 1) // 2 + 5) // 6
-    body = s[consumed:]
     if len(body) != need:
         raise GraphFormatError(f"graph6 body length {len(body)}, expected {need}")
     bits: list[int] = []

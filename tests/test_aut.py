@@ -590,6 +590,32 @@ def test_generalized_petersen_corpus_searches_no_level_twice(monkeypatch):
             _uncached_group(generalized_petersen(n, k))
 
 
+def _marked_first_layer(v, row):
+    """Step 1 of v's profile as _profile_split's marking loop takes a step:
+    layer 0 is v alone, a head seen for the first time joins the new layer,
+    a head seen again is an extra arc, and v itself an arc inside layer 0."""
+    mark = {v: "last"}
+    new, extra, inside = [], 0, 0
+    for w in row:
+        if w not in mark:
+            mark[w] = "new"
+            new.append(w)
+        elif mark[w] == "new":
+            extra += 1
+        else:
+            inside += 1
+    return (len(new), extra, inside), new
+
+
+@given(st.integers(0, 6).flatmap(lambda v: st.tuples(st.just(v), st.lists(st.integers(0, 6), max_size=24))))
+def test_first_layer_equals_the_marking_loop(case):
+    # Multigraph rows: heads repeat, and v may be among them as loops.
+    v, row = case
+    entry, layer = _marked_first_layer(v, row)
+    assert aut._first_entry(v, tuple(row)) == entry
+    assert aut._first_layer(v, tuple(row)) == layer
+
+
 def test_profile_split_stops_at_its_budget():
     # The outer and inner cycles of GP(1000, 33) differ only in distance
     # profiles of radius about 29: splitting its refined root scans 6.18 M

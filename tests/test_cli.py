@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -262,6 +263,66 @@ def test_graph6_vertex_cap_is_checked_on_the_header(tmp_path, capsys):
     big.write_text(to_graph6(path(2001))[:4] + "\n", encoding="ascii")
     assert main(["analyze", "--format", "graph6", str(big)]) == EXIT_RESOURCE
     assert "graph has 2001 vertices, above the supported cap 2000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["~!!!", "~?\x7f?", "~~!!!!!!"], ids=ascii)
+def test_malformed_graph6_size_field_is_a_parse_error(text, tmp_path, capsys):
+    # "~?\x7f?" once decoded to 4,096 vertices and exited 4 on the cap.
+    bad = tmp_path / "bad.g6"
+    bad.write_text(text, encoding="ascii")
+    assert main(["analyze", "--format", "graph6", str(bad)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "bad.g6: invalid byte" in err and "in graph6 size field" in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("3_0 2\n0 1\n1 2\n", "header must contain integers"),  # once 30 vertices, exit 3
+        ("+3 2\n0 1\n1 2\n", "header must contain integers"),  # once path(3), exit 0
+        ("11 1\n0 1_0\n", "edge line must contain integers"),  # once the edge 0 10, exit 3
+    ],
+)
+def test_edge_list_integers_are_plain_decimal(text, message, tmp_path, capsys):
+    bad = tmp_path / "bad.edges"
+    bad.write_text(text, encoding="ascii")
+    assert main(["analyze", str(bad)]) == EXIT_PARSE
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sep", ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e"], ids=ascii)
+def test_cap_check_and_parser_read_the_same_header(sep, tmp_path, capsys):
+    # Comment and blank lines, then the header, cut by each line separator.
+    lines = ["# a comment", "", " \t", "  # an indented comment", "{n} 2", "0 1", "1 2", ""]
+    graph = tmp_path / "g.edges"
+    graph.write_bytes(sep.join(lines).format(n=3).encode("ascii"))
+    assert main(["analyze", "--json", str(graph)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["order"] == 3
+    graph.write_bytes(sep.join(lines).format(n=2001).encode("ascii"))
+    assert main(["analyze", "--json", str(graph)]) == EXIT_RESOURCE
+    assert "graph has 2001 vertices, above the supported cap 2000" in capsys.readouterr().err
+
+
+def test_commands_leave_no_garbage_cycle(tmp_path, capsys):
+    # run() turns the cyclic collector off, as no command leaves a cycle for
+    # it to free.  A first round imports the modules; the second round's
+    # inputs differ, so no cached search answers them.
+    def commands(k):
+        yield ["analyze", "--json", _write(tmp_path, "a", path(k))]
+        yield ["compare", "--json", _write(tmp_path, "b", cycle(k)), _write(tmp_path, "c", cycle(2 * k))]
+        yield ["sequence", "--json", _spec(tmp_path, {"family": "generalized-sun", "p": 3, "q": 2, "start": k})]
+
+    for argv in commands(5):
+        main(argv)
+    gc.collect()
+    gc.disable()
+    try:
+        for argv in commands(7):
+            main(argv)
+            assert gc.collect() == 0, argv
+    finally:
+        gc.enable()
+    capsys.readouterr()
 
 
 def test_sequence_term_above_the_cap_is_a_resource_error(tmp_path, capsys):

@@ -9,8 +9,9 @@ from orbigraph.constructions import complete, cycle, path, star
 from orbigraph.graph_core import (
     Graph,
     GraphFormatError,
-    _g6_decode_n,
+    _edge_list_header,
     _g6_encode_n,
+    _graph6_header,
     cyclomatic_number,
     degree_stats,
     density,
@@ -59,6 +60,30 @@ class TestParseEdgeList:
     def test_rejects(self, text):
         with pytest.raises(GraphFormatError):
             parse_edge_list(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # int() reads "3_0" as 30 and "+3" as 3; the format's integers are plain decimal
+            ("3_0 2\n0 1\n1 2", "header must contain integers, got '3_0 2'"),
+            ("+3 2\n0 1\n1 2", "header must contain integers, got '+3 2'"),
+            ("11 1\n0 1_0", "edge line must contain integers, got '0 1_0'"),
+            ("3 2\n0 1\n+1 2", "edge line must contain integers, got '+1 2'"),
+            ("3 -2", "edge count must be nonnegative, got -2"),
+        ],
+    )
+    def test_integers_are_plain_decimal(self, text, message):
+        with pytest.raises(GraphFormatError, match=f"^{re.escape(message)}$"):
+            parse_edge_list(text)
+
+    def test_underscores_and_plus_signs_in_comments_are_ignored(self):
+        assert parse_edge_list("# a_b +c\n3 2\n0 1\n  # 1_2\n1 2\n") == path(3)
+
+    @pytest.mark.parametrize("sep", ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"])
+    def test_header_reader_cuts_lines_as_the_parser_does(self, sep):
+        text = sep.join(["# a comment", "", " \t", "  # an indented comment", "3 2", "0 1", "1 2", ""])
+        assert _edge_list_header(text) == (3, 2)
+        assert parse_edge_list(text) == path(3)
 
 
 class TestGraphType:
@@ -216,7 +241,7 @@ class TestGraph6:
     def test_size_fields(self, n, field):
         # one character up to 62, "~" and 3 up to 258,047, "~~" and 6 above
         assert _g6_encode_n(n) == field
-        assert _g6_decode_n(field + "?") == (n, len(field))
+        assert _graph6_header(field + "?") == (n, "?")
 
     def test_size_above_the_8_character_field(self):
         with pytest.raises(GraphFormatError, match="vertex count 68719476736 too large for graph6"):
@@ -234,6 +259,10 @@ class TestGraph6:
             ("?", "graph6 with zero vertices rejected"),
             ("C!", "invalid graph6 byte '!'"),
             ("C\x7f", "invalid graph6 byte '\\x7f'"),
+            # every byte of a long size field lies in "?".."~" too
+            ("~!!!", "invalid byte '!' in graph6 size field '~!!!'"),
+            ("~?\x7f?", "invalid byte '\\x7f' in graph6 size field '~?\\x7f?'"),
+            ("~~!!!!!!", "invalid byte '!' in graph6 size field '~~!!!!!!'"),
         ],
     )
     def test_malformed_strings(self, text, message):
