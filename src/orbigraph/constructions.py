@@ -247,22 +247,22 @@ def loaded_torus(dims: Sequence[int], q: int, m: int) -> Graph:
     return vertex_load(torus(dims), starlike_load(q, m))
 
 
-# Each family's constructor and its order in closed form, so that a member
-# can be refused by size before anything is built.
-_FAMILIES: dict[str, tuple[Callable[..., Graph], Callable[..., int]]] = {
-    "cycle": (cycle, lambda n: n),
-    "path": (path, lambda n: n),
-    "complete": (complete, lambda n: n),
-    "star": (star, lambda q: q + 1),
-    "circular-ladder": (circular_ladder, lambda n: 2 * n),
-    "moebius-ladder": (moebius_ladder, lambda n: 2 * n),
-    "crossed-prism": (crossed_prism, lambda n: 2 * n),
-    "antiprism": (antiprism, lambda n: 2 * n),
-    "torus": (torus, lambda dims: math.prod(dims)),
-    "sun": (sun, lambda n: 2 * n),
-    "generalized-sun": (generalized_sun, lambda n, q: n * (1 + q)),
-    "cycle-with-cliques": (cycle_with_cliques, lambda n, p, q: n * (1 + q * (p - 1))),
-    "loaded-torus": (loaded_torus, lambda dims, q, m: math.prod(dims) * (1 + q * m)),
+# Each family's constructor, the names of its parameters and its order in
+# closed form, so that a member can be refused by size before anything is built.
+_FAMILIES: dict[str, tuple[Callable[..., Graph], tuple[str, ...], Callable[..., int]]] = {
+    "cycle": (cycle, ("n",), lambda n: n),
+    "path": (path, ("n",), lambda n: n),
+    "complete": (complete, ("n",), lambda n: n),
+    "star": (star, ("q",), lambda q: q + 1),
+    "circular-ladder": (circular_ladder, ("n",), lambda n: 2 * n),
+    "moebius-ladder": (moebius_ladder, ("n",), lambda n: 2 * n),
+    "crossed-prism": (crossed_prism, ("n",), lambda n: 2 * n),
+    "antiprism": (antiprism, ("n",), lambda n: 2 * n),
+    "torus": (torus, ("dims",), lambda dims: math.prod(dims)),
+    "sun": (sun, ("n",), lambda n: 2 * n),
+    "generalized-sun": (generalized_sun, ("n", "q"), lambda n, q: n * (1 + q)),
+    "cycle-with-cliques": (cycle_with_cliques, ("n", "p", "q"), lambda n, p, q: n * (1 + q * (p - 1))),
+    "loaded-torus": (loaded_torus, ("dims", "q", "m"), lambda dims, q, m: math.prod(dims) * (1 + q * m)),
 }
 
 
@@ -271,19 +271,15 @@ def family_names() -> tuple[str, ...]:
 
 
 def _call(name: str, params: dict, column: int):
-    """Column 0 (the constructor) or 1 (the order) of the family's row, called
-    on params; ValueError for an unknown name, for parameters the
-    constructor does not take, or for one below 1."""
+    """Column 0 (the constructor) or 2 (the order) of the family's row, called
+    on params; ValueError for an unknown name, for parameters other than the
+    row's, or for one below 1."""
     if name not in _FAMILIES:
         raise ValueError(f"unknown family {name!r}; known: {', '.join(family_names())}")
-    import inspect  # only here: it costs the CLI several ms of start-up
-
     row = _FAMILIES[name]
     try:
-        try:
-            inspect.signature(row[0]).bind(**params)
-        except TypeError:
-            row[0](**params)  # parameters that do not bind: the constructor's own message, before its body runs
+        if set(params) != set(row[1]):  # a call with them would raise TypeError: do not make it
+            raise TypeError(f"takes {', '.join(row[1])}; got {', '.join(params) or 'none'}")
         # Every parameter and every entry of dims has a minimum of at least 1;
         # below it, a closed-form order can still come out positive.
         low = [f"{k}={v}" for k, v in params.items() if min(v if k == "dims" else (v,), default=1) < 1]
@@ -305,4 +301,4 @@ def family_order(name: str, **params) -> int:
     Parameters the constructor would refuse are checked only for their names
     and for values below 1.
     """
-    return _call(name, params, 1)
+    return _call(name, params, 2)

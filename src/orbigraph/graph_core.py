@@ -183,8 +183,13 @@ def _significant(lines: Iterable[str]) -> Iterator[str]:
 
 def _edge_list_header(text: str) -> tuple[int, int]:
     """(n, m) from the first significant line of an edge list, n > 0 and m >= 0
-    in plain decimal (int() also reads "3_0" and "+3"); the lines are cut one
-    at a time, so no list of them exists yet."""
+    in plain decimal (int() also reads "3_0", "+3" and non-ASCII digits); the
+    lines are cut one at a time, so no list of them exists yet.  The text is
+    ASCII but for the line breaks that _LINE cuts at."""
+    if not text.isascii():
+        at = next((i for i, ch in enumerate(text) if not ch.isascii() and ch not in "\x85\u2028\u2029"), None)
+        if at is not None:
+            raise GraphFormatError(f"edge list must be ASCII, got {text[at]!r} at offset {at}")
     line = next(_significant(map(re.Match.group, _LINE.finditer(text))), None)
     if line is None:
         raise GraphFormatError("empty input")
@@ -310,6 +315,8 @@ def to_graph6(graph: Graph) -> str:
 def parse_graph6(text: str) -> Graph:
     """Decode a graph6 string (optional '>>graph6<<' header allowed)."""
     n, body = _graph6_header(text)
+    if "\n" in body or "\r" in body:
+        raise GraphFormatError("graph6 text holds more than one graph; one graph per file is read")
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) != need:
         raise GraphFormatError(f"graph6 body length {len(body)}, expected {need}")

@@ -170,47 +170,47 @@ def _check_indices(params: dict) -> None:
     )
 
 
-def _indexed(build: Callable[[int], Graph], factor: int, low: int = 3, step: int = 1, **row) -> _Family:
-    """A family whose term k is build(n), n = start + step * k, with factor * n vertices."""
+def _catalogue(name: str, ints: Mapping[str, int], params: Callable[[SequenceSpec, int], dict], **row) -> _Family:
+    """A family whose term k is the catalogue member name with params(spec, k)."""
     return _Family(
-        {"start": low},
-        lambda s, k: build(s.params["start"] + step * k),
-        lambda s, k: factor * (s.params["start"] + step * k),
+        ints,
+        lambda s, k: cons.family(name, **params(s, k)),
+        lambda s, k: cons.family_order(name, **params(s, k)),
         **row,
     )
 
 
+def _indexed(name: str, low: int = 3, step: int = 1, **row) -> _Family:
+    """A family whose term k is the catalogue member name with n = start + step * k."""
+    return _catalogue(name, {"start": low}, lambda s, k: {"n": s.params["start"] + step * k}, **row)
+
+
 _FAMILIES: dict[str, _Family] = {
-    "cycles": _indexed(cons.cycle, 1),
-    "circular-ladders": _indexed(cons.circular_ladder, 2),
-    "moebius-ladders": _indexed(cons.moebius_ladder, 2),
+    "cycles": _indexed("cycle"),
+    "circular-ladders": _indexed("circular-ladder"),
+    "moebius-ladders": _indexed("moebius-ladder"),
     "crossed-prisms": _indexed(
-        cons.crossed_prism, 2, low=4, step=2,
+        "crossed-prism", low=4, step=2,
         check=lambda p: _require(p["start"] % 2 == 0, "crossed-prisms start must be even"),
     ),
-    "antiprisms": _indexed(cons.antiprism, 2),
+    "antiprisms": _indexed("antiprism"),
     # Never self-similar: the divisor matrix of K_n is [n - 1], which differs
     # from term to term; kept as a sequence that must fail verification.
-    "complete-graphs": _indexed(cons.complete, 1),
-    "torus-fixed": _Family(
-        {"start": 3, "m": 3},
-        lambda s, k: cons.torus((s.params["start"] + k, s.params["m"])),
-        lambda s, k: (s.params["start"] + k) * s.params["m"],
+    "complete-graphs": _indexed("complete"),
+    "torus-fixed": _catalogue(
+        "torus", {"start": 3, "m": 3}, lambda s, k: {"dims": (s.params["start"] + k, s.params["m"])}
     ),
-    "torus-schedule": _Family(
-        {}, lambda s, k: cons.torus(_dims(_entry(s, k))), lambda s, k: prod(_dims(_entry(s, k))),
+    "torus-schedule": _catalogue(
+        "torus", {}, lambda s, k: {"dims": _dims(_entry(s, k))}, other="schedule", check=_check_schedule
+    ),
+    "loaded-multi-torus": _catalogue(
+        "loaded-torus", {"q": 1, "m": 1, "r": 1},
+        lambda s, k: {"dims": _dims(_entry(s, k)), "q": s.params["q"], "m": s.params["m"]},
         other="schedule", check=_check_schedule,
     ),
-    "loaded-multi-torus": _Family(
-        {"q": 1, "m": 1, "r": 1},
-        lambda s, k: cons.loaded_torus(_dims(_entry(s, k)), s.params["q"], s.params["m"]),
-        lambda s, k: prod(_dims(_entry(s, k))) * (1 + s.params["q"] * s.params["m"]),
-        other="schedule", check=_check_schedule,
-    ),
-    "generalized-sun": _Family(
-        {"start": 3, "p": 1, "q": 1},
-        lambda s, k: cons.cycle_with_cliques(s.params["start"] + k, s.params["p"], s.params["q"]),
-        lambda s, k: (s.params["start"] + k) * (1 + s.params["q"] * (s.params["p"] - 1)),
+    "generalized-sun": _catalogue(
+        "cycle-with-cliques", {"start": 3, "p": 1, "q": 1},
+        lambda s, k: {"n": s.params["start"] + k, "p": s.params["p"], "q": s.params["q"]},
     ),
     "corona-family": _Family(
         {"p": 1, "q": 1},

@@ -616,12 +616,8 @@ def test_first_layer_equals_the_marking_loop(case):
     assert aut._first_layer(v, tuple(row)) == layer
 
 
-def test_profile_split_stops_at_its_budget():
-    # The outer and inner cycles of GP(1000, 33) differ only in distance
-    # profiles of radius about 29: splitting its refined root scans 6.18 M
-    # arcs, 1,030 times the graph's.  Within the budget the root does not
-    # split, and the search finds the group without it.
-    graph = generalized_petersen(1000, 33)
+def _counted(adjacency):
+    """The rows as a list that counts the arcs of every row read from it, and the count."""
     scanned = [0]
 
     class Rows(list):
@@ -630,13 +626,38 @@ def test_profile_split_stops_at_its_budget():
             scanned[0] += len(row)
             return row
 
+    return Rows(adjacency), scanned
+
+
+def test_profile_split_stops_at_its_budget():
+    # The outer and inner cycles of GP(1000, 33) differ only in distance
+    # profiles of radius about 29: splitting its refined root scans 6.18 M
+    # arcs, 1,030 times the graph's.  Within the budget the root does not
+    # split, and the search finds the group without it.
+    graph = generalized_petersen(1000, 33)
+    rows, scanned = _counted(graph.adjacency)
     root = _Cells.from_cells(graph.n, [range(graph.n)])
     root.refine(graph.adjacency, root.starts())
     assert root.ncells == 1
-    assert aut._profile_split(Rows(graph.adjacency), root.cells()) is None
+    assert aut._profile_split(rows, root.cells()) is None
     assert 0 < scanned[0] <= aut.PROFILE_WORK * 2 * graph.m
     group = _uncached_group(graph)
     assert group.order == 2000 and len(group.orbits) == 2
+
+
+def test_profile_split_refuses_its_first_step_over_budget():
+    # The wheel W_100: hub 0 and a rim cycle 1..100, 400 arcs.  The rim is
+    # the one non-singleton cell, and its 100 members times the widest row
+    # (the hub's 100) pass 16 x 400 before any row is read.
+    graph = Graph.from_edges(101, [(0, v) for v in range(1, 101)] + [(v, v % 100 + 1) for v in range(1, 101)])
+    rows, scanned = _counted(graph.adjacency)
+    root = _Cells.from_cells(graph.n, [range(graph.n)])
+    root.refine(graph.adjacency, root.starts())
+    assert sorted(map(len, root.cells())) == [1, 100]
+    assert aut._profile_split(rows, root.cells()) is None
+    assert scanned[0] == 0
+    group = _uncached_group(graph)
+    assert group.order == 200 and len(group.orbits) == 2
 
 
 def _interleaved_double(graph: Graph) -> Graph:

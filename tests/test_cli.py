@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from helpers import child_env, dense, rigid_cubic, run_child, tied_star, written
 from orbigraph import __version__
 from orbigraph import constructions as cons
-from orbigraph import spectral
+from orbigraph import sequences, spectral
 from orbigraph.cli import (
     EXIT_DISCONNECTED,
     EXIT_DISSIMILAR,
@@ -26,6 +26,7 @@ from orbigraph.cli import (
     EXIT_VERIFY,
     _WRITE_SIZE,
     _matrix_row,
+    _scalar,
     _write_json,
     main,
 )
@@ -114,6 +115,23 @@ def test_sequence_of_complete_graphs_fails_verification(tmp_path, capsys):
     assert "terms 0 and 1 not orbitally similar" in capsys.readouterr().err
 
 
+def test_sequence_with_a_failed_preservation_check_exits_with_verify_code(tmp_path, monkeypatch, capsys):
+    # A self-similar verdict with one failed check: the check alone decides the exit.
+    report = sequences.preservation_report
+
+    def failing(graphs):
+        real = report(graphs)
+        checks = (sequences.PreservationCheck("entropy", False, "forced"), *real.preservation[1:])
+        assert real.verdict.self_similar and real.preservation[0].name == "entropy"
+        return real._replace(preservation=checks)
+
+    monkeypatch.setattr(sequences, "preservation_report", failing)
+    assert main(["sequence", "--json", "--count", "3", _spec(tmp_path, {"family": "cycles"})]) == EXIT_VERIFY
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["ok"] is False
+    assert captured.err == "verification failed: entropy\n"
+
+
 def test_sequence_unknown_family_is_a_parse_error(tmp_path, capsys):
     assert main(["sequence", _spec(tmp_path, {"family": "no-such-family"})]) == EXIT_PARSE
     assert "unknown family" in capsys.readouterr().err
@@ -134,10 +152,16 @@ def test_generate_to_stdout_file_and_graph6(tmp_path, capsys):
     "argv, message",
     [
         (["cycle", "--n", "2"], "cycle needs n >= 3"),
-        (["cycle"], "cycle() missing 1 required positional argument: 'n'"),
+        pytest.param(["cycle"], "bad parameters for family 'cycle': takes n; got none", id="cycle-without-n"),
         (["torus", "--dims", "3,x"], "bad --dims '3,x'"),
-        (["torus", "--dims", "3,4", "--n", "5"], "torus() got an unexpected keyword argument 'n'"),
-        (["path", "--n", "100000000", "--p", "3"], "path() got an unexpected keyword argument 'p'"),
+        pytest.param(
+            ["torus", "--dims", "3,4", "--n", "5"], "bad parameters for family 'torus': takes dims; got dims, n",
+            id="torus-with-n",
+        ),
+        pytest.param(
+            ["path", "--n", "100000000", "--p", "3"], "bad parameters for family 'path': takes n; got n, p",
+            id="path-with-p",
+        ),
         # the closed-form orders of these are positive and above the cap
         (["loaded-torus", "--dims", "3,3", "--q", "-100", "--m", "-100"], "got q=-100, m=-100"),
         (["cycle-with-cliques", "--n", "3", "--p", "0", "--q", "-100000"], "got p=0, q=-100000"),
@@ -275,6 +299,16 @@ def test_malformed_graph6_size_field_is_a_parse_error(text, tmp_path, capsys):
     assert "bad.g6: invalid byte" in err and "in graph6 size field" in err
 
 
+def test_graph6_file_of_several_graphs_is_a_parse_error(tmp_path, capsys):
+    # The format allows one graph per line; the body length of two once was the message.
+    two = tmp_path / "two.g6"
+    two.write_text("A_\nA_\n", encoding="ascii")
+    assert main(["analyze", "--format", "graph6", str(two)]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {two}: graph6 text holds more than one graph; one graph per file is read\n"
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -371,10 +405,13 @@ try:
     cli.main(["--version"])
 except SystemExit as exc:
     assert exc.code == 0
-codes = [cli.main(argv.split("|")) for argv in sys.argv[1:]]
-unused = {"argparse", "gettext", "json", "textwrap", "dataclasses", "inspect", "datetime", "pathlib", "numpy"}
+codes = [cli.main(argv.split("|")) for argv in sys.argv[2:]]
+unused = set(sys.argv[1].split())
 print(codes, sorted(unused & (set(sys.modules) - before)))
 """
+
+# What inspect imports; the named families check their parameters without it.
+_INSPECT = "inspect ast dis tokenize"
 
 
 def test_version_analyze_and_compare_import_no_argparse_gettext_json_textwrap_dataclasses_inspect_datetime_pathlib_or_numpy(
@@ -382,9 +419,16 @@ def test_version_analyze_and_compare_import_no_argparse_gettext_json_textwrap_da
 ):
     # Under -S, since a site hook may import some of these before the CLI does.
     c6, c12 = _write(tmp_path, "c6", cycle(6)), _write(tmp_path, "c12", cycle(12))
-    child = run_child(_START_UP, f"analyze|--json|{c6}", f"compare|--json|{c6}|{c12}", flags=("-S",))
+    unused = f"argparse gettext json textwrap dataclasses datetime pathlib numpy {_INSPECT}"
+    child = run_child(_START_UP, unused, f"analyze|--json|{c6}", f"compare|--json|{c6}|{c12}", flags=("-S",))
     assert child.returncode == 0, child.stderr
     assert child.stdout.splitlines()[-1] == "[0, 0] []"
+    # generate and sequence --json, each in a child of its own; sequence reads its spec with json.
+    spec = _spec(tmp_path, {"family": "cycles", "start": 5})
+    for argv in (f"generate|cycle|--n|6|--out|{tmp_path / 'c6.edges'}", f"sequence|--json|--count|3|{spec}"):
+        child = run_child(_START_UP, _INSPECT, argv, flags=("-S",))
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.splitlines()[-1] == "[0] []", argv
 
 
 _LOADED = """
@@ -887,6 +931,15 @@ def _dense_form(value):
 @given(_JSON)
 def test_dumps_is_json_dumps_with_indent_two(value):
     assert written(value) == json.dumps(_dense_form(value), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [object(), 1.5j, b"x", {1}], ids=lambda v: type(v).__name__)
+def test_a_scalar_that_is_not_json_is_refused_as_json_dumps_refuses_it(value):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(value)
+    with pytest.raises(TypeError) as refused:
+        _scalar(value)
+    assert str(refused.value) == str(expected.value)
 
 
 @given(_ZERO_HEAVY | _MATRICES)

@@ -77,6 +77,13 @@ ARGUMENT_ERRORS = [
     ),
     ("disjoint_cliques", lambda: cons.disjoint_cliques(0, 2), "need q, p >= 1, got q=0, p=2"),
     ("family", lambda: family("nosuch", n=3), f"unknown family 'nosuch'; known: {', '.join(family_names())}"),
+    # parameter names are checked against the catalogue row, before the constructor is called
+    (
+        "family_params",
+        lambda: family("cycle-with-cliques", n=3, q=2),
+        "bad parameters for family 'cycle-with-cliques': takes n, p, q; got n, q",
+    ),
+    ("family_order_params", lambda: family_order("star"), "bad parameters for family 'star': takes q; got none"),
 ]
 
 

@@ -79,6 +79,20 @@ class TestParseEdgeList:
     def test_underscores_and_plus_signs_in_comments_are_ignored(self):
         assert parse_edge_list("# a_b +c\n3 2\n0 1\n  # 1_2\n1 2\n") == path(3)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # int() reads the Arabic-Indic three and one and the fullwidth two as 3, 1 and 2
+            ("\u0663 2\n0 1\n\u0661 \uff12\n", "edge list must be ASCII, got '\u0663' at offset 0"),
+            ("3 2\n0 1\n\u0661 2\n", "edge list must be ASCII, got '\u0661' at offset 8"),
+            ("# caf\u00e9\n3 2\n0 1\n1 2\n", "edge list must be ASCII, got '\u00e9' at offset 5"),
+        ],
+    )
+    def test_non_ascii_text_is_refused(self, text, message):
+        for read in (_edge_list_header, parse_edge_list):
+            with pytest.raises(GraphFormatError, match=f"^{re.escape(message)}$"):
+                read(text)
+
     @pytest.mark.parametrize("sep", ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"])
     def test_header_reader_cuts_lines_as_the_parser_does(self, sep):
         text = sep.join(["# a comment", "", " \t", "  # an indented comment", "3 2", "0 1", "1 2", ""])
@@ -103,6 +117,20 @@ class TestGraphType:
         for pair in ((0, 3), (-1, 1)):
             with pytest.raises(ValueError, match="out of range"):
                 Graph.from_edges(3, [pair])
+
+    def test_negative_vertex_count(self):
+        with pytest.raises(ValueError, match="^vertex count must be nonnegative, got -1$"):
+            Graph(-1, ())
+
+    def test_frozen_fields(self):
+        g = path(2)
+        with pytest.raises(AttributeError, match="^cannot assign to field 'n'$"):
+            g.n = 3
+        with pytest.raises(AttributeError, match="^cannot delete field 'n'$"):
+            del g.n
+        assert repr(g) == "Graph(n=2, adjacency=((1,), (0,)))"
+        # Another class is not equal, even with the same fields.
+        assert g != ((1,), (0,)) and g.__eq__(2) is NotImplemented
 
     def test_from_edges_normalizes(self):
         g = Graph.from_edges(3, [(2, 0), (0, 1)])
@@ -183,6 +211,8 @@ class TestRatios:
         assert edge_vertex_ratio(cycle(9)) == 1
         assert edge_vertex_ratio(path(5)) == Fraction(4, 5)
         assert edge_vertex_ratio(complete(5)) == 2
+        with pytest.raises(ValueError, match="^edge-vertex ratio undefined for the empty graph$"):
+            edge_vertex_ratio(Graph(0, ()))
 
     def test_density(self):
         assert density(complete(6)) == 1
@@ -263,6 +293,10 @@ class TestGraph6:
             ("~!!!", "invalid byte '!' in graph6 size field '~!!!'"),
             ("~?\x7f?", "invalid byte '\\x7f' in graph6 size field '~?\\x7f?'"),
             ("~~!!!!!!", "invalid byte '!' in graph6 size field '~~!!!!!!'"),
+            # graph6 allows one graph per line; the reader takes one per text
+            ("A_\nA_", "graph6 text holds more than one graph; one graph per file is read"),
+            ("A_\r\nA_\r\n", "graph6 text holds more than one graph; one graph per file is read"),
+            (">>graph6<<C~\nC~\n", "graph6 text holds more than one graph; one graph per file is read"),
         ],
     )
     def test_malformed_strings(self, text, message):

@@ -1,8 +1,11 @@
 import copy
+import math
 import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import from_dense, rigid_cubic
 from orbigraph import constructions as cons
@@ -76,6 +79,81 @@ def test_every_family_generates_its_constructions(case):
 def test_order_from_the_spec_is_the_built_order(case):
     spec = SequenceSpec.from_dict(FAMILY_CASES[case][0])
     assert [spec.order(k) for k in range(3)] == [g.n for g in generate(spec, 3)]
+
+
+def _schedules(width):
+    """Four torus schedule entries of width components each (width None: 1 or
+    2, a single one written as an integer), in strictly increasing products."""
+    entries = st.lists(st.integers(3, 6), min_size=width or 1, max_size=width or 2)
+    return (
+        st.lists(entries, min_size=4, max_size=4, unique_by=math.prod)
+        .map(lambda es: sorted(es, key=math.prod))
+        .map(lambda es: [e[0] if width is None and len(e) == 1 else e for e in es])
+    )
+
+
+def _dims(entry):
+    return (entry,) if isinstance(entry, int) else tuple(entry)
+
+
+_STARTS = st.integers(3, 7)
+_SMALL = st.integers(1, 3)
+
+# The ten sequence rows that wrap a catalogue family: their spec parameters,
+# drawn small, and the catalogue family and parameters of term k.
+CATALOGUE_ROWS = {
+    "cycles": (st.fixed_dictionaries({"start": _STARTS}), "cycle", lambda p, k: {"n": p["start"] + k}),
+    "circular-ladders": (
+        st.fixed_dictionaries({"start": _STARTS}), "circular-ladder", lambda p, k: {"n": p["start"] + k}
+    ),
+    "moebius-ladders": (
+        st.fixed_dictionaries({"start": _STARTS}), "moebius-ladder", lambda p, k: {"n": p["start"] + k}
+    ),
+    "crossed-prisms": (
+        st.fixed_dictionaries({"start": st.integers(2, 4).map(lambda h: 2 * h)}),
+        "crossed-prism",
+        lambda p, k: {"n": p["start"] + 2 * k},
+    ),
+    "antiprisms": (st.fixed_dictionaries({"start": _STARTS}), "antiprism", lambda p, k: {"n": p["start"] + k}),
+    "complete-graphs": (st.fixed_dictionaries({"start": _STARTS}), "complete", lambda p, k: {"n": p["start"] + k}),
+    "torus-fixed": (
+        st.fixed_dictionaries({"start": _STARTS, "m": st.integers(3, 5)}),
+        "torus",
+        lambda p, k: {"dims": (p["start"] + k, p["m"])},
+    ),
+    "torus-schedule": (
+        st.fixed_dictionaries({"schedule": _schedules(None)}), "torus", lambda p, k: {"dims": _dims(p["schedule"][k])}
+    ),
+    "loaded-multi-torus": (
+        st.integers(1, 2).flatmap(
+            lambda r: st.fixed_dictionaries({"q": _SMALL, "m": _SMALL, "r": st.just(r), "schedule": _schedules(r)})
+        ),
+        "loaded-torus",
+        lambda p, k: {"dims": _dims(p["schedule"][k]), "q": p["q"], "m": p["m"]},
+    ),
+    "generalized-sun": (
+        st.fixed_dictionaries({"start": _STARTS, "p": _SMALL, "q": _SMALL}),
+        "cycle-with-cliques",
+        lambda p, k: {"n": p["start"] + k, "p": p["p"], "q": p["q"]},
+    ),
+}
+
+
+def test_every_row_without_a_base_wraps_a_catalogue_family():
+    assert set(CATALOGUE_ROWS) == {name for name, row in sequences._FAMILIES.items() if not row.base}
+
+
+@pytest.mark.parametrize("name", CATALOGUE_ROWS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_catalogue_rows_take_term_and_order_from_the_catalogue(name, data):
+    params, family, member = CATALOGUE_ROWS[name]
+    p = data.draw(params)
+    spec = SequenceSpec(name, p)
+    for k in range(4):
+        term = spec.term(k)
+        assert spec.order(k) == term.n == cons.family_order(family, **member(p, k))
+        assert term == cons.family(family, **member(p, k))
 
 
 def test_equal_specs_hash_equal():

@@ -112,6 +112,11 @@ class TestAdjacencyRadius:
         with pytest.raises(ValueError):
             spectral_radius_adjacency(Graph.from_edges(4, [(0, 1), (2, 3)]))
 
+    def test_empty_rejected(self):
+        # The empty graph counts as connected, and is refused after that check.
+        with pytest.raises(ValueError, match="^empty graph$"):
+            spectral_radius_adjacency(Graph(0, ()))
+
     def test_solves_the_divisor_matrix_it_returns(self):
         g = tied_star()
         assert spectral_radius_adjacency(g).divisor == orbit_divisor_matrix(g)
@@ -203,6 +208,10 @@ class TestDivisorRadius:
             monkeypatch.setattr(kernel, "pinned", None)
         assert spectral_radius_divisor(dm) == expected
         assert len(calls) == 1
+
+    def test_negative_entry_rejected(self):
+        with pytest.raises(ValueError, match="^divisor matrix needs nonnegative entries and positive cell sizes$"):
+            spectral_radius_divisor(from_dense(((0, 1), (-1, 2)), (1, 1)))
 
     def test_reducible_rejected(self):
         with pytest.raises(ValueError, match="reducible"):
