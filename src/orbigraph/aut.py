@@ -288,21 +288,20 @@ class _Cells:
     def cells(self) -> list[list[int]]:
         return [self.lab[c : c + self.clen[c]] for c in self.starts()]
 
-    def target(self, start: int = 0) -> tuple[int, int]:
-        """The starts of the first non-singleton cell (n if none) and of the
-        first one of minimum size (-1 if none), walking from `start`, a cell
-        start with only singletons before it."""
+    def target(self) -> int:
+        """The start of the first non-singleton cell of minimum size, or -1
+        if the partition is discrete."""
         clen = self.clen
-        c, n = start, len(self.lab)
-        first, best, best_len = n, -1, n + 1
+        c, n = 0, len(self.lab)
+        best, best_len = -1, n + 1
         while c < n:
             length = clen[c]
             if 1 < length < best_len:
-                first, best, best_len = min(first, c), c, length
+                best, best_len = c, length
                 if length == 2:
                     break
             c += length
-        return first, best
+        return best
 
     def individualize(self, v: int) -> int:
         """Split v off as a singleton at the end of its cell; return its position."""
@@ -698,7 +697,9 @@ class _AutSearch:
     def __init__(self, colour: Sequence, adj: Sequence[tuple[int, ...]]) -> None:
         self.heads = adj  # of the input, for the arc check
         self.generators: list[tuple[tuple[int, int], ...]] = []
-        self.twin_order = 1
+        # |Aut|: k! per twin class of k, times, once run ends, the base
+        # vertex's orbit size per level.
+        self.order = 1
         # blocks[q] lists the input vertices that quotient vertex q stands for,
         # in the order in which a permutation of the quotient lifts.
         blocks = [[v] for v in range(len(adj))]
@@ -714,7 +715,7 @@ class _AutSearch:
                 for v in members:
                     class_of[v] = q
                 if len(members) > 1:
-                    self.twin_order *= factorial(len(members))
+                    self.order *= factorial(len(members))
                     self._add_block_cycle([blocks[v] for v in members[:2]])
                     if len(members) > 2:
                         self._add_block_cycle([blocks[v] for v in members])
@@ -735,28 +736,23 @@ class _AutSearch:
         self.images: list[dict[int, int]] = []
         self.first_traces: list[list] = []  # of the first path's nodes below the root
         self.first_leaf: list[int] = []
-        # cell_of of the first path's node at each level, while run still
-        # needs it, and the first leaf's pos (see _singleton_map)
-        self.first_cells: list[list[int]] = []
         self.first_pos: list[int] = []
         self.targets: list[int] = []
-        self.order = 1
 
     def first_path(self, root: _Cells) -> list[_Cells]:
-        """Search the first path from the root, keeping its traces, cells and
-        leaf; return its nodes above the leaf, root first, or [] if the root
-        is discrete."""
-        start, c = root.target()
+        """Search the first path from the root, keeping its traces, targets
+        and leaf; return its nodes above the leaf, root first, or [] if the
+        root is discrete."""
+        c = root.target()
         self.targets = [c]
         node, path = root, []
         while c >= 0:
             path.append(node)
             node = node.copy()
             self.first_traces.append(node.refine(self.adj, [node.individualize(min(node.lab[c : c + node.clen[c]]))]))
-            start, c = node.target(start)
+            c = node.target()
             self.targets.append(c)
         self.first_leaf, self.first_pos = node.lab, node.pos
-        self.first_cells = [p.cell_of for p in path] + [node.cell_of]
         return path
 
     def run(self) -> None:
@@ -792,8 +788,6 @@ class _AutSearch:
                 else:
                     refuted.add(r)
             path.pop()
-            # The levels above try children down to this level's cells.
-            del self.first_cells[level + 1 :]
             self.order *= self.orbits.class_size(b)
 
     def _add_block_cycle(self, cycle: list[list[int]]) -> None:
@@ -826,7 +820,7 @@ class _AutSearch:
             node = self._child(parent, u, level)
             if node is None:
                 continue
-            image = self._singleton_map(node, level)
+            image = self._singleton_map(node)
             if image is None:
                 # Equal traces give the first path's cells, so its target too.
                 c = self.targets[level]
@@ -842,7 +836,7 @@ class _AutSearch:
         node = parent.copy()
         return None if node.refine(self.adj, [node.individualize(v)], self.first_traces[level - 1]) is None else node
 
-    def _singleton_map(self, node: _Cells, level: int) -> dict[int, int] | None:
+    def _singleton_map(self, node: _Cells) -> dict[int, int] | None:
         """The candidate that node's singletons give, as the image of each
         vertex it moves, or None if there is none.
 
@@ -852,18 +846,16 @@ class _AutSearch:
         maps F's vertex at each singleton position to node's vertex there and
         fixes everything else; a leaf is the case of no non-singleton cell.
         Refinement only reorders a cell within its segment of positions, so
-        the first leaf holds F's singletons at their positions.
+        the first leaf holds F's singletons at their positions, and F's cell
+        of v is node's segment that holds v's position in the first leaf.
 
         Only the vertices whose cell in node is not their cell in F are
-        visited, found by comparing node's cell_of with F's in C.  Such a
-        vertex v is either node's singleton at some position c, moved there
-        from F's first_leaf[c], or it lies in a non-singleton cell of node
-        that does not hold F's vertices, and then there is no candidate.  So
-        a node costs O(n) in C and O(moved vertices) in Python.  F's cell_of
-        is kept while F is on the path and one level below it; deeper, it is
-        read off node, as F's cell of v is node's segment that holds v's
-        position in the first leaf.  So a search holds one cell array beyond
-        its path's nodes.
+        visited, found by comparing the two in C.  Such a vertex v is either
+        node's singleton at some position c, moved there from F's
+        first_leaf[c], or it lies in a non-singleton cell of node that does
+        not hold F's vertices, and then there is no candidate.  So a node
+        costs O(n) in C and O(moved vertices) in Python, and the search keeps
+        no cell array of F.
 
         If the candidate is not an automorphism, no leaf below node gives
         one: such an automorphism would map F onto node, so agree with the
@@ -873,10 +865,7 @@ class _AutSearch:
         too.  The caller therefore abandons node when the candidate fails.
         """
         cell_of, clen, first_leaf = node.cell_of, node.clen, self.first_leaf
-        if level < len(self.first_cells):
-            first = self.first_cells[level]
-        else:
-            first = map(cell_of.__getitem__, map(node.lab.__getitem__, self.first_pos))
+        first = map(cell_of.__getitem__, map(node.lab.__getitem__, self.first_pos))
         image = {}
         for v in compress(range(len(cell_of)), map(ne, cell_of, first)):
             c = cell_of[v]
@@ -967,7 +956,7 @@ def automorphism_group(graph: Graph) -> AutGroup:
             raise ValueError(f"generator {g} is not a permutation of its moved points")
     return AutGroup(
         generators=tuple(search.generators),
-        order=search.order * search.twin_order,
+        order=search.order,
         orbits=_canonical_partition(search.orbit_cells()),
         leaf=search.single_leaf(),
     )
@@ -976,14 +965,20 @@ def automorphism_group(graph: Graph) -> AutGroup:
 def isomorphism(a: ColouredDigraph, b: ColouredDigraph) -> tuple[int, ...] | None:
     """An isomorphism from a onto b as the image of each vertex of a, or None.
 
-    a and b must be connected.  It is the first generator of the
-    automorphism search of the union, b's vertices shifted past a's, that
-    moves vertex 0 into b, restricted to a (see the module docstring); so
-    when a and b have symmetry, both groups are found before it.
+    Decided for connected digraphs only: ValueError if a or b is not
+    connected; two digraphs of no vertex have the empty isomorphism.  It is
+    the first generator of the automorphism search of the union, b's
+    vertices shifted past a's, that moves vertex 0 into b, restricted to a
+    (see the module docstring); so when a and b have symmetry, both groups
+    are found before it.
     """
+    if not (_connected(a.adj) and _connected(b.adj)):
+        raise ValueError("isomorphism decided for connected digraphs only")
     na = len(a.adj)
     if na != len(b.adj) or sorted(map(len, a.adj)) != sorted(map(len, b.adj)) or sorted(a.colour) != sorted(b.colour):
         return None
+    if na == 0:
+        return ()
     adj = [*a.adj, *(tuple(w + na for w in nbrs) for nbrs in b.adj)]
     search = _AutSearch([*a.colour, *b.colour], adj)
     search.run()
@@ -991,6 +986,19 @@ def isomorphism(a: ColouredDigraph, b: ColouredDigraph) -> tuple[int, ...] | Non
         if (phi := _swap(g, na)) is not None:
             return phi
     return None
+
+
+def _connected(adj: Sequence[tuple[int, ...]]) -> bool:
+    """Whether every vertex is reachable from vertex 0 (true for none); as
+    every arc has one back, one search over the arcs decides connectivity."""
+    if not adj:
+        return True
+    seen, todo = {0}, [0]
+    while todo:
+        new = set(adj[todo.pop()]) - seen
+        seen |= new
+        todo += new
+    return len(seen) == len(adj)
 
 
 def _swap(g: tuple[tuple[int, int], ...], na: int) -> tuple[int, ...] | None:

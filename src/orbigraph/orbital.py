@@ -174,7 +174,8 @@ def _cell_digraphs(*matrices: DivisorMatrix) -> list[ColouredDigraph]:
 def similar_divisors(sg: DivisorMatrix, sh: DivisorMatrix) -> SimilarityVerdict:
     """Decide whether two divisor matrices are entrywise equal, with equal
     relative cell sizes, under some relabeling of cells, returning a
-    witness when they are."""
+    witness when they are.  Both must be irreducible, as a connected
+    graph's are (ValueError otherwise: see isomorphism)."""
     witness = isomorphism(*_cell_digraphs(sh, sg))
     if witness is None:
         return SimilarityVerdict(similar=False)

@@ -792,33 +792,58 @@ def test_twins_and_folds_under_relabellings(graph, order):
         assert other.orbits == Partition.from_cells([[image[v] for v in cell] for cell in group.orbits.cells]).canonical()
 
 
+def _triangular(k: int) -> Graph:
+    """T(k), the line graph of K_k: the pairs from 0..k-1, adjacent when they meet."""
+    pairs = list(itertools.combinations(range(k), 2))
+    return Graph.from_edges(len(pairs), [(i, j) for (i, p), (j, q) in itertools.combinations(enumerate(pairs), 2) if set(p) & set(q)])
+
+
 @pytest.mark.parametrize(
     "graph",
-    [crossed_prism(12), crossed_prism(50), generalized_petersen(10, 3), generalized_petersen(12, 5), cfi_graph(sorted(frucht().edges))],
+    [
+        crossed_prism(12),
+        crossed_prism(50),
+        generalized_petersen(10, 3),
+        generalized_petersen(12, 5),
+        cfi_graph(sorted(frucht().edges)),
+        # dense and symmetric: first paths of 5 and 6 levels
+        _triangular(6),
+        cartesian_product(complete(4), complete(4)),
+    ],
 )
 def test_singleton_map_matches_the_scan_of_every_position(graph, monkeypatch):
     # Every node that the search checks for a sparse automorphism gets the
-    # same candidate, or the same refutation, from the dense scan, whether
-    # its level's cells are kept or read off the node.  While a level's
-    # candidates are tried, the search keeps the cells of that level and
-    # of the one below it, which its path's nodes hold or held last.
-    singleton_map, try_subtree, results = _AutSearch._singleton_map, _AutSearch._try, []
+    # same candidate, or the same refutation, from the dense scan, at every
+    # level: the first-path node's cells are read off the node through the
+    # first leaf's positions.
+    singleton_map, results = _AutSearch._singleton_map, []
 
-    def checked(self, node, level):
-        image = singleton_map(self, node, level)
+    def checked(self, node):
+        image = singleton_map(self, node)
         assert image == dense_singleton_map(self.first_leaf, node)
         results.append(image is not None)
         return image
 
-    def bounded(self, parent, v, level):
-        assert len(self.first_cells) <= level + 1
-        return try_subtree(self, parent, v, level)
-
     monkeypatch.setattr(_AutSearch, "_singleton_map", checked)
-    monkeypatch.setattr(_AutSearch, "_try", bounded)
     group = _uncached_group(graph)
     check_generator_form(group, graph)
     assert any(results)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=12), st.randoms(use_true_random=False))
+def test_target_is_the_first_cell_of_minimum_size_above_one(sizes, rng):
+    # On a random ordered partition, target() is the start of the first cell
+    # of the smallest size above 1, or -1 when every cell is a singleton.
+    n = sum(sizes)
+    vertices = rng.sample(range(n), n)
+    cells, starts = [], []
+    for size in sizes:
+        starts.append(sum(map(len, cells)))
+        cells.append(vertices[starts[-1] : starts[-1] + size])
+    sizes_above_one = [size for size in sizes if size > 1]
+    expected = starts[sizes.index(min(sizes_above_one))] if sizes_above_one else -1
+    assert _Cells.from_cells(n, cells).target() == expected
 
 
 def test_unsplit_root_refines_each_node_once(monkeypatch):
@@ -909,6 +934,19 @@ def test_isomorphism_when_the_root_cell_holds_no_vertex_of_b():
     # vertices of b.
     assert _isomorphism(path(4), star(3)) is None
     assert _isomorphism(star(3), path(4)) is None
+
+
+def test_isomorphism_refuses_disconnected_digraphs():
+    # The union search's swap need not move all of a disconnected side, so
+    # 2K2 against itself would get None; it is refused instead, on either side.
+    two_k2 = ColouredDigraph.from_graph(Graph.from_edges(4, [(0, 1), (2, 3)]))
+    p4 = ColouredDigraph.from_graph(path(4))
+    for a, b in ((two_k2, two_k2), (two_k2, p4), (p4, two_k2)):
+        with pytest.raises(ValueError, match="connected digraphs only"):
+            isomorphism(a, b)
+    empty = ColouredDigraph((), ())
+    assert isomorphism(empty, empty) == ()
+    assert isomorphism(empty, p4) is None
 
 
 @settings(max_examples=150, deadline=None)
@@ -1034,7 +1072,7 @@ def test_weighted_digraphs_with_loops_match_brute_force(digraph):
     search = _AutSearch(colour, adj)
     search.run()
     order, orbits = _brute_force_digraph_group(colour, adj)
-    assert search.order * search.twin_order == order
+    assert search.order == order
     assert Partition.from_cells(search.orbit_cells()).canonical() == orbits
     for g in search.generators:
         image = dict(g)

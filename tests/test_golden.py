@@ -34,7 +34,8 @@ GRAPHS = {
     # compare decides a pair of rigid graphs from their searches' single leaves
     "rigid20_relabelled": relabelled(rigid_cubic(5, 20), 20),
     "rigid20_seed6": rigid_cubic(6, 20),
-    # rigid, but its pendant trees fold, so compare searches the pair
+    # rigid, and its pendant trees fold; the folded search still ends at
+    # one leaf, so compare decides the pair from the two leaves too
     "pendant_trees": pendant_trees(),
     "pendant_trees_relabelled": relabelled(pendant_trees(), 27),
 }

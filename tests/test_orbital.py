@@ -470,6 +470,14 @@ def test_cell_relabelling_found(g, perm):
     assert witness is not None and equalizes(witness, sg, sh)
 
 
+def test_similar_divisors_refuses_a_reducible_matrix():
+    # Two cells with no arc between them: a connected graph's divisor matrix
+    # is irreducible, and the cell digraph of this one is not connected.
+    dm = from_dense(((1, 0), (0, 1)), (2, 2))
+    with pytest.raises(ValueError, match="connected digraphs only"):
+        similar_divisors(dm, dm)
+
+
 def test_similarity_implies_homothety_implies_entropy():
     pairs = [(cycle(3), cycle(10)), (path(5), path(7)), (star(3), star(5))]
     for g, h in pairs:
