@@ -160,6 +160,14 @@ def generalized_petersen(n: int, k: int) -> Graph:
     return Graph.from_edges(2 * n, edges)
 
 
+def paley(q: int) -> Graph:
+    """The Paley graph of a prime q = 1 (mod 4): vertices 0..q-1, x ~ y iff
+    y - x is a nonzero square mod q.  Its automorphisms are the maps
+    x -> ax + b with a a nonzero square, so its group order is q(q-1)/2."""
+    squares = {x * x % q for x in range(1, q)}
+    return Graph.from_edges(q, [(x, y) for x in range(q) for y in range(x + 1, q) if y - x in squares])
+
+
 def all_graphs(n: int):
     """Every labeled graph on 0..n-1."""
     pairs = list(combinations(range(n), 2))

@@ -26,6 +26,7 @@ from helpers import (
     is_edge_transitive,
     is_isomorphism,
     naive_equitable_refinement,
+    paley,
     partition_by,
     pendant_trees,
     preserves_edges,
@@ -324,6 +325,15 @@ class TestClosedForms:
         # C_a x C_a has 8a^2 automorphisms for a >= 5; each of the a^2
         # loads swaps its two branches
         assert automorphism_group(loaded_torus((a, a), 2, 2)).order == 8 * a * a * 2 ** (a * a)
+
+    @pytest.mark.parametrize("q", (5, 13, 17))
+    def test_paley(self, q):
+        # Paley(5) is C_5; every Paley graph is vertex-transitive
+        graph = paley(q)
+        group = automorphism_group(graph)
+        assert graph.m == q * (q - 1) // 4
+        assert (group.order, len(group.orbits.cells)) == (q * (q - 1) // 2, 1)
+        assert q != 5 or graph.adjacency == cycle(5).adjacency
 
     @pytest.mark.parametrize("n", (3, 4, 7, 30))
     def test_generalized_sun(self, n):
