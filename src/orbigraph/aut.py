@@ -135,7 +135,7 @@ from math import factorial
 from operator import ne
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .graph_core import Frozen, Graph
+from .graph_core import Frozen, Graph, reaches_all
 
 
 class Partition(Frozen):
@@ -425,6 +425,10 @@ class ColouredDigraph(NamedTuple):
     (v, u) must follow from that of (u, v) and the colours of u and v, with
     no arc back iff none forth: true for a graph, and for a divisor matrix
     whose colours carry the relative cell sizes, because s_i B_ij = s_j B_ji.
+    This reverse-arc rule is not checked here: a caller that builds a
+    digraph must meet it, or the search may answer wrongly or fail.
+    similar_divisors checks it for divisor matrices before it builds their
+    cell digraphs.
     """
 
     colour: Sequence
@@ -970,9 +974,11 @@ def isomorphism(a: ColouredDigraph, b: ColouredDigraph) -> tuple[int, ...] | Non
     the first generator of the automorphism search of the union, b's
     vertices shifted past a's, that moves vertex 0 into b, restricted to a
     (see the module docstring); so when a and b have symmetry, both groups
-    are found before it.
+    are found before it.  Neither digraph is checked against the
+    reverse-arc rule of ColouredDigraph: a digraph built by a caller must
+    meet it (similar_divisors checks it for divisor matrices).
     """
-    if not (_connected(a.adj) and _connected(b.adj)):
+    if not (reaches_all(a.adj) and reaches_all(b.adj)):
         raise ValueError("isomorphism decided for connected digraphs only")
     na = len(a.adj)
     if na != len(b.adj) or sorted(map(len, a.adj)) != sorted(map(len, b.adj)) or sorted(a.colour) != sorted(b.colour):
@@ -986,19 +992,6 @@ def isomorphism(a: ColouredDigraph, b: ColouredDigraph) -> tuple[int, ...] | Non
         if (phi := _swap(g, na)) is not None:
             return phi
     return None
-
-
-def _connected(adj: Sequence[tuple[int, ...]]) -> bool:
-    """Whether every vertex is reachable from vertex 0 (true for none); as
-    every arc has one back, one search over the arcs decides connectivity."""
-    if not adj:
-        return True
-    seen, todo = {0}, [0]
-    while todo:
-        new = set(adj[todo.pop()]) - seen
-        seen |= new
-        todo += new
-    return len(seen) == len(adj)
 
 
 def _swap(g: tuple[tuple[int, int], ...], na: int) -> tuple[int, ...] | None:

@@ -9,7 +9,6 @@ rationals so that downstream preservation checks can compare exactly.
 
 import re
 from bisect import bisect_left, bisect_right
-from collections import deque
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, islice, repeat
@@ -119,21 +118,7 @@ class Graph(Frozen):
     @cached_property
     def connected(self) -> bool:
         """True iff every vertex is reachable from vertex 0 (true for n <= 1)."""
-        if self.n <= 1:
-            return True
-        adj = self.adjacency
-        seen = [False] * self.n
-        seen[0] = True
-        queue = deque([0])
-        count = 1
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    queue.append(w)
-        return count == self.n
+        return reaches_all(self.adjacency)
 
     def degrees(self) -> list[int]:
         return list(map(len, self.adjacency))
@@ -367,6 +352,24 @@ def to_dot(graph: Graph, coloring: Sequence[Sequence[int]] | None = None) -> str
     lines.extend(f"  {u} -- {v};" for u, v in _sorted_edges(graph))
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def reaches_all(rows: Sequence[Iterable[int]]) -> bool:
+    """True iff every index is reachable from 0 along the rows, rows[i]
+    holding the heads of i's arcs (true for no rows).  Where every arc has
+    one back, as in a graph, that is connectivity."""
+    if not rows:
+        return True
+    seen = [False] * len(rows)
+    seen[0] = True
+    todo, count = [0], 1
+    while todo:
+        for w in rows[todo.pop()]:
+            if not seen[w]:
+                seen[w] = True
+                count += 1
+                todo.append(w)
+    return count == len(rows)
 
 
 def is_connected(graph: Graph) -> bool:

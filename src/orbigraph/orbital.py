@@ -11,10 +11,10 @@ in this module is the entropy value.
 
 Cell sizes stay ints from the orbit partition to the report.  A relative
 size s/n becomes a Fraction only at the public boundary, one per distinct
-size: OrbitProfile.omega repeats it for every cell of that size.  The cell
-digraphs colour a cell by the rank of s/n among the distinct relative sizes
-of both matrices, sorted once, so the search hashes and sorts ints in the
-order that the fractions would give.  The entropy is -sum of w log2 w over
+size: OrbitProfile.omega repeats it for every cell of that size.  A cell
+digraph colours each cell by that Fraction and B_ii, so its colours depend
+on its own matrix alone, and they order and tie across two matrices as the
+relative sizes do.  The entropy is -sum of w log2 w over
 the cells, w = s/n: the int quotient s/n is float(Fraction(s, n)) bit for
 bit, as both are correctly rounded, so the value is the one entropy_of gives
 for omega.
@@ -24,11 +24,11 @@ import math
 from collections import Counter
 from fractions import Fraction
 from itertools import repeat
-from operator import itemgetter
+from operator import itemgetter, lt
 from typing import NamedTuple, Sequence
 
 from .aut import ColouredDigraph, Partition, automorphism_group, isomorphism, orbit_partition
-from .graph_core import Graph, is_connected
+from .graph_core import Graph, is_connected, reaches_all
 
 
 class DivisorMatrix(NamedTuple):
@@ -49,6 +49,43 @@ class DivisorMatrix(NamedTuple):
 
     def row_sums(self) -> tuple[int, ...]:
         return tuple(map(sum, map(map, repeat(itemgetter(1)), self.rows)))
+
+
+def _check_divisor_matrix(dm: DivisorMatrix) -> None:
+    """ValueError unless dm is a divisor matrix as a connected graph's are:
+    ell >= 1 rows and cell sizes, all ints; rows of (column, entry) pairs
+    in strictly ascending columns 0..ell-1 with no zero entry; nonnegative
+    entries and positive sizes; irreducible, by one search for the cells
+    that reach cell 0 along the support, which is symmetric when B is
+    symmetrizable; and symmetrizable, s_i B_ij = s_j B_ji.  Every matrix
+    divisor_matrix builds is one.
+    """
+    ell, rows, sizes = dm
+    if not (isinstance(ell, int) and ell >= 1 and len(rows) == ell == len(sizes)):
+        raise ValueError(f"divisor matrix of ell = {ell!r} has {len(rows)} rows and {len(sizes)} cell sizes")
+    if not (all(isinstance(s, int) for s in sizes) and all(isinstance(v, int) for row in rows for pair in row for v in pair)):
+        raise ValueError("divisor matrix needs int columns, entries and cell sizes")
+    for i, row in enumerate(rows):
+        columns = [j for j, _ in row]
+        ascending = not row or (0 <= columns[0] and columns[-1] < ell and all(map(lt, columns, columns[1:])))
+        if not (ascending and all(x for _, x in row)):
+            raise ValueError(
+                f"row {i} of the divisor matrix is not (column, entry) pairs"
+                f" in strictly ascending columns 0..{ell - 1} without zero entries"
+            )
+    if any(x < 0 for row in rows for _, x in row) or min(sizes) <= 0:
+        raise ValueError("divisor matrix needs nonnegative entries and positive cell sizes")
+    into: list[list[int]] = [[] for _ in range(ell)]
+    for i, row in enumerate(rows):
+        for j, _ in row:
+            into[j].append(i)
+    if not reaches_all(into):
+        raise ValueError("divisor matrix is reducible")
+    entry = [dict(row) for row in rows]
+    for i, row in enumerate(rows):
+        for j, x in row:
+            if sizes[i] * x != sizes[j] * entry[j].get(i, 0):
+                raise ValueError("divisor matrix is not symmetrizable: s_i B_ij != s_j B_ji for some i, j")
 
 
 class OrbitProfile(NamedTuple):
@@ -143,40 +180,35 @@ def orbit_profile(graph: Graph) -> OrbitProfile:
     return OrbitProfile(tuple(map(fractions.__getitem__, sizes)), entropy)
 
 
-def _cell_digraphs(*matrices: DivisorMatrix) -> list[ColouredDigraph]:
-    """Each matrix's cells as vertices coloured (rank, B_ii), with j listed
-    B_ij times in i's row for each j != i.  The rank is that of the cell's
-    relative size among the distinct relative sizes of all the matrices, so
-    ranks compare as the sizes do."""
-    relative = []
-    for dm in matrices:
-        n = sum(dm.sizes)
-        relative.append({s: Fraction(s, n) for s in set(dm.sizes)})
-    rank = {w: r for r, w in enumerate(sorted({w for fractions in relative for w in fractions.values()}))}
-    digraphs = []
-    for dm, fractions in zip(matrices, relative):
-        rank_of = {s: rank[w] for s, w in fractions.items()}
-        colour: list[tuple[int, int]] = []
-        adj: list[tuple[int, ...]] = []
-        for i, (row, s) in enumerate(zip(dm.rows, dm.sizes)):
-            loops, out = 0, []
-            for j, x in row:
-                if j == i:
-                    loops = x
-                else:
-                    out += [j] * x
-            colour.append((rank_of[s], loops))
-            adj.append(tuple(out))
-        digraphs.append(ColouredDigraph(colour, adj))
-    return digraphs
+def _cell_digraph(dm: DivisorMatrix) -> ColouredDigraph:
+    """The matrix's cells as vertices coloured (s/n, B_ii), s/n the cell's
+    relative size as a Fraction, with j listed B_ij times in i's row for
+    each j != i."""
+    n = sum(dm.sizes)
+    fractions = {s: Fraction(s, n) for s in set(dm.sizes)}
+    colour: list[tuple[Fraction, int]] = []
+    adj: list[tuple[int, ...]] = []
+    for i, (row, s) in enumerate(zip(dm.rows, dm.sizes)):
+        loops, out = 0, []
+        for j, x in row:
+            if j == i:
+                loops = x
+            else:
+                out += [j] * x
+        colour.append((fractions[s], loops))
+        adj.append(tuple(out))
+    return ColouredDigraph(colour, adj)
 
 
 def similar_divisors(sg: DivisorMatrix, sh: DivisorMatrix) -> SimilarityVerdict:
     """Decide whether two divisor matrices are entrywise equal, with equal
     relative cell sizes, under some relabeling of cells, returning a
-    witness when they are.  Both must be irreducible, as a connected
-    graph's are (ValueError otherwise: see isomorphism)."""
-    witness = isomorphism(*_cell_digraphs(sh, sg))
+    witness when they are.  ValueError unless both are divisor matrices as
+    a connected graph's are: ints, irreducible and symmetrizable, which
+    makes their cell digraphs meet the reverse-arc rule of ColouredDigraph."""
+    _check_divisor_matrix(sg)
+    _check_divisor_matrix(sh)
+    witness = isomorphism(_cell_digraph(sh), _cell_digraph(sg))
     if witness is None:
         return SimilarityVerdict(similar=False)
     common = DivisorMatrix(sh.ell, sh.rows, tuple(map(sg.sizes.__getitem__, witness)))

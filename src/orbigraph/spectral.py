@@ -90,7 +90,7 @@ from typing import NamedTuple
 
 from .aut import Partition, automorphism_group, orbit_partition
 from .graph_core import Graph, cyclomatic_number, degree_stats, density, edge_vertex_ratio, frac_str, is_connected
-from .orbital import DivisorMatrix, divisor_matrix, orbit_profile
+from .orbital import DivisorMatrix, _check_divisor_matrix, divisor_matrix, orbit_profile
 
 CERTIFICATE_TOL = 1e-10
 ENVELOPE_WORK = 40_000
@@ -127,22 +127,13 @@ def _symmetrized(dm: DivisorMatrix) -> list[dict[int, float]]:
 
     The matrix comes as sparse rows {column: entry}, in the column order of
     dm.rows, computed as S^(-1/2) t S^(-1/2) from t = S B, which counts the
-    edges from cell i to cell j (exact integers); ValueError unless t is
-    symmetric.  O(m) in the nonzeros of B.
+    edges from cell i to cell j (exact integers) and is symmetric, as dm
+    comes from divisor_matrix or has passed its check.  O(m) in the
+    nonzeros of B.
     """
     sizes = dm.sizes
     root = [math.sqrt(s) for s in sizes]
-    b = [dict(row) for row in dm.rows]
-    rows = []
-    for i, row in enumerate(dm.rows):
-        sym = {}
-        for j, x in row:
-            t = sizes[i] * x
-            if t != sizes[j] * b[j].get(i, 0):
-                raise ValueError("divisor matrix is not symmetrizable: s_i B_ij != s_j B_ji for some i, j")
-            sym[j] = t / root[i] / root[j]
-        rows.append(sym)
-    return rows
+    return [{j: sizes[i] * x / root[i] / root[j] for j, x in row} for i, row in enumerate(dm.rows)]
 
 
 def _rcm_order(rows: list[dict[int, float]]) -> list[int]:
@@ -329,12 +320,11 @@ def _divisor_perron(dm: DivisorMatrix) -> tuple[float, int | None, list[float]]:
     """rho(B), the pivot cell r and the per-cell constants alpha of the lift.
 
     On a closed row-sum bracket alpha is constant and r is None.  Else the
-    kernel of _kernel solves _symmetrized(dm), ValueError unless B is
-    symmetrizable, and u only picks r (see the module docstring): the first
-    cell whose entry is within PIVOT_TIE of the largest, so that both
-    kernels pick the same one.  The eigenvector w with w_r = 1 is the
-    kernel's pinned solve, and alpha = S^(-1/2) w is scaled so that the
-    lift sums to 1.
+    kernel of _kernel solves _symmetrized(dm), and u only picks r (see the
+    module docstring): the first cell whose entry is within PIVOT_TIE of
+    the largest, so that both kernels pick the same one.  The eigenvector
+    w with w_r = 1 is the kernel's pinned solve, and alpha = S^(-1/2) w is
+    scaled so that the lift sums to 1.
     """
     sums = dm.row_sums()
     if min(sums) == max(sums):
@@ -402,31 +392,15 @@ def spectral_radius_adjacency(graph: Graph, partition: Partition | None = None) 
 def spectral_radius_divisor(dm: DivisorMatrix) -> float:
     """Largest eigenvalue of an irreducible nonnegative divisor matrix.
 
-    The matrix must be symmetrizable, s_i B_ij = s_j B_ji, as the divisor
+    The matrix must be one that a connected graph could have: int entries
+    and cell sizes, and symmetrizable, s_i B_ij = s_j B_ji, as the divisor
     matrix of every equitable partition is; ValueError otherwise.
     """
-    if any(x < 0 for row in dm.rows for _, x in row) or min(dm.sizes) <= 0:
-        raise ValueError("divisor matrix needs nonnegative entries and positive cell sizes")
-    # Search for the cells that reach cell 0 along the support of B; for a
-    # symmetrizable B the support is symmetric, so this one search decides
-    # irreducibility.
-    into: list[list[int]] = [[] for _ in range(dm.ell)]
-    for i, row in enumerate(dm.rows):
-        for j, _ in row:
-            into[j].append(i)
-    seen, stack = {0}, [0]
-    while stack:
-        for i in into[stack.pop()]:
-            if i not in seen:
-                seen.add(i)
-                stack.append(i)
-    if len(seen) < dm.ell:
-        raise ValueError("divisor matrix is reducible; spectral radius not computed")
-    # Symmetrized on a closed bracket too, as the check; rho needs no pinned solve.
-    rows = _symmetrized(dm)
+    _check_divisor_matrix(dm)
     sums = dm.row_sums()
     if min(sums) == max(sums):
         return float(sums[0])
+    rows = _symmetrized(dm)
     return _kernel(rows, _rcm_order(rows)).top(sums)[0]
 
 

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import connected_graphs
+from orbigraph.aut import ColouredDigraph, isomorphism
 from orbigraph.constructions import complete, cycle, path, star
 from orbigraph.graph_core import (
     Graph,
@@ -19,6 +21,7 @@ from orbigraph.graph_core import (
     is_connected,
     parse_edge_list,
     parse_graph6,
+    reaches_all,
     serialize_edge_list,
     to_dot,
     to_graph6,
@@ -173,6 +176,58 @@ class TestConnectivity:
         with pytest.raises(AttributeError):
             g.adjacency = ()
         assert (g.n, g.adjacency) == (2, ((1,), (0,)))
+
+
+def _union_find_connected(n: int, arcs) -> bool:
+    """Whether the arcs, taken as undirected edges, join all n vertices (oracle)."""
+    parent = list(range(n))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for u, v in arcs:
+        parent[find(u)] = find(v)
+    return len({find(v) for v in range(n)}) <= 1
+
+
+def _reached_from_0(rows) -> set[int]:
+    """The indices reached from 0, grown until no arc adds one (oracle)."""
+    reached = {0} if rows else set()
+    while more := {w for u in reached for w in rows[u]} - reached:
+        reached |= more
+    return reached
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_reaches_all_agrees_with_union_find_and_closure(data):
+    # The same random arcs as one-way rows and as symmetric rows.
+    n = data.draw(st.integers(0, 8))
+    arcs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=14)) if n else []
+    one_way: list[list[int]] = [[] for _ in range(n)]
+    both: list[list[int]] = [[] for _ in range(n)]
+    for u, v in arcs:
+        one_way[u].append(v)
+        both[u].append(v)
+        both[v].append(u)
+    assert reaches_all(both) == _union_find_connected(n, arcs)
+    assert reaches_all(one_way) == (len(_reached_from_0(one_way)) == n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(connected_graphs(max_n=8))
+def test_connected_and_isomorphism_agree_with_reaches_all(g):
+    # Fresh graphs, so that no connectivity is cached before it is asked for.
+    fresh, apart = Graph(g.n, g.adjacency), Graph(g.n + 1, [*g.adjacency, ()])
+    assert reaches_all(g.adjacency) and fresh.connected
+    assert not reaches_all(apart.adjacency) and not apart.connected
+    digraph = ColouredDigraph.from_graph(g)
+    assert isomorphism(digraph, digraph) is not None
+    with pytest.raises(ValueError, match="connected digraphs only"):
+        isomorphism(ColouredDigraph.from_graph(apart), digraph)
 
 
 class TestDegreeStats:

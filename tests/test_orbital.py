@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -39,10 +40,11 @@ from orbigraph.constructions import complete, cycle, generalized_sun, loaded_tor
 from orbigraph import orbital
 from orbigraph.graph_core import Graph
 from orbigraph.sequences import analyze_term
+from orbigraph.spectral import spectral_radius_divisor
 from orbigraph.orbital import (
     DivisorMatrix,
     SimilarityVerdict,
-    _cell_digraphs,
+    _cell_digraph,
     divisor_matrix,
     entropy_of,
     orbit_divisor_matrix,
@@ -466,16 +468,109 @@ def test_cell_relabelling_found(g, perm):
         tuple(tuple(entries[inverse[i]][inverse[j]] for j in range(sg.ell)) for i in range(sg.ell)),
         tuple(sg.sizes[inverse[i]] for i in range(sg.ell)),
     )
-    witness = isomorphism(*_cell_digraphs(sh, sg))
+    witness = isomorphism(_cell_digraph(sh), _cell_digraph(sg))
     assert witness is not None and equalizes(witness, sg, sh)
 
 
 def test_similar_divisors_refuses_a_reducible_matrix():
     # Two cells with no arc between them: a connected graph's divisor matrix
-    # is irreducible, and the cell digraph of this one is not connected.
+    # is irreducible, and this one is not.
     dm = from_dense(((1, 0), (0, 1)), (2, 2))
-    with pytest.raises(ValueError, match="connected digraphs only"):
+    with pytest.raises(ValueError, match="^divisor matrix is reducible$"):
         similar_divisors(dm, dm)
+
+
+def _random_dense_divisor(rng: random.Random, ell: int) -> tuple[list[list[int]], list[int]]:
+    """Dense entries and sizes of a random symmetrizable matrix: sizes from
+    {1, 2, 3, 6}, s_i B_ij = s_j B_ji a multiple of lcm(s_i, s_j)."""
+    sizes = [rng.choice((1, 2, 3, 6)) for _ in range(ell)]
+    entries = [[0] * ell for _ in range(ell)]
+    for i in range(ell):
+        entries[i][i] = rng.randrange(3)
+        for j in range(i + 1, ell):
+            edges = math.lcm(sizes[i], sizes[j]) * rng.randrange(3)
+            entries[i][j], entries[j][i] = edges // sizes[i], edges // sizes[j]
+    return entries, sizes
+
+
+def _irreducible(entries) -> bool:
+    """Every cell reaches every other along the nonzero entries (dense closure)."""
+    ell = len(entries)
+    reach = [{j for j in range(ell) if entries[i][j]} | {i} for i in range(ell)]
+    for k in range(ell):
+        for i in range(ell):
+            if k in reach[i]:
+                reach[i] |= reach[k]
+    return all(len(r) == ell for r in reach)
+
+
+def test_similar_divisors_agrees_with_brute_force_or_refuses():
+    # Random pairs with ell <= 4: half of them a relabelling of the first
+    # matrix with all sizes scaled, and in half B_01 of one matrix bumped by
+    # one, so that s_0 B_01 != s_1 B_10.  A symmetrizable irreducible pair
+    # is answered as the permutation oracle answers; every other is refused.
+    rng = random.Random(2024)
+    answered = refused = 0
+    for _ in range(2000):
+        ell = rng.randint(1, 4)
+        bg, sizes_g = _random_dense_divisor(rng, ell)
+        if rng.random() < 0.5:
+            image = rng.sample(range(ell), ell)
+            scale = rng.choice((1, 2, 3))
+            bh = [[bg[image[i]][image[j]] for j in range(ell)] for i in range(ell)]
+            sizes_h = [scale * sizes_g[image[i]] for i in range(ell)]
+        else:
+            bh, sizes_h = _random_dense_divisor(rng, ell)
+        bumped = ell >= 2 and rng.random() < 0.5
+        if bumped:
+            rng.choice((bg, bh))[0][1] += 1
+        sg, sh = from_dense(bg, sizes_g), from_dense(bh, sizes_h)
+        if bumped or not (_irreducible(bg) and _irreducible(bh)):
+            with pytest.raises(ValueError):
+                similar_divisors(sg, sh)
+            refused += 1
+            continue
+        verdict = similar_divisors(sg, sh)
+        assert verdict.similar == any(equalizes(p, sg, sh) for p in itertools.permutations(range(ell)))
+        if verdict.similar:
+            assert equalizes(verdict.witness, sg, sh) and verdict.common_matrix.rows == sh.rows
+        answered += 1
+    assert answered > 800 and refused > 800
+
+
+_STAR = DivisorMatrix(2, (((1, 2),), ((0, 1),)), (1, 2))  # K_{1,2}: centre, then leaves
+
+MALFORMED = {
+    "column at ell": DivisorMatrix(2, (((1, 2),), ((0, 1), (2, 1))), (1, 2)),
+    "negative column": DivisorMatrix(2, (((-1, 2),), ((0, 1),)), (1, 2)),
+    "sizes shorter than ell": DivisorMatrix(2, _STAR.rows, (1,)),
+    "two rows for ell 3": DivisorMatrix(3, _STAR.rows, (1, 2, 2)),
+    "no cell": DivisorMatrix(0, (), ()),
+    "zero sizes": DivisorMatrix(2, _STAR.rows, (0, 0)),
+    "one zero size": DivisorMatrix(2, _STAR.rows, (1, 0)),
+    "float entries": DivisorMatrix(2, (((1, 1.5),), ((0, 1.5),)), (1, 1)),
+    "float sizes": DivisorMatrix(2, _STAR.rows, (1.0, 2.0)),
+    "unsorted row": DivisorMatrix(3, (((2, 1), (1, 1)), ((0, 1),), ((0, 1),)), (1, 1, 1)),
+    "repeated column": DivisorMatrix(2, (((1, 1), (1, 1)), ((0, 1),)), (1, 2)),
+    "explicit zero entry": DivisorMatrix(2, (((0, 0), (1, 2)), ((0, 1),)), (1, 2)),
+    "negative entry": from_dense(((0, 1), (-1, 2)), (1, 1)),
+    "reducible": from_dense(((1, 0), (0, 1)), (2, 2)),
+    "one-way arc": from_dense(((0, 1), (0, 1)), (1, 1)),
+    "not symmetrizable": from_dense(((0, 2), (1, 0)), (1, 1)),
+    "directed triangle": from_dense(((0, 1, 0), (0, 0, 1), (1, 0, 0)), (1, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("dm", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_divisor_matrices_are_refused_by_both_public_functions(dm):
+    for call in (
+        lambda: similar_divisors(dm, dm),
+        lambda: similar_divisors(_STAR, dm),
+        lambda: similar_divisors(dm, _STAR),
+        lambda: spectral_radius_divisor(dm),
+    ):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_similarity_implies_homothety_implies_entropy():
@@ -535,17 +630,14 @@ def test_non_equitable_partitions_raise_the_dense_oracle_message():
 
 @settings(max_examples=60, deadline=None)
 @given(connected_graphs(max_n=7), connected_graphs(max_n=7))
-def test_cell_digraph_ranks_order_cells_as_their_relative_sizes(g, h):
-    # A cell's colour is (rank of s/n, B_ii); across both digraphs the ranks
-    # must order and tie cells exactly as the fractions s/n themselves do.
-    pairs = [(orbit_divisor_matrix(spider((1, 1, 2, 2, 2, 3))), orbit_divisor_matrix(loaded_torus((4, 6), 3, 2)))]
-    pairs.append((orbit_divisor_matrix(g), orbit_divisor_matrix(h)))
-    for a, b in pairs:
-        colours = [c for digraph in _cell_digraphs(a, b) for c in digraph.colour]
-        exact = [(F(s, sum(dm.sizes)), dict(row).get(i, 0)) for dm in (a, b) for i, (row, s) in enumerate(zip(dm.rows, dm.sizes))]
-        assert [c[1] for c in colours] == [e[1] for e in exact]
-        for (c, e), (d, f) in itertools.product(zip(colours, exact), repeat=2):
-            assert (c < d) == (e < f) and (c == d) == (e == f)
+def test_cell_digraph_colours_cells_by_relative_size_and_loops(g, h):
+    # A cell's colour is (s/n, B_ii) of its own matrix: exact fractions, so
+    # colours of two digraphs order and tie as the relative sizes do.
+    matrices = [orbit_divisor_matrix(spider((1, 1, 2, 2, 2, 3))), orbit_divisor_matrix(loaded_torus((4, 6), 3, 2))]
+    matrices += [orbit_divisor_matrix(g), orbit_divisor_matrix(h)]
+    for dm in matrices:
+        exact = [(F(s, sum(dm.sizes)), dict(row).get(i, 0)) for i, (row, s) in enumerate(zip(dm.rows, dm.sizes))]
+        assert list(_cell_digraph(dm).colour) == exact
 
 
 def test_discrete_partition_of_a_long_cycle_stays_small():
@@ -554,7 +646,7 @@ def test_discrete_partition_of_a_long_cycle_stays_small():
     p = Partition.from_cells([v] for v in range(g.n))
     tracemalloc.start()
     try:
-        (digraph,) = _cell_digraphs(divisor_matrix(g, p))
+        digraph = _cell_digraph(divisor_matrix(g, p))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -606,7 +698,7 @@ def test_witnesses_on_the_cell_digraphs_of_spiders_and_loaded_tori(graph):
         sh = _relabelled(sg, image)
         verdict = similar_divisors(sg, sh)
         assert verdict.similar and equalizes(verdict.witness, sg, sh)
-        for a, b in (_cell_digraphs(sh, sg), (_looped_cell_digraph(sh), _looped_cell_digraph(sg))):
+        for a, b in ((_cell_digraph(sh), _cell_digraph(sg)), (_looped_cell_digraph(sh), _looped_cell_digraph(sg))):
             phi = isomorphism(a, b)
             assert phi is not None and is_isomorphism(phi, a, b)
             assert is_isomorphism(isomorphism(b, b), b, b)
