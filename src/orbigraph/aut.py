@@ -78,12 +78,19 @@ below the node is an automorphism, and the node is dropped.
 Refinement cannot split the root cell of a regular graph, and a rigid one
 leaves nothing to prune, so each of its n-1 root candidates would be
 refined and refuted on its own.  So when the refined root is not discrete,
-its non-singleton cells are split by their members' distance-layer
-profiles, grown one BFS layer at a time until some cell splits
-(_profile_split), and refined: the first path starts from this split root.
+its target cell, the first non-singleton cell of least size, whose members
+are the root candidates, is split by its members' distance-layer profiles,
+grown one BFS layer at a time until the cell splits (_profile_split), and
+the root is refined again: the first path starts from this split root.
 Automorphisms preserve distances, so a vertex's profile is an invariant,
 every automorphism maps each cell of the split root onto itself, and
-nothing found is dropped.  The profiles stop before they would scan more
+nothing found is dropped.  The target is chosen by cell positions and
+sizes alone, as at every level of the search, so the split does not depend
+on the labels either.  The other cells are not profiled: the 75 and 120
+root cells of prism(path(150)) and of P5 x P80 are orbits already, and
+profiling all their members would grow 300 and 400 balls to the budget
+for nothing.  A regular graph's refined root is one cell, which is its
+target.  The profiles stop before they would scan more
 than PROFILE_WORK = 16 times the arcs, a little above the 4 and 10 times
 after which rigid cubic and CFI graphs split.  The two orbits of GP(1000, 33)
 part only at radius 29, after 1,030 times, far more than the few
@@ -602,15 +609,15 @@ def _first_layer(v: int, row: Sequence[int]) -> list[int]:
     return list(layer)
 
 
-def _profile_split(adj: Sequence[Sequence[int]], cells: list[list[int]]) -> list[list[int]] | None:
-    """The cells with every non-singleton cell split by its members'
-    distance-layer profiles, fragments in ascending profile order, or None
-    if no cell splits within PROFILE_WORK times the arcs of adj.
+def _profile_split(adj: Sequence[Sequence[int]], cell: list[int]) -> list[list[int]] | None:
+    """The cell split by its members' distance-layer profiles, fragments in
+    ascending profile order, or None if it does not split within
+    PROFILE_WORK times the arcs of adj.
 
     Entry d of v's profile comes from the rows of layer d-1 of the BFS ball
     around v: the vertices of layer d, the arcs into layer d beyond one per
     vertex, and the arcs inside layer d-1.  All members grow by one layer
-    per step until some cell splits; a member stops once its new layer is
+    per step until the cell splits; a member stops once its new layer is
     empty, with the last entry (0, 0, arcs inside its last layer).
 
     Step 1 reads each member's row alone (_first_entry), and its first
@@ -622,17 +629,16 @@ def _profile_split(adj: Sequence[Sequence[int]], cells: list[list[int]]) -> list
     members' last layers, and no step starts whose bound, added to those of
     the steps before it, passes the budget; so the check counts layer sizes
     and scans no arc.  The bound and the budget depend on layer sizes and
-    degrees alone, so whether the cells split does not depend on the labels.
+    degrees alone, so whether the cell splits does not depend on the labels.
     """
     budget, widest = PROFILE_WORK * sum(map(len, adj)), max(map(len, adj))
-    members = [v for cell in cells if len(cell) > 1 for v in cell]
-    work = widest * len(members)
+    work = widest * len(cell)
     if work > budget:
         return None
-    # The entries of the last step.  The members of a cell have agreed on
-    # every entry so far, so they all get one at a step or none does, and
-    # that step's entries alone split the cell, in ascending profile order.
-    step = {v: _first_entry(v, adj[v]) for v in members}
+    # The entries of the last step.  The members have agreed on every entry
+    # so far, so they all get one at a step or none does, and that step's
+    # entries alone split the cell, in ascending profile order.
+    step = {v: _first_entry(v, adj[v]) for v in cell}
     frontier = sum(entry[0] for entry in step.values())
     # A growing member's previous layer and last layer, once step 2 runs.
     state: dict[int, tuple[list[int], list[int]]] | None = None
@@ -641,13 +647,13 @@ def _profile_split(adj: Sequence[Sequence[int]], cells: list[list[int]]) -> list
     # mark is below base, which moves past all marks before each member.
     mark = [-1] * len(adj)
     base = 0
-    while not any(len({step.get(v) for v in cell}) > 1 for cell in cells):
+    while len({step.get(v) for v in cell}) == 1:
         work += widest * frontier
         # frontier counts the last layers, so it is 0 once no member grows.
         if not frontier or work > budget:
             return None
         if state is None:
-            state = {v: ([v], _first_layer(v, adj[v])) for v in members if step[v][0]}
+            state = {v: ([v], _first_layer(v, adj[v])) for v in cell if step[v][0]}
         step = {}
         frontier = 0
         for v, (previous, layer) in list(state.items()):
@@ -674,13 +680,10 @@ def _profile_split(adj: Sequence[Sequence[int]], cells: list[list[int]]) -> list
                 frontier += len(new)
             else:
                 del state[v]
-    split: list[list[int]] = []
-    for cell in cells:
-        fragments: dict = {}
-        for v in cell:
-            fragments.setdefault(step.get(v), []).append(v)
-        split.extend(fragments[key] for key in sorted(fragments))
-    return split
+    fragments: dict = {}
+    for v in cell:
+        fragments.setdefault(step.get(v), []).append(v)
+    return [fragments[key] for key in sorted(fragments)]
 
 
 def _other_orbits(cell: list[int], gens: list[dict[int, int]]) -> list[int]:
@@ -760,16 +763,23 @@ class _AutSearch:
         return path
 
     def run(self) -> None:
-        """Refine the root, split it by distance profile if it is not
-        discrete (_profile_split), search the first path from it once, then
-        its levels' candidates, deepest first."""
+        """Refine the root, split its target cell by distance profile if it
+        is not discrete (_profile_split), search the first path from it
+        once, then its levels' candidates, deepest first.  Only the target
+        cell's members, the root candidates, are profiled: the cell is
+        chosen by position and size, and a profile is an invariant, so the
+        split is canonical and drops no automorphism (see the module
+        docstring)."""
         n = len(self.adj)
         colours: dict = {}
         for q, c in enumerate(self.colour):
             colours.setdefault(c, []).append(q)
         root = _Cells.from_cells(n, [colours[key] for key in sorted(colours)])
         root.refine(self.adj, root.starts())
-        if root.ncells < n and (cells := _profile_split(self.adj, root.cells())) is not None:
+        c = root.target()
+        if c >= 0 and (fragments := _profile_split(self.adj, root.lab[c : c + root.clen[c]])) is not None:
+            cells, i = root.cells(), root.starts().index(c)
+            cells[i : i + 1] = fragments
             root = _Cells.from_cells(n, cells)
             root.refine(self.adj, root.starts())
         path = self.first_path(root)

@@ -9,10 +9,11 @@ failed.  Pytest does not collect this file; tests/test_at_cap.py tests
 the table and the runner.
 
 A row is one CLI op: its argv, expected exit, closed-form facts about its
-JSON (group order, orbit count, the compare verdict and witness), a time
-bound on every run and an optional peak-RSS bound.  Each row runs once
-under ``-X importtime`` as its check run and then RUNS times as its timed
-runs, all with OPENBLAS_NUM_THREADS=1.  The runner checks on every row:
+JSON (group order, orbit count, spectral radius, the compare verdict and
+witness), a time bound on every run and an optional peak-RSS bound.  Each
+row runs once under ``-X importtime`` as its check run and then RUNS times
+as its timed runs, all with OPENBLAS_NUM_THREADS=1.  The runner checks on
+every row:
   - the exit code, and the closed forms the row declares;
   - JSON output is exactly ``json.dumps(json.loads(out), indent=2) + "\\n"``;
   - the timed runs print byte-identical stdout to the check run;
@@ -40,6 +41,7 @@ before and after.
 from __future__ import annotations
 
 import json
+import math
 import platform
 import statistics
 import subprocess
@@ -58,11 +60,14 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import bench_inputs as bi  # noqa: E402
-from helpers import cfi_graph, generalized_petersen, paley, relabelled, rigid_cubic  # noqa: E402
+from helpers import cfi_graph, generalized_petersen, paley, relabelled, rigid_cubic, two_hamiltonian_cycles  # noqa: E402
 from orbigraph import constructions as cons  # noqa: E402
 from orbigraph.graph_core import Graph, serialize_edge_list, to_graph6  # noqa: E402
 
 RUNS = 3
+# A declared rho must match both printed radii to this relative distance,
+# far inside the certificate's 1e-10.
+RHO_TOL = 1e-12
 ENV = {"PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
 CLI = ("-m", "orbigraph.cli")
 
@@ -115,12 +120,7 @@ def _pendant() -> Graph:
 def _near_regular() -> Graph:
     """The union of two Hamiltonian cycles, each a shuffle of range(2000) by
     one Random(3) in turn: 3,998 edges, degrees 3 and 4, rigid."""
-    rng, edges = Random(3), set()
-    for _ in range(2):
-        cycle = list(range(2000))
-        rng.shuffle(cycle)
-        edges.update(zip(cycle, cycle[1:] + cycle[:1]))
-    return Graph.from_edges(2000, edges)
+    return two_hamiltonian_cycles(Random(3), 2000)
 
 
 def _triangular(k: int) -> Graph:
@@ -170,6 +170,8 @@ class Input(NamedTuple):
 
 INPUTS: tuple[Input, ...] = (
     Input("path2000.edges", lambda: serialize_edge_list(cons.path(2000))),
+    Input("prism1000.edges", lambda: serialize_edge_list(cons.prism(cons.path(1000)))),
+    Input("p10_p200.edges", lambda: serialize_edge_list(cons.cartesian_product(cons.path(10), cons.path(200)))),
     Input("cubic2000.edges", lambda: serialize_edge_list(_cubic(11, 2000))),
     Input("cubic2000_relabelled.edges", lambda: serialize_edge_list(_cubic(11, 2000).relabel(bi.relabelling(11, 2000)))),
     Input("cubic12_2000.edges", lambda: serialize_edge_list(_cubic(12, 2000))),
@@ -208,6 +210,7 @@ class Row:
     exit: int = 0
     order: int | None = None
     orbits: int | None = None
+    rho: float | None = None  # rho_adjacency and rho_divisor, within RHO_TOL
     similar: bool | None = None
     witness: tuple[int, ...] | None = None
     same_graph: bool = False  # compare of one graph relabelled: homothetic, entropies bit for bit equal
@@ -226,6 +229,12 @@ def _compare(name: str, seconds: float, *args: str, **facts) -> Row:
 
 ROWS: tuple[Row, ...] = (
     _analyze("analyze path(2000)", 60, "path2000.edges", order=2, orbits=1000),
+    # Path products at the cap: every row of their quotients' envelopes is
+    # narrow, the prism's a chain row.  rho(G x H) = rho(G) + rho(H).
+    _analyze("analyze prism(path(1000))", 10, "prism1000.edges", order=4, orbits=500,
+             rho=1 + 2 * math.cos(math.pi / 1001)),
+    _analyze("analyze cartesian_product(path(10), path(200))", 10, "p10_p200.edges", order=4, orbits=500,
+             rho=2 * math.cos(math.pi / 11) + 2 * math.cos(math.pi / 201)),
     _analyze("analyze cubic(11, 2000)", 20, "cubic2000.edges", rss_mb=100, order=1, orbits=2000),
     Row("analyze cubic(11, 2000), table", ("analyze", "cubic2000.edges"), 20),
     _compare("compare cubic(11, 2000) relabelled", 20, "cubic2000.edges", "cubic2000_relabelled.edges", rss_mb=100,
@@ -319,6 +328,9 @@ def _answer_failures(row: Row, run: Run) -> list[str]:
             failures.append(f"{key} is not the closed form")
     if row.orbits is not None and len(out.get("orbits", ())) != row.orbits:
         failures.append(f"{len(out.get('orbits', ()))} orbits, expected {row.orbits}")
+    radii = (out.get("rho_adjacency", math.inf), out.get("rho_divisor", math.inf))
+    if row.rho is not None and any(abs(radius - row.rho) > RHO_TOL * row.rho for radius in radii):
+        failures.append(f"rho is not the closed form: {radii}, expected {row.rho!r}")
     if row.same_graph and not (out.get("homothetic") is True and out.get("entropy_a") == out.get("entropy_b")):
         failures.append("not homothetic with bit-equal entropies")
     return failures

@@ -11,6 +11,7 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
+from operator import mul, truediv
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -21,6 +22,7 @@ from orbigraph.aut import AutGroup, Partition, _UnionFind, automorphism_group, o
 from orbigraph.cli import _write_json
 from orbigraph.graph_core import Graph, is_connected
 from orbigraph.orbital import DivisorMatrix, divisor_matrix
+from orbigraph.spectral import _Envelope
 
 
 def child_env() -> dict:
@@ -66,6 +68,17 @@ def pendant_trees() -> Graph:
     leaf of the folded quotient."""
     edges = [*rigid_cubic(5, 20).edges, (0, 20), (20, 21), (21, 22), (10, 23), (23, 24), (23, 25), (25, 26)]
     return Graph.from_edges(27, edges)
+
+
+def two_hamiltonian_cycles(rng: random.Random, n: int) -> Graph:
+    """The union of two Hamiltonian cycles on range(n), each a shuffle by
+    rng in turn: degrees 2 to 4, and for most seeds rigid."""
+    edges = set()
+    for _ in range(2):
+        cycle = list(range(n))
+        rng.shuffle(cycle)
+        edges.update(zip(cycle, cycle[1:] + cycle[:1]))
+    return Graph.from_edges(n, edges)
 
 
 def relabelled(graph: Graph, seed: int) -> Graph:
@@ -582,6 +595,42 @@ def bisection_top(kernel, sums) -> float:
         else:
             hi = mid
     return hi
+
+
+class ReferenceEnvelope(_Envelope):
+    """The envelope kernel with every row run through the general row loop
+    (test oracle): _Envelope runs rows of width one and updates of one
+    product as scalars, and must give these results bit for bit.  top and
+    pinned are _Envelope's, and run on these loops."""
+
+    def factor(self, shift: float) -> tuple[list[list[float]], list[float]] | None:
+        low, piv = [], []
+        for f, band, m_kk, updates in zip(self.first, self.band, self.diag, self.updates):
+            g = band[:]
+            for i, a, j, b in updates:
+                g[i] -= sum(map(mul, g[a:i], low[j][b:]))
+            row = list(map(truediv, g, piv[f:]))
+            d = shift - m_kk - sum(map(mul, g, row))
+            if not d > 0.0:
+                return None
+            low.append(row)
+            piv.append(d)
+        return low, piv
+
+    def solve(self, factor: tuple[list[list[float]], list[float]], b: list[float]) -> list[float]:
+        low, piv = factor
+        z = [b[c] for c in self.order]
+        for k, f in enumerate(self.first):
+            if f < k:
+                z[k] -= sum(map(mul, low[k], z[f:k]))
+        z = list(map(truediv, z, piv))
+        for k in range(len(z) - 1, 0, -1):
+            f, zk = self.first[k], z[k]
+            z[f:k] = [x - l * zk for x, l in zip(z[f:k], low[k])]
+        x = [0.0] * len(self.rows)
+        for c, v in zip(self.order, z):
+            x[c] = v
+        return x
 
 
 class OrbitConstancyReport(NamedTuple):

@@ -87,7 +87,7 @@ def test_rows_state_what_replaced_steps_checked():
 
 def test_answer_facts_are_only_declared_for_json_rows():
     for row in ROWS:
-        facts = (row.order, row.orbits, row.similar, row.witness)
+        facts = (row.order, row.orbits, row.rho, row.similar, row.witness)
         if any(fact is not None for fact in facts) or row.same_graph:
             assert "--json" in row.argv, row.name
 
@@ -96,8 +96,9 @@ C5 = (Input("c5.edges", lambda: serialize_edge_list(cycle(5))),)
 ARGV = ("analyze", "--json", "c5.edges")
 # Each row over C_5 and the failure the runner must report, None for the right row.
 CASES = {
-    Row("right", ARGV, 60, rss_mb=1000, order=10, orbits=1): None,
+    Row("right", ARGV, 60, rss_mb=1000, order=10, orbits=1, rho=2.0): None,
     Row("wrong group order", ARGV, 60, order=5): "group_order is not the closed form",
+    Row("wrong rho", ARGV, 60, rho=2.0 + 1e-9): "rho is not the closed form",
     Row("wrong exit", ARGV, 60, exit=3): "exit 0, expected 3",
     Row("time bound below start-up", ARGV, 0.001): "a run took",
     Row("RSS bound below start-up", ARGV, 60, rss_mb=1): "peak RSS",

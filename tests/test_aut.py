@@ -34,8 +34,10 @@ from helpers import (
     relabelled,
     rigid_cubic,
     spider,
+    tied_star,
     tree_symmetry,
     trees,
+    two_hamiltonian_cycles,
     vertex_permutations,
 )
 from orbigraph import aut
@@ -649,7 +651,7 @@ def test_profile_split_stops_at_its_budget():
     root = _Cells.from_cells(graph.n, [range(graph.n)])
     root.refine(graph.adjacency, root.starts())
     assert root.ncells == 1
-    assert aut._profile_split(rows, root.cells()) is None
+    assert aut._profile_split(rows, root.lab) is None
     assert 0 < scanned[0] <= aut.PROFILE_WORK * 2 * graph.m
     group = _uncached_group(graph)
     assert group.order == 2000 and len(group.orbits) == 2
@@ -664,10 +666,101 @@ def test_profile_split_refuses_its_first_step_over_budget():
     root = _Cells.from_cells(graph.n, [range(graph.n)])
     root.refine(graph.adjacency, root.starts())
     assert sorted(map(len, root.cells())) == [1, 100]
-    assert aut._profile_split(rows, root.cells()) is None
+    assert aut._profile_split(rows, _target_cell(root)) is None
     assert scanned[0] == 0
     group = _uncached_group(graph)
     assert group.order == 200 and len(group.orbits) == 2
+
+
+def _target_cell(root: _Cells) -> list[int]:
+    c = root.target()
+    return root.lab[c : c + root.clen[c]]
+
+
+def _refined_root(graph: Graph) -> _Cells:
+    root = _Cells.from_cells(graph.n, [range(graph.n)])
+    root.refine(graph.adjacency, root.starts())
+    return root
+
+
+@pytest.mark.parametrize(
+    "graph, cells",
+    [(prism(path(150)), 75), (cartesian_product(path(5), path(80)), 120)],
+    ids=["prism(path(150))", "P5 x P80"],
+)
+def test_root_split_profiles_the_target_cell_only(monkeypatch, graph, cells):
+    # Every cell of these refined roots is an orbit already.  Only the
+    # target cell's members, the root candidates, are profiled, not the
+    # 300 and 400 members of all the non-singleton cells.
+    root = _refined_root(graph)
+    assert root.ncells == cells
+    received, split = [], aut._profile_split
+    monkeypatch.setattr(aut, "_profile_split", lambda adj, cell: received.append(list(cell)) or split(adj, cell))
+    group = _uncached_group(graph)
+    assert received == [_target_cell(root)]
+    assert len(received[0]) == min(len(cell) for cell in root.cells() if len(cell) > 1)
+    assert group.order == 4 and len(group.orbits) == cells
+
+
+def _subdivided(graph: Graph) -> Graph:
+    """graph with every edge split by a new vertex: a rigid cubic graph's
+    subdivision is rigid, and refinement leaves its root two cells, the
+    old vertices and the new."""
+    edges = [e for i, (u, v) in enumerate(sorted(graph.edges)) for e in ((u, graph.n + i), (graph.n + i, v))]
+    return Graph.from_edges(graph.n + graph.m, edges)
+
+
+def _two_hamiltonian_cycles(seed: int) -> Graph:
+    """two_hamiltonian_cycles on n = 8..150 vertices, n drawn first by the same Random(seed)."""
+    rng = random.Random(seed)
+    return two_hamiltonian_cycles(rng, rng.randint(8, 150))
+
+
+def _with_pendants(graph: Graph, hosts: tuple[int, ...]) -> Graph:
+    return Graph.from_edges(graph.n + len(hosts), [*graph.edges, *((v, graph.n + i) for i, v in enumerate(hosts))])
+
+
+# Irregular graphs with n <= 8 whose refined root has two or more
+# non-singleton cells, so the target cell is one of several.
+SMALL_ROOTS = {
+    "P6": path(6),
+    "P7": path(7),
+    "P8": path(8),
+    "P2 x P3": cartesian_product(path(2), path(3)),
+    "P2 x P4": cartesian_product(path(2), path(4)),
+    "spider(1,2,2)": spider((1, 2, 2)),
+    "spider(1,1,2,2)": spider((1, 1, 2, 2)),
+    "spider(2,2,3)": spider((2, 2, 3)),
+    "tied_star": tied_star(),
+}
+
+
+@pytest.mark.parametrize("graph", SMALL_ROOTS.values(), ids=SMALL_ROOTS)
+def test_target_cell_split_keeps_order_and_orbits(graph):
+    assert sum(len(cell) > 1 for cell in _refined_root(graph).cells()) >= 2
+    group = _uncached_group(graph)
+    assert group.order == brute_force_group_order(graph)
+    assert group.orbits == brute_force_orbits(graph)
+
+
+# Rigid graphs whose search ends at a single leaf with the target cell
+# split: rigid cubic graphs with one and two pendant vertices, the
+# pendant trees, seeded irregular graphs, and subdivided rigid cubic
+# graphs, whose root has two non-singleton cells.
+SINGLE_LEAVES = {
+    **{f"rigid_cubic({s}, {n}) + 1 pendant": _with_pendants(rigid_cubic(s, n), (0,)) for s, n in ((0, 20), (1, 50))},
+    **{f"rigid_cubic({s}, {n}) + 2 pendants": _with_pendants(rigid_cubic(s, n), (0, n // 2)) for s, n in ((0, 20), (2, 100))},
+    "pendant_trees": pendant_trees(),
+    **{f"two Hamiltonian cycles, seed {seed}": _two_hamiltonian_cycles(seed) for seed in (1, 2, 3, 5, 9, 11)},
+    **{f"subdivided rigid_cubic({s}, {n})": _subdivided(rigid_cubic(s, n)) for s, n in ((3, 12), (0, 20), (2, 100))},
+}
+
+
+@pytest.mark.parametrize("graph", SINGLE_LEAVES.values(), ids=SINGLE_LEAVES)
+def test_target_cell_split_keeps_the_single_leaf(graph):
+    assert certified_rigid(graph)
+    group = _uncached_group(graph)
+    assert group.order == 1 and group.leaf is not None and sorted(group.leaf) == list(range(graph.n))
 
 
 def _interleaved_double(graph: Graph) -> Graph:

@@ -4,6 +4,7 @@ A failure here means a report changed shape or value; if the change is
 intended, rewrite the expected file from the new output and review the diff.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 
 from helpers import pendant_trees, relabelled, rigid_cubic, spider, tied_star
 from orbigraph.cli import EXIT_DISSIMILAR, EXIT_OK, EXIT_PARSE, main
-from orbigraph.constructions import complete, cycle, path
+from orbigraph.constructions import cartesian_product, complete, cycle, path, prism
 from orbigraph.graph_core import serialize_edge_list
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -80,6 +81,29 @@ def test_dot_file_matches_golden(tmp_path, capsys):
     assert main(["analyze", "--dot", str(dot), files["p5"]]) == EXIT_OK
     assert capsys.readouterr().out == (GOLDEN / "analyze_p5.txt").read_text(encoding="ascii")
     assert dot.read_text(encoding="ascii") == (GOLDEN / "analyze_p5.dot").read_text(encoding="ascii")
+
+
+# The benchmark's path-like inputs -> sha256 of their `analyze --json`
+# stdout, pinned so that a kernel change that moves any printed digit of rho,
+# the Perron vector or the bracket fails here.  CI runs Python 3.10 and
+# 3.11; from 3.12 on, sum() of floats is compensated, which may move the
+# last digits of the envelope kernel's wider rows.
+PATH_LIKE = {
+    "path(300)": (path(300), "cd51e7c038bd4ddab0134c9c287c6042833f5eae39ac4f7fb5fb481462123ca7"),
+    "path(400)": (path(400), "645ae97a357f313ab928ebfdc557ff2379b13b766099fe3daf145552834a7aff"),
+    "prism(path(150))": (prism(path(150)), "7d7af5660086dfbf282cf249f7246fea7fba94d5127eae5c20bd94fcfb24e0bf"),
+    "P5 x P80": (cartesian_product(path(5), path(80)), "cf01d134f98d4617b8085499a4cf3c8d027bf2d966993d4a22fc85e15f9934ca"),
+    "path(2000)": (path(2000), "fedf62e5fe668d9f55ead9789c90f879db26cf93388c396bd084344da9b961b9"),
+}
+
+
+@pytest.mark.parametrize("name", PATH_LIKE)
+def test_path_like_analyze_bytes_are_pinned(name, tmp_path, capsys):
+    graph, digest = PATH_LIKE[name]
+    edges = tmp_path / "graph.edges"
+    edges.write_text(serialize_edge_list(graph), encoding="ascii")
+    assert main(["analyze", "--json", str(edges)]) == EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest() == digest
 
 
 # expected file -> argv of a help request, which prints to stdout and exits 0

@@ -4,8 +4,18 @@ import random
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import bisection_top, check_orbit_constancy, connected_graphs, dense, from_dense, rigid_cubic, tied_star
+from helpers import (
+    ReferenceEnvelope,
+    bisection_top,
+    check_orbit_constancy,
+    connected_graphs,
+    dense,
+    from_dense,
+    rigid_cubic,
+    tied_star,
+)
 from orbigraph import constructions as cons
 from orbigraph import spectral
 from orbigraph.aut import Partition, orbit_partition, unit_partition
@@ -428,6 +438,89 @@ def test_envelope_kernel_refuses_a_matrix_that_never_factors():
         kernel.top((0, 1))
     with pytest.raises(spectral.CertificateError, match="not positive definite"):
         kernel.pinned(0, -1.0)
+
+
+@st.composite
+def banded_matrices(draw, max_ell: int = 12) -> list[dict[int, float]]:
+    """A symmetric matrix with nonnegative entries, as sparse rows, whose row
+    k has width w_k in 0..3 in index order: its first entry left of the
+    diagonal is in column k - w_k, and each column between holds an entry
+    or not.  Some entries held are 0.0, whose negation in the band is -0.0."""
+    ell = draw(st.integers(1, max_ell))
+    rows: list[dict[int, float]] = [{} for _ in range(ell)]
+    for k in range(ell):
+        if width := draw(st.integers(0, min(k, 3))):
+            for j in [k - width, *(j for j in range(k - width + 1, k) if draw(st.booleans()))]:
+                rows[k][j] = rows[j][k] = draw(st.one_of(st.just(0.0), st.floats(0.0625, 4.0)))
+        if draw(st.booleans()):
+            rows[k][k] = draw(st.floats(0.0, 4.0))
+    return rows
+
+
+def _bits(value):
+    """value with every float as its hex form, so that == also tells -0.0 from 0.0."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    return value
+
+
+def _outcome(call, *args):
+    """call(*args) as _bits gives it, or the message of the CertificateError it raised."""
+    try:
+        return _bits(call(*args))
+    except spectral.CertificateError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(banded_matrices(), st.data())
+def test_chain_rows_match_the_general_row_loop_bit_for_bit(rows, data):
+    # _Envelope runs rows of width one, and the one-product updates of wider
+    # rows, as scalars; factor, solve, top and pinned must equal the general
+    # row loop's results float for float, signed zeros included, on rows of
+    # width 0, 1 and 2-3 mixed.
+    ell = len(rows)
+    order = list(range(ell))
+    first = spectral._envelope_starts(rows, order)
+    kernel, reference = spectral._Envelope(rows, order, first), ReferenceEnvelope(rows, order, first)
+    sums = [math.fsum(row.values()) for row in rows]
+    shift = data.draw(st.floats(min(sums) - 1.0, max(sums) + 1.0))
+    assert _bits(kernel.factor(shift)) == _bits(reference.factor(shift))
+    # rho is at most the largest row sum, so this shift factors.
+    safe = max(sums) + 1.0
+    signed = st.one_of(st.sampled_from([-0.0, 0.0]), st.floats(-2.0, 2.0))
+    b = data.draw(st.lists(signed, min_size=ell, max_size=ell))
+    assert _bits(kernel.solve(kernel.factor(safe), b)) == _bits(reference.solve(reference.factor(safe), b))
+    assert _outcome(kernel.top, sums) == _outcome(reference.top, sums)
+    r = data.draw(st.integers(0, ell - 1))
+    rho = data.draw(st.floats(min(sums) - 1.0, safe))
+    assert _outcome(kernel.pinned, r, rho) == _outcome(reference.pinned, r, rho)
+
+
+def test_a_chain_row_keeps_the_sign_of_zero():
+    # Row 1 is a chain row, and its forward sweep subtracts -0.0 from -0.0:
+    # the general loop's sum() makes that -0.0 - 0.0 = -0.0.
+    rows = [{1: 1.0}, {0: 1.0}]
+    kernel, reference = spectral._Envelope(rows, [0, 1], [0, 0]), ReferenceEnvelope(rows, [0, 1], [0, 0])
+    x = kernel.solve(kernel.factor(3.0), [0.0, -0.0])
+    assert _bits(x) == _bits(reference.solve(reference.factor(3.0), [0.0, -0.0])) == [(0.0).hex(), (-0.0).hex()]
+
+
+@pytest.mark.parametrize(
+    "graph", [*SLOW_MIXING_GRAPHS.values(), path(2000)], ids=[*SLOW_MIXING_GRAPHS, "path(2000)"]
+)
+def test_chain_rows_match_the_general_row_loop_on_slow_mixing_graphs(graph):
+    dm = divisor_matrix(graph, orbit_partition(graph))
+    rows = spectral._symmetrized(dm)
+    order = spectral._rcm_order(rows)
+    first = spectral._envelope_starts(rows, order)
+    kernel, reference = spectral._Envelope(rows, order, first), ReferenceEnvelope(rows, order, first)
+    rho, u = kernel.top(dm.row_sums())
+    assert _bits((rho, u)) == _bits(reference.top(dm.row_sums()))
+    r = u.index(max(u))
+    assert _bits(kernel.pinned(r, rho)) == _bits(reference.pinned(r, rho))
 
 
 def test_lapack_top_restores_its_matrix_exactly():
