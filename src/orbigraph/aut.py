@@ -51,29 +51,39 @@ so a fold loses no automorphism that the twin generators do not give.
 Anders, Schweitzer & Stiess (Engineering a preprocessor for symmetry
 detection, SEA 2023) use the same preprocessing.
 
-The search runs on the last quotient, with no recursion.  The first path
-is a loop from the root: a node copies its parent's equitable partition,
+The search runs on the last quotient, with no recursion, and keeps one
+partition per search path, as nauty's partition nest keeps every level of
+its path in one lab/ptn pair (McKay & Piperno, J. Symbolic Comput. 60,
+2014).  The first path is a loop from the root, in place: each level
 individualizes the smallest vertex of the first smallest non-singleton
-cell, and refines with that singleton as the only splitter.  The levels are
-then tried deepest first, so while the candidates of level L are tried,
-every generator found so far fixes the first L base vertices; one
-union-find over all generators therefore holds the orbits of that
-stabiliser, and a candidate is tried only if its orbit holds neither the
-base vertex nor a refuted candidate.  Below the first path a node tries
-one child per orbit of the generators that fix every vertex individualized
-down to it, taken once its first child is refuted; a child keeps those
-that fix its vertex.  This is nauty's rule (McKay, Congressus Numerantium
-30, 1981; McKay & Piperno, J. Symbolic Comput. 60, 2014): such a
-generator maps the node onto itself and one child's subtree onto another's.
-A candidate is searched depth first on an explicit stack, and a node is
+cell, refines with that singleton as the only splitter and keeps its trace.
+A trace event names the start of the cell it split and its fragments'
+sizes, and the first fragment keeps the start, so undoing a level's events
+latest first, then its individualization, gives back the level above
+(_Cells.undo).  Only each vertex's cell and the cell lengths change back: a
+cell keeps the first leaf's order of its vertices, which nothing reads, as
+traces record positions and counts, candidates are sorted and the singleton
+map reads singletons and cell membership.  The levels are then undone and
+tried deepest first, so while the candidates of level L are tried, every
+generator found so far fixes the first L base vertices; one union-find over
+all generators therefore holds the orbits of that stabiliser, and a
+candidate is tried only if its orbit holds neither the base vertex nor a
+refuted candidate.  Below the first path a node tries one child per orbit
+of the generators that fix every vertex individualized down to it, taken
+once its first child is refuted; a child keeps those that fix its vertex.
+This is nauty's rule (McKay, Congressus Numerantium 30, 1981; McKay &
+Piperno 2014): such a generator maps the node onto itself and one child's
+subtree onto another's.  A candidate is searched depth first on an explicit
+stack that keeps only its deepest node: a child is a copy of its parent,
+and a parent is its last child with that child's level undone.  A node is
 abandoned at the first trace event that differs from the first path at its
-level.  Sparse automorphisms are found without descending to a leaf
-(Darga, Sakallah & Markov, Faster symmetry discovery using sparsity of
-symmetries, DAC 2008): when every non-singleton cell of a node holds the
-same vertices as on the first path, the map between the two nodes'
-singletons, fixing everything else, is tested at once.  It is kept if it
-maps every moved vertex's row onto its image's row; if it fails, no leaf
-below the node is an automorphism, and the node is dropped.
+level.  Sparse automorphisms are found without descending to a leaf (Darga,
+Sakallah & Markov, Faster symmetry discovery using sparsity of symmetries,
+DAC 2008): when every non-singleton cell of a node holds the same vertices
+as on the first path, the map between the two nodes' singletons, fixing
+everything else, is tested at once.  It is kept if it maps every moved
+vertex's row onto its image's row; if it fails, no leaf below the node is
+an automorphism, and the node is dropped.
 
 Refinement cannot split the root cell of a regular graph, and a rigid one
 leaves nothing to prune, so each of its n-1 root candidates would be
@@ -283,6 +293,22 @@ class _Cells:
 
     def copy(self) -> "_Cells":
         return _Cells(self.lab[:], self.pos[:], self.cell_of[:], self.clen[:], self.ncells)
+
+    def undo(self, trace: list, c: int) -> None:
+        """Merge back the splits of `trace`, latest first, then the singleton
+        that individualizing a member of the cell at c split off before it.
+        A split left its first fragment at its cell's start and the others
+        right after it; lab and pos keep their order within each cell."""
+        lab, cell_of, clen = self.lab, self.cell_of, self.clen
+        for _, start, sig in reversed(trace):
+            end = start + sum(size for _, size in sig)
+            for v in lab[start + clen[start] : end]:
+                cell_of[v] = start
+            clen[start] = end - start
+            self.ncells -= len(sig) - 1
+        cell_of[lab[c + clen[c]]] = c
+        clen[c] += 1
+        self.ncells -= 1
 
     def starts(self) -> list[int]:
         out = []
@@ -741,54 +767,40 @@ class _AutSearch:
         self.orbits = _UnionFind(range(len(adj)))
         # The quotient permutation of each generator the search found.
         self.images: list[dict[int, int]] = []
-        self.first_traces: list[list] = []  # of the first path's nodes below the root
-        self.first_leaf: list[int] = []
-        self.first_pos: list[int] = []
-        self.targets: list[int] = []
-
-    def first_path(self, root: _Cells) -> list[_Cells]:
-        """Search the first path from the root, keeping its traces, targets
-        and leaf; return its nodes above the leaf, root first, or [] if the
-        root is discrete."""
-        c = root.target()
-        self.targets = [c]
-        node, path = root, []
-        while c >= 0:
-            path.append(node)
-            node = node.copy()
-            self.first_traces.append(node.refine(self.adj, [node.individualize(min(node.lab[c : c + node.clen[c]]))]))
-            c = node.target()
-            self.targets.append(c)
-        self.first_leaf, self.first_pos = node.lab, node.pos
-        return path
 
     def run(self) -> None:
         """Refine the root, split its target cell by distance profile if it
-        is not discrete (_profile_split), search the first path from it
-        once, then its levels' candidates, deepest first.  Only the target
-        cell's members, the root candidates, are profiled: the cell is
-        chosen by position and size, and a profile is an invariant, so the
-        split is canonical and drops no automorphism (see the module
-        docstring)."""
+        is not discrete (_profile_split), search the first path from it in
+        place, then walk back up, undoing each level's trace before its
+        candidates are tried, deepest level first.  The first path is kept
+        as its traces, targets and leaf.  Only the target cell's members,
+        the root candidates, are profiled: the cell is chosen by position
+        and size, and a profile is an invariant, so the split is canonical
+        and drops no automorphism (see the module docstring)."""
         n = len(self.adj)
         colours: dict = {}
         for q, c in enumerate(self.colour):
             colours.setdefault(c, []).append(q)
-        root = _Cells.from_cells(n, [colours[key] for key in sorted(colours)])
-        root.refine(self.adj, root.starts())
-        c = root.target()
-        if c >= 0 and (fragments := _profile_split(self.adj, root.lab[c : c + root.clen[c]])) is not None:
-            cells, i = root.cells(), root.starts().index(c)
+        node = _Cells.from_cells(n, [colours[key] for key in sorted(colours)])
+        node.refine(self.adj, node.starts())
+        c = node.target()
+        if c >= 0 and (fragments := _profile_split(self.adj, node.lab[c : c + node.clen[c]])) is not None:
+            cells, i = node.cells(), node.starts().index(c)
             cells[i : i + 1] = fragments
-            root = _Cells.from_cells(n, cells)
-            root.refine(self.adj, root.starts())
-        path = self.first_path(root)
+            node = _Cells.from_cells(n, cells)
+            node.refine(self.adj, node.starts())
+        self.targets, self.first_traces = [node.target()], []
+        while (c := self.targets[-1]) >= 0:
+            self.first_traces.append(node.refine(self.adj, [node.individualize(min(node.lab[c : c + node.clen[c]]))]))
+            self.targets.append(node.target())
+        # Nothing moves lab or pos from here on: undo keeps them, and the
+        # search below the first path works on copies.
+        self.first_leaf, self.first_pos = node.lab, node.pos
         # Deepest level first: every generator found so far fixes the base
         # vertices above the level being tried.
-        while path:
-            level = len(path) - 1
-            node = path[-1]
+        for level in reversed(range(len(self.first_traces))):
             c = self.targets[level]
+            node.undo(self.first_traces[level], c)
             members = sorted(node.lab[c : c + node.clen[c]])
             b = members[0]
             # The orbits of candidates whose subtree held no automorphism,
@@ -801,7 +813,6 @@ class _AutSearch:
                     refuted = set(map(self.orbits.find, refuted))
                 else:
                     refuted.add(r)
-            path.pop()
             self.order *= self.orbits.class_size(b)
 
     def _add_block_cycle(self, cycle: list[list[int]]) -> None:
@@ -810,45 +821,45 @@ class _AutSearch:
             image.update(zip(a, b))
         self.generators.append(tuple(sorted(image.items())))
 
-    def _try(self, parent: _Cells, v: int, level: int) -> bool:
-        """Depth-first search of the subtree of parent + v, whose root is at
+    def _try(self, node: _Cells, v: int, level: int) -> bool:
+        """Depth-first search of the subtree of node + v, whose root is at
         `level`, for an automorphism; stops at the first one found, kept as
         the last generator, and says whether there was one.  A node tries
         its smallest child, then one child per other orbit of the generators
-        that fix its path (see the module docstring)."""
-        # An entry: a node, its level, its children to try (popped from the
-        # end), its sorted target cell until the first child is done, and the
+        that fix its path (see the module docstring).  Only the deepest node
+        is kept: a child is its parent's copy, refined and abandoned once
+        its trace departs from the first path's, and a parent is its last
+        child with that child's level undone; node itself is not changed."""
+        # An entry: its level, its children to try (popped from the end),
+        # its sorted target cell until the first child is done, and the
         # generators that fix its path once those moving `unfixed` are dropped.
-        stack = [[parent, level, [v], None, self.images, ()]]
+        stack = [[level, [v], None, self.images, ()]]
         while stack:
             entry = stack[-1]
-            parent, level, todo, cell, gens, unfixed = entry
+            level, todo, cell, gens, unfixed = entry
             if not todo:
                 if cell is None:
                     stack.pop()
+                    if stack:
+                        node.undo(self.first_traces[level - 2], self.targets[level - 2])
                 else:
                     gens = [g for g in gens if g.keys().isdisjoint(unfixed)]
-                    entry[2:] = _other_orbits(cell, gens), None, gens, ()
+                    entry[1:] = _other_orbits(cell, gens), None, gens, ()
                 continue
             u = todo.pop()
-            node = self._child(parent, u, level)
-            if node is None:
+            child = node.copy()
+            if child.refine(self.adj, [child.individualize(u)], self.first_traces[level - 1]) is None:
                 continue
-            image = self._singleton_map(node)
+            image = self._singleton_map(child)
             if image is None:
                 # Equal traces give the first path's cells, so its target too.
                 c = self.targets[level]
-                cell = sorted(node.lab[c : c + node.clen[c]])
-                stack.append([node, level + 1, [cell[0]], cell, gens, (*unfixed, u)])
+                cell = sorted(child.lab[c : c + child.clen[c]])
+                stack.append([level + 1, [cell[0]], cell, gens, (*unfixed, u)])
+                node = child
             elif self._accept(image):
                 return True
         return False
-
-    def _child(self, parent: _Cells, v: int, level: int) -> _Cells | None:
-        """parent + v refined, or None if its trace departs from the first
-        path's at `level`."""
-        node = parent.copy()
-        return None if node.refine(self.adj, [node.individualize(v)], self.first_traces[level - 1]) is None else node
 
     def _singleton_map(self, node: _Cells) -> dict[int, int] | None:
         """The candidate that node's singletons give, as the image of each

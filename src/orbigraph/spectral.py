@@ -20,11 +20,12 @@ Perron vector that spans more than the float range, as on K_50 with a
 pendant path of 200 vertices, still rounds to 0, and CertificateError says so.
 
 Every row sum of B is a vertex degree, and the least and the largest row
-sum bracket rho(B) (Collatz-Wielandt with x = 1).  _divisor_perron decides
-that bracket first, before any kernel is chosen: when it is closed, every
-row sum equal as on every regular graph, rho(B) is that row sum, the Perron
-vector is constant, no pivot cell is picked, and nothing is symmetrized,
-factored, solved or imported.
+sum bracket rho(B) (Collatz-Wielandt with x = 1).  _divisor_top, the one
+top solve of both spectral routes, decides that bracket first, before any
+kernel is chosen: when it is closed, every row sum equal as on every
+regular graph, rho(B) is that row sum, the Perron vector is constant, no
+pivot cell is picked, and nothing is symmetrized, factored, solved or
+imported.
 
 On an open bracket the cells are taken in reverse Cuthill-McKee order
 (Cuthill & McKee 1969; George 1971), and _kernel chooses one of two kernels
@@ -354,6 +355,17 @@ def _kernel(rows: list[dict[int, float]], order: list[int]) -> _Envelope | _Lapa
     return _Lapack(rows)
 
 
+def _divisor_top(dm: DivisorMatrix) -> tuple[float, list[float], _Envelope | _Lapack | None]:
+    """rho(B), the top eigenvector u of _symmetrized(dm) and the kernel that
+    found them; on a closed row-sum bracket the row sum, no u and no kernel."""
+    sums = dm.row_sums()
+    if min(sums) == max(sums):
+        return float(sums[0]), [], None
+    rows = _symmetrized(dm)
+    kernel = _kernel(rows, _rcm_order(rows))
+    return (*kernel.top(sums), kernel)
+
+
 def _divisor_perron(dm: DivisorMatrix) -> tuple[float, int | None, list[float]]:
     """rho(B), the pivot cell r and the per-cell constants alpha of the lift.
 
@@ -364,12 +376,9 @@ def _divisor_perron(dm: DivisorMatrix) -> tuple[float, int | None, list[float]]:
     w with w_r = 1 is the kernel's pinned solve, and alpha = S^(-1/2) w is
     scaled so that the lift sums to 1.
     """
-    sums = dm.row_sums()
-    if min(sums) == max(sums):
-        return float(sums[0]), None, [1.0 / sum(dm.sizes)] * dm.ell
-    rows = _symmetrized(dm)
-    kernel = _kernel(rows, _rcm_order(rows))
-    rho_divisor, u = kernel.top(sums)
+    rho_divisor, u, kernel = _divisor_top(dm)
+    if kernel is None:
+        return rho_divisor, None, [1.0 / sum(dm.sizes)] * dm.ell
     top = max(u)
     r = next(i for i, x in enumerate(u) if x >= top - PIVOT_TIE * abs(top))
     w = kernel.pinned(r, rho_divisor)
@@ -435,11 +444,7 @@ def spectral_radius_divisor(dm: DivisorMatrix) -> float:
     matrix of every equitable partition is; ValueError otherwise.
     """
     _check_divisor_matrix(dm)
-    sums = dm.row_sums()
-    if min(sums) == max(sums):
-        return float(sums[0])
-    rows = _symmetrized(dm)
-    return _kernel(rows, _rcm_order(rows)).top(sums)[0]
+    return _divisor_top(dm)[0]
 
 
 class TermRecord(NamedTuple):

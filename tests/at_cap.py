@@ -31,11 +31,18 @@ started by a small ``python -S`` launcher (LAUNCHER) with os.posix_spawn
 and read with os.wait4, which gives that op's own wall time and ru_maxrss.
 The launcher also kills an op that runs a second past twice its time bound.
 
+Host speed: the benchmark's host probe (perfbench/host_probe.py, run by
+perfbench/run.py's run_probe) runs before the first timed run of a row and
+after each one.  A timed run's scaled time is its wall time x PROBE_REF_S /
+the mean of the probes just before and after it: its time at the host speed
+that perfbench/run.py reports at, without a slowdown of the host that the
+op and the probes around it share.  The bounds apply to the raw wall times.
+
 BENCH_at_cap.json holds, per row, its argv, the exit code, the median wall
-time of the timed runs, the largest peak RSS of all runs, both bounds and
-any failures, plus the Python and numpy versions.  It is committed, so its
-git history is the corpus's trajectory: a change to a hot path quotes it
-before and after.
+time of the timed runs and the median of their scaled times, the largest
+peak RSS of all runs, both bounds and any failures, plus the Python and
+numpy versions.  It is committed, so its git history is the corpus's
+trajectory: a change to a hot path quotes it before and after.
 """
 
 from __future__ import annotations
@@ -61,6 +68,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import bench_inputs as bi  # noqa: E402
 from helpers import cfi_graph, generalized_petersen, paley, relabelled, rigid_cubic, two_hamiltonian_cycles  # noqa: E402
+from run import PROBE_REF_S, run_probe  # noqa: E402
 from orbigraph import constructions as cons  # noqa: E402
 from orbigraph.graph_core import Graph, serialize_edge_list, to_graph6  # noqa: E402
 
@@ -138,29 +146,31 @@ def _clique_with_path(k: int, length: int) -> Graph:
 
 
 # The symmetric inputs, by file stem: the name their rows give them, the
-# time bound of their compare row and their builder.  Each is also
-# compared against a seeded relabelling.
+# time and peak-RSS bounds of their compare row and their builder.  Each is
+# also compared against a seeded relabelling.  The RSS bounds hold the IR
+# search to one partition per search path: a partition kept per level of
+# crossed_prism(1000)'s 500-level first path read 49 MB, and CFI 24-25 MB.
 _SYMMETRIC = {
-    "cfi200": ("CFI(cubic(11, 200))", 60, lambda: cfi_graph(sorted(_cubic(11, 200).edges))),
-    "cfi200_gadget": ("CFI(cubic(11, 200)) by gadget", 60, lambda: cfi_graph(sorted(_cubic(11, 200).edges), by_gadget=True)),
-    "cfi_ladder": ("CFI(circular_ladder(100)) by gadget", 60, lambda: cfi_graph(sorted(cons.circular_ladder(100).edges), by_gadget=True)),
+    "cfi200": ("CFI(cubic(11, 200))", 60, 22, lambda: cfi_graph(sorted(_cubic(11, 200).edges))),
+    "cfi200_gadget": ("CFI(cubic(11, 200)) by gadget", 60, None, lambda: cfi_graph(sorted(_cubic(11, 200).edges), by_gadget=True)),
+    "cfi_ladder": ("CFI(circular_ladder(100)) by gadget", 60, None, lambda: cfi_graph(sorted(cons.circular_ladder(100).edges), by_gadget=True)),
     # 1,984 vertices, 199 orbits.  Its cell digraph has an automorphism of
     # order 2, so the search of the two cell digraphs' union in
     # similar_divisors has more than a single leaf.
-    "cfi_prism": ("CFI(prism(path(100))) by gadget", 20, lambda: cfi_graph(sorted(cons.prism(cons.path(100)).edges), by_gadget=True)),
-    "gp1000_33": ("GP(1000, 33)", 60, lambda: generalized_petersen(1000, 33)),
-    "cp1000": ("crossed_prism(1000)", 60, lambda: cons.crossed_prism(1000)),
-    "t63": ("T(63)", 60, lambda: _triangular(63)),
-    "rook44": ("K44 x K44", 60, lambda: cons.cartesian_product(cons.complete(44), cons.complete(44))),
-    "lt2000": ("loaded_torus((20, 20), 2, 2)", 60, lambda: cons.loaded_torus((20, 20), 2, 2)),
-    "cwc2000": ("cycle_with_cliques(400, 3, 2)", 60, lambda: cons.cycle_with_cliques(400, 3, 2)),
+    "cfi_prism": ("CFI(prism(path(100))) by gadget", 20, None, lambda: cfi_graph(sorted(cons.prism(cons.path(100)).edges), by_gadget=True)),
+    "gp1000_33": ("GP(1000, 33)", 60, None, lambda: generalized_petersen(1000, 33)),
+    "cp1000": ("crossed_prism(1000)", 60, 30, lambda: cons.crossed_prism(1000)),
+    "t63": ("T(63)", 60, None, lambda: _triangular(63)),
+    "rook44": ("K44 x K44", 60, None, lambda: cons.cartesian_product(cons.complete(44), cons.complete(44))),
+    "lt2000": ("loaded_torus((20, 20), 2, 2)", 60, None, lambda: cons.loaded_torus((20, 20), 2, 2)),
+    "cwc2000": ("cycle_with_cliques(400, 3, 2)", 60, None, lambda: cons.cycle_with_cliques(400, 3, 2)),
 }
 _paley = cache(lambda: paley(1997))
 
 
 @cache
 def _symmetric(stem: str) -> Graph:
-    return _SYMMETRIC[stem][2]()
+    return _SYMMETRIC[stem][-1]()
 
 
 class Input(NamedTuple):
@@ -246,12 +256,12 @@ ROWS: tuple[Row, ...] = (
              similar=True, witness=_inverse(bi.relabelling(11, 1977))),
     _analyze("analyze cycle_with_cliques(400, 3, 2)", 60, "cwc2000.edges", order=800 * 8**400, orbits=2),
     _analyze("analyze loaded_torus((20, 20), 2, 2)", 10, "lt2000.edges", order=3200 * 2**400, orbits=3),
-    _analyze("analyze crossed_prism(1000)", 60, "cp1000.edges", order=1000 * 2**500),
+    _analyze("analyze crossed_prism(1000)", 60, "cp1000.edges", rss_mb=30, order=1000 * 2**500),
     Row("sequence generalized-sun from 340, 2 terms", ("sequence", "--count", "2", "sun340.json"), 60),
     Row("sequence generalized-sun from 300, 40 terms", ("sequence", "--count", "40", "sun300.json"), 60, rss_mb=150),
     # beta = m - n + 1 = 225 - 150 + 1 of the base
     _analyze("analyze CFI(rigid_cubic(11, 150))", 20, "cfi150.edges", order=2**76),
-    _analyze("analyze CFI(cubic(11, 200))", 20, "cfi200.edges", order=2**101, orbits=800),
+    _analyze("analyze CFI(cubic(11, 200))", 20, "cfi200.edges", rss_mb=22, order=2**101, orbits=800),
     # The twist is not isomorphic, but has the same divisor matrix.
     _compare("compare CFI(cubic(11, 200)) twisted", 40, "cfi200.edges", "cfi200_twist.edges", similar=True),
     _analyze("analyze CFI(cubic(11, 200)) by gadget", 20, "cfi200_gadget.edges", order=2**101, orbits=800),
@@ -265,8 +275,9 @@ ROWS: tuple[Row, ...] = (
     _analyze("analyze K2000, graph6", 60, "--format", "graph6", "k2000.g6", rss_mb=250, order=factorial(2000), orbits=1),
     _analyze("analyze K2000, edge list", 60, "k2000.edges", rss_mb=450, same_stdout_as="analyze K2000, graph6"),
     _analyze("analyze near-regular rigid graph", 60, "near_regular.edges", rss_mb=115, order=1, numpy=True),
-    *(_compare(f"compare {title} relabelled", seconds, f"{stem}.edges", f"{stem}_relabelled.edges", similar=True, same_graph=True)
-      for stem, (title, seconds, _) in _SYMMETRIC.items()),
+    *(_compare(f"compare {title} relabelled", seconds, f"{stem}.edges", f"{stem}_relabelled.edges", rss_mb=rss_mb,
+               similar=True, same_graph=True)
+      for stem, (title, seconds, rss_mb, _) in _SYMMETRIC.items()),
     _compare("compare Paley(1997) relabelled", 60, "--format", "graph6", "paley1997.g6", "paley1997_relabelled.g6",
              similar=True, same_graph=True),
     # Refusals.  K5 with a long path is one the CLI cannot answer yet: its
@@ -338,13 +349,17 @@ def _answer_failures(row: Row, run: Run) -> list[str]:
 
 def _run_row(row: Row, workdir: Path) -> tuple[dict, bytes]:
     """The row's BENCH_at_cap.json entry and its check run's stdout.  The
-    timed runs are skipped once the check run fails."""
+    timed runs, and the host probes around them, are skipped once the check
+    run fails."""
     limit = 2 * row.seconds + 1
     check = _launch(("-X", "importtime", *CLI, *row.argv), workdir, limit)
     failures = _answer_failures(row, check)
-    runs = [check]
+    runs, probes = [check], []
     if not failures:
-        runs += [_launch((*CLI, *row.argv), workdir, limit) for _ in range(RUNS)]
+        probes.append(run_probe(workdir, limit))
+        for _ in range(RUNS):
+            runs.append(_launch((*CLI, *row.argv), workdir, limit))
+            probes.append(run_probe(workdir, limit))
         if any(run.exit != check.exit or run.stdout != check.stdout for run in runs):
             failures.append("a timed run's exit or stdout differs from the check run's")
     peak_mb = max(run.rss_mb for run in runs)
@@ -352,11 +367,13 @@ def _run_row(row: Row, workdir: Path) -> tuple[dict, bytes]:
         failures.append(f"a run took {max(run.wall_s for run in runs):.2f} s, above {row.seconds} s")
     if row.rss_mb is not None and peak_mb > row.rss_mb:
         failures.append(f"peak RSS {peak_mb:.1f} MB, above {row.rss_mb} MB")
+    scaled = [run.wall_s * PROBE_REF_S / ((before + after) / 2) for run, before, after in zip(runs[1:], probes, probes[1:])]
     entry = {
         "name": row.name,
         "argv": list(row.argv),
         "exit": check.exit,
         "wall_s": round(statistics.median(run.wall_s for run in runs[1:] or runs), 4),
+        "scaled_s": round(statistics.median(scaled), 4) if scaled else None,
         "peak_rss_mb": round(peak_mb, 1),
         "seconds_bound": row.seconds,
         "rss_mb_bound": row.rss_mb,

@@ -3,14 +3,16 @@ steps it replaced, and its runner fails a row on each kind of wrong answer."""
 
 import pytest
 
-from at_cap import INPUTS, ROWS, Input, Row, run_corpus
+import at_cap
+from at_cap import INPUTS, PROBE_REF_S, ROWS, Input, Row, run_corpus
 from orbigraph.constructions import cycle
 from orbigraph.graph_core import serialize_edge_list
 
 ROW = {row.name: row for row in ROWS}
 
-# The rows that carry each replaced CI step, with that step's time bound
-# (seconds) and peak-RSS bound (MB, or None when it had none).
+# The rows that carry each replaced CI step, and the rows bounded since,
+# with the time bound (seconds) and peak-RSS bound (MB, or None when there
+# is none) that they must keep.
 MOVED = [
     # analyze a path at the 2000-vertex cap within 60 s; and it imports no numpy
     ("analyze path(2000)", 60, None),
@@ -50,6 +52,12 @@ MOVED = [
     ("analyze K2000, edge list", 60, 450),
     # the near-regular rigid graph within 60 s and under 115 MB
     ("analyze near-regular rigid graph", 60, 115),
+    # the IR search keeps one partition per search path: a partition per
+    # level read 49 MB on crossed_prism(1000) and 24-25 MB on CFI
+    ("analyze crossed_prism(1000)", 60, 30),
+    ("compare crossed_prism(1000) relabelled", 60, 30),
+    ("analyze CFI(cubic(11, 200))", 20, 22),
+    ("compare CFI(cubic(11, 200)) relabelled", 60, 22),
 ]
 
 
@@ -122,3 +130,17 @@ def test_runner_fails_each_wrong_answer(entries, row, failure):
 def test_runner_times_the_right_row(entries):
     entry = entries["right"]
     assert 0 < entry["wall_s"] < 60 and entry["argv"] == list(ARGV)
+    assert 0 < entry["scaled_s"]
+    # a row whose check run fails has no timed run to scale
+    assert entries["wrong exit"]["scaled_s"] is None
+
+
+def test_runner_scales_each_timed_run_by_the_probes_around_it(monkeypatch):
+    # Probes at half the reference time scale every run to twice its wall
+    # time; one probe runs before the first timed run and one after each.
+    probes = []
+    monkeypatch.setattr(at_cap, "run_probe", lambda scratch, timeout: probes.append(timeout) or PROBE_REF_S / 2)
+    right = next(row for row in CASES if row.name == "right")
+    [entry] = run_corpus((right,), C5)
+    assert len(probes) == at_cap.RUNS + 1
+    assert entry["scaled_s"] == pytest.approx(2 * entry["wall_s"], abs=2e-4)

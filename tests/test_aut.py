@@ -143,6 +143,21 @@ class TestPermutationType:
         assert group.order == math.factorial(800)
         assert peak < 4 * 2**20
 
+    def test_deep_first_path_holds_one_partition(self):
+        # crossed_prism(400)'s first path has 200 levels, and the search
+        # below its first level 200 more; a partition kept per level of
+        # either peaked at 6.2 MB traced.
+        g = crossed_prism(400)
+        g.adjacency
+        tracemalloc.start()
+        try:
+            group = _uncached_group(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert group.order == 400 * 2**200
+        assert peak < 2.5 * 2**20
+
 
 class TestEquitableRefinement:
     def test_regular_graph_single_cell(self):
@@ -1184,3 +1199,61 @@ def test_weighted_digraphs_with_loops_match_brute_force(digraph):
             and tuple(sorted(image.get(w, w) for w in adj[v])) == adj[image.get(v, v)]
             for v in range(len(adj))
         )
+
+
+def _undo_the_first_path(colour, adj) -> int:
+    """Walk the first path down from the refined root in place, keeping a
+    copy of every level, then undo it level by level and check each level
+    against its copy; return the number of levels."""
+    colours: dict = {}
+    for v, c in enumerate(colour):
+        colours.setdefault(c, []).append(v)
+    node = _Cells.from_cells(len(adj), [colours[key] for key in sorted(colours)])
+    node.refine(adj, node.starts())
+    copies, traces, targets = [], [], []
+    while (c := node.target()) >= 0:
+        copies.append(node.copy())
+        targets.append(c)
+        traces.append(node.refine(adj, [node.individualize(min(node.lab[c : c + node.clen[c]]))]))
+    leaf = node.lab[:], node.pos[:]
+    for level in reversed(range(len(traces))):
+        node.undo(traces[level], targets[level])
+        kept = copies[level]
+        assert node.ncells == kept.ncells
+        assert node.starts() == kept.starts()
+        assert list(map(set, node.cells())) == list(map(set, kept.cells()))
+        assert node.cell_of == kept.cell_of
+        # undo moves no vertex: each cell keeps the leaf's order
+        assert (node.lab, node.pos) == leaf
+    return len(traces)
+
+
+def _looped_rook(k: int) -> tuple[tuple, tuple]:
+    """The k x k rook's graph as a coloured digraph: vertex (i, j) is
+    i * k + j, arcs along a row have weight 2 and along a column weight 1,
+    and the diagonal has a loop at each vertex and a colour of its own."""
+    def row(v: int) -> tuple[int, ...]:
+        i, j = divmod(v, k)
+        along = [i * k + b for b in range(k) if b != j] * 2 + [a * k + j for a in range(k) if a != i]
+        return tuple(sorted([v] * (i == j) + along))
+
+    return tuple(int(v // k == v % k) for v in range(k * k)), tuple(map(row, range(k * k)))
+
+
+@pytest.mark.parametrize(
+    "digraph, levels",
+    [
+        (ColouredDigraph.from_graph(cfi_graph(sorted(frucht().edges))), 7),
+        (ColouredDigraph.from_graph(crossed_prism(12)), 6),
+        (_looped_rook(4), 3),
+    ],
+    ids=["CFI(Frucht)", "crossed_prism(12)", "looped rook(4) with double row arcs"],
+)
+def test_undo_restores_every_level_of_the_first_path(digraph, levels):
+    assert _undo_the_first_path(*digraph) == levels
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(connected_graphs(max_n=12).map(ColouredDigraph.from_graph), weighted_digraphs(max_n=9)))
+def test_undo_restores_every_level_of_random_first_paths(digraph):
+    _undo_the_first_path(*digraph)

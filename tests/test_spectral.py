@@ -23,7 +23,7 @@ from orbigraph.constructions import cartesian_product, complete, cycle, cycle_wi
 from orbigraph.graph_core import Graph, degree_stats, is_connected
 from orbigraph.orbital import divisor_matrix, orbit_divisor_matrix
 from orbigraph.sequences import SequenceSpec, generate
-from orbigraph.spectral import spectral_radius_adjacency, spectral_radius_divisor
+from orbigraph.spectral import analyze_term, spectral_radius_adjacency, spectral_radius_divisor
 
 
 def rho_dense_oracle(graph: Graph) -> float:
@@ -206,12 +206,19 @@ class TestDivisorRadius:
         assert rho_div == pytest.approx(spectral_radius_adjacency(g).rho, abs=1e-9)
         assert rho_div == pytest.approx(rho_charpoly_oracle(dense(dm)), abs=1e-9)
 
-    @pytest.mark.parametrize("graph", [tied_star(), cartesian_product(path(5), path(80))])
+    # The benchmark's path and prism matrices, whose rows are chain rows,
+    # follow the two first graphs.
+    @pytest.mark.parametrize(
+        "graph",
+        [tied_star(), cartesian_product(path(5), path(80)), path(300), path(400), cons.prism(path(150))],
+    )
     def test_open_bracket_symmetrizes_once_and_makes_no_pinned_solve(self, graph, monkeypatch):
-        # rho is the kernel's top alone, the value _divisor_perron returns.
+        # rho is the kernel's top alone, the value _divisor_perron returns
+        # and analyze prints.
         dm = orbit_divisor_matrix(graph)
         assert min(dm.row_sums()) < max(dm.row_sums())
         expected = spectral._divisor_perron(dm)[0]
+        assert expected == analyze_term(graph).rho_divisor
         symmetrized, calls = spectral._symmetrized, []
         monkeypatch.setattr(spectral, "_symmetrized", lambda dm: calls.append(dm) or symmetrized(dm))
         for kernel in (spectral._Envelope, spectral._Lapack):
