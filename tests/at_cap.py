@@ -11,16 +11,17 @@ the table and the runner.
 A row is one CLI op: its argv, expected exit, closed-form facts about its
 JSON (group order, orbit count, spectral radius, the compare verdict and
 witness), a time bound on every run and an optional peak-RSS bound.  Each
-row runs once under ``-X importtime`` as its check run and then RUNS times
-as its timed runs, all with OPENBLAS_NUM_THREADS=1.  The runner checks on
-every row:
-  - the exit code, and the closed forms the row declares;
-  - JSON output is exactly ``json.dumps(json.loads(out), indent=2) + "\\n"``;
-  - the timed runs print byte-identical stdout to the check run;
+row makes RUNS runs, all under ``-X importtime`` and with
+OPENBLAS_NUM_THREADS=1, and stops at its first failing run.  The runner
+checks on every run:
+  - the exit code, and the bounds;
   - stderr carries no traceback: nothing after exit 0 or 1 (a verdict),
     one "verification failed: " line after exit 5, and one "error: " line
     after any other exit;
   - numpy is imported iff the row declares it;
+  - the first run's stdout against the row: the closed forms it declares,
+    and JSON output is exactly ``json.dumps(json.loads(out), indent=2) + "\\n"``;
+  - a later run's stdout is byte-identical to the first run's;
   - a row declaring ``same_stdout_as`` prints what that row prints (one
     graph read from graph6 and from its edge list).
 
@@ -31,18 +32,13 @@ started by a small ``python -S`` launcher (LAUNCHER) with os.posix_spawn
 and read with os.wait4, which gives that op's own wall time and ru_maxrss.
 The launcher also kills an op that runs a second past twice its time bound.
 
-Host speed: the benchmark's host probe (perfbench/host_probe.py, run by
-perfbench/run.py's run_probe) runs before the first timed run of a row and
-after each one.  A timed run's scaled time is its wall time x PROBE_REF_S /
-the mean of the probes just before and after it: its time at the host speed
-that perfbench/run.py reports at, without a slowdown of the host that the
-op and the probes around it share.  The bounds apply to the raw wall times.
-
 BENCH_at_cap.json holds, per row, its argv, the exit code, the median wall
-time of the timed runs and the median of their scaled times, the largest
-peak RSS of all runs, both bounds and any failures, plus the Python and
-numpy versions.  It is committed, so its git history is the corpus's
-trajectory: a change to a hot path quotes it before and after.
+time of its runs, their largest peak RSS, both bounds and any failures,
+plus the Python and numpy versions.  It is committed, so its git history is
+the corpus's trajectory of answers and bounds.  Two runs of the corpus on a
+shared host cannot resolve a change of a few tens of per cent, so a change
+to a hot path quotes alternating CLI runs of parent and change on the rows
+it touches.
 """
 
 from __future__ import annotations
@@ -68,11 +64,10 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import bench_inputs as bi  # noqa: E402
 from helpers import cfi_graph, generalized_petersen, paley, relabelled, rigid_cubic, two_hamiltonian_cycles  # noqa: E402
-from run import PROBE_REF_S, run_probe  # noqa: E402
 from orbigraph import constructions as cons  # noqa: E402
 from orbigraph.graph_core import Graph, serialize_edge_list, to_graph6  # noqa: E402
 
-RUNS = 3
+RUNS = 4
 # A declared rho must match both printed radii to this relative distance,
 # far inside the certificate's 1e-10.
 RHO_TOL = 1e-12
@@ -146,8 +141,9 @@ def _clique_with_path(k: int, length: int) -> Graph:
 
 
 # The symmetric inputs, by file stem: the name their rows give them, the
-# time and peak-RSS bounds of their compare row and their builder.  Each is
-# also compared against a seeded relabelling.  The RSS bounds hold the IR
+# time and peak-RSS bounds of their compare rows and their builder.  Each is
+# compared against a seeded relabelling, and those whose compare takes under
+# 1 s against a second one (_RELABELLINGS).  The RSS bounds hold the IR
 # search to one partition per search path: a partition kept per level of
 # crossed_prism(1000)'s 500-level first path read 49 MB, and CFI 24-25 MB.
 _SYMMETRIC = {
@@ -165,6 +161,7 @@ _SYMMETRIC = {
     "lt2000": ("loaded_torus((20, 20), 2, 2)", 60, None, lambda: cons.loaded_torus((20, 20), 2, 2)),
     "cwc2000": ("cycle_with_cliques(400, 3, 2)", 60, None, lambda: cons.cycle_with_cliques(400, 3, 2)),
 }
+_RELABELLINGS = (*((stem, 1) for stem in _SYMMETRIC), *((stem, 2) for stem in ("gp1000_33", "cp1000", "lt2000", "cwc2000")))
 _paley = cache(lambda: paley(1997))
 
 
@@ -190,7 +187,8 @@ INPUTS: tuple[Input, ...] = (
     Input("cfi150.edges", lambda: serialize_edge_list(cfi_graph(sorted(rigid_cubic(11, 150).edges)))),
     Input("cfi200_twist.edges", lambda: serialize_edge_list(cfi_graph(sorted(_cubic(11, 200).edges), twist=[0]))),
     *(Input(f"{stem}.edges", lambda stem=stem: serialize_edge_list(_symmetric(stem))) for stem in _SYMMETRIC),
-    *(Input(f"{stem}_relabelled.edges", lambda stem=stem: serialize_edge_list(relabelled(_symmetric(stem), 1))) for stem in _SYMMETRIC),
+    *(Input(f"{stem}_relabelled{seed}.edges", lambda stem=stem, seed=seed: serialize_edge_list(relabelled(_symmetric(stem), seed)))
+      for stem, seed in _RELABELLINGS),
     Input("paley1997.edges", lambda: serialize_edge_list(_paley())),
     Input("paley1997.g6", lambda: to_graph6(_paley()) + "\n"),
     Input("paley1997_relabelled.g6", lambda: to_graph6(relabelled(_paley(), 1)) + "\n"),
@@ -237,6 +235,12 @@ def _compare(name: str, seconds: float, *args: str, **facts) -> Row:
     return Row(name, ("compare", "--json", *args), seconds, **facts)
 
 
+def _relabelled_compare(stem: str, seed: int) -> Row:
+    title, seconds, rss_mb, _ = _SYMMETRIC[stem]
+    return _compare(f"compare {title} relabelled" + (f", seed {seed}" if seed > 1 else ""), seconds,
+                    f"{stem}.edges", f"{stem}_relabelled{seed}.edges", rss_mb=rss_mb, similar=True, same_graph=True)
+
+
 ROWS: tuple[Row, ...] = (
     _analyze("analyze path(2000)", 60, "path2000.edges", order=2, orbits=1000),
     # Path products at the cap: every row of their quotients' envelopes is
@@ -275,9 +279,7 @@ ROWS: tuple[Row, ...] = (
     _analyze("analyze K2000, graph6", 60, "--format", "graph6", "k2000.g6", rss_mb=250, order=factorial(2000), orbits=1),
     _analyze("analyze K2000, edge list", 60, "k2000.edges", rss_mb=450, same_stdout_as="analyze K2000, graph6"),
     _analyze("analyze near-regular rigid graph", 60, "near_regular.edges", rss_mb=115, order=1, numpy=True),
-    *(_compare(f"compare {title} relabelled", seconds, f"{stem}.edges", f"{stem}_relabelled.edges", rss_mb=rss_mb,
-               similar=True, same_graph=True)
-      for stem, (title, seconds, rss_mb, _) in _SYMMETRIC.items()),
+    *(_relabelled_compare(stem, seed) for stem, seed in _RELABELLINGS),
     _compare("compare Paley(1997) relabelled", 60, "--format", "graph6", "paley1997.g6", "paley1997_relabelled.g6",
              similar=True, same_graph=True),
     # Refusals.  K5 with a long path is one the CLI cannot answer yet: its
@@ -310,8 +312,10 @@ def _launch(argv: tuple[str, ...], workdir: Path, limit: float) -> Run:
     return Run(int(report[0]), float(report[1]), int(report[2]) / 1024, out.read_bytes(), err.read_text(errors="replace"))
 
 
-def _answer_failures(row: Row, run: Run) -> list[str]:
-    """What is wrong with the check run's exit, stderr, imports and stdout."""
+def _answer_failures(row: Row, run: Run, first: Run | None = None) -> list[str]:
+    """What is wrong with a run's exit, stderr, imports and stdout: the
+    first run's stdout is checked against the row, a later run's against
+    the first's."""
     failures = []
     if run.exit != row.exit:
         failures.append(f"exit {run.exit}, expected {row.exit}")
@@ -324,6 +328,8 @@ def _answer_failures(row: Row, run: Run) -> list[str]:
         failures.append("a traceback on stderr")
     elif lines if not prefix else not (len(lines) == 1 and lines[0].startswith(prefix) and (row.stderr or "") in lines[0]):
         failures.append(f"stderr after exit {run.exit}: {lines[:2]!r}")
+    if first is not None:
+        return failures if run.stdout == first.stdout else [*failures, "stdout differs from the first run's"]
     if "--json" not in row.argv or not run.stdout:
         return failures
     text = run.stdout.decode("ascii", errors="replace")
@@ -348,38 +354,28 @@ def _answer_failures(row: Row, run: Run) -> list[str]:
 
 
 def _run_row(row: Row, workdir: Path) -> tuple[dict, bytes]:
-    """The row's BENCH_at_cap.json entry and its check run's stdout.  The
-    timed runs, and the host probes around them, are skipped once the check
-    run fails."""
+    """The row's BENCH_at_cap.json entry and its first run's stdout."""
     limit = 2 * row.seconds + 1
-    check = _launch(("-X", "importtime", *CLI, *row.argv), workdir, limit)
-    failures = _answer_failures(row, check)
-    runs, probes = [check], []
-    if not failures:
-        probes.append(run_probe(workdir, limit))
-        for _ in range(RUNS):
-            runs.append(_launch((*CLI, *row.argv), workdir, limit))
-            probes.append(run_probe(workdir, limit))
-        if any(run.exit != check.exit or run.stdout != check.stdout for run in runs):
-            failures.append("a timed run's exit or stdout differs from the check run's")
-    peak_mb = max(run.rss_mb for run in runs)
-    if max(run.wall_s for run in runs) > row.seconds:
-        failures.append(f"a run took {max(run.wall_s for run in runs):.2f} s, above {row.seconds} s")
-    if row.rss_mb is not None and peak_mb > row.rss_mb:
-        failures.append(f"peak RSS {peak_mb:.1f} MB, above {row.rss_mb} MB")
-    scaled = [run.wall_s * PROBE_REF_S / ((before + after) / 2) for run, before, after in zip(runs[1:], probes, probes[1:])]
+    runs, failures = [], []
+    while len(runs) < RUNS and not failures:
+        run = _launch(("-X", "importtime", *CLI, *row.argv), workdir, limit)
+        failures = _answer_failures(row, run, runs[0] if runs else None)
+        if run.wall_s > row.seconds:
+            failures.append(f"a run took {run.wall_s:.2f} s, above {row.seconds} s")
+        if row.rss_mb is not None and run.rss_mb > row.rss_mb:
+            failures.append(f"peak RSS {run.rss_mb:.1f} MB, above {row.rss_mb} MB")
+        runs.append(run)
     entry = {
         "name": row.name,
         "argv": list(row.argv),
-        "exit": check.exit,
-        "wall_s": round(statistics.median(run.wall_s for run in runs[1:] or runs), 4),
-        "scaled_s": round(statistics.median(scaled), 4) if scaled else None,
-        "peak_rss_mb": round(peak_mb, 1),
+        "exit": runs[0].exit,
+        "wall_s": round(statistics.median(run.wall_s for run in runs), 4),
+        "peak_rss_mb": round(max(run.rss_mb for run in runs), 1),
         "seconds_bound": row.seconds,
         "rss_mb_bound": row.rss_mb,
         "failures": failures,
     }
-    return entry, check.stdout
+    return entry, runs[0].stdout
 
 
 def run_corpus(rows: tuple[Row, ...], inputs: tuple[Input, ...]) -> list[dict]:

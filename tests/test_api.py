@@ -1,4 +1,5 @@
 import importlib
+from pathlib import Path
 from types import ModuleType
 
 import pytest
@@ -95,3 +96,9 @@ def test_an_unknown_name_is_an_attribute_error():
         orbigraph.no_such_name
     with pytest.raises(ImportError):
         from orbigraph import no_such_name  # noqa: F401
+
+
+def test_the_benchmark_scripts_import_every_orbigraph_name_they_use(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    for name in ("bench_trace", "bench_workloads"):
+        importlib.import_module(name)

@@ -4,7 +4,7 @@ steps it replaced, and its runner fails a row on each kind of wrong answer."""
 import pytest
 
 import at_cap
-from at_cap import INPUTS, PROBE_REF_S, ROWS, Input, Row, run_corpus
+from at_cap import INPUTS, ROWS, Input, Row, run_corpus
 from orbigraph.constructions import cycle
 from orbigraph.graph_core import serialize_edge_list
 
@@ -103,8 +103,9 @@ def test_answer_facts_are_only_declared_for_json_rows():
 C5 = (Input("c5.edges", lambda: serialize_edge_list(cycle(5))),)
 ARGV = ("analyze", "--json", "c5.edges")
 # Each row over C_5 and the failure the runner must report, None for the right row.
+RIGHT = Row("right", ARGV, 60, rss_mb=1000, order=10, orbits=1, rho=2.0)
 CASES = {
-    Row("right", ARGV, 60, rss_mb=1000, order=10, orbits=1, rho=2.0): None,
+    RIGHT: None,
     Row("wrong group order", ARGV, 60, order=5): "group_order is not the closed form",
     Row("wrong rho", ARGV, 60, rho=2.0 + 1e-9): "rho is not the closed form",
     Row("wrong exit", ARGV, 60, exit=3): "exit 0, expected 3",
@@ -127,20 +128,38 @@ def test_runner_fails_each_wrong_answer(entries, row, failure):
     assert entry["exit"] == 0 and entry["peak_rss_mb"] > 1
 
 
-def test_runner_times_the_right_row(entries):
-    entry = entries["right"]
-    assert 0 < entry["wall_s"] < 60 and entry["argv"] == list(ARGV)
-    assert 0 < entry["scaled_s"]
-    # a row whose check run fails has no timed run to scale
-    assert entries["wrong exit"]["scaled_s"] is None
+def _later_runs(monkeypatch, change) -> list[tuple[str, ...]]:
+    """Pass every run but a row's first through change; returns the argv of
+    each run as it is made."""
+    launch, argvs = at_cap._launch, []
+
+    def launched(argv, workdir, limit):
+        argvs.append(argv)
+        run = launch(argv, workdir, limit)
+        return run if len(argvs) == 1 else change(run)
+
+    monkeypatch.setattr(at_cap, "_launch", launched)
+    return argvs
 
 
-def test_runner_scales_each_timed_run_by_the_probes_around_it(monkeypatch):
-    # Probes at half the reference time scale every run to twice its wall
-    # time; one probe runs before the first timed run and one after each.
-    probes = []
-    monkeypatch.setattr(at_cap, "run_probe", lambda scratch, timeout: probes.append(timeout) or PROBE_REF_S / 2)
-    right = next(row for row in CASES if row.name == "right")
-    [entry] = run_corpus((right,), C5)
-    assert len(probes) == at_cap.RUNS + 1
-    assert entry["scaled_s"] == pytest.approx(2 * entry["wall_s"], abs=2e-4)
+def test_runner_times_the_right_row(monkeypatch):
+    argvs = _later_runs(monkeypatch, lambda run: run)
+    [entry] = run_corpus((RIGHT,), C5)
+    assert entry["failures"] == [] and 0 < entry["wall_s"] < 60 and entry["argv"] == list(ARGV)
+    # one kind of run: every run of the row is under -X importtime
+    assert len(argvs) == at_cap.RUNS and all(argv[:2] == ("-X", "importtime") for argv in argvs)
+
+
+@pytest.mark.parametrize(
+    "change, failure",
+    [
+        (lambda run: run._replace(stdout=run.stdout + b"\n"), "stdout differs from the first run's"),
+        (lambda run: run._replace(stderr=run.stderr + "import time:       100 |        100 | numpy\n"), "numpy imported"),
+        (lambda run: run._replace(wall_s=100.0), "a run took 100.00 s, above 60 s"),
+    ],
+    ids=["stdout", "numpy", "time bound"],
+)
+def test_a_row_fails_and_stops_at_a_later_run_that_differs(monkeypatch, change, failure):
+    argvs = _later_runs(monkeypatch, change)
+    [entry] = run_corpus((RIGHT,), C5)
+    assert entry["failures"] == [failure] and len(argvs) == 2

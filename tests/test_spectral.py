@@ -1,5 +1,8 @@
+import ast
 import math
 import random
+from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -260,6 +263,18 @@ class TestPrincipalRatio:
         g = path(5)
         h = g.relabel([4, 2, 0, 1, 3])
         assert spectral_radius_adjacency(g).gamma == pytest.approx(spectral_radius_adjacency(h).gamma, abs=1e-9)
+
+
+@pytest.mark.parametrize("k, length", [(5, 1), (5, 5), (5, 50), (5, 300), (5, 500), (10, 100), (3, 400)])
+def test_a_pendant_path_falls_as_its_closed_form(k, length):
+    # K_k with a path of `length` vertices hung at vertex 0: along the path
+    # x_j is proportional to sinh((length + 1 - j) theta) with 2 cosh theta = rho,
+    # so x_0 / x_end = sinh((length + 1) theta) / sinh theta.
+    edges = [*combinations(range(k), 2), (0, k), *((v, v + 1) for v in range(k, k + length - 1))]
+    data = spectral_radius_adjacency(Graph.from_edges(k + length, edges))
+    theta = math.acosh(data.rho / 2)
+    ratio = data.vector[0] / data.vector[k + length - 1]
+    assert ratio == pytest.approx(math.sinh((length + 1) * theta) / math.sinh(theta), rel=1e-11)
 
 
 class TestOrbitConstancy:
@@ -538,6 +553,25 @@ def test_lapack_top_restores_its_matrix_exactly():
         before = kernel.m.copy()
         kernel.top(dm.row_sums())
         assert np.array_equal(kernel.m, before) and np.array_equal(np.signbit(kernel.m), np.signbit(before))
+
+
+def _numpy_imports(node: ast.AST, where: str | None):
+    """The innermost enclosing class (None outside every class) of each
+    import of numpy under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import) and any(alias.name.partition(".")[0] == "numpy" for alias in child.names) or (
+            isinstance(child, ast.ImportFrom) and (child.module or "").partition(".")[0] == "numpy"
+        ):
+            yield where
+        yield from _numpy_imports(child, child.name if isinstance(child, ast.ClassDef) else where)
+
+
+def test_the_sources_import_numpy_once_in_the_lapack_kernel():
+    # numpy stays off the CLI's start-up: only the dense kernel imports it.
+    src = Path(spectral.__file__).resolve().parents[1]
+    hits = [(file.relative_to(src).as_posix(), where) for file in sorted(src.rglob("*.py"))
+            for where in _numpy_imports(ast.parse(file.read_text(encoding="utf-8")), None)]
+    assert hits == [("orbigraph/spectral.py", "_Lapack")]
 
 
 @settings(max_examples=80, deadline=None)
