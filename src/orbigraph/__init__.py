@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 # Each submodule with the public names it defines.
 _EXPORTS = {
     "graph_core": (
-        "DegreeStats", "Graph", "GraphFormatError", "cyclomatic_number", "degree_stats", "density",
+        "DegreeStats", "Graph", "GraphFormatError", "Ratio", "cyclomatic_number", "degree_stats", "density",
         "edge_vertex_ratio", "is_connected", "parse_edge_list", "parse_graph6", "serialize_edge_list", "to_dot",
         "to_graph6",
     ),

@@ -146,11 +146,11 @@ would match in more than one way.
 
 from bisect import bisect_left, bisect_right
 from collections import deque
+from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
 from itertools import chain, compress
 from math import factorial
 from operator import ne
-from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .graph_core import Frozen, Graph, reaches_all
 
@@ -206,7 +206,7 @@ def _canonical_partition(cells: Iterable[Iterable[int]]) -> Partition:
     return Partition(tuple(sorted(sorted(map(tuple, map(sorted, cells))), key=len, reverse=True)))
 
 
-class AutGroup(NamedTuple):
+class AutGroup(Frozen):
     """Automorphism group given by generators, with order and vertex orbits.
 
     A generator is the tuple of its (v, image of v) pairs over the vertices
@@ -215,10 +215,12 @@ class AutGroup(NamedTuple):
     ended at a single leaf, else None (see automorphism_group).
     """
 
+    __slots__ = _fields = ("generators", "order", "orbits", "leaf")
+    _defaults = {"leaf": None}
     generators: tuple[tuple[tuple[int, int], ...], ...]
     order: int
     orbits: Partition
-    leaf: tuple[int, ...] | None = None
+    leaf: tuple[int, ...] | None
 
 
 def unit_partition(n: int) -> Partition:
@@ -448,7 +450,7 @@ def equitable_refinement(graph: Graph, seed: Partition | None = None) -> Partiti
     return _canonical_partition(cells.cells())
 
 
-class ColouredDigraph(NamedTuple):
+class ColouredDigraph(Frozen):
     """Input of the IR engine: a vertex-coloured digraph with arc weights.
 
     colour[v] is any sortable value; vertices of one colour may be swapped,
@@ -464,6 +466,7 @@ class ColouredDigraph(NamedTuple):
     cell digraphs.
     """
 
+    __slots__ = _fields = ("colour", "adj")
     colour: Sequence
     adj: Sequence[tuple[int, ...]]
 
@@ -973,7 +976,8 @@ def automorphism_group(graph: Graph) -> AutGroup:
     """
     if graph.n == 0:
         raise ValueError("automorphism group undefined for the empty graph")
-    search = _AutSearch(*ColouredDigraph.from_graph(graph))
+    digraph = ColouredDigraph.from_graph(graph)
+    search = _AutSearch(digraph.colour, digraph.adj)
     search.run()
     for g in search.generators:
         # A bijection of 0..n-1: its images are exactly the moved points.

@@ -22,20 +22,21 @@ and exit 1.  In-process, main() returns the exit code and never ends the
 process; run() is the process entry.
 """
 
-from __future__ import annotations
-
 # Start-up (a comment, since the docstring above is the --help text).  A
 # run loads only the modules its command calls, since interpreter start-up
 # is most of a small run: this module imports no analysis module at load,
 # and each handler imports what it uses.  --version, --help and a usage
-# error load the package and this module, and so neither fractions nor
-# decimal, which graph_core's exact degree statistics bring in, nor re or
-# typing.  analyze loads graph_core, aut, orbital and spectral; compare
-# graph_core, aut and orbital; generate graph_core and constructions; demo
-# graph_core, aut and orbital; sequence all six.  generate's family choices
-# and sequence's epilog are made only when that command is parsed or its
-# help printed, and main imports spectral to recognise a CertificateError
-# only once an error reaches it.
+# error load the package and this module only.  analyze loads graph_core,
+# aut, orbital and spectral; compare graph_core, aut and orbital; generate
+# graph_core and constructions; demo graph_core, aut and orbital; sequence
+# all six, and json.  No command loads fractions, decimal, numbers or
+# typing: graph_core's Ratio gives the exact degree statistics, the records
+# are Frozen classes and annotations come from collections.abc.  Nor does
+# analyze or compare load re, which only json brings in, or __future__, or
+# a text codec: files are read as bytes and decoded as ASCII.
+# generate's family choices and sequence's epilog are made only when that
+# command is parsed or its help printed, and main imports spectral to
+# recognise a CertificateError only once an error reaches it.
 
 import errno
 import gc
@@ -71,14 +72,17 @@ class CliError(Exception):
 
 
 def _read_ascii(path: str) -> str:
+    """The file as ASCII text, "\\r\\n" and "\\r" read as "\\n" as text mode
+    reads them; bytes.decode("ascii") needs no codec module, as open() would."""
     try:
-        with open(path, encoding="ascii") as f:
-            return f.read()
+        with open(path, "rb") as f:
+            text = f.read().decode("ascii")
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_PARSE) from exc
     except UnicodeDecodeError as exc:
         byte = exc.object[exc.start]
         raise CliError(f"{path}: not ASCII text (byte {byte:#04x} at offset {exc.start})", EXIT_PARSE) from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def _write_ascii(path: str, text: str) -> None:
@@ -89,7 +93,7 @@ def _write_ascii(path: str, text: str) -> None:
         raise CliError(f"cannot write {path}: {exc}", EXIT_PARSE) from exc
 
 
-def _load_graph(path: str, fmt: str) -> Graph:
+def _load_graph(path: str, fmt: str) -> "Graph":
     from .graph_core import GraphFormatError, _edge_list_header, _graph6_header, parse_edge_list, parse_graph6
 
     text = _read_ascii(path)
@@ -101,7 +105,7 @@ def _load_graph(path: str, fmt: str) -> Graph:
         raise CliError(f"{path}: {exc}", EXIT_PARSE) from exc
 
 
-def _require_connected(graph: Graph, path: str) -> None:
+def _require_connected(graph: "Graph", path: str) -> None:
     from .graph_core import is_connected
 
     if not is_connected(graph):
@@ -239,7 +243,7 @@ def _scalar(x) -> str:
     raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
-def _matrix_pieces(dm: DivisorMatrix, indent: str):
+def _matrix_pieces(dm: "DivisorMatrix", indent: str):
     """The JSON dict of a divisor matrix: each row of its dense entries is
     one piece, made from the sparse row with each run of zeros one repetition."""
     inner = indent + "  "
@@ -437,23 +441,21 @@ def cmd_sequence(args: SimpleNamespace) -> int:
 
 
 def cmd_demo(args: SimpleNamespace) -> int:
-    from fractions import Fraction
-
-    from .graph_core import frac_str
+    from .graph_core import Ratio, frac_str
     from .orbital import entropy_of
 
     if args.name != "table1":
         raise CliError(f"unknown demo {args.name!r} (available: table1)", EXIT_PARSE)
     # Reference orbit distribution vectors with their published 4-decimal entropies.
     table1_rows = (
-        ((Fraction(17, 20), Fraction(2, 20), Fraction(1, 20)), 0.7476),
-        ((Fraction(5, 8), Fraction(2, 8), Fraction(1, 8)), 1.2988),
-        ((Fraction(2, 4), Fraction(1, 4), Fraction(1, 4)), 1.5000),
-        ((Fraction(2, 5), Fraction(2, 5), Fraction(1, 5)), 1.5219),
-        ((Fraction(2, 5), Fraction(2, 5), Fraction(1, 5)), 1.5219),
-        ((Fraction(8, 20), Fraction(8, 20), Fraction(4, 20)), 1.5219),
-        ((Fraction(2, 5), Fraction(2, 5), Fraction(1, 5)), 1.5219),
-        ((Fraction(4, 10), Fraction(4, 10), Fraction(2, 10)), 1.5219),
+        ((Ratio(17, 20), Ratio(2, 20), Ratio(1, 20)), 0.7476),
+        ((Ratio(5, 8), Ratio(2, 8), Ratio(1, 8)), 1.2988),
+        ((Ratio(2, 4), Ratio(1, 4), Ratio(1, 4)), 1.5000),
+        ((Ratio(2, 5), Ratio(2, 5), Ratio(1, 5)), 1.5219),
+        ((Ratio(2, 5), Ratio(2, 5), Ratio(1, 5)), 1.5219),
+        ((Ratio(8, 20), Ratio(8, 20), Ratio(4, 20)), 1.5219),
+        ((Ratio(2, 5), Ratio(2, 5), Ratio(1, 5)), 1.5219),
+        ((Ratio(4, 10), Ratio(4, 10), Ratio(2, 10)), 1.5219),
     )
     print(f"{'row':>3}  {'omega':<22} {'computed':>9}  {'reference':>9}")
     for i, (omega, expected) in enumerate(table1_rows, start=1):

@@ -9,10 +9,8 @@ byte-stable across runs:
     appended block by block in support order.
 """
 
-from __future__ import annotations
-
 import math
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from .graph_core import Frozen, Graph
 

@@ -4,16 +4,18 @@ Graphs are finite, simple, and undirected, with vertices labeled 0..n-1.
 A graph is its sorted adjacency rows; its edge set is derived on request.
 The edge-list text format is the canonical interchange format; graph6 and
 DOT are provided as conveniences.  All degree statistics are exact
-rationals so that downstream preservation checks can compare exactly.
+rationals, Ratio values, so that downstream preservation checks can compare
+exactly; Ratio is this module's own small type, since fractions.Fraction
+costs every run the import of decimal and numbers.
 """
 
-import re
+import math
+import sys
 from bisect import bisect_left, bisect_right
-from fractions import Fraction
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
-from itertools import compress, islice, repeat
-from operator import eq, lt
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from itertools import chain, compress, islice, repeat
+from operator import eq, ge, gt, le, lt
 
 
 class GraphFormatError(ValueError):
@@ -21,16 +23,38 @@ class GraphFormatError(ValueError):
 
 
 class Frozen:
-    """Base of the validated value types: immutable, with equality, hash and
-    repr on the fields named in `_fields`.
+    """Base of the value types: immutable, with equality, hash and repr on
+    the fields named in `_fields`.
 
-    A subclass checks its arguments in __init__ and stores each field once
-    with object.__setattr__; every later assignment raises AttributeError.
-    Copies and pickles are rebuilt through __init__.
+    A plain record, such as DegreeStats, declares `__slots__ = _fields` and
+    any defaults in `_defaults`, and takes its fields by position or name
+    through the __init__ here.  A validated type, such as Graph, checks its
+    arguments in its own __init__ and stores each field once with
+    object.__setattr__.  Either way every later assignment raises
+    AttributeError, and copies and pickles are rebuilt through __init__.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs) -> None:
+        cls, fields = type(self).__name__, self._fields
+        if len(args) > len(fields) or not kwargs.keys() <= set(fields[len(args) :]):
+            raise TypeError(f"{cls} takes the fields {', '.join(fields)}, each once")
+        values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
+        for name in fields:
+            if name not in values:
+                raise TypeError(f"{cls} is missing field {name!r}")
+            object.__setattr__(self, name, values[name])
+
+    def _asdict(self) -> dict:
+        """The fields by name, in field order."""
+        return dict(zip(self._fields, self._key()))
+
+    def _replace(self, **changes):
+        """A copy with the given fields changed, made through __init__."""
+        return type(self)(**{**self._asdict(), **changes})
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -55,6 +79,102 @@ class Frozen:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({fields})"
+
+
+def _exact(x) -> tuple[int, int] | None:
+    """(numerator, denominator) of an exact rational, as a Ratio, an int and a
+    fractions.Fraction all give them, or None for any other value."""
+    try:
+        return x.numerator, x.denominator
+    except AttributeError:
+        return None
+
+
+def _arithmetic(combine):
+    """The Ratio operator whose result is Ratio(*combine(a, b, p, q)) for
+    self = a/b and an exact rational other = p/q."""
+
+    def method(self, other):
+        if (pair := _exact(other)) is None:
+            return NotImplemented
+        return Ratio(*combine(self.numerator, self.denominator, *pair))
+
+    return method
+
+
+def _comparison(op):
+    """The Ratio comparison op, exact; a nan or infinite float compares as
+    0.0 does with it, as Fraction has it."""
+
+    def compare(self, other):
+        if isinstance(other, float):
+            if not math.isfinite(other):
+                return op(0.0, other)
+            pair = other.as_integer_ratio()
+        elif (pair := _exact(other)) is None:
+            return NotImplemented
+        p, q = pair
+        return op(self.numerator * q, p * self.denominator)
+
+    return compare
+
+
+class Ratio(Frozen):
+    """An exact rational numerator/denominator in lowest terms, denominator > 0.
+
+    It equals and hashes as the int or fractions.Fraction of the same value
+    does, and compares exactly with a float, as Fraction does.  +, -, *
+    and / with an int, a Ratio or a Fraction, and ** by an int, give a Ratio;
+    float() is correctly rounded, and str() is "p/q", or "p" when q is 1.
+    """
+
+    __slots__ = _fields = ("numerator", "denominator")
+    numerator: int
+    denominator: int
+
+    def __init__(self, numerator: int, denominator: int = 1) -> None:
+        if denominator == 0:
+            raise ZeroDivisionError(f"Ratio({numerator}, 0)")
+        g = math.gcd(numerator, denominator)
+        if denominator < 0:
+            g = -g
+        object.__setattr__(self, "numerator", numerator // g)
+        object.__setattr__(self, "denominator", denominator // g)
+
+    __add__ = __radd__ = _arithmetic(lambda a, b, p, q: (a * q + p * b, b * q))
+    __sub__ = _arithmetic(lambda a, b, p, q: (a * q - p * b, b * q))
+    __rsub__ = _arithmetic(lambda a, b, p, q: (p * b - a * q, b * q))
+    __mul__ = __rmul__ = _arithmetic(lambda a, b, p, q: (a * p, b * q))
+    __truediv__ = _arithmetic(lambda a, b, p, q: (a * q, b * p))
+    __rtruediv__ = _arithmetic(lambda a, b, p, q: (p * b, q * a))
+    __eq__, __lt__, __le__, __gt__, __ge__ = map(_comparison, (eq, lt, le, gt, ge))
+
+    def __pow__(self, exponent: int):
+        if not isinstance(exponent, int):
+            return NotImplemented
+        if exponent < 0:
+            return Ratio(self.denominator**-exponent, self.numerator**-exponent)
+        return Ratio(self.numerator**exponent, self.denominator**exponent)
+
+    def __hash__(self) -> int:
+        # The hash of Fraction, and so of an int when the denominator is 1.
+        try:
+            inverse = pow(self.denominator, -1, sys.hash_info.modulus)
+        except ValueError:  # the denominator is a multiple of the modulus
+            value = sys.hash_info.inf
+        else:
+            value = hash(hash(abs(self.numerator)) * inverse)
+        value = value if self.numerator >= 0 else -value
+        return -2 if value == -1 else value
+
+    def __bool__(self) -> bool:
+        return self.numerator != 0
+
+    def __float__(self) -> float:
+        return self.numerator / self.denominator
+
+    def __str__(self) -> str:
+        return str(self.numerator) if self.denominator == 1 else f"{self.numerator}/{self.denominator}"
 
 
 class Graph(Frozen):
@@ -90,6 +210,15 @@ class Graph(Frozen):
             raise ValueError("adjacency is not symmetric")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adjacency", rows)
+
+    @classmethod
+    def _parsed(cls, n: int, rows: tuple[tuple[int, ...], ...]) -> "Graph":
+        """The graph of n rows that a parser built and so knows to be
+        ascending, in range, without loops and symmetric: nothing is checked."""
+        graph = cls.__new__(cls)
+        object.__setattr__(graph, "n", n)
+        object.__setattr__(graph, "adjacency", rows)
+        return graph
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Sequence[int]]) -> "Graph":
@@ -139,45 +268,58 @@ def _sorted_edges(graph: Graph) -> Iterator[tuple[int, int]]:
         yield from zip(repeat(u), row[bisect_right(row, u) :])
 
 
-class DegreeStats(NamedTuple):
+class DegreeStats(Frozen):
     """Exact degree statistics of a graph.
 
     degree_variance is the population variance of the degree sequence and
     vanishes exactly when the graph is regular.
     """
 
+    __slots__ = _fields = ("min_degree", "max_degree", "average_degree", "degree_variance")
     min_degree: int
     max_degree: int
-    average_degree: Fraction
-    degree_variance: Fraction
+    average_degree: Ratio
+    degree_variance: Ratio
 
 
-def frac_str(x: Fraction) -> str:
-    """Exact text "p/q" of a fraction, as every report prints one (1 is "1/1")."""
+def frac_str(x: Ratio) -> str:
+    """Exact text "p/q" of a ratio, as every report prints one (1 is "1/1")."""
     return f"{x.numerator}/{x.denominator}"
 
 
-# A nonempty line of a text, as str.splitlines cuts them.
-_LINE = re.compile("[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]+")
+def _significant(line: str) -> bool:
+    """True iff the line is neither blank nor a comment (first non-blank character '#')."""
+    return bool(line.strip()) and not line.lstrip().startswith("#")
 
 
-def _significant(lines: Iterable[str]) -> Iterator[str]:
-    """The lines that are neither blank nor a comment (first non-blank character '#')."""
-    return (ln for ln in lines if ln.strip() and not ln.lstrip().startswith("#"))
+def _slices(text: str, start: int, size: int) -> Iterator[str]:
+    """The text from offset start in slices of at least size characters,
+    each cut just after a "\\n" or at the end, so no line, "\\r\\n" included,
+    spans two slices: their lines are the text's lines."""
+    while start < len(text):
+        end = text.find("\n", start + size) + 1 or len(text)
+        yield text[start:end]
+        start = end
 
 
-def _edge_list_header(text: str) -> tuple[int, int]:
-    """(n, m) from the first significant line of an edge list, n > 0 and m >= 0
-    in plain decimal (int() also reads "3_0", "+3" and non-ASCII digits); the
-    lines are cut one at a time, so no list of them exists yet.  The text is
-    ASCII but for the line breaks that _LINE cuts at."""
+def _header(text: str) -> tuple[int, int, int]:
+    """(n, m, end) from the first significant line of an edge list, n > 0 and
+    m >= 0 in plain decimal (int() also reads "3_0", "+3" and non-ASCII
+    digits), end the offset just past that line's break.  The lines are cut a
+    few hundred characters at a time, so no list of all of them is made.  The
+    text is ASCII but for the line breaks \\x85, \\u2028 and \\u2029."""
     if not text.isascii():
         at = next((i for i, ch in enumerate(text) if not ch.isascii() and ch not in "\x85\u2028\u2029"), None)
         if at is not None:
             raise GraphFormatError(f"edge list must be ASCII, got {text[at]!r} at offset {at}")
-    line = next(_significant(map(re.Match.group, _LINE.finditer(text))), None)
-    if line is None:
+    end = 0
+    for line in chain.from_iterable(map(str.splitlines, _slices(text, 0, 256), repeat(True))):
+        end += len(line)
+        if _significant(line):
+            break
+    else:
         raise GraphFormatError("empty input")
+    line = line.splitlines()[0]  # without its line break
     header = line.split()
     if len(header) != 2:
         raise GraphFormatError(f"header must be 'n m', got {line!r}")
@@ -191,7 +333,16 @@ def _edge_list_header(text: str) -> tuple[int, int]:
         raise GraphFormatError(f"vertex count must be positive, got {n}")
     if m < 0:
         raise GraphFormatError(f"edge count must be nonnegative, got {m}")
-    return n, m
+    return n, m, end
+
+
+def _edge_list_header(text: str) -> tuple[int, int]:
+    """(n, m) from the first significant line of an edge list, as _header reads it."""
+    return _header(text)[:2]
+
+
+# The bulk parse reads the edge lines in slices of about this many characters.
+_SLICE = 1 << 16
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -199,15 +350,70 @@ def parse_edge_list(text: str) -> Graph:
 
     First significant line is "n m"; then exactly m lines "u v" with
     0 <= u < v < n, in plain decimal.  Blank lines and '#' comments are ignored.
+    The edge lines are read in bulk; text that the bulk pass refuses goes to
+    the line scan, which raises the message of its first fault, or reads a
+    "-0", which int() takes for 0.
     """
+    n, m, end = _header(text)
+    rows = _bulk_rows(text, end, n, m)
+    return _line_scan(text) if rows is None else Graph._parsed(n, rows)
+
+
+def _bulk_rows(text: str, start: int, n: int, m: int) -> tuple[tuple[int, ...], ...] | None:
+    """The sorted rows of the edge lines after offset start, or None unless
+    those lines, besides blank lines and comments, are m distinct edges
+    "u v" of plain decimals 0 <= u < v < n.
+
+    Each slice of _slices is split into lines and tokens, checked and read
+    by C-level passes, and its tokens are freed before the next slice is cut.
+    """
+    labels = list(range(n))  # one int object per vertex, shared by the rows
+    rows: list = [[] for _ in labels]
+    count = 0
+    for piece in _slices(text, start, _SLICE):
+        if "#" in piece:
+            piece = "\n".join(filter(_significant, piece.splitlines()))
+        # Two tokens on every nonblank line.  Each line's list is freed at
+        # once, so no container outlives its allocation to load the collector.
+        if not set(map(len, map(str.split, piece.splitlines()))) <= {0, 2}:
+            return None
+        tokens = piece.split()  # every line break is whitespace too
+        if not tokens:
+            continue
+        # ASCII decimal digits only: no sign, "_" or "+", and int() cannot fail.
+        if not "".join(tokens).isdecimal():
+            return None
+        ints = list(map(int, tokens))
+        del tokens
+        us, vs = ints[::2], ints[1::2]
+        del ints
+        if not all(map(lt, us, vs)) or max(vs) >= n:
+            return None
+        count += len(us)
+        # list.append returns None, so any() runs every append and stops at none.
+        any(map(list.append, map(rows.__getitem__, us), map(labels.__getitem__, vs)))
+        any(map(list.append, map(rows.__getitem__, vs), map(labels.__getitem__, us)))
+    if count != m:
+        return None
+    for u, row in enumerate(rows):
+        row.sort()
+        if any(map(eq, row, row[1:])):
+            return None
+        rows[u] = tuple(row)
+    return tuple(rows)
+
+
+def _line_scan(text: str) -> Graph:
+    """parse_edge_list one line at a time, checked in the order of its
+    messages: the edge-line count, then each edge line, then duplicates.
+    The reference that parse_edge_list's bulk pass is tested against."""
     n, m = _edge_list_header(text)
-    lines = list(_significant(text.splitlines()))
+    lines = list(filter(_significant, text.splitlines()))
     if len(lines) - 1 != m:
         raise GraphFormatError(f"expected {m} edge lines, found {len(lines) - 1}")
     # One scan of the text spares the edge lines their own "_" and "+" checks.
     plain = "_" not in text and "+" not in text
-    labels = list(range(n))  # one int object per vertex, shared by the rows
-    rows: list[list[int]] = [[] for _ in labels]
+    rows: list[list[int]] = [[] for _ in range(n)]
     for ln in islice(lines, 1, None):
         parts = ln.split()
         if len(parts) != 2:
@@ -224,9 +430,8 @@ def parse_edge_list(text: str) -> Graph:
             raise GraphFormatError(f"edge endpoints must satisfy u < v, got {ln!r}")
         if not (0 <= u < v < n):
             raise GraphFormatError(f"edge {u} {v} out of range for n={n}")
-        rows[u].append(labels[v])
-        rows[v].append(labels[u])
-    del lines  # the line strings outweigh the rows: free them before Graph copies the rows
+        rows[u].append(v)
+        rows[v].append(u)
     for u, row in enumerate(rows):
         row.sort()
         if any(map(eq, row, row[1:])):
@@ -321,7 +526,7 @@ def parse_graph6(text: str) -> Graph:
         for u in rows[v]:
             rows[u].append(v)
         k += v
-    return Graph(n, rows)
+    return Graph._parsed(n, tuple(map(tuple, rows)))
 
 
 _DOT_PALETTE = (
@@ -383,8 +588,8 @@ def degree_stats(graph: Graph) -> DegreeStats:
         raise ValueError("degree statistics undefined for the empty graph")
     deg = graph.degrees()
     n = graph.n
-    m1 = Fraction(sum(deg), n)
-    m2 = Fraction(sum(d * d for d in deg), n)
+    m1 = Ratio(sum(deg), n)
+    m2 = Ratio(sum(d * d for d in deg), n)
     return DegreeStats(
         min_degree=min(deg),
         max_degree=max(deg),
@@ -393,18 +598,18 @@ def degree_stats(graph: Graph) -> DegreeStats:
     )
 
 
-def edge_vertex_ratio(graph: Graph) -> Fraction:
+def edge_vertex_ratio(graph: Graph) -> Ratio:
     """Edges over vertices; equals half the average degree, exactly."""
     if graph.n == 0:
         raise ValueError("edge-vertex ratio undefined for the empty graph")
-    return Fraction(graph.m, graph.n)
+    return Ratio(graph.m, graph.n)
 
 
-def density(graph: Graph) -> Fraction:
+def density(graph: Graph) -> Ratio:
     """Fraction of all possible edges present, in [0, 1]."""
     if graph.n < 2:
         raise ValueError("density requires at least two vertices")
-    return Fraction(2 * graph.m, graph.n * (graph.n - 1))
+    return Ratio(2 * graph.m, graph.n * (graph.n - 1))
 
 
 def cyclomatic_number(graph: Graph) -> int:

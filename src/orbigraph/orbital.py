@@ -10,28 +10,27 @@ All matrix comparisons are exact integer equality; the only float anywhere
 in this module is the entropy value.
 
 Cell sizes stay ints from the orbit partition to the report.  A relative
-size s/n becomes a Fraction only at the public boundary, one per distinct
+size s/n becomes a Ratio only at the public boundary, one per distinct
 size: OrbitProfile.omega repeats it for every cell of that size.  A cell
-digraph colours each cell by that Fraction and B_ii, so its colours depend
+digraph colours each cell by that Ratio and B_ii, so its colours depend
 on its own matrix alone, and they order and tie across two matrices as the
 relative sizes do.  The entropy is -sum of w log2 w over
-the cells, w = s/n: the int quotient s/n is float(Fraction(s, n)) bit for
+the cells, w = s/n: the int quotient s/n is float(Ratio(s, n)) bit for
 bit, as both are correctly rounded, so the value is the one entropy_of gives
 for omega.
 """
 
 import math
 from collections import Counter
-from fractions import Fraction
+from collections.abc import Sequence
 from itertools import repeat
 from operator import itemgetter, lt
-from typing import NamedTuple, Sequence
 
 from .aut import ColouredDigraph, Partition, automorphism_group, isomorphism, orbit_partition
-from .graph_core import Graph, is_connected, reaches_all
+from .graph_core import Frozen, Graph, Ratio, is_connected, reaches_all
 
 
-class DivisorMatrix(NamedTuple):
+class DivisorMatrix(Frozen):
     """Per-cell neighbor counts over an equitable partition, with cell sizes.
 
     B_ij is the number of neighbors every vertex of cell i has in cell j.
@@ -43,6 +42,7 @@ class DivisorMatrix(NamedTuple):
     one dense row at a time from the sparse rows.
     """
 
+    __slots__ = _fields = ("ell", "rows", "sizes")
     ell: int
     rows: tuple[tuple[tuple[int, int], ...], ...]
     sizes: tuple[int, ...]
@@ -60,7 +60,7 @@ def _check_divisor_matrix(dm: DivisorMatrix) -> None:
     symmetrizable; and symmetrizable, s_i B_ij = s_j B_ji.  Every matrix
     divisor_matrix builds is one.
     """
-    ell, rows, sizes = dm
+    ell, rows, sizes = dm.ell, dm.rows, dm.sizes
     if not (isinstance(ell, int) and ell >= 1 and len(rows) == ell == len(sizes)):
         raise ValueError(f"divisor matrix of ell = {ell!r} has {len(rows)} rows and {len(sizes)} cell sizes")
     if not (all(isinstance(s, int) for s in sizes) and all(isinstance(v, int) for row in rows for pair in row for v in pair)):
@@ -88,14 +88,15 @@ def _check_divisor_matrix(dm: DivisorMatrix) -> None:
                 raise ValueError("divisor matrix is not symmetrizable: s_i B_ij != s_j B_ji for some i, j")
 
 
-class OrbitProfile(NamedTuple):
+class OrbitProfile(Frozen):
     """Orbit distribution vector (descending, exact) and its base-2 entropy."""
 
-    omega: tuple[Fraction, ...]
+    __slots__ = _fields = ("omega", "entropy")
+    omega: tuple[Ratio, ...]
     entropy: float
 
 
-class SimilarityVerdict(NamedTuple):
+class SimilarityVerdict(Frozen):
     """Outcome of an orbital-similarity test between two connected graphs.
 
     When similar, witness maps the second graph's cell index i to the first
@@ -104,9 +105,11 @@ class SimilarityVerdict(NamedTuple):
     graph's cell sizes in matched order.
     """
 
+    __slots__ = _fields = ("similar", "witness", "common_matrix")
+    _defaults = {"witness": None, "common_matrix": None}
     similar: bool
-    witness: tuple[int, ...] | None = None
-    common_matrix: DivisorMatrix | None = None
+    witness: tuple[int, ...] | None
+    common_matrix: DivisorMatrix | None
 
     def as_dict(self) -> dict:
         return {
@@ -153,13 +156,13 @@ def orbit_divisor_matrix(graph: Graph) -> DivisorMatrix:
     return divisor_matrix(graph, orbit_partition(graph))
 
 
-def entropy_of(omega: Sequence[Fraction]) -> float:
+def entropy_of(omega: Sequence[Ratio]) -> float:
     """Base-2 entropy of a probability vector with positive rational parts."""
     if not omega:
         raise ValueError("empty distribution vector")
     if any(w <= 0 for w in omega):
         raise ValueError("distribution components must be positive")
-    if sum(omega, Fraction(0)) != 1:
+    if sum(omega, Ratio(0)) != 1:
         raise ValueError("distribution components must sum to 1")
     # the trailing +0.0 turns -0.0 into 0.0 for single-cell vectors
     return -math.fsum(float(w) * math.log2(float(w)) for w in omega) + 0.0
@@ -173,20 +176,20 @@ def orbit_profile(graph: Graph) -> OrbitProfile:
     sizes = sorted(map(len, orbit_partition(graph).cells), reverse=True)
     if sizes[-1] <= 0 or sum(sizes) != n:
         raise ValueError(f"orbit sizes {sizes} are not a partition of {n}")
-    fractions = {s: Fraction(s, n) for s in set(sizes)}
+    ratios = {s: Ratio(s, n) for s in set(sizes)}
     # entropy_of's float terms, each computed once per distinct size
-    terms = {s: s / n * math.log2(s / n) for s in fractions}
+    terms = {s: s / n * math.log2(s / n) for s in ratios}
     entropy = -math.fsum(map(terms.__getitem__, sizes)) + 0.0
-    return OrbitProfile(tuple(map(fractions.__getitem__, sizes)), entropy)
+    return OrbitProfile(tuple(map(ratios.__getitem__, sizes)), entropy)
 
 
 def _cell_digraph(dm: DivisorMatrix) -> ColouredDigraph:
     """The matrix's cells as vertices coloured (s/n, B_ii), s/n the cell's
-    relative size as a Fraction, with j listed B_ij times in i's row for
+    relative size as a Ratio, with j listed B_ij times in i's row for
     each j != i."""
     n = sum(dm.sizes)
-    fractions = {s: Fraction(s, n) for s in set(dm.sizes)}
-    colour: list[tuple[Fraction, int]] = []
+    ratios = {s: Ratio(s, n) for s in set(dm.sizes)}
+    colour: list[tuple[Ratio, int]] = []
     adj: list[tuple[int, ...]] = []
     for i, (row, s) in enumerate(zip(dm.rows, dm.sizes)):
         loops, out = 0, []
@@ -195,7 +198,7 @@ def _cell_digraph(dm: DivisorMatrix) -> ColouredDigraph:
                 loops = x
             else:
                 out += [j] * x
-        colour.append((fractions[s], loops))
+        colour.append((ratios[s], loops))
         adj.append(tuple(out))
     return ColouredDigraph(colour, adj)
 

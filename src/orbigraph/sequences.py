@@ -23,14 +23,13 @@ Each term's record is spectral.analyze_term, the one per-graph analysis.
 """
 
 import json
-from fractions import Fraction
+from collections.abc import Callable, Mapping, Sequence
 from functools import reduce
 from math import fsum, prod
 from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import constructions as cons
-from .graph_core import Frozen, Graph, is_connected
+from .graph_core import Frozen, Graph, Ratio, is_connected
 from .orbital import DivisorMatrix, orbit_divisor_matrix, similar_divisors
 from .spectral import TermRecord, analyze_term
 
@@ -122,17 +121,19 @@ def _frozen(value):
     return tuple(map(_frozen, value)) if isinstance(value, (list, tuple)) else value
 
 
-class _Family(NamedTuple):
+class _Family(Frozen):
     """One row of the family table: the integer parameters with their
     minimums, term k and its order, the one non-integer parameter other with
     a check of what the minimums do not say, and whether a base is taken."""
 
+    __slots__ = _fields = ("ints", "term", "order", "other", "check", "base")
+    _defaults = {"other": None, "check": None, "base": False}
     ints: Mapping[str, int]
     term: Callable[[SequenceSpec, int], Graph]
     order: Callable[[SequenceSpec, int], int]
-    other: str | None = None
-    check: Callable[[dict], None] | None = None
-    base: bool = False
+    other: str | None
+    check: Callable[[dict], None] | None
+    base: bool
 
 
 def _entry(spec: SequenceSpec, k: int):
@@ -262,16 +263,18 @@ def generate(spec: SequenceSpec, count: int) -> list[Graph]:
     return [spec.term(k) for k in range(count)]
 
 
-class SelfSimilarityVerdict(NamedTuple):
+class SelfSimilarityVerdict(Frozen):
     """Outcome of the growth and pairwise-similarity conditions.
 
     failing_pair names the first pair of terms found not to grow or not to
     be orbitally similar.
     """
 
+    __slots__ = _fields = ("self_similar", "failing_pair", "reason")
+    _defaults = {"failing_pair": None, "reason": None}
     self_similar: bool
-    failing_pair: tuple[int, int] | None = None
-    reason: str | None = None
+    failing_pair: tuple[int, int] | None
+    reason: str | None
 
     @property
     def seed_status(self) -> str:
@@ -330,16 +333,19 @@ _SEQUENCE_TERM_KEYS = (
 )
 
 
-class PreservationCheck(NamedTuple):
+class PreservationCheck(Frozen):
+    __slots__ = _fields = ("name", "passed", "detail")
+    _defaults = {"detail": ""}
     name: str
     passed: bool
-    detail: str = ""
+    detail: str
 
     def as_dict(self) -> dict:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
-class SequenceReport(NamedTuple):
+class SequenceReport(Frozen):
+    __slots__ = _fields = ("terms", "verdict", "preservation")
     terms: tuple[TermRecord, ...]
     verdict: SelfSimilarityVerdict
     preservation: tuple[PreservationCheck, ...]
@@ -385,8 +391,8 @@ def _cyclomatic_check(terms: Sequence[TermRecord]) -> PreservationCheck:
         return PreservationCheck("cyclomatic", True, "all terms unicyclic")
     previous = None
     for k, t in enumerate(terms):
-        expected = (c1 - 1) * Fraction(t.order, n1)
-        if Fraction(t.cyclomatic_number - 1) != expected:
+        expected = (c1 - 1) * Ratio(t.order, n1)
+        if t.cyclomatic_number - 1 != expected:
             return PreservationCheck(
                 "cyclomatic", False, f"term {k}: c-1 = {t.cyclomatic_number - 1} != (c1-1)*|G_k|/n = {expected}"
             )

@@ -94,12 +94,12 @@ analyze command reports the same record for one graph.
 """
 
 import math
-from fractions import Fraction
 from operator import mul, truediv
-from typing import NamedTuple
 
 from .aut import Partition, automorphism_group, orbit_partition
-from .graph_core import Graph, cyclomatic_number, degree_stats, density, edge_vertex_ratio, frac_str, is_connected
+from .graph_core import (
+    Frozen, Graph, Ratio, cyclomatic_number, degree_stats, density, edge_vertex_ratio, frac_str, is_connected,
+)
 from .orbital import DivisorMatrix, _check_divisor_matrix, divisor_matrix, orbit_profile
 
 CERTIFICATE_TOL = 1e-10
@@ -113,7 +113,7 @@ class CertificateError(RuntimeError):
     """The Collatz-Wielandt bracket on A did not certify the computed Perron pair."""
 
 
-class PerronData(NamedTuple):
+class PerronData(Frozen):
     """Spectral radius with the normalized positive eigenvector.
 
     rho is the Rayleigh quotient of vector on A and rho_divisor the largest
@@ -123,6 +123,7 @@ class PerronData(NamedTuple):
     constants and gamma is the largest over the smallest component.
     """
 
+    __slots__ = _fields = ("rho", "rho_divisor", "vector", "gamma", "orbit_values", "bracket", "divisor")
     rho: float
     rho_divisor: float
     vector: tuple[float, ...]
@@ -447,7 +448,7 @@ def spectral_radius_divisor(dm: DivisorMatrix) -> float:
     return _divisor_top(dm)[0]
 
 
-class TermRecord(NamedTuple):
+class TermRecord(Frozen):
     """All per-graph quantities of one connected graph.
 
     density is None below two vertices, where it is undefined.  orbit_values
@@ -455,28 +456,33 @@ class TermRecord(NamedTuple):
     it is not reported.
     """
 
+    __slots__ = _fields = (
+        "order", "size", "orbits", "group_order", "divisor", "omega", "entropy", "rho_adjacency", "rho_divisor",
+        "principal_ratio", "min_degree", "max_degree", "average_degree", "degree_variance", "edge_vertex_ratio",
+        "density", "cyclomatic_number", "orbit_values",
+    )
     order: int
     size: int
     orbits: tuple[tuple[int, ...], ...]
     group_order: int
     divisor: DivisorMatrix
-    omega: tuple[Fraction, ...]
+    omega: tuple[Ratio, ...]
     entropy: float
     rho_adjacency: float
     rho_divisor: float
     principal_ratio: float
     min_degree: int
     max_degree: int
-    average_degree: Fraction
-    degree_variance: Fraction
-    edge_vertex_ratio: Fraction
-    density: Fraction | None
+    average_degree: Ratio
+    degree_variance: Ratio
+    edge_vertex_ratio: Ratio
+    density: Ratio | None
     cyclomatic_number: int
     orbit_values: tuple[float, ...]
 
     def as_dict(self) -> dict:
         """The analyze report: every field but orbit_values, in field order,
-        fractions as "p/q", and the divisor matrix itself, which the CLI's
+        ratios as "p/q", and the divisor matrix itself, which the CLI's
         JSON writer expands."""
         report = self._asdict()
         del report["orbit_values"]

@@ -275,9 +275,9 @@ ROWS: tuple[Row, ...] = (
     _analyze("analyze T(63)", 30, "t63.edges", order=factorial(63), orbits=1),
     _analyze("analyze K44 x K44", 30, "rook44.edges", order=2 * factorial(44) ** 2, orbits=1),
     _analyze("analyze Paley(1997), graph6", 30, "--format", "graph6", "paley1997.g6", rss_mb=250, order=1997 * 998, orbits=1),
-    _analyze("analyze Paley(1997), edge list", 30, "paley1997.edges", rss_mb=250, same_stdout_as="analyze Paley(1997), graph6"),
+    _analyze("analyze Paley(1997), edge list", 30, "paley1997.edges", rss_mb=100, same_stdout_as="analyze Paley(1997), graph6"),
     _analyze("analyze K2000, graph6", 60, "--format", "graph6", "k2000.g6", rss_mb=250, order=factorial(2000), orbits=1),
-    _analyze("analyze K2000, edge list", 60, "k2000.edges", rss_mb=450, same_stdout_as="analyze K2000, graph6"),
+    _analyze("analyze K2000, edge list", 60, "k2000.edges", rss_mb=150, same_stdout_as="analyze K2000, graph6"),
     _analyze("analyze near-regular rigid graph", 60, "near_regular.edges", rss_mb=115, order=1, numpy=True),
     *(_relabelled_compare(stem, seed) for stem, seed in _RELABELLINGS),
     _compare("compare Paley(1997) relabelled", 60, "--format", "graph6", "paley1997.g6", "paley1997_relabelled.g6",

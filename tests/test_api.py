@@ -21,6 +21,7 @@ def test_public_names_are_pinned():
         "OrbitProfile",
         "Partition",
         "PerronData",
+        "Ratio",
         "SelfSimilarityVerdict",
         "SequenceReport",
         "SequenceSpec",

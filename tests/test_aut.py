@@ -1245,15 +1245,20 @@ def _looped_rook(k: int) -> tuple[tuple, tuple]:
     [
         (ColouredDigraph.from_graph(cfi_graph(sorted(frucht().edges))), 7),
         (ColouredDigraph.from_graph(crossed_prism(12)), 6),
-        (_looped_rook(4), 3),
+        (ColouredDigraph(*_looped_rook(4)), 3),
     ],
     ids=["CFI(Frucht)", "crossed_prism(12)", "looped rook(4) with double row arcs"],
 )
 def test_undo_restores_every_level_of_the_first_path(digraph, levels):
-    assert _undo_the_first_path(*digraph) == levels
+    assert _undo_the_first_path(digraph.colour, digraph.adj) == levels
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(connected_graphs(max_n=12).map(ColouredDigraph.from_graph), weighted_digraphs(max_n=9)))
+@given(
+    st.one_of(
+        connected_graphs(max_n=12).map(ColouredDigraph.from_graph),
+        weighted_digraphs(max_n=9).map(lambda pair: ColouredDigraph(*pair)),
+    )
+)
 def test_undo_restores_every_level_of_random_first_paths(digraph):
-    _undo_the_first_path(*digraph)
+    _undo_the_first_path(digraph.colour, digraph.adj)

@@ -438,12 +438,17 @@ try:
     code = cli.main(sys.argv[1:])
 except SystemExit as exc:
     code = exc.code
-print(code, *sorted(m for m in sys.modules if m.startswith("orbigraph.") or m in ("fractions", "decimal", "re", "typing")))
+stdlib = ("fractions", "decimal", "numbers", "re", "typing", "__future__", "encodings.ascii")
+print(code, *sorted(m for m in sys.modules if m.startswith("orbigraph.") or m in stdlib))
 """
 
 _ANALYSIS = {f"orbigraph.{m}" for m in ("graph_core", "aut", "orbital", "spectral", "sequences", "constructions")}
+# The standard modules that exact rationals from fractions, NamedTuple
+# records, the edge-list parser's regex, a text-mode read and a
+# __future__ import would load.
+_STDLIB = {"fractions", "decimal", "numbers", "re", "typing", "__future__", "encodings.ascii"}
 # What a command that reads no graph loads none of.
-_NO_GRAPH = {*_ANALYSIS, "fractions", "decimal", "re", "typing"}
+_NO_GRAPH = {*_ANALYSIS, *_STDLIB}
 
 
 @pytest.mark.parametrize(
@@ -453,17 +458,23 @@ _NO_GRAPH = {*_ANALYSIS, "fractions", "decimal", "re", "typing"}
         (["--help"], EXIT_OK, _NO_GRAPH),
         (["analyze"], EXIT_PARSE, _NO_GRAPH),
         (["compare", "--json", "c6", "c12"], EXIT_OK,
-         {"orbigraph.spectral", "orbigraph.sequences", "orbigraph.constructions"}),
+         {"orbigraph.spectral", "orbigraph.sequences", "orbigraph.constructions", *_STDLIB}),
         (["generate", "cycle", "--n", "6"], EXIT_OK,
          {"orbigraph.aut", "orbigraph.orbital", "orbigraph.spectral", "orbigraph.sequences"}),
-        (["analyze", "--json", "c6"], EXIT_OK, {"orbigraph.sequences", "orbigraph.constructions"}),
+        (["analyze", "--json", "c6"], EXIT_OK, {"orbigraph.sequences", "orbigraph.constructions", *_STDLIB}),
+        # json brings in re
+        (["sequence", "--json", "--count", "3", "spec"], EXIT_OK, _STDLIB - {"re"}),
     ],
-    ids=["version", "help", "usage-error", "compare", "generate", "analyze"],
+    ids=["version", "help", "usage-error", "compare", "generate", "analyze", "sequence"],
 )
 def test_a_command_loads_only_the_modules_it_runs(argv, code, unloaded, tmp_path):
     # A fresh child under -S for each command: a module loaded by an earlier
     # command, or by a site hook, would hide one this command loads.
-    files = {"c6": _write(tmp_path, "c6", cycle(6)), "c12": _write(tmp_path, "c12", cycle(12))}
+    files = {
+        "c6": _write(tmp_path, "c6", cycle(6)),
+        "c12": _write(tmp_path, "c12", cycle(12)),
+        "spec": _spec(tmp_path, {"family": "cycles", "start": 4}),
+    }
     child = run_child(_LOADED, *(files.get(arg, arg) for arg in argv), flags=("-S",))
     assert child.returncode == 0, child.stderr
     exit_code, *loaded = child.stdout.splitlines()[-1].split()

@@ -1,17 +1,27 @@
+import math
+import operator
 import re
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import connected_graphs
 from orbigraph.aut import ColouredDigraph, isomorphism
+from orbigraph import graph_core
 from orbigraph.constructions import complete, cycle, path, star
 from orbigraph.graph_core import (
+    DegreeStats,
+    Frozen,
     Graph,
     GraphFormatError,
+    Ratio,
+    _bulk_rows,
     _edge_list_header,
+    _header,
+    _line_scan,
     _g6_encode_n,
     _graph6_header,
     cyclomatic_number,
@@ -103,6 +113,79 @@ class TestParseEdgeList:
         assert parse_edge_list(text) == path(3)
 
 
+# Line breaks the parser cuts at, and lines it skips.
+_BREAKS = ("\n", "\r\n", "\r", "\v", "\x1c", "\x85", "\u2028")
+_SKIPPED = ("", "  \t", "# a comment", "  # 1_2 +3", "#" + "x" * 300)
+
+
+def _token_fault(token: str, n: int, rng) -> str:
+    """token as a non-plain or out-of-range integer, or not an integer."""
+    return rng.choice(("+" + token, token[:1] + "_" + token[1:] + "0", "-" + token, str(n + rng.randint(0, 3)), "x"))
+
+
+@st.composite
+def mutated_edge_lists(draw) -> str:
+    """The edge list of a random graph with random line breaks, skipped
+    lines and, usually, a few faults: one or three tokens on a line, a pair
+    split over two lines, a token that is not a plain decimal in range,
+    u >= v, a repeated edge or a wrong m."""
+    g = draw(connected_graphs(max_n=8))
+    rng = draw(st.randoms(use_true_random=False))
+    header, *edges = serialize_edge_list(g).splitlines()
+    lines = [header, *edges]
+    for _ in range(draw(st.integers(0, 2))):
+        k = rng.randrange(len(lines))
+        if k == 0:
+            n, m = header.split()
+            lines[0] = f"{n} {int(m) + rng.choice((-1, 1))}"
+            continue
+        if len(lines[k].split()) != 2:  # a fault made already
+            continue
+        u, v = lines[k].split()
+        fault = rng.randrange(6)
+        if fault == 0:
+            lines[k] = rng.choice((u, f"{u} {v} {v}"))
+        elif fault == 1:
+            lines[k : k + 1] = [u, v]
+        elif fault == 2:
+            lines[k] = f"{_token_fault(u, g.n, rng)} {v}" if rng.random() < 0.5 else f"{u} {_token_fault(v, g.n, rng)}"
+        elif fault == 3:
+            lines[k] = rng.choice((f"{v} {u}", f"{u} {u}"))
+        else:
+            lines.insert(k, lines[k])
+    for _ in range(draw(st.integers(0, 6))):
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(_SKIPPED))
+    text = "".join(line + rng.choice(_BREAKS) for line in lines)
+    return text if draw(st.booleans()) else text.rstrip("\n\r\v\x1c\x85\u2028")
+
+
+def _outcome(parse, text: str) -> Graph | str:
+    try:
+        return parse(text)
+    except GraphFormatError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_edge_lists(), st.sampled_from((1, 5, 16, graph_core._SLICE)))
+@example("3 2\n-0 1\n0 2", 1)
+def test_bulk_parse_agrees_with_the_line_scan(text, size):
+    # Small slices put slice boundaries inside the text.
+    expected = _outcome(_line_scan, text)
+    with mock.patch.object(graph_core, "_SLICE", size):
+        assert _outcome(parse_edge_list, text) == expected
+        if isinstance(expected, Graph):
+            # A valid text is read by the bulk pass alone, but for a "-0",
+            # which int() reads as 0 and only the line scan takes.
+            n, m, end = _header(text)
+            rows = _bulk_rows(text, end, n, m)
+            assert rows == expected.adjacency or rows is None and "-0" in text
+        elif not expected.startswith(("header", "empty", "vertex count", "edge count")):
+            # The bulk pass refuses every text the line scan refuses.
+            n, m, end = _header(text)
+            assert _bulk_rows(text, end, n, m) is None
+
+
 class TestGraphType:
     def test_edge_range_validated(self):
         bad_row = "is not strictly ascending"
@@ -149,6 +232,28 @@ class TestGraphType:
         assert g == path(3)
         with pytest.raises(ValueError):
             path(3).relabel([0, 0, 1])
+
+
+class _Pair(Frozen):
+    __slots__ = _fields = ("first", "second")
+    _defaults = {"second": None}
+
+
+def test_plain_records_take_fields_by_position_or_name():
+    assert _Pair(1, 2) == _Pair(first=1, second=2) == _Pair(1, second=2) != _Pair(1)
+    assert _Pair(1).second is None and repr(_Pair(1, 2)) == "_Pair(first=1, second=2)"
+    assert _Pair(1)._replace(second=3) == _Pair(1, 3) and _Pair(1, 2)._asdict() == {"first": 1, "second": 2}
+    # A record is not a tuple: it neither equals nor unpacks as one.
+    assert _Pair(1, 2) != (1, 2) and not isinstance(_Pair(1, 2), tuple)
+    with pytest.raises(TypeError):
+        first, second = _Pair(1, 2)
+    for args, kwargs in (((), {}), ((1, 2, 3), {}), ((1,), {"first": 1}), ((1,), {"third": 3})):
+        with pytest.raises(TypeError, match="_Pair"):
+            _Pair(*args, **kwargs)
+    with pytest.raises(AttributeError, match="^cannot assign to field 'first'$"):
+        _Pair(1).first = 2
+    stats = degree_stats(path(3))
+    assert stats == DegreeStats(1, 2, Ratio(4, 3), Ratio(2, 9)) and hash(stats) == hash(DegreeStats(**stats._asdict()))
 
 
 class TestConnectivity:
@@ -259,6 +364,63 @@ class TestDegreeStats:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             degree_stats(Graph.from_edges(0, ()))
+
+
+_INTEGERS = st.one_of(st.integers(-60, 60), st.integers(-(10**30), 10**30))
+_FLOATS = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.sampled_from((0.0, -0.0, 0.5, -2.0, 1 / 3)))
+
+
+def _same(r, f: Fraction) -> bool:
+    """r is the Ratio of f's value, in f's lowest terms."""
+    return type(r) is Ratio and (r.numerator, r.denominator) == (f.numerator, f.denominator)
+
+
+def _results(op, *args):
+    """op(*args), or ZeroDivisionError if it raises that."""
+    try:
+        return op(*args)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+@settings(max_examples=400, deadline=None)
+@given(_INTEGERS, _INTEGERS.filter(bool), _INTEGERS, _INTEGERS.filter(bool), st.integers(-60, 60), _FLOATS,
+       st.integers(-5, 5))
+def test_ratio_agrees_with_fraction(p, q, s, t, k, x, e):
+    a, b, ra, rb = Fraction(p, q), Fraction(s, t), Ratio(p, q), Ratio(s, t)
+    assert _same(ra, a) and ra.denominator > 0
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        for left, right, fleft, fright in ((ra, rb, a, b), (ra, k, a, k), (k, ra, k, a), (ra, b, a, b)):
+            got, want = _results(op, left, right), _results(op, fleft, fright)
+            assert got is want is ZeroDivisionError or _same(got, want), (op, left, right)
+    got, want = _results(operator.pow, ra, e), _results(operator.pow, a, e)
+    assert got is want is ZeroDivisionError or _same(got, want)
+    for op in (operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge):
+        for left, right, fleft, fright in ((ra, rb, a, b), (ra, k, a, k), (k, ra, k, a), (ra, x, a, x), (x, ra, x, a),
+                                           (ra, b, a, b), (b, ra, b, a)):
+            assert op(left, right) is op(fleft, fright), (op, left, right)
+    assert hash(ra) == hash(a) and str(ra) == str(a) and float(ra) == float(a) and bool(ra) is bool(a)
+    assert _same(sum((ra, rb, ra), Ratio(0)), sum((a, b, a), Fraction(0)))
+    assert ra == a and a == ra and {ra: 1}[a] == 1
+    if q == 1:
+        assert ra == p and hash(ra) == hash(p)
+
+
+def test_ratio_of_zero_denominator_is_a_zero_division():
+    for p in (0, 1, -3):
+        with pytest.raises(ZeroDivisionError):
+            Ratio(p, 0)
+    with pytest.raises(ZeroDivisionError):
+        Ratio(1, 2) / 0
+    with pytest.raises(ZeroDivisionError):
+        Ratio(0) ** -1
+
+
+def test_ratio_is_exact_where_floats_are_not():
+    assert Ratio(1, 10) + Ratio(2, 10) == Ratio(3, 10) and 0.1 + 0.2 != 0.3
+    assert Ratio(1, 3) != 1 / 3 and Ratio(1, 2) == 0.5 and Ratio(1, 2) < math.inf and not Ratio(1, 2) < math.nan
+    # CPython's hash is never -1, so -1 hashes to -2, as Fraction(-1) does.
+    assert hash(Ratio(-1)) == hash(Fraction(-1)) == hash(-1) == -2
 
 
 class TestRatios:

@@ -38,7 +38,7 @@ from orbigraph.aut import (
 )
 from orbigraph.constructions import complete, cycle, generalized_sun, loaded_torus, path, star, strong_prism
 from orbigraph import orbital
-from orbigraph.graph_core import Graph
+from orbigraph.graph_core import Graph, Ratio
 from orbigraph.sequences import analyze_term
 from orbigraph.spectral import spectral_radius_divisor
 from orbigraph.orbital import (
@@ -174,9 +174,9 @@ class TestOrbitProfile:
 
         def counted(*args):
             made.append(args)
-            return F(*args)
+            return Ratio(*args)
 
-        monkeypatch.setattr(orbital, "Fraction", counted)
+        monkeypatch.setattr(orbital, "Ratio", counted)
         record = analyze_term(graph)
         assert 0 < len(made) <= len(set(map(len, record.orbits)))
 
@@ -184,7 +184,7 @@ class TestOrbitProfile:
 def _check_profile(profile, cells, n: int) -> None:
     """profile is (omega, entropy_of(omega)) for these cells, the entropy bit for bit."""
     omega = tuple(sorted((F(len(cell), n) for cell in cells), reverse=True))
-    assert profile == (omega, entropy_of(omega))
+    assert (profile.omega, profile.entropy) == (omega, entropy_of(omega))
     assert profile.entropy.hex() == entropy_of(omega).hex()
 
 
