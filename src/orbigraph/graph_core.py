@@ -3,10 +3,11 @@
 Graphs are finite, simple, and undirected, with vertices labeled 0..n-1.
 A graph is its sorted adjacency rows; its edge set is derived on request.
 The edge-list text format is the canonical interchange format; graph6 and
-DOT are provided as conveniences.  All degree statistics are exact
-rationals, Ratio values, so that downstream preservation checks can compare
-exactly; Ratio is this module's own small type, since fractions.Fraction
-costs every run the import of decimal and numbers.
+DOT are provided as conveniences.  Each parser reads its text in one pass,
+which also finds the first fault of a faulty text.  All degree statistics
+are exact rationals, Ratio values, so that downstream preservation checks
+can compare exactly; Ratio is this module's own small type, since
+fractions.Fraction costs every run the import of decimal and numbers.
 """
 
 import math
@@ -14,7 +15,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, repeat
 from operator import eq, ge, gt, le, lt
 
 
@@ -295,7 +296,8 @@ def _significant(line: str) -> bool:
 def _slices(text: str, start: int, size: int) -> Iterator[str]:
     """The text from offset start in slices of at least size characters,
     each cut just after a "\\n" or at the end, so no line, "\\r\\n" included,
-    spans two slices: their lines are the text's lines."""
+    spans two slices: their lines are the text's lines, and a parser reads
+    the text once, a slice at a time, without a list of all its lines."""
     while start < len(text):
         end = text.find("\n", start + size) + 1 or len(text)
         yield text[start:end]
@@ -341,7 +343,7 @@ def _edge_list_header(text: str) -> tuple[int, int]:
     return _header(text)[:2]
 
 
-# The bulk parse reads the edge lines in slices of about this many characters.
+# The edge lines are read in slices of about this many characters.
 _SLICE = 1 << 16
 
 
@@ -350,95 +352,77 @@ def parse_edge_list(text: str) -> Graph:
 
     First significant line is "n m"; then exactly m lines "u v" with
     0 <= u < v < n, in plain decimal.  Blank lines and '#' comments are ignored.
-    The edge lines are read in bulk; text that the bulk pass refuses goes to
-    the line scan, which raises the message of its first fault, or reads a
-    "-0", which int() takes for 0.
+
+    The text is read once, in the slices of _slices, each split into lines
+    and tokens, checked and read by C-level passes, and its tokens freed
+    before the next slice is cut.  A slice those checks refuse is checked
+    a line at a time for its first fault, and each slice after it only
+    counted.  The messages come in this order: the edge-line count, then
+    the first faulty edge line, then the first duplicate edge.
     """
     n, m, end = _header(text)
-    rows = _bulk_rows(text, end, n, m)
-    return _line_scan(text) if rows is None else Graph._parsed(n, rows)
-
-
-def _bulk_rows(text: str, start: int, n: int, m: int) -> tuple[tuple[int, ...], ...] | None:
-    """The sorted rows of the edge lines after offset start, or None unless
-    those lines, besides blank lines and comments, are m distinct edges
-    "u v" of plain decimals 0 <= u < v < n.
-
-    Each slice of _slices is split into lines and tokens, checked and read
-    by C-level passes, and its tokens are freed before the next slice is cut.
-    """
     labels = list(range(n))  # one int object per vertex, shared by the rows
     rows: list = [[] for _ in labels]
-    count = 0
-    for piece in _slices(text, start, _SLICE):
+    count, fault = 0, None
+    for piece in _slices(text, end, _SLICE):
         if "#" in piece:
             piece = "\n".join(filter(_significant, piece.splitlines()))
         # Two tokens on every nonblank line.  Each line's list is freed at
         # once, so no container outlives its allocation to load the collector.
-        if not set(map(len, map(str.split, piece.splitlines()))) <= {0, 2}:
-            return None
-        tokens = piece.split()  # every line break is whitespace too
-        if not tokens:
-            continue
-        # ASCII decimal digits only: no sign, "_" or "+", and int() cannot fail.
-        if not "".join(tokens).isdecimal():
-            return None
-        ints = list(map(int, tokens))
-        del tokens
-        us, vs = ints[::2], ints[1::2]
-        del ints
-        if not all(map(lt, us, vs)) or max(vs) >= n:
-            return None
-        count += len(us)
-        # list.append returns None, so any() runs every append and stops at none.
-        any(map(list.append, map(rows.__getitem__, us), map(labels.__getitem__, vs)))
-        any(map(list.append, map(rows.__getitem__, vs), map(labels.__getitem__, us)))
+        if fault is None and set(map(len, map(str.split, piece.splitlines()))) <= {0, 2}:
+            tokens = piece.split()  # every line break is whitespace too
+            if not tokens:
+                continue
+            # ASCII decimal digits only, as _line_fault has it, so int() cannot
+            # fail; tokens that are not leave no edges, which refuses the slice.
+            ints = list(map(int, tokens)) if "".join(tokens).isdecimal() else []
+            del tokens
+            us, vs = ints[::2], ints[1::2]
+            del ints
+            if us and all(map(lt, us, vs)) and max(vs) < n:
+                count += len(us)
+                # list.append returns None, so any() runs every append and stops at none.
+                any(map(list.append, map(rows.__getitem__, us), map(labels.__getitem__, vs)))
+                any(map(list.append, map(rows.__getitem__, vs), map(labels.__getitem__, us)))
+                continue
+            del us, vs
+        # Here every nonblank line is significant.  Each refusal above is a
+        # fault of some line, so next() finds one.
+        lines = list(filter(str.strip, piece.splitlines()))
+        count += len(lines)
+        if fault is None:
+            fault = next(filter(None, map(_line_fault, lines, repeat(n))))
     if count != m:
-        return None
-    for u, row in enumerate(rows):
-        row.sort()
-        if any(map(eq, row, row[1:])):
-            return None
-        rows[u] = tuple(row)
-    return tuple(rows)
-
-
-def _line_scan(text: str) -> Graph:
-    """parse_edge_list one line at a time, checked in the order of its
-    messages: the edge-line count, then each edge line, then duplicates.
-    The reference that parse_edge_list's bulk pass is tested against."""
-    n, m = _edge_list_header(text)
-    lines = list(filter(_significant, text.splitlines()))
-    if len(lines) - 1 != m:
-        raise GraphFormatError(f"expected {m} edge lines, found {len(lines) - 1}")
-    # One scan of the text spares the edge lines their own "_" and "+" checks.
-    plain = "_" not in text and "+" not in text
-    rows: list[list[int]] = [[] for _ in range(n)]
-    for ln in islice(lines, 1, None):
-        parts = ln.split()
-        if len(parts) != 2:
-            raise GraphFormatError(f"edge line must be 'u v', got {ln!r}")
-        try:
-            if not plain and ("_" in ln or "+" in ln):
-                raise ValueError(ln)
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise GraphFormatError(f"edge line must contain integers, got {ln!r}") from exc
-        if u == v:
-            raise GraphFormatError(f"loop {u} {v} not allowed")
-        if u > v:
-            raise GraphFormatError(f"edge endpoints must satisfy u < v, got {ln!r}")
-        if not (0 <= u < v < n):
-            raise GraphFormatError(f"edge {u} {v} out of range for n={n}")
-        rows[u].append(v)
-        rows[v].append(u)
+        raise GraphFormatError(f"expected {m} edge lines, found {count}")
+    if fault is not None:
+        raise GraphFormatError(fault)
     for u, row in enumerate(rows):
         row.sort()
         if any(map(eq, row, row[1:])):
             # Rows before u hold no repeat, so each repeat here is a larger neighbour.
             v = next(v for v, w in zip(row, row[1:]) if v == w)
             raise GraphFormatError(f"duplicate edge {u} {v}")
-    return Graph(n, rows)
+        rows[u] = tuple(row)
+    return Graph._parsed(n, tuple(rows))
+
+
+def _line_fault(line: str, n: int) -> str | None:
+    """The message of the first fault of one significant edge line, checked
+    in this order: two tokens, integers (ASCII decimal digits only, so no
+    sign, "_" or "+"), no loop, u < v, v < n; None for a valid edge."""
+    parts = line.split()
+    if len(parts) != 2:
+        return f"edge line must be 'u v', got {line!r}"
+    if not "".join(parts).isdecimal():
+        return f"edge line must contain integers, got {line!r}"
+    u, v = map(int, parts)
+    if u == v:
+        return f"loop {u} {v} not allowed"
+    if u > v:
+        return f"edge endpoints must satisfy u < v, got {line!r}"
+    if v >= n:
+        return f"edge {u} {v} out of range for n={n}"
+    return None
 
 
 def serialize_edge_list(graph: Graph) -> str:
@@ -510,23 +494,25 @@ def parse_graph6(text: str) -> Graph:
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) != need:
         raise GraphFormatError(f"graph6 body length {len(body)}, expected {need}")
-    bits: list[int] = []
-    for ch in body:
-        value = ord(ch) - 63
-        if not 0 <= value <= 63:
-            raise GraphFormatError(f"invalid graph6 byte {ch!r}")
-        bits.extend((value >> s_) & 1 for s_ in (5, 4, 3, 2, 1, 0))
+    # Each byte "?".."~" becomes its six bits as "0"/"1", then as bytes 0/1;
+    # any other byte stays one character, which shortens the text.
+    bits = body.translate({c: format(c - 63, "06b") for c in range(63, 127)})
+    if len(bits) != 6 * len(body):
+        raise GraphFormatError(f"invalid graph6 byte {next(ch for ch in body if not '?' <= ch <= '~')!r}")
+    bits = bits.encode().translate(bytes.maketrans(b"01", b"\0\1"))
     # Column v holds v's smaller neighbours, ascending; v is larger than
     # every neighbour appended to a row before it, so the rows stay sorted.
     labels = list(range(n))
-    rows: list[list[int]] = [[] for _ in labels]
+    rows: list = [[] for _ in labels]
     k = 0
     for v in range(1, n):
-        rows[v] = list(compress(labels, bits[k : k + v]))
-        for u in rows[v]:
-            rows[u].append(v)
+        rows[v] = column = list(compress(labels, bits[k : k + v]))
+        # list.append returns None, so any() runs every append and stops at none.
+        any(map(list.append, map(rows.__getitem__, column), repeat(labels[v])))
         k += v
-    return Graph._parsed(n, tuple(map(tuple, rows)))
+    for u, row in enumerate(rows):
+        rows[u] = tuple(row)
+    return Graph._parsed(n, tuple(rows))
 
 
 _DOT_PALETTE = (

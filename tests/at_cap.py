@@ -163,6 +163,7 @@ _SYMMETRIC = {
 }
 _RELABELLINGS = (*((stem, 1) for stem in _SYMMETRIC), *((stem, 2) for stem in ("gp1000_33", "cp1000", "lt2000", "cwc2000")))
 _paley = cache(lambda: paley(1997))
+_k2000 = cache(lambda: cons.complete(2000))
 
 
 @cache
@@ -192,8 +193,11 @@ INPUTS: tuple[Input, ...] = (
     Input("paley1997.edges", lambda: serialize_edge_list(_paley())),
     Input("paley1997.g6", lambda: to_graph6(_paley()) + "\n"),
     Input("paley1997_relabelled.g6", lambda: to_graph6(relabelled(_paley(), 1)) + "\n"),
-    Input("k2000.edges", lambda: serialize_edge_list(cons.complete(2000))),
-    Input("k2000.g6", lambda: to_graph6(cons.complete(2000)) + "\n"),
+    Input("k2000.edges", lambda: serialize_edge_list(_k2000())),
+    Input("k2000.g6", lambda: to_graph6(_k2000()) + "\n"),
+    # Faults at the end of the text, so that each is found after the rest is read.
+    Input("k2000_loop.edges", lambda: serialize_edge_list(_k2000()).rsplit("\n", 2)[0] + "\n1999 1999\n"),
+    Input("k2000_bad_byte.g6", lambda: to_graph6(_k2000())[:-1] + "!\n"),
     Input("near_regular.edges", lambda: serialize_edge_list(_near_regular())),
     Input("k5_path1995.edges", lambda: serialize_edge_list(_clique_with_path(5, 1995))),
     Input("sun340.json", lambda: '{"family": "generalized-sun", "p": 3, "q": 2, "start": 340}\n'),
@@ -274,14 +278,14 @@ ROWS: tuple[Row, ...] = (
     _analyze("analyze GP(1000, 33)", 10, "gp1000_33.edges", order=2000, orbits=2),
     _analyze("analyze T(63)", 30, "t63.edges", order=factorial(63), orbits=1),
     _analyze("analyze K44 x K44", 30, "rook44.edges", order=2 * factorial(44) ** 2, orbits=1),
-    _analyze("analyze Paley(1997), graph6", 30, "--format", "graph6", "paley1997.g6", rss_mb=250, order=1997 * 998, orbits=1),
+    _analyze("analyze Paley(1997), graph6", 30, "--format", "graph6", "paley1997.g6", rss_mb=100, order=1997 * 998, orbits=1),
     _analyze("analyze Paley(1997), edge list", 30, "paley1997.edges", rss_mb=100, same_stdout_as="analyze Paley(1997), graph6"),
-    _analyze("analyze K2000, graph6", 60, "--format", "graph6", "k2000.g6", rss_mb=250, order=factorial(2000), orbits=1),
+    _analyze("analyze K2000, graph6", 60, "--format", "graph6", "k2000.g6", rss_mb=100, order=factorial(2000), orbits=1),
     _analyze("analyze K2000, edge list", 60, "k2000.edges", rss_mb=150, same_stdout_as="analyze K2000, graph6"),
     _analyze("analyze near-regular rigid graph", 60, "near_regular.edges", rss_mb=115, order=1, numpy=True),
     *(_relabelled_compare(stem, seed) for stem, seed in _RELABELLINGS),
     _compare("compare Paley(1997) relabelled", 60, "--format", "graph6", "paley1997.g6", "paley1997_relabelled.g6",
-             similar=True, same_graph=True),
+             rss_mb=100, similar=True, same_graph=True),
     # Refusals.  K5 with a long path is one the CLI cannot answer yet: its
     # Perron vector leaves the float range.
     _analyze("analyze K5 with a 1,995-vertex path", 10, "k5_path1995.edges", exit=4, stderr="spans more than the float range"),
@@ -292,6 +296,11 @@ ROWS: tuple[Row, ...] = (
     Row("sequence over-cap term", ("sequence", "huge.json"), 10, exit=4),
     Row("analyze graph6 size byte outside ?..~", ("analyze", "--format", "graph6", "size-field.g6"), 10, exit=2),
     Row("analyze edge list headed 3_0 2", ("analyze", "underscore.edges"), 10, exit=2),
+    # A faulty text is read once, in the memory of a valid one.
+    Row("analyze K2000 edge list ending in a loop", ("analyze", "k2000_loop.edges"), 10, rss_mb=100, exit=2,
+        stderr="loop 1999 1999 not allowed"),
+    Row("analyze K2000 graph6 ending in a byte outside ?..~", ("analyze", "--format", "graph6", "k2000_bad_byte.g6"), 10,
+        rss_mb=100, exit=2, stderr="invalid graph6 byte"),
 )
 
 

@@ -5,11 +5,12 @@ from __future__ import annotations
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import deque
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress, islice
 from math import factorial
 from operator import mul, truediv
 from pathlib import Path
@@ -20,7 +21,7 @@ import hypothesis.strategies as st
 import orbigraph
 from orbigraph.aut import AutGroup, Partition, _UnionFind, automorphism_group, orbit_partition
 from orbigraph.cli import _write_json
-from orbigraph.graph_core import Graph, is_connected
+from orbigraph.graph_core import Graph, GraphFormatError, _edge_list_header, _graph6_header, _significant, is_connected
 from orbigraph.orbital import DivisorMatrix, divisor_matrix
 from orbigraph.spectral import _Envelope
 
@@ -35,6 +36,67 @@ def run_child(code: str, *args: str, flags: tuple[str, ...] = ()) -> subprocess.
     """A fresh Python running code with args as sys.argv[1:], text output captured."""
     argv = [sys.executable, *flags, "-c", code, *args]
     return subprocess.run(argv, env=child_env(), capture_output=True, text=True, timeout=120)
+
+
+def line_scan(text: str) -> Graph:
+    """parse_edge_list one line at a time, with a list of all significant
+    lines, checked in the order of its messages: the edge-line count, then
+    each edge line, then duplicates.  An integer is ASCII decimal digits.
+    The reference that parse_edge_list is tested against."""
+    n, m = _edge_list_header(text)
+    lines = list(filter(_significant, text.splitlines()))
+    if len(lines) - 1 != m:
+        raise GraphFormatError(f"expected {m} edge lines, found {len(lines) - 1}")
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for ln in islice(lines, 1, None):
+        parts = ln.split()
+        if len(parts) != 2:
+            raise GraphFormatError(f"edge line must be 'u v', got {ln!r}")
+        if not all(re.fullmatch("[0-9]+", part) for part in parts):
+            raise GraphFormatError(f"edge line must contain integers, got {ln!r}")
+        u, v = int(parts[0]), int(parts[1])
+        if u == v:
+            raise GraphFormatError(f"loop {u} {v} not allowed")
+        if u > v:
+            raise GraphFormatError(f"edge endpoints must satisfy u < v, got {ln!r}")
+        if not (0 <= u < v < n):
+            raise GraphFormatError(f"edge {u} {v} out of range for n={n}")
+        rows[u].append(v)
+        rows[v].append(u)
+    for u, row in enumerate(rows):
+        row.sort()
+        # Rows before u hold no repeat, so each repeat here is a larger neighbour.
+        v = next((v for v, w in zip(row, row[1:]) if v == w), None)
+        if v is not None:
+            raise GraphFormatError(f"duplicate edge {u} {v}")
+    return Graph(n, rows)
+
+
+def graph6_bit_list(text: str) -> Graph:
+    """parse_graph6 with one list item per bit of the body, checked in the
+    order of its messages: more than one graph, the body length, then each
+    byte.  The reference that parse_graph6 is tested against."""
+    n, body = _graph6_header(text)
+    if "\n" in body or "\r" in body:
+        raise GraphFormatError("graph6 text holds more than one graph; one graph per file is read")
+    need = (n * (n - 1) // 2 + 5) // 6
+    if len(body) != need:
+        raise GraphFormatError(f"graph6 body length {len(body)}, expected {need}")
+    bits: list[int] = []
+    for ch in body:
+        value = ord(ch) - 63
+        if not 0 <= value <= 63:
+            raise GraphFormatError(f"invalid graph6 byte {ch!r}")
+        bits.extend((value >> s) & 1 for s in (5, 4, 3, 2, 1, 0))
+    # Column v holds v's smaller neighbours, upper triangle in column-major order.
+    rows: list[list[int]] = [[] for _ in range(n)]
+    k = 0
+    for v in range(1, n):
+        for u in compress(range(v), bits[k : k + v]):
+            rows[u].append(v)
+            rows[v].append(u)
+        k += v
+    return Graph(n, [sorted(row) for row in rows])
 
 
 def tied_star() -> Graph:

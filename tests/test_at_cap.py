@@ -58,6 +58,13 @@ MOVED = [
     ("compare crossed_prism(1000) relabelled", 60, 30),
     ("analyze CFI(cubic(11, 200))", 20, 22),
     ("compare CFI(cubic(11, 200)) relabelled", 60, 22),
+    # graph6 decoded with a list item per bit read 93 MB on K2000, and its
+    # edge list ending in a loop, parsed twice, 309 MB
+    ("analyze K2000, graph6", 60, 100),
+    ("analyze Paley(1997), graph6", 30, 100),
+    ("compare Paley(1997) relabelled", 60, 100),
+    ("analyze K2000 edge list ending in a loop", 10, 100),
+    ("analyze K2000 graph6 ending in a byte outside ?..~", 10, 100),
 ]
 
 

@@ -1,14 +1,16 @@
 import math
 import operator
 import re
+import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import connected_graphs
+from helpers import connected_graphs, graph6_bit_list, line_scan
 from orbigraph.aut import ColouredDigraph, isomorphism
 from orbigraph import graph_core
 from orbigraph.constructions import complete, cycle, path, star
@@ -18,10 +20,7 @@ from orbigraph.graph_core import (
     Graph,
     GraphFormatError,
     Ratio,
-    _bulk_rows,
     _edge_list_header,
-    _header,
-    _line_scan,
     _g6_encode_n,
     _graph6_header,
     cyclomatic_number,
@@ -82,6 +81,9 @@ class TestParseEdgeList:
             ("+3 2\n0 1\n1 2", "header must contain integers, got '+3 2'"),
             ("11 1\n0 1_0", "edge line must contain integers, got '0 1_0'"),
             ("3 2\n0 1\n+1 2", "edge line must contain integers, got '+1 2'"),
+            # int() reads "-0" as 0; a sign is no part of an edge line's integers
+            ("3 2\n-0 1\n0 2", "edge line must contain integers, got '-0 1'"),
+            ("3 2\n0 -1\n0 2", "edge line must contain integers, got '0 -1'"),
             ("3 -2", "edge count must be nonnegative, got -2"),
         ],
     )
@@ -167,23 +169,32 @@ def _outcome(parse, text: str) -> Graph | str:
 
 
 @settings(max_examples=400, deadline=None)
-@given(mutated_edge_lists(), st.sampled_from((1, 5, 16, graph_core._SLICE)))
-@example("3 2\n-0 1\n0 2", 1)
-def test_bulk_parse_agrees_with_the_line_scan(text, size):
-    # Small slices put slice boundaries inside the text.
-    expected = _outcome(_line_scan, text)
-    with mock.patch.object(graph_core, "_SLICE", size):
-        assert _outcome(parse_edge_list, text) == expected
-        if isinstance(expected, Graph):
-            # A valid text is read by the bulk pass alone, but for a "-0",
-            # which int() reads as 0 and only the line scan takes.
-            n, m, end = _header(text)
-            rows = _bulk_rows(text, end, n, m)
-            assert rows == expected.adjacency or rows is None and "-0" in text
-        elif not expected.startswith(("header", "empty", "vertex count", "edge count")):
-            # The bulk pass refuses every text the line scan refuses.
-            n, m, end = _header(text)
-            assert _bulk_rows(text, end, n, m) is None
+@given(mutated_edge_lists())
+@example("3 2\n-0 1\n0 2")
+def test_bulk_parse_agrees_with_the_line_scan(text):
+    expected = _outcome(line_scan, text)
+    # Small slices put slice boundaries inside the text, and a fault in an
+    # early slice leaves later slices to be only counted.
+    for size in (1, 5, 16, graph_core._SLICE):
+        with mock.patch.object(graph_core, "_SLICE", size):
+            assert _outcome(parse_edge_list, text) == expected, size
+
+
+def test_a_faulty_edge_list_is_read_in_the_memory_of_a_valid_one():
+    # K_300 has 44,850 edge lines; a loop as the last of them is found
+    # only after every slice before it is read.
+    valid = serialize_edge_list(complete(300))
+    faulty = valid.rsplit("\n", 2)[0] + "\n299 299\n"
+    peaks, outcomes = [], []
+    for text in (valid, faulty):
+        tracemalloc.start()
+        try:
+            outcomes.append(_outcome(parse_edge_list, text))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert outcomes == [complete(300), "loop 299 299 not allowed"]
+    assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 class TestGraphType:
@@ -461,6 +472,33 @@ def test_degree_sum_and_density_identities(g):
 def test_round_trips(g):
     assert parse_edge_list(serialize_edge_list(g)) == g
     assert parse_graph6(to_graph6(g)) == g
+
+
+@st.composite
+def mutated_graph6(draw) -> str:
+    """The graph6 text of a random graph on up to 80 vertices, so with a
+    size field of 1 or 4 bytes, with or without the ">>graph6<<" header and
+    a final line break, and often a fault: bytes outside "?".."~" at two
+    random offsets, a body one byte short or long, or a second line."""
+    rng = draw(st.randoms(use_true_random=False))
+    n, p = draw(st.integers(1, 80)), rng.random()
+    text = to_graph6(Graph.from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
+    fault = draw(st.integers(0, 4))
+    if fault == 1:
+        for at in rng.sample(range(len(text)), min(len(text), 2)):
+            text = text[:at] + rng.choice("\x00 !0>\x7f\x80\u00e9") + text[at + 1 :]
+    elif fault == 2:
+        text = text[:-1] if rng.random() < 0.5 else text + rng.choice("?~")
+    elif fault == 3:
+        text += rng.choice(("\n", "\r\n")) + text
+    return (">>graph6<<" if draw(st.booleans()) else "") + text + rng.choice(("", "\n"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_graph6())
+@example("Dh0")  # "0" lies below "?"
+def test_graph6_decode_agrees_with_the_bit_list(text):
+    assert _outcome(parse_graph6, text) == _outcome(graph6_bit_list, text)
 
 
 class TestGraph6:
