@@ -19,6 +19,11 @@ similarity is supposed to carry along a sequence: entropy, spectral radius
 (and that each reported divisor matrix has it as its Perron root), degree
 extremes, average and variance, principal ratio, edge-vertex ratio, the
 strict decay of the density index, and the cyclomatic trichotomy.
+A term's value agrees with the first term's if it is equal, for an int or
+a Ratio, and for a float if it lies within FLOAT_TOL times the first value's
+size, but never below FLOAT_TOL: the principal ratio of the paper's loaded
+cycles passes 1e6 with pendant paths of 20 vertices, where an absolute
+tolerance would ask for equal bits.
 Each term's record is spectral.analyze_term, the one per-graph analysis.
 """
 
@@ -368,11 +373,18 @@ class SequenceReport(Frozen):
         }
 
 
-def _constant_check(name: str, values, exact: bool) -> PreservationCheck:
+def _agree(v, v0) -> bool:
+    """v agrees with v0: a float within FLOAT_TOL times the size of v0, never
+    below FLOAT_TOL, and an int or Ratio exactly."""
+    if isinstance(v0, float):
+        return abs(v - v0) <= FLOAT_TOL * max(1.0, abs(v0))
+    return v == v0
+
+
+def _constant_check(name: str, values) -> PreservationCheck:
     first = values[0]
     for k, v in enumerate(values):
-        equal = v == first if exact else abs(v - first) < FLOAT_TOL
-        if not equal:
+        if not _agree(v, first):
             return PreservationCheck(name, False, f"term {k}: {v} differs from term 0: {first}")
     return PreservationCheck(name, True)
 
@@ -419,8 +431,8 @@ def _density_check(terms: Sequence[TermRecord]) -> PreservationCheck:
 def _rho_paths_check(terms: Sequence[TermRecord]) -> PreservationCheck:
     """Each term's reported divisor matrix B must have the certified adjacency
     radius as its Perron root: every Collatz-Wielandt quotient (B alpha)_i /
-    alpha_i at the term's orbit values alpha lies within FLOAT_TOL * max(1, rho)
-    of it, which brackets the Perron root of B there.  No matrix is solved."""
+    alpha_i at the term's orbit values alpha agrees with it (_agree), which
+    brackets the Perron root of B there.  No matrix is solved."""
     for k, t in enumerate(terms):
         b, alpha = t.divisor, t.orbit_values
         if b.ell != len(alpha):
@@ -429,7 +441,7 @@ def _rho_paths_check(terms: Sequence[TermRecord]) -> PreservationCheck:
             )
         quotients = [fsum(x * alpha[j] for j, x in row) / a for row, a in zip(b.rows, alpha)]
         worst = max(quotients, key=lambda q: abs(q - t.rho_adjacency))
-        if abs(worst - t.rho_adjacency) > FLOAT_TOL * max(1.0, t.rho_adjacency):
+        if not _agree(worst, t.rho_adjacency):
             return PreservationCheck(
                 "rho_paths_agree", False, f"term {k}: divisor matrix gives {worst}, adjacency {t.rho_adjacency}"
             )
@@ -442,15 +454,15 @@ def preservation_report(graphs: Sequence[Graph]) -> SequenceReport:
     terms = tuple(analyze_term(g) for g in graphs)
     verdict = _verdict([t.order for t in terms], [t.divisor for t in terms])
     checks = [
-        _constant_check("entropy", [t.entropy for t in terms], exact=False),
-        _constant_check("rho_adjacency", [t.rho_adjacency for t in terms], exact=False),
+        _constant_check("entropy", [t.entropy for t in terms]),
+        _constant_check("rho_adjacency", [t.rho_adjacency for t in terms]),
         _rho_paths_check(terms),
-        _constant_check("min_degree", [t.min_degree for t in terms], exact=True),
-        _constant_check("max_degree", [t.max_degree for t in terms], exact=True),
-        _constant_check("average_degree", [t.average_degree for t in terms], exact=True),
-        _constant_check("degree_variance", [t.degree_variance for t in terms], exact=True),
-        _constant_check("principal_ratio", [t.principal_ratio for t in terms], exact=False),
-        _constant_check("edge_vertex_ratio", [t.edge_vertex_ratio for t in terms], exact=True),
+        _constant_check("min_degree", [t.min_degree for t in terms]),
+        _constant_check("max_degree", [t.max_degree for t in terms]),
+        _constant_check("average_degree", [t.average_degree for t in terms]),
+        _constant_check("degree_variance", [t.degree_variance for t in terms]),
+        _constant_check("principal_ratio", [t.principal_ratio for t in terms]),
+        _constant_check("edge_vertex_ratio", [t.edge_vertex_ratio for t in terms]),
         _density_check(terms),
         _cyclomatic_check(terms),
     ]

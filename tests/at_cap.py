@@ -202,6 +202,7 @@ INPUTS: tuple[Input, ...] = (
     Input("k5_path1995.edges", lambda: serialize_edge_list(_clique_with_path(5, 1995))),
     Input("sun340.json", lambda: '{"family": "generalized-sun", "p": 3, "q": 2, "start": 340}\n'),
     Input("sun300.json", lambda: '{"family": "generalized-sun", "p": 3, "q": 2, "start": 300}\n'),
+    Input("loaded_cycles400.json", lambda: '{"family": "loaded-multi-torus", "q": 1, "m": 400, "r": 1, "schedule": [3, 4]}\n'),
     Input("complete.json", lambda: '{"family": "complete-graphs"}\n'),
     Input("malformed.json", lambda: '{"family": "cycles", "base": 5}\n'),
     Input("huge.json", lambda: '{"family": "cycles", "start": 1000000000000}\n'),
@@ -267,6 +268,10 @@ ROWS: tuple[Row, ...] = (
     _analyze("analyze crossed_prism(1000)", 60, "cp1000.edges", rss_mb=30, order=1000 * 2**500),
     Row("sequence generalized-sun from 340, 2 terms", ("sequence", "--count", "2", "sun340.json"), 60),
     Row("sequence generalized-sun from 300, 40 terms", ("sequence", "--count", "40", "sun300.json"), 60, rss_mb=150),
+    # The paper's loaded cycles with 400-vertex pendant paths, 1,203 and
+    # 1,604 vertices: principal ratios of about 3.4e120, which agree between
+    # the terms only relative to their size.
+    Row("sequence loaded cycles, m = 400, 2 terms", ("sequence", "--json", "--count", "2", "loaded_cycles400.json"), 10),
     # beta = m - n + 1 = 225 - 150 + 1 of the base
     _analyze("analyze CFI(rigid_cubic(11, 150))", 20, "cfi150.edges", order=2**76),
     _analyze("analyze CFI(cubic(11, 200))", 20, "cfi200.edges", rss_mb=22, order=2**101, orbits=800),

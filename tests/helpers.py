@@ -365,6 +365,43 @@ def dense_singleton_map(first_leaf: Sequence[int], node) -> dict[int, int] | Non
     return image
 
 
+def bfs_profile_split(adj: Sequence[Sequence[int]], cell: Sequence[int]) -> list[list[int]] | None:
+    """The cell split by its members' distance-layer profiles, from a plain
+    BFS of each member's whole ball; the reference for aut._profile_split
+    without its budget.
+
+    Entry d of a member's profile is the size of layer d, the arcs out of
+    layer d-1 into layer d beyond one per vertex of layer d, and the arcs
+    out of layer d-1 into layer d-1; the last entry is that of the first
+    empty layer.  The cell splits at the first entry where the members
+    differ, fragments in ascending entry order; None if they never do.
+    """
+    profiles = []
+    for v in cell:
+        distance, layers = {v: 0}, [[v]]
+        while layers[-1]:
+            layer = []
+            for u in layers[-1]:
+                for w in adj[u]:
+                    if w not in distance:
+                        distance[w] = len(layers)
+                        layer.append(w)
+            layers.append(layer)
+        profile = []
+        for d in range(1, len(layers)):
+            heads = [distance[w] for u in layers[d - 1] for w in adj[u]]
+            profile.append((len(layers[d]), heads.count(d) - len(layers[d]), heads.count(d - 1)))
+        profiles.append(profile)
+    for d in range(max(map(len, profiles))):
+        entries = [profile[d] if d < len(profile) else None for profile in profiles]
+        if len(set(entries)) > 1:
+            fragments: dict = {}
+            for v, entry in zip(cell, entries):
+                fragments.setdefault(entry, []).append(v)
+            return [fragments[entry] for entry in sorted(fragments)]
+    return None
+
+
 def partition_by(colour) -> Partition:
     """Partition of 0..n-1 grouping vertices of equal colour[v], canonical order."""
     cells: dict = {}

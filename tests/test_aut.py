@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from helpers import (
     all_connected_graphs,
     all_graphs,
+    bfs_profile_split,
     brute_force_group_order,
     brute_force_orbits,
     certified_rigid,
@@ -617,30 +618,29 @@ def test_generalized_petersen_corpus_searches_no_level_twice(monkeypatch):
             _uncached_group(generalized_petersen(n, k))
 
 
-def _marked_first_layer(v, row):
-    """Step 1 of v's profile as _profile_split's marking loop takes a step:
-    layer 0 is v alone, a head seen for the first time joins the new layer,
-    a head seen again is an extra arc, and v itself an arc inside layer 0."""
-    mark = {v: "last"}
-    new, extra, inside = [], 0, 0
-    for w in row:
-        if w not in mark:
-            mark[w] = "new"
-            new.append(w)
-        elif mark[w] == "new":
-            extra += 1
-        else:
-            inside += 1
-    return (len(new), extra, inside), new
+@st.composite
+def _multigraph_rows(draw):
+    """Rows of a multigraph on 2..8 vertices with a cell of it: u -> v exists
+    iff v -> u does, but the two multiplicities may differ, and a vertex may
+    have loops, as in twin quotients and cell digraphs."""
+    n = draw(st.integers(2, 8))
+    rows = [[v] * draw(st.integers(0, 2)) for v in range(n)]
+    for u, v in itertools.combinations(range(n), 2):
+        if draw(st.booleans()):
+            rows[u] += [v] * draw(st.integers(1, 3))
+            rows[v] += [u] * draw(st.integers(1, 3))
+    rows = [tuple(draw(st.permutations(row))) for row in rows]
+    cell = draw(st.permutations(range(n)))[: draw(st.integers(2, n))]
+    return rows, list(cell)
 
 
-@given(st.integers(0, 6).flatmap(lambda v: st.tuples(st.just(v), st.lists(st.integers(0, 6), max_size=24))))
-def test_first_layer_equals_the_marking_loop(case):
-    # Multigraph rows: heads repeat, and v may be among them as loops.
-    v, row = case
-    entry, layer = _marked_first_layer(v, row)
-    assert aut._first_entry(v, tuple(row)) == entry
-    assert aut._first_layer(v, tuple(row)) == layer
+@settings(max_examples=300, deadline=None)
+@given(_multigraph_rows())
+def test_profile_split_equals_the_per_member_bfs(case):
+    rows, cell = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(aut, "PROFILE_WORK", 10**9)
+        assert aut._profile_split(rows, cell) == bfs_profile_split(rows, cell)
 
 
 def _counted(adjacency):

@@ -103,11 +103,15 @@ def _spec(tmp_path, spec):
     return str(path)
 
 
-def test_sequence_with_thirteen_orbits_verifies(tmp_path, capsys):
-    spec = {"family": "loaded-multi-torus", "q": 1, "m": 12, "r": 1, "schedule": [3, 4, 5, 6, 7]}
+@pytest.mark.parametrize("m", [12, 20, 28])
+def test_sequence_of_loaded_cycles_verifies(m, tmp_path, capsys):
+    # The paper's loaded cycles, m + 1 orbits.  From m = 20 on, the terms'
+    # principal ratios (about 1.4e6 at m = 20, 3.6e8 at m = 28) agree only
+    # relative to their size.
+    spec = {"family": "loaded-multi-torus", "q": 1, "m": m, "r": 1, "schedule": [3, 4, 5, 6, 7]}
     assert main(["sequence", "--json", "--count", "5", _spec(tmp_path, spec)]) == EXIT_OK
     report = json.loads(capsys.readouterr().out)
-    assert report["ok"] and [t["divisor"]["ell"] for t in report["terms"]] == [13] * 5
+    assert report["ok"] and [t["divisor"]["ell"] for t in report["terms"]] == [m + 1] * 5
 
 
 def test_sequence_of_complete_graphs_fails_verification(tmp_path, capsys):
@@ -379,7 +383,7 @@ def test_sequence_term_above_the_cap_is_a_resource_error(tmp_path, capsys):
     ids=["generalized-sun", "loaded-multi-torus-m3", "corona-family", "cycles-to-the-cap"],
 )
 def test_sequences_below_the_cap_verify(spec, tmp_path, capsys):
-    # The benchmark's sequence specs (test_sequence_with_thirteen_orbits_verifies
+    # The benchmark's sequence specs (test_sequence_of_loaded_cycles_verifies
     # has its m=12 one), and cycles whose last term sits at the cap.
     assert main(["sequence", "--count", "5", _spec(tmp_path, spec)]) == EXIT_OK
     assert "self-similar: True" in capsys.readouterr().out

@@ -11,7 +11,7 @@ from helpers import from_dense, rigid_cubic
 from orbigraph import constructions as cons
 from orbigraph import orbital, sequences, spectral
 from orbigraph.constructions import complete, crossed_prism, cycle, cycle_with_cliques, loaded_torus, path
-from orbigraph.graph_core import Graph
+from orbigraph.graph_core import Graph, Ratio
 from orbigraph.orbital import orbitally_similar
 from orbigraph.sequences import SequenceSpec, analyze_term, generate, preservation_report, verify_self_similar
 
@@ -215,6 +215,25 @@ def test_rho_paths_flags_a_wrong_divisor_matrix(monkeypatch):
     check = _check(preservation_report(_cycles(3)), "rho_paths_agree")
     assert not check.passed
     assert check.detail.startswith("term 1: divisor matrix gives 3.0")
+
+
+@pytest.mark.parametrize(
+    "values, passed",
+    [
+        # The m = 20 loaded cycles' principal ratios, 1.4e-15 apart relative to their size.
+        ([1398101.333328415, 1398101.333328413], True),
+        ([0.0, 1e-9], True),
+        ([0.0, 2e-9], False),
+        ([1e12, 1e12 * (1 + 1e-8)], False),
+        ([Ratio(1, 3), Ratio(1, 3) + Ratio(1, 10**20)], False),
+        ([Ratio(7, 2), Ratio(14, 4)], True),
+        ([3, 3, 4], False),
+    ],
+)
+def test_constant_check_scales_floats_and_keeps_exact_values_exact(values, passed):
+    # Floats agree within FLOAT_TOL times the first value's size, never
+    # below FLOAT_TOL; ints and Ratios only when equal.
+    assert sequences._constant_check("x", values).passed is passed
 
 
 def test_term_record_fields_cannot_be_assigned():

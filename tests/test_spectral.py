@@ -1,6 +1,7 @@
 import ast
 import math
 import random
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from helpers import (
 from orbigraph import constructions as cons
 from orbigraph import spectral
 from orbigraph.aut import Partition, orbit_partition, unit_partition
-from orbigraph.constructions import cartesian_product, complete, cycle, cycle_with_cliques, path, star
+from orbigraph.constructions import cartesian_product, complete, cycle, cycle_with_cliques, loaded_torus, path, star
 from orbigraph.graph_core import Graph, degree_stats, is_connected
 from orbigraph.orbital import divisor_matrix, orbit_divisor_matrix
 from orbigraph.sequences import SequenceSpec, generate
@@ -275,6 +276,21 @@ def test_a_pendant_path_falls_as_its_closed_form(k, length):
     theta = math.acosh(data.rho / 2)
     ratio = data.vector[0] / data.vector[k + length - 1]
     assert ratio == pytest.approx(math.sinh((length + 1) * theta) / math.sinh(theta), rel=1e-11)
+
+
+@pytest.mark.parametrize("m, k", [(30, 3), (120, 4), (400, 3), (600, 3)])
+def test_loaded_cycles_have_their_closed_form_perron_data(m, k):
+    # The paper's loaded cycles: a k-cycle with a pendant path of m vertices
+    # at each vertex.  Along a path x_j is proportional to sinh((m + 1 - j) theta),
+    # with 2 cosh theta = rho and sinh((m + 2) theta) = 2 sinh((m + 1) theta).
+    # For m >= 30, e^theta = 2 to double precision, so rho = 5/2 and the
+    # principal ratio is sinh((m + 1) theta) / sinh theta = (2^(m+2) - 2^-m) / 3,
+    # for any k; at m = 600 it is about 5.5e180.
+    term = analyze_term(loaded_torus((k,), 1, m))
+    assert term.order == k * (m + 1)
+    assert abs(term.rho_adjacency - 2.5) <= 1e-12
+    exact = (Fraction(2) ** (m + 2) - Fraction(1, 2**m)) / 3
+    assert abs(Fraction(term.principal_ratio) - exact) <= Fraction(1, 10**12) * exact
 
 
 class TestOrbitConstancy:
