@@ -621,6 +621,23 @@ def _fold(
 PROFILE_WORK = 16
 
 
+def _first_entry(v: int, row: Sequence[int]) -> tuple[int, int, int]:
+    """Step 1's entry of v's profile, from v's row alone: the distinct heads
+    but v, which make v's first layer, the arcs to them beyond one per head,
+    and the loops at v, the arcs inside layer 0."""
+    heads = set(row)
+    loops = row.count(v) if v in heads else 0
+    new = len(heads) - (loops > 0)
+    return new, len(row) - loops - new, loops
+
+
+def _first_layer(v: int, row: Sequence[int]) -> list[int]:
+    """v's first layer: the distinct heads of its row but v, in first-seen order."""
+    layer = dict.fromkeys(row)
+    layer.pop(v, None)
+    return list(layer)
+
+
 def _profile_split(adj: Sequence[Sequence[int]], cell: list[int]) -> list[list[int]] | None:
     """The cell split by its members' distance-layer profiles, fragments in
     ascending profile order, or None if it does not split within
@@ -632,9 +649,8 @@ def _profile_split(adj: Sequence[Sequence[int]], cell: list[int]) -> list[list[i
     per step until the cell splits; a member stops once its new layer is
     empty, with the last entry (0, 0, arcs inside its last layer).
 
-    Every member starts at layer 0, itself, with an empty layer before it,
-    so step 1 reads its row alone: a head seen once more is an extra arc
-    and a loop an arc inside layer 0.  From step 2 on, every arc has a
+    Step 1 reads each member's row alone (_first_entry), and its first
+    layer is listed only if step 2 runs.  From step 2 on, every arc has a
     reverse, so a head of an arc out of the last layer lies in that layer,
     the one before it or the next one.  So between steps a member keeps only
     its last two layers, never its ball, and marks them afresh when it
@@ -645,13 +661,16 @@ def _profile_split(adj: Sequence[Sequence[int]], cell: list[int]) -> list[list[i
     degrees alone, so whether the cell splits does not depend on the labels.
     """
     budget, widest = PROFILE_WORK * sum(map(len, adj)), max(map(len, adj))
+    work = widest * len(cell)
+    if work > budget:
+        return None
     # The entries of the last step.  The members have agreed on every entry
     # so far, so they all get one at a step or none does, and that step's
     # entries alone split the cell, in ascending profile order.
-    step: dict[int, tuple[int, int, int]] = {}
-    # A growing member's previous layer and last layer.
-    state: dict[int, tuple[list[int], list[int]]] = {v: ([], [v]) for v in cell}
-    frontier, work = len(cell), 0
+    step = {v: _first_entry(v, adj[v]) for v in cell}
+    frontier = sum(entry[0] for entry in step.values())
+    # A growing member's previous layer and last layer, once step 2 runs.
+    state: dict[int, tuple[list[int], list[int]]] | None = None
     # While a member grows, mark[w] is base for its last layer but one,
     # base + 1 for its last layer and base + 2 for the new one; every other
     # mark is below base, which moves past all marks before each member.
@@ -662,6 +681,8 @@ def _profile_split(adj: Sequence[Sequence[int]], cell: list[int]) -> list[list[i
         # frontier counts the last layers, so it is 0 once no member grows.
         if not frontier or work > budget:
             return None
+        if state is None:
+            state = {v: ([v], _first_layer(v, adj[v])) for v in cell if step[v][0]}
         step = {}
         frontier = 0
         for v, (previous, layer) in list(state.items()):
