@@ -174,8 +174,6 @@ def orbit_profile(graph: Graph) -> OrbitProfile:
         raise ValueError("orbit profile defined here for connected graphs only")
     n = graph.n
     sizes = sorted(map(len, orbit_partition(graph).cells), reverse=True)
-    if sizes[-1] <= 0 or sum(sizes) != n:
-        raise ValueError(f"orbit sizes {sizes} are not a partition of {n}")
     ratios = {s: Ratio(s, n) for s in set(sizes)}
     # entropy_of's float terms, each computed once per distinct size
     terms = {s: s / n * math.log2(s / n) for s in ratios}

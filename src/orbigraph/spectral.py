@@ -451,15 +451,13 @@ def spectral_radius_divisor(dm: DivisorMatrix) -> float:
 class TermRecord(Frozen):
     """All per-graph quantities of one connected graph.
 
-    density is None below two vertices, where it is undefined.  orbit_values
-    is the Perron vector of divisor on the cells, as certified on the graph;
-    it is not reported.
+    density is None below two vertices, where it is undefined.
     """
 
     __slots__ = _fields = (
         "order", "size", "orbits", "group_order", "divisor", "omega", "entropy", "rho_adjacency", "rho_divisor",
         "principal_ratio", "min_degree", "max_degree", "average_degree", "degree_variance", "edge_vertex_ratio",
-        "density", "cyclomatic_number", "orbit_values",
+        "density", "cyclomatic_number",
     )
     order: int
     size: int
@@ -478,14 +476,11 @@ class TermRecord(Frozen):
     edge_vertex_ratio: Ratio
     density: Ratio | None
     cyclomatic_number: int
-    orbit_values: tuple[float, ...]
 
     def as_dict(self) -> dict:
-        """The analyze report: every field but orbit_values, in field order,
-        ratios as "p/q", and the divisor matrix itself, which the CLI's
-        JSON writer expands."""
+        """The analyze report: every field, in field order, ratios as "p/q",
+        and the divisor matrix itself, which the CLI's JSON writer expands."""
         report = self._asdict()
-        del report["orbit_values"]
         report["orbits"] = list(map(list, self.orbits))
         report["omega"] = list(map(frac_str, self.omega))
         for key in ("average_degree", "degree_variance", "edge_vertex_ratio", "density"):
@@ -517,5 +512,4 @@ def analyze_term(graph: Graph) -> TermRecord:
         edge_vertex_ratio=edge_vertex_ratio(graph),
         density=density(graph) if graph.n >= 2 else None,
         cyclomatic_number=cyclomatic_number(graph),
-        orbit_values=perron.orbit_values,
     )

@@ -63,7 +63,9 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import bench_inputs as bi  # noqa: E402
-from helpers import cfi_graph, generalized_petersen, paley, relabelled, rigid_cubic, two_hamiltonian_cycles  # noqa: E402
+from helpers import (  # noqa: E402
+    cfi_graph, generalized_petersen, paley, relabelled, rigid_cubic, triangular, two_hamiltonian_cycles,
+)
 from orbigraph import constructions as cons  # noqa: E402
 from orbigraph.graph_core import Graph, serialize_edge_list, to_graph6  # noqa: E402
 
@@ -126,14 +128,6 @@ def _near_regular() -> Graph:
     return two_hamiltonian_cycles(Random(3), 2000)
 
 
-def _triangular(k: int) -> Graph:
-    """T(k), the line graph of K_k: two pairs are adjacent iff they meet.
-    Two pairs meet in at most one point, so each edge lies in one point's clique."""
-    pairs = list(combinations(range(k), 2))
-    index = {p: i for i, p in enumerate(pairs)}
-    return Graph.from_edges(len(pairs), [e for x in range(k) for e in combinations([index[p] for p in pairs if x in p], 2)])
-
-
 def _clique_with_path(k: int, length: int) -> Graph:
     """K_k with a path of `length` further vertices hung at vertex 0."""
     edges = [*combinations(range(k), 2), (0, k), *((v, v + 1) for v in range(k, k + length - 1))]
@@ -156,7 +150,7 @@ _SYMMETRIC = {
     "cfi_prism": ("CFI(prism(path(100))) by gadget", 20, None, lambda: cfi_graph(sorted(cons.prism(cons.path(100)).edges), by_gadget=True)),
     "gp1000_33": ("GP(1000, 33)", 60, None, lambda: generalized_petersen(1000, 33)),
     "cp1000": ("crossed_prism(1000)", 60, 30, lambda: cons.crossed_prism(1000)),
-    "t63": ("T(63)", 60, None, lambda: _triangular(63)),
+    "t63": ("T(63)", 60, None, lambda: triangular(63)),
     "rook44": ("K44 x K44", 60, None, lambda: cons.cartesian_product(cons.complete(44), cons.complete(44))),
     "lt2000": ("loaded_torus((20, 20), 2, 2)", 60, None, lambda: cons.loaded_torus((20, 20), 2, 2)),
     "cwc2000": ("cycle_with_cliques(400, 3, 2)", 60, None, lambda: cons.cycle_with_cliques(400, 3, 2)),

@@ -243,6 +243,14 @@ def paley(q: int) -> Graph:
     return Graph.from_edges(q, [(x, y) for x in range(q) for y in range(x + 1, q) if y - x in squares])
 
 
+def triangular(k: int) -> Graph:
+    """T(k), the line graph of K_k: two pairs are adjacent iff they meet.
+    Two pairs meet in at most one point, so each edge lies in one point's clique."""
+    pairs = list(combinations(range(k), 2))
+    index = {p: i for i, p in enumerate(pairs)}
+    return Graph.from_edges(len(pairs), [e for x in range(k) for e in combinations([index[p] for p in pairs if x in p], 2)])
+
+
 def all_graphs(n: int):
     """Every labeled graph on 0..n-1."""
     pairs = list(combinations(range(n), 2))

@@ -38,6 +38,7 @@ from helpers import (
     tied_star,
     tree_symmetry,
     trees,
+    triangular,
     two_hamiltonian_cycles,
     vertex_permutations,
 )
@@ -943,12 +944,6 @@ def test_twins_and_folds_under_relabellings(graph, order):
         assert other.orbits == Partition.from_cells([[image[v] for v in cell] for cell in group.orbits.cells]).canonical()
 
 
-def _triangular(k: int) -> Graph:
-    """T(k), the line graph of K_k: the pairs from 0..k-1, adjacent when they meet."""
-    pairs = list(itertools.combinations(range(k), 2))
-    return Graph.from_edges(len(pairs), [(i, j) for (i, p), (j, q) in itertools.combinations(enumerate(pairs), 2) if set(p) & set(q)])
-
-
 @pytest.mark.parametrize(
     "graph",
     [
@@ -958,7 +953,7 @@ def _triangular(k: int) -> Graph:
         generalized_petersen(12, 5),
         cfi_graph(sorted(frucht().edges)),
         # dense and symmetric: first paths of 5 and 6 levels
-        _triangular(6),
+        triangular(6),
         cartesian_product(complete(4), complete(4)),
     ],
 )

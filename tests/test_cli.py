@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from helpers import child_env, dense, rigid_cubic, run_child, tied_star, written
 from orbigraph import __version__
 from orbigraph import constructions as cons
-from orbigraph import sequences, spectral
+from orbigraph import cli, sequences, spectral
 from orbigraph.cli import (
     EXIT_DISCONNECTED,
     EXIT_DISSIMILAR,
@@ -867,6 +867,16 @@ def test_an_unexpected_exception_ends_in_its_traceback_and_exit_one():
     child = run_child(_RAISING)
     assert child.returncode == 1
     assert child.stderr.startswith("Traceback") and child.stderr.endswith("RuntimeError: a bug\n")
+
+
+def test_a_value_error_from_a_handler_is_a_parse_error(monkeypatch, capsys):
+    def handler(args):
+        raise ValueError("x")
+
+    monkeypatch.setitem(cli.COMMANDS, "demo", cli.COMMANDS["demo"]._replace(handler=handler))
+    assert main(["demo", "table1"]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: x\n"
 
 
 def test_non_ascii_input_names_its_file(tmp_path, capsys):

@@ -45,10 +45,17 @@ def path_closed_form(n: int) -> tuple[float, float]:
 
 
 def assert_certified(data) -> None:
+    """The bracket is narrow and holds both radii, and so does every
+    Collatz-Wielandt quotient (B alpha)_i / alpha_i of the divisor matrix
+    at the orbit values: the equitable-partition lemma checked on B."""
     lo, hi = data.bracket
     tol = 1e-10 * max(1.0, data.rho)
     assert hi - lo <= tol
     assert lo - tol <= data.rho <= hi + tol and lo - tol <= data.rho_divisor <= hi + tol
+    alpha = data.orbit_values
+    assert len(alpha) == data.divisor.ell
+    for row, a in zip(data.divisor.rows, alpha):
+        assert lo - tol <= math.fsum(x * alpha[j] for j, x in row) / a <= hi + tol
 
 
 def rho_charpoly_oracle(entries) -> float:
