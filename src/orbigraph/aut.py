@@ -52,38 +52,39 @@ Anders, Schweitzer & Stiess (Engineering a preprocessor for symmetry
 detection, SEA 2023) use the same preprocessing.
 
 The search runs on the last quotient, with no recursion, and keeps one
-partition per search path, as nauty's partition nest keeps every level of
-its path in one lab/ptn pair (McKay & Piperno, J. Symbolic Comput. 60,
-2014).  The first path is a loop from the root, in place: each level
-individualizes the smallest vertex of the first smallest non-singleton
-cell, refines with that singleton as the only splitter and keeps its trace.
-A trace event names the start of the cell it split and its fragments'
-sizes, and the first fragment keeps the start, so undoing a level's events
-latest first, then its individualization, gives back the level above
-(_Cells.undo).  Only each vertex's cell and the cell lengths change back: a
-cell keeps the first leaf's order of its vertices, which nothing reads, as
-traces record positions and counts, candidates are sorted and the singleton
-map reads singletons and cell membership.  The levels are then undone and
-tried deepest first, so while the candidates of level L are tried, every
-generator found so far fixes the first L base vertices; one union-find over
-all generators therefore holds the orbits of that stabiliser, and a
-candidate is tried only if its orbit holds neither the base vertex nor a
-refuted candidate.  Below the first path a node tries one child per orbit
-of the generators that fix every vertex individualized down to it, taken
-once its first child is refuted; a child keeps those that fix its vertex.
-This is nauty's rule (McKay, Congressus Numerantium 30, 1981; McKay &
-Piperno 2014): such a generator maps the node onto itself and one child's
-subtree onto another's.  A candidate is searched depth first on an explicit
-stack that keeps only its deepest node: a child is a copy of its parent,
-and a parent is its last child with that child's level undone.  A node is
-abandoned at the first trace event that differs from the first path at its
-level.  Sparse automorphisms are found without descending to a leaf (Darga,
+partition, as nauty's partition nest keeps every level of its path in one
+lab/ptn pair (McKay & Piperno, J. Symbolic Comput. 60, 2014).  The first
+path is a loop from the root, in place: each level individualizes the
+smallest vertex of the first smallest non-singleton cell, refines with that
+singleton as the only splitter and keeps its trace; its leaf's order is
+copied once.  A trace event names the start of the cell it split and its
+fragments' sizes, and the first fragment keeps the start, so undoing a
+refinement's events latest first, then its individualization, gives back
+the node it started from (_Cells.undo).  Only each vertex's cell and the
+cell lengths change back: a cell may keep another order of its vertices,
+which nothing reads, as traces record positions and counts, candidates are
+sorted and the singleton map reads singletons and cell membership.  The
+levels are then undone and tried deepest first, so while the candidates of
+level L are tried, every generator found so far fixes the first L base
+vertices; one union-find over all generators therefore holds the orbits of
+that stabiliser, and a candidate is tried only if its orbit holds neither
+the base vertex nor a refuted candidate.  Below the first path a node tries
+one child per orbit of the generators that fix every vertex individualized
+down to it, taken once its first child is refuted; a child keeps those that
+fix its vertex.  This is nauty's rule (McKay, Congressus Numerantium 30,
+1981; McKay & Piperno 2014): such a generator maps the node onto itself and
+one child's subtree onto another's.  A candidate is searched depth first on
+an explicit stack, in the same partition: a child is its parent
+individualized and refined, and its parent again once the events of that
+refinement are undone.  A refinement stops at the first trace event that
+differs from the first path at its level, and the child is undone at once.
+Sparse automorphisms are found without descending to a leaf (Darga,
 Sakallah & Markov, Faster symmetry discovery using sparsity of symmetries,
 DAC 2008): when every non-singleton cell of a node holds the same vertices
 as on the first path, the map between the two nodes' singletons, fixing
 everything else, is tested at once.  It is kept if it maps every moved
 vertex's row onto its image's row; if it fails, no leaf below the node is
-an automorphism, and the node is dropped.
+an automorphism, and the node is undone.
 
 Refinement cannot split the root cell of a regular graph, and a rigid one
 leaves nothing to prune, so each of its n-1 root candidates would be
@@ -146,7 +147,7 @@ would match in more than one way.
 
 from bisect import bisect_left, bisect_right
 from collections import deque
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from itertools import chain, compress
 from math import factorial
@@ -293,9 +294,6 @@ class _Cells:
             pos[v] = p
         return cls(lab, pos, cell_of, clen, ncells)
 
-    def copy(self) -> "_Cells":
-        return _Cells(self.lab[:], self.pos[:], self.cell_of[:], self.clen[:], self.ncells)
-
     def undo(self, trace: list, c: int) -> None:
         """Merge back the splits of `trace`, latest first, then the singleton
         that individualizing a member of the cell at c split off before it.
@@ -352,27 +350,19 @@ class _Cells:
         self.ncells += 1
         return last
 
-    def refine(self, adj: Sequence[Sequence[int]], splitters: Iterable[int], ref: list | None = None) -> list | None:
-        """Refine to the coarsest equitable partition finer than self.
+    def refine(self, adj: Sequence[Sequence[int]], splitters: Iterable[int], ref: list | None = None) -> list:
+        """Refine to the coarsest equitable partition finer than self, and
+        return the trace events made, in order.
 
         `splitters` must be the starts of the cells whose neighbour counts
-        may not be constant on other cells.  Returns the trace, or None as
-        soon as it departs from `ref` when a reference trace is given.
+        may not be constant on other cells.  Given a reference trace `ref`,
+        it stops right after its first event that departs from ref, an event
+        past ref's end included, and returns `ref` itself iff its events are
+        ref's; either way, undoing the returned events takes back every split.
         """
-        if ref is None:
-            return list(self.splits(adj, splitters))
-        i = 0
-        for event in self.splits(adj, splitters):
-            if i == len(ref) or ref[i] != event:
-                return None
-            i += 1
-        return ref if i == len(ref) else None
-
-    def splits(self, adj: Sequence[Sequence[int]], splitters: Iterable[int]) -> Iterator[tuple]:
-        """Refine as `refine` does, yielding each split's trace event once it
-        is made; a caller may stop at any event."""
         lab, pos, cell_of, clen = self.lab, self.pos, self.cell_of, self.clen
         n = len(lab)
+        events: list = []
         queue = deque(splitters)
         queued = [False] * n
         for s in queue:
@@ -424,7 +414,10 @@ class _Cells:
                         cell_of[w] = start
                         p += 1
                 self.ncells += len(frags) - 1
-                yield s, c, tuple(sig)
+                event = (s, c, tuple(sig))
+                events.append(event)
+                if ref is not None and (len(ref) < len(events) or ref[len(events) - 1] != event):
+                    return events
                 if queued[c]:
                     del frags[0]
                 else:
@@ -433,6 +426,7 @@ class _Cells:
                 for f in frags:
                     queued[f] = True
                     queue.append(f)
+        return ref if ref is not None and len(ref) == len(events) else events
 
 
 def equitable_refinement(graph: Graph, seed: Partition | None = None) -> Partition:
@@ -796,9 +790,7 @@ class _AutSearch:
         while (c := self.targets[-1]) >= 0:
             self.first_traces.append(node.refine(self.adj, [node.individualize(min(node.lab[c : c + node.clen[c]]))]))
             self.targets.append(node.target())
-        # Nothing moves lab or pos from here on: undo keeps them, and the
-        # search below the first path works on copies.
-        self.first_leaf, self.first_pos = node.lab, node.pos
+        self.first_leaf, self.first_pos = node.lab[:], node.pos[:]
         # Deepest level first: every generator found so far fixes the base
         # vertices above the level being tried.
         for level in reversed(range(len(self.first_traces))):
@@ -829,10 +821,12 @@ class _AutSearch:
         `level`, for an automorphism; stops at the first one found, kept as
         the last generator, and says whether there was one.  A node tries
         its smallest child, then one child per other orbit of the generators
-        that fix its path (see the module docstring).  Only the deepest node
-        is kept: a child is its parent's copy, refined and abandoned once
-        its trace departs from the first path's, and a parent is its last
-        child with that child's level undone; node itself is not changed."""
+        that fix its path (see the module docstring).  Every child is made in
+        node itself: individualized and refined against the first path's
+        trace at its level, and undone, by exactly the events its refinement
+        made, once that trace departs, its singletons give a candidate, or
+        its subtree is done.  node ends with the cells it was given, though
+        the order of the vertices within a cell may differ."""
         # An entry: its level, its children to try (popped from the end),
         # its sorted target cell until the first child is done, and the
         # generators that fix its path once those moving `unfixed` are dropped.
@@ -850,17 +844,23 @@ class _AutSearch:
                     entry[1:] = _other_orbits(cell, gens), None, gens, ()
                 continue
             u = todo.pop()
-            child = node.copy()
-            if child.refine(self.adj, [child.individualize(u)], self.first_traces[level - 1]) is None:
+            c, ref = self.targets[level - 1], self.first_traces[level - 1]
+            events = node.refine(self.adj, [node.individualize(u)], ref)
+            if events is not ref:
+                node.undo(events, c)
                 continue
-            image = self._singleton_map(child)
+            image = self._singleton_map(node)
             if image is None:
                 # Equal traces give the first path's cells, so its target too.
-                c = self.targets[level]
-                cell = sorted(child.lab[c : c + child.clen[c]])
+                t = self.targets[level]
+                cell = sorted(node.lab[t : t + node.clen[t]])
                 stack.append([level + 1, [cell[0]], cell, gens, (*unfixed, u)])
-                node = child
-            elif self._accept(image):
+                continue
+            kept = self._accept(image)
+            node.undo(ref, c)
+            if kept:
+                for e, *_ in reversed(stack[1:]):
+                    node.undo(self.first_traces[e - 2], self.targets[e - 2])
                 return True
         return False
 

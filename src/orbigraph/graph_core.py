@@ -184,8 +184,9 @@ class Graph(Frozen):
     The value is the sorted adjacency: one tuple of neighbours per vertex,
     strictly ascending, so the graph is hashable and immutable and all
     operations on it are pure.  Equality and hash are on (n, adjacency).
-    The edge set is built on each read of `edges`; the connectivity is
-    derived once, on first use, and cached in the instance dict.
+    The edge set is built on each read of `edges`; the connectivity and
+    the hash are derived once, on first use, and cached in the instance
+    dict, so a cache keyed by the graph hashes its rows once.
     """
 
     _fields = ("n", "adjacency")
@@ -249,6 +250,13 @@ class Graph(Frozen):
     def connected(self) -> bool:
         """True iff every vertex is reachable from vertex 0 (true for n <= 1)."""
         return reaches_all(self.adjacency)
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self._key())
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def degrees(self) -> list[int]:
         return list(map(len, self.adjacency))

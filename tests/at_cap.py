@@ -138,7 +138,7 @@ def _clique_with_path(k: int, length: int) -> Graph:
 # time and peak-RSS bounds of their compare rows and their builder.  Each is
 # compared against a seeded relabelling, and those whose compare takes under
 # 1 s against a second one (_RELABELLINGS).  The RSS bounds hold the IR
-# search to one partition per search path: a partition kept per level of
+# search to one partition per search: a partition kept per level of
 # crossed_prism(1000)'s 500-level first path read 49 MB, and CFI 24-25 MB.
 _SYMMETRIC = {
     "cfi200": ("CFI(cubic(11, 200))", 60, 22, lambda: cfi_graph(sorted(_cubic(11, 200).edges))),

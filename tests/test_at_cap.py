@@ -52,7 +52,7 @@ MOVED = [
     ("analyze K2000, edge list", 60, 450),
     # the near-regular rigid graph within 60 s and under 115 MB
     ("analyze near-regular rigid graph", 60, 115),
-    # the IR search keeps one partition per search path: a partition per
+    # the IR search keeps one partition per search: a partition per
     # level read 49 MB on crossed_prism(1000) and 24-25 MB on CFI
     ("analyze crossed_prism(1000)", 60, 30),
     ("compare crossed_prism(1000) relabelled", 60, 30),

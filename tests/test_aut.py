@@ -4,6 +4,7 @@ import itertools
 import math
 import pickle
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -513,20 +514,20 @@ def test_isomorphism_of_generalized_petersen_graphs():
 
 
 def _count_refinements(monkeypatch, bound: float = math.inf) -> list[int]:
-    """Count every refinement and every trace event it yields, as
-    [refinements, events], by wrapping _Cells.splits; fail at once at the
-    first refinement past `bound`."""
-    splits, counts = _Cells.splits, [0, 0]
+    """Count every refinement and every trace event it makes, the one that
+    departs from its reference trace included, as [refinements, events], by
+    wrapping _Cells.refine; fail at once at the first refinement past `bound`."""
+    refine, counts = _Cells.refine, [0, 0]
 
     def counted(self, *args):
         counts[0] += 1
         if counts[0] > bound:
             raise AssertionError(f"more than {bound} refinements")
-        for event in splits(self, *args):
-            counts[1] += 1
-            yield event
+        events = refine(self, *args)
+        counts[1] += len(events)
+        return events
 
-    monkeypatch.setattr(_Cells, "splits", counted)
+    monkeypatch.setattr(_Cells, "refine", counted)
     return counts
 
 
@@ -585,6 +586,39 @@ def test_cfi_graph_root_is_split_before_the_first_path_descends(monkeypatch):
     group = _uncached_group(cfi_graph(sorted(rigid_cubic(11, 40).edges)))
     assert group.order == 2**21
     assert counts[0] <= 450 and counts[1] <= 6000
+
+
+def test_a_search_builds_no_partition_per_node(monkeypatch):
+    # Every child is made and undone in the one partition that the first
+    # path walked down, so a search builds its root and, if distance
+    # profiles split it, the split root.  Copying each child built 300 on
+    # crossed_prism(200), 242 on this CFI graph and 556 in its isomorphism
+    # with a relabelling.
+    init, built = _Cells.__init__, []
+    monkeypatch.setattr(_Cells, "__init__", lambda self, *args: built.append(self) or init(self, *args))
+    cfi = cfi_graph(sorted(rigid_cubic(11, 40).edges))
+    searches = {
+        "crossed_prism(200)": lambda: _uncached_group(crossed_prism(200)).order == 200 * 2**100,
+        "CFI": lambda: _uncached_group(cfi).order == 2**21,
+        "CFI relabelled": lambda: _isomorphism(relabelled(cfi, 1), cfi) is not None,
+    }
+    made = {}
+    for name, search in searches.items():
+        built.clear()
+        assert search(), name
+        made[name] = len(built)
+    assert max(made.values()) <= 2, made
+
+
+@pytest.mark.parametrize(
+    "generator", [((0, 2), (1, 2), (2, 0)), ((0, 1), (1, 0), (2, 2))], ids=["two points to one image", "a fixed point listed"]
+)
+def test_a_generator_that_permutes_no_moved_points_is_refused(monkeypatch, generator):
+    run = _AutSearch.run
+    monkeypatch.setattr(_AutSearch, "run", lambda self: (run(self), self.generators.append(generator)))
+    message = f"generator {generator} is not a permutation of its moved points"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _uncached_group(path(3))
 
 
 @pytest.mark.parametrize("seed, k", [(11, 30), (3, 30), (5, 40), (11, 50)])
@@ -1229,31 +1263,68 @@ def test_weighted_digraphs_with_loops_match_brute_force(digraph):
         )
 
 
-def _undo_the_first_path(colour, adj) -> int:
-    """Walk the first path down from the refined root in place, keeping a
-    copy of every level, then undo it level by level and check each level
-    against its copy; return the number of levels."""
+def _state(node: _Cells) -> tuple:
+    """A node as the search reads it: its cells as sets at their starts,
+    each vertex's cell and each cell's length.  clen off a cell's start is
+    stale, and nothing reads the order of the vertices within a cell."""
+    starts = node.starts()
+    return node.ncells, starts, list(map(set, node.cells())), node.cell_of[:], [node.clen[c] for c in starts]
+
+
+def _first_path(colour, adj) -> tuple[_Cells, list[tuple[_Cells, list, int]]]:
+    """The refined root walked down the first path in place: the node at
+    its leaf, and per level a copy of the node before it, its trace and its
+    target."""
     colours: dict = {}
     for v, c in enumerate(colour):
         colours.setdefault(c, []).append(v)
     node = _Cells.from_cells(len(adj), [colours[key] for key in sorted(colours)])
     node.refine(adj, node.starts())
-    copies, traces, targets = [], [], []
+    levels = []
     while (c := node.target()) >= 0:
-        copies.append(node.copy())
-        targets.append(c)
-        traces.append(node.refine(adj, [node.individualize(min(node.lab[c : c + node.clen[c]]))]))
+        kept = _Cells(node.lab[:], node.pos[:], node.cell_of[:], node.clen[:], node.ncells)
+        levels.append((kept, node.refine(adj, [node.individualize(min(node.lab[c : c + node.clen[c]]))]), c))
+    return node, levels
+
+
+def _undo_the_first_path(colour, adj) -> int:
+    """Walk the first path down in place, then undo it level by level and
+    check each level against its copy; return the number of levels."""
+    node, levels = _first_path(colour, adj)
     leaf = node.lab[:], node.pos[:]
-    for level in reversed(range(len(traces))):
-        node.undo(traces[level], targets[level])
-        kept = copies[level]
-        assert node.ncells == kept.ncells
-        assert node.starts() == kept.starts()
-        assert list(map(set, node.cells())) == list(map(set, kept.cells()))
-        assert node.cell_of == kept.cell_of
+    for kept, trace, c in reversed(levels):
+        node.undo(trace, c)
+        assert _state(node) == _state(kept)
         # undo moves no vertex: each cell keeps the leaf's order
         assert (node.lab, node.pos) == leaf
-    return len(traces)
+    return len(levels)
+
+
+def _undo_every_child(colour, adj) -> set[str]:
+    """Walk the first path down, then up: at each level make every child of
+    its target cell against the level's trace, undo the events the
+    refinement returned, and check the node against its state before;
+    return the kinds of refinement seen."""
+    node, levels = _first_path(colour, adj)
+    kinds = set()
+    for _, ref, c in reversed(levels):
+        node.undo(ref, c)
+        before = _state(node)
+        for u in sorted(node.lab[c : c + node.clen[c]]):
+            events = node.refine(adj, [node.individualize(u)], ref)
+            k = len(events)
+            assert (events is ref) == (events == ref)
+            if events is ref:
+                kinds.add("match")
+            elif events == ref[:k]:
+                kinds.add("short")  # ended before ref did
+            else:
+                # stopped right after its first event that departs from ref
+                assert events[:-1] == ref[: k - 1]
+                kinds.add("more" if k > len(ref) else "departs")
+            node.undo(events, c)
+            assert _state(node) == before
+    return kinds
 
 
 def _looped_rook(k: int) -> tuple[tuple, tuple]:
@@ -1290,3 +1361,51 @@ def test_undo_restores_every_level_of_the_first_path(digraph, levels):
 )
 def test_undo_restores_every_level_of_random_first_paths(digraph):
     _undo_the_first_path(digraph.colour, digraph.adj)
+    _undo_every_child(digraph.colour, digraph.adj)
+
+
+@pytest.mark.parametrize(
+    "digraph, kinds",
+    [
+        (ColouredDigraph.from_graph(rigid_cubic(7, 30)), {"match", "departs"}),
+        (ColouredDigraph.from_graph(cfi_graph(sorted(frucht().edges))), {"match", "departs"}),
+        # K4 with a loop at 0 and at 3 and the arc between 1 and 2 doubled.
+        # At the root, individualizing 0 splits nothing, and 1 splits {0, 3}
+        # off, one event past the first path's; below 0, individualizing 1
+        # splits {2, 3}, and 3 splits nothing, short of the first path.
+        (ColouredDigraph((0,) * 4, ((0, 1, 2, 3), (0, 2, 2, 3), (0, 1, 1, 3), (0, 1, 2, 3))), {"match", "short", "more"}),
+    ],
+    ids=["rigid_cubic(7, 30)", "CFI(Frucht)", "looped K4 with a double arc"],
+)
+def test_undo_takes_back_exactly_the_events_a_refinement_made(digraph, kinds):
+    # A child refined against its level's trace stops right after its
+    # first event that departs from it, an event past its end included, or
+    # ends short of it; undoing the events it returned gives back the node.
+    assert _undo_every_child(digraph.colour, digraph.adj) == kinds
+
+
+def test_try_leaves_its_node_with_the_cells_it_was_given(monkeypatch):
+    # CFI(Frucht)'s search finds automorphisms at a candidate and two or
+    # more levels below one, and refutes candidates at once and after
+    # descending; the search of its union with a twisted copy finds no swap.
+    try_, refine, last, seen = _AutSearch._try, _Cells.refine, [None], set()
+
+    def traced(self, adj, splitters, ref=None):
+        last[0] = ref
+        return refine(self, adj, splitters, ref)
+
+    def checked(self, node, v, level):
+        before = _state(node)
+        found = try_(self, node, v, level)
+        assert _state(node) == before
+        # the level of the last child refined, counted from the candidate's
+        depth = next(i for i, trace in enumerate(self.first_traces) if trace is last[0]) + 2 - level
+        seen.add((found, depth >= 2))
+        return found
+
+    monkeypatch.setattr(_Cells, "refine", traced)
+    monkeypatch.setattr(_AutSearch, "_try", checked)
+    base = sorted(frucht().edges)
+    assert _uncached_group(cfi_graph(base)).order == 2**7
+    assert _isomorphism(cfi_graph(base), cfi_graph(base, twist=[0])) is None
+    assert seen == {(True, False), (True, True), (False, False), (False, True)}

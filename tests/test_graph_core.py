@@ -285,6 +285,16 @@ class TestConnectivity:
         assert is_connected(g) and "connected" in vars(g)
         assert g == fresh and hash(g) == hash(fresh) and "connected" not in vars(fresh)
 
+    def test_hash_is_the_rows_hash_computed_once(self, monkeypatch):
+        # automorphism_group's cache hashes its graph on every lookup, and
+        # hashing K2000's rows took 16.9 ms of a 17.8 ms lookup.
+        g = Graph.from_edges(4, [(2, 0), (0, 1), (3, 0)])
+        keys = []
+        key = Graph._key
+        monkeypatch.setattr(Graph, "_key", lambda self: keys.append(self) or key(self))
+        assert hash(g) == hash((g.n, g.adjacency)) and len(keys) == 1 and "_hash" in vars(g)
+        assert hash(g) == hash(g) and len(keys) == 1
+
     def test_fields_cannot_be_assigned(self):
         g = Graph.from_edges(2, [(0, 1)])
         with pytest.raises(AttributeError):
