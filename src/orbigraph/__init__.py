@@ -15,8 +15,8 @@ _EXPORTS = {
         "to_graph6",
     ),
     "aut": (
-        "AutGroup", "ColouredDigraph", "Partition", "automorphism_group", "equitable_refinement", "isomorphism",
-        "orbit_partition", "unit_partition",
+        "AutGroup", "Partition", "automorphism_group", "equitable_refinement", "isomorphism", "orbit_partition",
+        "unit_partition",
     ),
     "orbital": (
         "DivisorMatrix", "OrbitProfile", "SimilarityVerdict", "divisor_matrix", "entropy_of", "orbit_divisor_matrix",

@@ -2,10 +2,9 @@
 
 One individualization-refinement (IR) engine serves the equitable
 refinement, the automorphism search and isomorphism.  The search works on
-a vertex-coloured digraph (ColouredDigraph) whose sorted rows list each
-head as often as the arc's weight: a graph is one colour with its
-adjacency rows, and orbital similarity hands it the cell digraphs of two
-divisor matrices.
+a vertex-coloured digraph whose sorted rows list each head as often as the
+arc's weight: a graph is one colour with its adjacency rows, and orbital
+similarity hands it the cell digraphs of two divisor matrices.
 
 Refinement is splitter-queue colour refinement over an ordered partition
 kept as cell segments of one vertex array.  A splitter cell is popped, the
@@ -35,21 +34,20 @@ are peeled in layers, bottom-up, one layer at a time, as in the tree
 isomorphism test of Aho, Hopcroft & Ullman (1974): a vertex v whose only
 other head is w folds into w, unless w became such a vertex in the same
 layer or earlier, when v and w are the centre edge of their tree.  A
-folded child is signed by its name, the arc weights both ways and its
-loops, and w's colour becomes its own plus the sorted signatures of its
-children; the names number the (colour, child signatures) keys of a layer
-in sorted order once the layer is done, so they do not depend on labels.
-A parent with two equal signatures keeps its children, which are open
-twins of the next round unless they carry loops; so the children of a
-folding parent are told apart by their signatures, and w's block, its own
-followed by its children's in signature order, lifts member by member like
-any other.  That is sound: every choice of the fold depends on layers and
-signatures alone, so an automorphism of the quotient maps the folded
-quotient onto itself, and one that fixes every vertex of the folded
-quotient fixes every child too, since a parent's children are told apart;
-so a fold loses no automorphism that the twin generators do not give.
-Anders, Schweitzer & Stiess (Engineering a preprocessor for symmetry
-detection, SEA 2023) use the same preprocessing.
+folded child is signed by its name and the arc weights both ways, and w's
+colour becomes its own plus the sorted signatures of its children; the
+names number the (colour, child signatures) keys of a layer in sorted
+order once the layer is done, so they do not depend on labels.  A parent
+with two equal signatures keeps its children, which are open twins of the
+next round; so the children of a folding parent are told apart by their
+signatures, and w's block, its own followed by its children's in signature
+order, lifts member by member like any other.  That is sound: every choice
+of the fold depends on layers and signatures alone, so an automorphism of
+the quotient maps the folded quotient onto itself, and one that fixes
+every vertex of the folded quotient fixes every child too, since a
+parent's children are told apart; so a fold loses no automorphism that the
+twin generators do not give.  Anders, Schweitzer & Stiess (Engineering a
+preprocessor for symmetry detection, SEA 2023) use the same preprocessing.
 
 The search runs on the last quotient, with no recursion, and keeps one
 partition, as nauty's partition nest keeps every level of its path in one
@@ -153,7 +151,7 @@ from itertools import chain, compress
 from math import factorial
 from operator import ne
 
-from .graph_core import Frozen, Graph, reaches_all
+from .graph_core import Frozen, Graph
 
 
 class Partition(Frozen):
@@ -444,32 +442,6 @@ def equitable_refinement(graph: Graph, seed: Partition | None = None) -> Partiti
     return _canonical_partition(cells.cells())
 
 
-class ColouredDigraph(Frozen):
-    """Input of the IR engine: a vertex-coloured digraph with arc weights.
-
-    colour[v] is any sortable value; vertices of one colour may be swapped,
-    and cells start in ascending colour order.  adj[v] is the sorted tuple
-    of the heads of v's arcs, each listed as often as the arc's weight, so
-    the weight of (u, v) is the multiplicity of v in adj[u].  The weight of
-    (v, u) must follow from that of (u, v) and the colours of u and v, with
-    no arc back iff none forth: true for a graph, and for a divisor matrix
-    whose colours carry the relative cell sizes, because s_i B_ij = s_j B_ji.
-    This reverse-arc rule is not checked here: a caller that builds a
-    digraph must meet it, or the search may answer wrongly or fail.
-    similar_divisors checks it for divisor matrices before it builds their
-    cell digraphs.
-    """
-
-    __slots__ = _fields = ("colour", "adj")
-    colour: Sequence
-    adj: Sequence[tuple[int, ...]]
-
-    @classmethod
-    def from_graph(cls, graph: Graph) -> "ColouredDigraph":
-        """The graph with a single colour and both arcs of every edge."""
-        return cls((0,) * graph.n, graph.adjacency)
-
-
 def _twin_classes(colour: Sequence, adj: Sequence[tuple[int, ...]]) -> list[tuple[int, list[int]]]:
     """Maximal twin classes as (kind, sorted members), by smallest member.
 
@@ -491,18 +463,6 @@ def _twin_classes(colour: Sequence, adj: Sequence[tuple[int, ...]]) -> list[tupl
     return sorted(classes, key=lambda c: c[1][0])
 
 
-def _is_leaf(v: int, row: tuple[int, ...]) -> bool:
-    """Whether the sorted row of v has exactly one head other than v."""
-    if not row:
-        return False
-    a, b = row[0], row[-1]
-    if a == v:
-        return b != v and row[bisect_right(row, v)] == b
-    if b == v:
-        return row[bisect_left(row, v) - 1] == a
-    return a == b
-
-
 def _weight(row: tuple[int, ...], w: int) -> int:
     return bisect_right(row, w) - bisect_left(row, w)
 
@@ -514,30 +474,29 @@ def _fold(
     or None if nothing folds.
 
     Leaves are peeled in layers: layer 0 holds the vertices whose row has
-    one head other than themselves, and a vertex joins layer k + 1 when, in
-    layer k, all but one of its heads have been attached to it.  When a
-    layer is signed, all children of its vertices are attached.  Each child
-    c gets the signature (name of c, weight of c -> v, weight of v -> c,
-    loops of c), the name being a number for c's key, its colour with its
-    children's sorted signatures, so that no colour nests once per tree
-    level (a path would nest 1,000 deep, deeper than tuple comparison
-    recurses).  Once every vertex of a layer is signed, the layer's new keys
-    are numbered in sorted order, so no name depends on the labels.  If two
-    signatures are equal, v keeps its children: they are open twins of the
-    next twin round, or carry loops.  Otherwise v is attached to its last
-    head p, unless p was a leaf of the same layer or an earlier one: then v
-    and p form the centre edge of their tree, or p kept its children.  Every
-    decision depends on layers and signatures only, so an automorphism of
-    the quotient maps the folded quotient onto itself.  A vertex with
-    children that is never attached folds them in the same way once the last
-    layer is done.
+    one head, and a vertex joins layer k + 1 when, in layer k, all but one
+    of its heads have been attached to it.  When a layer is signed, all
+    children of its vertices are attached.  Each child c gets the signature
+    (name of c, weight of c -> v, weight of v -> c), the name being a number
+    for c's key, its colour with its children's sorted signatures, so that
+    no colour nests once per tree level (a path would nest 1,000 deep,
+    deeper than tuple comparison recurses).  Once every vertex of a layer is
+    signed, the layer's new keys are numbered in sorted order, so no name
+    depends on the labels.  If two signatures are equal, v keeps its
+    children: they are open twins of the next twin round.  Otherwise v is
+    attached to its last head p, unless p was a leaf of the same layer or an
+    earlier one: then v and p form the centre edge of their tree, or p kept
+    its children.  Every decision depends on layers and signatures only, so
+    an automorphism of the quotient maps the folded quotient onto itself.  A
+    vertex with children that is never attached folds them in the same way
+    once the last layer is done.
     """
     n = len(adj)
-    layer = [v for v, row in enumerate(adj) if _is_leaf(v, row)]
+    layer = [v for v, row in enumerate(adj) if row and row[0] == row[-1]]
     if not layer:
         return None
     depth = [-1] * n
-    left = [-1] * n  # heads other than v not attached to v, once counted
+    left = [-1] * n  # heads not attached to v, once counted
     for v in layer:
         depth[v] = 0
         left[v] = 1
@@ -554,7 +513,7 @@ def _fold(
         if v in children:
             row = adj[v]
             signed = sorted(
-                ((names[colour[c], folds[c]], _weight(adj[c], v), _weight(row, c), _weight(adj[c], c)), c)
+                ((names[colour[c], folds[c]], _weight(adj[c], v), _weight(row, c)), c)
                 for c in children[v]
             )
             sigs = tuple(s for s, _ in signed)
@@ -574,13 +533,13 @@ def _fold(
         for v in layer:
             if left[v] == 0:
                 continue
-            p = next(h for h in adj[v] if h != v and up[h] < 0)
+            p = next(h for h in adj[v] if up[h] < 0)
             if 0 <= depth[p] <= k:
                 continue
             up[v] = p
             children.setdefault(p, []).append(v)
             if left[p] < 0:
-                left[p] = len(set(adj[p]) - {p})
+                left[p] = len(set(adj[p]))
             left[p] -= 1
             if left[p] == 1:
                 depth[p] = k + 1
@@ -615,21 +574,17 @@ def _fold(
 PROFILE_WORK = 16
 
 
-def _first_entry(v: int, row: Sequence[int]) -> tuple[int, int, int]:
-    """Step 1's entry of v's profile, from v's row alone: the distinct heads
-    but v, which make v's first layer, the arcs to them beyond one per head,
-    and the loops at v, the arcs inside layer 0."""
-    heads = set(row)
-    loops = row.count(v) if v in heads else 0
-    new = len(heads) - (loops > 0)
-    return new, len(row) - loops - new, loops
+def _first_entry(row: Sequence[int]) -> tuple[int, int, int]:
+    """Step 1's entry of a vertex's profile, from its row alone: the
+    distinct heads, which make its first layer, the arcs to them beyond one
+    per head, and 0, as layer 0 is the vertex alone, with no arc inside it."""
+    new = len(set(row))
+    return new, len(row) - new, 0
 
 
-def _first_layer(v: int, row: Sequence[int]) -> list[int]:
-    """v's first layer: the distinct heads of its row but v, in first-seen order."""
-    layer = dict.fromkeys(row)
-    layer.pop(v, None)
-    return list(layer)
+def _first_layer(row: Sequence[int]) -> list[int]:
+    """A vertex's first layer: the distinct heads of its row, in first-seen order."""
+    return list(dict.fromkeys(row))
 
 
 def _profile_split(adj: Sequence[Sequence[int]], cell: list[int]) -> list[list[int]] | None:
@@ -643,16 +598,17 @@ def _profile_split(adj: Sequence[Sequence[int]], cell: list[int]) -> list[list[i
     per step until the cell splits; a member stops once its new layer is
     empty, with the last entry (0, 0, arcs inside its last layer).
 
-    Step 1 reads each member's row alone (_first_entry), and its first
-    layer is listed only if step 2 runs.  From step 2 on, every arc has a
-    reverse, so a head of an arc out of the last layer lies in that layer,
-    the one before it or the next one.  So between steps a member keeps only
-    its last two layers, never its ball, and marks them afresh when it
-    grows.  A step scans at most the widest row for each vertex of the
-    members' last layers, and no step starts whose bound, added to those of
-    the steps before it, passes the budget; so the check counts layer sizes
-    and scans no arc.  The bound and the budget depend on layer sizes and
-    degrees alone, so whether the cell splits does not depend on the labels.
+    Step 1 reads each member's row alone (_first_entry), as layer 0, the
+    member itself, has no arc inside it, and its first layer is listed only
+    if step 2 runs.  From step 2 on, every arc has a reverse, so a head of
+    an arc out of the last layer lies in that layer, the one before it or
+    the next one.  So between steps a member keeps only its last two layers,
+    never its ball, and marks them afresh when it grows.  A step scans at
+    most the widest row for each vertex of the members' last layers, and no
+    step starts whose bound, added to those of the steps before it, passes
+    the budget; so the check counts layer sizes and scans no arc.  The bound
+    and the budget depend on layer sizes and degrees alone, so whether the
+    cell splits does not depend on the labels.
     """
     budget, widest = PROFILE_WORK * sum(map(len, adj)), max(map(len, adj))
     work = widest * len(cell)
@@ -661,7 +617,7 @@ def _profile_split(adj: Sequence[Sequence[int]], cell: list[int]) -> list[list[i
     # The entries of the last step.  The members have agreed on every entry
     # so far, so they all get one at a step or none does, and that step's
     # entries alone split the cell, in ascending profile order.
-    step = {v: _first_entry(v, adj[v]) for v in cell}
+    step = {v: _first_entry(adj[v]) for v in cell}
     frontier = sum(entry[0] for entry in step.values())
     # A growing member's previous layer and last layer, once step 2 runs.
     state: dict[int, tuple[list[int], list[int]]] | None = None
@@ -676,7 +632,7 @@ def _profile_split(adj: Sequence[Sequence[int]], cell: list[int]) -> list[list[i
         if not frontier or work > budget:
             return None
         if state is None:
-            state = {v: ([v], _first_layer(v, adj[v])) for v in cell if step[v][0]}
+            state = {v: ([v], _first_layer(adj[v])) for v in cell if step[v][0]}
         step = {}
         frontier = 0
         for v, (previous, layer) in list(state.items()):
@@ -722,7 +678,18 @@ def _other_orbits(cell: list[int], gens: list[dict[int, int]]) -> list[int]:
 
 
 class _AutSearch:
-    """IR search for the automorphisms of a coloured digraph, on its twin quotient."""
+    """IR search for the automorphisms of a coloured digraph, on its twin quotient.
+
+    colour[v] is any sortable value; vertices of one colour may be swapped,
+    and cells start in ascending colour order.  adj[v] is the sorted tuple
+    of the heads of v's arcs, each listed as often as the arc's weight, and
+    never v itself.  The weight of (v, u) follows from that of (u, v) and
+    the colours of u and v, with no arc back iff none forth: the reverse-arc
+    rule.  Nothing here checks it.  A Graph's rows in one colour meet it, and
+    so does the cell digraph of a divisor matrix that _check_divisor_matrix
+    passed, whose colours carry the relative cell sizes and B_ii, because
+    s_i B_ij = s_j B_ji.
+    """
 
     def __init__(self, colour: Sequence, adj: Sequence[tuple[int, ...]]) -> None:
         self.heads = adj  # of the input, for the arc check
@@ -750,9 +717,7 @@ class _AutSearch:
                     if len(members) > 2:
                         self._add_block_cycle([blocks[v] for v in members])
             # A representative has equal weights to every member of another
-            # class, so its arcs to the representatives carry the quotient;
-            # its loops stay, as members of a class with loops are no twins
-            # of members of one without.
+            # class, so its arcs to the representatives carry the quotient.
             rep = [members[0] for _, members in classes]
             adj = [tuple(class_of[w] for w in adj[r] if w == rep[class_of[w]]) for r in rep]
             colour = [(colour[members[0]], kind, len(members)) for kind, members in classes]
@@ -976,8 +941,7 @@ def automorphism_group(graph: Graph) -> AutGroup:
     """
     if graph.n == 0:
         raise ValueError("automorphism group undefined for the empty graph")
-    digraph = ColouredDigraph.from_graph(graph)
-    search = _AutSearch(digraph.colour, digraph.adj)
+    search = _AutSearch((0,) * graph.n, graph.adjacency)
     search.run()
     for g in search.generators:
         # A bijection of 0..n-1: its images are exactly the moved points.
@@ -991,27 +955,34 @@ def automorphism_group(graph: Graph) -> AutGroup:
     )
 
 
-def isomorphism(a: ColouredDigraph, b: ColouredDigraph) -> tuple[int, ...] | None:
-    """An isomorphism from a onto b as the image of each vertex of a, or None.
+def isomorphism(g: Graph, h: Graph) -> tuple[int, ...] | None:
+    """An isomorphism from g onto h as the image of each vertex of g, or None.
 
-    Decided for connected digraphs only: ValueError if a or b is not
-    connected; two digraphs of no vertex have the empty isomorphism.  It is
-    the first generator of the automorphism search of the union, b's
+    Decided for connected graphs only: ValueError unless g and h are
+    connected Graphs; two graphs of no vertex have the empty isomorphism.
+    """
+    if not all(isinstance(x, Graph) and x.connected for x in (g, h)):
+        raise ValueError("isomorphism decided for connected graphs only")
+    return _isomorphism(((0,) * g.n, g.adjacency), ((0,) * h.n, h.adjacency))
+
+
+def _isomorphism(a: tuple, b: tuple) -> tuple[int, ...] | None:
+    """An isomorphism from the connected coloured digraph a onto b, each given
+    as (colour, rows) under the contract of _AutSearch, as the image of each
+    vertex of a, or None.
+
+    It is the first generator of the automorphism search of the union, b's
     vertices shifted past a's, that moves vertex 0 into b, restricted to a
     (see the module docstring); so when a and b have symmetry, both groups
-    are found before it.  Neither digraph is checked against the
-    reverse-arc rule of ColouredDigraph: a digraph built by a caller must
-    meet it (similar_divisors checks it for divisor matrices).
+    are found before it.
     """
-    if not (reaches_all(a.adj) and reaches_all(b.adj)):
-        raise ValueError("isomorphism decided for connected digraphs only")
-    na = len(a.adj)
-    if na != len(b.adj) or sorted(map(len, a.adj)) != sorted(map(len, b.adj)) or sorted(a.colour) != sorted(b.colour):
+    (colour_a, rows_a), (colour_b, rows_b) = a, b
+    na = len(rows_a)
+    if na != len(rows_b) or sorted(map(len, rows_a)) != sorted(map(len, rows_b)) or sorted(colour_a) != sorted(colour_b):
         return None
     if na == 0:
         return ()
-    adj = [*a.adj, *(tuple(w + na for w in nbrs) for nbrs in b.adj)]
-    search = _AutSearch([*a.colour, *b.colour], adj)
+    search = _AutSearch([*colour_a, *colour_b], [*rows_a, *(tuple(w + na for w in row) for row in rows_b)])
     search.run()
     for g in search.generators:
         if (phi := _swap(g, na)) is not None:

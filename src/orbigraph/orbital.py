@@ -26,7 +26,7 @@ from collections.abc import Sequence
 from itertools import repeat
 from operator import itemgetter, lt
 
-from .aut import ColouredDigraph, Partition, automorphism_group, isomorphism, orbit_partition
+from .aut import Partition, _isomorphism, automorphism_group, orbit_partition
 from .graph_core import Frozen, Graph, Ratio, is_connected, reaches_all
 
 
@@ -181,10 +181,10 @@ def orbit_profile(graph: Graph) -> OrbitProfile:
     return OrbitProfile(tuple(map(ratios.__getitem__, sizes)), entropy)
 
 
-def _cell_digraph(dm: DivisorMatrix) -> ColouredDigraph:
-    """The matrix's cells as vertices coloured (s/n, B_ii), s/n the cell's
-    relative size as a Ratio, with j listed B_ij times in i's row for
-    each j != i."""
+def _cell_digraph(dm: DivisorMatrix) -> tuple[list[tuple[Ratio, int]], list[tuple[int, ...]]]:
+    """The matrix's cells as (colour, rows): cell i coloured (s/n, B_ii),
+    s/n its relative size as a Ratio, with j listed B_ij times in i's row
+    for each j != i."""
     n = sum(dm.sizes)
     ratios = {s: Ratio(s, n) for s in set(dm.sizes)}
     colour: list[tuple[Ratio, int]] = []
@@ -198,7 +198,7 @@ def _cell_digraph(dm: DivisorMatrix) -> ColouredDigraph:
                 out += [j] * x
         colour.append((ratios[s], loops))
         adj.append(tuple(out))
-    return ColouredDigraph(colour, adj)
+    return colour, adj
 
 
 def similar_divisors(sg: DivisorMatrix, sh: DivisorMatrix) -> SimilarityVerdict:
@@ -206,10 +206,10 @@ def similar_divisors(sg: DivisorMatrix, sh: DivisorMatrix) -> SimilarityVerdict:
     relative cell sizes, under some relabeling of cells, returning a
     witness when they are.  ValueError unless both are divisor matrices as
     a connected graph's are: ints, irreducible and symmetrizable, which
-    makes their cell digraphs meet the reverse-arc rule of ColouredDigraph."""
+    makes their cell digraphs meet the reverse-arc rule of the search."""
     _check_divisor_matrix(sg)
     _check_divisor_matrix(sh)
-    witness = isomorphism(_cell_digraph(sh), _cell_digraph(sg))
+    witness = _isomorphism(_cell_digraph(sh), _cell_digraph(sg))
     if witness is None:
         return SimilarityVerdict(similar=False)
     common = DivisorMatrix(sh.ell, sh.rows, tuple(map(sg.sizes.__getitem__, witness)))

@@ -19,6 +19,7 @@ from typing import NamedTuple, Sequence
 import hypothesis.strategies as st
 
 import orbigraph
+from orbigraph import constructions as cons
 from orbigraph.aut import AutGroup, Partition, _UnionFind, automorphism_group, orbit_partition
 from orbigraph.cli import _write_json
 from orbigraph.graph_core import Graph, GraphFormatError, _edge_list_header, _graph6_header, _significant, is_connected
@@ -99,6 +100,26 @@ def graph6_bit_list(text: str) -> Graph:
     return Graph(n, [sorted(row) for row in rows])
 
 
+# The graphs of the benchmark's families workload and the terms of its
+# sequences: every orbit divisor matrix there has at most 13 cells.
+FAMILY_GRAPHS = {
+    "cycle_with_cliques(50,3,2)": cons.cycle_with_cliques(50, 3, 2),
+    "generalized_sun(60,2)": cons.generalized_sun(60, 2),
+    "loaded_torus((8,8),2,3)": cons.loaded_torus((8, 8), 2, 3),
+    "loaded_torus((6,8),2,3)": cons.loaded_torus((6, 8), 2, 3),
+    "torus((20,25))": cons.torus((20, 25)),
+    "corona(cycle(20),disjoint_cliques(2,3))": cons.corona(cons.cycle(20), cons.disjoint_cliques(2, 3)),
+    "crossed_prism(200)": cons.crossed_prism(200),
+}
+FAMILY_SEQUENCES = {
+    "generalized-sun": {"family": "generalized-sun", "p": 3, "q": 2, "start": 20},
+    "loaded-multi-torus-m3": {"family": "loaded-multi-torus", "q": 2, "m": 3, "r": 2,
+                              "schedule": [[3, 4], [4, 4], [4, 5], [5, 5], [5, 6]]},
+    "corona-family": {"family": "corona-family", "p": 3, "q": 2, "base": {"family": "cycles", "start": 12}},
+    "loaded-multi-torus-m12": {"family": "loaded-multi-torus", "q": 1, "m": 12, "r": 1, "schedule": [3, 4, 5, 6, 7]},
+}
+
+
 def tied_star() -> Graph:
     """Hub adjacent to all four other vertices, plus one rim edge (0-4).
 
@@ -111,7 +132,11 @@ def tied_star() -> Graph:
 def rigid_cubic(seed: int, n: int) -> Graph:
     """A connected cubic graph on n vertices with a trivial automorphism group,
     from random perfect matchings of 3n half-edges; a sample is kept only if
-    certified_rigid proves it rigid."""
+    certified_rigid proves it rigid.  ValueError unless n is even and at
+    least 12: a cubic graph has an even order, and none of order below 12
+    is rigid, so sampling would never end."""
+    if n % 2 or n < 12:
+        raise ValueError(f"no rigid cubic graph has {n} vertices")
     rng = random.Random(seed)
     while True:
         stubs = [v for v in range(n) for _ in range(3)]
@@ -498,11 +523,12 @@ def trees(draw, max_n: int = 40):
 
 
 def is_isomorphism(phi, a, b) -> bool:
-    """Whether phi maps the coloured digraph a onto b, colours and arcs with
-    their weights."""
-    return sorted(phi) == list(range(len(b.adj))) and all(
-        b.colour[phi[v]] == a.colour[v] and tuple(sorted(phi[w] for w in a.adj[v])) == b.adj[phi[v]]
-        for v in range(len(a.adj))
+    """Whether phi maps the coloured digraph a onto b, each given as
+    (colour, rows), colours and arcs with their weights."""
+    (colour_a, rows_a), (colour_b, rows_b) = a, b
+    return sorted(phi) == list(range(len(rows_b))) and all(
+        colour_b[phi[v]] == colour_a[v] and tuple(sorted(phi[w] for w in rows_a[v])) == rows_b[phi[v]]
+        for v in range(len(rows_a))
     )
 
 

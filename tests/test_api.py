@@ -13,7 +13,6 @@ def test_public_names_are_pinned():
     # removed from this list too.
     assert orbigraph.__all__ == [
         "AutGroup",
-        "ColouredDigraph",
         "DegreeStats",
         "DivisorMatrix",
         "Graph",

@@ -1,6 +1,7 @@
 import copy
 import functools
 import itertools
+import json
 import math
 import pickle
 import random
@@ -12,6 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    FAMILY_GRAPHS,
+    FAMILY_SEQUENCES,
     all_connected_graphs,
     all_graphs,
     bfs_profile_split,
@@ -26,7 +29,6 @@ from helpers import (
     frucht,
     generalized_petersen,
     is_edge_transitive,
-    is_isomorphism,
     naive_equitable_refinement,
     paley,
     partition_by,
@@ -43,9 +45,8 @@ from helpers import (
     two_hamiltonian_cycles,
     vertex_permutations,
 )
-from orbigraph import aut
+from orbigraph import aut, cli
 from orbigraph.aut import (
-    ColouredDigraph,
     Partition,
     _AutSearch,
     _Cells,
@@ -72,7 +73,8 @@ from orbigraph.constructions import (
     star,
     torus,
 )
-from orbigraph.graph_core import Graph
+from orbigraph.graph_core import Graph, serialize_edge_list
+from orbigraph.orbital import orbit_divisor_matrix, similar_divisors
 
 
 def _uncached_group(graph: Graph):
@@ -433,15 +435,11 @@ def test_group_properties(g):
         assert len({deg[v] for v in cell}) == 1
 
 
-def _isomorphism(g: Graph, h: Graph):
-    return isomorphism(ColouredDigraph.from_graph(g), ColouredDigraph.from_graph(h))
-
-
 def test_isomorphism_exhaustive_n4():
     graphs = [g for n in range(1, 5) for g in all_connected_graphs(n)]
     for g in graphs:
         for h in graphs:
-            phi = _isomorphism(g, h)
+            phi = isomorphism(g, h)
             relabellings = [] if g.n != h.n else itertools.permutations(range(g.n))
             assert (phi is not None) == any(g.relabel(p) == h for p in relabellings)
             if phi is not None:
@@ -452,7 +450,7 @@ def test_isomorphism_exhaustive_n4():
 @given(connected_graphs(max_n=9), vertex_permutations(9))
 def test_isomorphism_finds_a_relabelling(g, perm):
     h = g.relabel([p for p in perm if p < g.n])
-    phi = _isomorphism(g, h)
+    phi = isomorphism(g, h)
     assert phi is not None and g.relabel(phi) == h
 
 
@@ -467,11 +465,11 @@ def test_isomorphism_of_regular_graphs_refinement_cannot_separate():
         16, [(4 * x + y, 4 * ((x + dx) % 4) + (y + dy) % 4) for x in range(4) for y in range(4) for dx, dy in steps]
     )
     rook = cartesian_product(complete(4), complete(4))
-    assert _isomorphism(prism, k33) is None
-    assert _isomorphism(shrikhande, rook) is None
+    assert isomorphism(prism, k33) is None
+    assert isomorphism(shrikhande, rook) is None
     for g in (prism, k33, shrikhande, rook):
         h = g.relabel([(5 * v + 1) % g.n for v in range(g.n)])
-        phi = _isomorphism(g, h)
+        phi = isomorphism(g, h)
         assert phi is not None and g.relabel(phi) == h
 
 
@@ -486,13 +484,13 @@ def test_isomorphism_agrees_with_networkx_on_the_graph_atlas():
     for group in groups.values():
         graphs = [Graph.from_edges(g.number_of_nodes(), g.edges()) for g in group]
         for i, j in itertools.combinations(range(len(group)), 2):
-            phi = _isomorphism(graphs[i], graphs[j])
+            phi = isomorphism(graphs[i], graphs[j])
             assert (phi is not None) == nx.is_isomorphic(group[i], group[j])
             assert phi is None or graphs[i].relabel(phi) == graphs[j]
             pairs += 1
         for g in graphs:
             image = rng.sample(range(g.n), g.n)
-            phi = _isomorphism(g, g.relabel(image))
+            phi = isomorphism(g, g.relabel(image))
             assert phi is not None and g.relabel(phi) == g.relabel(image)
     assert sum(map(len, groups.values())) == 996 and pairs == 3125
 
@@ -506,7 +504,7 @@ def test_isomorphism_of_generalized_petersen_graphs():
         for k in range(1, (n + 1) // 2):
             for j in range(k, (n + 1) // 2):
                 g, h = generalized_petersen(n, k), generalized_petersen(n, j)
-                phi = _isomorphism(g, h)
+                phi = isomorphism(g, h)
                 assert (phi is not None) == (j in (k, n - k) or k * j % n in (1, n - 1)), (n, k, j)
                 assert phi is None or g.relabel(phi) == h
                 pairs += 1
@@ -552,8 +550,18 @@ def test_rigid_regular_graph_is_not_refined_once_per_root_candidate(monkeypatch,
     for v, w in enumerate(image):
         inverse[w] = v
     counts[:] = [0, 0]
-    assert _isomorphism(graph.relabel(image), graph) == tuple(inverse)
+    assert isomorphism(graph.relabel(image), graph) == tuple(inverse)
     assert counts[0] <= 6 and counts[1] <= 3.3 * n
+
+
+def test_rigid_cubic_refuses_an_order_with_no_rigid_cubic_graph():
+    # A cubic graph has an even order, and none of order below 12 is rigid,
+    # so sampling for one would never end.
+    for n in (10, 13):
+        with pytest.raises(ValueError, match=f"^no rigid cubic graph has {n} vertices$"):
+            rigid_cubic(0, n)
+    graph = rigid_cubic(0, 12)
+    assert graph.n == 12 and set(graph.degrees()) == {3} and certified_rigid(graph)
 
 
 @pytest.mark.parametrize("k", [12, 20, 40, 60])
@@ -600,7 +608,7 @@ def test_a_search_builds_no_partition_per_node(monkeypatch):
     searches = {
         "crossed_prism(200)": lambda: _uncached_group(crossed_prism(200)).order == 200 * 2**100,
         "CFI": lambda: _uncached_group(cfi).order == 2**21,
-        "CFI relabelled": lambda: _isomorphism(relabelled(cfi, 1), cfi) is not None,
+        "CFI relabelled": lambda: isomorphism(relabelled(cfi, 1), cfi) is not None,
     }
     made = {}
     for name, search in searches.items():
@@ -670,25 +678,26 @@ def _marked_first_layer(v, row):
     return (len(new), extra, inside), new
 
 
-@given(st.integers(0, 6).flatmap(lambda v: st.tuples(st.just(v), st.lists(st.integers(0, 6), max_size=24))))
+@given(st.integers(0, 6).flatmap(lambda v: st.tuples(st.just(v), st.lists(st.integers(0, 6).filter(v.__ne__), max_size=24))))
 def test_first_layer_equals_the_marking_loop(case):
-    # Multigraph rows: heads repeat, and v may be among them as loops.
+    # Multigraph rows: heads repeat, but v is never among them, as no input
+    # of the search has a loop.
     v, row = case
     entry, layer = _marked_first_layer(v, row)
-    assert aut._first_entry(v, tuple(row)) == entry
-    assert aut._first_layer(v, tuple(row)) == layer
+    assert aut._first_entry(tuple(row)) == entry
+    assert aut._first_layer(tuple(row)) == layer
 
 
 @st.composite
 def _multigraph_rows(draw):
     """Rows of a multigraph on 2..10 vertices with a cell of it: u -> v exists
-    iff v -> u does, but the two multiplicities may differ, and a vertex may
-    have loops, as in twin quotients and cell digraphs.  Half the examples
+    iff v -> u does, but the two multiplicities may differ, as in twin
+    quotients and cell digraphs, and no vertex has a loop.  Half the examples
     are simple graphs whose cell lies in one degree class, as a refined
     root's does, so that step 1 does not split it and later steps are met."""
     n = draw(st.integers(2, 10))
     simple = draw(st.booleans())
-    rows = [[] if simple else [v] * draw(st.integers(0, 2)) for v in range(n)]
+    rows = [[] for _ in range(n)]
     for u, v in itertools.combinations(range(n), 2):
         if draw(st.booleans()):
             rows[u] += [v] * (1 if simple else draw(st.integers(1, 3)))
@@ -876,7 +885,7 @@ def test_isomorphism_of_a_cfi_pair_prunes_by_the_automorphisms_of_both(monkeypat
     # took more than 50,000 and about 18 s.
     base = sorted(frucht().edges)
     _count_refinements(monkeypatch, bound=2000)
-    assert _isomorphism(cfi_graph(base), cfi_graph(base, twist=[0])) is None
+    assert isomorphism(cfi_graph(base), cfi_graph(base, twist=[0])) is None
 
 
 # A connected cubic base with the order of its group.  The automorphisms of
@@ -906,12 +915,12 @@ def test_cfi_graphs_over_small_bases(name):
     assert group.order == 2 ** (len(edges) - base.n + 1) * base_order
     assert len(group.orbits) == (4 * base.n if base_order == 1 else 2)
     check_generator_form(group, graph)
-    a = ColouredDigraph.from_graph(graph)
     for i in range(len(edges)):
-        assert isomorphism(a, ColouredDigraph.from_graph(cfi_graph(edges, twist=[i]))) is None
+        assert isomorphism(graph, cfi_graph(edges, twist=[i])) is None
     for seed in range(3):
-        b = ColouredDigraph.from_graph(relabelled(graph, seed))
-        assert is_isomorphism(isomorphism(a, b), a, b)
+        h = relabelled(graph, seed)
+        phi = isomorphism(graph, h)
+        assert phi is not None and graph.relabel(phi) == h
 
 
 def _with_legs(graph: Graph, legs: int, length: int) -> Graph:
@@ -1104,7 +1113,7 @@ def test_single_leaves_map_relabellings_n5():
 
 
 def test_isomorphism_of_single_vertices_is_a_twin_swap():
-    assert _isomorphism(complete(1), complete(1)) == (0,)
+    assert isomorphism(complete(1), complete(1)) == (0,)
 
 
 def test_isomorphism_when_the_root_cell_holds_no_vertex_of_b():
@@ -1112,19 +1121,19 @@ def test_isomorphism_when_the_root_cell_holds_no_vertex_of_b():
     # are twins, and the root's target cell holds the two ends of the path,
     # so in the first order it has no vertex of b, and in the second only
     # vertices of b.
-    assert _isomorphism(path(4), star(3)) is None
-    assert _isomorphism(star(3), path(4)) is None
+    assert isomorphism(path(4), star(3)) is None
+    assert isomorphism(star(3), path(4)) is None
 
 
 def test_isomorphism_refuses_disconnected_digraphs():
     # The union search's swap need not move all of a disconnected side, so
     # 2K2 against itself would get None; it is refused instead, on either side.
-    two_k2 = ColouredDigraph.from_graph(Graph.from_edges(4, [(0, 1), (2, 3)]))
-    p4 = ColouredDigraph.from_graph(path(4))
+    two_k2 = Graph.from_edges(4, [(0, 1), (2, 3)])
+    p4 = path(4)
     for a, b in ((two_k2, two_k2), (two_k2, p4), (p4, two_k2)):
-        with pytest.raises(ValueError, match="connected digraphs only"):
+        with pytest.raises(ValueError, match="^isomorphism decided for connected graphs only$"):
             isomorphism(a, b)
-    empty = ColouredDigraph((), ())
+    empty = Graph(0, ())
     assert isomorphism(empty, empty) == ()
     assert isomorphism(empty, p4) is None
 
@@ -1223,8 +1232,9 @@ def _brute_force_digraph_group(colour, adj) -> tuple[int, Partition]:
 
 @st.composite
 def weighted_digraphs(draw, max_n: int = 6):
-    """A coloured digraph with symmetric arc weights and loops: a random
-    spanning forest plus a few more arcs, in two colours."""
+    """A coloured digraph with symmetric arc weights and no loops, as
+    (colour, rows): a random spanning forest plus a few more arcs, in two
+    colours."""
     n = draw(st.integers(1, max_n))
     weight: dict[tuple[int, int], int] = {}
     for v in range(1, n):
@@ -1233,7 +1243,8 @@ def weighted_digraphs(draw, max_n: int = 6):
             weight[u, v] = weight[v, u] = draw(st.integers(1, 2))
     for _ in range(draw(st.integers(0, 2))):
         u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-        weight[u, v] = weight[v, u] = draw(st.integers(1, 2))
+        if u != v:
+            weight[u, v] = weight[v, u] = draw(st.integers(1, 2))
     colour = tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
     adj = tuple(tuple(sorted(w for (u, w), x in weight.items() if u == v for _ in range(x))) for v in range(n))
     return colour, adj
@@ -1242,12 +1253,12 @@ def weighted_digraphs(draw, max_n: int = 6):
 @settings(max_examples=300, deadline=None)
 @given(weighted_digraphs())
 # 0 and 4 are open twins; once they are one vertex, 2 and 5 differ only in
-# 5's loop, which the quotient must keep.
-@example(((0,) * 6, ((1, 3), (0, 2, 2, 4, 5, 5), (1, 1), (0, 4), (1, 3), (1, 1, 5))))
-def test_weighted_digraphs_with_loops_match_brute_force(digraph):
-    # Loops and weights reach the twin quotient and the pendant fold: a twin
-    # class of looped vertices must not become a twin of one without loops,
-    # and a pendant vertex's signature carries both weights and its loops.
+# 5's colour, which the quotient must keep.
+@example(((0, 0, 0, 0, 0, 1), ((1, 3), (0, 2, 2, 4, 5, 5), (1, 1), (0, 4), (1, 3), (1, 1))))
+def test_weighted_digraphs_match_brute_force(digraph):
+    # Colours and weights reach the twin quotient and the pendant fold: a
+    # twin class must not become a twin of a class of another colour, and a
+    # pendant vertex's signature carries both weights.
     colour, adj = digraph
     search = _AutSearch(colour, adj)
     search.run()
@@ -1327,61 +1338,65 @@ def _undo_every_child(colour, adj) -> set[str]:
     return kinds
 
 
-def _looped_rook(k: int) -> tuple[tuple, tuple]:
+def _rook(k: int) -> tuple[tuple, tuple]:
     """The k x k rook's graph as a coloured digraph: vertex (i, j) is
     i * k + j, arcs along a row have weight 2 and along a column weight 1,
-    and the diagonal has a loop at each vertex and a colour of its own."""
+    and the diagonal has a colour of its own."""
     def row(v: int) -> tuple[int, ...]:
         i, j = divmod(v, k)
         along = [i * k + b for b in range(k) if b != j] * 2 + [a * k + j for a in range(k) if a != i]
-        return tuple(sorted([v] * (i == j) + along))
+        return tuple(sorted(along))
 
     return tuple(int(v // k == v % k) for v in range(k * k)), tuple(map(row, range(k * k)))
+
+
+def _one_colour(graph: Graph) -> tuple[tuple, tuple]:
+    """The graph as the search takes it: (colour, rows), all of one colour."""
+    return (0,) * graph.n, graph.adjacency
 
 
 @pytest.mark.parametrize(
     "digraph, levels",
     [
-        (ColouredDigraph.from_graph(cfi_graph(sorted(frucht().edges))), 7),
-        (ColouredDigraph.from_graph(crossed_prism(12)), 6),
-        (ColouredDigraph(*_looped_rook(4)), 3),
+        (_one_colour(cfi_graph(sorted(frucht().edges))), 7),
+        (_one_colour(crossed_prism(12)), 6),
+        (_rook(4), 3),
     ],
-    ids=["CFI(Frucht)", "crossed_prism(12)", "looped rook(4) with double row arcs"],
+    ids=["CFI(Frucht)", "crossed_prism(12)", "rook(4), coloured diagonal"],
 )
 def test_undo_restores_every_level_of_the_first_path(digraph, levels):
-    assert _undo_the_first_path(digraph.colour, digraph.adj) == levels
+    assert _undo_the_first_path(*digraph) == levels
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    st.one_of(
-        connected_graphs(max_n=12).map(ColouredDigraph.from_graph),
-        weighted_digraphs(max_n=9).map(lambda pair: ColouredDigraph(*pair)),
-    )
-)
+@given(st.one_of(connected_graphs(max_n=12).map(_one_colour), weighted_digraphs(max_n=9)))
 def test_undo_restores_every_level_of_random_first_paths(digraph):
-    _undo_the_first_path(digraph.colour, digraph.adj)
-    _undo_every_child(digraph.colour, digraph.adj)
+    _undo_the_first_path(*digraph)
+    _undo_every_child(*digraph)
 
 
 @pytest.mark.parametrize(
     "digraph, kinds",
     [
-        (ColouredDigraph.from_graph(rigid_cubic(7, 30)), {"match", "departs"}),
-        (ColouredDigraph.from_graph(cfi_graph(sorted(frucht().edges))), {"match", "departs"}),
-        # K4 with a loop at 0 and at 3 and the arc between 1 and 2 doubled.
-        # At the root, individualizing 0 splits nothing, and 1 splits {0, 3}
-        # off, one event past the first path's; below 0, individualizing 1
-        # splits {2, 3}, and 3 splits nothing, short of the first path.
-        (ColouredDigraph((0,) * 4, ((0, 1, 2, 3), (0, 2, 2, 3), (0, 1, 1, 3), (0, 1, 2, 3))), {"match", "short", "more"}),
+        (_one_colour(rigid_cubic(7, 30)), {"match", "departs"}),
+        (_one_colour(cfi_graph(sorted(frucht().edges))), {"match", "departs"}),
+        # Degree 4 in one colour, the arcs 0-4 and 1-3 doubled.  At the
+        # root, individualizing 2, whose arcs all have weight 1, splits
+        # nothing, short of the first path, and every other vertex matches.
+        (((0,) * 5, ((2, 3, 4, 4), (2, 3, 3, 4), (0, 1, 3, 4), (0, 1, 1, 2), (0, 0, 1, 2))), {"match", "short"}),
+        # 0 has an arc of weight 1 to every other vertex, and the arcs 1-2
+        # and 3-4 are doubled.  At the root, individualizing 0 splits
+        # nothing, and 1 splits {2, 3, 4}, one event past the first path's
+        # none; below 0, every child matches.
+        (((0,) * 5, ((1, 2, 3, 4), (0, 2, 2, 3), (0, 1, 1, 4), (0, 1, 4, 4), (0, 2, 3, 3))), {"match", "more"}),
     ],
-    ids=["rigid_cubic(7, 30)", "CFI(Frucht)", "looped K4 with a double arc"],
+    ids=["rigid_cubic(7, 30)", "CFI(Frucht)", "one colour, short", "one colour, more"],
 )
 def test_undo_takes_back_exactly_the_events_a_refinement_made(digraph, kinds):
     # A child refined against its level's trace stops right after its
     # first event that departs from it, an event past its end included, or
     # ends short of it; undoing the events it returned gives back the node.
-    assert _undo_every_child(digraph.colour, digraph.adj) == kinds
+    assert _undo_every_child(*digraph) == kinds
 
 
 def test_try_leaves_its_node_with_the_cells_it_was_given(monkeypatch):
@@ -1407,5 +1422,53 @@ def test_try_leaves_its_node_with_the_cells_it_was_given(monkeypatch):
     monkeypatch.setattr(_AutSearch, "_try", checked)
     base = sorted(frucht().edges)
     assert _uncached_group(cfi_graph(base)).order == 2**7
-    assert _isomorphism(cfi_graph(base), cfi_graph(base, twist=[0])) is None
+    assert isomorphism(cfi_graph(base), cfi_graph(base, twist=[0])) is None
     assert seen == {(True, False), (True, True), (False, False), (False, True)}
+
+
+def _assert_search_contract(colour, rows) -> None:
+    """The input contract of _AutSearch: every row sorted, with no loop,
+    and the reverse-arc rule: the weight back is a function of the two
+    colours and the weight forth, and nonzero exactly when that is."""
+    back: dict = {}
+    for u, row in enumerate(rows):
+        assert list(row) == sorted(row) and u not in row
+        for v in set(row):
+            weight = rows[v].count(u)
+            assert weight > 0 and back.setdefault((colour[u], colour[v], row.count(v)), weight) == weight
+
+
+def test_every_search_the_program_makes_meets_the_engine_contract(monkeypatch, tmp_path):
+    # The engine assumes what a Graph and a checked divisor matrix give it:
+    # sorted rows without loops and the reverse-arc rule, which its fold and
+    # twin quotient keep.  This records every input and quotient of the
+    # searches made by the benchmark's families analyses, its loaded-torus
+    # compare and the four family sequences, and by similar_divisors on
+    # weighted cell digraphs of spiders and loaded tori, and checks them.
+    init, seen = _AutSearch.__init__, []
+
+    def recorded(self, colour, adj):
+        init(self, colour, adj)
+        seen.extend([(colour, adj), (self.colour, self.adj)])
+
+    monkeypatch.setattr(_AutSearch, "__init__", recorded)
+    automorphism_group.cache_clear()
+    files = {}
+    for name, graph in FAMILY_GRAPHS.items():
+        files[name] = tmp_path / f"{len(files)}.edges"
+        files[name].write_text(serialize_edge_list(graph), encoding="ascii")
+    runs = [["analyze", "--json", str(path)] for name, path in files.items() if name != "loaded_torus((6,8),2,3)"]
+    runs.append(["compare", "--json", str(files["loaded_torus((6,8),2,3)"]), str(files["loaded_torus((8,8),2,3)"])])
+    for i, spec in enumerate(FAMILY_SEQUENCES.values()):
+        (path := tmp_path / f"{i}.json").write_text(json.dumps(spec), encoding="ascii")
+        runs.append(["sequence", "--json", "--count", "5", str(path)])
+    for argv in runs:
+        assert cli.main(argv) == cli.EXIT_OK, argv
+    spiders = [spider((1, 2, 2, 3)), spider((1, 1, 2, 2, 3, 3, 4)), spider((2, 5, 5, 7))]
+    for graph in (*spiders, loaded_torus((5, 5), 2, 3), loaded_torus((4, 6), 3, 2), loaded_torus((6, 6), 1, 4)):
+        dm = orbit_divisor_matrix(graph)
+        assert similar_divisors(dm, dm).similar
+    for colour, rows in seen:
+        _assert_search_contract(colour, rows)
+    # Some inputs carry several colours and arcs of weight above 1.
+    assert any(len(set(colour)) > 1 and any(len(set(row)) < len(row) for row in rows) for colour, rows in seen)

@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    FAMILY_GRAPHS,
+    FAMILY_SEQUENCES,
     ReferenceEnvelope,
     bisection_top,
     check_orbit_constancy,
@@ -336,26 +338,6 @@ def test_lemma_agreement_and_degree_sandwich(g):
 def test_orbit_constancy_property(g):
     report = check_orbit_constancy(g, orbit_partition(g))
     assert report.ok
-
-
-# The graphs of the benchmark's families workload and the terms of its
-# sequences: every orbit divisor matrix there has at most 13 cells.
-FAMILY_GRAPHS = {
-    "cycle_with_cliques(50,3,2)": cons.cycle_with_cliques(50, 3, 2),
-    "generalized_sun(60,2)": cons.generalized_sun(60, 2),
-    "loaded_torus((8,8),2,3)": cons.loaded_torus((8, 8), 2, 3),
-    "loaded_torus((6,8),2,3)": cons.loaded_torus((6, 8), 2, 3),
-    "torus((20,25))": cons.torus((20, 25)),
-    "corona(cycle(20),disjoint_cliques(2,3))": cons.corona(cons.cycle(20), cons.disjoint_cliques(2, 3)),
-    "crossed_prism(200)": cons.crossed_prism(200),
-}
-FAMILY_SEQUENCES = {
-    "generalized-sun": {"family": "generalized-sun", "p": 3, "q": 2, "start": 20},
-    "loaded-multi-torus-m3": {"family": "loaded-multi-torus", "q": 2, "m": 3, "r": 2,
-                              "schedule": [[3, 4], [4, 4], [4, 5], [5, 5], [5, 6]]},
-    "corona-family": {"family": "corona-family", "p": 3, "q": 2, "base": {"family": "cycles", "start": 12}},
-    "loaded-multi-torus-m12": {"family": "loaded-multi-torus", "q": 1, "m": 12, "r": 1, "schedule": [3, 4, 5, 6, 7]},
-}
 
 
 # The benchmark's slow-mixing graphs: path-like quotients of 75 to 200 cells.
