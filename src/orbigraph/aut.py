@@ -155,7 +155,7 @@ from .graph_core import Frozen, Graph
 
 
 class Partition(Frozen):
-    """Ordered partition of {0, ..., n-1} into disjoint nonempty sorted cells."""
+    """Ordered partition of {0, ..., n-1} into disjoint nonempty sorted cells of ints."""
 
     __slots__ = _fields = ("cells",)
     cells: tuple[tuple[int, ...], ...]
@@ -168,6 +168,8 @@ class Partition(Frozen):
             raise ValueError(f"cell {cell} not sorted ascending")
         # One sort checks cover and disjointness: the members are 0..n-1, once each.
         members = sorted(chain.from_iterable(cells))
+        if not set(map(type, members)) <= {int}:
+            raise ValueError(f"cell member {next(v for v in members if type(v) is not int)!r} is not an int")
         if members != list(range(len(members))):
             if len(set(members)) < len(members):
                 raise ValueError("cells are not disjoint")
@@ -939,8 +941,6 @@ def automorphism_group(graph: Graph) -> AutGroup:
     Groups are cached; automorphism_group.cache_clear() clears them, leaves
     and all.
     """
-    if graph.n == 0:
-        raise ValueError("automorphism group undefined for the empty graph")
     search = _AutSearch((0,) * graph.n, graph.adjacency)
     search.run()
     for g in search.generators:
@@ -959,7 +959,7 @@ def isomorphism(g: Graph, h: Graph) -> tuple[int, ...] | None:
     """An isomorphism from g onto h as the image of each vertex of g, or None.
 
     Decided for connected graphs only: ValueError unless g and h are
-    connected Graphs; two graphs of no vertex have the empty isomorphism.
+    connected Graphs, each of n >= 1 vertices as every Graph is.
     """
     if not all(isinstance(x, Graph) and x.connected for x in (g, h)):
         raise ValueError("isomorphism decided for connected graphs only")
@@ -980,8 +980,6 @@ def _isomorphism(a: tuple, b: tuple) -> tuple[int, ...] | None:
     na = len(rows_a)
     if na != len(rows_b) or sorted(map(len, rows_a)) != sorted(map(len, rows_b)) or sorted(colour_a) != sorted(colour_b):
         return None
-    if na == 0:
-        return ()
     search = _AutSearch([*colour_a, *colour_b], [*rows_a, *(tuple(w + na for w in row) for row in rows_b)])
     search.run()
     for g in search.generators:

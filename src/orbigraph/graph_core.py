@@ -179,14 +179,15 @@ class Ratio(Frozen):
 
 
 class Graph(Frozen):
-    """Simple undirected graph on the vertex set {0, ..., n-1}.
+    """Simple undirected graph on the vertex set {0, ..., n-1}, n >= 1.
 
     The value is the sorted adjacency: one tuple of neighbours per vertex,
     strictly ascending, so the graph is hashable and immutable and all
-    operations on it are pure.  Equality and hash are on (n, adjacency).
-    The edge set is built on each read of `edges`; the connectivity and
-    the hash are derived once, on first use, and cached in the instance
-    dict, so a cache keyed by the graph hashes its rows once.
+    operations on it are pure; n and every label are ints, else ValueError.
+    Equality and hash are on (n, adjacency).  The edge set is built on each
+    read of `edges`; the connectivity and the hash are derived once, on
+    first use, and cached in the instance dict, so a cache keyed by the
+    graph hashes its rows once.
     """
 
     _fields = ("n", "adjacency")
@@ -194,24 +195,31 @@ class Graph(Frozen):
     adjacency: tuple[tuple[int, ...], ...]
 
     def __init__(self, n: int, adjacency: Iterable[Sequence[int]]) -> None:
-        if n < 0:
-            raise ValueError(f"vertex count must be nonnegative, got {n}")
+        _check_order(n)
         rows = tuple(map(tuple, adjacency))
         if len(rows) != n:
             raise ValueError(f"{len(rows)} adjacency rows for n={n}")
-        for u, row in enumerate(rows):
-            if row and not (0 <= row[0] and row[-1] < n and u not in row and all(map(lt, row, row[1:]))):
-                raise ValueError(f"row {u} is not strictly ascending in 0..{n - 1} without {u}: {row}")
         # With every row ascending, the rows are symmetric iff the transpose,
-        # which comes out ascending too, is the rows again.
+        # which comes out ascending too, is the rows again.  A label that is
+        # not an int raises TypeError in a comparison or as an index.
         transpose: list[list[int]] = [[] for _ in rows]
+        try:
+            for u, row in enumerate(rows):
+                if row and not (0 <= row[0] and row[-1] < n and u not in row and all(map(lt, row, row[1:]))):
+                    raise ValueError(f"row {u} is not strictly ascending in 0..{n - 1} without {u}: {row}")
+            for u, row in enumerate(rows):
+                for v in row:
+                    transpose[v].append(u)
+        except TypeError:
+            raise ValueError(f"row {u} holds a label that is not an int: {row}") from None
+        # The transpose, of enumerate's ints, is stored, so a bool label becomes
+        # its int; its lists become tuples one at a time, to hold one copy.
         for u, row in enumerate(rows):
-            for v in row:
-                transpose[v].append(u)
-        if not all(map(eq, map(tuple, transpose), rows)):
-            raise ValueError("adjacency is not symmetric")
+            transpose[u] = column = tuple(transpose[u])
+            if column != row:
+                raise ValueError("adjacency is not symmetric")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "adjacency", rows)
+        object.__setattr__(self, "adjacency", tuple(transpose))
 
     @classmethod
     def _parsed(cls, n: int, rows: tuple[tuple[int, ...], ...]) -> "Graph":
@@ -225,6 +233,7 @@ class Graph(Frozen):
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Sequence[int]]) -> "Graph":
         """Build a graph from (u, v) pairs in any orientation; a repeated pair counts once."""
+        _check_order(n)
         rows: list[list[int]] = [[] for _ in range(n)]
         for e in edges:
             u, v = e
@@ -248,7 +257,7 @@ class Graph(Frozen):
 
     @cached_property
     def connected(self) -> bool:
-        """True iff every vertex is reachable from vertex 0 (true for n <= 1)."""
+        """True iff every vertex is reachable from vertex 0 (true for n = 1)."""
         return reaches_all(self.adjacency)
 
     @cached_property
@@ -262,13 +271,19 @@ class Graph(Frozen):
         return list(map(len, self.adjacency))
 
     def relabel(self, image: Sequence[int]) -> "Graph":
-        """Apply a vertex bijection v -> image[v] to the rows."""
-        if sorted(image) != list(range(self.n)):
-            raise ValueError("image is not a bijection on 0..n-1")
+        """Apply a vertex bijection v -> image[v], each image an int, to the rows."""
+        if set(map(type, image)) != {int} or sorted(image) != list(range(self.n)):
+            raise ValueError("image is not a bijection of ints on 0..n-1")
         rows: list[Sequence[int]] = [()] * self.n
         for u, row in enumerate(self.adjacency):
             rows[image[u]] = sorted(map(image.__getitem__, row))
         return Graph(self.n, rows)
+
+
+def _check_order(n) -> None:
+    """ValueError unless n is a vertex count: an int (not a bool) of at least 1."""
+    if type(n) is not int or n < 1:
+        raise ValueError(f"vertex count must be a positive int, got {n!r}")
 
 
 def _sorted_edges(graph: Graph) -> Iterator[tuple[int, int]]:
@@ -555,10 +570,8 @@ def to_dot(graph: Graph, coloring: Sequence[Sequence[int]] | None = None) -> str
 
 def reaches_all(rows: Sequence[Iterable[int]]) -> bool:
     """True iff every index is reachable from 0 along the rows, rows[i]
-    holding the heads of i's arcs (true for no rows).  Where every arc has
-    one back, as in a graph, that is connectivity."""
-    if not rows:
-        return True
+    holding the heads of i's arcs, given at least one row (true for one).
+    Where every arc has one back, as in a graph, that is connectivity."""
     seen = [False] * len(rows)
     seen[0] = True
     todo, count = [0], 1
@@ -572,14 +585,12 @@ def reaches_all(rows: Sequence[Iterable[int]]) -> bool:
 
 
 def is_connected(graph: Graph) -> bool:
-    """True iff every vertex is reachable from vertex 0 (true for n <= 1)."""
+    """True iff every vertex is reachable from vertex 0 (true for n = 1)."""
     return graph.connected
 
 
 def degree_stats(graph: Graph) -> DegreeStats:
     """Exact min/max/average degree and degree variance."""
-    if graph.n == 0:
-        raise ValueError("degree statistics undefined for the empty graph")
     deg = graph.degrees()
     n = graph.n
     m1 = Ratio(sum(deg), n)
@@ -594,8 +605,6 @@ def degree_stats(graph: Graph) -> DegreeStats:
 
 def edge_vertex_ratio(graph: Graph) -> Ratio:
     """Edges over vertices; equals half the average degree, exactly."""
-    if graph.n == 0:
-        raise ValueError("edge-vertex ratio undefined for the empty graph")
     return Ratio(graph.m, graph.n)
 
 

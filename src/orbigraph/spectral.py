@@ -399,8 +399,6 @@ def spectral_radius_adjacency(graph: Graph, partition: Partition | None = None) 
     """
     if not is_connected(graph):
         raise ValueError("spectral radius defined here for connected graphs only")
-    if graph.n == 0:
-        raise ValueError("empty graph")
     if partition is None:
         partition = orbit_partition(graph)
     dm = divisor_matrix(graph, partition)

@@ -120,6 +120,11 @@ FAMILY_SEQUENCES = {
 }
 
 
+def complete_bipartite(p: int, q: int) -> Graph:
+    """K_{p,q}: vertices 0..p-1 on one side, p..p+q-1 on the other."""
+    return Graph.from_edges(p + q, [(a, b) for a in range(p) for b in range(p, p + q)])
+
+
 def tied_star() -> Graph:
     """Hub adjacent to all four other vertices, plus one rim edge (0-4).
 
@@ -813,19 +818,32 @@ def check_orbit_constancy(
 
 
 @st.composite
-def connected_graphs(draw, min_n: int = 1, max_n: int = 7):
-    """Random connected graph: random edge mask patched with a spanning path."""
+def graphs(draw, min_n: int = 1, max_n: int = 7):
+    """Random graph, connected or not: a random edge mask on n vertices."""
     n = draw(st.integers(min_value=min_n, max_value=max_n))
     pairs = list(combinations(range(n), 2))
     mask = draw(st.integers(min_value=0, max_value=(1 << len(pairs)) - 1))
-    edges = {p for i, p in enumerate(pairs) if mask >> i & 1}
-    g = Graph.from_edges(n, edges)
+    return Graph.from_edges(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+
+
+@st.composite
+def connected_graphs(draw, min_n: int = 1, max_n: int = 7):
+    """Random connected graph: a graph of graphs() patched with a spanning path."""
+    g = draw(graphs(min_n, max_n))
     if not is_connected(g):
-        order = draw(st.permutations(range(n)))
+        edges = set(g.edges)
+        order = draw(st.permutations(range(g.n)))
         for a, b in zip(order, order[1:]):
             edges.add((min(a, b), max(a, b)))
-        g = Graph.from_edges(n, edges)
+        g = Graph.from_edges(g.n, edges)
     return g
+
+
+@st.composite
+def partitions(draw, n: int):
+    """Random Partition of 0..n-1: the classes of a random colouring, in a random order."""
+    colour = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    return Partition(tuple(draw(st.permutations(partition_by(colour).cells))))
 
 
 @st.composite
