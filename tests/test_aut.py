@@ -256,6 +256,11 @@ class TestAutomorphismGroup:
         g = cycle(7)
         assert automorphism_group(g) is automorphism_group(Graph.from_edges(g.n, g.edges))
 
+    def test_empty_graph_rejected(self):
+        # The empty graph is refused where it would be made, before the search.
+        with pytest.raises(ValueError, match="^vertex count must be a positive int, got 0$"):
+            automorphism_group(Graph.from_edges(0, ()))
+
 
 class TestOrbitPartition:
     def test_cycle_single_orbit(self):

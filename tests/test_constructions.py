@@ -4,7 +4,7 @@ import pytest
 
 from orbigraph import constructions as cons
 from orbigraph.constructions import RootedGraph, family, family_names, family_order, path
-from orbigraph.graph_core import is_connected
+from orbigraph.graph_core import Graph, is_connected
 
 # (family, parameters, order, size, common degree or None if not regular)
 SHAPES = [
@@ -49,12 +49,24 @@ def test_rooted_graph_rejects_a_root_out_of_range(root):
         RootedGraph(path(3), root)
 
 
+# The empty graph, built when a case runs: it is refused where it is made,
+# so no construction ever receives an empty factor or support.
+def _empty() -> Graph:
+    return Graph.from_edges(0, ())
+
+
+_NO_EMPTY = "vertex count must be a positive int, got 0"
+
 # Each constructor's argument check, with the message it raises.
 ARGUMENT_ERRORS = [
     ("path", lambda: cons.path(0), "path needs n >= 1, got 0"),
     ("complete", lambda: cons.complete(0), "complete graph needs n >= 1, got 0"),
     ("star", lambda: cons.star(0), "star needs q >= 1, got 0"),
+    ("cartesian_product", lambda: cons.cartesian_product(path(2), _empty()), _NO_EMPTY),
+    ("strong_product", lambda: cons.strong_product(_empty(), path(2)), _NO_EMPTY),
+    ("corona", lambda: cons.corona(_empty(), path(2)), _NO_EMPTY),
     ("starlike_load", lambda: cons.starlike_load(2, 0), "starlike load needs q, m >= 1, got q=2, m=0"),
+    ("vertex_load", lambda: cons.vertex_load(_empty(), cons.starlike_load(1, 1)), _NO_EMPTY),
     ("moebius_ladder", lambda: cons.moebius_ladder(2), "Moebius ladder needs n >= 3, got 2"),
     ("crossed_prism", lambda: cons.crossed_prism(5), "crossed prism needs even n >= 4, got 5"),
     ("antiprism", lambda: cons.antiprism(2), "antiprism needs n >= 3, got 2"),

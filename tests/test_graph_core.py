@@ -429,6 +429,10 @@ class TestDegreeStats:
         deg = star(3).degrees()
         assert s.degree_variance == Fraction(sum(d * d for d in deg), 4) - Fraction(sum(deg), 4) ** 2
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="^vertex count must be a positive int, got 0$"):
+            degree_stats(Graph.from_edges(0, ()))
+
 
 _INTEGERS = st.one_of(st.integers(-60, 60), st.integers(-(10**30), 10**30))
 _FLOATS = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.sampled_from((0.0, -0.0, 0.5, -2.0, 1 / 3)))

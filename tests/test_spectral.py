@@ -136,6 +136,11 @@ class TestAdjacencyRadius:
         with pytest.raises(ValueError):
             spectral_radius_adjacency(Graph.from_edges(4, [(0, 1), (2, 3)]))
 
+    def test_empty_rejected(self):
+        # The empty graph is refused where it would be made.
+        with pytest.raises(ValueError, match="^vertex count must be a positive int, got 0$"):
+            spectral_radius_adjacency(Graph(0, ()))
+
     def test_solves_the_divisor_matrix_it_returns(self):
         g = tied_star()
         assert spectral_radius_adjacency(g).divisor == orbit_divisor_matrix(g)
