@@ -64,9 +64,9 @@ which nothing reads, as traces record positions and counts, candidates are
 sorted and the singleton map reads singletons and cell membership.  The
 levels are then undone and tried deepest first, so while the candidates of
 level L are tried, every generator found so far fixes the first L base
-vertices; one union-find over all generators therefore holds the orbits of
-that stabiliser, and a candidate is tried only if its orbit holds neither
-the base vertex nor a refuted candidate.  Below the first path a node tries
+vertices; the orbit forest (below) therefore holds the orbits of that
+stabiliser, and a candidate is tried only if its orbit holds neither the
+base vertex nor a refuted candidate.  Below the first path a node tries
 one child per orbit of the generators that fix every vertex individualized
 down to it, taken once its first child is refuted; a child keeps those that
 fix its vertex.  This is nauty's rule (McKay, Congressus Numerantium 30,
@@ -110,11 +110,24 @@ candidates one by one.  nauty applies vertex invariants the same way,
 once, at a chosen level and with a bound on their radius (McKay & Piperno,
 Practical graph isomorphism II, 2014, on invarproc and invararg).
 
-The group order is the product over levels of the base vertex's orbit size
-when its level finishes, times (class size)! for every twin class of every
-round; a fold adds no factor.  A folded block holds several orbits, so
-orbits are taken by position: the blocks of a quotient vertex's orbit are
-matched position by position, and the twin generators join the pieces.
+The orbits are the trees of one forest over the input vertices, which
+every generator joins its (vertex, image) pairs into when it is made, as
+nauty joins generator cycles in its orbits array (McKay & Piperno 2014);
+each root is the smallest member of its tree.  The search reads a quotient
+vertex's orbit as the tree of the first vertex of its block.  That is
+sound.  A search generator is lifted by position, blocks[q] onto
+blocks[r], so the tree of blocks[q][0] holds blocks[r][0] for every r in
+q's quotient orbit.  A twin generator permutes vertices inside what becomes
+one quotient vertex's block, and a search generator maps each block onto a
+block of the same quotient orbit, so no tree reaches the first vertex of a
+quotient vertex outside that orbit.  Every generator found so far fixes
+the base vertices above the level being tried, so it maps that level's
+cell onto itself and the base vertex's orbit lies in the cell.  The group
+order is the product over levels of the number of the cell's members in
+the base vertex's tree when its level finishes, times (class size)! for
+every twin class of every round; a fold adds no factor.  Once the search
+ends, the trees are the components of all generators' pairs: the orbits
+of the group they generate, which is Aut.
 
 Isomorphism of two connected digraphs a and b is the automorphism search
 of their disjoint union (McKay & Piperno 2014), and a swap is a generator
@@ -228,35 +241,20 @@ def unit_partition(n: int) -> Partition:
     return Partition((tuple(range(n)),))
 
 
-class _UnionFind:
-    def __init__(self, items: Iterable) -> None:
-        self.parent = {x: x for x in items}
-        self.size = dict.fromkeys(self.parent, 1)
+def _root(parent, v):
+    """The root of v's tree in the forest `parent`, halving the path on the way."""
+    while parent[v] != v:
+        parent[v] = v = parent[parent[v]]
+    return v
 
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
 
-    def union(self, a, b) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if self.size[ra] > self.size[rb]:
-                ra, rb = rb, ra
-            self.parent[ra] = rb
-            self.size[rb] += self.size[ra]
-
-    def class_size(self, x) -> int:
-        return self.size[self.find(x)]
-
-    def groups(self) -> list[list]:
-        by_root: dict = {}
-        for x in self.parent:
-            by_root.setdefault(self.find(x), []).append(x)
-        return list(by_root.values())
+def _join(parent, a, b) -> None:
+    """Join a's and b's trees under the smaller root, so every root stays its tree's least member."""
+    a, b = _root(parent, a), _root(parent, b)
+    if a < b:
+        parent[b] = a
+    elif b < a:
+        parent[a] = b
 
 
 class _Cells:
@@ -670,13 +668,12 @@ def _profile_split(adj: Sequence[Sequence[int]], cell: list[int]) -> list[list[i
 def _other_orbits(cell: list[int], gens: list[dict[int, int]]) -> list[int]:
     """The smallest member of each orbit of gens on the sorted cell but
     cell[0]'s, in descending order; gens map the cell onto itself."""
-    orbits = _UnionFind(cell)
+    parent = {v: v for v in cell}
     for g in gens:
         for v in filter(g.__contains__, cell):
-            orbits.union(v, g[v])
-    smallest = {orbits.find(v): v for v in reversed(cell)}
-    del smallest[orbits.find(cell[0])]
-    return sorted(smallest.values(), reverse=True)
+            _join(parent, v, g[v])
+    # The roots are the smallest members, and cell[0] is its own orbit's.
+    return [v for v in cell[:0:-1] if parent[v] == v]
 
 
 class _AutSearch:
@@ -696,6 +693,7 @@ class _AutSearch:
     def __init__(self, colour: Sequence, adj: Sequence[tuple[int, ...]]) -> None:
         self.heads = adj  # of the input, for the arc check
         self.generators: list[tuple[tuple[int, int], ...]] = []
+        self.parent = list(range(len(adj)))  # the orbit forest (see the module docstring)
         # |Aut|: k! per twin class of k, times, once run ends, the base
         # vertex's orbit size per level.
         self.order = 1
@@ -727,8 +725,6 @@ class _AutSearch:
         self.adj = adj
         self.blocks = blocks
         self.colour = colour
-        self.twin_generators = len(self.generators)
-        self.orbits = _UnionFind(range(len(adj)))
         # The quotient permutation of each generator the search found.
         self.images: list[dict[int, int]] = []
 
@@ -758,30 +754,41 @@ class _AutSearch:
             self.first_traces.append(node.refine(self.adj, [node.individualize(min(node.lab[c : c + node.clen[c]]))]))
             self.targets.append(node.target())
         self.first_leaf, self.first_pos = node.lab[:], node.pos[:]
+        orbit = self._orbit
         # Deepest level first: every generator found so far fixes the base
         # vertices above the level being tried.
         for level in reversed(range(len(self.first_traces))):
             c = self.targets[level]
             node.undo(self.first_traces[level], c)
             members = sorted(node.lab[c : c + node.clen[c]])
-            b = members[0]
             # The orbits of candidates whose subtree held no automorphism,
             # by their roots: no other member of such an orbit has one.
             refuted: set[int] = set()
             for v in members[1:]:
-                if (r := self.orbits.find(v)) in refuted or r == self.orbits.find(b):
+                if (r := orbit(v)) in refuted or r == orbit(members[0]):
                     continue
                 if self._try(node, v, level + 1):
-                    refuted = set(map(self.orbits.find, refuted))
+                    refuted = {_root(self.parent, r) for r in refuted}
                 else:
                     refuted.add(r)
-            self.order *= self.orbits.class_size(b)
+            r = orbit(members[0])
+            self.order *= sum(orbit(v) == r for v in members)
+
+    def _orbit(self, q: int) -> int:
+        """The root of quotient vertex q's orbit: the tree of its block's first vertex."""
+        return _root(self.parent, self.blocks[q][0])
 
     def _add_block_cycle(self, cycle: list[list[int]]) -> None:
         image: dict[int, int] = {}
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
             image.update(zip(a, b))
+        self._add(image)
+
+    def _add(self, image: dict[int, int]) -> None:
+        """Keep a generator, given on the input vertices it moves, and join its pairs."""
         self.generators.append(tuple(sorted(image.items())))
+        for v, w in image.items():
+            _join(self.parent, v, w)
 
     def _try(self, node: _Cells, v: int, level: int) -> bool:
         """Depth-first search of the subtree of node + v, whose root is at
@@ -877,10 +884,8 @@ class _AutSearch:
             lifted.update(zip(self.blocks[q], self.blocks[r]))
         if not self._is_automorphism(lifted):
             return False
-        self.generators.append(tuple(sorted(lifted.items())))
+        self._add(lifted)
         self.images.append(image)
-        for q, r in image.items():
-            self.orbits.union(q, r)
         return True
 
     def _is_automorphism(self, image: dict[int, int]) -> bool:
@@ -896,21 +901,10 @@ class _AutSearch:
         return True
 
     def orbit_cells(self) -> list[list[int]]:
-        # The blocks of a quotient orbit, matched position by position, give
-        # pieces of orbits, and the twin generators join the pieces.
-        pieces = [list(column) for group in self.orbits.groups() for column in zip(*map(self.blocks.__getitem__, group))]
-        twins = self.generators[: self.twin_generators]
-        if not twins:
-            return pieces
-        piece_of = [0] * len(self.heads)
-        for i, piece in enumerate(pieces):
-            for v in piece:
-                piece_of[v] = i
-        joined = _UnionFind(range(len(pieces)))
-        for g in twins:
-            for v, w in g:
-                joined.union(piece_of[v], piece_of[w])
-        return [[v for i in group for v in pieces[i]] for group in joined.groups()]
+        trees: dict[int, list[int]] = {}
+        for v in range(len(self.parent)):
+            trees.setdefault(_root(self.parent, v), []).append(v)
+        return list(trees.values())
 
     def single_leaf(self) -> tuple[int, ...] | None:
         """After run, the input vertices in the order of the one leaf of the

@@ -27,7 +27,7 @@ from itertools import repeat
 from operator import itemgetter, lt
 
 from .aut import Partition, _isomorphism, automorphism_group, orbit_partition
-from .graph_core import Frozen, Graph, Ratio, is_connected, reaches_all
+from .graph_core import Frozen, Graph, Ratio, _exact, is_connected, reaches_all
 
 
 class DivisorMatrix(Frozen):
@@ -157,9 +157,13 @@ def orbit_divisor_matrix(graph: Graph) -> DivisorMatrix:
 
 
 def entropy_of(omega: Sequence[Ratio]) -> float:
-    """Base-2 entropy of a probability vector with positive rational parts."""
+    """Base-2 entropy of a probability vector with positive rational parts:
+    Ratios, ints or Fractions, bools refused; ValueError for any other."""
     if not omega:
         raise ValueError("empty distribution vector")
+    for w in omega:
+        if isinstance(w, bool) or _exact(w) is None:
+            raise ValueError(f"distribution component {w!r} is not an exact rational")
     if any(w <= 0 for w in omega):
         raise ValueError("distribution components must be positive")
     if sum(omega, Ratio(0)) != 1:

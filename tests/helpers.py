@@ -10,9 +10,10 @@ import subprocess
 import sys
 from collections import deque
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, compress, islice
 from math import factorial
-from operator import mul, truediv
+from operator import add, mul, truediv
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -20,7 +21,7 @@ import hypothesis.strategies as st
 
 import orbigraph
 from orbigraph import constructions as cons
-from orbigraph.aut import AutGroup, Partition, _UnionFind, automorphism_group, orbit_partition
+from orbigraph.aut import AutGroup, Partition, _join, _root, automorphism_group, orbit_partition
 from orbigraph.cli import _write_json
 from orbigraph.graph_core import Graph, GraphFormatError, _edge_list_header, _graph6_header, _significant, is_connected
 from orbigraph.orbital import DivisorMatrix, divisor_matrix
@@ -664,15 +665,15 @@ def is_edge_transitive(graph: Graph) -> bool:
     if graph.m == 0:
         raise ValueError("edge transitivity undefined for edgeless graphs")
     group = automorphism_group(graph)
-    uf = _UnionFind(graph.edges)
+    parent = {e: e for e in graph.edges}
     for g in group.generators:
         image = dict(g)
         for u, a in g:
             # An edge with both ends fixed maps onto itself.
             for v in graph.adjacency[u]:
                 b = image.get(v, v)
-                uf.union(((u, v) if u < v else (v, u)), ((a, b) if a < b else (b, a)))
-    return len(uf.groups()) == 1
+                _join(parent, ((u, v) if u < v else (v, u)), ((a, b) if a < b else (b, a)))
+    return len({_root(parent, e) for e in parent}) == 1
 
 
 def omega_from_divisor(entries: Sequence[Sequence[int]]) -> tuple[Fraction, ...]:
@@ -738,7 +739,8 @@ def bisection_top(kernel, sums) -> float:
 class ReferenceEnvelope(_Envelope):
     """The envelope kernel with every row run through the general row loop
     (test oracle): _Envelope runs rows of width one and updates of one
-    product as scalars, and must give these results bit for bit.  top and
+    product as scalars, and must give these results bit for bit.  Every sum
+    runs left to right from 0.0, as _Envelope's do on every Python.  top and
     pinned are _Envelope's, and run on these loops."""
 
     def factor(self, shift: float) -> tuple[list[list[float]], list[float]] | None:
@@ -746,9 +748,9 @@ class ReferenceEnvelope(_Envelope):
         for f, band, m_kk, updates in zip(self.first, self.band, self.diag, self.updates):
             g = band[:]
             for i, a, j, b in updates:
-                g[i] -= sum(map(mul, g[a:i], low[j][b:]))
+                g[i] -= reduce(add, map(mul, g[a:i], low[j][b:]), 0.0)
             row = list(map(truediv, g, piv[f:]))
-            d = shift - m_kk - sum(map(mul, g, row))
+            d = shift - m_kk - reduce(add, map(mul, g, row), 0.0)
             if not d > 0.0:
                 return None
             low.append(row)
@@ -760,7 +762,7 @@ class ReferenceEnvelope(_Envelope):
         z = [b[c] for c in self.order]
         for k, f in enumerate(self.first):
             if f < k:
-                z[k] -= sum(map(mul, low[k], z[f:k]))
+                z[k] -= reduce(add, map(mul, low[k], z[f:k]), 0.0)
         z = list(map(truediv, z, piv))
         for k in range(len(z) - 1, 0, -1):
             f, zk = self.first[k], z[k]

@@ -985,6 +985,39 @@ def test_twins_and_folds_under_relabellings(graph, order):
         assert other.orbits == Partition.from_cells([[image[v] for v in cell] for cell in group.orbits.cells]).canonical()
 
 
+# The paper's families at the benchmark's sizes -> (group order, orbit sizes),
+# from their constructions.  Twin rounds, folds and several search levels
+# all add generators here, far past the n <= 8 of the brute-force oracles.
+FAMILY_FORMS = {
+    # the dihedral group of the cycle; at each cycle vertex its two
+    # triangles swap, and so do the two other vertices of each: 2 * 2 * 2
+    "cycle_with_cliques(50,3,2)": (2 * 50 * 8**50, [200, 50]),
+    # the dihedral group of the cycle, and each vertex's two rays swap
+    "generalized_sun(60,2)": (2 * 60 * 2**60, [120, 60]),
+    # Aut(C8 x C8) has order 8 * 8^2, and each load swaps its 2 branches
+    "loaded_torus((8,8),2,3)": (8 * 64 * 2**64, [128, 128, 128, 64]),
+    # Aut(C6 x C8) = D6 x D8
+    "loaded_torus((6,8),2,3)": (12 * 16 * 2**48, [96, 96, 96, 48]),
+    # Aut(C20 x C25) = D20 x D25
+    "torus((20,25))": (2000, [500]),
+    # the dihedral group of C20, and Aut(2 K3) = 2 * 3! * 3! = 72 per copy
+    "corona(cycle(20),disjoint_cliques(2,3))": (40 * 72**20, [120, 20]),
+    # the dihedral group of its 100 four-cycles, and a swap of the two
+    # cycles' vertices at each of the 100 junctions between them
+    "crossed_prism(200)": (200 * 2**100, [400]),
+}
+
+
+@pytest.mark.parametrize("name", FAMILY_FORMS)
+def test_families_match_their_closed_forms(name):
+    order, sizes = FAMILY_FORMS[name]
+    graph = FAMILY_GRAPHS[name]
+    group = automorphism_group(graph)
+    assert group.order == order
+    assert list(map(len, group.orbits.cells)) == sizes
+    check_generator_form(group, graph)
+
+
 @pytest.mark.parametrize(
     "graph",
     [

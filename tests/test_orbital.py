@@ -131,6 +131,10 @@ class TestEntropy:
             entropy_of((F(3, 2), F(-1, 2)))
         with pytest.raises(ValueError):
             entropy_of(())
+        # a component must be an exact rational: no float, str or bool
+        for omega in ([0.5, 0.5], ["a"], [True], [F(1, 2), 0.5]):
+            with pytest.raises(ValueError, match="not an exact rational"):
+                entropy_of(omega)
 
 
 class TestOrbitProfile:
