@@ -41,16 +41,16 @@ recurrence, L_k,k-1 = b_k / D_k-1 and D_k = shift - m_kk - b_k L_k,k-1,
 and each sweep of a solve does one multiply-subtract on it, where a wider
 row slices, maps and sums lists.  These are the wider row's float
 operations in its order, since a wider row sums its products left to right
-from 0.0 (_sum), and a sum of one product is 0.0 plus that product, so the
-results are the same bit for bit.  Python 3.12 made sum() of floats
-compensated (Neumaier), so _sum is the builtin sum before 3.12 and a
-left-to-right reduce from 3.12 on, and every version prints the same
-bytes.  Every row of the quotient of a path, a prism or a ladder in this
-order is a chain row but the first, of width 0: spectral_radius_adjacency
-takes 2.0 ms on path(300), whose quotient has 150 cells, and 21 ms on
-path(2000) (2-vCPU VM, Python 3.11.7, best of 75 runs).  shift I - M is a nonsingular M-matrix, all
-its pivots positive, exactly when shift > rho (Sylvester's law of
-inertia), and a factorization stops at the first pivot that is not
+from 0.0 (reduce(add, ..., 0.0)), and a sum of one product is 0.0 plus that
+product, so the results are the same bit for bit.  The builtin sum() is not
+used: Python 3.12 made it compensated (Neumaier) on floats, and the
+left-to-right reduce prints the same bytes on every version.  Every row of
+the quotient of a path, a prism or a ladder in this order is a chain row
+but the first, of width 0: spectral_radius_adjacency takes 2.0 ms on
+path(300), whose quotient has 150 cells, and 21 ms on path(2000) (2-vCPU
+VM, Python 3.11.7, best of 75 runs).  shift I - M is a nonsingular
+M-matrix, all its pivots positive, exactly when shift > rho (Sylvester's
+law of inertia), and a factorization stops at the first pivot that is not
 positive.  Noda iteration (Noda, Numer. Math. 17, 1971) first narrows the
 row-sum bracket: at an upper end h that factors, y = (h I - M)^(-1) x is
 positive, since the inverse of a nonsingular M-matrix is, and
@@ -97,8 +97,7 @@ analyze command reports the same record for one graph.
 """
 
 import math
-import sys
-from functools import partial, reduce
+from functools import reduce
 from operator import add, mul, truediv
 
 from .aut import Partition, automorphism_group, orbit_partition
@@ -112,8 +111,6 @@ ENVELOPE_WORK = 40_000
 # Entries of u within this relative distance of its largest count as tied
 # for the pivot cell; both kernels resolve u far more finely.
 PIVOT_TIE = 1e-9
-# A left-to-right float sum, called with start 0.0 (see the module docstring).
-_sum = sum if sys.version_info < (3, 12) else partial(reduce, add)
 
 
 class CertificateError(RuntimeError):
@@ -232,12 +229,12 @@ class _Envelope:
                 g = band[:] if updates else band
                 for i, a, j, b in updates:
                     if i - a == 1:
-                        # One product, as in a chain row: _sum gives 0.0 plus it.
+                        # One product, as in a chain row: the reduce gives 0.0 plus it.
                         g[i] -= g[a] * low[j][b] + 0.0
                     else:
-                        g[i] -= _sum(map(mul, g[a:i], low[j][b:]), 0.0)
+                        g[i] -= reduce(add, map(mul, g[a:i], low[j][b:]), 0.0)
                 row = list(map(truediv, g, piv[f:]))
-                d = shift - m_kk - _sum(map(mul, g, row), 0.0)
+                d = shift - m_kk - reduce(add, map(mul, g, row), 0.0)
             if not d > 0.0:
                 return None
             low.append(row)
@@ -250,10 +247,10 @@ class _Envelope:
         z = [b[c] for c in self.order]
         for k, f in enumerate(self.first):
             if f == k - 1:
-                # _sum of one product is 0.0 plus it, which turns -0.0 into 0.0.
+                # The reduce of one product is 0.0 plus it, which turns -0.0 into 0.0.
                 z[k] -= low[k][0] * z[f] + 0.0
             elif f < k:
-                z[k] -= _sum(map(mul, low[k], z[f:k]), 0.0)
+                z[k] -= reduce(add, map(mul, low[k], z[f:k]), 0.0)
         z = list(map(truediv, z, piv))
         for k in range(len(z) - 1, 0, -1):
             f, zk = self.first[k], z[k]
